@@ -56,11 +56,22 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 
 	// Widening past the built radius loses the guarantee: rejected, not
 	// clamped.
-	var out map[string]any
-	post(t, ts.URL+"/query", map[string]any{"point": toBits(points[0]), "radius": cfg.coverRadius + 1},
-		http.StatusBadRequest, &out)
-	post(t, ts.URL+"/query", map[string]any{"point": toBits(points[0]), "radius": -1},
-		http.StatusBadRequest, &out)
+	const exceeds = "radius = 4 exceeds the built covering radius 3 (the no-false-negatives guarantee stops there)"
+	for _, c := range []struct {
+		path string
+		body map[string]any
+		want string
+	}{
+		{"/query", map[string]any{"point": toBits(points[0]), "radius": cfg.coverRadius + 1}, exceeds},
+		{"/batch", map[string]any{"points": []any{toBits(points[0])}, "radius": cfg.coverRadius + 1}, exceeds},
+		{"/query", map[string]any{"point": toBits(points[0]), "radius": -1}, "radius = -1, want >= 0"},
+	} {
+		var out map[string]string
+		post(t, ts.URL+c.path, c.body, http.StatusBadRequest, &out)
+		if out["error"] != c.want {
+			t.Errorf("%s %v: error = %q, want %q", c.path, c.body["radius"], out["error"], c.want)
+		}
+	}
 
 	// Batch with an override.
 	var batch struct {
@@ -111,17 +122,25 @@ func TestCoveringRadiusRejectedOnClassic(t *testing.T) {
 	hcfg.coverRadius = 0 // classic hamming
 	hts := startServer(t, hcfg)
 	points := seedBinary(hcfg.n, hcfg.dim, hcfg.seed)
-	var out map[string]any
-	post(t, hts.URL+"/query", map[string]any{"point": toBits(points[0]), "radius": 2},
-		http.StatusBadRequest, &out)
-	post(t, hts.URL+"/batch", map[string]any{"points": []any{toBits(points[0])}, "radius": 2},
-		http.StatusBadRequest, &out)
-
 	lcfg := testConfig() // classic l2
 	lts := startServer(t, lcfg)
 	dense := seedDense(lcfg.n, lcfg.dim, lcfg.seed)
-	post(t, lts.URL+"/query", map[string]any{"point": toFloats(dense[0]), "radius": 2},
-		http.StatusBadRequest, &out)
+	const want = `"radius" is only supported when the server runs a covering index (start with -radius)`
+	for _, c := range []struct {
+		url  string
+		body map[string]any
+	}{
+		{hts.URL + "/query", map[string]any{"point": toBits(points[0]), "radius": 2}},
+		{hts.URL + "/batch", map[string]any{"points": []any{toBits(points[0])}, "radius": 2}},
+		{lts.URL + "/query", map[string]any{"point": toFloats(dense[0]), "radius": 2}},
+		{lts.URL + "/batch", map[string]any{"points": []any{toFloats(dense[0])}, "radius": 2}},
+	} {
+		var out map[string]string
+		post(t, c.url, c.body, http.StatusBadRequest, &out)
+		if out["error"] != want {
+			t.Errorf("%s: error = %q, want %q", c.url, out["error"], want)
+		}
+	}
 
 	// And /stats reports the mode as disabled.
 	var st struct {
@@ -214,6 +233,41 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 		}
 		if res.Radius == nil || *res.Radius != cfg.coverRadius {
 			t.Fatalf("query %d: restored server answered with radius = %v, want %d", qi, res.Radius, cfg.coverRadius)
+		}
+	}
+}
+
+// TestCoveringReplicasHydrate: a covering snapshot restores the mode on
+// both replica boot paths — -hydrate <path> reading the file and
+// -hydrate <url> reading the writer's GET /snapshot stream, which cannot
+// be rewound — with classic boot flags, answering id-identically to the
+// writer.
+func TestCoveringReplicasHydrate(t *testing.T) {
+	cfg := coveringConfig()
+	cfg.snapshot = filepath.Join(t.TempDir(), "index.snap")
+	writer := startServer(t, cfg)
+	post(t, writer.URL+"/snapshot", map[string]any{}, http.StatusOK, nil)
+	points := seedBinary(cfg.n, cfg.dim, cfg.seed)
+
+	for _, source := range []string{cfg.snapshot, writer.URL} {
+		rcfg := coveringConfig()
+		rcfg.coverRadius = 0
+		rcfg.hydrate = source
+		s, rep := startReplicaServer(t, rcfg)
+		if s.cfg.coverRadius != cfg.coverRadius {
+			t.Fatalf("replica of %s restored covering radius %d, want %d", source, s.cfg.coverRadius, cfg.coverRadius)
+		}
+		for qi := 0; qi < 8; qi++ {
+			var want, got queryResult
+			body := map[string]any{"point": toBits(points[qi*41]), "radius": 2}
+			post(t, writer.URL+"/query", body, http.StatusOK, &want)
+			post(t, rep.URL+"/query", body, http.StatusOK, &got)
+			if !slices.Equal(sortedIDs(got.IDs), sortedIDs(want.IDs)) {
+				t.Fatalf("replica of %s, query %d: answers differ from the writer's", source, qi)
+			}
+			if got.Radius == nil || *got.Radius != 2 {
+				t.Fatalf("replica of %s, query %d: radius = %v, want 2", source, qi, got.Radius)
+			}
 		}
 	}
 }

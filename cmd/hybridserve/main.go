@@ -176,7 +176,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -383,7 +382,7 @@ type backend interface {
 	compact(shardIdx int) (int, error) // shardIdx < 0 compacts every shard
 	autoCompact(threshold float64)
 	snapshot(path string) (int64, error)
-	writeSnapshotTo(w io.Writer) (int64, error)
+	streamSnapshot(w io.Writer) (int64, error)
 	installJournal(l *replica.Log)
 	// syncJournal flushes the installed journal's durable sink (the WAL)
 	// through the shard-level barrier; a no-op without one.
@@ -396,6 +395,9 @@ type backend interface {
 	// backends.
 	releaseFollower() (epoch, seq uint64, err error)
 	topo() shard.Stats
+	// mode is the store's serving mode as data: the per-query options it
+	// supports, at their built values.
+	mode() core.QueryOpts
 	maxWorkers() int
 	cost() core.CostModel
 	setCost(c core.CostModel) error
@@ -441,17 +443,13 @@ type server struct {
 	queries     atomic.Int64 // queries answered (batch members count)
 	lshAns      atomic.Int64 // shard answers via LSH-based search
 	linAns      atomic.Int64 // shard answers via linear scan
-	// Multi-probe counters (zero on classic backends): queries answered
-	// via the probe path, the summed T they used, and how many carried a
-	// per-request override.
-	probeQueries   atomic.Int64
-	probesUsed     atomic.Int64
-	probeOverrides atomic.Int64
-	// Covering counters (zero on non-covering backends): queries
-	// answered with the covering guarantee and how many narrowed the
-	// radius per request.
-	coverQueries   atomic.Int64
-	coverOverrides atomic.Int64
+	// Mode counters (zero on classic backends): queries answered in the
+	// serving mode — through the probe path, or with the covering
+	// guarantee — how many of them carried a per-request override, and on
+	// multi-probe backends the summed T they used.
+	modeQueries   atomic.Int64
+	modeOverrides atomic.Int64
+	probesUsed    atomic.Int64
 	// reg is the /metrics registry, metrics the query-path bundle
 	// (strategy counters, latency histograms, drift monitor) every
 	// answered query is folded into. sampled counts answered queries for
@@ -595,9 +593,7 @@ func newServer(cfg config) (*server, error) {
 		// Static replica from a snapshot file. Unlike -snapshot, the file
 		// is the entire dataset, so a missing file is an error rather than
 		// a synthetic-build fallback.
-		cfg.snapshot = cfg.hydrate
-		be, err = loadBackend(&cfg)
-		cfg.snapshot = ""
+		be, err = loadBackend(&cfg, cfg.hydrate)
 		if err != nil {
 			return nil, err
 		}
@@ -607,7 +603,7 @@ func newServer(cfg config) (*server, error) {
 		readOnly = true
 		loadedFrom = cfg.hydrate
 	default:
-		be, err = loadBackend(&cfg)
+		be, err = loadBackend(&cfg, cfg.snapshot)
 		if err != nil {
 			return nil, err
 		}
@@ -627,13 +623,13 @@ func newServer(cfg config) (*server, error) {
 			if err != nil {
 				return nil, err
 			}
-			be = &engine[hybridlsh.Dense]{cacheKey: hybridlsh.Dense.CacheKey, sh: ix.Sharded, metric: persist.MetricL2, parse: parseDense(cfg.dim), probes: ix.Probes()}
+			be = denseKind.engine(cfg.dim, ix.Sharded)
 		case cfg.metric == "l2":
 			ix, err := hybridlsh.NewShardedL2Index(seedDense(cfg.n, cfg.dim, cfg.seed), cfg.radius, opts...)
 			if err != nil {
 				return nil, err
 			}
-			be = &engine[hybridlsh.Dense]{cacheKey: hybridlsh.Dense.CacheKey, sh: ix.Sharded, metric: persist.MetricL2, parse: parseDense(cfg.dim)}
+			be = denseKind.engine(cfg.dim, ix.Sharded)
 		case cfg.metric == "hamming" && cfg.coverRadius > 0:
 			// Covering mode ignores -tables: the table count is forced to
 			// 2^(r+1)−1 by the radius.
@@ -642,14 +638,13 @@ func newServer(cfg config) (*server, error) {
 			if err != nil {
 				return nil, err
 			}
-			be = &engine[hybridlsh.Binary]{cacheKey: hybridlsh.Binary.CacheKey, sh: ix.Sharded, metric: persist.MetricHamming,
-				parse: parseBinary(cfg.dim), radius: ix.Radius(), writeSnap: persist.WriteShardedCovering}
+			be = binaryKind.engine(cfg.dim, ix.Sharded)
 		case cfg.metric == "hamming":
 			ix, err := hybridlsh.NewShardedHammingIndex(seedBinary(cfg.n, cfg.dim, cfg.seed), cfg.radius, opts...)
 			if err != nil {
 				return nil, err
 			}
-			be = &engine[hybridlsh.Binary]{cacheKey: hybridlsh.Binary.CacheKey, sh: ix.Sharded, metric: persist.MetricHamming, parse: parseBinary(cfg.dim)}
+			be = binaryKind.engine(cfg.dim, ix.Sharded)
 		default:
 			return nil, fmt.Errorf("unknown metric %q (want l2 or hamming)", cfg.metric)
 		}
@@ -730,7 +725,7 @@ func newServer(cfg config) (*server, error) {
 		// re-journaled (replay methods do not journal anyway; this keeps
 		// the ordering obvious).
 		be.installJournal(dlog)
-		source = &replica.Source{Log: dlog, WriteSnapshot: be.writeSnapshotTo}
+		source = &replica.Source{Log: dlog, WriteSnapshot: be.streamSnapshot}
 	}
 	srv := &server{cfg: cfg, be: be, loadedFrom: loadedFrom,
 		log: dlog, source: source, follower: fol, wal: wal, readOnly: readOnly,
@@ -746,7 +741,7 @@ func newServer(cfg config) (*server, error) {
 	}
 	srv.reg.NewGaugeVec("hybridlsh_info",
 		"Serving configuration (always 1); the labels carry the mode.", "metric", "mode").
-		With(cfg.metric, srv.modeName()).Set(1)
+		With(cfg.metric, be.mode().Mode()).Set(1)
 	// Journaling health: a non-zero error count means acknowledged
 	// mutations stopped reaching the delta log (and so replicas and the
 	// WAL) — the one replication failure that is otherwise silent. Read
@@ -778,17 +773,6 @@ func newServer(cfg config) (*server, error) {
 	return srv, nil
 }
 
-// modeName names the serving mode for telemetry labels.
-func (s *server) modeName() string {
-	switch {
-	case s.cfg.coverRadius > 0:
-		return "covering"
-	case s.cfg.probes > 0:
-		return "multiprobe"
-	}
-	return "classic"
-}
-
 // reportRadius is the effective reporting radius: the float the classic
 // and multi-probe indexes were built for, or the integer covering radius
 // in covering mode (where the -r flag plays no role). /stats reports
@@ -801,17 +785,52 @@ func (s *server) reportRadius() float64 {
 	return s.cfg.radius
 }
 
-// loadBackend loads cfg.snapshot when the flag is set and the file
+// pointKind binds one -metric to its point type: the persist metric
+// identifier, the exact cache-key encoding and the JSON point parser.
+type pointKind[P any] struct {
+	metric string
+	key    func(P) string
+	parse  func(dim int) func(json.RawMessage) (P, error)
+}
+
+var (
+	denseKind  = pointKind[hybridlsh.Dense]{persist.MetricL2, hybridlsh.Dense.CacheKey, parseDense}
+	binaryKind = pointKind[hybridlsh.Binary]{persist.MetricHamming, hybridlsh.Binary.CacheKey, parseBinary}
+)
+
+// engine builds the kind's backend over sh (nil for a follower, whose
+// store arrives by hydration).
+func (k pointKind[P]) engine(dim int, sh *shard.Sharded[P]) *engine[P] {
+	return &engine[P]{sh: sh, metric: k.metric, cacheKey: k.key, parse: k.parse(dim)}
+}
+
+// adopt makes a decoded snapshot authoritative for dim, radius, shard
+// count and serving mode, so request parsing and /stats reflect the
+// loaded index. Unset mode flags demand nothing — the snapshot decides —
+// but a set one the file contradicts (-probes over a snapshot that is not
+// multi-probe, -radius over one that is not covering) is refused with the
+// typed persist mode error rather than silently served in another mode.
+func (cfg *config) adopt(m persist.Meta) error {
+	if cfg.probes > 0 || cfg.coverRadius > 0 {
+		if err := m.RequireMode(cfg.probes > 0, cfg.coverRadius > 0); err != nil {
+			return err
+		}
+	}
+	cfg.dim, cfg.radius, cfg.shards = m.Dim, m.Radius, m.Shards
+	cfg.probes, cfg.coverRadius = m.Probes, m.CoverRadius
+	return nil
+}
+
+// loadBackend loads the snapshot at path when one is named and the file
 // exists, returning (nil, nil) otherwise so the caller falls back to
-// the synthetic build. On success the snapshot is authoritative for
-// dim, radius and shard count: cfg is updated so request parsing and
-// /stats reflect the loaded index (the -metric flag must still match —
-// the reader rejects a snapshot of a different metric).
-func loadBackend(cfg *config) (backend, error) {
-	if cfg.snapshot == "" {
+// the synthetic build. The -metric flag must match the file — the reader
+// rejects a snapshot of a different metric — and the file decides the
+// serving mode in the one streaming pass that decodes it (see adopt).
+func loadBackend(cfg *config, path string) (backend, error) {
+	if path == "" {
 		return nil, nil
 	}
-	f, err := os.Open(cfg.snapshot)
+	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -821,46 +840,29 @@ func loadBackend(cfg *config) (backend, error) {
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
 	var be backend
-	var meta persist.Meta
 	switch cfg.metric {
 	case "l2":
-		sh, m, err := persist.ReadSharded[hybridlsh.Dense](br, persist.MetricL2)
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", cfg.snapshot, err)
-		}
-		meta = m
-		be = &engine[hybridlsh.Dense]{cacheKey: hybridlsh.Dense.CacheKey, sh: sh, metric: persist.MetricL2, parse: parseDense(m.Dim), probes: m.Probes}
+		be, err = denseKind.load(cfg, br)
 	case "hamming":
-		sh, m, err := persist.ReadSharded[hybridlsh.Binary](br, persist.MetricHamming)
-		if errors.Is(err, persist.ErrCoverMode) {
-			// The snapshot holds a covering index: rewind and load it with
-			// the covering reader — the snapshot decides the serving mode.
-			if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-				return nil, serr
-			}
-			csh, cm, cerr := persist.ReadShardedCovering(bufio.NewReaderSize(f, 1<<20))
-			if cerr != nil {
-				return nil, fmt.Errorf("loading %s: %w", cfg.snapshot, cerr)
-			}
-			meta = cm
-			be = &engine[hybridlsh.Binary]{cacheKey: hybridlsh.Binary.CacheKey, sh: csh, metric: persist.MetricHamming,
-				parse: parseBinary(cm.Dim), radius: cm.CoverRadius, writeSnap: persist.WriteShardedCovering}
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", cfg.snapshot, err)
-		}
-		meta = m
-		be = &engine[hybridlsh.Binary]{cacheKey: hybridlsh.Binary.CacheKey, sh: sh, metric: persist.MetricHamming, parse: parseBinary(m.Dim)}
+		be, err = binaryKind.load(cfg, br)
 	default:
 		return nil, fmt.Errorf("unknown metric %q (want l2 or hamming)", cfg.metric)
 	}
-	cfg.dim = meta.Dim
-	cfg.radius = meta.Radius
-	cfg.shards = meta.Shards
-	cfg.probes = meta.Probes           // the snapshot decides the serving mode
-	cfg.coverRadius = meta.CoverRadius // ditto for covering
+	if err != nil {
+		return nil, fmt.Errorf("loading %s: %w", path, err)
+	}
 	return be, nil
+}
+
+func (k pointKind[P]) load(cfg *config, r io.Reader) (backend, error) {
+	sh, m, err := persist.ReadSharded[P](r, k.metric)
+	if err == nil {
+		err = cfg.adopt(m)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return k.engine(m.Dim, sh), nil
 }
 
 // followerPollEvery is the delta-tail poll interval on -hydrate URL
@@ -876,58 +878,39 @@ const followerPollEvery = 100 * time.Millisecond
 // process).
 func hydrateFollower(cfg *config) (backend, followerAPI, context.CancelFunc, error) {
 	ctx, cancel := context.WithCancel(context.Background())
-	hctx, hcancel := context.WithTimeout(ctx, time.Minute)
-	defer hcancel()
+	var be backend
+	var fol followerAPI
+	var err error
 	switch cfg.metric {
 	case "l2":
-		f := replica.NewFollower[hybridlsh.Dense](cfg.hydrate, nil,
-			func(r io.Reader) (*shard.Sharded[hybridlsh.Dense], persist.Meta, error) {
-				return persist.ReadSharded[hybridlsh.Dense](r, persist.MetricL2)
-			})
-		if err := f.Hydrate(hctx); err != nil {
-			cancel()
-			return nil, nil, nil, fmt.Errorf("hydrate %s: %w", cfg.hydrate, err)
-		}
-		m := f.Meta()
-		cfg.dim, cfg.radius, cfg.shards, cfg.probes, cfg.coverRadius = m.Dim, m.Radius, m.Shards, m.Probes, m.CoverRadius
-		be := &engine[hybridlsh.Dense]{cacheKey: hybridlsh.Dense.CacheKey, follower: f,
-			metric: persist.MetricL2, parse: parseDense(m.Dim), probes: m.Probes}
-		go f.Run(ctx, followerPollEvery)
-		return be, f, cancel, nil
+		be, fol, err = denseKind.hydrate(ctx, cfg)
 	case "hamming":
-		f := replica.NewFollower[hybridlsh.Binary](cfg.hydrate, nil, readBinarySnapshot)
-		if err := f.Hydrate(hctx); err != nil {
-			cancel()
-			return nil, nil, nil, fmt.Errorf("hydrate %s: %w", cfg.hydrate, err)
-		}
-		m := f.Meta()
-		cfg.dim, cfg.radius, cfg.shards, cfg.probes, cfg.coverRadius = m.Dim, m.Radius, m.Shards, m.Probes, m.CoverRadius
-		be := &engine[hybridlsh.Binary]{cacheKey: hybridlsh.Binary.CacheKey, follower: f,
-			metric: persist.MetricHamming, parse: parseBinary(m.Dim), radius: m.CoverRadius}
-		if m.CoverRadius > 0 {
-			be.writeSnap = persist.WriteShardedCovering
-		}
-		go f.Run(ctx, followerPollEvery)
-		return be, f, cancel, nil
+		be, fol, err = binaryKind.hydrate(ctx, cfg)
+	default:
+		err = fmt.Errorf("unknown metric %q (want l2 or hamming)", cfg.metric)
 	}
-	cancel()
-	return nil, nil, nil, fmt.Errorf("unknown metric %q (want l2 or hamming)", cfg.metric)
+	if err != nil {
+		cancel()
+		return nil, nil, nil, err
+	}
+	return be, fol, cancel, nil
 }
 
-// readBinarySnapshot decodes a hamming snapshot from a non-seekable
-// stream: buffer it, try the classic reader, and re-read the buffer
-// with the covering reader if the snapshot turns out to be one (the
-// file path in loadBackend can Seek back; an HTTP body cannot).
-func readBinarySnapshot(r io.Reader) (*shard.Sharded[hybridlsh.Binary], persist.Meta, error) {
-	buf, err := io.ReadAll(r)
+func (k pointKind[P]) hydrate(ctx context.Context, cfg *config) (backend, followerAPI, error) {
+	hctx, hcancel := context.WithTimeout(ctx, time.Minute)
+	defer hcancel()
+	f := replica.NewFollower[P](cfg.hydrate, nil, k.metric)
+	err := f.Hydrate(hctx)
+	if err == nil {
+		err = cfg.adopt(f.Meta())
+	}
 	if err != nil {
-		return nil, persist.Meta{}, err
+		return nil, nil, fmt.Errorf("hydrate %s: %w", cfg.hydrate, err)
 	}
-	sh, m, err := persist.ReadSharded[hybridlsh.Binary](bytes.NewReader(buf), persist.MetricHamming)
-	if errors.Is(err, persist.ErrCoverMode) {
-		return persist.ReadShardedCovering(bytes.NewReader(buf))
-	}
-	return sh, m, err
+	be := k.engine(cfg.dim, nil)
+	be.follower = f
+	go f.Run(ctx, followerPollEvery)
+	return be, f, nil
 }
 
 // seedDense generates n clustered points in [0,1)^dim (64 Gaussian
@@ -1052,39 +1035,18 @@ type queryResult struct {
 	stats        shard.QueryStats // full per-shard stats, for metrics and traces
 }
 
-func toResult(ids []int32, st shard.QueryStats) *queryResult {
-	if ids == nil {
-		ids = []int32{} // marshal as [] rather than null
-	}
-	return &queryResult{
-		IDs:          ids,
-		LSHShards:    st.LSHShards,
-		LinearShards: st.LinearShards,
-		Collisions:   st.Collisions,
-		Candidates:   st.Candidates,
-		WallUS:       float64(st.WallTime.Microseconds()),
-		Cached:       st.CacheHit,
-		stats:        st,
-	}
-}
-
 // engine adapts one concrete Sharded[P] to the JSON backend interface.
-// probes > 0 marks a multi-probe backend and carries its configured T;
-// radius > 0 marks a covering backend and carries its built radius.
-// writeSnap overrides the snapshot writer for index kinds with their own
-// wire layout (covering); nil means the classic persist.WriteSharded.
+// The serving mode is not engine state: it is what the store's Defaults
+// say (multi-probe with its T, covering with its radius, or classic).
 // follower is set on -hydrate URL replicas: the store then lives inside
 // the follower (re-hydration swaps it atomically), so every access goes
 // through store() rather than the fixed sh field.
 type engine[P any] struct {
-	sh        *shard.Sharded[P]
-	follower  *replica.Follower[P]
-	metric    string // persist metric identifier for snapshots
-	parse     func(json.RawMessage) (P, error)
-	probes    int
-	radius    int
-	writeSnap func(w io.Writer, sh *shard.Sharded[P]) (int64, error)
-	cacheKey  func(P) string // exact query encoding for -cache (see shard.EnableCache)
+	sh       *shard.Sharded[P]
+	follower *replica.Follower[P]
+	metric   string // persist metric identifier for snapshots
+	parse    func(json.RawMessage) (P, error)
+	cacheKey func(P) string // exact query encoding for -cache (see shard.EnableCache)
 	// pinned is set by releaseFollower: once a follower is promoted its
 	// store stops moving (no more re-hydrations), so it is pinned here
 	// and wins over the follower indirection.
@@ -1104,62 +1066,70 @@ func (e *engine[P]) store() *shard.Sharded[P] {
 	return e.sh
 }
 
-// resolveProbes maps a request's optional probe override to the
-// effective T for this backend: nil keeps the configured T, an explicit
-// value is validated and clamped to maxProbeOverride. Classic backends
-// reject overrides instead of silently ignoring them.
-func (e *engine[P]) resolveProbes(probes *int) (int, bool, error) {
-	if e.probes == 0 {
-		if probes != nil {
-			return 0, false, errors.New(`"probes" is only supported when the server runs a multi-probe index (start with -probes)`)
+// resolve maps a request's optional "probes" and "radius" fields to the
+// query options for a store serving mode: an absent field keeps the
+// built value; probes are validated and clamped to maxProbeOverride;
+// a radius must lie in [0, built radius] — larger values are rejected,
+// never clamped, because the covering tables only guarantee pairs within
+// the built radius. A field the mode does not support is rejected rather
+// than silently ignored.
+func resolve(mode core.QueryOpts, probes, radius *int) (core.QueryOpts, error) {
+	var o core.QueryOpts
+	if probes != nil {
+		switch {
+		case !mode.Probes.Set:
+			return o, errors.New(`"probes" is only supported when the server runs a multi-probe index (start with -probes)`)
+		case *probes < 0:
+			return o, fmt.Errorf("probes = %d, want >= 0", *probes)
 		}
-		return 0, false, nil
+		o.Probes = core.Some(min(*probes, maxProbeOverride))
 	}
-	if probes == nil {
-		return e.probes, false, nil
+	if radius != nil {
+		switch {
+		case !mode.Radius.Set:
+			return o, errors.New(`"radius" is only supported when the server runs a covering index (start with -radius)`)
+		case *radius < 0:
+			return o, fmt.Errorf("radius = %d, want >= 0", *radius)
+		case *radius > mode.Radius.N:
+			return o, fmt.Errorf("radius = %d exceeds the built covering radius %d (the no-false-negatives guarantee stops there)", *radius, mode.Radius.N)
+		}
+		o.Radius = core.Some(*radius)
 	}
-	t := *probes
-	if t < 0 {
-		return 0, false, fmt.Errorf("probes = %d, want >= 0", t)
-	}
-	if t > maxProbeOverride {
-		t = maxProbeOverride
-	}
-	return t, true, nil
+	return o, nil
 }
 
-// resolveRadius maps a request's optional radius override to the
-// effective reporting radius for this backend: nil keeps the built
-// covering radius, an explicit value must lie in [0, built radius] —
-// larger values are rejected, because the covering tables only
-// guarantee pairs within the built radius. Non-covering backends reject
-// overrides instead of silently ignoring them.
-func (e *engine[P]) resolveRadius(radius *int) (int, bool, error) {
-	if e.radius == 0 {
-		if radius != nil {
-			return 0, false, errors.New(`"radius" is only supported when the server runs a covering index (start with -radius)`)
-		}
-		return 0, false, nil
+// toResult renders one answer given under the options o by a store
+// serving mode: multi-probe answers carry the effective T, covering ones
+// the effective radius.
+func toResult(ids []int32, st shard.QueryStats, mode, o core.QueryOpts) *queryResult {
+	if ids == nil {
+		ids = []int32{} // marshal as [] rather than null
 	}
-	if radius == nil {
-		return e.radius, false, nil
+	res := &queryResult{
+		IDs:          ids,
+		LSHShards:    st.LSHShards,
+		LinearShards: st.LinearShards,
+		Collisions:   st.Collisions,
+		Candidates:   st.Candidates,
+		WallUS:       float64(st.WallTime.Microseconds()),
+		Cached:       st.CacheHit,
+		stats:        st,
 	}
-	r := *radius
-	if r < 0 {
-		return 0, false, fmt.Errorf("radius = %d, want >= 0", r)
+	switch {
+	case mode.Radius.Set:
+		r := o.Radius.Or(mode.Radius.N)
+		res.Radius, res.override = &r, o.Radius.Set
+	case mode.Probes.Set:
+		t := o.Probes.Or(mode.Probes.N)
+		res.Probes, res.override = &t, o.Probes.Set
 	}
-	if r > e.radius {
-		return 0, false, fmt.Errorf("radius = %d exceeds the built covering radius %d (the no-false-negatives guarantee stops there)", r, e.radius)
-	}
-	return r, true, nil
+	return res
 }
 
 func (e *engine[P]) query(raw json.RawMessage, probes, radius *int) (*queryResult, error) {
-	t, probeOverride, err := e.resolveProbes(probes)
-	if err != nil {
-		return nil, err
-	}
-	rr, radiusOverride, err := e.resolveRadius(radius)
+	sh := e.store()
+	mode := sh.Defaults()
+	o, err := resolve(mode, probes, radius)
 	if err != nil {
 		return nil, err
 	}
@@ -1167,37 +1137,17 @@ func (e *engine[P]) query(raw json.RawMessage, probes, radius *int) (*queryResul
 	if err != nil {
 		return nil, err
 	}
-	var res *queryResult
-	switch {
-	case e.radius > 0:
-		ids, st, err := e.store().QueryRadius(p, rr)
-		if err != nil {
-			return nil, err
-		}
-		res = toResult(ids, st)
-		res.Radius = &rr
-		res.override = radiusOverride
-	case e.probes > 0:
-		ids, st, err := e.store().QueryProbes(p, t)
-		if err != nil {
-			return nil, err
-		}
-		res = toResult(ids, st)
-		res.Probes = &t
-		res.override = probeOverride
-	default:
-		ids, st := e.store().Query(p)
-		res = toResult(ids, st)
-	}
-	return res, nil
-}
-
-func (e *engine[P]) batch(raw []json.RawMessage, workers int, probes, radius *int) ([]*queryResult, error) {
-	t, probeOverride, err := e.resolveProbes(probes)
+	ids, st, err := sh.QueryWith(p, o)
 	if err != nil {
 		return nil, err
 	}
-	rr, radiusOverride, err := e.resolveRadius(radius)
+	return toResult(ids, st, mode, o), nil
+}
+
+func (e *engine[P]) batch(raw []json.RawMessage, workers int, probes, radius *int) ([]*queryResult, error) {
+	sh := e.store()
+	mode := sh.Defaults()
+	o, err := resolve(mode, probes, radius)
 	if err != nil {
 		return nil, err
 	}
@@ -1209,30 +1159,13 @@ func (e *engine[P]) batch(raw []json.RawMessage, workers int, probes, radius *in
 		}
 		pts[i] = p
 	}
-	var results []shard.BatchResult
-	switch {
-	case e.radius > 0:
-		if results, err = e.store().QueryBatchRadius(pts, workers, rr); err != nil {
-			return nil, err
-		}
-	case e.probes > 0:
-		if results, err = e.store().QueryBatchProbes(pts, workers, t); err != nil {
-			return nil, err
-		}
-	default:
-		results = e.store().QueryBatch(pts, workers)
+	results, err := sh.QueryBatchWith(pts, workers, o)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*queryResult, len(results))
 	for i, r := range results {
-		out[i] = toResult(r.IDs, r.Stats)
-		switch {
-		case e.radius != 0:
-			out[i].Radius = &rr
-			out[i].override = radiusOverride
-		case e.probes != 0:
-			out[i].Probes = &t
-			out[i].override = probeOverride
-		}
+		out[i] = toResult(r.IDs, r.Stats, mode, o)
 	}
 	return out, nil
 }
@@ -1266,22 +1199,16 @@ func (e *engine[P]) autoCompact(threshold float64) { e.store().SetAutoCompact(th
 // Appends are blocked while the consistent view is serialized; queries
 // keep flowing.
 func (e *engine[P]) snapshot(path string) (int64, error) {
-	return persist.WriteFileAtomic(path, e.writeSnapshotTo)
+	return persist.WriteFileAtomic(path, e.streamSnapshot)
 }
 
-// writeSnapshotTo streams the index snapshot to w. The file snapshot
+// streamSnapshot streams the index snapshot to w. The file snapshot
 // and the replication source's GET /snapshot body share this path, so a
 // replica hydrated over HTTP decodes exactly what a warm restart would
 // read from disk.
-func (e *engine[P]) writeSnapshotTo(w io.Writer) (int64, error) {
+func (e *engine[P]) streamSnapshot(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	var n int64
-	var err error
-	if e.writeSnap != nil {
-		n, err = e.writeSnap(bw, e.store())
-	} else {
-		n, err = persist.WriteSharded(bw, e.metric, e.store())
-	}
+	n, err := persist.WriteSharded(bw, e.metric, e.store())
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -1323,6 +1250,8 @@ func (e *engine[P]) maxWorkers() int { return e.store().DefaultBatchWorkers() }
 
 func (e *engine[P]) topo() shard.Stats { return e.store().Stats() }
 
+func (e *engine[P]) mode() core.QueryOpts { return e.store().Defaults() }
+
 func (e *engine[P]) cost() core.CostModel { return e.store().Cost() }
 
 // setCost swaps the cost model on every shard atomically; queries keep
@@ -1341,18 +1270,14 @@ func (s *server) record(r *queryResult) {
 	s.lshAns.Add(int64(r.LSHShards))
 	s.linAns.Add(int64(r.LinearShards))
 	s.lat.Observe(r.WallUS)
-	if r.Probes != nil {
-		s.probeQueries.Add(1)
-		s.probesUsed.Add(int64(*r.Probes))
+	if r.Probes != nil || r.Radius != nil {
+		s.modeQueries.Add(1)
 		if r.override {
-			s.probeOverrides.Add(1)
+			s.modeOverrides.Add(1)
 		}
 	}
-	if r.Radius != nil {
-		s.coverQueries.Add(1)
-		if r.override {
-			s.coverOverrides.Add(1)
-		}
+	if r.Probes != nil {
+		s.probesUsed.Add(int64(*r.Probes))
 	}
 	s.metrics.RecordQuery(r.stats)
 	// Piggyback the drift-loop maintenance on the record path: note
@@ -1550,7 +1475,7 @@ func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	s.be.installJournal(dlog)
 	s.be.autoCompact(s.cfg.compactThresh)
 	s.log = dlog
-	s.source = &replica.Source{Log: dlog, WriteSnapshot: s.be.writeSnapshotTo}
+	s.source = &replica.Source{Log: dlog, WriteSnapshot: s.be.streamSnapshot}
 	s.follower = nil
 	s.readOnly = false
 	if s.recalWanted == "auto" && s.recal == nil {
@@ -1786,16 +1711,16 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	multiprobe := map[string]any{"enabled": s.cfg.probes > 0}
 	if s.cfg.probes > 0 {
 		multiprobe["probes"] = s.cfg.probes
-		multiprobe["probed_queries"] = s.probeQueries.Load()
+		multiprobe["probed_queries"] = s.modeQueries.Load()
 		multiprobe["probes_used_total"] = s.probesUsed.Load()
-		multiprobe["override_queries"] = s.probeOverrides.Load()
+		multiprobe["override_queries"] = s.modeOverrides.Load()
 	}
 	cover := map[string]any{"enabled": s.cfg.coverRadius > 0}
 	if s.cfg.coverRadius > 0 {
 		cover["radius"] = s.cfg.coverRadius
 		cover["tables"] = covering.NumTables(s.cfg.coverRadius)
-		cover["covered_queries"] = s.coverQueries.Load()
-		cover["override_queries"] = s.coverOverrides.Load()
+		cover["covered_queries"] = s.modeQueries.Load()
+		cover["override_queries"] = s.modeOverrides.Load()
 	}
 	st := s.repl()
 	recal := map[string]any{"enabled": st.recal != nil, "cost": costJSON(s.be.cost())}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	hybridlsh "repro"
+	"repro/internal/persist"
 )
 
 // mustRaw marshals a point into the raw JSON form the backend parses.
@@ -116,11 +118,17 @@ func TestMultiProbeOverrideRejectedOnClassic(t *testing.T) {
 	cfg := testConfig()
 	ts := startServer(t, cfg)
 	points := seedDense(cfg.n, cfg.dim, cfg.seed)
-	var out map[string]any
-	post(t, ts.URL+"/query", map[string]any{"point": toFloats(points[0]), "probes": 5},
-		http.StatusBadRequest, &out)
-	post(t, ts.URL+"/batch", map[string]any{"points": []any{toFloats(points[0])}, "probes": 5},
-		http.StatusBadRequest, &out)
+	const want = `"probes" is only supported when the server runs a multi-probe index (start with -probes)`
+	for path, body := range map[string]map[string]any{
+		"/query": {"point": toFloats(points[0]), "probes": 5},
+		"/batch": {"points": []any{toFloats(points[0])}, "probes": 5},
+	} {
+		var out map[string]string
+		post(t, ts.URL+path, body, http.StatusBadRequest, &out)
+		if out["error"] != want {
+			t.Errorf("%s: error = %q, want %q", path, out["error"], want)
+		}
+	}
 
 	// And /stats reports the mode as disabled.
 	var st struct {
@@ -210,6 +218,37 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 		}
 		if res.Probes == nil || *res.Probes != cfg.probes {
 			t.Fatalf("query %d: restored server answered with probes = %v, want %d", qi, res.Probes, cfg.probes)
+		}
+	}
+}
+
+// TestModeFlagContradictsSnapshot: unset mode flags let the snapshot
+// decide (the warm-restart tests), but a set one the file contradicts is
+// refused at boot with the typed persist error instead of being served in
+// another mode.
+func TestModeFlagContradictsSnapshot(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		classic config
+		demand  func(*config)
+		want    error
+	}{
+		{"probes over classic l2", testConfig(), func(c *config) { c.probes = 4 }, persist.ErrProbeMode},
+		{"radius over classic hamming", func() config { c := coveringConfig(); c.coverRadius = 0; return c }(),
+			func(c *config) { c.coverRadius = 3 }, persist.ErrCoverMode},
+	} {
+		cfg := c.classic
+		cfg.snapshot = filepath.Join(t.TempDir(), "index.snap")
+		s1, err := newServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.be.snapshot(cfg.snapshot); err != nil {
+			t.Fatal(err)
+		}
+		c.demand(&cfg)
+		if _, err := newServer(cfg); !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 // NewShardedCoveringHammingIndex the concurrency-safe sharded one; both
 // expose the same Query/QueryLSH/QueryLinear/DecideStrategy/QueryBatch/
 // Append surface as their classic counterparts plus per-call radius
-// narrowing (QueryRadius). WithRadius sets the integer covering radius
+// narrowing (QueryWith with QueryOpts.Radius). WithRadius sets the integer covering radius
 // (default 2, i.e. 7 tables); the classic WithTables/WithK/WithDelta
 // knobs do not apply — the table count is forced by r and the failure
 // probability is zero by construction.
@@ -82,41 +82,22 @@ func newCoveringCore(points []Binary, o options) (*covering.Index, error) {
 // ShardedL2Index for the concurrency contract), over covering shards.
 // Every shard draws its own φ from the construction seed, and each φ
 // guarantees zero false negatives on its own points, so the merged
-// report keeps recall 1.0. QueryRadius and QueryBatchRadius additionally
-// accept a per-call radius narrowing.
-type ShardedCoveringHammingIndex struct {
-	*shard.Sharded[Binary]
-	radius int
-}
+// report keeps recall 1.0. QueryWith and QueryBatchWith additionally
+// accept a per-call radius narrowing (QueryOpts.Radius).
+type ShardedCoveringHammingIndex struct{ *shard.Sharded[Binary] }
 
 // Radius returns the integer covering radius the shards were built for.
-func (s *ShardedCoveringHammingIndex) Radius() int { return s.radius }
+func (s *ShardedCoveringHammingIndex) Radius() int { return s.Defaults().Radius.N }
 
 // NewShardedCoveringHammingIndex builds a sharded covering-LSH hybrid
 // index for the WithRadius radius; see NewShardedL2Index for how options
 // are applied and NewCoveringHammingIndex for the covering defaults.
 func NewShardedCoveringHammingIndex(points []Binary, opts ...Option) (*ShardedCoveringHammingIndex, error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewShardedCoveringHammingIndex")
-	}
-	r := coveringRadius(o)
-	s, err := shard.New(points, o.shardCount(), o.seed, func(pts []Binary, seed uint64) (core.Store[Binary], error) {
-		so := o
-		so.seed = seed
-		so.radius = r
-		return newCoveringCore(pts, so)
+	s, err := newSharded("NewShardedCoveringHammingIndex", points, opts, Binary.CacheKey, func(pts []Binary, o options) (core.Store[Binary], error) {
+		return newCoveringCore(pts, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if o.compactThresh != 0 {
-		s.SetAutoCompact(o.compactThresh)
-	}
-	if o.cacheSize != 0 {
-		if err := s.EnableCache(o.cacheSize, Binary.CacheKey); err != nil {
-			return nil, err
-		}
-	}
-	return &ShardedCoveringHammingIndex{Sharded: s, radius: r}, nil
+	return &ShardedCoveringHammingIndex{s}, nil
 }

@@ -2,9 +2,11 @@ package hybridlsh
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 
+	"repro/internal/persist"
 	"repro/internal/rng"
 	"repro/internal/vector"
 )
@@ -83,8 +85,8 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Radius() != 3 || !sh.RadiusCapable() {
-		t.Fatalf("sharded covering r=%d capable=%v", sh.Radius(), sh.RadiusCapable())
+	if sh.Radius() != 3 || sh.Defaults().Mode() != "covering" {
+		t.Fatalf("sharded covering r=%d mode=%s", sh.Radius(), sh.Defaults().Mode())
 	}
 	for qi := 0; qi < 12; qi++ {
 		q := points[qi*31]
@@ -94,7 +96,7 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 			t.Errorf("query %d: sharded covering != exact ground truth", qi)
 		}
 		// Per-request narrowing through the shard fan-out.
-		nids, _, err := sh.QueryRadius(q, 1)
+		nids, _, err := sh.QueryWith(q, QueryOpts{Radius: Some(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,11 +110,11 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.RadiusCapable() {
-		t.Fatal("classic sharded index claims radius-override support")
+	if classic.Defaults() != (QueryOpts{}) {
+		t.Fatal("classic sharded index claims per-query option support")
 	}
-	if _, _, err := classic.QueryRadius(points[0], 1); err == nil {
-		t.Fatal("classic sharded index accepted a radius override")
+	if _, _, err := classic.QueryWith(points[0], QueryOpts{Radius: Some(1)}); !errors.Is(err, ErrUnsupportedOption) {
+		t.Fatalf("radius override on a classic sharded index: err = %v, want ErrUnsupportedOption", err)
 	}
 }
 
@@ -172,8 +174,8 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	}
 
 	// Reader mismatches are typed rejections in both directions.
-	if _, err := ReadShardedHammingIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("classic sharded reader accepted a covering snapshot")
+	if _, err := ReadShardedHammingIndex(bytes.NewReader(buf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
+		t.Fatalf("classic sharded reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
 	}
 	classic, err := NewShardedHammingIndex(points, 3, WithSeed(12), WithShards(2))
 	if err != nil {
@@ -183,8 +185,25 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	if _, err := classic.WriteTo(&cbuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardedCoveringHammingIndex(bytes.NewReader(cbuf.Bytes())); err == nil {
-		t.Fatal("covering sharded reader accepted a classic snapshot")
+	if _, err := ReadShardedCoveringHammingIndex(bytes.NewReader(cbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
+		t.Fatalf("covering sharded reader on a classic snapshot: err = %v, want persist.ErrCoverMode", err)
+	}
+
+	// The plain readers demand their mode the same way — including a
+	// reader whose metric cannot hold a covering index at all.
+	cov, err := NewCoveringHammingIndex(points[:100], WithRadius(3), WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pbuf bytes.Buffer
+	if _, err := cov.WriteTo(&pbuf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHammingIndex(bytes.NewReader(pbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
+		t.Fatalf("classic reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
+	}
+	if _, err := ReadJaccardIndex(bytes.NewReader(pbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
+		t.Fatalf("jaccard reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
 	}
 
 	// Appends continue past the saved high-water mark on the restored

@@ -1,6 +1,7 @@
 package hybridlsh_test
 
 import (
+	"errors"
 	"fmt"
 
 	hybridlsh "repro"
@@ -146,6 +147,35 @@ func ExampleNewMultiProbeL2Index() {
 	fmt.Printf("%d neighbors from %d tables × %d probed buckets\n",
 		len(ids), index.L(), 1+index.Probes())
 	// Output: 3 neighbors from 4 tables × 9 probed buckets
+}
+
+// ExampleQueryOpts shows the one options-taking query every index
+// shares: a per-call override is honoured by the index whose mode
+// supports it and refused, with a typed error, by the others.
+func ExampleQueryOpts() {
+	points := []hybridlsh.Dense{
+		{0, 0}, {0.1, 0}, {0, 0.1}, // a tight corner cluster
+		{5, 5}, {9, 9}, // far away
+	}
+	q := hybridlsh.Dense{0.05, 0.05}
+	wide := hybridlsh.QueryOpts{Probes: hybridlsh.Some(30)}
+
+	probing, err := hybridlsh.NewMultiProbeL2Index(points, 0.5, hybridlsh.WithSeed(1), hybridlsh.WithTables(4))
+	if err != nil {
+		panic(err)
+	}
+	ids, _, err := probing.QueryWith(q, wide)
+	fmt.Println(len(ids), "neighbors at T=30, err:", err)
+
+	classic, err := hybridlsh.NewL2Index(points, 0.5, hybridlsh.WithSeed(1))
+	if err != nil {
+		panic(err)
+	}
+	_, _, err = classic.QueryWith(q, wide)
+	fmt.Println("classic index refuses probes:", errors.Is(err, hybridlsh.ErrUnsupportedOption))
+	// Output:
+	// 3 neighbors at T=30, err: <nil>
+	// classic index refuses probes: true
 }
 
 // ExampleLadder serves arbitrary radii from one structure.

@@ -67,7 +67,7 @@
 // strategy, since multi-probe inflates #collisions while the distinct
 // candidate count saturates. The multi-probe types expose the same
 // Query/QueryLSH/QueryLinear/DecideStrategy/QueryBatch/Append surface
-// plus per-call probe overrides (QueryProbes), shard, compact and
+// plus per-call probe overrides (QueryWith), shard, compact and
 // snapshot through the same machinery (the probe configuration is
 // recorded in the snapshot), and serve via hybridserve -probes.
 //
@@ -83,7 +83,7 @@
 // makes both hybrid paths exact and recall always 1.0. The covering
 // types expose the same Query/QueryLSH/QueryLinear/DecideStrategy/
 // QueryBatch/Append surface plus per-call radius narrowing
-// (QueryRadius), shard, compact and snapshot through the same machinery
+// (QueryWith), shard, compact and snapshot through the same machinery
 // (radius and φ are recorded in the snapshot's "covr" section), and
 // serve via hybridserve -radius.
 //
@@ -141,6 +141,21 @@ type QueryStats = core.QueryStats
 // CostModel holds the calibrated per-operation costs α (duplicate removal)
 // and β (distance computation).
 type CostModel = core.CostModel
+
+// QueryOpts are the per-query overrides every index's QueryWith(q, opts)
+// accepts: Probes (the multi-probe T) and Radius (a narrowed covering
+// radius), each unset by default and set with Some. The zero value is
+// Query; an option the index's mode does not support — probes on anything
+// but a multi-probe index, radius on anything but a covering one — is an
+// error wrapping ErrUnsupportedOption.
+type QueryOpts = core.QueryOpts
+
+// Some returns the set QueryOpts option n.
+func Some(n int) core.OptInt { return core.Some(n) }
+
+// ErrUnsupportedOption marks a QueryOpts option the queried index cannot
+// honour.
+var ErrUnsupportedOption = core.ErrUnsupportedOption
 
 // BatchResult is one query's outcome within a QueryBatch call (every index
 // type provides QueryBatch(queries, workers) for parallel querying).

@@ -91,7 +91,7 @@ func PersistExperiment(cfg Config) (*PersistResult, error) {
 	for i := 0; i < runs; i++ {
 		buf.Reset()
 		t0 := time.Now()
-		n, err := persist.WriteIndex(&buf, persist.MetricL2, ix)
+		n, err := persist.Write(&buf, persist.MetricL2, ix)
 		if err != nil {
 			return nil, fmt.Errorf("bench: writing snapshot: %w", err)
 		}
@@ -100,11 +100,11 @@ func PersistExperiment(cfg Config) (*PersistResult, error) {
 	}
 	res.SaveSec = saveTotal.Seconds() / float64(runs)
 
-	var loaded *core.Index[vector.Dense]
+	var loaded core.Store[vector.Dense]
 	var loadTotal time.Duration
 	for i := 0; i < runs; i++ {
 		t0 := time.Now()
-		loaded, _, err = persist.ReadIndex[vector.Dense](bytes.NewReader(buf.Bytes()), persist.MetricL2)
+		loaded, _, err = persist.Read[vector.Dense](bytes.NewReader(buf.Bytes()), persist.MetricL2)
 		if err != nil {
 			return nil, fmt.Errorf("bench: reading snapshot: %w", err)
 		}

@@ -124,10 +124,7 @@ func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
 	followers := make([]*replica.Follower[vector.Dense], nReplicas)
 	urls := make([]string, nReplicas)
 	for i := range followers {
-		f := replica.NewFollower[vector.Dense](writerSrv.URL, nil,
-			func(rd io.Reader) (*shard.Sharded[vector.Dense], persist.Meta, error) {
-				return persist.ReadSharded[vector.Dense](rd, persist.MetricL2)
-			})
+		f := replica.NewFollower[vector.Dense](writerSrv.URL, nil, persist.MetricL2)
 		if err := f.Hydrate(ctx); err != nil {
 			return nil, fmt.Errorf("bench: hydrating replica %d: %w", i, err)
 		}

@@ -15,12 +15,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/distance"
-	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
 )
@@ -126,32 +123,16 @@ var DefaultCostModel = CostModel{Alpha: 1, Beta: 8}
 // and guards each with its own RWMutex — that is the supported
 // concurrent path; do not add ad-hoc locking around a shared Index.
 type Index[P any] struct {
-	store  pointstore.Store[P]
+	// Searcher is Algorithm 2 over this index's point store; the index
+	// itself contributes the bucket collection (one per table).
+	*Searcher[P]
 	dist   distance.Func[P]
 	family lsh.Family[P]
 	radius float64
 	delta  float64
 	k      int
 	p1     float64
-	// cost is the calibrated model behind Cost()/SetCost: an atomic
-	// pointer so online recalibration can swap constants mid-traffic
-	// without a lock on the query path (decide loads it once per query).
-	cost   atomic.Pointer[CostModel]
 	tables *lsh.Tables[P]
-	states sync.Pool // *queryState
-}
-
-// queryState is the per-query scratch: the generation-stamped visited
-// array used for duplicate removal (the paper's step S2), the HLL merge
-// target, the bucket-lookup slice, and the deduplicated candidate-id
-// buffer handed to the store's batch verifier. Pooling it keeps Query
-// allocation-free in steady state.
-type queryState struct {
-	visited []uint32
-	gen     uint32
-	sketch  *hll.Sketch
-	buckets []*lsh.Bucket
-	cand    []int32
 }
 
 // NewIndex builds the hybrid index: L hash tables with per-bucket HLLs
@@ -220,29 +201,16 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index[P]{
-		store:  store,
-		dist:   cfg.Distance,
-		family: cfg.Family,
-		radius: cfg.Radius,
-		delta:  cfg.Delta,
-		k:      k,
-		p1:     p1,
-		tables: tables,
-	}
-	ix.cost.Store(&cfg.Cost)
-	ix.initStatePool()
-	return ix, nil
-}
-
-// initStatePool wires the per-query scratch pool; both NewIndex and
-// Restore call it once the point count and sketch geometry are known.
-func (ix *Index[P]) initStatePool() {
-	n := ix.store.Len()
-	m := ix.tables.Params().HLLRegisters
-	ix.states.New = func() any {
-		return &queryState{visited: make([]uint32, n), sketch: hll.New(m)}
-	}
+	return &Index[P]{
+		Searcher: NewSearcher(store, cfg.Cost, tables.Params().HLLRegisters),
+		dist:     cfg.Distance,
+		family:   cfg.Family,
+		radius:   cfg.Radius,
+		delta:    cfg.Delta,
+		k:        k,
+		p1:       p1,
+		tables:   tables,
+	}, nil
 }
 
 // RestoreConfig carries the decoded scalar state of a persisted Index;
@@ -301,23 +269,17 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index[P]{
-		store:  store,
-		dist:   cfg.Distance,
-		family: cfg.Family,
-		radius: cfg.Radius,
-		delta:  cfg.Delta,
-		k:      tables.Params().K,
-		p1:     cfg.P1,
-		tables: tables,
-	}
-	ix.cost.Store(&cfg.Cost)
-	ix.initStatePool()
-	return ix, nil
+	return &Index[P]{
+		Searcher: NewSearcher(store, cfg.Cost, tables.Params().HLLRegisters),
+		dist:     cfg.Distance,
+		family:   cfg.Family,
+		radius:   cfg.Radius,
+		delta:    cfg.Delta,
+		k:        tables.Params().K,
+		p1:       cfg.P1,
+		tables:   tables,
+	}, nil
 }
-
-// N returns the number of indexed points.
-func (ix *Index[P]) N() int { return ix.store.Len() }
 
 // Radius returns the reporting radius the index was built for.
 func (ix *Index[P]) Radius() float64 { return ix.radius }
@@ -333,40 +295,11 @@ func (ix *Index[P]) Delta() float64 { return ix.delta }
 // from.
 func (ix *Index[P]) Family() lsh.Family[P] { return ix.family }
 
-// Points exposes the stored point slice (read-only; mutating it corrupts
-// the index). It exists for serialization. With a struct-of-arrays
-// layout the returned headers alias the store's flat backing; they stay
-// id-aligned, which the shard compaction hand-off relies on.
-func (ix *Index[P]) Points() []P { return ix.store.Slice() }
-
-// StoreStats returns the point store's layout and verification counters
-// (quantization mode, pre-filter rejections, refits).
-func (ix *Index[P]) StoreStats() pointstore.Stats { return ix.store.Stats() }
-
 // L returns the number of hash tables.
 func (ix *Index[P]) L() int { return ix.tables.L() }
 
 // P1 returns the family's collision probability at the index radius.
 func (ix *Index[P]) P1() float64 { return ix.p1 }
-
-// Cost returns the cost model in use. It is safe to call concurrently
-// with queries and with SetCost.
-func (ix *Index[P]) Cost() CostModel { return *ix.cost.Load() }
-
-// SetCost swaps the cost model driving the LINEAR-vs-LSH decision. The
-// swap is atomic: it may run concurrently with any number of queries
-// (each query decides with the model it loaded at decision time) and
-// with other SetCost calls — it is the one mutation exempt from the
-// index's single-writer contract, because it touches no index structure.
-// Models with non-positive, NaN or Inf constants are rejected, so a
-// degenerate refit can never poison the decision rule.
-func (ix *Index[P]) SetCost(c CostModel) error {
-	if !c.Usable() {
-		return fmt.Errorf("core: SetCost(%+v), want positive finite constants", c)
-	}
-	ix.cost.Store(&c)
-	return nil
-}
 
 // Tables exposes the underlying LSH structure (read-only) for the probing
 // extensions and white-box experiments.
@@ -444,19 +377,16 @@ func (ix *Index[P]) Compact(dead []bool) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	nix := &Index[P]{
-		store:  store,
-		dist:   ix.dist,
-		family: ix.family,
-		radius: ix.radius,
-		delta:  ix.delta,
-		k:      ix.k,
-		p1:     ix.p1,
-		tables: tables,
-	}
-	nix.cost.Store(ix.cost.Load())
-	nix.initStatePool()
-	return nix, nil
+	return &Index[P]{
+		Searcher: NewSearcher(store, ix.Cost(), tables.Params().HLLRegisters),
+		dist:     ix.dist,
+		family:   ix.family,
+		radius:   ix.radius,
+		delta:    ix.delta,
+		k:        ix.k,
+		p1:       ix.p1,
+		tables:   tables,
+	}, nil
 }
 
 // QueryStats reports what one query did; every experiment in the paper is
@@ -524,49 +454,6 @@ func (s QueryStats) EstimateErrorRatio() (float64, bool) {
 	return s.EstCandidates / float64(s.Candidates), true
 }
 
-// getState draws a pooled query state, growing its visited array if the
-// index has been appended to since the state was created.
-func (ix *Index[P]) getState() *queryState {
-	st := ix.states.Get().(*queryState)
-	if n := ix.store.Len(); len(st.visited) < n {
-		st.visited = make([]uint32, n)
-		st.gen = 0
-	}
-	return st
-}
-
-// decide runs Algorithm-2 steps 1–3 into stats: collision counting, the
-// HLL merge (unless a collision bound already settles the comparison) and
-// the cost evaluation. It returns the chosen strategy.
-func (ix *Index[P]) decide(buckets []*lsh.Bucket, st *queryState, stats *QueryStats) Strategy {
-	// One atomic load per decision: the whole comparison runs against a
-	// consistent (α, β) pair even when SetCost swaps the model mid-query.
-	cost := *ix.cost.Load()
-	stats.Collisions = lsh.Collisions(buckets)
-	stats.LinearCost = cost.LinearCost(ix.store.Len())
-	// Short-circuit 1: candSize ≤ #collisions, so if the pessimistic
-	// LSHCost already beats linear there is nothing to estimate.
-	if upper := cost.LSHCost(stats.Collisions, float64(stats.Collisions)); upper < stats.LinearCost {
-		stats.EstCandidates = float64(stats.Collisions)
-		stats.LSHCost = upper
-		return StrategyLSH
-	}
-	// Short-circuit 2: LSHCost ≥ α·#collisions, so if that lower bound
-	// alone reaches LinearCost the scan wins regardless of candSize.
-	if lower := cost.Alpha * float64(stats.Collisions); lower >= stats.LinearCost {
-		stats.EstCandidates = float64(stats.Collisions)
-		stats.LSHCost = lower
-		return StrategyLinear
-	}
-	stats.Estimated = true
-	stats.EstCandidates = ix.tables.EstimateCandidates(buckets, st.sketch)
-	stats.LSHCost = cost.LSHCost(stats.Collisions, stats.EstCandidates)
-	if stats.LSHCost < stats.LinearCost {
-		return StrategyLSH
-	}
-	return StrategyLinear
-}
-
 // Query answers one rNNR query with the hybrid strategy (Algorithm 2):
 // estimate LSHCost from bucket sizes and merged HLLs, compare with
 // LinearCost, and run the cheaper search. The returned ids are distinct
@@ -575,22 +462,9 @@ func (ix *Index[P]) decide(buckets []*lsh.Bucket, st *queryState, stats *QuerySt
 func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
-
-	var stats QueryStats
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	stats.Strategy = ix.decide(st.buckets, st, &stats)
-	stats.EstimateTime = time.Since(t0)
-
-	t1 := time.Now()
-	var out []int32
-	if stats.Strategy == StrategyLSH {
-		out = ix.searchBuckets(q, st.buckets, st, &stats)
-	} else {
-		out = ix.searchLinear(q, &stats)
-	}
-	stats.SearchTime = time.Since(t1)
-	return out, stats
+	return ix.answer(q, ix.radius, st.buckets, st, t0)
 }
 
 // EstimateCandSize always performs the full O(m·L) sketch merge — no
@@ -602,44 +476,21 @@ func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed 
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
 	collisions = lsh.Collisions(st.buckets)
-	est = ix.tables.EstimateCandidates(st.buckets, st.sketch)
+	est = lsh.EstimateCandidates(st.buckets, st.sketch)
 	return collisions, est, time.Since(t0)
 }
 
-// QueryLSH forces the classic LSH-based search (no estimation, no
-// fallback). It is the "LSH" baseline of Figure 2. Timing uses the same
-// decomposition as Query: EstimateTime covers the bucket lookup and
-// collision counting (steps 1 of Algorithm 2, the pre-search work),
-// SearchTime covers only the S2 dedup + S3 distance computations — so the
-// Figure-2 baselines and the hybrid path report comparable splits.
+// QueryLSH forces the classic LSH-based search (see Searcher.AnswerLSH).
 func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
-
-	var stats QueryStats
-	stats.Strategy = StrategyLSH
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	stats.Collisions = lsh.Collisions(st.buckets)
-	stats.EstimateTime = time.Since(t0)
-	t1 := time.Now()
-	out := ix.searchBuckets(q, st.buckets, st, &stats)
-	stats.SearchTime = time.Since(t1)
-	return out, stats
+	return ix.answerLSH(q, ix.radius, st.buckets, st, t0)
 }
 
-// QueryLinear forces the exact linear scan. It is the "Linear" baseline of
-// Figure 2. The decomposition matches Query's: a forced scan does no
-// bucket lookup and no estimation, so EstimateTime is genuinely zero and
-// SearchTime is the whole scan.
-func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
-	var stats QueryStats
-	stats.Strategy = StrategyLinear
-	t0 := time.Now()
-	out := ix.searchLinear(q, &stats)
-	stats.SearchTime = time.Since(t0)
-	return out, stats
-}
+// QueryLinear forces the exact linear scan (see Searcher.Scan).
+func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) { return ix.Scan(q, ix.radius) }
 
 // DecideStrategy runs only steps 1–3 of Algorithm 2 and returns the
 // decision without searching. The ablation experiments use it to compare
@@ -647,53 +498,9 @@ func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
 func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
-
-	var stats QueryStats
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	stats.Strategy = ix.decide(st.buckets, st, &stats)
-	stats.EstimateTime = time.Since(t0)
-	return stats.Strategy, stats
-}
-
-// searchBuckets is the paper's steps S2 + S3, restructured for batch
-// verification: walk the probed buckets and remove duplicates with the
-// generation-stamped visited array (S2), collecting the distinct
-// candidate ids into the pooled scratch buffer, then hand the whole
-// batch to the store's VerifyRadius (S3) — which runs the unrolled
-// distance kernels over its own layout and, when quantized, pre-filters
-// against the SQ8 copy before the exact re-check.
-func (ix *Index[P]) searchBuckets(q P, buckets []*lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
-	st.gen++
-	if st.gen == 0 {
-		// Generation counter wrapped: clear stamps and restart.
-		clear(st.visited)
-		st.gen = 1
-	}
-	gen := st.gen
-	cand := st.cand[:0]
-	for _, b := range buckets {
-		for _, id := range b.IDs {
-			if st.visited[id] == gen {
-				continue
-			}
-			st.visited[id] = gen
-			cand = append(cand, id)
-		}
-	}
-	st.cand = cand
-	stats.Candidates = len(cand)
-	out := ix.store.VerifyRadius(q, cand, ix.radius, nil)
-	stats.Results = len(out)
-	return out
-}
-
-// searchLinear scans all points; it is exact.
-func (ix *Index[P]) searchLinear(q P, stats *QueryStats) []int32 {
-	out := ix.store.ScanRadius(q, ix.radius, nil)
-	stats.Candidates = ix.store.Len()
-	stats.Results = len(out)
-	return out
+	return ix.decideOnly(st.buckets, st, t0)
 }
 
 // GroundTruth reports the exact result set of a query by linear scan; the

@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/pointstore"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/pointstore"
+)
 
 // Store is the index contract the shard package builds on: one shard is
 // any hybrid index that can report its size, expose its point slice for
@@ -21,6 +26,14 @@ type Store[P any] interface {
 	Points() []P
 	// Query answers one rNNR query with the hybrid strategy.
 	Query(q P) ([]int32, QueryStats)
+	// QueryWith is Query under per-query overrides. The zero QueryOpts is
+	// Query exactly; an option the store does not support yields
+	// ErrUnsupportedOption (see QueryOpts.Resolve).
+	QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error)
+	// Defaults returns the options the store supports, set to the values
+	// it was built with: T for a multi-probe store, the built radius for
+	// a covering one, nothing for the classic index.
+	Defaults() QueryOpts
 	// Cost returns the calibrated cost model driving the store's
 	// LINEAR-vs-LSH decisions; observability layers surface its α/β
 	// terms next to each query's decision trace.
@@ -40,22 +53,76 @@ type Store[P any] interface {
 	CompactStore(dead []bool) (Store[P], error)
 }
 
-// ProbeQuerier is implemented by stores that can answer a query with a
-// per-call probe-count override (multi-probe LSH): t is the number of
-// extra buckets probed per table beyond the home bucket, t < 0 means
-// the store's configured default.
-type ProbeQuerier[P any] interface {
-	QueryProbes(q P, t int) ([]int32, QueryStats)
+// ErrUnsupportedOption marks a per-query option the answering store
+// cannot honour: a probe override on a store that is not multi-probe, a
+// radius override on one that is not covering.
+var ErrUnsupportedOption = errors.New("core: unsupported query option")
+
+// OptInt is an optional per-query integer; the zero value is unset.
+type OptInt struct {
+	N   int
+	Set bool
 }
 
-// RadiusQuerier is implemented by stores that can answer a query with a
-// per-call reporting-radius override (covering LSH): r is the radius for
-// this call, r < 0 means the store's built radius. Implementations may
-// only narrow — overrides above the built radius are clamped to it,
-// because the structure's guarantees stop there; serving layers should
-// reject such requests instead of relying on the clamp.
-type RadiusQuerier[P any] interface {
-	QueryRadius(q P, r int) ([]int32, QueryStats)
+// Some returns the set option n.
+func Some(n int) OptInt { return OptInt{N: n, Set: true} }
+
+// Or returns the option's value, or def when it is unset.
+func (o OptInt) Or(def int) int {
+	if o.Set {
+		return o.N
+	}
+	return def
+}
+
+// QueryOpts are the per-query overrides of Store.QueryWith; the zero
+// value asks for the store's built-in behaviour, i.e. Store.Query. The
+// same struct doubles as a store's mode descriptor: Store.Defaults
+// returns it with exactly the options the store supports set to the
+// values it was built with.
+type QueryOpts struct {
+	// Probes is the multi-probe T: extra buckets probed per table beyond
+	// the home bucket (0 probes home buckets only).
+	Probes OptInt
+	// Radius is the covering reporting radius. It may only narrow: the
+	// tables cover pairs within the built radius and no further, so a
+	// larger value answers at the built radius (serving layers reject
+	// such requests instead of relying on the clamp).
+	Radius OptInt
+}
+
+// Mode names the serving mode a store's Defaults describe.
+func (o QueryOpts) Mode() string {
+	switch {
+	case o.Radius.Set:
+		return "covering"
+	case o.Probes.Set:
+		return "multiprobe"
+	}
+	return "classic"
+}
+
+// Resolve checks o against def, the Defaults of the store about to
+// answer, and returns it in canonical form. An option def leaves unset
+// is one the store cannot honour: ErrUnsupportedOption. A supported
+// option that asks for what the store does anyway — a negative value,
+// the built value itself, a radius beyond the built one — comes back
+// unset, so equal requests compare equal (the result cache keys on the
+// resolved options).
+func (o QueryOpts) Resolve(def QueryOpts) (QueryOpts, error) {
+	if o.Probes.Set && !def.Probes.Set {
+		return o, fmt.Errorf("%w: probes on a store that is not multi-probe", ErrUnsupportedOption)
+	}
+	if o.Radius.Set && !def.Radius.Set {
+		return o, fmt.Errorf("%w: radius on a store that is not covering", ErrUnsupportedOption)
+	}
+	if !o.Probes.Set || o.Probes.N < 0 || o.Probes == def.Probes {
+		o.Probes = OptInt{}
+	}
+	if !o.Radius.Set || o.Radius.N < 0 || o.Radius.N >= def.Radius.N {
+		o.Radius = OptInt{}
+	}
+	return o, nil
 }
 
 // StoreStatser is implemented by stores that can report their point
@@ -64,6 +131,19 @@ type RadiusQuerier[P any] interface {
 // across shards for /stats and /metrics.
 type StoreStatser interface {
 	StoreStats() pointstore.Stats
+}
+
+// Defaults implements Store: the classic index supports no per-query
+// option.
+func (ix *Index[P]) Defaults() QueryOpts { return QueryOpts{} }
+
+// QueryWith implements Store: Query, after rejecting every set option.
+func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
+	if _, err := o.Resolve(QueryOpts{}); err != nil {
+		return nil, QueryStats{}, err
+	}
+	ids, stats := ix.Query(q)
+	return ids, stats, nil
 }
 
 // CompactStore implements Store by delegating to Compact.

@@ -21,16 +21,15 @@
 // the already-drawn φ (the guarantee is per-pair and oblivious to the data,
 // so it survives growth), Compact rewrites the mask tables without the dead
 // points while keeping φ, and Restore reassembles a persisted index without
-// re-hashing. It also satisfies core.RadiusQuerier: a per-call radius
-// override r' ≤ r narrows the report while keeping the guarantee, because
-// the points within r' are a subset of the points within r that the tables
-// already cover.
+// re-hashing. Its one per-query option (core.QueryOpts.Radius) is a
+// radius override r' ≤ r, which narrows the report while keeping the
+// guarantee, because the points within r' are a subset of the points
+// within r that the tables already cover.
 package covering
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -91,20 +90,18 @@ func (cfg Config) withDefaults() (Config, error) {
 // with queries or another Append (wrap in shard.Sharded for concurrent
 // mutation).
 type Index struct {
-	store  *pointstore.FlatBinary
-	radius int
-	dim    int
-	m      int
-	thresh int
-	// cost is swapped atomically by SetCost while queries run; decide
-	// loads it once per query so each decision sees one coherent (α, β)
-	// pair even mid-swap.
-	cost   atomic.Pointer[core.CostModel]
-	seed   uint64
-	phi    []uint32        // φ(i) ∈ {0,1}^(r+1) per dimension
-	masks  []vector.Binary // one keep-mask per table, derived from φ
-	tables []map[uint64]*lsh.Bucket
-	states sync.Pool
+	// Searcher is Algorithm 2 over the flat binary point store; the index
+	// itself contributes the bucket collection (one per mask table).
+	*core.Searcher[vector.Binary]
+	radius  int
+	dim     int
+	m       int
+	thresh  int
+	seed    uint64
+	phi     []uint32        // φ(i) ∈ {0,1}^(r+1) per dimension
+	masks   []vector.Binary // one keep-mask per table, derived from φ
+	tables  []map[uint64]*lsh.Bucket
+	lookups sync.Pool // *[]*lsh.Bucket, the per-query bucket-lookup scratch
 }
 
 // NumTables returns the table count 2^(r+1) − 1 a covering index of
@@ -162,25 +159,32 @@ func New(points []vector.Binary, r int, cfg Config) (*Index, error) {
 		phi[i] = uint32(rnd.Uint64() & ((1 << b) - 1))
 	}
 
-	ix := &Index{
-		store:  pointstore.EmptyFlatBinary(dim),
-		radius: r,
-		dim:    dim,
-		m:      cfg.HLLRegisters,
-		thresh: cfg.HLLThreshold,
-		seed:   cfg.Seed,
-		phi:    phi,
-		masks:  masksFromPhi(phi, r),
-		tables: make([]map[uint64]*lsh.Bucket, NumTables(r)),
+	tables := make([]map[uint64]*lsh.Bucket, NumTables(r))
+	for t := range tables {
+		tables[t] = make(map[uint64]*lsh.Bucket)
 	}
-	ix.cost.Store(&cfg.Cost)
-	for t := range ix.tables {
-		ix.tables[t] = make(map[uint64]*lsh.Bucket)
-	}
+	ix := assemble(pointstore.EmptyFlatBinary(dim), r, phi, cfg.Seed, tables, cfg)
 	if err := ix.Append(points); err != nil {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// assemble wires an Index over already consistent parts (cfg defaulted).
+func assemble(store pointstore.Store[vector.Binary], r int, phi []uint32, seed uint64, tables []map[uint64]*lsh.Bucket, cfg Config) *Index {
+	ix := &Index{
+		Searcher: core.NewSearcher(store, cfg.Cost, cfg.HLLRegisters),
+		radius:   r,
+		dim:      len(phi),
+		m:        cfg.HLLRegisters,
+		thresh:   cfg.HLLThreshold,
+		seed:     seed,
+		phi:      phi,
+		masks:    masksFromPhi(phi, r),
+		tables:   tables,
+	}
+	ix.lookups.New = func() any { return new([]*lsh.Bucket) }
+	return ix
 }
 
 // Restore reassembles an Index from decoded snapshot state without
@@ -220,52 +224,7 @@ func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, tables []
 	if err := store.Append(points); err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		store:  store,
-		radius: r,
-		dim:    dim,
-		m:      cfg.HLLRegisters,
-		thresh: cfg.HLLThreshold,
-		seed:   seed,
-		phi:    phi,
-		masks:  masksFromPhi(phi, r),
-		tables: tables,
-	}
-	ix.cost.Store(&cfg.Cost)
-	ix.initStatePool()
-	return ix, nil
-}
-
-// queryState is the per-query scratch: the generation-stamped visited
-// array for duplicate removal, the HLL merge target and the
-// bucket-lookup slice. Pooling it keeps Query allocation-free in steady
-// state.
-type queryState struct {
-	visited []uint32
-	gen     uint32
-	sketch  *hll.Sketch
-	buckets []*lsh.Bucket
-	cand    []int32
-}
-
-// initStatePool wires the scratch pool once n and m are known.
-func (ix *Index) initStatePool() {
-	n := ix.store.Len()
-	m := ix.m
-	ix.states.New = func() any {
-		return &queryState{visited: make([]uint32, n), sketch: hll.New(m)}
-	}
-}
-
-// getState draws a pooled query state, growing its visited array if the
-// index has been appended to since the state was created.
-func (ix *Index) getState() *queryState {
-	st := ix.states.Get().(*queryState)
-	if n := ix.store.Len(); len(st.visited) < n {
-		st.visited = make([]uint32, n)
-		st.gen = 0
-	}
-	return st
+	return assemble(store, r, phi, seed, tables, cfg), nil
 }
 
 // parity returns the XOR of the bits of x.
@@ -286,18 +245,6 @@ func maskedKey(p, mask vector.Binary) uint64 {
 	}
 	return h
 }
-
-// N returns the number of indexed points.
-func (ix *Index) N() int { return ix.store.Len() }
-
-// Points exposes the stored point slice (read-only); it exists for
-// serialization and the shard layer's compaction absorption. The
-// returned headers alias the store's flat word backing, id-aligned.
-func (ix *Index) Points() []vector.Binary { return ix.store.Slice() }
-
-// StoreStats returns the point store's layout and verification counters
-// (core.StoreStatser).
-func (ix *Index) StoreStats() pointstore.Stats { return ix.store.Stats() }
 
 // Dim returns the bit width the index was built for.
 func (ix *Index) Dim() int { return ix.dim }
@@ -325,20 +272,6 @@ func (ix *Index) HLLRegisters() int { return ix.m }
 // HLLThreshold returns the pre-built-sketch bucket-size threshold.
 func (ix *Index) HLLThreshold() int { return ix.thresh }
 
-// Cost returns the cost model in use.
-func (ix *Index) Cost() core.CostModel { return *ix.cost.Load() }
-
-// SetCost atomically swaps the cost model driving decide. It may run
-// concurrently with queries and other SetCost calls (see core.Store);
-// models that are not Usable are rejected.
-func (ix *Index) SetCost(c core.CostModel) error {
-	if !c.Usable() {
-		return fmt.Errorf("covering: SetCost(%+v), want positive finite constants", c)
-	}
-	ix.cost.Store(&c)
-	return nil
-}
-
 // Append adds points to the index, assigning ids from the current N
 // upward. New points are hashed with the already-drawn φ, so the
 // no-false-negatives guarantee — which is per-pair and oblivious to the
@@ -359,7 +292,7 @@ func (ix *Index) Append(points []vector.Binary) error {
 			return fmt.Errorf("covering: Append point %d has dim %d, index dim is %d", i, p.Dim, ix.dim)
 		}
 	}
-	base := ix.store.Len()
+	base := ix.N()
 	if int64(base)+int64(len(points)) > int64(1)<<31-1 {
 		return fmt.Errorf("covering: Append would overflow the int32 id space (%d + %d)", base, len(points))
 	}
@@ -385,16 +318,7 @@ func (ix *Index) Append(points []vector.Binary) error {
 			}
 		}
 	}
-	if err := ix.store.Append(points); err != nil {
-		return err
-	}
-	// Re-wire the pool for the grown point count (Append is the single
-	// writer, so no query holds a state concurrently): without this,
-	// every pool miss would allocate a stale-sized visited slice that
-	// getState immediately discards. Already-pooled smaller states are
-	// still grown lazily by getState.
-	ix.initStatePool()
-	return nil
+	return ix.PointStore().Append(points)
 }
 
 // Compact returns a new covering index without the points marked dead
@@ -407,8 +331,8 @@ func (ix *Index) Append(points []vector.Binary) error {
 // receiver is read, not modified, and stays fully usable; if no point is
 // marked dead the receiver itself is returned.
 func (ix *Index) Compact(dead []bool) (*Index, error) {
-	if len(dead) != ix.store.Len() {
-		return nil, fmt.Errorf("covering: Compact with %d dead flags for %d points", len(dead), ix.store.Len())
+	if len(dead) != ix.N() {
+		return nil, fmt.Errorf("covering: Compact with %d dead flags for %d points", len(dead), ix.N())
 	}
 	remap := make([]int32, len(dead))
 	live := 0
@@ -420,10 +344,10 @@ func (ix *Index) Compact(dead []bool) (*Index, error) {
 		remap[i] = int32(live)
 		live++
 	}
-	if live == ix.store.Len() {
+	if live == ix.N() {
 		return ix, nil
 	}
-	cstore, err := ix.store.Compact(dead, live)
+	cstore, err := ix.PointStore().Compact(dead, live)
 	if err != nil {
 		return nil, err
 	}
@@ -452,20 +376,8 @@ func (ix *Index) Compact(dead []bool) (*Index, error) {
 		}
 		tables[t] = dst
 	}
-	nix := &Index{
-		store:  cstore.(*pointstore.FlatBinary),
-		radius: ix.radius,
-		dim:    ix.dim,
-		m:      ix.m,
-		thresh: ix.thresh,
-		seed:   ix.seed,
-		phi:    ix.phi,
-		masks:  ix.masks,
-		tables: tables,
-	}
-	nix.cost.Store(ix.cost.Load())
-	nix.initStatePool()
-	return nix, nil
+	return assemble(cstore, ix.radius, ix.phi, ix.seed, tables,
+		Config{HLLRegisters: ix.m, HLLThreshold: ix.thresh, Cost: ix.Cost()}), nil
 }
 
 // CompactStore implements core.Store by delegating to Compact.
@@ -473,140 +385,76 @@ func (ix *Index) CompactStore(dead []bool) (core.Store[vector.Binary], error) {
 	return ix.Compact(dead)
 }
 
-// Compile-time checks: the shard layer's contracts.
-var (
-	_ core.Store[vector.Binary]         = (*Index)(nil)
-	_ core.RadiusQuerier[vector.Binary] = (*Index)(nil)
-)
+// Compile-time check: the shard layer's contract.
+var _ core.Store[vector.Binary] = (*Index)(nil)
 
-// resolve maps a per-call radius override to the effective reporting
-// radius: r < 0 means the built radius, and overrides are clamped to it —
-// the tables only cover pairs within the built radius, so a larger
-// report would silently lose the guarantee (serving layers reject
-// instead of relying on the clamp).
-func (ix *Index) resolve(r int) int {
-	if r < 0 || r > ix.radius {
-		return ix.radius
-	}
-	return r
+// Defaults implements core.Store: the one supported option is the
+// reporting radius, built at r.
+func (ix *Index) Defaults() core.QueryOpts {
+	return core.QueryOpts{Radius: core.Some(ix.radius)}
 }
 
-// lookupInto collects the query's bucket in every table into st's pooled
-// scratch. The result aliases st.buckets and must not be retained past
-// the state's release.
-func (ix *Index) lookupInto(q vector.Binary, st *queryState) []*lsh.Bucket {
-	out := st.buckets[:0]
+// lookupInto collects the query's bucket in every table into the pooled
+// scratch *dst. The result aliases it and must not be retained past the
+// scratch's release.
+func (ix *Index) lookupInto(q vector.Binary, dst *[]*lsh.Bucket) []*lsh.Bucket {
+	out := (*dst)[:0]
 	for t, buckets := range ix.tables {
 		if b := buckets[maskedKey(q, ix.masks[t])]; b != nil {
 			out = append(out, b)
 		}
 	}
-	st.buckets = out
+	*dst = out
 	return out
-}
-
-// Lookup returns the query's bucket in every table.
-func (ix *Index) Lookup(q vector.Binary) []*lsh.Bucket {
-	return ix.lookupInto(q, &queryState{})
-}
-
-// decide runs the Algorithm-2 estimation steps over the covering bucket
-// set into stats and returns the chosen strategy (the same
-// short-circuits and cost comparison as core.Index over its L buckets).
-func (ix *Index) decide(buckets []*lsh.Bucket, st *queryState, stats *core.QueryStats) core.Strategy {
-	cost := *ix.cost.Load()
-	stats.Collisions = lsh.Collisions(buckets)
-	stats.LinearCost = cost.LinearCost(ix.store.Len())
-	if upper := cost.LSHCost(stats.Collisions, float64(stats.Collisions)); upper < stats.LinearCost {
-		stats.EstCandidates = float64(stats.Collisions)
-		stats.LSHCost = upper
-		return core.StrategyLSH
-	}
-	if lower := cost.Alpha * float64(stats.Collisions); lower >= stats.LinearCost {
-		stats.EstCandidates = float64(stats.Collisions)
-		stats.LSHCost = lower
-		return core.StrategyLinear
-	}
-	stats.Estimated = true
-	stats.EstCandidates = ix.estimate(buckets, st.sketch)
-	stats.LSHCost = cost.LSHCost(stats.Collisions, stats.EstCandidates)
-	if stats.LSHCost < stats.LinearCost {
-		return core.StrategyLSH
-	}
-	return core.StrategyLinear
 }
 
 // Query answers one rNNR query with the hybrid strategy over the covering
 // tables. Both paths are exact: covering LSH has no false negatives and
 // linear search scans everything, so Query always achieves recall 1.
 func (ix *Index) Query(q vector.Binary) ([]int32, core.QueryStats) {
-	return ix.QueryRadius(q, -1)
+	return ix.query(q, ix.radius)
 }
 
-// QueryRadius is Query with a per-call radius override: points within r
-// of the query are reported instead of the built radius (r < 0 means the
-// built radius; overrides above it are clamped — see resolve). Narrowing
-// keeps both paths exact, since the points within r' ≤ r are a subset of
-// those the tables cover. It implements core.RadiusQuerier.
-func (ix *Index) QueryRadius(q vector.Binary, r int) ([]int32, core.QueryStats) {
-	rr := ix.resolve(r)
-	st := ix.getState()
-	defer ix.states.Put(st)
-
-	var stats core.QueryStats
-	t0 := time.Now()
-	buckets := ix.lookupInto(q, st)
-	stats.Strategy = ix.decide(buckets, st, &stats)
-	stats.EstimateTime = time.Since(t0)
-
-	t1 := time.Now()
-	var out []int32
-	if stats.Strategy == core.StrategyLSH {
-		out = ix.searchBuckets(q, rr, buckets, st, &stats)
-	} else {
-		out = ix.searchLinear(q, rr, &stats)
+// QueryWith implements core.Store: Query reporting the points within
+// o.Radius instead of the built radius. Narrowing keeps both paths exact,
+// since the points within r' ≤ r are a subset of those the tables cover;
+// a larger value answers at the built radius (core.QueryOpts.Resolve).
+func (ix *Index) QueryWith(q vector.Binary, o core.QueryOpts) ([]int32, core.QueryStats, error) {
+	o, err := o.Resolve(ix.Defaults())
+	if err != nil {
+		return nil, core.QueryStats{}, err
 	}
-	stats.SearchTime = time.Since(t1)
-	return out, stats
+	ids, stats := ix.query(q, o.Radius.Or(ix.radius))
+	return ids, stats, nil
+}
+
+func (ix *Index) query(q vector.Binary, r int) ([]int32, core.QueryStats) {
+	scratch := ix.lookups.Get().(*[]*lsh.Bucket)
+	defer ix.lookups.Put(scratch)
+	t0 := time.Now()
+	return ix.Answer(q, float64(r), ix.lookupInto(q, scratch), t0)
 }
 
 // QueryLSH forces covering-LSH search (still exact — no false negatives).
 func (ix *Index) QueryLSH(q vector.Binary) ([]int32, core.QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	var stats core.QueryStats
-	stats.Strategy = core.StrategyLSH
+	scratch := ix.lookups.Get().(*[]*lsh.Bucket)
+	defer ix.lookups.Put(scratch)
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, st)
-	stats.Collisions = lsh.Collisions(buckets)
-	stats.EstimateTime = time.Since(t0)
-	t1 := time.Now()
-	out := ix.searchBuckets(q, ix.radius, buckets, st, &stats)
-	stats.SearchTime = time.Since(t1)
-	return out, stats
+	return ix.AnswerLSH(q, float64(ix.radius), ix.lookupInto(q, scratch), t0)
 }
 
 // QueryLinear forces the exact linear scan.
 func (ix *Index) QueryLinear(q vector.Binary) ([]int32, core.QueryStats) {
-	var stats core.QueryStats
-	stats.Strategy = core.StrategyLinear
-	t0 := time.Now()
-	out := ix.searchLinear(q, ix.radius, &stats)
-	stats.SearchTime = time.Since(t0)
-	return out, stats
+	return ix.Scan(q, float64(ix.radius))
 }
 
 // DecideStrategy runs only the estimation steps over the covering bucket
 // set and returns the decision without searching.
 func (ix *Index) DecideStrategy(q vector.Binary) (core.Strategy, core.QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	var stats core.QueryStats
+	scratch := ix.lookups.Get().(*[]*lsh.Bucket)
+	defer ix.lookups.Put(scratch)
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, st)
-	stats.Strategy = ix.decide(buckets, st, &stats)
-	stats.EstimateTime = time.Since(t0)
-	return stats.Strategy, stats
+	return ix.Decide(ix.lookupInto(q, scratch), t0)
 }
 
 // QueryBatch answers many queries concurrently, using up to workers
@@ -622,49 +470,4 @@ func (ix *Index) QueryBatch(queries []vector.Binary, workers int) []core.BatchRe
 		results[i] = core.BatchResult{IDs: ids, Stats: stats}
 	})
 	return results
-}
-
-func (ix *Index) estimate(buckets []*lsh.Bucket, scratch *hll.Sketch) float64 {
-	scratch.Reset()
-	for _, b := range buckets {
-		if b.Sketch != nil {
-			scratch.Merge(b.Sketch)
-		} else {
-			for _, id := range b.IDs {
-				scratch.AddID(uint64(id))
-			}
-		}
-	}
-	return scratch.Estimate()
-}
-
-func (ix *Index) searchBuckets(q vector.Binary, r int, buckets []*lsh.Bucket, st *queryState, stats *core.QueryStats) []int32 {
-	st.gen++
-	if st.gen == 0 {
-		clear(st.visited)
-		st.gen = 1
-	}
-	gen := st.gen
-	cand := st.cand[:0]
-	for _, b := range buckets {
-		for _, id := range b.IDs {
-			if st.visited[id] == gen {
-				continue
-			}
-			st.visited[id] = gen
-			cand = append(cand, id)
-		}
-	}
-	st.cand = cand
-	stats.Candidates = len(cand)
-	out := ix.store.VerifyRadius(q, cand, float64(r), nil)
-	stats.Results = len(out)
-	return out
-}
-
-func (ix *Index) searchLinear(q vector.Binary, r int, stats *core.QueryStats) []int32 {
-	out := ix.store.ScanRadius(q, float64(r), nil)
-	stats.Candidates = ix.store.Len()
-	stats.Results = len(out)
-	return out
 }

@@ -1,7 +1,6 @@
 package covering
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -10,9 +9,9 @@ import (
 )
 
 // The shard.Builder / compaction contracts — Append, CompactStore,
-// DecideStrategy, QueryBatch — are pinned by the shared conformance
-// suite; this file adds only the covering-specific surface (the
-// per-call radius narrowing).
+// DecideStrategy, QueryBatch, the per-query radius narrowing — are pinned
+// by the shared conformance suite; this file adds only the
+// covering-specific surface.
 
 func TestStoreContract(t *testing.T) {
 	storetest.Run(t, storetest.Harness[vector.Binary]{
@@ -28,42 +27,21 @@ func TestStoreContract(t *testing.T) {
 			pts, _ := randomPoints(n, n/3, 64, 3, seed)
 			return pts
 		},
+		// The narrowed reports were exact at the parent (checked against
+		// ground truth by the test this table replaced); 99 pins the
+		// clamp to the built radius.
+		Pinned: []storetest.PinnedOverride{
+			{Opts: core.QueryOpts{Radius: core.Some(0)}, Hash: 0x931ee7d61ca48aae},
+			{Opts: core.QueryOpts{Radius: core.Some(1)}, Hash: 0xeac92babe1c2239c},
+			{Opts: core.QueryOpts{Radius: core.Some(2)}, Hash: 0xf11a5f567eec713},
+			{Opts: core.QueryOpts{Radius: core.Some(3)}, Hash: 0x21a7ac9c5a51b5f3},
+			{Opts: core.QueryOpts{Radius: core.Some(99)}, Hash: 0x21a7ac9c5a51b5f3},
+		},
 		// NewQuant stays nil: the covering index is hard-wired to the
 		// flat binary store (no quantized encoding exists for Hamming),
 		// and the flat-vs-generic layout equivalence is pinned by the
 		// core-hamming harness.
 	})
-}
-
-func TestQueryRadiusNarrowing(t *testing.T) {
-	pts, center := randomPoints(500, 200, 64, 5, 17)
-	ix, err := New(pts, 5, Config{Seed: 18})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hamming := func(a, b vector.Binary) float64 { return float64(vector.Hamming(a, b)) }
-	queries := append([]vector.Binary{center}, pts[:10]...)
-	for qi, q := range queries {
-		for r := 0; r <= 5; r++ {
-			out, _ := ix.QueryRadius(q, r)
-			truth := core.GroundTruth(pts, hamming, q, float64(r))
-			slices.Sort(out)
-			if !slices.Equal(out, truth) {
-				t.Fatalf("query %d r=%d: got %d ids, truth %d (narrowed report must stay exact)",
-					qi, r, len(out), len(truth))
-			}
-		}
-		// r < 0 and r > built radius both resolve to the built radius.
-		a, _ := ix.QueryRadius(q, -1)
-		b, _ := ix.Query(q)
-		c, _ := ix.QueryRadius(q, 99)
-		slices.Sort(a)
-		slices.Sort(b)
-		slices.Sort(c)
-		if !slices.Equal(a, b) || !slices.Equal(c, b) {
-			t.Fatalf("query %d: out-of-range overrides did not resolve to the built radius", qi)
-		}
-	}
 }
 
 func TestAppendKeepsGuarantee(t *testing.T) {

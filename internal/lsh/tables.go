@@ -367,13 +367,9 @@ func Collisions(bs []*Bucket) int {
 // resets first) and returns the estimated number of distinct ids — the
 // candSize term of Equation (1), step 2 of Algorithm 2. Buckets below the
 // HLL threshold are folded in id-by-id, implementing the paper's on-demand
-// trick. scratch must have HLLRegisters registers; pass nil to allocate.
-func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
-	if scratch == nil {
-		scratch = hll.New(t.params.HLLRegisters)
-	} else {
-		scratch.Reset()
-	}
+// trick. scratch must have the buckets' register count.
+func EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
+	scratch.Reset()
 	for _, b := range bs {
 		if b.Sketch != nil {
 			scratch.Merge(b.Sketch)
@@ -384,6 +380,15 @@ func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float6
 		}
 	}
 	return scratch.Estimate()
+}
+
+// EstimateCandidates is the package-level EstimateCandidates over this
+// structure's sketch geometry; pass a nil scratch to allocate one.
+func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
+	if scratch == nil {
+		scratch = hll.New(t.params.HLLRegisters)
+	}
+	return EstimateCandidates(bs, scratch)
 }
 
 // Stats summarizes the built structure.

@@ -16,7 +16,7 @@
 // distinct candidate count saturates.
 //
 // Index wraps a core.Index and reuses its decision and search machinery
-// over the probed bucket set (core.Index.QueryBuckets), so the hybrid
+// over the probed bucket set (core.Searcher), so the hybrid
 // semantics — short-circuits, cost model, dedup search, linear fallback —
 // are identical to the plain index's by construction. It satisfies
 // core.Store, which is what lets shard.Sharded fan out, tombstone,
@@ -90,6 +90,9 @@ type Config struct {
 // single-writer, exactly like core.Index (wrap in shard.Sharded for
 // concurrent mutation).
 type Index struct {
+	// Searcher is the wrapped index's: one store, one cost model, one
+	// scratch pool behind both.
+	*core.Searcher[vector.Dense]
 	ix      *core.Index[vector.Dense]
 	probes  int
 	hashers []*lsh.PStableHasher
@@ -167,7 +170,7 @@ func FromCore(ix *core.Index[vector.Dense], probes int) (*Index, error) {
 		}
 		hashers[j] = h
 	}
-	mp := &Index{ix: ix, probes: probes, hashers: hashers}
+	mp := &Index{Searcher: ix.Searcher, ix: ix, probes: probes, hashers: hashers}
 	mp.states.New = func() any { return &probeState{} }
 	return mp, nil
 }
@@ -175,17 +178,6 @@ func FromCore(ix *core.Index[vector.Dense], probes int) (*Index, error) {
 // Core exposes the wrapped plain index (read-only by convention). It
 // exists for serialization and white-box tests.
 func (ix *Index) Core() *core.Index[vector.Dense] { return ix.ix }
-
-// N returns the number of indexed points.
-func (ix *Index) N() int { return ix.ix.N() }
-
-// Points exposes the stored point slice (read-only); it exists for
-// serialization and the shard layer's compaction absorption.
-func (ix *Index) Points() []vector.Dense { return ix.ix.Points() }
-
-// StoreStats returns the wrapped index's point-store layout and
-// verification counters (core.StoreStatser).
-func (ix *Index) StoreStats() pointstore.Stats { return ix.ix.StoreStats() }
 
 // Radius returns the reporting radius the index was built for.
 func (ix *Index) Radius() float64 { return ix.ix.Radius() }
@@ -199,16 +191,8 @@ func (ix *Index) L() int { return ix.ix.L() }
 // Probes returns T, the configured extra probes per table.
 func (ix *Index) Probes() int { return ix.probes }
 
-// Cost returns the cost model in use.
-func (ix *Index) Cost() core.CostModel { return ix.ix.Cost() }
-
-// SetCost atomically swaps the cost model of the wrapped core index (see
-// core.Index.SetCost): safe concurrently with queries, rejected unless
-// the model is Usable.
-func (ix *Index) SetCost(c core.CostModel) error { return ix.ix.SetCost(c) }
-
-// resolve maps a per-call probe override to the effective T (t < 0
-// means the configured default).
+// resolve maps the forced-strategy variants' probe argument to the
+// effective T (t < 0 means the configured T).
 func (ix *Index) resolve(t int) int {
 	if t < 0 {
 		return ix.probes
@@ -235,32 +219,37 @@ func (ix *Index) lookupInto(q vector.Dense, t int, st *probeState) []*lsh.Bucket
 	return out
 }
 
-// Lookup returns the home and probe buckets of q across all tables.
-func (ix *Index) Lookup(q vector.Dense) []*lsh.Bucket {
-	return ix.lookupInto(q, ix.probes, &probeState{})
+// Defaults implements core.Store: the one supported option is the probe
+// count, built at T.
+func (ix *Index) Defaults() core.QueryOpts {
+	return core.QueryOpts{Probes: core.Some(ix.probes)}
 }
 
 // Query answers one rNNR query with the hybrid strategy over the
 // multi-probe bucket set: Algorithm 2 with #collisions and candSize taken
 // over the (T+1)·L probed buckets.
 func (ix *Index) Query(q vector.Dense) ([]int32, core.QueryStats) {
-	return ix.QueryProbes(q, -1)
+	return ix.query(q, ix.probes)
 }
 
-// QueryProbes is Query with a per-call probe override: t extra buckets
-// are probed per table instead of the configured T (t = 0 probes only
-// the home buckets; t < 0 means the configured default). It implements
-// core.ProbeQuerier.
-func (ix *Index) QueryProbes(q vector.Dense, t int) ([]int32, core.QueryStats) {
+// QueryWith implements core.Store: Query with o.Probes extra buckets
+// probed per table instead of the configured T (0 probes only the home
+// buckets).
+func (ix *Index) QueryWith(q vector.Dense, o core.QueryOpts) ([]int32, core.QueryStats, error) {
+	o, err := o.Resolve(ix.Defaults())
+	if err != nil {
+		return nil, core.QueryStats{}, err
+	}
+	ids, stats := ix.query(q, o.Probes.Or(ix.probes))
+	return ids, stats, nil
+}
+
+func (ix *Index) query(q vector.Dense, t int) ([]int32, core.QueryStats) {
 	st := ix.states.Get().(*probeState)
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
-	lookup := time.Since(t0)
-	out, stats := ix.ix.QueryBuckets(q, buckets)
-	stats.EstimateTime += lookup
-	return out, stats
+	return ix.Answer(q, ix.ix.Radius(), ix.lookupInto(q, t, st), t0)
 }
 
 // QueryLSH forces multi-probe LSH search without the hybrid decision.
@@ -268,18 +257,14 @@ func (ix *Index) QueryLSH(q vector.Dense) ([]int32, core.QueryStats) {
 	return ix.QueryLSHProbes(q, -1)
 }
 
-// QueryLSHProbes is QueryLSH with a per-call probe override (see
-// QueryProbes for the override semantics).
+// QueryLSHProbes is QueryLSH with t extra buckets probed per table
+// instead of the configured T (t < 0 means the configured T).
 func (ix *Index) QueryLSHProbes(q vector.Dense, t int) ([]int32, core.QueryStats) {
 	st := ix.states.Get().(*probeState)
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
-	lookup := time.Since(t0)
-	out, stats := ix.ix.QueryBucketsLSH(q, buckets)
-	stats.EstimateTime += lookup
-	return out, stats
+	return ix.AnswerLSH(q, ix.ix.Radius(), ix.lookupInto(q, ix.resolve(t), st), t0)
 }
 
 // QueryLinear forces the exact linear scan.
@@ -293,18 +278,14 @@ func (ix *Index) DecideStrategy(q vector.Dense) (core.Strategy, core.QueryStats)
 	return ix.DecideStrategyProbes(q, -1)
 }
 
-// DecideStrategyProbes is DecideStrategy with a per-call probe override
-// (see QueryProbes for the override semantics).
+// DecideStrategyProbes is DecideStrategy with t extra buckets probed per
+// table instead of the configured T (t < 0 means the configured T).
 func (ix *Index) DecideStrategyProbes(q vector.Dense, t int) (core.Strategy, core.QueryStats) {
 	st := ix.states.Get().(*probeState)
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
-	lookup := time.Since(t0)
-	strategy, stats := ix.ix.DecideBuckets(buckets)
-	stats.EstimateTime += lookup
-	return strategy, stats
+	return ix.Decide(ix.lookupInto(q, ix.resolve(t), st), t0)
 }
 
 // QueryBatch answers many queries concurrently, using up to workers
@@ -349,11 +330,8 @@ func (ix *Index) CompactStore(dead []bool) (core.Store[vector.Dense], error) {
 	return ix.Compact(dead)
 }
 
-// Compile-time checks: the shard layer's contracts.
-var (
-	_ core.Store[vector.Dense]        = (*Index)(nil)
-	_ core.ProbeQuerier[vector.Dense] = (*Index)(nil)
-)
+// Compile-time check: the shard layer's contract.
+var _ core.Store[vector.Dense] = (*Index)(nil)
 
 // --- perturbation-sequence generation (Lv et al., Section 4.3) ---
 

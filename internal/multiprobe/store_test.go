@@ -16,8 +16,10 @@ import (
 
 // The shard.Builder / compaction contracts — Append, CompactStore,
 // DecideStrategy, QueryBatch — are pinned by the shared conformance
-// suite; this file keeps only the multi-probe-specific surface
-// (FromCore validation and the per-call probe override).
+// suite, the per-query probe override included (its pinned hashes were
+// recorded from the QueryProbes method core.Store.QueryWith replaced);
+// this file keeps only the multi-probe-specific surface (FromCore
+// validation and the forced-LSH probe variants).
 
 // storeData generates n clustered Corel-dim points (σ = 0.03 around 10
 // random centers), so radius-0.45 queries have non-trivial neighbors.
@@ -69,6 +71,12 @@ func TestStoreContract(t *testing.T) {
 			return ix
 		},
 		Data: storeData,
+		Pinned: []storetest.PinnedOverride{
+			{Opts: core.QueryOpts{Probes: core.Some(0)}, Hash: 0xf4b0e5c34effc939},
+			{Opts: core.QueryOpts{Probes: core.Some(3)}, Hash: 0x1801b63dd83956ae},
+			{Opts: core.QueryOpts{Probes: core.Some(12)}, Hash: 0x9035a35487b1694f},
+			{Opts: core.QueryOpts{Probes: core.Some(30)}, Hash: 0x340f86c0fe805abf},
+		},
 	})
 }
 

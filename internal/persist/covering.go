@@ -1,17 +1,13 @@
 package persist
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/covering"
 	"repro/internal/hll"
 	"repro/internal/lsh"
-	"repro/internal/shard"
-	"repro/internal/vector"
 )
 
 // Covering-LSH snapshots. A covering index stores no LSH family and no
@@ -28,11 +24,12 @@ import (
 // cost model, the construction seed and the dim φ entries; the sharded
 // structure-level "covr" holds only the shared radius (each shard's own
 // "covr" carries its full per-shard parameters, φ included — shards draw
-// independent φ). Readers of either mode reject the other's files with
-// ErrCoverMode rather than guessing: a covering file has no (k, L, δ)
-// to hand a plain reader, and a plain file has no φ to hand this one.
-// Both sections are sanctioned in-v1 extensions like "prob": files that
-// carry neither are byte-identical to the original layout.
+// independent φ). The readers dispatch on the section (readBody,
+// readCoverMarker), so the snapshot decides the mode; nothing converts
+// between modes — a covering file has no (k, L, δ) to hand a classic
+// index, and a classic file has no φ to hand this one. Both sections are
+// sanctioned in-v1 extensions like "prob": files that carry neither are
+// byte-identical to the original layout.
 
 // writeCovrSection encodes one covering index's parameters.
 func writeCovrSection(w io.Writer, ix *covering.Index) error {
@@ -202,287 +199,42 @@ func readCoveringBody(ss *sectionStream) (*covering.Index, *coverMeta, error) {
 	return ix, cm, nil
 }
 
-// coverPublicMeta summarizes a covering snapshot.
-func coverPublicMeta(cm *coverMeta, n, shards int) Meta {
+// coverPublicMeta summarizes one covering index's "covr" section.
+func coverPublicMeta(cm *coverMeta) Meta {
 	return Meta{
 		Metric:      MetricHamming,
 		Dim:         cm.dim,
-		N:           n,
+		N:           cm.n,
 		Radius:      float64(cm.radius),
 		L:           covering.NumTables(cm.radius),
-		Shards:      shards,
 		CoverRadius: cm.radius,
 		Seed:        cm.seed,
 	}
 }
 
-// WriteCovering writes a complete snapshot of a covering index and
-// returns the number of bytes written. The output is deterministic:
-// equal indexes (same points, same drawn φ) serialize to equal bytes.
-// The index must not be mutated concurrently.
-func WriteCovering(w io.Writer, ix *covering.Index) (int64, error) {
-	cw := &countWriter{w: w}
-	if err := writeHeader(cw, kindIndex); err != nil {
-		return cw.n, err
-	}
-	if err := writeCoveringBody(cw, ix); err != nil {
-		return cw.n, err
-	}
-	if err := writeSection(cw, "end!", nil); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+// writeCoverMarker writes the structure-level "covr" section of a
+// sharded covering snapshot: the radius every shard shares.
+func writeCoverMarker(w io.Writer, radius int) error {
+	var e enc
+	e.u32(uint32(radius))
+	return writeSection(w, "covr", e.b)
 }
 
-// ReadCovering reads a covering-index snapshot written by WriteCovering;
-// the restored index answers queries id-for-id identically to the saved
-// one (same φ, same buckets, same sketches). Plain hybrid snapshots are
-// rejected with ErrCoverMode — they record a (k, L, δ) structure this
-// reader has no use for, and silently rebuilding would change answers.
-func ReadCovering(r io.Reader) (*covering.Index, Meta, error) {
-	ss := &sectionStream{r: r}
-	kind, err := readHeader(r)
-	if err != nil {
-		return nil, Meta{}, err
+// readCoverMarker reads an optional structure-level "covr" marker at the
+// stream's current position and returns the shared covering radius (0
+// when the next section is something else — a classic or multi-probe
+// sharded snapshot).
+func (s *sectionStream) readCoverMarker() (int, error) {
+	d, err := s.optional("covr")
+	if d == nil {
+		return 0, err
 	}
-	if kind != kindIndex {
-		return nil, Meta{}, corrupt("snapshot holds a sharded index; use the sharded covering reader")
-	}
-	tag, err := ss.peek()
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if tag != "covr" {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a plain hybrid index; use the plain reader", ErrCoverMode)
-	}
-	ix, cm, err := readCoveringBody(ss)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if _, err := ss.read("end!"); err != nil {
-		return nil, Meta{}, err
-	}
-	return ix, coverPublicMeta(cm, cm.n, 0), nil
-}
-
-// WriteShardedCovering writes a snapshot of a sharded covering index;
-// see WriteSharded for the consistency guarantees (appends blocked,
-// queries flowing, tombstoned points compacted out with their ids kept
-// reserved). Every shard must be a covering index; the shared radius is
-// recorded once in the structure-level "covr" marker.
-func WriteShardedCovering(w io.Writer, s *shard.Sharded[vector.Binary]) (int64, error) {
-	cw := &countWriter{w: w}
-	err := s.Snapshot(func(shards []shard.ShardSnapshot[vector.Binary], nextID int32, tombstones []int32) error {
-		covs := make([]*covering.Index, len(shards))
-		radius := 0
-		for j, sv := range shards {
-			cov, ok := sv.Index.(*covering.Index)
-			if !ok {
-				return fmt.Errorf("persist: shard %d holds %T, want *covering.Index", j, sv.Index)
-			}
-			if j == 0 {
-				radius = cov.Radius()
-			} else if cov.Radius() != radius {
-				return fmt.Errorf("persist: shard %d has covering radius %d, shard 0 has %d", j, cov.Radius(), radius)
-			}
-			covs[j] = cov
-		}
-		if err := writeHeader(cw, kindSharded); err != nil {
-			return err
-		}
-		var e enc
-		e.str(MetricHamming)
-		e.u32(uint32(len(shards)))
-		e.i32(nextID)
-		if err := writeSection(cw, "smet", e.b); err != nil {
-			return err
-		}
-		e = enc{}
-		e.u64(uint64(len(tombstones)))
-		for _, id := range tombstones {
-			e.i32(id)
-		}
-		if err := writeSection(cw, "tomb", e.b); err != nil {
-			return err
-		}
-		e = enc{}
-		e.u32(uint32(radius))
-		if err := writeSection(cw, "covr", e.b); err != nil {
-			return err
-		}
-		tombs := make(map[int32]struct{}, len(tombstones))
-		for _, id := range tombstones {
-			tombs[id] = struct{}{}
-		}
-		for j, cov := range covs {
-			cov, ids, err := compactCoveringShard(cov, shards[j].IDs, tombs)
-			if err != nil {
-				return fmt.Errorf("persist: compacting covering shard %d for snapshot: %w", j, err)
-			}
-			e = enc{}
-			e.u64(uint64(len(ids)))
-			for _, id := range ids {
-				e.i32(id)
-			}
-			if err := writeSection(cw, "sids", e.b); err != nil {
-				return err
-			}
-			if err := writeCoveringBody(cw, cov); err != nil {
-				return err
-			}
-		}
-		return writeSection(cw, "end!", nil)
-	})
-	return cw.n, err
-}
-
-// compactCoveringShard filters a shard's tombstoned points out of its
-// snapshot view via covering.Index.Compact — the same rewrite the online
-// shard compaction path runs, so a snapshot of a tombstoned covering
-// index and a snapshot of the same index compacted online are
-// byte-identical. With no tombstoned point the live (read-locked) index
-// is returned without copying.
-func compactCoveringShard(cov *covering.Index, gids []int32, tombs map[int32]struct{}) (*covering.Index, []int32, error) {
-	dead := false
-	if len(tombs) > 0 {
-		for _, gid := range gids {
-			if _, d := tombs[gid]; d {
-				dead = true
-				break
-			}
-		}
-	}
-	if !dead {
-		return cov, gids, nil
-	}
-	flags := make([]bool, cov.N())
-	ids := make([]int32, 0, len(gids))
-	for l, gid := range gids {
-		if _, d := tombs[gid]; d {
-			flags[l] = true
-			continue
-		}
-		ids = append(ids, gid)
-	}
-	compacted, err := cov.Compact(flags)
-	if err != nil {
-		return nil, nil, err
-	}
-	return compacted, ids, nil
-}
-
-// ReadShardedCovering reads a sharded covering snapshot written by
-// WriteShardedCovering and reassembles the sharded index: per-shard φ,
-// buckets and sketches are restored exactly, the global id space keeps
-// its tombstone holes, and appends continue from the saved high-water id
-// mark. Classic sharded snapshots are rejected with ErrCoverMode.
-func ReadShardedCovering(r io.Reader) (*shard.Sharded[vector.Binary], Meta, error) {
-	ss := &sectionStream{r: r}
-	kind, err := readHeader(r)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if kind != kindSharded {
-		return nil, Meta{}, corrupt("snapshot holds a plain index; use the plain covering reader")
-	}
-
-	payload, err := ss.read("smet")
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	d := &dec{b: payload}
-	gotMetric := d.str()
-	nshards := int(d.u32())
-	nextID := d.i32()
-	if err := d.done("smet"); err != nil {
-		return nil, Meta{}, err
-	}
-	if gotMetric != MetricHamming {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot holds metric %q, want %q", ErrMetric, gotMetric, MetricHamming)
-	}
-	if nshards < 1 || nshards > maxShards {
-		return nil, Meta{}, corrupt("shard count %d outside [1,%d]", nshards, maxShards)
-	}
-	if nextID < 0 {
-		return nil, Meta{}, corrupt("next id %d negative", nextID)
-	}
-
-	tombstones, err := readTombSection(ss, nextID)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-
-	tag, err := ss.peek()
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if tag != "covr" {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a classic sharded index; use the plain sharded reader", ErrCoverMode)
-	}
-	payload, err = ss.read("covr")
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	d = &dec{b: payload}
 	radius := int(d.u32())
 	if err := d.done("covr"); err != nil {
-		return nil, Meta{}, err
+		return 0, err
 	}
 	if radius < 1 || radius > covering.MaxRadius {
-		return nil, Meta{}, corrupt("covering radius %d outside [1,%d]", radius, covering.MaxRadius)
+		return 0, corrupt("covering radius %d outside [1,%d]", radius, covering.MaxRadius)
 	}
-
-	shards := make([]shard.ShardSnapshot[vector.Binary], nshards)
-	live := 0
-	var first *coverMeta
-	for j := range shards {
-		payload, err = ss.read("sids")
-		if err != nil {
-			return nil, Meta{}, err
-		}
-		d = &dec{b: payload}
-		nids := d.count(4, "shard id")
-		ids := make([]int32, nids)
-		for i := range ids {
-			ids[i] = d.i32()
-		}
-		if err := d.done("sids"); err != nil {
-			return nil, Meta{}, err
-		}
-		ix, cm, err := readCoveringBody(ss)
-		if err != nil {
-			return nil, Meta{}, err
-		}
-		if cm.radius != radius {
-			return nil, Meta{}, corrupt("shard %d has covering radius %d, structure says %d", j, cm.radius, radius)
-		}
-		if first == nil {
-			first = cm
-		} else if cm.dim != first.dim {
-			return nil, Meta{}, corrupt("shard %d has dim %d, shard 0 has %d", j, cm.dim, first.dim)
-		}
-		shards[j] = shard.ShardSnapshot[vector.Binary]{Index: ix, IDs: ids}
-		live += len(ids)
-	}
-	if _, err := ss.read("end!"); err != nil {
-		return nil, Meta{}, err
-	}
-	if live+len(tombstones) != int(nextID) {
-		return nil, Meta{}, corrupt("%d live + %d tombstoned ids, want %d allocated", live, len(tombstones), nextID)
-	}
-	if len(tombstones) > 0 {
-		for _, sv := range shards {
-			for _, id := range sv.IDs {
-				if _, ok := slices.BinarySearch(tombstones, id); ok {
-					return nil, Meta{}, corrupt("id %d is both live and tombstoned", id)
-				}
-			}
-		}
-	}
-	sh, err := shard.Restore(shards, nextID, tombstones)
-	if err != nil {
-		return nil, Meta{}, corrupt("restoring shards: %v", err)
-	}
-	meta := coverPublicMeta(first, live, nshards)
-	return sh, meta, nil
+	return radius, nil
 }

@@ -74,10 +74,10 @@ func assertCoveringIdentical(t *testing.T, want, got *covering.Index, queries []
 func TestCoveringRoundTrip(t *testing.T) {
 	ix := buildCoveringIndex(t, 60, 3)
 	var buf bytes.Buffer
-	if _, err := WriteCovering(&buf, ix); err != nil {
+	if _, err := Write(&buf, MetricHamming, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, meta, err := ReadCovering(bytes.NewReader(buf.Bytes()))
+	loaded, meta, err := readCovering(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCoveringRoundTrip(t *testing.T) {
 
 	// Re-encoding the decoded index must reproduce the bytes exactly.
 	var reenc bytes.Buffer
-	if _, err := WriteCovering(&reenc, loaded); err != nil {
+	if _, err := Write(&reenc, MetricHamming, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), reenc.Bytes()) {
@@ -101,13 +101,13 @@ func TestCoveringReaderMismatch(t *testing.T) {
 	// A covering snapshot handed to the plain readers.
 	cov := buildCoveringIndex(t, 40, 4)
 	var cbuf bytes.Buffer
-	if _, err := WriteCovering(&cbuf, cov); err != nil {
+	if _, err := Write(&cbuf, MetricHamming, cov); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadIndex[vector.Binary](bytes.NewReader(cbuf.Bytes()), MetricHamming); !errors.Is(err, ErrCoverMode) {
+	if _, _, err := readIndex[vector.Binary](bytes.NewReader(cbuf.Bytes()), MetricHamming); !errors.Is(err, ErrCoverMode) {
 		t.Fatalf("plain reader on covering snapshot: err = %v, want ErrCoverMode", err)
 	}
-	if _, _, err := ReadMultiProbe(bytes.NewReader(cbuf.Bytes()), MetricL2); !errors.Is(err, ErrCoverMode) {
+	if _, _, err := readMultiProbe(bytes.NewReader(cbuf.Bytes()), MetricL2); !errors.Is(err, ErrCoverMode) {
 		t.Fatalf("multi-probe reader on covering snapshot: err = %v, want ErrCoverMode", err)
 	}
 
@@ -125,10 +125,10 @@ func TestCoveringReaderMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hbuf bytes.Buffer
-	if _, err := WriteIndex(&hbuf, MetricHamming, hix); err != nil {
+	if _, err := Write(&hbuf, MetricHamming, hix); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadCovering(bytes.NewReader(hbuf.Bytes())); !errors.Is(err, ErrCoverMode) {
+	if _, _, err := readCovering(bytes.NewReader(hbuf.Bytes())); !errors.Is(err, ErrCoverMode) {
 		t.Fatalf("covering reader on plain snapshot: err = %v, want ErrCoverMode", err)
 	}
 }
@@ -136,7 +136,7 @@ func TestCoveringReaderMismatch(t *testing.T) {
 func TestCoveringCorruption(t *testing.T) {
 	ix := buildCoveringIndex(t, 40, 5)
 	var buf bytes.Buffer
-	if _, err := WriteCovering(&buf, ix); err != nil {
+	if _, err := Write(&buf, MetricHamming, ix); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -144,12 +144,12 @@ func TestCoveringCorruption(t *testing.T) {
 	// A bit flip inside the covr payload must fail the CRC.
 	mut := slices.Clone(valid)
 	mut[len(magic)+5+12+8] ^= 0x40 // header + section header + into the payload
-	if _, _, err := ReadCovering(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readCovering(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
 	}
 	// Truncation anywhere must error, never panic.
 	for _, cut := range []int{len(valid) / 4, len(valid) / 2, len(valid) - 3} {
-		if _, _, err := ReadCovering(bytes.NewReader(valid[:cut])); err == nil {
+		if _, _, err := readCovering(bytes.NewReader(valid[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -175,10 +175,10 @@ func TestShardedCoveringRoundTrip(t *testing.T) {
 	sh.Delete(deleted)
 
 	var buf bytes.Buffer
-	if _, err := WriteShardedCovering(&buf, sh); err != nil {
+	if _, err := WriteSharded(&buf, MetricHamming, sh); err != nil {
 		t.Fatal(err)
 	}
-	loaded, meta, err := ReadShardedCovering(bytes.NewReader(buf.Bytes()))
+	loaded, meta, err := readShardedCovering(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +207,10 @@ func TestShardedCoveringRoundTrip(t *testing.T) {
 		t.Fatalf("appended ids %v, want continuation from %d", ids, len(data))
 	}
 
-	// Classic sharded readers must reject the covering layout, and vice
-	// versa.
-	if _, _, err := ReadSharded[vector.Binary](bytes.NewReader(buf.Bytes()), MetricHamming); !errors.Is(err, ErrCoverMode) {
-		t.Fatalf("classic sharded reader: err = %v, want ErrCoverMode", err)
+	// A caller demanding classic shards must see the covering layout
+	// refused, and vice versa.
+	if err := meta.RequireMode(false, false); !errors.Is(err, ErrCoverMode) {
+		t.Fatalf("classic demanded of a covering snapshot: err = %v, want ErrCoverMode", err)
 	}
 	csh, err := shard.New(data, 2, 9, func(pts []vector.Binary, s uint64) (core.Store[vector.Binary], error) {
 		return core.NewIndex(pts, core.Config[vector.Binary]{
@@ -225,7 +225,7 @@ func TestShardedCoveringRoundTrip(t *testing.T) {
 	if _, err := WriteSharded(&classic, MetricHamming, csh); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadShardedCovering(bytes.NewReader(classic.Bytes())); !errors.Is(err, ErrCoverMode) {
+	if _, _, err := readShardedCovering(bytes.NewReader(classic.Bytes())); !errors.Is(err, ErrCoverMode) {
 		t.Fatalf("covering sharded reader on classic snapshot: err = %v, want ErrCoverMode", err)
 	}
 }
@@ -239,14 +239,14 @@ func TestShardedCoveringSnapshotCompactionEquivalence(t *testing.T) {
 	sh.Delete([]int32{0, 7, 13, 29, 41})
 
 	var tombed bytes.Buffer
-	if _, err := WriteShardedCovering(&tombed, sh); err != nil {
+	if _, err := WriteSharded(&tombed, MetricHamming, sh); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sh.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	var compacted bytes.Buffer
-	if _, err := WriteShardedCovering(&compacted, sh); err != nil {
+	if _, err := WriteSharded(&compacted, MetricHamming, sh); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(tombed.Bytes(), compacted.Bytes()) {
@@ -277,7 +277,7 @@ func buildGoldenCoveringIndex(t *testing.T) *covering.Index {
 func TestGoldenCoveringSnapshot(t *testing.T) {
 	ix := buildGoldenCoveringIndex(t)
 	var fresh bytes.Buffer
-	if _, err := WriteCovering(&fresh, ix); err != nil {
+	if _, err := Write(&fresh, MetricHamming, ix); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +300,7 @@ func TestGoldenCoveringSnapshot(t *testing.T) {
 			len(golden), fresh.Len())
 	}
 
-	loaded, meta, err := ReadCovering(bytes.NewReader(golden))
+	loaded, meta, err := readCovering(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatalf("reader rejects the golden v1 covering snapshot: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestGoldenCoveringSnapshot(t *testing.T) {
 		t.Fatalf("golden meta = %+v", meta)
 	}
 	var reenc bytes.Buffer
-	if _, err := WriteCovering(&reenc, loaded); err != nil {
+	if _, err := Write(&reenc, MetricHamming, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(golden, reenc.Bytes()) {
@@ -324,7 +324,7 @@ func TestGoldenCoveringVersionMismatch(t *testing.T) {
 	}
 	mut := slices.Clone(golden)
 	mut[len(magic)]++ // version u32 LSB: 1 -> 2
-	if _, _, err := ReadCovering(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
+	if _, _, err := readCovering(bytes.NewReader(mut)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
@@ -336,7 +336,7 @@ func TestGoldenCoveringWrongMagic(t *testing.T) {
 	}
 	mut := slices.Clone(golden)
 	copy(mut, "not-a-snapshot")
-	if _, _, err := ReadCovering(bytes.NewReader(mut)); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := readCovering(bytes.NewReader(mut)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }

@@ -31,24 +31,24 @@ func FuzzReadSnapshot(f *testing.F) {
 		// exercised with one query so a structurally valid but
 		// semantically hostile snapshot (ids, sketches, hashers) cannot
 		// smuggle a panic past decode time.
-		if ix, _, err := ReadIndex[vector.Dense](bytes.NewReader(data), MetricL2); err == nil {
+		if ix, _, err := readIndex[vector.Dense](bytes.NewReader(data), MetricL2); err == nil {
 			q := make(vector.Dense, dimOf(ix))
 			ix.Query(q)
 		}
-		if ix, _, err := ReadIndex[vector.Dense](bytes.NewReader(data), MetricAngular); err == nil {
+		if ix, _, err := readIndex[vector.Dense](bytes.NewReader(data), MetricAngular); err == nil {
 			q := make(vector.Dense, dimOf(ix))
 			ix.Query(q)
 		}
-		if ix, _, err := ReadIndex[vector.Binary](bytes.NewReader(data), MetricHamming); err == nil {
+		if ix, _, err := readIndex[vector.Binary](bytes.NewReader(data), MetricHamming); err == nil {
 			ix.Query(vector.NewBinary(binDimOf(ix)))
 		}
-		if ix, _, err := ReadIndex[vector.Binary](bytes.NewReader(data), MetricJaccard); err == nil {
+		if ix, _, err := readIndex[vector.Binary](bytes.NewReader(data), MetricJaccard); err == nil {
 			ix.Query(vector.NewBinary(binDimOf(ix)))
 		}
-		if ix, _, err := ReadIndex[vector.Sparse](bytes.NewReader(data), MetricCosine); err == nil {
+		if ix, _, err := readIndex[vector.Sparse](bytes.NewReader(data), MetricCosine); err == nil {
 			ix.Query(vector.Sparse{Dim: 1})
 		}
-		if ix, meta, err := ReadMultiProbe(bytes.NewReader(data), MetricL2); err == nil {
+		if ix, meta, err := readMultiProbe(bytes.NewReader(data), MetricL2); err == nil {
 			ix.Query(make(vector.Dense, meta.Dim))
 		}
 		if sh, meta, err := ReadSharded[vector.Dense](bytes.NewReader(data), MetricL2); err == nil {
@@ -57,10 +57,10 @@ func FuzzReadSnapshot(f *testing.F) {
 		if sh, meta, err := ReadSharded[vector.Binary](bytes.NewReader(data), MetricHamming); err == nil {
 			sh.Query(vector.NewBinary(meta.Dim))
 		}
-		if ix, meta, err := ReadCovering(bytes.NewReader(data)); err == nil {
+		if ix, meta, err := readCovering(bytes.NewReader(data)); err == nil {
 			ix.Query(vector.NewBinary(meta.Dim))
 		}
-		if sh, meta, err := ReadShardedCovering(bytes.NewReader(data)); err == nil {
+		if sh, meta, err := readShardedCovering(bytes.NewReader(data)); err == nil {
 			sh.Query(vector.NewBinary(meta.Dim))
 		}
 	})
@@ -116,7 +116,7 @@ func seedCorpus(f *testing.F) {
 	// Plain L2.
 	if ix, err := core.NewIndex(denseData(24, 4, 1), mkCfg()); err == nil {
 		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, MetricL2, ix); err == nil {
+		if _, err := Write(&buf, MetricL2, ix); err == nil {
 			add(buf.Bytes())
 		}
 	}
@@ -132,7 +132,7 @@ func seedCorpus(f *testing.F) {
 	}
 	if ix, err := core.NewIndex(binaryData(24, 32, 2), hcfg); err == nil {
 		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, MetricHamming, ix); err == nil {
+		if _, err := Write(&buf, MetricHamming, ix); err == nil {
 			add(buf.Bytes())
 		}
 	}
@@ -148,7 +148,7 @@ func seedCorpus(f *testing.F) {
 	}
 	if ix, err := core.NewIndex(sparseData(24, 24, 5, 3), ccfg); err == nil {
 		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, MetricCosine, ix); err == nil {
+		if _, err := Write(&buf, MetricCosine, ix); err == nil {
 			add(buf.Bytes())
 		}
 	}
@@ -158,7 +158,7 @@ func seedCorpus(f *testing.F) {
 	qcfg.Store = pointstore.DenseL2Builder(pointstore.ModeSQ8)
 	if ix, err := core.NewIndex(denseData(24, 4, 10), qcfg); err == nil {
 		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, MetricL2, ix); err == nil {
+		if _, err := Write(&buf, MetricL2, ix); err == nil {
 			add(buf.Bytes())
 		}
 	}
@@ -166,7 +166,7 @@ func seedCorpus(f *testing.F) {
 	if ix, err := core.NewIndex(denseData(24, 4, 6), mkCfg()); err == nil {
 		if mp, err := multiprobe.FromCore(ix, 7); err == nil {
 			var buf bytes.Buffer
-			if _, err := WriteMultiProbe(&buf, MetricL2, mp); err == nil {
+			if _, err := Write(&buf, MetricL2, mp); err == nil {
 				add(buf.Bytes())
 			}
 		}
@@ -207,7 +207,7 @@ func seedCorpus(f *testing.F) {
 		HLLRegisters: 16, HLLThreshold: 2, Seed: 8,
 	}); err == nil {
 		var buf bytes.Buffer
-		if _, err := WriteCovering(&buf, ix); err == nil {
+		if _, err := Write(&buf, MetricHamming, ix); err == nil {
 			add(buf.Bytes())
 		}
 	}
@@ -218,7 +218,7 @@ func seedCorpus(f *testing.F) {
 	if err == nil {
 		shcov.Delete([]int32{3, 8})
 		var buf bytes.Buffer
-		if _, err := WriteShardedCovering(&buf, shcov); err == nil {
+		if _, err := WriteSharded(&buf, MetricHamming, shcov); err == nil {
 			add(buf.Bytes())
 		}
 	}

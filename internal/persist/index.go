@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/covering"
 	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/multiprobe"
@@ -13,109 +14,168 @@ import (
 	"repro/internal/vector"
 )
 
-// WriteIndex writes a complete snapshot of ix under the given metric
-// identifier and returns the number of bytes written. The output is
-// deterministic: equal indexes (same points, same drawn hash functions)
-// serialize to equal bytes. The index must not be mutated concurrently.
-func WriteIndex[P any](w io.Writer, metric string, ix *core.Index[P]) (int64, error) {
-	return writeIndexSnapshot(w, metric, ix, 0)
+// Write writes a complete plain (kind-1) snapshot of st — a classic
+// *core.Index[P], a *multiprobe.Index or a *covering.Index — under the
+// given metric identifier and returns the number of bytes written. The
+// output is deterministic: equal indexes (same points, same drawn hash
+// functions) serialize to equal bytes. The index must not be mutated
+// concurrently.
+func Write[P any](w io.Writer, metric string, st core.Store[P]) (int64, error) {
+	return writeContainer(w, metric, kindIndex, func(w io.Writer, c *codec[P]) error {
+		return writeBody(w, c, st, false)
+	})
 }
 
-// WriteMultiProbe writes a snapshot of a multi-probe index: the wrapped
-// plain index's sections plus the "prob" section recording T, so a
-// reload reconstructs identical probe sequences. metric must be one of
-// the dense p-stable metrics (l1, l2).
-func WriteMultiProbe(w io.Writer, metric string, ix *multiprobe.Index) (int64, error) {
-	return writeIndexSnapshot(w, metric, ix.Core(), ix.Probes())
+// Read reads a plain (kind-1) snapshot, requiring it to hold the given
+// metric, and reassembles the index without rebuilding; the returned
+// store answers queries id-for-id identically to the one that was saved.
+// The snapshot decides the kind: a "covr" body comes back as a
+// *covering.Index, a "prob" section as a *multiprobe.Index, anything
+// else as a *core.Index[P]. Callers that demand one mode check it with
+// Meta.RequireMode.
+func Read[P any](r io.Reader, metric string) (core.Store[P], Meta, error) {
+	c, ss, err := openContainer[P](r, metric, kindIndex)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	st, meta, err := readBody(ss, c)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	if meta.Probes > 0 {
+		if st, err = wrapProbes(st, meta.Probes); err != nil {
+			return nil, Meta{}, err
+		}
+	}
+	if _, err := ss.read("end!"); err != nil {
+		return nil, Meta{}, err
+	}
+	return st, meta, nil
 }
 
-// writeIndexSnapshot is the shared kind-1 writer; probes > 0 adds the
-// "prob" section after "meta" (plain snapshots are byte-identical to
-// the probe-less format).
-func writeIndexSnapshot[P any](w io.Writer, metric string, ix *core.Index[P], probes int) (int64, error) {
+// writeContainer is the container every writer shares: resolve the codec,
+// write the header, let body write the kind's sections, terminate.
+func writeContainer[P any](w io.Writer, metric string, kind byte, body func(w io.Writer, c *codec[P]) error) (int64, error) {
 	c, err := codecFor[P](metric)
 	if err != nil {
 		return 0, err
 	}
 	cw := &countWriter{w: w}
-	if err := writeHeader(cw, kindIndex); err != nil {
+	if err := writeHeader(cw, kind); err != nil {
 		return cw.n, err
 	}
-	if err := writeIndexParts(cw, c, ix, ix.Points(), nil, probes); err != nil {
+	if err := body(cw, c); err != nil {
 		return cw.n, err
 	}
-	if err := writeSection(cw, "end!", nil); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	return cw.n, writeSection(cw, "end!", nil)
 }
 
-// ReadIndex reads a plain-index snapshot, requiring it to hold the
-// given metric, and reassembles the index without rebuilding. The
-// returned index answers queries id-for-id identically to the one that
-// was saved. Multi-probe snapshots are rejected (use ReadMultiProbe so
-// the probe configuration is not silently dropped).
-func ReadIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) {
-	ix, m, err := readIndexSnapshot[P](r, metric)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if m.probes != 0 {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a multi-probe index (T=%d); use the multi-probe reader", ErrProbeMode, m.probes)
-	}
-	return ix, publicMeta(m, 0), nil
-}
-
-// ReadMultiProbe reads a multi-probe index snapshot written by
-// WriteMultiProbe; the restored index probes identical bucket sequences
-// and answers queries id-for-id identically to the saved one. Plain
-// snapshots are rejected (they record no probe configuration).
-func ReadMultiProbe(r io.Reader, metric string) (*multiprobe.Index, Meta, error) {
-	ix, m, err := readIndexSnapshot[vector.Dense](r, metric)
-	if err != nil {
-		return nil, Meta{}, err
-	}
-	if m.probes == 0 {
-		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a plain index; use the plain reader", ErrProbeMode)
-	}
-	mp, err := multiprobe.FromCore(ix, m.probes)
-	if err != nil {
-		return nil, Meta{}, corrupt("restoring multi-probe index: %v", err)
-	}
-	return mp, publicMeta(m, 0), nil
-}
-
-// readIndexSnapshot is the shared kind-1 reader.
-func readIndexSnapshot[P any](r io.Reader, metric string) (*core.Index[P], *indexMeta, error) {
+// openContainer is the container every reader shares: resolve the codec,
+// check the header and require the given kind.
+func openContainer[P any](r io.Reader, metric string, kind byte) (*codec[P], *sectionStream, error) {
 	c, err := codecFor[P](metric)
 	if err != nil {
 		return nil, nil, err
 	}
-	ss := &sectionStream{r: r}
-	kind, err := readHeader(r)
+	got, err := readHeader(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	if kind != kindIndex {
-		return nil, nil, corrupt("snapshot holds a sharded index; use the sharded reader")
+	if got != kind {
+		if got == kindSharded {
+			return nil, nil, corrupt("snapshot holds a sharded index; use the sharded reader")
+		}
+		return nil, nil, corrupt("snapshot holds a plain index; use the plain reader")
 	}
-	if tag, err := ss.peek(); err != nil {
-		return nil, nil, err
-	} else if tag == "covr" {
-		return nil, nil, fmt.Errorf("%w: snapshot holds a covering index; use the covering reader", ErrCoverMode)
+	return c, &sectionStream{r: r}, nil
+}
+
+// writeBody writes one index's sections — the body of a plain snapshot
+// and of every shard in a sharded one — dispatching on the store's kind.
+// inShard drops a multi-probe index's "prob" section: a sharded snapshot
+// records T once, at structure level.
+func writeBody[P any](w io.Writer, c *codec[P], st core.Store[P], inShard bool) error {
+	switch v := any(st).(type) {
+	case *core.Index[P]:
+		return writeIndexParts(w, c, v, 0)
+	case *multiprobe.Index:
+		ix, ok := any(v.Core()).(*core.Index[P])
+		if !ok {
+			return fmt.Errorf("persist: metric %q does not store multi-probe (dense) points", c.metric)
+		}
+		probes := v.Probes()
+		if inShard {
+			probes = 0
+		}
+		return writeIndexParts(w, c, ix, probes)
+	case *covering.Index:
+		if c.metric != MetricHamming {
+			return fmt.Errorf("persist: a covering index is a %s index, not %q", MetricHamming, c.metric)
+		}
+		return writeCoveringBody(w, v)
 	}
-	ix, m, err := readIndexBody(ss, c)
+	return fmt.Errorf("persist: unsupported index type %T", st)
+}
+
+// readBody reads one index's sections, dispatching on the first: "covr"
+// opens a covering index, "meta" a classic one. A "prob" section after
+// "meta" is reported in Meta.Probes for the caller to act on (wrapProbes)
+// — a plain snapshot wraps it, a sharded one rejects it.
+func readBody[P any](ss *sectionStream, c *codec[P]) (core.Store[P], Meta, error) {
+	tag, err := ss.peek()
 	if err != nil {
-		return nil, nil, err
+		return nil, Meta{}, err
 	}
-	if _, err := ss.read("end!"); err != nil {
-		return nil, nil, err
+	if tag != "covr" {
+		ix, m, err := readIndexBody(ss, c)
+		if err != nil {
+			return nil, Meta{}, err
+		}
+		return ix, publicMeta(m), nil
 	}
-	return ix, m, nil
+	if c.metric != MetricHamming {
+		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a covering (%s) index, the reader wants metric %q", ErrCoverMode, MetricHamming, c.metric)
+	}
+	ix, cm, err := readCoveringBody(ss)
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return any(ix).(core.Store[P]), coverPublicMeta(cm), nil // hamming stores vector.Binary (codecFor)
+}
+
+// wrapProbes rewraps a restored classic index as a multi-probe index with
+// the snapshot's probe configuration; it only succeeds for the dense
+// p-stable metrics.
+func wrapProbes[P any](st core.Store[P], probes int) (core.Store[P], error) {
+	dix, ok := any(st).(*core.Index[vector.Dense])
+	if !ok {
+		return nil, corrupt("probe section on an index that is not a classic dense one")
+	}
+	mp, err := multiprobe.FromCore(dix, probes)
+	if err != nil {
+		return nil, corrupt("restoring multi-probe index: %v", err)
+	}
+	return any(mp).(core.Store[P]), nil // P is vector.Dense: dix asserted so
+}
+
+// RequireMode returns nil when the snapshot holds the serving mode the
+// caller demands — probes: a multi-probe index, cover: a covering one,
+// neither: a classic one — and the typed mismatch otherwise. No reader
+// converts between modes: dropping T (or inventing one) would change
+// answers, and a covering file records φ and mask tables where the
+// others record an LSH family.
+func (m Meta) RequireMode(probes, cover bool) error {
+	switch {
+	case cover != (m.CoverRadius > 0):
+		return fmt.Errorf("%w: snapshot holds covering radius %d", ErrCoverMode, m.CoverRadius)
+	case probes != (m.Probes > 0):
+		return fmt.Errorf("%w: snapshot holds probe count T=%d", ErrProbeMode, m.Probes)
+	}
+	return nil
 }
 
 // publicMeta converts the wire meta to the exported summary.
-func publicMeta(m *indexMeta, shards int) Meta {
+func publicMeta(m *indexMeta) Meta {
 	return Meta{
 		Metric: m.metric,
 		Dim:    m.dim,
@@ -124,7 +184,6 @@ func publicMeta(m *indexMeta, shards int) Meta {
 		Delta:  m.delta,
 		K:      m.params.K,
 		L:      m.params.L,
-		Shards: shards,
 		Probes: m.probes,
 		Quant:  m.quant.String(),
 		Seed:   m.params.Seed,
@@ -132,12 +191,11 @@ func publicMeta(m *indexMeta, shards int) Meta {
 }
 
 // writeIndexParts writes the "meta", optional "prob"/"quan", "pnts" and
-// L "tabl" sections of one index. points is passed separately so the
-// sharded writer can substitute a compacted point set (with buckets
-// supplying the matching compacted tables: when buckets is non-nil,
-// buckets[j] replaces table j's bucket map). The hashers always come
-// from the live index.
-func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points []P, buckets []map[uint64]*lsh.Bucket, probes int) error {
+// L "tabl" sections of one classic index; probes > 0 adds the "prob"
+// section (snapshots without it are byte-identical to the probe-less
+// format).
+func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes int) error {
+	points := ix.Points()
 	fam := ix.Family()
 	if fam == nil {
 		return fmt.Errorf("persist: index has no family (built before persistence support?)")
@@ -173,9 +231,6 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points 
 	}
 
 	if probes > 0 {
-		if probes > maxProbes {
-			return fmt.Errorf("persist: probe count %d exceeds the format cap %d", probes, maxProbes)
-		}
 		if err := writeProbeSection(w, probes); err != nil {
 			return err
 		}
@@ -200,15 +255,11 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points 
 
 	for j := 0; j < ix.Tables().L(); j++ {
 		tab := ix.Tables().Table(j)
-		bm := tab.Buckets
-		if buckets != nil {
-			bm = buckets[j]
-		}
 		e = enc{}
 		if err := c.writeHasher(&e, m, tab.Hasher); err != nil {
 			return err
 		}
-		if err := writeBuckets(&e, bm, m.n); err != nil {
+		if err := writeBuckets(&e, tab.Buckets, m.n); err != nil {
 			return err
 		}
 		if err := writeSection(w, "tabl", e.b); err != nil {

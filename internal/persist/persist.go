@@ -43,22 +43,37 @@
 //	                  carries a sketch, its m HLL registers
 //	"end!"            empty terminator
 //
+// A covering index replaces that body with
+//
+//	"covr"            integer radius, dim, n, HLL geometry, cost model,
+//	                  seed and the random map φ (a covering index has no
+//	                  LSH family and no per-table hashers)
+//	"pnts"            the points (binary)
+//	"tabl" × (2^(r+1)−1)   buckets only
+//
 // A sharded index (kind 2) is
 //
 //	"smet"            metric, shard count, next global id
 //	"tomb"            sorted tombstoned ids (kept so the id space's
 //	                  holes survive the reload; the points themselves
 //	                  are compacted out of the shards)
-//	["prob"]          optional: the probe configuration T shared by all
-//	                  shards (multi-probe sharded indexes only)
-//	("sids" + plain-index sections) × S
+//	["prob" | "covr"] optional mode marker: the probe configuration T
+//	                  shared by all shards (multi-probe), or the covering
+//	                  radius they share (covering)
+//	("sids" + one index body) × S
 //	"end!"            empty terminator
 //
 // where each shard's "sids" section holds its local→global id map and
-// is followed by the shard's own "meta"/"pnts"/"tabl" sections
-// (per-shard seeds and hash functions are preserved exactly; a
-// per-shard "prob" section is invalid — the probe config is structure
-// level).
+// is followed by the shard's own body — "meta"/"pnts"/"tabl", or the
+// covering body — with per-shard seeds, hash functions and φ preserved
+// exactly (a per-shard "prob" section is invalid — the probe config is
+// structure level).
+//
+// Every entry point is one pass over one container walker: Write and
+// WriteSharded dispatch each body on the store's kind, Read and
+// ReadSharded on the body's first section and the mode marker, so the
+// snapshot decides the serving mode and Meta reports it. Callers that
+// demand a mode check Meta.RequireMode (ErrProbeMode, ErrCoverMode).
 //
 // docs/SNAPSHOT_FORMAT.md is the normative byte-level specification of
 // everything above.
@@ -135,18 +150,13 @@ var (
 	// ErrMetric marks a snapshot holding a different metric than the
 	// reader asked for.
 	ErrMetric = errors.New("persist: snapshot metric mismatch")
-	// ErrProbeMode marks a snapshot whose probe mode does not match the
-	// reader used: a multi-probe snapshot handed to a plain reader, or a
-	// plain snapshot handed to the multi-probe reader. Neither reader
-	// silently converts — dropping T (or inventing one) would change
-	// answers.
+	// ErrProbeMode marks a snapshot whose probe mode is not the one its
+	// caller demands (Meta.RequireMode): a multi-probe snapshot where a
+	// classic index was asked for, or the reverse.
 	ErrProbeMode = errors.New("persist: snapshot probe-mode mismatch")
-	// ErrCoverMode marks a snapshot whose covering mode does not match
-	// the reader used: a covering snapshot handed to a plain (or
-	// multi-probe) reader, or a plain snapshot handed to the covering
-	// reader. Neither reader converts — a covering file records φ and
-	// mask tables instead of an LSH family, so "converting" would mean
-	// rebuilding a different index.
+	// ErrCoverMode marks a snapshot whose covering mode is not the one
+	// its caller demands (Meta.RequireMode), or a covering snapshot read
+	// under a metric other than hamming.
 	ErrCoverMode = errors.New("persist: snapshot covering-mode mismatch")
 	// ErrCorrupt marks structurally invalid input: truncation, CRC
 	// mismatch, impossible counts or out-of-range values.
@@ -253,9 +263,8 @@ func writeSection(w io.Writer, tag string, payload []byte) error {
 }
 
 // sectionStream reads consecutive sections from r, buffering at most
-// one section header so callers can branch on the next tag — that is
-// how optional sections (the multi-probe "prob" section) coexist with
-// the strict fixed-order decoding of everything else.
+// one section header so callers can branch on the next tag (optional
+// sections, and the per-index body dispatch of readBody).
 type sectionStream struct {
 	r        io.Reader
 	hdr      [12]byte
@@ -305,22 +314,29 @@ func (s *sectionStream) read(wantTag string) ([]byte, error) {
 	return payload, nil
 }
 
+// optional returns a decoder over the payload of the section tag when it
+// comes next in the stream, nil when the next section is something else.
+// It is how the in-v1 extensions ("prob", "quan", the structure-level
+// "covr" marker) coexist with the strict fixed order of everything else.
+func (s *sectionStream) optional(tag string) (*dec, error) {
+	if next, err := s.peek(); err != nil || next != tag {
+		return nil, err
+	}
+	payload, err := s.read(tag)
+	if err != nil {
+		return nil, err
+	}
+	return &dec{b: payload}, nil
+}
+
 // readProbeSection reads an optional "prob" section at the stream's
-// current position and returns T (0 when the next section is something
-// else). The payload is a single u32 in [1, maxProbes].
+// current position and returns T (0 when absent). The payload is a
+// single u32 in [1, maxProbes].
 func (s *sectionStream) readProbeSection() (int, error) {
-	tag, err := s.peek()
-	if err != nil {
+	d, err := s.optional("prob")
+	if d == nil {
 		return 0, err
 	}
-	if tag != "prob" {
-		return 0, nil
-	}
-	payload, err := s.read("prob")
-	if err != nil {
-		return 0, err
-	}
-	d := &dec{b: payload}
 	probes := int(d.u32())
 	if err := d.done("prob"); err != nil {
 		return 0, err
@@ -334,6 +350,9 @@ func (s *sectionStream) readProbeSection() (int, error) {
 // writeProbeSection writes the "prob" section recording the multi-probe
 // configuration T.
 func writeProbeSection(w io.Writer, probes int) error {
+	if probes > maxProbes {
+		return fmt.Errorf("persist: probe count %d exceeds the format cap %d", probes, maxProbes)
+	}
 	var e enc
 	e.u32(uint32(probes))
 	return writeSection(w, "prob", e.b)
@@ -341,23 +360,15 @@ func writeProbeSection(w io.Writer, probes int) error {
 
 // readQuantSection reads an optional "quan" section at the stream's
 // current position and returns the recorded point-store quantization
-// mode (ModeOff when the next section is something else). The payload
-// is a single u8 mode identifier; sq8 (1) is the only value ever
-// written — exact-only indexes write no section at all, which keeps
-// their bytes identical to the pre-quantization layout.
+// mode (ModeOff when absent). The payload is a single u8 mode
+// identifier; sq8 (1) is the only value ever written — exact-only
+// indexes write no section at all, which keeps their bytes identical to
+// the pre-quantization layout.
 func (s *sectionStream) readQuantSection() (pointstore.Mode, error) {
-	tag, err := s.peek()
-	if err != nil {
+	d, err := s.optional("quan")
+	if d == nil {
 		return pointstore.ModeOff, err
 	}
-	if tag != "quan" {
-		return pointstore.ModeOff, nil
-	}
-	payload, err := s.read("quan")
-	if err != nil {
-		return pointstore.ModeOff, err
-	}
-	d := &dec{b: payload}
 	mode := pointstore.Mode(d.u8())
 	if err := d.done("quan"); err != nil {
 		return pointstore.ModeOff, err

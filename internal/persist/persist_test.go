@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/multiprobe"
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/vector"
@@ -104,14 +106,14 @@ const (
 func roundTrip[P any](t *testing.T, metric string, ix *core.Index[P], queries []P) *core.Index[P] {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := WriteIndex(&buf, metric, ix)
+	n, err := Write(&buf, metric, ix)
 	if err != nil {
 		t.Fatalf("WriteIndex: %v", err)
 	}
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteIndex reported %d bytes, wrote %d", n, buf.Len())
 	}
-	loaded, meta, err := ReadIndex[P](bytes.NewReader(buf.Bytes()), metric)
+	loaded, meta, err := readIndex[P](bytes.NewReader(buf.Bytes()), metric)
 	if err != nil {
 		t.Fatalf("ReadIndex: %v", err)
 	}
@@ -123,7 +125,7 @@ func roundTrip[P any](t *testing.T, metric string, ix *core.Index[P], queries []
 	// Writer determinism: re-encoding the loaded index must reproduce
 	// the snapshot byte for byte.
 	var buf2 bytes.Buffer
-	if _, err := WriteIndex(&buf2, metric, loaded); err != nil {
+	if _, err := Write(&buf2, metric, loaded); err != nil {
 		t.Fatalf("re-encoding loaded index: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -465,7 +467,7 @@ func validSnapshot(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteIndex(&buf, MetricL2, ix); err != nil {
+	if _, err := Write(&buf, MetricL2, ix); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -474,7 +476,7 @@ func validSnapshot(t *testing.T) []byte {
 func TestReadRejectsBadMagic(t *testing.T) {
 	snap := validSnapshot(t)
 	snap[0] ^= 0xff
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(snap), MetricL2); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap), MetricL2); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
@@ -482,18 +484,18 @@ func TestReadRejectsBadMagic(t *testing.T) {
 func TestReadRejectsFutureVersion(t *testing.T) {
 	snap := validSnapshot(t)
 	snap[len(magic)] = 2 // version u32 LSB
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(snap), MetricL2); !errors.Is(err, ErrVersion) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap), MetricL2); !errors.Is(err, ErrVersion) {
 		t.Fatalf("err = %v, want ErrVersion", err)
 	}
 }
 
 func TestReadRejectsMetricMismatch(t *testing.T) {
 	snap := validSnapshot(t)
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(snap), MetricL1); !errors.Is(err, ErrMetric) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap), MetricL1); !errors.Is(err, ErrMetric) {
 		t.Fatalf("err = %v, want ErrMetric", err)
 	}
 	// And a point-type mismatch fails before any decoding.
-	if _, _, err := ReadIndex[vector.Binary](bytes.NewReader(snap), MetricL2); err == nil {
+	if _, _, err := readIndex[vector.Binary](bytes.NewReader(snap), MetricL2); err == nil {
 		t.Fatal("reading an l2 snapshot as binary points succeeded")
 	}
 }
@@ -525,7 +527,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 	for off := len(magic) + 5; off < len(snap); off += step {
 		mut := append([]byte(nil), snap...)
 		mut[off] ^= 0x5a
-		ix, _, err := ReadIndex[vector.Dense](bytes.NewReader(mut), MetricL2)
+		ix, _, err := readIndex[vector.Dense](bytes.NewReader(mut), MetricL2)
 		if err == nil {
 			// A flipped byte inside a section payload cannot pass its
 			// CRC; flips in the framing fail structurally.
@@ -537,7 +539,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 func TestReadRejectsTruncation(t *testing.T) {
 	snap := validSnapshot(t)
 	for _, n := range []int{0, 3, len(magic), len(magic) + 4, len(magic) + 10, len(snap) / 3, len(snap) - 1} {
-		if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(snap[:n]), MetricL2); err == nil {
+		if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap[:n]), MetricL2); err == nil {
 			t.Fatalf("truncation to %d bytes went unnoticed", n)
 		}
 	}
@@ -549,7 +551,7 @@ func TestReadRejectsTrailingGarbage(t *testing.T) {
 	// inside the stream is not. Verify a snapshot truncated mid-table
 	// errors even when the length field claims more data follows.
 	snap := validSnapshot(t)
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(snap[:len(snap)-6]), MetricL2); err == nil {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap[:len(snap)-6]), MetricL2); err == nil {
 		t.Fatal("missing terminator went unnoticed")
 	}
 }
@@ -563,7 +565,7 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, err := WriteFileAtomic(path, func(w io.Writer) (int64, error) {
-		return WriteIndex(w, MetricL2, ix)
+		return Write(w, MetricL2, ix)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +579,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if st.Size() != n {
 		t.Fatalf("file holds %d bytes, writer reported %d", st.Size(), n)
 	}
-	if _, _, err := ReadIndex[vector.Dense](f, MetricL2); err != nil {
+	if _, _, err := readIndex[vector.Dense](f, MetricL2); err != nil {
 		t.Fatal(err)
 	}
 	// A failing write must leave neither the target nor temp files.
@@ -647,4 +649,55 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// ---- mode-demanding readers ----
+//
+// The package's readers let the snapshot decide the serving mode; these
+// helpers are what a caller that demands one mode does with the result
+// (Meta.RequireMode, then the concrete type), as the root package's
+// Read…Index functions do.
+
+func readIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) {
+	st, meta, err := Read[P](r, metric)
+	if err == nil {
+		err = meta.RequireMode(false, false)
+	}
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return st.(*core.Index[P]), meta, nil
+}
+
+func readMultiProbe(r io.Reader, metric string) (*multiprobe.Index, Meta, error) {
+	st, meta, err := Read[vector.Dense](r, metric)
+	if err == nil {
+		err = meta.RequireMode(true, false)
+	}
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return st.(*multiprobe.Index), meta, nil
+}
+
+func readCovering(r io.Reader) (*covering.Index, Meta, error) {
+	st, meta, err := Read[vector.Binary](r, MetricHamming)
+	if err == nil {
+		err = meta.RequireMode(false, true)
+	}
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return st.(*covering.Index), meta, nil
+}
+
+func readShardedCovering(r io.Reader) (*shard.Sharded[vector.Binary], Meta, error) {
+	sh, meta, err := ReadSharded[vector.Binary](r, MetricHamming)
+	if err == nil {
+		err = meta.RequireMode(false, true)
+	}
+	if err != nil {
+		return nil, Meta{}, err
+	}
+	return sh, meta, nil
 }

@@ -49,10 +49,10 @@ func locateProbeSection(t *testing.T, snap []byte) int {
 func TestProbeSectionRoundTrip(t *testing.T) {
 	mp := buildMultiProbe(t, 9)
 	var buf bytes.Buffer
-	if _, err := WriteMultiProbe(&buf, MetricL2, mp); err != nil {
+	if _, err := Write(&buf, MetricL2, mp); err != nil {
 		t.Fatal(err)
 	}
-	loaded, meta, err := ReadMultiProbe(bytes.NewReader(buf.Bytes()), MetricL2)
+	loaded, meta, err := readMultiProbe(bytes.NewReader(buf.Bytes()), MetricL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProbeSectionRoundTrip(t *testing.T) {
 	// Re-encode must be byte-identical (determinism holds with the
 	// optional section present).
 	var buf2 bytes.Buffer
-	if _, err := WriteMultiProbe(&buf2, MetricL2, loaded); err != nil {
+	if _, err := Write(&buf2, MetricL2, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -79,7 +79,7 @@ func TestProbeSectionRoundTrip(t *testing.T) {
 func TestProbeSectionCorruption(t *testing.T) {
 	mp := buildMultiProbe(t, 9)
 	var buf bytes.Buffer
-	if _, err := WriteMultiProbe(&buf, MetricL2, mp); err != nil {
+	if _, err := Write(&buf, MetricL2, mp); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
@@ -89,14 +89,14 @@ func TestProbeSectionCorruption(t *testing.T) {
 	mut := append([]byte(nil), snap...)
 	binary.LittleEndian.PutUint32(mut[off:], 0)
 	binary.LittleEndian.PutUint32(mut[off+4:], crc32.ChecksumIEEE(mut[off:off+4]))
-	if _, _, err := ReadMultiProbe(bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readMultiProbe(bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("probes=0 section: err = %v, want ErrCorrupt", err)
 	}
 
 	// A bit flip in the payload must fail the CRC.
 	mut = append([]byte(nil), snap...)
 	mut[off] ^= 0x01
-	if _, _, err := ReadMultiProbe(bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readMultiProbe(bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped probe payload: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -104,18 +104,18 @@ func TestProbeSectionCorruption(t *testing.T) {
 func TestProbeReaderMismatch(t *testing.T) {
 	mp := buildMultiProbe(t, 9)
 	var mpBuf bytes.Buffer
-	if _, err := WriteMultiProbe(&mpBuf, MetricL2, mp); err != nil {
+	if _, err := Write(&mpBuf, MetricL2, mp); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(mpBuf.Bytes()), MetricL2); !errors.Is(err, ErrProbeMode) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(mpBuf.Bytes()), MetricL2); !errors.Is(err, ErrProbeMode) {
 		t.Fatalf("plain reader on multi-probe snapshot: err = %v, want ErrProbeMode", err)
 	}
 
 	var plainBuf bytes.Buffer
-	if _, err := WriteIndex(&plainBuf, MetricL2, mp.Core()); err != nil {
+	if _, err := Write(&plainBuf, MetricL2, mp.Core()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadMultiProbe(bytes.NewReader(plainBuf.Bytes()), MetricL2); !errors.Is(err, ErrProbeMode) {
+	if _, _, err := readMultiProbe(bytes.NewReader(plainBuf.Bytes()), MetricL2); !errors.Is(err, ErrProbeMode) {
 		t.Fatalf("multi-probe reader on plain snapshot: err = %v, want ErrProbeMode", err)
 	}
 

@@ -36,10 +36,10 @@ func buildQuantL2(t *testing.T, mode pointstore.Mode) *core.Index[vector.Dense] 
 func TestQuantSectionRoundTrip(t *testing.T) {
 	ix := buildQuantL2(t, pointstore.ModeSQ8)
 	var buf bytes.Buffer
-	if _, err := WriteIndex(&buf, MetricL2, ix); err != nil {
+	if _, err := Write(&buf, MetricL2, ix); err != nil {
 		t.Fatal(err)
 	}
-	loaded, meta, err := ReadIndex[vector.Dense](bytes.NewReader(buf.Bytes()), MetricL2)
+	loaded, meta, err := readIndex[vector.Dense](bytes.NewReader(buf.Bytes()), MetricL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestQuantSectionRoundTrip(t *testing.T) {
 	}
 	// Re-encode must be byte-identical with the section present.
 	var buf2 bytes.Buffer
-	if _, err := WriteIndex(&buf2, MetricL2, loaded); err != nil {
+	if _, err := Write(&buf2, MetricL2, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -74,19 +74,19 @@ func TestQuantSectionRoundTrip(t *testing.T) {
 // snapshot — the codes are derived state, never serialized.
 func TestQuantSectionAdditive(t *testing.T) {
 	var off, sq8 bytes.Buffer
-	if _, err := WriteIndex(&off, MetricL2, buildQuantL2(t, pointstore.ModeOff)); err != nil {
+	if _, err := Write(&off, MetricL2, buildQuantL2(t, pointstore.ModeOff)); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(off.Bytes(), []byte("quan")) {
 		t.Fatal("quant-off snapshot contains a quan section")
 	}
-	if m, _, err := ReadIndex[vector.Dense](bytes.NewReader(off.Bytes()), MetricL2); err != nil {
+	if m, _, err := readIndex[vector.Dense](bytes.NewReader(off.Bytes()), MetricL2); err != nil {
 		t.Fatal(err)
 	} else if got := m.StoreStats().Quant; got != "off" {
 		t.Fatalf("quant-off restore mode = %q, want off", got)
 	}
 
-	if _, err := WriteIndex(&sq8, MetricL2, buildQuantL2(t, pointstore.ModeSQ8)); err != nil {
+	if _, err := Write(&sq8, MetricL2, buildQuantL2(t, pointstore.ModeSQ8)); err != nil {
 		t.Fatal(err)
 	}
 	snap := sq8.Bytes()
@@ -102,7 +102,7 @@ func TestQuantSectionAdditive(t *testing.T) {
 
 func TestQuantSectionCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteIndex(&buf, MetricL2, buildQuantL2(t, pointstore.ModeSQ8)); err != nil {
+	if _, err := Write(&buf, MetricL2, buildQuantL2(t, pointstore.ModeSQ8)); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
@@ -112,20 +112,20 @@ func TestQuantSectionCorruption(t *testing.T) {
 	mut := append([]byte(nil), snap...)
 	mut[off] = 7
 	binary.LittleEndian.PutUint32(mut[off+1:], crc32.ChecksumIEEE(mut[off:off+1]))
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mode=7 section: err = %v, want ErrCorrupt", err)
 	}
 	// Mode "off" must never be recorded (absence encodes it).
 	mut = append([]byte(nil), snap...)
 	mut[off] = 0
 	binary.LittleEndian.PutUint32(mut[off+1:], crc32.ChecksumIEEE(mut[off:off+1]))
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mode=0 section: err = %v, want ErrCorrupt", err)
 	}
 	// A bit flip must fail the CRC.
 	mut = append([]byte(nil), snap...)
 	mut[off] ^= 0x01
-	if _, _, err := ReadIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readIndex[vector.Dense](bytes.NewReader(mut), MetricL2); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("flipped quan payload: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestQuantRejectedForNonL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := WriteIndex(&buf, MetricHamming, ix); err != nil {
+	if _, err := Write(&buf, MetricHamming, ix); err != nil {
 		t.Fatal(err)
 	}
 	snap := buf.Bytes()
@@ -153,7 +153,7 @@ func TestQuantRejectedForNonL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	mut := append(append(append([]byte(nil), snap[:at]...), sec.Bytes()...), snap[at:]...)
-	if _, _, err := ReadIndex[vector.Binary](bytes.NewReader(mut), MetricHamming); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := readIndex[vector.Binary](bytes.NewReader(mut), MetricHamming); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hamming snapshot with quan section: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -61,10 +61,10 @@ func TestRefitSurvivesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := WriteMultiProbe(&buf, MetricL2, mp); err != nil {
+		if _, err := Write(&buf, MetricL2, mp); err != nil {
 			t.Fatal(err)
 		}
-		loaded, _, err := ReadMultiProbe(bytes.NewReader(buf.Bytes()), MetricL2)
+		loaded, _, err := readMultiProbe(bytes.NewReader(buf.Bytes()), MetricL2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +89,10 @@ func TestRefitSurvivesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := WriteCovering(&buf, ix); err != nil {
+		if _, err := Write(&buf, MetricHamming, ix); err != nil {
 			t.Fatal(err)
 		}
-		loaded, _, err := ReadCovering(bytes.NewReader(buf.Bytes()))
+		loaded, _, err := readCovering(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}

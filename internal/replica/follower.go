@@ -26,11 +26,6 @@ var ErrRehydrate = errors.New("replica: cursor invalid, re-hydrate from snapshot
 // promotion (Release) and will never hydrate or poll again.
 var ErrReleased = errors.New("replica: follower released for promotion")
 
-// SnapshotReader decodes one snapshot stream into a Sharded (e.g.
-// persist.ReadSharded for classic/multi-probe shards,
-// persist.ReadShardedCovering for covering shards).
-type SnapshotReader[P any] func(r io.Reader) (*shard.Sharded[P], persist.Meta, error)
-
 // maxSnapshotBytes bounds what Hydrate will read from a source; a
 // snapshot larger than this fails hydration rather than memory.
 const maxSnapshotBytes = 16 << 30
@@ -42,9 +37,9 @@ const maxSnapshotBytes = 16 << 30
 // swaps in a fresh one atomically, so readers never see a half-applied
 // state).
 type Follower[P any] struct {
-	base string // source base URL, no trailing slash
-	hc   *http.Client
-	read SnapshotReader[P]
+	base   string // source base URL, no trailing slash
+	hc     *http.Client
+	metric string // persist metric identifier the source must serve
 
 	store atomic.Pointer[shard.Sharded[P]]
 
@@ -61,16 +56,18 @@ type Follower[P any] struct {
 	rehydrates atomic.Int64
 }
 
-// NewFollower prepares a follower for a source. client may be nil
-// (http.DefaultClient); read decodes the source's snapshot kind.
-func NewFollower[P any](sourceURL string, client *http.Client, read SnapshotReader[P]) *Follower[P] {
+// NewFollower prepares a follower for a source serving the given persist
+// metric; the snapshot itself decides the serving mode (classic,
+// multi-probe or covering shards). client may be nil
+// (http.DefaultClient).
+func NewFollower[P any](sourceURL string, client *http.Client, metric string) *Follower[P] {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	for len(sourceURL) > 0 && sourceURL[len(sourceURL)-1] == '/' {
 		sourceURL = sourceURL[:len(sourceURL)-1]
 	}
-	return &Follower[P]{base: sourceURL, hc: client, read: read}
+	return &Follower[P]{base: sourceURL, hc: client, metric: metric}
 }
 
 // Store returns the current replica store (nil before the first
@@ -143,7 +140,7 @@ func (f *Follower[P]) Hydrate(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: snapshot response lacks %s", HeaderSeq)
 	}
-	sh, meta, err := f.read(io.LimitReader(resp.Body, maxSnapshotBytes))
+	sh, meta, err := persist.ReadSharded[P](io.LimitReader(resp.Body, maxSnapshotBytes), f.metric)
 	if err != nil {
 		return fmt.Errorf("replica: snapshot decode: %w", err)
 	}
@@ -198,7 +195,7 @@ func (f *Follower[P]) Poll(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replica: delta fetch: %w", err)
 	}
-	dr, err := persist.NewDeltaReader[P](bytes.NewReader(body), f.Meta().Metric)
+	dr, err := persist.NewDeltaReader[P](bytes.NewReader(body), f.metric)
 	if err != nil {
 		return 0, fmt.Errorf("replica: delta decode: %w", err)
 	}

@@ -84,8 +84,6 @@ func runReplayProperty[P any](
 	spare []P,
 	queries []P,
 	hdr persist.DeltaHeader,
-	write func(w io.Writer, s *shard.Sharded[P]) (int64, error),
-	read func(r io.Reader) (*shard.Sharded[P], persist.Meta, error),
 ) {
 	t.Helper()
 	log := replica.NewLog(hdr, 0)
@@ -136,7 +134,7 @@ func runReplayProperty[P any](
 	// Source.ServeSnapshot stamps on the wire.
 	snapSeq := log.Seq()
 	var snap bytes.Buffer
-	if _, err := write(&snap, writer); err != nil {
+	if _, err := persist.WriteSharded(&snap, hdr.Metric, writer); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
 
@@ -146,7 +144,7 @@ func runReplayProperty[P any](
 		t.Fatalf("log latched: %v", err)
 	}
 
-	fresh, _, err := read(bytes.NewReader(snap.Bytes()))
+	fresh, _, err := persist.ReadSharded[P](bytes.NewReader(snap.Bytes()), hdr.Metric)
 	if err != nil {
 		t.Fatalf("read snapshot: %v", err)
 	}
@@ -227,13 +225,7 @@ func TestReplayPropertyClassic(t *testing.T) {
 			t.Fatal(err)
 		}
 		runReplayProperty(t, seed, writer, data[600:], data[:24],
-			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricL2, Dim: replayDim},
-			func(w io.Writer, s *shard.Sharded[vector.Dense]) (int64, error) {
-				return persist.WriteSharded(w, persist.MetricL2, s)
-			},
-			func(r io.Reader) (*shard.Sharded[vector.Dense], persist.Meta, error) {
-				return persist.ReadSharded[vector.Dense](r, persist.MetricL2)
-			})
+			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricL2, Dim: replayDim})
 	}
 }
 
@@ -255,13 +247,7 @@ func TestReplayPropertyMultiProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		runReplayProperty(t, seed, writer, data[600:], data[:24],
-			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricL2, Dim: replayDim},
-			func(w io.Writer, s *shard.Sharded[vector.Dense]) (int64, error) {
-				return persist.WriteSharded(w, persist.MetricL2, s)
-			},
-			func(r io.Reader) (*shard.Sharded[vector.Dense], persist.Meta, error) {
-				return persist.ReadSharded[vector.Dense](r, persist.MetricL2)
-			})
+			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricL2, Dim: replayDim})
 	}
 }
 
@@ -275,12 +261,6 @@ func TestReplayPropertyCovering(t *testing.T) {
 			t.Fatal(err)
 		}
 		runReplayProperty(t, seed, writer, data[400:], data[:24],
-			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricHamming, Dim: replayBits},
-			func(w io.Writer, s *shard.Sharded[vector.Binary]) (int64, error) {
-				return persist.WriteShardedCovering(w, s)
-			},
-			func(r io.Reader) (*shard.Sharded[vector.Binary], persist.Meta, error) {
-				return persist.ReadShardedCovering(r)
-			})
+			persist.DeltaHeader{Epoch: seed, Metric: persist.MetricHamming, Dim: replayBits})
 	}
 }

@@ -245,10 +245,7 @@ func (c *Cluster) serve(h http.Handler, faults *Faults) (*http.Server, string) {
 func (c *Cluster) newNode() *Node {
 	c.t.Helper()
 	n := &Node{c: c, TailFaults: &Faults{}, ServeFaults: &Faults{}}
-	n.Follower = replica.NewFollower(c.WriterURL, faultyClient(n.TailFaults),
-		func(r io.Reader) (*shard.Sharded[vector.Dense], persist.Meta, error) {
-			return persist.ReadSharded[vector.Dense](r, persist.MetricL2)
-		})
+	n.Follower = replica.NewFollower[vector.Dense](c.WriterURL, faultyClient(n.TailFaults), persist.MetricL2)
 	if err := n.Follower.Hydrate(context.Background()); err != nil {
 		c.t.Fatalf("replicatest: hydrate: %v", err)
 	}
@@ -315,10 +312,7 @@ func (n *Node) Kill() {
 func (n *Node) Restart() {
 	n.c.t.Helper()
 	n.Kill()
-	n.Follower = replica.NewFollower(n.c.WriterURL, faultyClient(n.TailFaults),
-		func(r io.Reader) (*shard.Sharded[vector.Dense], persist.Meta, error) {
-			return persist.ReadSharded[vector.Dense](r, persist.MetricL2)
-		})
+	n.Follower = replica.NewFollower[vector.Dense](n.c.WriterURL, faultyClient(n.TailFaults), persist.MetricL2)
 	n.start(n.addr)
 }
 

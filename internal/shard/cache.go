@@ -6,10 +6,20 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
 )
 
+// entryKey identifies one cached answer: the resolved per-query options
+// (core.QueryOpts.Resolve — so an override spelling out the built value
+// shares the plain query's entry) and the exact query encoding.
+type entryKey struct {
+	opts  core.QueryOpts
+	point string
+}
+
 // resultCache is the fixed-capacity LRU behind Sharded.EnableCache: merged
-// live-id answers keyed by (query mode, exact query encoding), each entry
+// live-id answers keyed by (resolved options, exact query encoding), each entry
 // stamped with the structure's mutation epoch at fill time. Validation is
 // optimistic: the epoch — the sum of the per-shard generation counters —
 // is read before the fan-out and compared at hit time, so an entry is
@@ -22,7 +32,7 @@ type resultCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used
-	entries map[string]*list.Element
+	entries map[entryKey]*list.Element
 
 	hits, misses, invalidations atomic.Int64
 }
@@ -31,7 +41,7 @@ type resultCache struct {
 // copied in on put and copied out on get, so neither the filling query's
 // caller nor a hit's caller can mutate it.
 type cacheEntry struct {
-	key   string
+	key   entryKey
 	epoch uint64
 	ids   []int32
 }
@@ -40,14 +50,14 @@ func newResultCache(capacity int) *resultCache {
 	return &resultCache{
 		cap:     capacity,
 		order:   list.New(),
-		entries: make(map[string]*list.Element, capacity),
+		entries: make(map[entryKey]*list.Element, capacity),
 	}
 }
 
 // get returns a copy of the answer cached under key if it was filled at
 // the given epoch. An entry from any other epoch is stale — some shard
 // mutated in between — and is evicted on the spot.
-func (c *resultCache) get(key string, epoch uint64) ([]int32, bool) {
+func (c *resultCache) get(key entryKey, epoch uint64) ([]int32, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
 	if !ok {
@@ -75,7 +85,7 @@ func (c *resultCache) get(key string, epoch uint64) ([]int32, bool) {
 // read before the filling query fanned out. A racing fill of the same key
 // simply overwrites — whichever entry carries a stale epoch dies at its
 // next get.
-func (c *resultCache) put(key string, epoch uint64, ids []int32) {
+func (c *resultCache) put(key entryKey, epoch uint64, ids []int32) {
 	stored := append([]int32(nil), ids...)
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -104,8 +114,8 @@ func (c *resultCache) len() int {
 }
 
 // EnableCache installs a result cache of the given capacity in front of
-// the query fan-out: Query, QueryProbes and QueryRadius first look up
-// (mode, key(q)) and serve a hit without touching any shard — no fan-out,
+// the query fan-out: Query and QueryWith first look up (resolved options,
+// key(q)) and serve a hit without touching any shard — no fan-out,
 // no strategy decision, no per-shard stats (a hit's QueryStats has
 // CacheHit set and an empty PerShard, which is what keeps drift windows
 // ingesting only uncached timings). key must be an exact, injective
@@ -140,27 +150,29 @@ func (s *Sharded[P]) epoch() uint64 {
 	return e
 }
 
-// cached wraps one query mode's fan-out with the cache protocol: look up
-// under the mode-prefixed exact key; on a hit return the copied ids with
-// the decision bypassed entirely; on a miss read the epoch first, fan out,
-// and file the merged answer under that pre-fan-out epoch (conservative:
-// a mutation overlapping the fan-out lands the entry with a stale stamp,
-// and it dies at its next lookup).
-func (s *Sharded[P]) cached(mode string, q P, run func() ([]int32, QueryStats)) ([]int32, QueryStats) {
+// answer serves one query under the resolved options o through the
+// cache protocol: look up under (o, exact key); on a hit return the
+// copied ids with the decision bypassed entirely; on a miss read the
+// epoch first, fan out, and file the merged answer under that pre-fan-out
+// epoch (conservative: a mutation overlapping the fan-out lands the entry
+// with a stale stamp, and it dies at its next lookup).
+func (s *Sharded[P]) answer(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
 	if s.cache == nil {
-		return run()
+		return s.fanOut(q, o)
 	}
 	t0 := time.Now()
-	key := mode + s.cacheKey(q)
+	key := entryKey{opts: o, point: s.cacheKey(q)}
 	epoch := s.epoch()
 	if ids, ok := s.cache.get(key, epoch); ok {
 		return ids, QueryStats{
 			CacheHit: true,
 			Results:  len(ids),
 			WallTime: time.Since(t0),
-		}
+		}, nil
 	}
-	ids, qs := run()
-	s.cache.put(key, epoch, ids)
-	return ids, qs
+	ids, qs, err := s.fanOut(q, o)
+	if err == nil {
+		s.cache.put(key, epoch, ids)
+	}
+	return ids, qs, err
 }

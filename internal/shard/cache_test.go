@@ -165,10 +165,12 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestCacheQueryModesKeyedSeparately pins the mode prefixes: the same
-// point asked through Query and through QueryProbes (at different probe
-// counts) must never share a cache entry, since the answers differ.
-func TestCacheQueryModesKeyedSeparately(t *testing.T) {
+// TestCacheKeyedByResolvedOptions pins the cache key: the same point
+// asked at different probe counts must never share an entry, since the
+// answers differ — while an override that spells out the built T is the
+// plain query, and must hit the entry the plain query filled (one entry,
+// not two).
+func TestCacheKeyedByResolvedOptions(t *testing.T) {
 	points, _ := clustered(300, 10, 8, 0.01, 61)
 	sh, err := shard.New(points, 2, 5, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
 		return multiprobe.New(pts, multiprobe.Config{
@@ -188,24 +190,29 @@ func TestCacheQueryModesKeyedSeparately(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := points[0]
+	probes := func(t int) core.QueryOpts { return core.QueryOpts{Probes: core.Some(t)} }
 	sh.Query(q)
-	if _, st := sh.Query(q); !st.CacheHit {
-		t.Fatal("repeat Query missed")
+	for _, c := range []struct {
+		name string
+		opts core.QueryOpts
+		hit  bool
+	}{
+		{"repeat Query", core.QueryOpts{}, true},
+		{"T=2 after Query", probes(2), false},
+		{"T=3 after T=2", probes(3), false},
+		{"repeat T=2", probes(2), true},
+		{"built T=12 after Query", probes(12), true},
+	} {
+		_, st, err := sh.QueryWith(q, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHit != c.hit {
+			t.Fatalf("%s: cache hit = %v, want %v", c.name, st.CacheHit, c.hit)
+		}
 	}
-	if _, st, err := sh.QueryProbes(q, 2); err != nil {
-		t.Fatal(err)
-	} else if st.CacheHit {
-		t.Fatal("QueryProbes hit Query's cache entry")
-	}
-	if _, st, err := sh.QueryProbes(q, 3); err != nil {
-		t.Fatal(err)
-	} else if st.CacheHit {
-		t.Fatal("QueryProbes(3) hit QueryProbes(2)'s entry")
-	}
-	if _, st, err := sh.QueryProbes(q, 2); err != nil {
-		t.Fatal(err)
-	} else if !st.CacheHit {
-		t.Fatal("repeat QueryProbes(2) missed")
+	if cs := sh.Stats(); cs.CacheEntries != 3 {
+		t.Fatalf("%d cache entries, want 3 (plain, T=2, T=3)", cs.CacheEntries)
 	}
 }
 

@@ -35,6 +35,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -95,14 +96,12 @@ const DefaultCompactionThreshold = 0.20
 // single shard it grows.
 type Sharded[P any] struct {
 	shards []*shardState[P]
-	// probing records whether every shard implements core.ProbeQuerier,
-	// radiusCapable whether every shard implements core.RadiusQuerier.
-	// Both are fixed at construction (compaction preserves each shard's
-	// concrete index type); requiring all shards keeps the override
-	// fan-outs' type assertions safe even against a hand-assembled
-	// Restore mixing index kinds.
-	probing       bool
-	radiusCapable bool
+	// defaults is every shard's core.Store.Defaults — the serving mode as
+	// data: which per-query options the shards support and the values
+	// they were built with. Fixed at construction (compaction preserves
+	// each shard's kind and configuration); New and Restore reject shards
+	// that disagree, so one Resolve up front speaks for the whole fan-out.
+	defaults core.QueryOpts
 
 	// appendMu serializes appends (target selection + id allocation);
 	// nextID is atomic so readers (N, Delete, Stats) never block behind
@@ -279,23 +278,22 @@ func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], 
 			return nil, err
 		}
 	}
-	sh.setProbing()
+	if err := sh.setDefaults(); err != nil {
+		return nil, err
+	}
 	return sh, nil
 }
 
-// setProbing records whether every shard supports probe overrides and
-// whether every shard supports radius overrides.
-func (s *Sharded[P]) setProbing() {
-	s.probing = true
-	s.radiusCapable = true
-	for _, st := range s.shards {
-		if _, ok := st.ix.(core.ProbeQuerier[P]); !ok {
-			s.probing = false
-		}
-		if _, ok := st.ix.(core.RadiusQuerier[P]); !ok {
-			s.radiusCapable = false
+// setDefaults records the shards' common Defaults, failing when two
+// shards were built in different modes or configurations.
+func (s *Sharded[P]) setDefaults() error {
+	s.defaults = s.shards[0].ix.Defaults()
+	for j, st := range s.shards[1:] {
+		if d := st.ix.Defaults(); d != s.defaults {
+			return fmt.Errorf("shard: shard %d is built as %+v, shard 0 as %+v", j+1, d, s.defaults)
 		}
 	}
+	return nil
 }
 
 // Shards returns the number of partitions.
@@ -398,7 +396,9 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 		sh.shards[j] = &shardState[P]{ix: v.Index, ids: v.IDs}
 	}
 	sh.nextID.Store(nextID)
-	sh.setProbing()
+	if err := sh.setDefaults(); err != nil {
+		return nil, err
+	}
 	return sh, nil
 }
 
@@ -438,37 +438,29 @@ type QueryStats struct {
 // result sets into global ids, drops tombstoned ids and returns the rest
 // (distinct, unordered) with aggregated stats.
 func (s *Sharded[P]) Query(q P) ([]int32, QueryStats) {
-	return s.cached("q:", q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.Query(q)
-		})
-	})
+	// The zero options are Query itself on every store (core.Store), so
+	// there is no error to report.
+	ids, stats, _ := s.answer(q, core.QueryOpts{})
+	return ids, stats
 }
 
-// QueryProbes is Query with a per-shard probe override: every shard
-// answers via core.ProbeQuerier.QueryProbes(q, t) — t extra buckets per
-// table instead of each shard's configured default (t < 0 restores the
-// default). It returns an error when the shards do not support probe
-// overrides (i.e. were not built as multi-probe indexes).
-func (s *Sharded[P]) QueryProbes(q P, t int) ([]int32, QueryStats, error) {
-	if !s.Probing() {
-		return nil, QueryStats{}, fmt.Errorf("shard: QueryProbes on shards without multi-probe support")
+// QueryWith is Query under per-query overrides, applied on every shard
+// (core.Store.QueryWith): a probe count on multi-probe shards, a
+// narrowed reporting radius on covering ones. An option the shards do
+// not support yields core.ErrUnsupportedOption before any shard is
+// touched.
+func (s *Sharded[P]) QueryWith(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
+	o, err := o.Resolve(s.defaults)
+	if err != nil {
+		return nil, QueryStats{}, err
 	}
-	ids, stats := s.cached(fmt.Sprintf("p%d:", t), q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.(core.ProbeQuerier[P]).QueryProbes(q, t)
-		})
-	})
-	return ids, stats, nil
+	return s.answer(q, o)
 }
 
-// Probing reports whether the shards support per-query probe overrides
-// (multi-probe shard indexes).
-func (s *Sharded[P]) Probing() bool { return s.probing }
-
-// RadiusCapable reports whether the shards support per-query radius
-// overrides (covering shard indexes).
-func (s *Sharded[P]) RadiusCapable() bool { return s.radiusCapable }
+// Defaults returns the per-query options the shards support, set to the
+// values they were built with (core.Store.Defaults) — the structure's
+// serving mode.
+func (s *Sharded[P]) Defaults() core.QueryOpts { return s.defaults }
 
 // Cost returns the cost model the shards decide with. All shards share
 // one calibration (New passes the same Config to every builder), so
@@ -511,73 +503,45 @@ func (s *Sharded[P]) SetCost(c core.CostModel) error {
 	return nil
 }
 
-// QueryRadius is Query with a per-shard radius override: every shard
-// answers via core.RadiusQuerier.QueryRadius(q, r) — the report covers
-// radius r instead of each shard's built radius (r < 0 restores the
-// default; overrides above the built radius are clamped by the stores,
-// see core.RadiusQuerier). It returns an error when the shards do not
-// support radius overrides (i.e. were not built as covering indexes).
-func (s *Sharded[P]) QueryRadius(q P, r int) ([]int32, QueryStats, error) {
-	if !s.RadiusCapable() {
-		return nil, QueryStats{}, fmt.Errorf("shard: QueryRadius on shards without radius-override support")
-	}
-	ids, stats := s.cached(fmt.Sprintf("r%d:", r), q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.(core.RadiusQuerier[P]).QueryRadius(q, r)
-		})
-	})
-	return ids, stats, nil
+// shardPart is one shard's contribution to a fan-out.
+type shardPart struct {
+	ids []int32 // global ids
+	err error
 }
 
-// QueryBatchRadius is QueryBatch with a per-shard radius override applied
-// to every query (see QueryRadius). It returns an error when the shards
-// do not support radius overrides.
-func (s *Sharded[P]) QueryBatchRadius(queries []P, workers, r int) ([]BatchResult, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	if !s.RadiusCapable() {
-		return nil, fmt.Errorf("shard: QueryBatchRadius on shards without radius-override support")
-	}
-	if workers <= 0 {
-		workers = s.DefaultBatchWorkers()
-	}
-	results := make([]BatchResult, len(queries))
-	core.ForEach(len(queries), workers, func(i int) {
-		ids, qs, _ := s.QueryRadius(queries[i], r)
-		results[i] = BatchResult{IDs: ids, Stats: qs}
-	})
-	return results, nil
-}
-
-// fanOut runs one per-shard query function across all shards in
-// parallel and merges the results (the shared body of Query and
-// QueryProbes).
-func (s *Sharded[P]) fanOut(q P, run func(ix core.Store[P], q P) ([]int32, core.QueryStats)) ([]int32, QueryStats) {
+// fanOut answers q on every shard in parallel under the resolved
+// options o and merges the results.
+func (s *Sharded[P]) fanOut(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
 	t0 := time.Now()
 	stats := QueryStats{PerShard: make([]core.QueryStats, len(s.shards))}
-	parts := make([][]int32, len(s.shards))
+	parts := make([]shardPart, len(s.shards))
 
 	var wg sync.WaitGroup
+	answer := func(j int, st *shardState[P]) {
+		defer wg.Done()
+		st.mu.RLock()
+		local, qs, err := st.ix.QueryWith(q, o)
+		global := make([]int32, len(local))
+		for i, id := range local {
+			global[i] = st.ids[id]
+		}
+		st.mu.RUnlock()
+		st.queries.Add(1)
+		st.queryNanos.Add(int64(qs.TotalTime()))
+		parts[j] = shardPart{ids: global, err: err}
+		stats.PerShard[j] = qs
+	}
 	for j, st := range s.shards {
 		wg.Add(1)
-		go func(j int, st *shardState[P]) {
-			defer wg.Done()
-			st.mu.RLock()
-			local, qs := run(st.ix, q)
-			global := make([]int32, len(local))
-			for i, id := range local {
-				global[i] = st.ids[id]
-			}
-			st.mu.RUnlock()
-			st.queries.Add(1)
-			st.queryNanos.Add(int64(qs.TotalTime()))
-			parts[j] = global
-			stats.PerShard[j] = qs
-		}(j, st)
+		go answer(j, st)
 	}
 	wg.Wait()
 
+	for j, p := range parts {
+		if p.err != nil {
+			return nil, QueryStats{}, fmt.Errorf("shard %d: %w", j, p.err)
+		}
+	}
 	for _, qs := range stats.PerShard {
 		if qs.Strategy == core.StrategyLSH {
 			stats.LSHShards++
@@ -595,25 +559,25 @@ func (s *Sharded[P]) fanOut(q P, run func(ix core.Store[P], q P) ([]int32, core.
 	out := s.mergeLive(parts)
 	stats.Results = len(out)
 	stats.WallTime = time.Since(t0)
-	return out, stats
+	return out, stats, nil
 }
 
 // mergeLive concatenates the per-shard global-id sets, dropping
 // tombstoned ids. Shards never share ids, so no dedup is needed.
-func (s *Sharded[P]) mergeLive(parts [][]int32) []int32 {
+func (s *Sharded[P]) mergeLive(parts []shardPart) []int32 {
 	n := 0
 	for _, p := range parts {
-		n += len(p)
+		n += len(p.ids)
 	}
 	out := make([]int32, 0, n)
 	s.tombMu.RLock()
 	if len(s.tombs) == 0 {
 		for _, p := range parts {
-			out = append(out, p...)
+			out = append(out, p.ids...)
 		}
 	} else {
 		for _, p := range parts {
-			for _, id := range p {
+			for _, id := range p.ids {
 				if _, dead := s.tombs[id]; !dead {
 					out = append(out, id)
 				}
@@ -647,38 +611,33 @@ func (s *Sharded[P]) DefaultBatchWorkers() int {
 // queries at a time (0 means DefaultBatchWorkers). Results are
 // positionally aligned with queries.
 func (s *Sharded[P]) QueryBatch(queries []P, workers int) []BatchResult {
-	if len(queries) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = s.DefaultBatchWorkers()
-	}
-	results := make([]BatchResult, len(queries))
-	core.ForEach(len(queries), workers, func(i int) {
-		ids, qs := s.Query(queries[i])
-		results[i] = BatchResult{IDs: ids, Stats: qs}
-	})
+	// As in Query: the zero options cannot fail.
+	results, _ := s.QueryBatchWith(queries, workers, core.QueryOpts{})
 	return results
 }
 
-// QueryBatchProbes is QueryBatch with a per-shard probe override applied
-// to every query (see QueryProbes). It returns an error when the shards
-// do not support probe overrides.
-func (s *Sharded[P]) QueryBatchProbes(queries []P, workers, t int) ([]BatchResult, error) {
+// QueryBatchWith is QueryBatch with the overrides o applied to every
+// query (see QueryWith). The options are checked once, before any worker
+// starts.
+func (s *Sharded[P]) QueryBatchWith(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
+	o, err := o.Resolve(s.defaults)
+	if err != nil {
+		return nil, err
+	}
 	if len(queries) == 0 {
 		return nil, nil
-	}
-	if !s.Probing() {
-		return nil, fmt.Errorf("shard: QueryBatchProbes on shards without multi-probe support")
 	}
 	if workers <= 0 {
 		workers = s.DefaultBatchWorkers()
 	}
 	results := make([]BatchResult, len(queries))
+	errs := make([]error, len(queries))
 	core.ForEach(len(queries), workers, func(i int) {
-		ids, qs, _ := s.QueryProbes(queries[i], t)
-		results[i] = BatchResult{IDs: ids, Stats: qs}
+		results[i].IDs, results[i].Stats, errs[i] = s.answer(queries[i], o)
 	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	return results, nil
 }
 

@@ -14,6 +14,9 @@
 package storetest
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"slices"
@@ -42,6 +45,10 @@ type Harness[P any] struct {
 	// build time and after Append and CompactStore. Nil skips the
 	// subtest (e.g. store layouts with no alternative encoding).
 	NewQuant func(t *testing.T, points []P, seed uint64) core.Store[P]
+	// Pinned lists the per-query overrides the store supports, each with
+	// the id-set hash it must reproduce (see QueryOptions). The QueryOptions
+	// subtest builds the store over Data(150, 14) with seed 7.
+	Pinned []PinnedOverride
 }
 
 // batcher is the QueryBatch surface every store in this repository
@@ -96,7 +103,78 @@ func Run[P any](t *testing.T, h Harness[P]) {
 		t.Run("SetCostRejectsDegenerate", h.testSetCostRejects)
 		t.Run("SetCostConcurrentWithQueries", h.testSetCostConcurrent)
 		t.Run("QuantEquivalence", h.testQuantEquivalence)
+		t.Run("QueryOptions", func(t *testing.T) {
+			data := h.Data(150, 14)
+			QueryOptions(t, h.New(t, data, 7), h.queries(data), h.Pinned)
+		})
 	})
+}
+
+// PinnedOverride is one supported per-query override and the HashIDs of
+// the id sets the store must report under it over the case's queries.
+// The hashes were recorded from the per-mode override methods
+// (QueryProbes, QueryRadius) this contract replaced, so they pin the
+// one-contract refactor to id-identical answers.
+type PinnedOverride struct {
+	Opts core.QueryOpts
+	Hash uint64
+}
+
+// OptionQuerier is the per-query option surface QueryOptions checks:
+// every core.Store, and anything layered on stores with its own stats
+// type S, such as shard.Sharded.
+type OptionQuerier[P, S any] interface {
+	Defaults() core.QueryOpts
+	Query(q P) ([]int32, S)
+	QueryWith(q P, o core.QueryOpts) ([]int32, S, error)
+}
+
+// QueryOptions is the conformance case for the per-query option
+// contract, over the given queries: the zero options, and every
+// supported option spelled out at its built value, answer exactly like
+// Query; every pinned override reproduces its recorded id sets; every
+// option Defaults leaves unset is rejected with
+// core.ErrUnsupportedOption.
+func QueryOptions[P, S any](t *testing.T, st OptionQuerier[P, S], queries []P, pinned []PinnedOverride) {
+	t.Helper()
+	answers := func(o core.QueryOpts) uint64 {
+		t.Helper()
+		sets := make([][]int32, len(queries))
+		for i, q := range queries {
+			ids, _, err := st.QueryWith(q, o)
+			if err != nil {
+				t.Fatalf("QueryWith(%+v): %v", o, err)
+			}
+			sets[i] = ids
+		}
+		return HashIDs(sets)
+	}
+	def := st.Defaults()
+	plain := make([][]int32, len(queries))
+	for i, q := range queries {
+		plain[i], _ = st.Query(q)
+	}
+	for _, o := range []core.QueryOpts{{}, def} {
+		if got, want := answers(o), HashIDs(plain); got != want {
+			t.Fatalf("QueryWith(%+v) answers %#x, Query answers %#x", o, got, want)
+		}
+	}
+	for _, p := range pinned {
+		if got := answers(p.Opts); got != p.Hash {
+			t.Fatalf("QueryWith(%+v) answers %#x, pinned %#x", p.Opts, got, p.Hash)
+		}
+	}
+	for _, c := range []struct {
+		opts      core.QueryOpts
+		supported bool
+	}{
+		{core.QueryOpts{Probes: core.Some(3)}, def.Probes.Set},
+		{core.QueryOpts{Radius: core.Some(1)}, def.Radius.Set},
+	} {
+		if _, _, err := st.QueryWith(queries[0], c.opts); !c.supported && !errors.Is(err, core.ErrUnsupportedOption) {
+			t.Fatalf("QueryWith(%+v): err = %v, want core.ErrUnsupportedOption", c.opts, err)
+		}
+	}
 }
 
 // queries returns a deterministic query set drawn from the data itself,
@@ -461,4 +539,21 @@ func (h Harness[P]) testSetCostConcurrent(t *testing.T) {
 	if got := st.Cost(); got != models[0] && got != models[1] {
 		t.Fatalf("Cost() = %+v after concurrent swaps, want one of %+v", got, models)
 	}
+}
+
+// HashIDs folds the id sets a query list reported (one set per query, in
+// query order) into one FNV-1a hash: every set is sorted and prefixed by
+// its length, so the hash pins exactly which ids each query reported.
+func HashIDs(sets [][]int32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, ids := range sets {
+		binary.LittleEndian.PutUint32(b[:], uint32(len(ids)))
+		h.Write(b[:])
+		for _, id := range sorted(ids) {
+			binary.LittleEndian.PutUint32(b[:], uint32(id))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }

@@ -28,7 +28,7 @@ import (
 // NewShardedMultiProbeL2Index the concurrency-safe sharded one; both
 // expose the same Query/QueryLSH/QueryLinear/DecideStrategy/QueryBatch
 // surface as their classic counterparts plus per-call probe overrides
-// (QueryProbes). WithProbes sets T; WithTables defaults to 10 here
+// (QueryWith with QueryOpts.Probes). WithProbes sets T; WithTables defaults to 10 here
 // instead of the classic 50.
 
 // MultiProbeL2Index answers rNNR queries under Euclidean distance with
@@ -87,46 +87,26 @@ func newMultiProbeL2Core(points []Dense, r float64, o options) (*multiprobe.Inde
 // ShardedMultiProbeL2Index is the sharded counterpart of
 // MultiProbeL2Index: the same fan-out queries, tombstone deletes,
 // auto-compaction and snapshot machinery as ShardedL2Index (see there
-// for the concurrency contract), over multi-probe shards. QueryProbes
-// and QueryBatchProbes additionally accept a per-call probe override.
-type ShardedMultiProbeL2Index struct {
-	*shard.Sharded[Dense]
-	probes int
-}
+// for the concurrency contract), over multi-probe shards. QueryWith and
+// QueryBatchWith additionally accept a per-call probe override
+// (QueryOpts.Probes).
+type ShardedMultiProbeL2Index struct{ *shard.Sharded[Dense] }
 
 // Probes returns T, the configured extra probes per table.
-func (s *ShardedMultiProbeL2Index) Probes() int { return s.probes }
+func (s *ShardedMultiProbeL2Index) Probes() int { return s.Defaults().Probes.N }
 
 // NewShardedMultiProbeL2Index builds a sharded multi-probe hybrid L2
 // index for radius r; see NewShardedL2Index for how options are applied
 // and NewMultiProbeL2Index for the multi-probe defaults.
 func NewShardedMultiProbeL2Index(points []Dense, r float64, opts ...Option) (*ShardedMultiProbeL2Index, error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewShardedMultiProbeL2Index")
-	}
-	if r <= 0 {
+	if r <= 0 && len(points) > 0 { // an empty point set is newSharded's error
 		return nil, fmt.Errorf("hybridlsh: NewShardedMultiProbeL2Index radius = %v, want > 0", r)
 	}
-	s, err := shard.New(points, o.shardCount(), o.seed, func(pts []Dense, seed uint64) (core.Store[Dense], error) {
-		so := o
-		so.seed = seed
-		return newMultiProbeL2Core(pts, r, so)
+	s, err := newSharded("NewShardedMultiProbeL2Index", points, opts, Dense.CacheKey, func(pts []Dense, o options) (core.Store[Dense], error) {
+		return newMultiProbeL2Core(pts, r, o)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if o.compactThresh != 0 {
-		s.SetAutoCompact(o.compactThresh)
-	}
-	if o.cacheSize != 0 {
-		if err := s.EnableCache(o.cacheSize, Dense.CacheKey); err != nil {
-			return nil, err
-		}
-	}
-	probes := o.probes
-	if probes == 0 {
-		probes = multiprobe.DefaultProbes
-	}
-	return &ShardedMultiProbeL2Index{Sharded: s, probes: probes}, nil
+	return &ShardedMultiProbeL2Index{s}, nil
 }

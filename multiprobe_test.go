@@ -2,8 +2,11 @@ package hybridlsh
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 func TestMultiProbeL2Basics(t *testing.T) {
@@ -118,15 +121,15 @@ func TestShardedMultiProbeMatchesUnsharded(t *testing.T) {
 			t.Errorf("query %d: strategy mix %d+%d, want 5 shards", qi, st.LSHShards, st.LinearShards)
 		}
 		// The probe override plumbing: a huge T must still be exact here.
-		oIDs, _, err := sh.QueryProbes(q, 40)
+		oIDs, _, err := sh.QueryWith(q, QueryOpts{Probes: Some(40)})
 		if err != nil {
-			t.Fatalf("query %d: QueryProbes: %v", qi, err)
+			t.Fatalf("query %d: QueryWith: %v", qi, err)
 		}
 		if !slices.Equal(sortedIDs(oIDs), sortedIDs(truth)) {
 			t.Errorf("query %d: T=40 override = %v, truth = %v", qi, sortedIDs(oIDs), sortedIDs(truth))
 		}
 	}
-	batch, err := sh.QueryBatchProbes(queries, 4, 20)
+	batch, err := sh.QueryBatchWith(queries, 4, QueryOpts{Probes: Some(20)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +144,11 @@ func TestPlainShardedRejectsProbeOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sh.QueryProbes(queries[0], 5); err == nil {
-		t.Fatal("QueryProbes on plain shards did not error")
+	if _, _, err := sh.QueryWith(queries[0], QueryOpts{Probes: Some(5)}); !errors.Is(err, ErrUnsupportedOption) {
+		t.Fatalf("probe override on plain shards: err = %v, want ErrUnsupportedOption", err)
 	}
-	if _, err := sh.QueryBatchProbes(queries, 2, 5); err == nil {
-		t.Fatal("QueryBatchProbes on plain shards did not error")
+	if _, err := sh.QueryBatchWith(queries, 2, QueryOpts{Probes: Some(5)}); !errors.Is(err, ErrUnsupportedOption) {
+		t.Fatalf("batch probe override on plain shards: err = %v, want ErrUnsupportedOption", err)
 	}
 }
 
@@ -266,9 +269,9 @@ func TestShardedMultiProbeDeleteCompactSnapshotRestore(t *testing.T) {
 			t.Fatalf("query %d: restored answers %v != live answers %v", qi, sortedIDs(ids), pre[qi])
 		}
 		// The override path must survive the restore too.
-		oids, _, err := restored.QueryProbes(q, 8)
+		oids, _, err := restored.QueryWith(q, QueryOpts{Probes: Some(8)})
 		if err != nil {
-			t.Fatalf("query %d: restored QueryProbes: %v", qi, err)
+			t.Fatalf("query %d: restored QueryWith: %v", qi, err)
 		}
 		if !slices.Equal(sortedIDs(oids), pre[qi]) {
 			t.Fatalf("query %d: restored T=8 override differs", qi)
@@ -337,8 +340,8 @@ func TestMultiProbeSnapshotReaderMismatch(t *testing.T) {
 	if _, err := mp.WriteTo(&mpBuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadL2Index(bytes.NewReader(mpBuf.Bytes())); err == nil {
-		t.Error("plain reader accepted a multi-probe snapshot")
+	if _, err := ReadL2Index(bytes.NewReader(mpBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
+		t.Errorf("plain reader on a multi-probe snapshot: err = %v, want persist.ErrProbeMode", err)
 	}
 
 	plain, err := NewL2Index(points, 0.4, WithSeed(1))
@@ -349,8 +352,8 @@ func TestMultiProbeSnapshotReaderMismatch(t *testing.T) {
 	if _, err := plain.WriteTo(&plainBuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMultiProbeL2Index(bytes.NewReader(plainBuf.Bytes())); err == nil {
-		t.Error("multi-probe reader accepted a plain snapshot")
+	if _, err := ReadMultiProbeL2Index(bytes.NewReader(plainBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
+		t.Errorf("multi-probe reader on a plain snapshot: err = %v, want persist.ErrProbeMode", err)
 	}
 
 	shPlain, err := NewShardedL2Index(points, 0.4, WithSeed(1))
@@ -361,8 +364,8 @@ func TestMultiProbeSnapshotReaderMismatch(t *testing.T) {
 	if _, err := shPlain.WriteTo(&shPlainBuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardedMultiProbeL2Index(bytes.NewReader(shPlainBuf.Bytes())); err == nil {
-		t.Error("sharded multi-probe reader accepted a plain sharded snapshot")
+	if _, err := ReadShardedMultiProbeL2Index(bytes.NewReader(shPlainBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
+		t.Errorf("sharded multi-probe reader on a plain sharded snapshot: err = %v, want persist.ErrProbeMode", err)
 	}
 
 	shMP, err := NewShardedMultiProbeL2Index(points, 0.4, WithSeed(1))
@@ -373,7 +376,7 @@ func TestMultiProbeSnapshotReaderMismatch(t *testing.T) {
 	if _, err := shMP.WriteTo(&shMPBuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadShardedL2Index(bytes.NewReader(shMPBuf.Bytes())); err == nil {
-		t.Error("plain sharded reader accepted a multi-probe sharded snapshot")
+	if _, err := ReadShardedL2Index(bytes.NewReader(shMPBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
+		t.Errorf("plain sharded reader on a multi-probe sharded snapshot: err = %v, want persist.ErrProbeMode", err)
 	}
 }

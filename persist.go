@@ -1,10 +1,13 @@
 package hybridlsh
 
 import (
-	"fmt"
 	"io"
 
+	"repro/internal/core"
+	"repro/internal/covering"
+	"repro/internal/multiprobe"
 	"repro/internal/persist"
+	"repro/internal/shard"
 )
 
 // Index persistence. Every index type serializes to the versioned
@@ -28,22 +31,58 @@ import (
 // the sharded round trip is exact as well.
 //
 // Multi-probe snapshots additionally record the probe configuration T
-// (the format's optional "prob" section); the plain and multi-probe
-// readers each reject the other's snapshots rather than silently
-// dropping or inventing T.
-//
-// Covering snapshots record the integer radius and the random map φ
-// (the format's "covr" section, which replaces "meta" — a covering
-// index has no LSH family) plus the mask-table buckets, so a reload
-// keeps the zero-false-negatives guarantee bit for bit; the plain and
-// covering readers likewise reject each other's snapshots with a typed
-// error.
+// (the format's optional "prob" section); covering snapshots record the
+// integer radius and the random map φ (the format's "covr" section,
+// which replaces "meta" — a covering index has no LSH family) plus the
+// mask-table buckets, so a reload keeps the zero-false-negatives
+// guarantee bit for bit. The snapshot decides which kind of index a
+// decode produces; each Read function below demands the mode of its
+// return type and rejects any other file with a typed error
+// (persist.ErrProbeMode / ErrCoverMode) rather than silently dropping or
+// inventing T, or rebuilding under different guarantees.
 //
 // The decoder rejects corrupt, truncated or adversarial input with an
 // error (persist.ErrBadMagic / ErrVersion / ErrMetric / ErrProbeMode /
 // ErrCorrupt equivalents) rather than panicking; see internal/persist
 // and docs/SNAPSHOT_FORMAT.md for the format layout and compatibility
 // promise.
+
+// readPlain reads a plain snapshot and demands the given serving mode of
+// it (probes: multi-probe, cover: covering, neither: classic); a mismatch
+// is persist.ErrProbeMode or persist.ErrCoverMode. The snapshot readers
+// themselves dispatch on what the file holds, so the returned store's
+// concrete type is the one the mode implies.
+func readPlain[P any](r io.Reader, metric string, probes, cover bool) (core.Store[P], error) {
+	st, meta, err := persist.Read[P](r, metric)
+	if err == nil {
+		err = meta.RequireMode(probes, cover)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// readClassic is readPlain for the classic index types.
+func readClassic[P any](r io.Reader, metric string) (*core.Index[P], error) {
+	st, err := readPlain[P](r, metric, false, false)
+	if err != nil {
+		return nil, err
+	}
+	return st.(*core.Index[P]), nil
+}
+
+// readSharded is readPlain's sharded counterpart.
+func readSharded[P any](r io.Reader, metric string, probes, cover bool) (*shard.Sharded[P], error) {
+	sh, meta, err := persist.ReadSharded[P](r, metric)
+	if err == nil {
+		err = meta.RequireMode(probes, cover)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sh, nil
+}
 
 // SnapshotFormat names the snapshot wire format the WriteTo methods
 // produce. Readers accept exactly this version; incompatible layout
@@ -53,12 +92,12 @@ const SnapshotFormat = persist.FormatName
 // WriteTo writes a snapshot of the index; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *L2Index) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricL2, ix.Index)
+	return persist.Write(w, persist.MetricL2, ix.Index)
 }
 
 // ReadL2Index reloads an L2 index snapshot written by WriteTo.
 func ReadL2Index(r io.Reader) (*L2Index, error) {
-	ix, _, err := persist.ReadIndex[Dense](r, persist.MetricL2)
+	ix, err := readClassic[Dense](r, persist.MetricL2)
 	if err != nil {
 		return nil, err
 	}
@@ -68,12 +107,12 @@ func ReadL2Index(r io.Reader) (*L2Index, error) {
 // WriteTo writes a snapshot of the index; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *L1Index) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricL1, ix.Index)
+	return persist.Write(w, persist.MetricL1, ix.Index)
 }
 
 // ReadL1Index reloads an L1 index snapshot written by WriteTo.
 func ReadL1Index(r io.Reader) (*L1Index, error) {
-	ix, _, err := persist.ReadIndex[Dense](r, persist.MetricL1)
+	ix, err := readClassic[Dense](r, persist.MetricL1)
 	if err != nil {
 		return nil, err
 	}
@@ -83,12 +122,12 @@ func ReadL1Index(r io.Reader) (*L1Index, error) {
 // WriteTo writes a snapshot of the index; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *HammingIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricHamming, ix.Index)
+	return persist.Write(w, persist.MetricHamming, ix.Index)
 }
 
 // ReadHammingIndex reloads a Hamming index snapshot written by WriteTo.
 func ReadHammingIndex(r io.Reader) (*HammingIndex, error) {
-	ix, _, err := persist.ReadIndex[Binary](r, persist.MetricHamming)
+	ix, err := readClassic[Binary](r, persist.MetricHamming)
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +137,12 @@ func ReadHammingIndex(r io.Reader) (*HammingIndex, error) {
 // WriteTo writes a snapshot of the index; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *CosineIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricCosine, ix.Index)
+	return persist.Write(w, persist.MetricCosine, ix.Index)
 }
 
 // ReadCosineIndex reloads a cosine index snapshot written by WriteTo.
 func ReadCosineIndex(r io.Reader) (*CosineIndex, error) {
-	ix, _, err := persist.ReadIndex[Sparse](r, persist.MetricCosine)
+	ix, err := readClassic[Sparse](r, persist.MetricCosine)
 	if err != nil {
 		return nil, err
 	}
@@ -113,12 +152,12 @@ func ReadCosineIndex(r io.Reader) (*CosineIndex, error) {
 // WriteTo writes a snapshot of the index; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *JaccardIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricJaccard, ix.Index)
+	return persist.Write(w, persist.MetricJaccard, ix.Index)
 }
 
 // ReadJaccardIndex reloads a Jaccard index snapshot written by WriteTo.
 func ReadJaccardIndex(r io.Reader) (*JaccardIndex, error) {
-	ix, _, err := persist.ReadIndex[Binary](r, persist.MetricJaccard)
+	ix, err := readClassic[Binary](r, persist.MetricJaccard)
 	if err != nil {
 		return nil, err
 	}
@@ -129,14 +168,14 @@ func ReadJaccardIndex(r io.Reader) (*JaccardIndex, error) {
 // Monte-Carlo-calibrated collision-probability curve; it implements
 // io.WriterTo. The index must not be appended to concurrently.
 func (ix *AngularIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteIndex(w, persist.MetricAngular, ix.Index)
+	return persist.Write(w, persist.MetricAngular, ix.Index)
 }
 
 // ReadAngularIndex reloads an angular (cross-polytope) index snapshot
 // written by WriteTo; the calibrated curve is restored rather than
 // re-measured.
 func ReadAngularIndex(r io.Reader) (*AngularIndex, error) {
-	ix, _, err := persist.ReadIndex[Dense](r, persist.MetricAngular)
+	ix, err := readClassic[Dense](r, persist.MetricAngular)
 	if err != nil {
 		return nil, err
 	}
@@ -148,18 +187,18 @@ func ReadAngularIndex(r io.Reader) (*AngularIndex, error) {
 // reload probes identical bucket sequences; it implements io.WriterTo.
 // The index must not be appended to concurrently.
 func (ix *MultiProbeL2Index) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteMultiProbe(w, persist.MetricL2, ix.Index)
+	return persist.Write(w, persist.MetricL2, ix.Index)
 }
 
 // ReadMultiProbeL2Index reloads a multi-probe L2 index snapshot written
 // by WriteTo. Plain (probe-less) snapshots are rejected rather than
 // silently assigned a default T.
 func ReadMultiProbeL2Index(r io.Reader) (*MultiProbeL2Index, error) {
-	ix, _, err := persist.ReadMultiProbe(r, persist.MetricL2)
+	st, err := readPlain[Dense](r, persist.MetricL2, true, false)
 	if err != nil {
 		return nil, err
 	}
-	return &MultiProbeL2Index{ix}, nil
+	return &MultiProbeL2Index{st.(*multiprobe.Index)}, nil
 }
 
 // WriteTo writes a snapshot of the index, including the covering
@@ -168,18 +207,18 @@ func ReadMultiProbeL2Index(r io.Reader) (*MultiProbeL2Index, error) {
 // guarantee bit for bit; it implements io.WriterTo. The index must not
 // be appended to concurrently.
 func (ix *CoveringHammingIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteCovering(w, ix.Index)
+	return persist.Write(w, persist.MetricHamming, ix.Index)
 }
 
 // ReadCoveringHammingIndex reloads a covering index snapshot written by
 // WriteTo. Plain hybrid snapshots are rejected rather than silently
 // rebuilt under different guarantees.
 func ReadCoveringHammingIndex(r io.Reader) (*CoveringHammingIndex, error) {
-	ix, _, err := persist.ReadCovering(r)
+	st, err := readPlain[Binary](r, persist.MetricHamming, false, true)
 	if err != nil {
 		return nil, err
 	}
-	return &CoveringHammingIndex{ix}, nil
+	return &CoveringHammingIndex{st.(*covering.Index)}, nil
 }
 
 // WriteTo writes a snapshot of the sharded index; it implements
@@ -194,12 +233,9 @@ func (s *ShardedL2Index) WriteTo(w io.Writer) (int64, error) {
 // Multi-probe sharded snapshots are rejected (use
 // ReadShardedMultiProbeL2Index so the probe configuration is kept).
 func ReadShardedL2Index(r io.Reader) (*ShardedL2Index, error) {
-	sh, meta, err := persist.ReadSharded[Dense](r, persist.MetricL2)
+	sh, err := readSharded[Dense](r, persist.MetricL2, false, false)
 	if err != nil {
 		return nil, err
-	}
-	if meta.Probes != 0 {
-		return nil, fmt.Errorf("hybridlsh: snapshot holds a multi-probe sharded index (T=%d); use ReadShardedMultiProbeL2Index", meta.Probes)
 	}
 	return &ShardedL2Index{sh}, nil
 }
@@ -216,14 +252,11 @@ func (s *ShardedMultiProbeL2Index) WriteTo(w io.Writer) (int64, error) {
 // sketches and the probe configuration are restored exactly, so answers
 // are id-for-id identical to the saved index.
 func ReadShardedMultiProbeL2Index(r io.Reader) (*ShardedMultiProbeL2Index, error) {
-	sh, meta, err := persist.ReadSharded[Dense](r, persist.MetricL2)
+	sh, err := readSharded[Dense](r, persist.MetricL2, true, false)
 	if err != nil {
 		return nil, err
 	}
-	if meta.Probes == 0 {
-		return nil, fmt.Errorf("hybridlsh: snapshot holds a plain sharded index; use ReadShardedL2Index")
-	}
-	return &ShardedMultiProbeL2Index{Sharded: sh, probes: meta.Probes}, nil
+	return &ShardedMultiProbeL2Index{sh}, nil
 }
 
 // WriteTo writes a snapshot of the sharded index; see
@@ -237,7 +270,7 @@ func (s *ShardedHammingIndex) WriteTo(w io.Writer) (int64, error) {
 // ReadShardedCoveringHammingIndex so the guarantee-carrying φ tables are
 // kept).
 func ReadShardedHammingIndex(r io.Reader) (*ShardedHammingIndex, error) {
-	sh, _, err := persist.ReadSharded[Binary](r, persist.MetricHamming)
+	sh, err := readSharded[Binary](r, persist.MetricHamming, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +281,7 @@ func ReadShardedHammingIndex(r io.Reader) (*ShardedHammingIndex, error) {
 // every shard's covering parameters; see (*ShardedL2Index).WriteTo for
 // the consistency guarantees.
 func (s *ShardedCoveringHammingIndex) WriteTo(w io.Writer) (int64, error) {
-	return persist.WriteShardedCovering(w, s.Sharded)
+	return persist.WriteSharded(w, persist.MetricHamming, s.Sharded)
 }
 
 // ReadShardedCoveringHammingIndex reloads a sharded covering snapshot
@@ -258,9 +291,9 @@ func (s *ShardedCoveringHammingIndex) WriteTo(w io.Writer) (int64, error) {
 // trip. Classic sharded Hamming snapshots are rejected (use
 // ReadShardedHammingIndex).
 func ReadShardedCoveringHammingIndex(r io.Reader) (*ShardedCoveringHammingIndex, error) {
-	sh, meta, err := persist.ReadShardedCovering(r)
+	sh, err := readSharded[Binary](r, persist.MetricHamming, false, true)
 	if err != nil {
 		return nil, err
 	}
-	return &ShardedCoveringHammingIndex{Sharded: sh, radius: meta.CoverRadius}, nil
+	return &ShardedCoveringHammingIndex{sh}, nil
 }

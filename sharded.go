@@ -40,17 +40,33 @@ type ShardedL2Index struct{ *shard.Sharded[Dense] }
 // all other options apply to every shard, except that each shard draws
 // independent hash functions from the WithSeed seed.
 func NewShardedL2Index(points []Dense, r float64, opts ...Option) (*ShardedL2Index, error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewShardedL2Index")
-	}
-	if r <= 0 {
+	if r <= 0 && len(points) > 0 { // an empty point set is newSharded's error
 		return nil, fmt.Errorf("hybridlsh: NewShardedL2Index radius = %v, want > 0", r)
 	}
-	s, err := shard.New(points, o.shardCount(), o.seed, func(pts []Dense, seed uint64) (core.Store[Dense], error) {
+	s, err := newSharded("NewShardedL2Index", points, opts, Dense.CacheKey, func(pts []Dense, o options) (core.Store[Dense], error) {
+		return newL2Core(pts, r, o)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ShardedL2Index{s}, nil
+}
+
+// newSharded is the body every sharded constructor shares: partition
+// points across WithShards shards, build each with the constructor's
+// options under its own seed (build must return the mode's core.Store),
+// then apply the structure-level options (WithCompactionThreshold,
+// WithCache under the point type's exact key encoding).
+func newSharded[P any](name string, points []P, opts []Option, key func(P) string,
+	build func(pts []P, o options) (core.Store[P], error)) (*shard.Sharded[P], error) {
+	o := applyOptions(opts)
+	if len(points) == 0 {
+		return nil, errEmpty(name)
+	}
+	s, err := shard.New(points, o.shardCount(), o.seed, func(pts []P, seed uint64) (core.Store[P], error) {
 		so := o
 		so.seed = seed
-		return newL2Core(pts, r, so)
+		return build(pts, so)
 	})
 	if err != nil {
 		return nil, err
@@ -59,11 +75,11 @@ func NewShardedL2Index(points []Dense, r float64, opts ...Option) (*ShardedL2Ind
 		s.SetAutoCompact(o.compactThresh)
 	}
 	if o.cacheSize != 0 {
-		if err := s.EnableCache(o.cacheSize, Dense.CacheKey); err != nil {
+		if err := s.EnableCache(o.cacheSize, key); err != nil {
 			return nil, err
 		}
 	}
-	return &ShardedL2Index{s}, nil
+	return s, nil
 }
 
 // ShardedHammingIndex is the sharded counterpart of HammingIndex; see
@@ -73,25 +89,11 @@ type ShardedHammingIndex struct{ *shard.Sharded[Binary] }
 // NewShardedHammingIndex builds a sharded hybrid Hamming index for
 // radius r; see NewShardedL2Index for how options are applied.
 func NewShardedHammingIndex(points []Binary, r float64, opts ...Option) (*ShardedHammingIndex, error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewShardedHammingIndex")
-	}
-	s, err := shard.New(points, o.shardCount(), o.seed, func(pts []Binary, seed uint64) (core.Store[Binary], error) {
-		so := o
-		so.seed = seed
-		return newHammingCore(pts, r, so)
+	s, err := newSharded("NewShardedHammingIndex", points, opts, Binary.CacheKey, func(pts []Binary, o options) (core.Store[Binary], error) {
+		return newHammingCore(pts, r, o)
 	})
 	if err != nil {
 		return nil, err
-	}
-	if o.compactThresh != 0 {
-		s.SetAutoCompact(o.compactThresh)
-	}
-	if o.cacheSize != 0 {
-		if err := s.EnableCache(o.cacheSize, Binary.CacheKey); err != nil {
-			return nil, err
-		}
 	}
 	return &ShardedHammingIndex{s}, nil
 }
