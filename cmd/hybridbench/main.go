@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/pointstore"
@@ -40,7 +41,7 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, fig2a, fig2b, fig2c, fig2d, fig3, persist, delete, multiprobe, covering, serve, recal, cache, quant, replica, all")
+		exp        = flag.String("exp", "all", "experiment: "+strings.Join(names(), ", ")+", all")
 		quantMode  = flag.String("quant", "sq8", "point-store quantization mode the quant experiment gates on (off or sq8)")
 		scale      = flag.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = paper scale)")
 		queries    = flag.Int("queries", 100, "query-set size (paper: 100)")
@@ -95,300 +96,127 @@ func main() {
 	}
 }
 
-// run executes one experiment (or all), printing human-readable tables
-// and accumulating into rep when non-nil.
-func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmode pointstore.Mode) error {
-	switch exp {
-	case "table1":
-		return table1(cfg, csvDir, rep)
-	case "fig2a":
-		return fig2(cfg, csvDir, rep, bench.MNISTExperiment, "fig2a", "Figure 2a — MNIST-like, Hamming distance")
-	case "fig2b":
-		return fig2(cfg, csvDir, rep, bench.WebspamExperiment, "fig2b", "Figure 2b — Webspam-like, cosine distance")
-	case "fig2c":
-		return fig2(cfg, csvDir, rep, bench.CoverTypeExperiment, "fig2c", "Figure 2c — CoverType-like, L1 distance")
-	case "fig2d":
-		return fig2(cfg, csvDir, rep, bench.CorelExperiment, "fig2d", "Figure 2d — Corel-like, L2 distance")
-	case "fig3":
-		return fig3(cfg, csvDir, rep)
-	case "persist":
-		return persistExp(cfg, rep)
-	case "delete":
-		return deleteExp(cfg, rep)
-	case "multiprobe":
-		return multiProbeExp(cfg, rep)
-	case "covering":
-		return coveringExp(cfg, rep)
-	case "serve":
-		return serveExp(cfg, rep)
-	case "recal":
-		return recalExp(cfg, rep)
-	case "cache":
-		return cacheExp(cfg, rep)
-	case "quant":
-		return quantExp(cfg, rep, qmode)
-	case "replica":
-		return replicaExp(cfg, rep)
-	case "all":
-		if err := table1(cfg, csvDir, rep); err != nil {
+type report = bench.JSONReport
+
+// env is what one hybridbench invocation hands every experiment.
+type env struct {
+	cfg    bench.Config
+	csvDir string
+	rep    *report // nil without -json
+	qmode  pointstore.Mode
+}
+
+// experiment is one -exp name. The ordered experiments table drives
+// -exp <name>, -exp all (in table order), the flag help and the
+// unknown-experiment error.
+type experiment struct {
+	name string
+	run  func(env) error
+}
+
+// define wires one experiment: run it, print its title (when it has one)
+// and table, record it in the -json report via add, and (when csv is
+// non-nil) write <name>.csv into the -csv directory.
+func define[R any](name, title string, run func(env) (R, error), print func(io.Writer, R),
+	add func(*report, R), csv func(io.Writer, R) error) experiment {
+	return experiment{name, func(e env) error {
+		res, err := run(e)
+		if err != nil {
 			return err
 		}
-		for _, e := range []struct {
-			run   func(bench.Config) (*bench.Fig2Result, error)
-			id    string
-			title string
-		}{
-			{bench.MNISTExperiment, "fig2a", "Figure 2a — MNIST-like, Hamming distance"},
-			{bench.WebspamExperiment, "fig2b", "Figure 2b — Webspam-like, cosine distance"},
-			{bench.CoverTypeExperiment, "fig2c", "Figure 2c — CoverType-like, L1 distance"},
-			{bench.CorelExperiment, "fig2d", "Figure 2d — Corel-like, L2 distance"},
-		} {
-			if err := fig2(cfg, csvDir, rep, e.run, e.id, e.title); err != nil {
+		if title != "" {
+			fmt.Println(title)
+		}
+		print(os.Stdout, res)
+		fmt.Println()
+		if e.rep != nil {
+			add(e.rep, res)
+		}
+		if csv == nil || e.csvDir == "" {
+			return nil
+		}
+		return writeCSV(e.csvDir, name+".csv", func(w io.Writer) error { return csv(w, res) })
+	}}
+}
+
+// plain adapts an experiment that needs nothing but the configuration.
+func plain[R any](f func(bench.Config) (R, error)) func(env) (R, error) {
+	return func(e env) (R, error) { return f(e.cfg) }
+}
+
+// figure is one Figure-2/3 sweep, reported under its experiment id.
+// fixedRatio pins the paper's β/α instead of calibrating: Figure 3 is
+// about the strategy decision, and the paper's fixed β/α = 10 reproduces
+// its shape regardless of this machine's constants.
+func figure(id, title string, sweep func(bench.Config) (*bench.Fig2Result, error), fixedRatio bool,
+	print func(io.Writer, *bench.Fig2Result)) experiment {
+	return define(id, title,
+		func(e env) (bench.JSONFigure, error) {
+			if fixedRatio {
+				e.cfg.Calibrate = false
+			}
+			res, err := sweep(e.cfg)
+			return bench.JSONFigure{ID: id, Calibrated: e.cfg.Calibrate, Fig2Result: res}, err
+		},
+		func(w io.Writer, f bench.JSONFigure) { print(w, f.Fig2Result) },
+		func(r *report, f bench.JSONFigure) { r.Figures = append(r.Figures, f) },
+		func(w io.Writer, f bench.JSONFigure) error { return bench.WriteFig2CSV(w, f.Fig2Result) })
+}
+
+var experiments = []experiment{
+	define("table1", "", plain(bench.Table1Experiment), bench.PrintTable1,
+		func(r *report, v []bench.Table1Row) { r.Table1 = v }, bench.WriteTable1CSV),
+	figure("fig2a", "Figure 2a — MNIST-like, Hamming distance", bench.MNISTExperiment, false, bench.PrintFig2),
+	figure("fig2b", "Figure 2b — Webspam-like, cosine distance", bench.WebspamExperiment, false, bench.PrintFig2),
+	figure("fig2c", "Figure 2c — CoverType-like, L1 distance", bench.CoverTypeExperiment, false, bench.PrintFig2),
+	figure("fig2d", "Figure 2d — Corel-like, L2 distance", bench.CorelExperiment, false, bench.PrintFig2),
+	figure("fig3", "Figure 3 — Webspam-like output sizes and linear-search calls (β/α = 10, the paper's choice)",
+		bench.WebspamExperiment, true, bench.PrintFig3),
+	define("persist", "Persistence — snapshot load vs cold rebuild (build-once-load-many)",
+		plain(bench.PersistExperiment), bench.PrintPersist, func(r *report, v *bench.PersistResult) { r.Persist = v }, nil),
+	define("delete", "Deletes — tombstone-skewed cost model vs online shard compaction",
+		plain(bench.DeleteExperiment), bench.PrintDelete, func(r *report, v *bench.DeleteResult) { r.Delete = v }, nil),
+	define("multiprobe", "Multi-probe — T probes vs L tables at fixed recall",
+		plain(bench.MultiProbeExperiment), bench.PrintMultiProbe, func(r *report, v *bench.MultiProbeResult) { r.MultiProbe = v }, nil),
+	define("covering", "Covering LSH — guaranteed recall vs classic Hamming",
+		plain(bench.CoveringExperiment), bench.PrintCovering, func(r *report, v *bench.CoveringResult) { r.Covering = v }, nil),
+	define("serve", "Serving — observability overhead, bare vs instrumented query path",
+		plain(bench.ServeExperiment), bench.PrintServe, func(r *report, v *bench.ServeResult) { r.Serve = v }, nil),
+	define("recal", "Recalibration — decision agreement with a fresh model, stale vs refitted",
+		plain(bench.RecalExperiment), bench.PrintRecal, func(r *report, v *bench.RecalResult) { r.Recal = v }, nil),
+	define("cache", "Result cache — Zipf traffic, cached vs uncached query path",
+		plain(bench.CacheExperiment), bench.PrintCache, func(r *report, v *bench.CacheResult) { r.Cache = v }, nil),
+	define("quant", "Point store — candidate verification: baseline vs flat vs SQ8",
+		func(e env) (*bench.QuantResult, error) { return bench.QuantExperiment(e.cfg, e.qmode) },
+		bench.PrintQuant, func(r *report, v *bench.QuantResult) { r.Quant = v }, nil),
+	define("replica", "Replication — router fan-out vs direct replica, convergence lag",
+		plain(bench.ReplicaExperiment), bench.PrintReplica, func(r *report, v *bench.ReplicaResult) { r.Replica = v }, nil),
+}
+
+func names() []string {
+	out := make([]string, len(experiments))
+	for i, x := range experiments {
+		out[i] = x.name
+	}
+	return out
+}
+
+// run executes one experiment (or all, in table order), printing
+// human-readable tables and accumulating into rep when non-nil.
+func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmode pointstore.Mode) error {
+	ran := false
+	for _, x := range experiments {
+		if exp == x.name || exp == "all" {
+			if err := x.run(env{cfg, csvDir, rep, qmode}); err != nil {
 				return err
 			}
+			ran = true
 		}
-		if err := fig3(cfg, csvDir, rep); err != nil {
-			return err
-		}
-		if err := persistExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := deleteExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := multiProbeExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := coveringExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := serveExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := recalExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := cacheExp(cfg, rep); err != nil {
-			return err
-		}
-		if err := quantExp(cfg, rep, qmode); err != nil {
-			return err
-		}
-		return replicaExp(cfg, rep)
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// replicaExp runs the replicated-serving experiment: router fan-out
-// overhead vs a direct replica hit, the hedge rate, and the delta-tail
-// convergence lag after write bursts, gated on id-identical answers.
-func replicaExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.ReplicaExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Replication — router fan-out vs direct replica, convergence lag")
-	bench.PrintReplica(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddReplica(res)
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (want %s or all)", exp, strings.Join(names(), ", "))
 	}
 	return nil
-}
-
-// quantExp runs the candidate-verification experiment: the same LSH
-// candidate sets replayed through the pre-refactor verification, the
-// flat struct-of-arrays store, and the SQ8-quantized store, with an
-// id-identity gate across the arms.
-func quantExp(cfg bench.Config, rep *bench.JSONReport, mode pointstore.Mode) error {
-	res, err := bench.QuantExperiment(cfg, mode)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Point store — candidate verification: baseline vs flat vs SQ8")
-	bench.PrintQuant(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddQuant(res)
-	}
-	return nil
-}
-
-// recalExp runs the drift-loop experiment: inject a stale cost model,
-// let the recalibrator refit α/β from the drift windows alone, and
-// report how much decision agreement with a fresh calibration returns.
-func recalExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.RecalExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Recalibration — decision agreement with a fresh model, stale vs refitted")
-	bench.PrintRecal(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddRecal(res)
-	}
-	return nil
-}
-
-// cacheExp runs the result-cache experiment: Zipf-skewed repeated
-// traffic, cached vs uncached latency, with answer-equivalence and
-// delete-invalidation gates.
-func cacheExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.CacheExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Result cache — Zipf traffic, cached vs uncached query path")
-	bench.PrintCache(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddCache(res)
-	}
-	return nil
-}
-
-// serveExp runs the observability-overhead experiment: the raw sharded
-// query path vs the same path plus hybridserve's per-request metrics
-// bookkeeping, with the p50 penalty as the headline number.
-func serveExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.ServeExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Serving — observability overhead, bare vs instrumented query path")
-	bench.PrintServe(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddServe(res)
-	}
-	return nil
-}
-
-// coveringExp runs the guaranteed-recall experiment: covering LSH's
-// recall-1.0 structure vs the classic bit-sampling hybrid index at the
-// same small Hamming radii.
-func coveringExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.CoveringExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Covering LSH — guaranteed recall vs classic Hamming")
-	bench.PrintCovering(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddCovering(res)
-	}
-	return nil
-}
-
-// multiProbeExp runs the multi-probe sweep: how few tables, probing T
-// extra buckets each, match the classic L-table index's recall.
-func multiProbeExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.MultiProbeExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Multi-probe — T probes vs L tables at fixed recall")
-	bench.PrintMultiProbe(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddMultiProbe(res)
-	}
-	return nil
-}
-
-// deleteExp runs the tombstone-skew experiment: how delete-heavy traffic
-// degrades query cost and strategy decisions, and what online shard
-// compaction restores.
-func deleteExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.DeleteExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Deletes — tombstone-skewed cost model vs online shard compaction")
-	bench.PrintDelete(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddDelete(res)
-	}
-	return nil
-}
-
-// persistExp runs the build-once-load-many experiment: how much faster
-// a snapshot reload is than a cold rebuild on the Corel-like dataset.
-func persistExp(cfg bench.Config, rep *bench.JSONReport) error {
-	res, err := bench.PersistExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Persistence — snapshot load vs cold rebuild (build-once-load-many)")
-	bench.PrintPersist(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddPersist(res)
-	}
-	return nil
-}
-
-func table1(cfg bench.Config, csvDir string, rep *bench.JSONReport) error {
-	rows, err := bench.Table1Experiment(cfg)
-	if err != nil {
-		return err
-	}
-	bench.PrintTable1(os.Stdout, rows)
-	fmt.Println()
-	if rep != nil {
-		rep.AddTable1(rows)
-	}
-	if csvDir == "" {
-		return nil
-	}
-	return writeCSV(csvDir, "table1.csv", func(w io.Writer) error {
-		return bench.WriteTable1CSV(w, rows)
-	})
-}
-
-func fig2(cfg bench.Config, csvDir string, rep *bench.JSONReport, f func(bench.Config) (*bench.Fig2Result, error), id, title string) error {
-	res, err := f(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(title)
-	bench.PrintFig2(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddFigure(id, cfg.Calibrate, res)
-	}
-	if csvDir == "" {
-		return nil
-	}
-	return writeCSV(csvDir, id+".csv", func(w io.Writer) error {
-		return bench.WriteFig2CSV(w, res)
-	})
-}
-
-func fig3(cfg bench.Config, csvDir string, rep *bench.JSONReport) error {
-	// Figure 3 is about the strategy decision; the paper's fixed β/α = 10
-	// reproduces its shape regardless of this machine's constants.
-	cfg.Calibrate = false
-	res, err := bench.WebspamExperiment(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Figure 3 — Webspam-like output sizes and linear-search calls (β/α = 10, the paper's choice)")
-	bench.PrintFig3(os.Stdout, res)
-	fmt.Println()
-	if rep != nil {
-		rep.AddFigure("fig3", cfg.Calibrate, res)
-	}
-	if csvDir == "" {
-		return nil
-	}
-	return writeCSV(csvDir, "fig3.csv", func(w io.Writer) error {
-		return bench.WriteFig2CSV(w, res)
-	})
 }
 
 // writeCSV creates dir/name and streams the writer callback into it.

@@ -8,10 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
-	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -69,22 +65,8 @@ type CacheResult struct {
 // invalidation path: deleting a cached result id must evict the entry,
 // not serve the tombstoned id back.
 func CacheExperiment(cfg Config) (*CacheResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
-	const shards = 4
-	sh, err := shard.New(data, shards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Seed:         seed,
-		})
-	})
+	data, queries, r := corelWorkload(cfg)
+	sh, err := corelSharded(cfg, data, r, core.CostModel{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: building cache-experiment index: %w", err)
 	}
@@ -158,7 +140,7 @@ func CacheExperiment(cfg Config) (*CacheResult, error) {
 
 	res := &CacheResult{
 		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r,
-		Shards: shards, Distinct: len(queries), Stream: streamLen,
+		Shards: corelShards, Distinct: len(queries), Stream: streamLen,
 		ZipfS: zipfS, Capacity: capacity,
 		UncachedP50US:    stats.Quantile(uncached, 0.50),
 		UncachedP95US:    stats.Quantile(uncached, 0.95),

@@ -71,10 +71,7 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 	cost := costModel(cfg, PaperRatioMNIST, func() core.CostModel {
 		return core.Calibrate(data, distance.Hamming, 0, 0, cfg.Seed+2)
 	})
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(cfg.Runs, 1)
 
 	res := &CoveringResult{
 		Dataset: "mnist-like", N: len(data), Metric: "hamming", ClassicL: cfg.L,
@@ -94,16 +91,8 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: building covering index (r=%d): %w", r, err)
 		}
-		classic, err := core.NewIndex(data, core.Config[vector.Binary]{
-			Family:       lsh.NewBitSampling(dataset.MNISTBits),
-			Distance:     distance.Hamming,
-			Radius:       float64(r),
-			Delta:        cfg.Delta,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 21,
-		})
+		classic, err := core.NewIndex(data, indexConfig(cfg, lsh.Family[vector.Binary](lsh.NewBitSampling(dataset.MNISTBits)),
+			distance.Hamming, float64(r), 0, cost, cfg.Seed+21))
 		if err != nil {
 			return nil, fmt.Errorf("bench: building classic Hamming index (r=%d): %w", r, err)
 		}

@@ -7,12 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/rng"
-	"repro/internal/shard"
-	"repro/internal/vector"
 )
 
 // DeleteFraction is the share of points the delete experiment tombstones
@@ -85,22 +80,8 @@ type deleteMeasure struct {
 // the skewed state is observable), answer the query set, compact every
 // shard, and answer it again.
 func DeleteExperiment(cfg Config) (*DeleteResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
-	const shards = 4
-	sh, err := shard.New(data, shards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Seed:         seed,
-		})
-	})
+	data, queries, r := corelWorkload(cfg)
+	sh, err := corelSharded(cfg, data, r, core.CostModel{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: building delete-experiment index: %w", err)
 	}
@@ -109,7 +90,7 @@ func DeleteExperiment(cfg Config) (*DeleteResult, error) {
 	sh.SetAutoCompact(1)
 
 	res := &DeleteResult{
-		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r, Shards: shards,
+		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r, Shards: corelShards,
 		DeletedPct: 100 * DeleteFraction,
 	}
 
@@ -126,10 +107,7 @@ func DeleteExperiment(cfg Config) (*DeleteResult, error) {
 	del := perm[:int(float64(len(data))*DeleteFraction)]
 	res.Deleted = sh.Delete(del)
 
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(cfg.Runs, 1)
 	measure := func() deleteMeasure {
 		m := deleteMeasure{
 			strategies: make([][]core.Strategy, len(queries)),

@@ -56,98 +56,51 @@ func (c Config) queries(n int) int {
 	return q
 }
 
+// figure2 runs one Figure-2 panel over points: split off the query set,
+// fix the cost model (calibrated on the data, or the paper's ratio) and
+// sweep the paper's radii, building one index per radius from family(r)
+// with the paper's k (0 derives it from δ).
+func figure2[P any](cfg Config, name, metric string, points []P, radii []float64, dist distance.Func[P],
+	paperRatio float64, k int, family func(r float64) lsh.Family[P]) (*Fig2Result, error) {
+	data, queries := dataset.SplitQueries(points, cfg.queries(len(points)), cfg.Seed+1)
+	cost := costModel(cfg, paperRatio, func() core.CostModel {
+		return core.Calibrate(data, dist, 0, 0, cfg.Seed+2)
+	})
+	build := func(r float64) (*core.Index[P], error) {
+		return core.NewIndex(data, indexConfig(cfg, family(r), dist, r, k, cost, cfg.Seed+3))
+	}
+	return RunSweep(name, metric, data, queries, radii, build, dist, cfg.Runs)
+}
+
 // MNISTExperiment reproduces Figure 2a: Hamming distance on 64-bit
 // fingerprints, radii 12–17, bit-sampling LSH.
 func MNISTExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.MNISTLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	cost := costModel(cfg, PaperRatioMNIST, func() core.CostModel {
-		return core.Calibrate(data, distance.Hamming, 0, 0, cfg.Seed+2)
-	})
-	build := func(r float64) (*core.Index[vector.Binary], error) {
-		return core.NewIndex(data, core.Config[vector.Binary]{
-			Family:       lsh.NewBitSampling(dataset.MNISTBits),
-			Distance:     distance.Hamming,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 3,
-		})
-	}
-	return RunSweep("mnist-like", "hamming", data, queries, ds.Meta.PaperRadii, build, distance.Hamming, cfg.Runs)
+	return figure2(cfg, "mnist-like", "hamming", ds.Points, ds.Meta.PaperRadii, distance.Hamming, PaperRatioMNIST, 0,
+		func(float64) lsh.Family[vector.Binary] { return lsh.NewBitSampling(dataset.MNISTBits) })
 }
 
 // WebspamExperiment reproduces Figure 2b (and the Figure 3 series): cosine
 // distance, radii 0.05–0.10, SimHash.
 func WebspamExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.WebspamLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	cost := costModel(cfg, PaperRatioWebspam, func() core.CostModel {
-		return core.Calibrate(data, distance.Cosine, 0, 0, cfg.Seed+2)
-	})
-	build := func(r float64) (*core.Index[vector.Sparse], error) {
-		return core.NewIndex(data, core.Config[vector.Sparse]{
-			Family:       lsh.NewSimHashCosine(dataset.WebspamDim),
-			Distance:     distance.Cosine,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 3,
-		})
-	}
-	return RunSweep("webspam-like", "cosine", data, queries, ds.Meta.PaperRadii, build, distance.Cosine, cfg.Runs)
+	return figure2(cfg, "webspam-like", "cosine", ds.Points, ds.Meta.PaperRadii, distance.Cosine, PaperRatioWebspam, 0,
+		func(float64) lsh.Family[vector.Sparse] { return lsh.NewSimHashCosine(dataset.WebspamDim) })
 }
 
 // CoverTypeExperiment reproduces Figure 2c: L1 distance, radii 3000–4000,
 // Cauchy p-stable LSH with the paper's k = 8, w = 4r.
 func CoverTypeExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CoverTypeLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	cost := costModel(cfg, PaperRatioCoverType, func() core.CostModel {
-		return core.Calibrate(data, distance.L1, 0, 0, cfg.Seed+2)
-	})
-	build := func(r float64) (*core.Index[vector.Dense], error) {
-		return core.NewIndex(data, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL1(dataset.CoverTypeDim, 4*r),
-			Distance:     distance.L1,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            8,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 3,
-		})
-	}
-	return RunSweep("covertype-like", "l1", data, queries, ds.Meta.PaperRadii, build, distance.L1, cfg.Runs)
+	return figure2(cfg, "covertype-like", "l1", ds.Points, ds.Meta.PaperRadii, distance.L1, PaperRatioCoverType, 8,
+		func(r float64) lsh.Family[vector.Dense] { return lsh.NewPStableL1(dataset.CoverTypeDim, 4*r) })
 }
 
 // CorelExperiment reproduces Figure 2d: L2 distance, radii 0.35–0.60,
 // Gaussian p-stable LSH with the paper's k = 7, w = 2r.
 func CorelExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	cost := costModel(cfg, PaperRatioCorel, func() core.CostModel {
-		return core.Calibrate(data, distance.L2, 0, 0, cfg.Seed+2)
-	})
-	build := func(r float64) (*core.Index[vector.Dense], error) {
-		return core.NewIndex(data, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 3,
-		})
-	}
-	return RunSweep("corel-like", "l2", data, queries, ds.Meta.PaperRadii, build, distance.L2, cfg.Runs)
+	return figure2(cfg, "corel-like", "l2", ds.Points, ds.Meta.PaperRadii, distance.L2, PaperRatioCorel, corelK, corelFamily)
 }
 
 // Table1Experiment reproduces Table 1 across all four datasets: the HLL

@@ -80,50 +80,6 @@ func CollectRunMeta(quant string) RunMeta {
 	}
 }
 
-// AddTable1 records the Table-1 rows of the run.
-func (r *JSONReport) AddTable1(rows []Table1Row) { r.Table1 = rows }
-
-// AddFigure appends one figure sweep to the report under its
-// experiment id.
-func (r *JSONReport) AddFigure(id string, calibrated bool, res *Fig2Result) {
-	r.Figures = append(r.Figures, JSONFigure{ID: id, Calibrated: calibrated, Fig2Result: res})
-}
-
-// AddPersist records the build-once-load-many experiment of the run.
-func (r *JSONReport) AddPersist(res *PersistResult) { r.Persist = res }
-
-// AddDelete records the delete/compaction experiment of the run.
-func (r *JSONReport) AddDelete(res *DeleteResult) { r.Delete = res }
-
-// AddMultiProbe records the T-vs-L multi-probe sweep of the run.
-func (r *JSONReport) AddMultiProbe(res *MultiProbeResult) { r.MultiProbe = res }
-
-// AddCovering records the covering-vs-classic guaranteed-recall
-// comparison of the run.
-func (r *JSONReport) AddCovering(res *CoveringResult) { r.Covering = res }
-
-// AddServe records the serving-layer observability-overhead experiment
-// of the run.
-func (r *JSONReport) AddServe(res *ServeResult) { r.Serve = res }
-
-// AddRecal records the drift-injection recalibration experiment of the
-// run.
-func (r *JSONReport) AddRecal(res *RecalResult) { r.Recal = res }
-
-// AddCache records the result-cache experiment of the run.
-func (r *JSONReport) AddCache(res *CacheResult) { r.Cache = res }
-
-// AddQuant records the candidate-verification experiment of the run.
-// It deliberately leaves r.Meta alone: the run meta is collected once
-// in NewJSONReport, so every report of one invocation carries the same
-// meta block whether or not this experiment ran. (Stamping Meta.Quant
-// here instead made -exp quant reports disagree with every other
-// BENCH_*.json of the same invocation.)
-func (r *JSONReport) AddQuant(res *QuantResult) { r.Quant = res }
-
-// AddReplica records the replicated-serving experiment of the run.
-func (r *JSONReport) AddReplica(res *ReplicaResult) { r.Replica = res }
-
 // WriteJSON writes the report as indented JSON.
 func WriteJSON(w io.Writer, r *JSONReport) error {
 	enc := json.NewEncoder(w)

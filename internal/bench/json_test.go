@@ -24,10 +24,10 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	// Feed each report a different experiment mix — the meta must not
 	// care. In particular the quant result's recorded mode must not leak
 	// back into the run meta.
-	reports[0].AddTable1([]Table1Row{{Dataset: "x"}})
-	reports[1].AddQuant(&QuantResult{Mode: "off"})
-	reports[2].AddFigure("fig2a", true, &Fig2Result{})
-	reports[2].AddQuant(&QuantResult{Mode: "flat-vs-sq8-something-else"})
+	reports[0].Table1 = []Table1Row{{Dataset: "x"}}
+	reports[1].Quant = &QuantResult{Mode: "off"}
+	reports[2].Figures = []JSONFigure{{ID: "fig2a", Calibrated: true, Fig2Result: &Fig2Result{}}}
+	reports[2].Quant = &QuantResult{Mode: "flat-vs-sq8-something-else"}
 
 	var metas [][]byte
 	for i, r := range reports {

@@ -80,9 +80,7 @@ type MultiProbeResult struct {
 // per-query probe override, so the sweep isolates probing cost from
 // construction noise.
 func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
+	data, queries, r := corelWorkload(cfg)
 	const k = 7
 	w := 2 * r
 
@@ -90,26 +88,14 @@ func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
 	for i, q := range queries {
 		truth[i] = core.GroundTruth(data, distance.L2, q, r)
 	}
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(cfg.Runs, 1)
 
 	res := &MultiProbeResult{
 		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r, K: k,
 		PlainL: cfg.L,
 	}
 
-	plain, err := core.NewIndex(data, core.Config[vector.Dense]{
-		Family:       lsh.NewPStableL2(dataset.CorelDim, w),
-		Distance:     distance.L2,
-		Radius:       r,
-		Delta:        cfg.Delta,
-		K:            k,
-		L:            cfg.L,
-		HLLRegisters: cfg.M,
-		Seed:         cfg.Seed + 11,
-	})
+	plain, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+11))
 	if err != nil {
 		return nil, fmt.Errorf("bench: building classic baseline: %w", err)
 	}

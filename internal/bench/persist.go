@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/vector"
 )
@@ -51,25 +48,11 @@ type PersistResult struct {
 // the reloaded index answers the query set id-for-id identically with
 // the same strategy decisions.
 func PersistExperiment(cfg Config) (*PersistResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
+	data, queries, r := corelWorkload(cfg)
 	build := func() (*core.Index[vector.Dense], error) {
-		return core.NewIndex(data, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Seed:         cfg.Seed + 3,
-		})
+		return core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+3))
 	}
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(cfg.Runs, 1)
 
 	res := &PersistResult{Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r}
 

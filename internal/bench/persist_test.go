@@ -38,7 +38,7 @@ func TestPersistExperiment(t *testing.T) {
 	}
 
 	rep := NewJSONReport(cfg, "off")
-	rep.AddPersist(res)
+	rep.Persist = res
 	var js bytes.Buffer
 	if err := WriteJSON(&js, rep); err != nil {
 		t.Fatal(err)

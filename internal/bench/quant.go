@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
@@ -80,20 +78,8 @@ func baselineL2(a, b vector.Dense) float64 {
 // inputs make the arms answer-comparable id-for-id, which doubles as
 // the mismatch gate.
 func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
-
-	ix, err := core.NewIndex(data, core.Config[vector.Dense]{
-		Family:       lsh.NewPStableL2(ds.Meta.Dim, 2*r),
-		Distance:     distance.L2,
-		Radius:       r,
-		Delta:        cfg.Delta,
-		K:            7,
-		L:            cfg.L,
-		HLLRegisters: cfg.M,
-		Seed:         cfg.Seed + 2,
-	})
+	data, queries, r := corelWorkload(cfg)
+	ix, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+2))
 	if err != nil {
 		return nil, err
 	}
@@ -140,9 +126,9 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 	}
 
 	res := &QuantResult{
-		Dataset: ds.Meta.Name,
+		Dataset: "corel-like",
 		N:       len(data),
-		Dim:     ds.Meta.Dim,
+		Dim:     dataset.CorelDim,
 		Metric:  "l2",
 		Radius:  r,
 		Queries: len(queries),

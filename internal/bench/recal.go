@@ -5,12 +5,8 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/obs"
-	"repro/internal/shard"
-	"repro/internal/vector"
 )
 
 // RecalResult reports the drift-injection experiment: how far a stale
@@ -85,29 +81,14 @@ const recalDeadBand = 0.05
 // comparison is decision agreement with the fresh model before vs after
 // the refits.
 func RecalExperiment(cfg Config) (*RecalResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
+	data, queries, r := corelWorkload(cfg)
 
 	fresh, err := core.CalibrateChecked(data, distance.L2, 0, 0, cfg.Seed+2)
 	if err != nil {
 		return nil, fmt.Errorf("bench: recal experiment needs a clean calibration: %w", err)
 	}
 
-	const shards = 4
-	sh, err := shard.New(data, shards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Cost:         fresh,
-			Seed:         seed,
-		})
-	})
+	sh, err := corelSharded(cfg, data, r, fresh)
 	if err != nil {
 		return nil, fmt.Errorf("bench: building recal-experiment index: %w", err)
 	}
@@ -116,7 +97,7 @@ func RecalExperiment(cfg Config) (*RecalResult, error) {
 	// model, returning each (query, shard) answer's strategy in shard
 	// order and feeding mon (when non-nil) exactly like a serving layer.
 	pass := func(mon *obs.DriftMonitor) []core.Strategy {
-		dec := make([]core.Strategy, 0, len(queries)*shards)
+		dec := make([]core.Strategy, 0, len(queries)*corelShards)
 		for _, q := range queries {
 			_, st := sh.Query(q)
 			for _, qs := range st.PerShard {
@@ -181,7 +162,7 @@ func RecalExperiment(cfg Config) (*RecalResult, error) {
 
 	res := &RecalResult{
 		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r,
-		Shards: shards, Queries: len(queries), Answers: len(decFresh),
+		Shards: corelShards, Queries: len(queries), Answers: len(decFresh),
 		SkewFactor:          skew,
 		FreshBetaOverAlpha:  fresh.BetaOverAlpha(),
 		SkewedBetaOverAlpha: skewed.BetaOverAlpha(),

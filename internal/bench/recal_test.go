@@ -43,7 +43,7 @@ func TestRecalExperiment(t *testing.T) {
 	}
 
 	rep := NewJSONReport(cfg, "off")
-	rep.AddRecal(res)
+	rep.Recal = res
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestCacheExperiment(t *testing.T) {
 	}
 
 	rep := NewJSONReport(cfg, "off")
-	rep.AddCache(res)
+	rep.Cache = res
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)

@@ -13,13 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/obs"
-	"repro/internal/persist"
 	"repro/internal/replica"
-	"repro/internal/shard"
+	"repro/internal/server"
 	"repro/internal/stats"
 	"repro/internal/vector"
 )
@@ -58,86 +54,66 @@ type ReplicaResult struct {
 	ConvergeMaxMS  float64 `json:"converge_max_ms"`
 	FramesApplied  int64   `json:"frames_applied"`
 	// Converged is the id-identity gate: after the last round drained,
-	// every sampled query answered identically on the writer's store and
-	// on every replica. Mismatches counts the query/replica pairs that
+	// every sampled query answered identically on the writer and on every
+	// replica. Mismatches counts the query/replica pairs that
 	// disagreed (0 when Converged).
 	Converged  bool `json:"converged"`
 	Mismatches int  `json:"mismatches"`
 }
 
-// replicaPoint is the JSON query wire shape the replica servers and the
-// router proxy both speak (a subset of cmd/hybridserve's).
-type replicaPoint struct {
-	Point []float32 `json:"point"`
-}
-
 // ReplicaExperiment measures replicated serving on the Corel-like L2
-// workload: one writer journaling into a delta log, two followers
-// hydrating over HTTP and tailing it, and a router fanning queries out
-// across them. Latency discipline matches ServeExperiment: alternating
-// pass order, per-query minima across rounds, percentiles over minima.
+// workload with the nodes that ship: an internal/server writer booted
+// from a snapshot of the fixture, two internal/server followers
+// hydrating from it over HTTP and tailing its delta log, and a router
+// fanning queries out across them. Latency discipline is pairedMinima's;
+// percentiles are taken over its per-query minima.
 func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
+	data, queries, r := corelWorkload(cfg)
 
 	// Hold back a spare pool to append during the convergence rounds.
-	spareN := len(data) / 4
-	if spareN > 600 {
-		spareN = 600
-	}
+	spareN := min(len(data)/4, 600)
 	spares := data[len(data)-spareN:]
 	data = data[:len(data)-spareN]
 
-	const shards = 4
-	sh, err := shard.New(data, shards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Seed:         seed,
-		})
-	})
+	sh, err := corelSharded(cfg, data, r, core.CostModel{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: building replica-experiment index: %w", err)
 	}
-
-	// Writer: journal + replication source + its own query endpoint.
-	log := replica.NewLog(persist.DeltaHeader{Epoch: cfg.Seed + 1, Metric: persist.MetricL2, Dim: dataset.CorelDim}, 0)
-	sh.SetJournal(replica.NewRecorder[vector.Dense](log))
-	source := &replica.Source{Log: log, WriteSnapshot: func(w io.Writer) (int64, error) {
-		return persist.WriteSharded(w, persist.MetricL2, sh)
-	}}
-	writerMux := http.NewServeMux()
-	source.Register(writerMux)
-	writerSrv := httptest.NewServer(writerMux)
-	defer writerSrv.Close()
-
-	// Two followers, each serving /query + /replica/status.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// Refits are not journaled, so with the drift loop on the writer could
+	// legitimately answer differently from its followers mid-run; it
+	// stays off on every node.
+	ncfg := server.DefaultConfig()
+	ncfg.Recalibrate = "off"
+	var stops []func()
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
+	serveNode := func(node *server.Server) string {
+		srv := httptest.NewServer(node.Handler())
+		stops = append(stops, srv.Close, node.Shutdown)
+		return srv.URL
+	}
+	writer, err := corelNode(ncfg, sh)
+	if err != nil {
+		return nil, fmt.Errorf("bench: booting the writer: %w", err)
+	}
+	writerURL := serveNode(writer)
 	const nReplicas = 2
-	followers := make([]*replica.Follower[vector.Dense], nReplicas)
 	urls := make([]string, nReplicas)
-	for i := range followers {
-		f := replica.NewFollower[vector.Dense](writerSrv.URL, nil, persist.MetricL2)
-		if err := f.Hydrate(ctx); err != nil {
+	for i := range urls {
+		fcfg := ncfg
+		fcfg.Hydrate = writerURL
+		f, err := server.New(fcfg)
+		if err != nil {
 			return nil, fmt.Errorf("bench: hydrating replica %d: %w", i, err)
 		}
-		go f.Run(ctx, 5*time.Millisecond)
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /query", followerQueryHandler(f))
-		mux.HandleFunc("GET /replica/status", f.ServeStatus)
-		srv := httptest.NewServer(mux)
-		defer srv.Close()
-		followers[i] = f
-		urls[i] = srv.URL
+		urls[i] = serveNode(f)
 	}
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	reg := obs.NewRegistry()
 	rt, err := replica.NewRouter(urls, replica.RouterConfig{
 		HedgeAfter:  5 * time.Millisecond,
@@ -150,76 +126,57 @@ func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
 	routerSrv := httptest.NewServer(rt.Handler())
 	defer routerSrv.Close()
 
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	runs := max(cfg.Runs, 1)
 
+	// call speaks the nodes' JSON API: body (when non-nil) is POSTed,
+	// and a 200 answer is decoded into out.
 	hc := &http.Client{}
-	ask := func(url string, q vector.Dense) ([]int32, error) {
-		body, _ := json.Marshal(replicaPoint{Point: q})
-		resp, err := hc.Post(url+"/query", "application/json", bytes.NewReader(body))
+	call := func(url string, body, out any) error {
+		var resp *http.Response
+		var err error
+		if body == nil {
+			resp, err = hc.Get(url)
+		} else {
+			b, _ := json.Marshal(body)
+			resp, err = hc.Post(url, "application/json", bytes.NewReader(b))
+		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(resp.Body)
-			return nil, fmt.Errorf("query %s: %s (%s)", url, resp.Status, b)
+			return fmt.Errorf("%s: %s (%s)", url, resp.Status, b)
 		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	ask := func(url string, q vector.Dense) ([]int32, error) {
 		var out struct {
 			IDs []int32 `json:"ids"`
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return nil, err
-		}
-		return out.IDs, nil
+		err := call(url+"/query", map[string]any{"point": q}, &out)
+		slices.Sort(out.IDs)
+		return out.IDs, err
+	}
+	cursor := func(url string) (uint64, error) {
+		var st replica.StatusResponse
+		err := call(url+"/replica/status", nil, &st)
+		return st.Seq, err
 	}
 
-	// Warm both paths.
-	for _, q := range queries {
-		if _, err := ask(urls[0], q); err != nil {
-			return nil, fmt.Errorf("bench: warmup direct: %w", err)
+	timed := func(url string) func(int) error {
+		return func(i int) error {
+			_, err := ask(url, queries[i])
+			return err
 		}
-		if _, err := ask(routerSrv.URL, q); err != nil {
-			return nil, fmt.Errorf("bench: warmup routed: %w", err)
-		}
+	}
+	direct, routed, err := pairedMinima(len(queries), runs, timed(urls[0]), timed(routerSrv.URL))
+	if err != nil {
+		return nil, fmt.Errorf("bench: timing pass: %w", err)
 	}
 
-	direct := make([]float64, len(queries))
-	routed := make([]float64, len(queries))
-	for i := range direct {
-		direct[i] = math.Inf(1)
-		routed[i] = math.Inf(1)
-	}
-	pass := func(url string, best []float64) error {
-		for i, q := range queries {
-			t0 := time.Now()
-			if _, err := ask(url, q); err != nil {
-				return err
-			}
-			if d := float64(time.Since(t0).Nanoseconds()) / 1e3; d < best[i] {
-				best[i] = d
-			}
-		}
-		return nil
-	}
-	for run := 0; run < runs; run++ {
-		order := []struct {
-			url  string
-			best []float64
-		}{{urls[0], direct}, {routerSrv.URL, routed}}
-		if run%2 == 1 {
-			order[0], order[1] = order[1], order[0]
-		}
-		for _, o := range order {
-			if err := pass(o.url, o.best); err != nil {
-				return nil, fmt.Errorf("bench: timing pass: %w", err)
-			}
-		}
-	}
-
-	// Convergence rounds: append a batch, clock the tail drain.
+	// Convergence rounds: append a batch on the writer, clock the tail
+	// drain on the followers.
 	rounds := 5
 	batch := len(spares) / rounds
 	if batch < 1 {
@@ -227,37 +184,47 @@ func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
 	}
 	lags := make([]float64, 0, rounds)
 	for round := 0; round < rounds; round++ {
-		if _, err := sh.Append(spares[round*batch : (round+1)*batch]); err != nil {
+		var appended struct {
+			IDs []int32 `json:"ids"`
+		}
+		if err := call(writerURL+"/append", map[string]any{"points": spares[round*batch : (round+1)*batch]}, &appended); err != nil {
 			return nil, fmt.Errorf("bench: convergence append: %w", err)
 		}
-		target := log.Seq()
+		target, err := cursor(writerURL)
+		if err != nil {
+			return nil, err
+		}
 		t0 := time.Now()
-		for {
-			done := true
-			for _, f := range followers {
-				if _, seq := f.Cursor(); seq < target {
-					done = false
+		for _, url := range urls {
+			for {
+				seq, err := cursor(url)
+				if err != nil {
+					return nil, err
 				}
+				if seq >= target {
+					break
+				}
+				if time.Since(t0) > 30*time.Second {
+					return nil, fmt.Errorf("bench: replicas never caught up to seq %d", target)
+				}
+				time.Sleep(time.Millisecond)
 			}
-			if done {
-				break
-			}
-			if time.Since(t0) > 30*time.Second {
-				return nil, fmt.Errorf("bench: replicas never caught up to seq %d", target)
-			}
-			time.Sleep(time.Millisecond)
 		}
 		lags = append(lags, float64(time.Since(t0).Microseconds())/1e3)
 	}
 
-	// Id-identity gate across the writer store and every replica.
+	// Id-identity gate across the writer and every replica.
 	mismatches := 0
 	for _, q := range queries {
-		want, _ := sh.Query(q)
-		slices.Sort(want)
-		for _, f := range followers {
-			got, _ := f.Store().Query(q)
-			slices.Sort(got)
+		want, err := ask(writerURL, q)
+		if err != nil {
+			return nil, err
+		}
+		for _, url := range urls {
+			got, err := ask(url, q)
+			if err != nil {
+				return nil, err
+			}
 			if !slices.Equal(got, want) {
 				mismatches++
 			}
@@ -272,12 +239,20 @@ func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
 		hedgeRate = hedges / requests
 	}
 	applied := int64(0)
-	for _, f := range followers {
-		applied += f.Applied()
+	for _, url := range urls {
+		var st struct {
+			Replication struct {
+				FramesApplied int64 `json:"frames_applied"`
+			} `json:"replication"`
+		}
+		if err := call(url+"/stats", nil, &st); err != nil {
+			return nil, err
+		}
+		applied += st.Replication.FramesApplied
 	}
 
 	res := &ReplicaResult{
-		Dataset: "corel-like", N: len(data), Shards: shards, Replicas: nReplicas,
+		Dataset: "corel-like", N: len(data), Shards: corelShards, Replicas: nReplicas,
 		Queries: len(queries), Runs: runs,
 		DirectP50US:    stats.Quantile(direct, 0.50),
 		DirectP95US:    stats.Quantile(direct, 0.95),
@@ -294,30 +269,6 @@ func ReplicaExperiment(cfg Config) (*ReplicaResult, error) {
 	}
 	res.OverheadP50Pct = 100 * (res.RouterP50US - res.DirectP50US) / res.DirectP50US
 	return res, nil
-}
-
-// followerQueryHandler answers POST /query from a follower's current
-// hydration, sorted so answers compare bytewise across replicas.
-func followerQueryHandler(f *replica.Follower[vector.Dense]) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req replicaPoint
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sh := f.Store()
-		if sh == nil {
-			http.Error(w, "not hydrated", http.StatusServiceUnavailable)
-			return
-		}
-		ids, _ := sh.Query(vector.Dense(req.Point))
-		if ids == nil {
-			ids = []int32{}
-		}
-		slices.Sort(ids)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]any{"ids": ids})
-	}
 }
 
 // scrapeSum renders the registry once and sums one family's samples.

@@ -1,27 +1,26 @@
 package bench
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/obs"
-	"repro/internal/shard"
+	"repro/internal/server"
 	"repro/internal/stats"
-	"repro/internal/vector"
 )
 
 // ServeResult reports what the serving-layer observability costs: the
-// per-query latency of the raw sharded query path vs the same path plus
-// the exact per-request bookkeeping cmd/hybridserve performs (latency
-// recorder, /metrics counters and histograms, drift monitor), and the
-// cost of rendering one /metrics exposition afterwards.
+// per-query latency of the node's answer path alone vs the same path
+// plus the node's own per-request record function (latency recorder,
+// /metrics counters and histograms, drift monitor, the piggybacked
+// recalibration check), and the cost of rendering one /metrics
+// exposition afterwards.
 type ServeResult struct {
 	Dataset string  `json:"dataset"`
 	N       int     `json:"n"`
@@ -31,11 +30,11 @@ type ServeResult struct {
 	Queries int     `json:"queries"`
 	Runs    int     `json:"runs"`
 	// BareP50US/BareP95US are wall-time percentiles (µs) over the
-	// per-query minima across rounds of plain Sharded.Query.
+	// per-query minima across rounds of server.Query alone.
 	BareP50US float64 `json:"bare_p50_us"`
 	BareP95US float64 `json:"bare_p95_us"`
-	// InstrP50US/InstrP95US are the same percentiles with the full
-	// hybridserve record path appended to every query.
+	// InstrP50US/InstrP95US are the same percentiles with server.Record
+	// appended to every query.
 	InstrP50US float64 `json:"instr_p50_us"`
 	InstrP95US float64 `json:"instr_p95_us"`
 	// OverheadP50Pct is the headline number: the relative p50 penalty
@@ -51,93 +50,53 @@ type ServeResult struct {
 }
 
 // ServeExperiment measures the observability overhead on the Corel-like
-// L2 workload at the middle paper radius. It builds one sharded hybrid
-// index, then times the query set two ways: bare (only Sharded.Query)
-// and instrumented (Sharded.Query followed by the exact per-request
-// record path of cmd/hybridserve — latency-window Observe plus
-// ServerMetrics.RecordQuery, which feeds the strategy counters, latency
-// histograms and the drift monitor). Noise discipline, because the
-// per-query instrumentation cost (a few µs) is far below scheduler
-// jitter: both modes run every round with alternating order (bare-first
-// on even rounds, instrumented-first on odd) so slow drift cancels, and
-// each query keeps its per-mode minimum across rounds — interruptions
-// only ever slow a sample down, so the minimum is the cleanest estimate
-// of the true path cost. Percentiles are taken over those per-query
-// minima.
+// L2 workload at the middle paper radius. It boots the node that ships
+// (internal/server) over one sharded hybrid index, then times the query
+// set two ways through it: bare (server.Query — parse, fan-out, result)
+// and instrumented (the same followed by server.Record, the function
+// POST /query and /batch call on every answer). The per-query
+// instrumentation cost (a few µs) is far below scheduler jitter, hence
+// pairedMinima; percentiles are taken over its per-query minima.
 func ServeExperiment(cfg Config) (*ServeResult, error) {
-	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
-	const shards = 4
-	sh, err := shard.New(data, shards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            7,
-			L:            cfg.L,
-			HLLRegisters: cfg.M,
-			Seed:         seed,
-		})
-	})
+	data, queries, r := corelWorkload(cfg)
+	sh, err := corelSharded(cfg, data, r, core.CostModel{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: building serve-experiment index: %w", err)
 	}
-
-	// The instrumented side carries everything hybridserve hangs off a
-	// request: the sliding latency window and the full metrics registry
-	// (strategy counters, histograms, drift monitor, topology + latency
-	// gauges — the last two only cost at scrape time, but registering
-	// them keeps the scrape measurement honest).
-	reg := obs.NewRegistry()
-	metrics := obs.NewServerMetrics(reg, obs.DefaultDriftWindow)
-	lat := stats.NewRecorder(obs.DefaultDriftWindow)
-	obs.RegisterLatencyRecorder(reg, lat)
-	obs.RegisterTopology(reg, sh.Stats)
-
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
+	node, err := corelNode(server.DefaultConfig(), sh)
+	if err != nil {
+		return nil, fmt.Errorf("bench: booting the serve-experiment node: %w", err)
 	}
-
-	// One untimed pass warms caches and page tables for both modes.
-	for _, q := range queries {
-		sh.Query(q)
-	}
-
-	bare := make([]float64, len(queries))
-	instr := make([]float64, len(queries))
-	for i := range bare {
-		bare[i] = math.Inf(1)
-		instr[i] = math.Inf(1)
-	}
-	pass := func(instrumented bool, best []float64) {
-		for i, q := range queries {
-			t0 := time.Now()
-			_, st := sh.Query(q)
-			if instrumented {
-				lat.Observe(float64(time.Since(t0).Nanoseconds()) / 1e3)
-				metrics.RecordQuery(st)
-			}
-			if d := float64(time.Since(t0).Nanoseconds()) / 1e3; d < best[i] {
-				best[i] = d
-			}
+	defer node.Shutdown()
+	points := make([]json.RawMessage, len(queries))
+	for i, q := range queries {
+		if points[i], err = json.Marshal(q); err != nil {
+			return nil, err
 		}
 	}
-	for run := 0; run < runs; run++ {
-		if run%2 == 0 {
-			pass(false, bare)
-			pass(true, instr)
-		} else {
-			pass(true, instr)
-			pass(false, bare)
+
+	runs := max(cfg.Runs, 1)
+
+	answer := func(record bool) func(int) error {
+		return func(i int) error {
+			res, err := node.Query(points[i], nil, nil)
+			if err != nil {
+				return fmt.Errorf("bench: serve-experiment query %d: %w", i, err)
+			}
+			if record {
+				node.Record(res)
+			}
+			return nil
 		}
+	}
+	bare, instr, err := pairedMinima(len(points), runs, answer(false), answer(true))
+	if err != nil {
+		return nil, err
 	}
 
 	res := &ServeResult{
 		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r,
-		Shards: shards, Queries: len(queries), Runs: runs,
+		Shards: corelShards, Queries: len(queries), Runs: runs,
 		BareP50US:  stats.Quantile(bare, 0.50),
 		BareP95US:  stats.Quantile(bare, 0.95),
 		InstrP50US: stats.Quantile(instr, 0.50),
@@ -146,19 +105,47 @@ func ServeExperiment(cfg Config) (*ServeResult, error) {
 	res.OverheadP50Pct = 100 * (res.InstrP50US - res.BareP50US) / res.BareP50US
 	res.OverheadP95Pct = 100 * (res.InstrP95US - res.BareP95US) / res.BareP95US
 
-	// One exposition render after the instrumented traffic: the poll
-	// cost a monitoring system imposes, and proof the output lints.
-	var buf bytes.Buffer
+	// One GET /metrics after the instrumented traffic: the poll cost a
+	// monitoring system imposes, and proof the output lints.
+	h, rec := node.Handler(), httptest.NewRecorder()
 	t0 := time.Now()
-	if _, err := reg.WriteTo(&buf); err != nil {
-		return nil, fmt.Errorf("bench: rendering exposition: %w", err)
-	}
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	res.ScrapeUS = float64(time.Since(t0).Nanoseconds()) / 1e3
-	res.ScrapeBytes = buf.Len()
-	if err := obs.Lint(buf.Bytes()); err != nil {
+	res.ScrapeBytes = rec.Body.Len()
+	if err := obs.Lint(rec.Body.Bytes()); err != nil {
 		return nil, fmt.Errorf("bench: serve-experiment exposition does not lint: %w", err)
 	}
 	return res, nil
+}
+
+// pairedMinima times two arms of the same n operations under the noise
+// discipline the latency experiments share: after one untimed warm-up
+// round, both arms run every round, in alternating order (a first on even
+// rounds, b first on odd) so slow drift cancels, and each operation keeps
+// its per-arm minimum across rounds — interruptions only ever slow a
+// sample down, so the minimum is the cleanest estimate of the true path
+// cost. Times are in µs.
+func pairedMinima(n, runs int, a, b func(i int) error) (bestA, bestB []float64, err error) {
+	arms := [2]func(int) error{a, b}
+	best := [2][]float64{make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		best[0][i], best[1][i] = math.Inf(1), math.Inf(1)
+	}
+	for run := -1; run < runs; run++ { // round -1 is the warm-up
+		for k := 0; k < 2; k++ {
+			arm := (k + max(run, 0)) % 2
+			for i := 0; i < n; i++ {
+				t0 := time.Now()
+				if err := arms[arm](i); err != nil {
+					return nil, nil, err
+				}
+				if d := float64(time.Since(t0).Nanoseconds()) / 1e3; run >= 0 && d < best[arm][i] {
+					best[arm][i] = d
+				}
+			}
+		}
+	}
+	return best[0], best[1], nil
 }
 
 // PrintServe renders the overhead comparison like the other tables.

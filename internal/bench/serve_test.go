@@ -42,7 +42,7 @@ func TestServeExperiment(t *testing.T) {
 	}
 
 	rep := NewJSONReport(cfg, "off")
-	rep.AddServe(res)
+	rep.Serve = res
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)

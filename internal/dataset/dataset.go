@@ -1,4 +1,4 @@
-// Package dataset provides synthetic stand-ins for the four real-world
+// Package dataset provides synthetic substitutes for the four real-world
 // datasets of the paper's evaluation — Corel Images, CoverType, Webspam
 // and MNIST — plus query-set splitting and gob persistence.
 //

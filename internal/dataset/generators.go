@@ -320,7 +320,7 @@ func perturbDoc(doc vector.Sparse, perturb float64, r *rng.Rand) vector.Sparse {
 }
 
 // inkPrototype returns a 0/1 vector with the given ink density where set
-// pixels come in runs (a crude stand-in for pen strokes), so prototypes
+// pixels come in runs (a crude model of pen strokes), so prototypes
 // are spatially correlated like digit images rather than iid noise.
 func inkPrototype(dim int, density float64, r *rng.Rand) vector.Dense {
 	p := make(vector.Dense, dim)

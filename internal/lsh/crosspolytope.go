@@ -159,7 +159,7 @@ func (f *CrossPolytope) CollisionProb(dist float64) float64 {
 
 // NewHasher implements Family: k independent random-rotation argmax
 // functions. The rotation is a dense Gaussian matrix (the practical
-// stand-in for a uniform rotation; FALCONN's FFT-based pseudo-rotations
+// substitute for a uniform rotation; FALCONN's FFT-based pseudo-rotations
 // are an optimization, not a semantic change).
 func (f *CrossPolytope) NewHasher(k int, r *rng.Rand) Hasher[vector.Dense] {
 	if k < 1 {

@@ -50,7 +50,7 @@ func (f *MinHash) CollisionProb(dist float64) float64 {
 }
 
 // NewHasher implements Family: k independent hash-based "permutations"
-// (random 64-bit mixers, the standard practical stand-in for min-wise
+// (random 64-bit mixers, the standard practical substitute for min-wise
 // independent permutations).
 func (f *MinHash) NewHasher(k int, r *rng.Rand) Hasher[vector.Binary] {
 	if k < 1 {

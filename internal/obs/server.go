@@ -11,10 +11,9 @@ import (
 // ServerMetrics bundles the query-path instrumentation of a serving
 // process: per-strategy counters, estimate/search/wall latency
 // histograms, the estimate-error drift histogram and the drift monitor,
-// all registered on one Registry. cmd/hybridserve records every
-// answered query through it, and hybridbench's serve experiment drives
-// the identical path to price the instrumentation overhead — what the
-// benchmark measures is exactly what production pays.
+// all registered on one Registry. internal/server records every answered
+// query through it (and reads /stats' query and strategy counts back
+// from it), and hybridbench's serve experiment prices that record path.
 type ServerMetrics struct {
 	// Queries counts answered queries (batch members count once each).
 	Queries *Counter
@@ -23,12 +22,14 @@ type ServerMetrics struct {
 	// Drift is the cost-model/estimation drift monitor fed by every
 	// shard answer.
 	Drift *DriftMonitor
+	// ShardAnswers counts per-shard strategy decisions, indexed by
+	// core.Strategy (LSH, Linear).
+	ShardAnswers [2]*Counter
 
-	// Per-strategy children, indexed by core.Strategy (LSH, Linear).
-	shardAnswers [2]*Counter
-	estimateSec  [2]*Histogram
-	searchSec    [2]*Histogram
-	estErr       *Histogram
+	// Per-strategy children, indexed like ShardAnswers.
+	estimateSec [2]*Histogram
+	searchSec   [2]*Histogram
+	estErr      *Histogram
 
 	driftRatio *Gauge
 	driftNPC   [2]*Gauge
@@ -55,7 +56,7 @@ func NewServerMetrics(r *Registry, driftWindow int) *ServerMetrics {
 	search := r.NewHistogramVec("hybridlsh_search_seconds",
 		"Chosen search per shard answer: S2 dedup + S3 distances, or the linear scan.", DefLatencyBuckets, "strategy")
 	for _, st := range []core.Strategy{core.StrategyLSH, core.StrategyLinear} {
-		m.shardAnswers[st] = answers.With(st.String())
+		m.ShardAnswers[st] = answers.With(st.String())
 		m.estimateSec[st] = estimate.With(st.String())
 		m.searchSec[st] = search.With(st.String())
 	}
@@ -87,7 +88,7 @@ func (m *ServerMetrics) RecordQuery(st shard.QueryStats) {
 		if s != core.StrategyLSH {
 			s = core.StrategyLinear
 		}
-		m.shardAnswers[s].Inc()
+		m.ShardAnswers[s].Inc()
 		m.estimateSec[s].Observe(qs.EstimateTime.Seconds())
 		m.searchSec[s].Observe(qs.SearchTime.Seconds())
 		if ratio, ok := qs.EstimateErrorRatio(); ok {

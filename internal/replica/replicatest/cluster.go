@@ -1,12 +1,15 @@
 package replicatest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"slices"
 	"sync"
 	"testing"
@@ -19,94 +22,71 @@ import (
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/rng"
+	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/vector"
 )
 
-// Config sizes a test cluster. Zero fields take the defaults noted.
+// Config sizes a test cluster.
 type Config struct {
-	N        int     // seed points (default 600)
-	Dim      int     // point dimension (default 8)
-	Radius   float64 // rNNR radius (default 0.4)
-	Shards   int     // writer/replica shard count (default 3)
-	Replicas int     // follower count (default 2)
-	Seed     uint64  // construction + data seed (default 42)
-	LogCap   int     // delta-log retention (default replica.DefaultLogCap)
-	Router   replica.RouterConfig
+	Replicas int // follower count (default 2)
+	LogCap   int // the writer's delta-log retention (0 = replica.DefaultLogCap)
 }
 
-func (c Config) withDefaults() Config {
-	if c.N == 0 {
-		c.N = 600
-	}
-	if c.Dim == 0 {
-		c.Dim = 8
-	}
-	if c.Radius == 0 {
-		c.Radius = 0.4
-	}
-	if c.Shards == 0 {
-		c.Shards = 3
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	return c
-}
+// The workload every cluster serves: seed points, their dimension, the
+// rNNR radius, the writer's shard count and the data + construction seed.
+const (
+	clusterN      = 600
+	clusterDim    = 8
+	clusterRadius = 0.4
+	clusterShards = 3
+	clusterSeed   = 42
+)
 
-// Cluster is an in-process replication topology: one writer serving
-// its snapshot + delta log, Config.Replicas followers tailing it, and
-// a router fanning queries over the followers. Everything listens on
-// real loopback sockets so the fault injectors exercise the same code
-// paths as a deployment.
+// Cluster is an in-process replication topology of real nodes: one
+// internal/server writer booted from a snapshot of the seed points,
+// Config.Replicas internal/server followers hydrating from and tailing
+// it, and a router fanning queries over the followers. Everything
+// listens on real loopback sockets behind the fault injectors, so the
+// chaos suite exercises the node that ships; the harness's own control
+// traffic (mutations, status reads, reference queries) calls the nodes'
+// handlers in-process and so never trips an armed fault.
 type Cluster struct {
-	t   *testing.T
-	Cfg Config
+	t *testing.T
 
-	Writer  *shard.Sharded[vector.Dense]
-	Points  []vector.Dense // seed points; Extra holds appendable spares
-	Extra   []vector.Dense
-	Queries []vector.Dense
+	Extra   []vector.Dense // appendable spares, clustered like the seed points
+	Queries []vector.Dense // the cluster centers
 
-	Log       *replica.Log
-	Source    *replica.Source
-	WriterURL string
-	writerSrv *http.Server
-
-	Nodes []*Node
+	// Writer is the node currently holding the writer role (Promote
+	// re-points it); Nodes are the replicas the router fans out over.
+	Writer *Node
+	Nodes  []*Node
 
 	Router       *replica.Router
 	RouterURL    string
-	routerSrv    *http.Server
+	routerSrv    *httptest.Server
 	RouterFaults *Faults
 	healthCancel context.CancelFunc
 }
 
-// Node is one follower replica: its tailing follower, its serving
-// endpoint, and fault controls for both directions.
+// Node is one real internal/server node on a loopback socket, with
+// fault controls for both directions.
 type Node struct {
-	c        *Cluster
-	Follower *replica.Follower[vector.Dense]
-	URL      string
+	c   *Cluster
+	URL string
 
-	// TailFaults sabotages the follower's snapshot/delta fetches;
+	// TailFaults sabotages a follower's snapshot/delta fetches;
 	// ServeFaults sabotages connections the node's server accepts
 	// (i.e. the router's queries and health probes).
 	TailFaults  *Faults
 	ServeFaults *Faults
 
-	addr      string
-	mu        sync.Mutex
-	srv       *http.Server
-	runCancel context.CancelFunc
+	cfg  server.Config // boot configuration, reused by Restart
+	addr string
+	mu   sync.Mutex
+	node *server.Server
+	srv  *http.Server
 }
-
-// clusterEpoch derives a deterministic writer epoch from the seed (the
-// production path uses boot time; tests want reproducibility).
-func clusterEpoch(seed uint64) uint64 { return seed*1e9 + 1 }
 
 // builder constructs one shard index the same way the shard tests do.
 func builder(dim int, radius float64) shard.Builder[vector.Dense] {
@@ -149,34 +129,29 @@ func clusteredData(n, extra, nc, dim int, seed uint64) (points, spares, queries 
 // New boots a full cluster and registers its teardown with t.Cleanup.
 func New(t *testing.T, cfg Config) *Cluster {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	c := &Cluster{t: t, Cfg: cfg, RouterFaults: &Faults{}}
+	if cfg.Replicas == 0 {
+		cfg.Replicas = 2
+	}
+	c := &Cluster{t: t, RouterFaults: &Faults{}}
 
-	c.Points, c.Extra, c.Queries = clusteredData(cfg.N, cfg.N/2, 20, cfg.Dim, cfg.Seed)
-	writer, err := shard.New(c.Points, cfg.Shards, cfg.Seed, builder(cfg.Dim, cfg.Radius))
+	// The writer serves the harness's own clustered points: build them
+	// into a snapshot and boot the node from it, exactly as -snapshot does.
+	var points []vector.Dense
+	points, c.Extra, c.Queries = clusteredData(clusterN, clusterN/2, 20, clusterDim, clusterSeed)
+	seedIndex, err := shard.New(points, clusterShards, clusterSeed, builder(clusterDim, clusterRadius))
 	if err != nil {
 		t.Fatalf("replicatest: writer build: %v", err)
 	}
-	c.Writer = writer
-
-	c.Log = replica.NewLog(persist.DeltaHeader{
-		Epoch:  clusterEpoch(cfg.Seed),
-		Metric: persist.MetricL2,
-		Dim:    cfg.Dim,
-	}, cfg.LogCap)
-	writer.SetJournal(replica.NewRecorder[vector.Dense](c.Log))
-
-	c.Source = &replica.Source{
-		Log: c.Log,
-		WriteSnapshot: func(w io.Writer) (int64, error) {
-			return persist.WriteSharded(w, persist.MetricL2, writer)
-		},
+	wcfg := nodeConfig()
+	wcfg.Snapshot = filepath.Join(t.TempDir(), "writer.snap")
+	wcfg.LogCap = cfg.LogCap
+	if _, err := persist.WriteFileAtomic(wcfg.Snapshot, func(w io.Writer) (int64, error) {
+		return persist.WriteSharded(w, persist.MetricL2, seedIndex)
+	}); err != nil {
+		t.Fatalf("replicatest: writer snapshot: %v", err)
 	}
-	mux := http.NewServeMux()
-	c.Source.Register(mux)
-	mux.HandleFunc("POST /query", queryHandler(func() *shard.Sharded[vector.Dense] { return writer }, cfg.Dim))
-	mux.HandleFunc("POST /batch", batchHandler(func() *shard.Sharded[vector.Dense] { return writer }, cfg.Dim))
-	c.writerSrv, c.WriterURL = c.serve(mux, nil)
+	c.Writer = &Node{c: c, cfg: wcfg, TailFaults: &Faults{}, ServeFaults: &Faults{}}
+	c.Writer.start("")
 
 	for i := 0; i < cfg.Replicas; i++ {
 		c.Nodes = append(c.Nodes, c.newNode())
@@ -186,20 +161,12 @@ func New(t *testing.T, cfg Config) *Cluster {
 	for i, n := range c.Nodes {
 		urls[i] = n.URL
 	}
-	rcfg := cfg.Router
-	if rcfg.Client == nil {
-		rcfg.Client = faultyClient(c.RouterFaults)
-	}
-	if rcfg.HealthEvery == 0 {
-		rcfg.HealthEvery = 25 * time.Millisecond
-	}
-	if rcfg.Timeout == 0 {
-		rcfg.Timeout = 2 * time.Second
-	}
-	if rcfg.HedgeAfter == 0 {
-		rcfg.HedgeAfter = 30 * time.Millisecond
-	}
-	router, err := replica.NewRouter(urls, rcfg, obs.NewRegistry())
+	router, err := replica.NewRouter(urls, replica.RouterConfig{
+		Client:      faultyClient(c.RouterFaults),
+		HealthEvery: 25 * time.Millisecond,
+		Timeout:     2 * time.Second,
+		HedgeAfter:  30 * time.Millisecond,
+	}, obs.NewRegistry())
 	if err != nil {
 		t.Fatalf("replicatest: router: %v", err)
 	}
@@ -207,61 +174,54 @@ func New(t *testing.T, cfg Config) *Cluster {
 	hctx, hcancel := context.WithCancel(context.Background())
 	c.healthCancel = hcancel
 	go router.RunHealth(hctx)
-	c.routerSrv, c.RouterURL = c.serve(router.Handler(), nil)
+	c.routerSrv = httptest.NewServer(router.Handler())
+	c.RouterURL = c.routerSrv.URL
 
 	t.Cleanup(c.shutdown)
 	return c
 }
 
+// nodeConfig is the configuration every harness node shares. Refits are
+// not journaled, so a writer that recalibrated mid-test could
+// legitimately answer differently from its followers; the suite asserts
+// id-identity, so the drift loop stays off.
+func nodeConfig() server.Config {
+	cfg := server.DefaultConfig()
+	cfg.Recalibrate = "off"
+	return cfg
+}
+
 func (c *Cluster) shutdown() {
-	if c.healthCancel != nil {
-		c.healthCancel()
-	}
+	c.healthCancel()
 	for _, n := range c.Nodes {
 		n.Kill()
 	}
 	c.routerSrv.Close()
-	c.writerSrv.Close()
+	c.Writer.Kill()
 }
 
-// serve starts an http.Server on a fresh loopback listener (wrapped
-// with faults when given) and returns it with its base URL.
-func (c *Cluster) serve(h http.Handler, faults *Faults) (*http.Server, string) {
-	c.t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		c.t.Fatalf("replicatest: listen: %v", err)
-	}
-	var ln net.Listener = l
-	if faults != nil {
-		ln = &Listener{Listener: l, Faults: faults}
-	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(ln)
-	return srv, "http://" + l.Addr().String()
-}
-
-// newNode hydrates and starts one follower replica.
+// newNode hydrates and starts one follower of the current writer.
 func (c *Cluster) newNode() *Node {
 	c.t.Helper()
-	n := &Node{c: c, TailFaults: &Faults{}, ServeFaults: &Faults{}}
-	n.Follower = replica.NewFollower[vector.Dense](c.WriterURL, faultyClient(n.TailFaults), persist.MetricL2)
-	if err := n.Follower.Hydrate(context.Background()); err != nil {
-		c.t.Fatalf("replicatest: hydrate: %v", err)
-	}
+	n := &Node{c: c, cfg: nodeConfig(), TailFaults: &Faults{}, ServeFaults: &Faults{}}
+	n.cfg.Client = faultyClient(n.TailFaults)
+	n.cfg.Hydrate = c.Writer.URL
 	n.start("")
 	return n
 }
 
-// start boots the node's serving endpoint (on addr when non-empty, for
-// rejoin under the old URL) and its tailing loop.
+// start boots the node from its configuration and serves it (on addr
+// when non-empty, for rejoin under the old URL).
 func (n *Node) start(addr string) {
 	n.c.t.Helper()
+	node, err := server.New(n.cfg)
+	if err != nil {
+		n.c.t.Fatalf("replicatest: node boot: %v", err)
+	}
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
 	var l net.Listener
-	var err error
 	for attempt := 0; attempt < 50; attempt++ {
 		if l, err = net.Listen("tcp", addr); err == nil {
 			break
@@ -271,48 +231,37 @@ func (n *Node) start(addr string) {
 	if err != nil {
 		n.c.t.Fatalf("replicatest: node listen %q: %v", addr, err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", queryHandler(n.Follower.Store, n.c.Cfg.Dim))
-	mux.HandleFunc("POST /batch", batchHandler(n.Follower.Store, n.c.Cfg.Dim))
-	mux.HandleFunc("GET /replica/status", n.Follower.ServeStatus)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: node.Handler()}
 	go srv.Serve(&Listener{Listener: l, Faults: n.ServeFaults})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go n.Follower.Run(ctx, 10*time.Millisecond)
-
 	n.mu.Lock()
-	n.srv = srv
+	n.node, n.srv = node, srv
 	n.addr = l.Addr().String()
 	n.URL = "http://" + n.addr
-	n.runCancel = cancel
 	n.mu.Unlock()
 }
 
-// Kill crashes the node: the serving socket closes abruptly and the
-// tailing loop stops. Queries and health probes start failing at once.
+// Kill crashes the node: the serving socket closes abruptly and a
+// follower's tailing loop stops. Queries and health probes start
+// failing at once.
 func (n *Node) Kill() {
 	n.mu.Lock()
-	srv, cancel := n.srv, n.runCancel
-	n.srv, n.runCancel = nil, nil
+	node, srv := n.node, n.srv
+	n.node, n.srv = nil, nil
 	n.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
 	if srv != nil {
 		srv.Close()
+		node.Shutdown()
 	}
 }
 
-// Restart rejoins the node under its previous URL with a fresh
-// follower — the crash/rejoin path: state gone, full re-hydration.
+// Restart rejoins the node under its previous URL as a fresh follower
+// of the current writer — the crash/rejoin path: state gone, full
+// re-hydration.
 func (n *Node) Restart() {
 	n.c.t.Helper()
 	n.Kill()
-	n.Follower = replica.NewFollower[vector.Dense](n.c.WriterURL, faultyClient(n.TailFaults), persist.MetricL2)
+	n.cfg.Hydrate = n.c.Writer.URL
 	n.start(n.addr)
 }
 
@@ -326,117 +275,120 @@ func faultyClient(f *Faults) *http.Client {
 	}}
 }
 
-// ---- serving handlers ----
+// ---- test-side helpers ----
 
-type queryRequest struct {
-	Point []float32 `json:"point"`
+// call runs one JSON request through h in-process, bypassing h's own
+// listener (and so any fault armed on it).
+func call(h http.Handler, what, method, path string, body, out any) (int, error) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		return 0, err
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(b)))
+	if rec.Code != http.StatusOK {
+		return rec.Code, fmt.Errorf("replicatest: %s %s on %s: %d %s", method, path, what, rec.Code, rec.Body)
+	}
+	if out == nil {
+		return rec.Code, nil
+	}
+	return rec.Code, json.Unmarshal(rec.Body.Bytes(), out)
 }
 
-type queryResponse struct {
+// call reaches the node's own API — mutations, so a follower refuses
+// them (403) like any client would see, status reads and reference
+// queries.
+func (n *Node) call(method, path string, body, out any) (int, error) {
+	n.mu.Lock()
+	node := n.node
+	n.mu.Unlock()
+	if node == nil {
+		return 0, fmt.Errorf("replicatest: node %s is down", n.URL)
+	}
+	return call(node.Handler(), n.URL, method, path, body, out)
+}
+
+type idsResponse struct {
 	IDs []int32 `json:"ids"`
 }
 
-type batchRequest struct {
-	Points [][]float32 `json:"points"`
+// Query answers q on this node, ids sorted.
+func (n *Node) Query(q vector.Dense) ([]int32, error) {
+	var out idsResponse
+	_, err := n.call("POST", "/query", map[string]any{"point": q}, &out)
+	slices.Sort(out.IDs)
+	return out.IDs, err
 }
-
-type batchResponse struct {
-	Results []queryResponse `json:"results"`
-}
-
-// queryHandler serves the minimal JSON query surface the router
-// proxies (a thin stand-in for cmd/hybridserve's handler).
-func queryHandler(get func() *shard.Sharded[vector.Dense], dim int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sh := get()
-		if sh == nil {
-			http.Error(w, "not hydrated", http.StatusServiceUnavailable)
-			return
-		}
-		var req queryRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil || len(req.Point) != dim {
-			http.Error(w, "bad point", http.StatusBadRequest)
-			return
-		}
-		ids, _ := sh.Query(vector.Dense(req.Point))
-		slices.Sort(ids)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(queryResponse{IDs: ids})
-	}
-}
-
-func batchHandler(get func() *shard.Sharded[vector.Dense], dim int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sh := get()
-		if sh == nil {
-			http.Error(w, "not hydrated", http.StatusServiceUnavailable)
-			return
-		}
-		var req batchRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil || len(req.Points) == 0 {
-			http.Error(w, "bad points", http.StatusBadRequest)
-			return
-		}
-		queries := make([]vector.Dense, len(req.Points))
-		for i, p := range req.Points {
-			if len(p) != dim {
-				http.Error(w, "bad point", http.StatusBadRequest)
-				return
-			}
-			queries[i] = vector.Dense(p)
-		}
-		results := sh.QueryBatch(queries, 0)
-		resp := batchResponse{Results: make([]queryResponse, len(results))}
-		for i, res := range results {
-			slices.Sort(res.IDs)
-			resp.Results[i] = queryResponse{IDs: res.IDs}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	}
-}
-
-// ---- test-side helpers ----
 
 // QueryRouter posts one query through the router, returning the HTTP
 // status and the sorted ids.
 func (c *Cluster) QueryRouter(q vector.Dense) (int, []int32, error) {
-	body, _ := json.Marshal(queryRequest{Point: q})
-	resp, err := http.Post(c.RouterURL+"/query", "application/json", newReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil, fmt.Errorf("router: %s: %s", resp.Status, b)
-	}
-	var out queryResponse
-	if err := json.Unmarshal(b, &out); err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, out.IDs, nil
+	var out idsResponse
+	status, err := call(c.Router.Handler(), "the router", "POST", "/query", map[string]any{"point": q}, &out)
+	slices.Sort(out.IDs)
+	return status, out.IDs, err
 }
 
-// WaitCaughtUp blocks until every currently running node has applied
-// the log's current tail (or the deadline passes, failing the test).
+// Status reports the node's replication role and cursor.
+func (n *Node) Status() (st replica.StatusResponse) {
+	n.c.t.Helper()
+	if _, err := n.call("GET", "/replica/status", nil, &st); err != nil {
+		n.c.t.Fatal(err)
+	}
+	return st
+}
+
+// Rehydrates reports how many times a follower hydrated from scratch
+// (the boot hydration counts).
+func (n *Node) Rehydrates() int64 {
+	n.c.t.Helper()
+	var st struct {
+		Replication struct {
+			Rehydrates int64 `json:"rehydrates"`
+		} `json:"replication"`
+	}
+	if _, err := n.call("GET", "/stats", nil, &st); err != nil {
+		n.c.t.Fatal(err)
+	}
+	return st.Replication.Rehydrates
+}
+
+// Promote fails the writer role over to Nodes[i] through the router's
+// POST /promote; the node keeps serving reads as a routed member.
+// Followers of the old writer rejoin the new one with Restart.
+func (c *Cluster) Promote(i int) {
+	c.t.Helper()
+	if _, err := call(c.Router.Handler(), "the router", "POST", "/promote", map[string]string{"replica": c.Nodes[i].URL}, nil); err != nil {
+		c.t.Fatalf("replicatest: promote: %v", err)
+	}
+	c.Writer = c.Nodes[i]
+}
+
+// followers are the running nodes other than the current writer.
+func (c *Cluster) followers() []*Node {
+	var out []*Node
+	for _, n := range c.Nodes {
+		n.mu.Lock()
+		running := n.node != nil
+		n.mu.Unlock()
+		if running && n != c.Writer {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// WaitCaughtUp blocks until every currently running follower has
+// applied the writer log's current tail (or the deadline passes,
+// failing the test).
 func (c *Cluster) WaitCaughtUp(timeout time.Duration) {
 	c.t.Helper()
-	target := c.Log.Seq()
+	target := c.Writer.Status()
 	deadline := time.Now().Add(timeout)
 	for {
 		behind := 0
-		for _, n := range c.Nodes {
-			n.mu.Lock()
-			running := n.srv != nil
-			n.mu.Unlock()
-			if !running {
-				continue
-			}
-			if _, seq := n.Follower.Cursor(); seq < target {
+		for _, n := range c.followers() {
+			if st := n.Status(); st.Epoch != target.Epoch || st.Seq < target.Seq {
 				behind++
 			}
 		}
@@ -444,46 +396,29 @@ func (c *Cluster) WaitCaughtUp(timeout time.Duration) {
 			return
 		}
 		if time.Now().After(deadline) {
-			c.t.Fatalf("replicatest: %d nodes still behind seq %d after %v", behind, target, timeout)
+			c.t.Fatalf("replicatest: %d nodes still behind epoch %d seq %d after %v", behind, target.Epoch, target.Seq, timeout)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// AssertConverged demands that every running node answers every query
-// id-identically to the writer, the tier's core guarantee.
+// AssertConverged demands that every running follower answers every
+// query id-identically to the writer, the tier's core guarantee.
 func (c *Cluster) AssertConverged() {
 	c.t.Helper()
 	for qi, q := range c.Queries {
-		want, _ := c.Writer.Query(q)
-		slices.Sort(want)
-		for ni, n := range c.Nodes {
-			sh := n.Follower.Store()
-			if sh == nil {
-				continue
+		want, err := c.Writer.Query(q)
+		if err != nil {
+			c.t.Fatal(err)
+		}
+		for _, n := range c.followers() {
+			got, err := n.Query(q)
+			if err != nil {
+				c.t.Fatal(err)
 			}
-			got, _ := sh.Query(q)
-			slices.Sort(got)
 			if !slices.Equal(got, want) {
-				c.t.Fatalf("replicatest: node %d query %d: got %v, writer %v", ni, qi, got, want)
+				c.t.Fatalf("replicatest: node %s query %d: got %v, writer %v", n.URL, qi, got, want)
 			}
 		}
 	}
-}
-
-// newReader avoids importing bytes just for one call site.
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func newReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
 }

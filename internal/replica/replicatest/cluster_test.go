@@ -2,6 +2,7 @@ package replicatest
 
 import (
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,19 +45,21 @@ func (c *Cluster) mutateSome(t *testing.T, spares int) {
 	var appended []int32
 	for len(batch) > 0 {
 		n := min(5, len(batch))
-		ids, err := c.Writer.Append(batch[:n])
-		if err != nil {
+		var out idsResponse
+		if _, err := c.Writer.call("POST", "/append", map[string]any{"points": batch[:n]}, &out); err != nil {
 			t.Fatalf("append: %v", err)
 		}
-		appended = append(appended, ids...)
+		appended = append(appended, out.IDs...)
 		batch = batch[n:]
 	}
 	var dead []int32
 	for i := 0; i < len(appended); i += 3 {
 		dead = append(dead, appended[i])
 	}
-	c.Writer.Delete(dead)
-	if _, err := c.Writer.Compact(0); err != nil {
+	if _, err := c.Writer.call("POST", "/delete", map[string]any{"ids": dead}, nil); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	if _, err := c.Writer.call("POST", "/compact", map[string]any{"shard": 0}, nil); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 }
@@ -154,7 +157,9 @@ func TestFollowerConvergesThroughDeltaFaults(t *testing.T) {
 		c.mutateSome(t, 15)
 		time.Sleep(10 * time.Millisecond)
 	}
-	c.WaitCaughtUp(15 * time.Second)
+	// A real node's tail loop backs off from its 100ms poll interval, so
+	// riding out six consecutive sabotaged polls alone takes ~10s.
+	c.WaitCaughtUp(45 * time.Second)
 	c.AssertConverged()
 }
 
@@ -171,16 +176,16 @@ func TestPartitionedFollowerRehydrates(t *testing.T) {
 	for i := 0; i < 6; i++ {       // way past the 8-frame retention
 		c.mutateSome(t, 8)
 	}
-	if c.Log.Seq() < 16 {
-		t.Fatalf("writer produced only %d frames, need > 2x the log cap", c.Log.Seq())
+	if c.Writer.Status().Seq < 16 {
+		t.Fatalf("writer produced only %d frames, need > 2x the log cap", c.Writer.Status().Seq)
 	}
 	time.Sleep(50 * time.Millisecond) // let a few polls fail into the partition
 
 	n.TailFaults.DropNext(0) // heal
 	c.WaitCaughtUp(15 * time.Second)
 	c.AssertConverged()
-	if n.Follower.Rehydrates() < 2 {
-		t.Fatalf("rehydrates = %d, want >= 2 (initial hydrate + post-trim recovery)", n.Follower.Rehydrates())
+	if n.Rehydrates() < 2 {
+		t.Fatalf("rehydrates = %d, want >= 2 (initial hydrate + post-trim recovery)", n.Rehydrates())
 	}
 }
 
@@ -230,4 +235,66 @@ func TestCrashedReplicaRejoinsAndConverges(t *testing.T) {
 
 	c.WaitCaughtUp(15 * time.Second)
 	c.AssertConverged()
+}
+
+// TestFailoverThroughRealNodes needs real nodes end to end: followers
+// refuse all five mutating endpoints, the writer dies, a follower is
+// promoted through the router, the other follower re-hydrates onto the
+// new epoch, and the router's answers are id-identical to the promoted
+// writer's.
+func TestFailoverThroughRealNodes(t *testing.T) {
+	c := New(t, Config{Replicas: 2})
+	c.mutateSome(t, 30)
+	c.WaitCaughtUp(10 * time.Second)
+	oldEpoch := c.Writer.Status().Epoch
+
+	for _, n := range c.Nodes {
+		for _, path := range []string{"/append", "/delete", "/compact", "/recalibrate", "/snapshot"} {
+			if code, _ := n.call("POST", path, map[string]any{}, nil); code != http.StatusForbidden {
+				t.Fatalf("follower %s answered POST %s with %d, want 403", n.URL, path, code)
+			}
+		}
+	}
+
+	c.Writer.Kill()
+	c.Promote(0)
+	if st := c.Writer.Status(); st.Role != "source" || st.Epoch <= oldEpoch {
+		t.Fatalf("promoted node status %+v, want a source above epoch %d", st, oldEpoch)
+	}
+	// The new writer takes mutations (every frame kind) at the new epoch.
+	c.mutateSome(t, 30)
+
+	// The other follower's epoch died with the old writer: it rejoins the
+	// promoted node from scratch and converges onto the new epoch.
+	c.Nodes[1].Restart()
+	c.WaitCaughtUp(15 * time.Second)
+	c.AssertConverged()
+	if st := c.Nodes[1].Status(); st.Role != "follower" || st.Epoch != c.Writer.Status().Epoch {
+		t.Fatalf("rejoined follower status %+v, want a follower on the promoted epoch", st)
+	}
+
+	// Both members are on the new epoch, so the router serves from either;
+	// whichever answers must match the promoted writer id for id.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Router.Healthy() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("router sees %d healthy members after failover, want 2", c.Router.Healthy())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for round := 0; round < 2; round++ { // round-robin: both members answer
+		for qi, q := range c.Queries {
+			want, err := c.Writer.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, got, err := c.QueryRouter(q)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("routed query %d: status %d, err %v", qi, status, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("routed query %d: got %v, promoted writer %v", qi, got, want)
+			}
+		}
+	}
 }

@@ -36,13 +36,6 @@ type Source struct {
 	MaxBatch int
 }
 
-// Register mounts the replication endpoints on mux.
-func (s *Source) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /snapshot", s.ServeSnapshot)
-	mux.HandleFunc("GET /delta", s.ServeDelta)
-	mux.HandleFunc("GET /replica/status", s.ServeStatus)
-}
-
 // ServeSnapshot streams a snapshot stamped with the epoch and the delta
 // sequence number it covers. The sequence number is read *before* the
 // snapshot's consistent view is taken, so frames recorded in between

@@ -404,7 +404,7 @@ func TestWALLogSpillAndRestore(t *testing.T) {
 		t.Fatalf("SyncJournal: %v", err)
 	}
 	liveSeq := log.Seq()
-	w.Close() // crash stand-in; FsyncOff means SyncJournal did the flushing
+	w.Close() // simulated crash; FsyncOff means SyncJournal did the flushing
 
 	// Recover and restore: same epoch, same cursor, same frames.
 	w2, rec := mustOpenWAL(t, dir, hdr, replica.WALOptions{})

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"net/http"
@@ -8,17 +8,18 @@ import (
 	"testing"
 
 	hybridlsh "repro"
+	"repro/internal/persist"
 )
 
-func coveringConfig() config {
-	cfg := defaultConfig()
-	cfg.metric = "hamming"
-	cfg.dim = 64
-	cfg.n = 1500
-	cfg.shards = 4
-	cfg.coverRadius = 3
-	cfg.seed = 5
-	cfg.window = 128
+func coveringConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Metric = "hamming"
+	cfg.Dim = 64
+	cfg.N = 1500
+	cfg.Shards = 4
+	cfg.CoverRadius = 3
+	cfg.Seed = 5
+	cfg.Window = 128
 	return cfg
 }
 
@@ -28,23 +29,23 @@ func coveringConfig() config {
 func TestCoveringQueryEndToEnd(t *testing.T) {
 	cfg := coveringConfig()
 	ts := startServer(t, cfg)
-	points := seedBinary(cfg.n, cfg.dim, cfg.seed)
+	points := seedBinary(cfg.N, cfg.Dim, cfg.Seed)
 
 	for qi := 0; qi < 10; qi++ {
 		q := points[qi*37]
-		truth := hybridlsh.GroundTruthHamming(points, q, float64(cfg.coverRadius))
-		var res queryResult
+		truth := hybridlsh.GroundTruthHamming(points, q, float64(cfg.CoverRadius))
+		var res QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toBits(q)}, http.StatusOK, &res)
 		if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {
 			t.Errorf("query %d: served ids (%d) != exact ground truth (%d) — the guarantee broke", qi, len(res.IDs), len(truth))
 		}
-		if res.Radius == nil || *res.Radius != cfg.coverRadius {
-			t.Errorf("query %d: response radius = %v, want %d", qi, res.Radius, cfg.coverRadius)
+		if res.Radius == nil || *res.Radius != cfg.CoverRadius {
+			t.Errorf("query %d: response radius = %v, want %d", qi, res.Radius, cfg.CoverRadius)
 		}
 
 		// Narrowing: radius 1 must be the exact radius-1 report.
 		narrow := hybridlsh.GroundTruthHamming(points, q, 1)
-		var nres queryResult
+		var nres QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toBits(q), "radius": 1}, http.StatusOK, &nres)
 		if !slices.Equal(sortedIDs(nres.IDs), sortedIDs(narrow)) {
 			t.Errorf("query %d: radius=1 override != radius-1 ground truth", qi)
@@ -62,8 +63,8 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 		body map[string]any
 		want string
 	}{
-		{"/query", map[string]any{"point": toBits(points[0]), "radius": cfg.coverRadius + 1}, exceeds},
-		{"/batch", map[string]any{"points": []any{toBits(points[0])}, "radius": cfg.coverRadius + 1}, exceeds},
+		{"/query", map[string]any{"point": toBits(points[0]), "radius": cfg.CoverRadius + 1}, exceeds},
+		{"/batch", map[string]any{"points": []any{toBits(points[0])}, "radius": cfg.CoverRadius + 1}, exceeds},
 		{"/query", map[string]any{"point": toBits(points[0]), "radius": -1}, "radius = -1, want >= 0"},
 	} {
 		var out map[string]string
@@ -75,7 +76,7 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 
 	// Batch with an override.
 	var batch struct {
-		Results []queryResult `json:"results"`
+		Results []QueryResult `json:"results"`
 	}
 	post(t, ts.URL+"/batch", map[string]any{
 		"points": []any{toBits(points[0]), toBits(points[37])}, "radius": 2,
@@ -101,10 +102,10 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 		} `json:"covering"`
 	}
 	get(t, ts.URL+"/stats", &st)
-	if !st.Covering.Enabled || st.Covering.Radius != cfg.coverRadius {
-		t.Fatalf("stats covering = %+v, want enabled with r=%d", st.Covering, cfg.coverRadius)
+	if !st.Covering.Enabled || st.Covering.Radius != cfg.CoverRadius {
+		t.Fatalf("stats covering = %+v, want enabled with r=%d", st.Covering, cfg.CoverRadius)
 	}
-	if want := 1<<(cfg.coverRadius+1) - 1; st.Covering.Tables != want {
+	if want := 1<<(cfg.CoverRadius+1) - 1; st.Covering.Tables != want {
 		t.Errorf("stats covering tables = %d, want %d", st.Covering.Tables, want)
 	}
 	if st.Covering.CoveredQueries != 22 {
@@ -119,12 +120,12 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 // "radius" field instead of silently ignoring it, on both metrics.
 func TestCoveringRadiusRejectedOnClassic(t *testing.T) {
 	hcfg := coveringConfig()
-	hcfg.coverRadius = 0 // classic hamming
+	hcfg.CoverRadius = 0 // classic hamming
 	hts := startServer(t, hcfg)
-	points := seedBinary(hcfg.n, hcfg.dim, hcfg.seed)
+	points := seedBinary(hcfg.N, hcfg.Dim, hcfg.Seed)
 	lcfg := testConfig() // classic l2
 	lts := startServer(t, lcfg)
-	dense := seedDense(lcfg.n, lcfg.dim, lcfg.seed)
+	dense := seedDense(lcfg.N, lcfg.Dim, lcfg.Seed)
 	const want = `"radius" is only supported when the server runs a covering index (start with -radius)`
 	for _, c := range []struct {
 		url  string
@@ -158,18 +159,18 @@ func TestCoveringRadiusRejectedOnClassic(t *testing.T) {
 // multi-probe nor non-Hamming metrics.
 func TestCoveringFlagValidation(t *testing.T) {
 	cfg := coveringConfig()
-	cfg.metric = "l2"
-	if _, err := newServer(cfg); err == nil {
+	cfg.Metric = "l2"
+	if _, err := New(cfg); err == nil {
 		t.Error("covering l2 server accepted")
 	}
 	cfg = coveringConfig()
-	cfg.probes = 4
-	if _, err := newServer(cfg); err == nil {
+	cfg.Probes = 4
+	if _, err := New(cfg); err == nil {
 		t.Error("covering + multi-probe server accepted")
 	}
 	cfg = coveringConfig()
-	cfg.coverRadius = 99
-	if _, err := newServer(cfg); err == nil {
+	cfg.CoverRadius = 99
+	if _, err := New(cfg); err == nil {
 		t.Error("radius past the package cap accepted")
 	}
 }
@@ -182,17 +183,17 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 	snap := filepath.Join(dir, "index.snap")
 
 	cfg := coveringConfig()
-	cfg.snapshot = snap
-	s1, err := newServer(cfg)
+	cfg.Snapshot = snap
+	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := seedBinary(cfg.n, cfg.dim, cfg.seed)
+	points := seedBinary(cfg.N, cfg.Dim, cfg.Seed)
 
 	// Delete some points so the restart must preserve tombstones too,
 	// then snapshot.
-	s1.be.remove([]int32{3, 5, 8, 13, 21})
-	if _, err := s1.be.snapshot(snap); err != nil {
+	s1.be.store().Delete([]int32{3, 5, 8, 13, 21})
+	if _, err := persist.WriteFileAtomic(snap, s1.be.streamSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(snap); err != nil {
@@ -211,17 +212,17 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 	// Boot a second server from the snapshot with classic flags: the
 	// snapshot must win and restore the covering mode.
 	cfg2 := coveringConfig()
-	cfg2.snapshot = snap
-	cfg2.coverRadius = 0
-	s2, err := newServer(cfg2)
+	cfg2.Snapshot = snap
+	cfg2.CoverRadius = 0
+	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.loadedFrom != snap {
 		t.Fatalf("second server did not warm-start (loadedFrom = %q)", s2.loadedFrom)
 	}
-	if s2.cfg.coverRadius != cfg.coverRadius {
-		t.Fatalf("restored covering radius = %d, want %d", s2.cfg.coverRadius, cfg.coverRadius)
+	if s2.cfg.CoverRadius != cfg.CoverRadius {
+		t.Fatalf("restored covering radius = %d, want %d", s2.cfg.CoverRadius, cfg.CoverRadius)
 	}
 	for qi := range pre {
 		res, err := s2.be.query(mustRaw(t, toBits(points[qi*41])), nil, nil)
@@ -231,8 +232,8 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 		if !slices.Equal(sortedIDs(res.IDs), pre[qi]) {
 			t.Fatalf("query %d: restored answers differ from live answers", qi)
 		}
-		if res.Radius == nil || *res.Radius != cfg.coverRadius {
-			t.Fatalf("query %d: restored server answered with radius = %v, want %d", qi, res.Radius, cfg.coverRadius)
+		if res.Radius == nil || *res.Radius != cfg.CoverRadius {
+			t.Fatalf("query %d: restored server answered with radius = %v, want %d", qi, res.Radius, cfg.CoverRadius)
 		}
 	}
 }
@@ -244,21 +245,21 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 // writer.
 func TestCoveringReplicasHydrate(t *testing.T) {
 	cfg := coveringConfig()
-	cfg.snapshot = filepath.Join(t.TempDir(), "index.snap")
+	cfg.Snapshot = filepath.Join(t.TempDir(), "index.snap")
 	writer := startServer(t, cfg)
 	post(t, writer.URL+"/snapshot", map[string]any{}, http.StatusOK, nil)
-	points := seedBinary(cfg.n, cfg.dim, cfg.seed)
+	points := seedBinary(cfg.N, cfg.Dim, cfg.Seed)
 
-	for _, source := range []string{cfg.snapshot, writer.URL} {
+	for _, source := range []string{cfg.Snapshot, writer.URL} {
 		rcfg := coveringConfig()
-		rcfg.coverRadius = 0
-		rcfg.hydrate = source
+		rcfg.CoverRadius = 0
+		rcfg.Hydrate = source
 		s, rep := startReplicaServer(t, rcfg)
-		if s.cfg.coverRadius != cfg.coverRadius {
-			t.Fatalf("replica of %s restored covering radius %d, want %d", source, s.cfg.coverRadius, cfg.coverRadius)
+		if s.cfg.CoverRadius != cfg.CoverRadius {
+			t.Fatalf("replica of %s restored covering radius %d, want %d", source, s.cfg.CoverRadius, cfg.CoverRadius)
 		}
 		for qi := 0; qi < 8; qi++ {
-			var want, got queryResult
+			var want, got QueryResult
 			body := map[string]any{"point": toBits(points[qi*41]), "radius": 2}
 			post(t, writer.URL+"/query", body, http.StatusOK, &want)
 			post(t, rep.URL+"/query", body, http.StatusOK, &got)

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"encoding/json"
@@ -23,10 +23,10 @@ func mustRaw(t *testing.T, v any) json.RawMessage {
 	return b
 }
 
-func multiProbeConfig() config {
+func multiProbeConfig() Config {
 	cfg := testConfig()
-	cfg.probes = 16
-	cfg.tables = 10
+	cfg.Probes = 16
+	cfg.Tables = 10
 	return cfg
 }
 
@@ -36,19 +36,19 @@ func multiProbeConfig() config {
 func TestMultiProbeQueryEndToEnd(t *testing.T) {
 	cfg := multiProbeConfig()
 	ts := startServer(t, cfg)
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 
 	nonEmpty := 0
 	for qi := 0; qi < 10; qi++ {
 		q := points[qi*37]
-		truth := hybridlsh.GroundTruth(points, q, cfg.radius)
-		var res queryResult
+		truth := hybridlsh.GroundTruth(points, q, cfg.Radius)
+		var res QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toFloats(q)}, http.StatusOK, &res)
 		if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {
 			t.Errorf("query %d: served ids (%d) != ground truth (%d)", qi, len(res.IDs), len(truth))
 		}
-		if res.Probes == nil || *res.Probes != cfg.probes {
-			t.Errorf("query %d: response probes = %v, want %d", qi, res.Probes, cfg.probes)
+		if res.Probes == nil || *res.Probes != cfg.Probes {
+			t.Errorf("query %d: response probes = %v, want %d", qi, res.Probes, cfg.Probes)
 		}
 		if len(truth) > 0 {
 			nonEmpty++
@@ -56,7 +56,7 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 
 		// Override: a wider probe set must still be exact here, and the
 		// response must echo the effective T.
-		var wide queryResult
+		var wide QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toFloats(q), "probes": 32}, http.StatusOK, &wide)
 		if !slices.Equal(sortedIDs(wide.IDs), sortedIDs(truth)) {
 			t.Errorf("query %d: T=32 override != ground truth", qi)
@@ -72,7 +72,7 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 	// Batch with an override.
 	q0, q1 := points[0], points[37]
 	var batch struct {
-		Results []queryResult `json:"results"`
+		Results []QueryResult `json:"results"`
 	}
 	post(t, ts.URL+"/batch", map[string]any{
 		"points": []any{toFloats(q0), toFloats(q1)}, "probes": 16,
@@ -98,8 +98,8 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 		} `json:"multiprobe"`
 	}
 	get(t, ts.URL+"/stats", &st)
-	if !st.MultiProbe.Enabled || st.MultiProbe.Probes != cfg.probes {
-		t.Fatalf("stats multiprobe = %+v, want enabled with T=%d", st.MultiProbe, cfg.probes)
+	if !st.MultiProbe.Enabled || st.MultiProbe.Probes != cfg.Probes {
+		t.Fatalf("stats multiprobe = %+v, want enabled with T=%d", st.MultiProbe, cfg.Probes)
 	}
 	if st.MultiProbe.ProbedQueries != 22 {
 		t.Errorf("probed_queries = %d, want 22", st.MultiProbe.ProbedQueries)
@@ -107,7 +107,7 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 	if st.MultiProbe.OverrideQueries != 12 {
 		t.Errorf("override_queries = %d, want 12", st.MultiProbe.OverrideQueries)
 	}
-	if want := int64(10*cfg.probes + 10*32 + 2*16); st.MultiProbe.ProbesUsedTotal != want {
+	if want := int64(10*cfg.Probes + 10*32 + 2*16); st.MultiProbe.ProbesUsedTotal != want {
 		t.Errorf("probes_used_total = %d, want %d", st.MultiProbe.ProbesUsedTotal, want)
 	}
 }
@@ -117,7 +117,7 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 func TestMultiProbeOverrideRejectedOnClassic(t *testing.T) {
 	cfg := testConfig()
 	ts := startServer(t, cfg)
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 	const want = `"probes" is only supported when the server runs a multi-probe index (start with -probes)`
 	for path, body := range map[string]map[string]any{
 		"/query": {"point": toFloats(points[0]), "probes": 5},
@@ -145,12 +145,12 @@ func TestMultiProbeOverrideRejectedOnClassic(t *testing.T) {
 func TestMultiProbeBadOverrides(t *testing.T) {
 	cfg := multiProbeConfig()
 	ts := startServer(t, cfg)
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 	var out map[string]any
 	post(t, ts.URL+"/query", map[string]any{"point": toFloats(points[0]), "probes": -1},
 		http.StatusBadRequest, &out)
 	// Oversized overrides are clamped, not rejected.
-	var res queryResult
+	var res QueryResult
 	post(t, ts.URL+"/query", map[string]any{"point": toFloats(points[0]), "probes": maxProbeOverride * 10},
 		http.StatusOK, &res)
 	if res.Probes == nil || *res.Probes != maxProbeOverride {
@@ -166,18 +166,18 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 	snap := filepath.Join(dir, "index.snap")
 
 	cfg := multiProbeConfig()
-	cfg.snapshot = snap
-	s1, err := newServer(cfg)
+	cfg.Snapshot = snap
+	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 
 	// Delete some points so the restart must preserve tombstones too,
 	// then snapshot.
 	del := []int32{3, 5, 8, 13, 21}
-	s1.be.remove(del)
-	if _, err := s1.be.snapshot(snap); err != nil {
+	s1.be.store().Delete(del)
+	if _, err := persist.WriteFileAtomic(snap, s1.be.streamSnapshot); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(snap); err != nil {
@@ -196,17 +196,17 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 	// Boot a second server from the snapshot with classic flags: the
 	// snapshot must win and restore the multi-probe mode.
 	cfg2 := testConfig()
-	cfg2.snapshot = snap
-	cfg2.probes = 0
-	s2, err := newServer(cfg2)
+	cfg2.Snapshot = snap
+	cfg2.Probes = 0
+	s2, err := New(cfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.loadedFrom != snap {
 		t.Fatalf("second server did not warm-start (loadedFrom = %q)", s2.loadedFrom)
 	}
-	if s2.cfg.probes != cfg.probes {
-		t.Fatalf("restored probes = %d, want %d", s2.cfg.probes, cfg.probes)
+	if s2.cfg.Probes != cfg.Probes {
+		t.Fatalf("restored probes = %d, want %d", s2.cfg.Probes, cfg.Probes)
 	}
 	for qi := range pre {
 		res, err := s2.be.query(mustRaw(t, toFloats(points[qi*41])), nil, nil)
@@ -216,8 +216,8 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 		if !slices.Equal(sortedIDs(res.IDs), pre[qi]) {
 			t.Fatalf("query %d: restored answers differ from live answers", qi)
 		}
-		if res.Probes == nil || *res.Probes != cfg.probes {
-			t.Fatalf("query %d: restored server answered with probes = %v, want %d", qi, res.Probes, cfg.probes)
+		if res.Probes == nil || *res.Probes != cfg.Probes {
+			t.Fatalf("query %d: restored server answered with probes = %v, want %d", qi, res.Probes, cfg.Probes)
 		}
 	}
 }
@@ -229,25 +229,25 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 func TestModeFlagContradictsSnapshot(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		classic config
-		demand  func(*config)
+		classic Config
+		demand  func(*Config)
 		want    error
 	}{
-		{"probes over classic l2", testConfig(), func(c *config) { c.probes = 4 }, persist.ErrProbeMode},
-		{"radius over classic hamming", func() config { c := coveringConfig(); c.coverRadius = 0; return c }(),
-			func(c *config) { c.coverRadius = 3 }, persist.ErrCoverMode},
+		{"probes over classic l2", testConfig(), func(c *Config) { c.Probes = 4 }, persist.ErrProbeMode},
+		{"radius over classic hamming", func() Config { c := coveringConfig(); c.CoverRadius = 0; return c }(),
+			func(c *Config) { c.CoverRadius = 3 }, persist.ErrCoverMode},
 	} {
 		cfg := c.classic
-		cfg.snapshot = filepath.Join(t.TempDir(), "index.snap")
-		s1, err := newServer(cfg)
+		cfg.Snapshot = filepath.Join(t.TempDir(), "index.snap")
+		s1, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s1.be.snapshot(cfg.snapshot); err != nil {
+		if _, err := persist.WriteFileAtomic(cfg.Snapshot, s1.be.streamSnapshot); err != nil {
 			t.Fatal(err)
 		}
 		c.demand(&cfg)
-		if _, err := newServer(cfg); !errors.Is(err, c.want) {
+		if _, err := New(cfg); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
 	}

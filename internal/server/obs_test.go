@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"bytes"
@@ -47,7 +47,7 @@ func scrapeMetrics(t *testing.T, url string) *obs.Exposition {
 func TestMetricsMatchStats(t *testing.T) {
 	cfg := testConfig()
 	ts := startServer(t, cfg)
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 
 	first := scrapeMetrics(t, ts.URL)
 	if v, ok := first.Value("hybridlsh_queries_total", nil); !ok || v != 0 {
@@ -86,8 +86,8 @@ func TestMetricsMatchStats(t *testing.T) {
 	if st.Queries != want {
 		t.Fatalf("stats queries = %d, want %d", st.Queries, want)
 	}
-	if st.Strategy.LSH+st.Strategy.Linear != int64(want*cfg.shards) {
-		t.Fatalf("stats shard answers = %d+%d, want %d", st.Strategy.LSH, st.Strategy.Linear, want*cfg.shards)
+	if st.Strategy.LSH+st.Strategy.Linear != int64(want*cfg.Shards) {
+		t.Fatalf("stats shard answers = %d+%d, want %d", st.Strategy.LSH, st.Strategy.Linear, want*cfg.Shards)
 	}
 
 	exp := scrapeMetrics(t, ts.URL)
@@ -111,7 +111,7 @@ func TestMetricsMatchStats(t *testing.T) {
 
 	// Per-shard topology gauges: one series per shard, sizes summing to n.
 	total := 0.0
-	for j := 0; j < cfg.shards; j++ {
+	for j := 0; j < cfg.Shards; j++ {
 		v, ok := exp.Value("hybridlsh_shard_points", map[string]string{"shard": string(rune('0' + j))})
 		if !ok {
 			t.Fatalf("no hybridlsh_shard_points{shard=%d} series", j)
@@ -121,8 +121,8 @@ func TestMetricsMatchStats(t *testing.T) {
 			t.Fatalf("shard_queries{%d} = %v, want %d", j, q, want)
 		}
 	}
-	if total != float64(cfg.n) {
-		t.Fatalf("shard points sum to %v, want %d", total, cfg.n)
+	if total != float64(cfg.N) {
+		t.Fatalf("shard points sum to %v, want %d", total, cfg.N)
 	}
 	if v, ok := exp.Value("hybridlsh_info", map[string]string{"metric": "l2", "mode": "classic"}); !ok || v != 1 {
 		t.Fatalf("hybridlsh_info = %v, %v", v, ok)
@@ -145,7 +145,7 @@ func TestMetricsMatchStats(t *testing.T) {
 
 // assertTrace validates one decision trace against the result it rode
 // along with.
-func assertTrace(t *testing.T, res *queryResult, shards int) {
+func assertTrace(t *testing.T, res *QueryResult, shards int) {
 	t.Helper()
 	tr := res.Trace
 	if tr == nil {
@@ -191,45 +191,45 @@ func TestTraceOnAllBackends(t *testing.T) {
 	classic := testConfig()
 
 	probe := testConfig()
-	probe.probes = 4
+	probe.Probes = 4
 
 	cover := testConfig()
-	cover.metric = "hamming"
-	cover.dim = 64
-	cover.n = 800
-	cover.coverRadius = 2
+	cover.Metric = "hamming"
+	cover.Dim = 64
+	cover.N = 800
+	cover.CoverRadius = 2
 
 	for _, tc := range []struct {
 		name string
-		cfg  config
+		cfg  Config
 	}{{"classic", classic}, {"multiprobe", probe}, {"covering", cover}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts := startServer(t, tc.cfg)
 			var point any
-			if tc.cfg.metric == "hamming" {
-				point = toBits(seedBinary(1, tc.cfg.dim, tc.cfg.seed)[0])
+			if tc.cfg.Metric == "hamming" {
+				point = toBits(seedBinary(1, tc.cfg.Dim, tc.cfg.Seed)[0])
 			} else {
-				point = toFloats(seedDense(1, tc.cfg.dim, tc.cfg.seed)[0])
+				point = toFloats(seedDense(1, tc.cfg.Dim, tc.cfg.Seed)[0])
 			}
 
 			// Without the field no trace is emitted.
-			var bare queryResult
+			var bare QueryResult
 			post(t, ts.URL+"/query", map[string]any{"point": point}, http.StatusOK, &bare)
 			if bare.Trace != nil {
 				t.Fatal("trace emitted without being requested")
 			}
 
-			var res queryResult
+			var res QueryResult
 			post(t, ts.URL+"/query", map[string]any{"point": point, "trace": true}, http.StatusOK, &res)
-			assertTrace(t, &res, tc.cfg.shards)
+			assertTrace(t, &res, tc.cfg.Shards)
 			switch {
-			case tc.cfg.probes > 0:
-				if res.Trace.Probes == nil || *res.Trace.Probes != tc.cfg.probes {
-					t.Fatalf("multi-probe trace probes = %v, want %d", res.Trace.Probes, tc.cfg.probes)
+			case tc.cfg.Probes > 0:
+				if res.Trace.Probes == nil || *res.Trace.Probes != tc.cfg.Probes {
+					t.Fatalf("multi-probe trace probes = %v, want %d", res.Trace.Probes, tc.cfg.Probes)
 				}
-			case tc.cfg.coverRadius > 0:
-				if res.Trace.Radius == nil || *res.Trace.Radius != tc.cfg.coverRadius {
-					t.Fatalf("covering trace radius = %v, want %d", res.Trace.Radius, tc.cfg.coverRadius)
+			case tc.cfg.CoverRadius > 0:
+				if res.Trace.Radius == nil || *res.Trace.Radius != tc.cfg.CoverRadius {
+					t.Fatalf("covering trace radius = %v, want %d", res.Trace.Radius, tc.cfg.CoverRadius)
 				}
 			default:
 				if res.Trace.Probes != nil || res.Trace.Radius != nil {
@@ -238,7 +238,7 @@ func TestTraceOnAllBackends(t *testing.T) {
 			}
 
 			var batch struct {
-				Results []queryResult `json:"results"`
+				Results []QueryResult `json:"results"`
 			}
 			post(t, ts.URL+"/batch", map[string]any{"points": []any{point, point}, "trace": true},
 				http.StatusOK, &batch)
@@ -246,7 +246,7 @@ func TestTraceOnAllBackends(t *testing.T) {
 				t.Fatalf("batch returned %d results", len(batch.Results))
 			}
 			for i := range batch.Results {
-				assertTrace(t, &batch.Results[i], tc.cfg.shards)
+				assertTrace(t, &batch.Results[i], tc.cfg.Shards)
 			}
 		})
 	}
@@ -269,24 +269,24 @@ func TestStatsRadiusFields(t *testing.T) {
 	ts := startServer(t, classic)
 	var st radiusStats
 	get(t, ts.URL+"/stats", &st)
-	if st.Radius != classic.radius || st.CoverRadius != 0 || st.Covering.Enabled {
-		t.Fatalf("classic radius stats = %+v, want radius %v and no covering", st, classic.radius)
+	if st.Radius != classic.Radius || st.CoverRadius != 0 || st.Covering.Enabled {
+		t.Fatalf("classic radius stats = %+v, want radius %v and no covering", st, classic.Radius)
 	}
 
 	cover := testConfig()
-	cover.metric = "hamming"
-	cover.dim = 64
-	cover.n = 800
-	cover.coverRadius = 2
-	cover.radius = 0.4 // the -r flag plays no role in covering mode
+	cover.Metric = "hamming"
+	cover.Dim = 64
+	cover.N = 800
+	cover.CoverRadius = 2
+	cover.Radius = 0.4 // the -r flag plays no role in covering mode
 	ts2 := startServer(t, cover)
 	var st2 radiusStats
 	get(t, ts2.URL+"/stats", &st2)
-	if st2.CoverRadius != cover.coverRadius || !st2.Covering.Enabled || st2.Covering.Radius != cover.coverRadius {
-		t.Fatalf("covering radius stats = %+v, want cover_radius %d", st2, cover.coverRadius)
+	if st2.CoverRadius != cover.CoverRadius || !st2.Covering.Enabled || st2.Covering.Radius != cover.CoverRadius {
+		t.Fatalf("covering radius stats = %+v, want cover_radius %d", st2, cover.CoverRadius)
 	}
-	if st2.Radius != float64(cover.coverRadius) {
-		t.Fatalf("covering effective radius = %v, want %v", st2.Radius, float64(cover.coverRadius))
+	if st2.Radius != float64(cover.CoverRadius) {
+		t.Fatalf("covering effective radius = %v, want %v", st2.Radius, float64(cover.CoverRadius))
 	}
 }
 
@@ -294,9 +294,9 @@ func TestStatsRadiusFields(t *testing.T) {
 // the exposition must lint and count their traffic too.
 func TestMetricsOnModeBackends(t *testing.T) {
 	probe := testConfig()
-	probe.probes = 4
+	probe.Probes = 4
 	ts := startServer(t, probe)
-	post(t, ts.URL+"/query", map[string]any{"point": toFloats(seedDense(1, probe.dim, probe.seed)[0])}, http.StatusOK, nil)
+	post(t, ts.URL+"/query", map[string]any{"point": toFloats(seedDense(1, probe.Dim, probe.Seed)[0])}, http.StatusOK, nil)
 	exp := scrapeMetrics(t, ts.URL)
 	if v, _ := exp.Value("hybridlsh_queries_total", nil); v != 1 {
 		t.Fatalf("multi-probe queries_total = %v, want 1", v)
@@ -306,12 +306,12 @@ func TestMetricsOnModeBackends(t *testing.T) {
 	}
 
 	cover := testConfig()
-	cover.metric = "hamming"
-	cover.dim = 64
-	cover.n = 800
-	cover.coverRadius = 2
+	cover.Metric = "hamming"
+	cover.Dim = 64
+	cover.N = 800
+	cover.CoverRadius = 2
 	ts2 := startServer(t, cover)
-	post(t, ts2.URL+"/query", map[string]any{"point": toBits(seedBinary(1, cover.dim, cover.seed)[0])}, http.StatusOK, nil)
+	post(t, ts2.URL+"/query", map[string]any{"point": toBits(seedBinary(1, cover.Dim, cover.Seed)[0])}, http.StatusOK, nil)
 	exp2 := scrapeMetrics(t, ts2.URL)
 	if v, _ := exp2.Value("hybridlsh_queries_total", nil); v != 1 {
 		t.Fatalf("covering queries_total = %v, want 1", v)
@@ -325,19 +325,19 @@ func TestMetricsOnModeBackends(t *testing.T) {
 // every second answered query logs one JSON trace line.
 func TestTraceSampleLog(t *testing.T) {
 	cfg := testConfig()
-	cfg.traceSample = 2
-	s, err := newServer(cfg)
+	cfg.TraceSample = 2
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	var buf bytes.Buffer
 	log.SetOutput(&buf)
 	defer log.SetOutput(os.Stderr)
 
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 	for qi := 0; qi < 6; qi++ {
 		post(t, ts.URL+"/query", map[string]any{"point": toFloats(points[qi])}, http.StatusOK, nil)
 	}
@@ -354,8 +354,8 @@ func TestTraceSampleLog(t *testing.T) {
 		if err := json.Unmarshal([]byte(payload), &tr); err != nil {
 			t.Fatalf("trace log line is not JSON: %v\n%s", err, payload)
 		}
-		if len(tr.Shards) != cfg.shards {
-			t.Fatalf("logged trace has %d shards, want %d", len(tr.Shards), cfg.shards)
+		if len(tr.Shards) != cfg.Shards {
+			t.Fatalf("logged trace has %d shards, want %d", len(tr.Shards), cfg.Shards)
 		}
 	}
 	if lines != 3 {
@@ -368,7 +368,7 @@ func TestTraceSampleLog(t *testing.T) {
 func TestFinalMetricsFlush(t *testing.T) {
 	cfg := testConfig()
 	ts := startServerKeep(t, cfg)
-	post(t, ts.srv.URL+"/query", map[string]any{"point": toFloats(seedDense(1, cfg.dim, cfg.seed)[0])}, http.StatusOK, nil)
+	post(t, ts.srv.URL+"/query", map[string]any{"point": toFloats(seedDense(1, cfg.Dim, cfg.Seed)[0])}, http.StatusOK, nil)
 
 	var buf bytes.Buffer
 	log.SetOutput(&buf)
@@ -392,7 +392,7 @@ func TestFinalMetricsFlush(t *testing.T) {
 	if err := json.Unmarshal([]byte(payload), &snap); err != nil {
 		t.Fatalf("final metrics line is not JSON: %v\n%s", err, payload)
 	}
-	if snap.Queries != 1 || snap.LSH+snap.Linear != int64(cfg.shards) || snap.Live != cfg.n {
+	if snap.Queries != 1 || snap.LSH+snap.Linear != int64(cfg.Shards) || snap.Live != cfg.N {
 		t.Fatalf("final metrics snapshot = %+v", snap)
 	}
 }
@@ -400,17 +400,17 @@ func TestFinalMetricsFlush(t *testing.T) {
 // startServerKeep is startServer but also returns the server value, for
 // tests that poke at internals next to the HTTP surface.
 type keptServer struct {
-	s   *server
+	s   *Server
 	srv *httptest.Server
 }
 
-func startServerKeep(t *testing.T, cfg config) keptServer {
+func startServerKeep(t *testing.T, cfg Config) keptServer {
 	t.Helper()
-	s, err := newServer(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(s.handler())
+	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return keptServer{s: s, srv: srv}
 }

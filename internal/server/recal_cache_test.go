@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"math"
@@ -15,7 +15,7 @@ import (
 // windows: n answers per strategy arm at the given nanoseconds per cost
 // unit. Forcing a refit over HTTP is otherwise at the mercy of which
 // strategies the workload happens to pick.
-func seedDriftArms(s *server, n int, lshNPC, linNPC float64) {
+func seedDriftArms(s *Server, n int, lshNPC, linNPC float64) {
 	for i := 0; i < n; i++ {
 		s.metrics.Drift.Record(core.QueryStats{
 			Strategy: core.StrategyLSH, LSHCost: 1000, LinearCost: 1000,
@@ -30,11 +30,11 @@ func seedDriftArms(s *server, n int, lshNPC, linNPC float64) {
 
 func TestRecalibrateEndpoint(t *testing.T) {
 	cfg := testConfig() // -recalibrate defaults to auto
-	s, err := newServer(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	// No traffic yet: both windows are empty, so a forced refit must be
@@ -66,7 +66,7 @@ func TestRecalibrateEndpoint(t *testing.T) {
 
 	// The adopted model must be live on the serving store and visible in
 	// the /stats recalibration block.
-	if got := s.be.cost().Alpha; math.Abs(got-res.New.Alpha) > 1e-9*res.New.Alpha {
+	if got := s.be.store().Cost().Alpha; math.Abs(got-res.New.Alpha) > 1e-9*res.New.Alpha {
 		t.Fatalf("serving alpha = %v, want adopted %v", got, res.New.Alpha)
 	}
 	var st struct {
@@ -89,12 +89,12 @@ func TestRecalibrateEndpoint(t *testing.T) {
 
 func TestRecalibrateDisabled(t *testing.T) {
 	cfg := testConfig()
-	cfg.recalibrate = "off"
-	s, err := newServer(cfg)
+	cfg.Recalibrate = "off"
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	seedDriftArms(s, 4, 2, 1)
@@ -112,12 +112,12 @@ func TestRecalibrateDisabled(t *testing.T) {
 
 func TestCacheOverHTTP(t *testing.T) {
 	cfg := testConfig()
-	cfg.cacheSize = 64
+	cfg.CacheSize = 64
 	ts := startServer(t, cfg)
-	points := seedDense(cfg.n, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
 	q := map[string]any{"point": toFloats(points[3])}
 
-	var first, second queryResult
+	var first, second QueryResult
 	post(t, ts.URL+"/query", q, http.StatusOK, &first)
 	post(t, ts.URL+"/query", q, http.StatusOK, &second)
 	if first.Cached {
@@ -140,7 +140,7 @@ func TestCacheOverHTTP(t *testing.T) {
 		t.Fatalf("append assigned ids %v, want exactly one", app.IDs)
 	}
 	newID := app.IDs[0]
-	var third queryResult
+	var third QueryResult
 	post(t, ts.URL+"/query", q, http.StatusOK, &third)
 	if third.Cached {
 		t.Fatal("query after append still served from the cache")
@@ -152,7 +152,7 @@ func TestCacheOverHTTP(t *testing.T) {
 	// Deleting it must invalidate again; the tombstone must never
 	// resurface, cached or not.
 	post(t, ts.URL+"/delete", map[string]any{"ids": []int32{newID}}, http.StatusOK, nil)
-	var fourth, fifth queryResult
+	var fourth, fifth QueryResult
 	post(t, ts.URL+"/query", q, http.StatusOK, &fourth)
 	post(t, ts.URL+"/query", q, http.StatusOK, &fifth)
 	if fourth.Cached {
@@ -161,7 +161,7 @@ func TestCacheOverHTTP(t *testing.T) {
 	if !fifth.Cached {
 		t.Fatal("second query after delete not cached")
 	}
-	for name, r := range map[string]queryResult{"uncached": fourth, "cached": fifth} {
+	for name, r := range map[string]QueryResult{"uncached": fourth, "cached": fifth} {
 		if slices.Contains(r.IDs, newID) {
 			t.Fatalf("%s answer resurrected deleted id %d: %v", name, newID, r.IDs)
 		}
@@ -189,9 +189,9 @@ func TestCacheOverHTTP(t *testing.T) {
 
 func TestCacheDisabledByDefault(t *testing.T) {
 	ts := startServer(t, testConfig()) // -cache defaults to 0
-	points := seedDense(12, testConfig().dim, testConfig().seed)
+	points := seedDense(12, testConfig().Dim, testConfig().Seed)
 	q := map[string]any{"point": toFloats(points[0])}
-	var first, second queryResult
+	var first, second QueryResult
 	post(t, ts.URL+"/query", q, http.StatusOK, &first)
 	post(t, ts.URL+"/query", q, http.StatusOK, &second)
 	if first.Cached || second.Cached {

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"fmt"
@@ -14,16 +14,18 @@ import (
 // startReplicaServer boots a server and also tears down its follower
 // tail loop, which plain startServer never starts (writers and static
 // replicas have none).
-func startReplicaServer(t *testing.T, cfg config) (*server, *httptest.Server) {
+func startReplicaServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := newServer(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.stopFollower != nil {
-		t.Cleanup(s.stopFollower)
-	}
-	ts := httptest.NewServer(s.handler())
+	t.Cleanup(func() {
+		if stop := s.role.Load().stopTail; stop != nil {
+			stop()
+		}
+	})
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
@@ -64,14 +66,14 @@ func waitReplicaSeq(t *testing.T, url string, epoch, seq uint64) {
 // rejecting direct writes.
 func TestReplicaHydratesAndConverges(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 800
+	cfg.N = 800
 	writer := startServer(t, cfg)
 
 	rcfg := testConfig()
-	rcfg.hydrate = writer.URL
+	rcfg.Hydrate = writer.URL
 	_, rep := startReplicaServer(t, rcfg)
 
-	points := seedDense(cfg.n+40, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N+40, cfg.Dim, cfg.Seed)
 	queries := points[:16]
 
 	// Converged from the snapshot alone.
@@ -88,7 +90,7 @@ func TestReplicaHydratesAndConverges(t *testing.T) {
 		IDs []int32 `json:"ids"`
 	}
 	raw := make([][]float64, 40)
-	for i, p := range points[cfg.n:] {
+	for i, p := range points[cfg.N:] {
 		raw[i] = toFloats(p)
 	}
 	post(t, writer.URL+"/append", map[string]any{"points": raw}, http.StatusOK, &app)
@@ -136,16 +138,16 @@ func TestReplicaHydratesAndConverges(t *testing.T) {
 // the server that wrote it.
 func TestStaticReplicaFromSnapshotPath(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 600
-	cfg.snapshot = t.TempDir() + "/snap.bin"
+	cfg.N = 600
+	cfg.Snapshot = t.TempDir() + "/snap.bin"
 	writer := startServer(t, cfg)
 	post(t, writer.URL+"/snapshot", map[string]any{}, http.StatusOK, nil)
 
 	rcfg := testConfig()
-	rcfg.hydrate = cfg.snapshot
+	rcfg.Hydrate = cfg.Snapshot
 	_, rep := startReplicaServer(t, rcfg)
 
-	queries := seedDense(16, cfg.dim, cfg.seed)
+	queries := seedDense(16, cfg.Dim, cfg.Seed)
 	for i, q := range queries {
 		want := queryIDs(t, writer.URL, toFloats(q))
 		got := queryIDs(t, rep.URL, toFloats(q))
@@ -166,17 +168,17 @@ func TestStaticReplicaFromSnapshotPath(t *testing.T) {
 func TestHydrateFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		mutate func(c *config)
+		mutate func(c *Config)
 	}{
-		{"with-snapshot", func(c *config) { c.hydrate = "http://localhost:1"; c.snapshot = "x.bin" }},
-		{"with-cache", func(c *config) { c.hydrate = "http://localhost:1"; c.cacheSize = 64 }},
-		{"missing-file", func(c *config) { c.hydrate = t.TempDir() + "/nope.bin" }},
-		{"negative-deltalog", func(c *config) { c.logCap = -1 }},
+		{"with-snapshot", func(c *Config) { c.Hydrate = "http://localhost:1"; c.Snapshot = "x.bin" }},
+		{"with-cache", func(c *Config) { c.Hydrate = "http://localhost:1"; c.CacheSize = 64 }},
+		{"missing-file", func(c *Config) { c.Hydrate = t.TempDir() + "/nope.bin" }},
+		{"negative-deltalog", func(c *Config) { c.LogCap = -1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			tc.mutate(&cfg)
-			if _, err := newServer(cfg); err == nil {
+			if _, err := New(cfg); err == nil {
 				t.Fatal("newServer accepted an invalid -hydrate combination")
 			}
 		})
@@ -187,7 +189,7 @@ func TestHydrateFlagValidation(t *testing.T) {
 // journal cursor through /stats and /replica/status.
 func TestWriterStatsReportSource(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 400
+	cfg.N = 400
 	writer := startServer(t, cfg)
 
 	var st struct {
@@ -203,7 +205,7 @@ func TestWriterStatsReportSource(t *testing.T) {
 	}
 
 	// One append -> one journaled frame, visible on the status endpoint.
-	p := toFloats(seedDense(1, cfg.dim, 99)[0])
+	p := toFloats(seedDense(1, cfg.Dim, 99)[0])
 	post(t, writer.URL+"/append", map[string]any{"points": [][]float64{p}}, http.StatusOK, nil)
 	var src replica.StatusResponse
 	get(t, writer.URL+"/replica/status", &src)

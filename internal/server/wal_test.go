@@ -1,13 +1,17 @@
-package main
+package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,11 +23,11 @@ import (
 // startServerAt boots a server on a fixed address (pass "127.0.0.1:0"
 // to pick one) and returns the base URL plus a crash func that kills
 // the listener WITHOUT closing the WAL or flushing anything — the
-// closest in-process stand-in for SIGKILL. A warm restart then reuses
+// closest in-process equivalent of SIGKILL. A warm restart then reuses
 // the same address so followers keep polling the same URL.
-func startServerAt(t *testing.T, cfg config, addr string) (*server, string, func()) {
+func startServerAt(t *testing.T, cfg Config, addr string) (*Server, string, func()) {
 	t.Helper()
-	s, err := newServer(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func startServerAt(t *testing.T, cfg config, addr string) (*server, string, func
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	hs := &http.Server{Handler: s.handler()}
+	hs := &http.Server{Handler: s.Handler()}
 	go hs.Serve(ln)
 	var crashed bool
 	crash := func() {
@@ -72,20 +76,20 @@ func followerRehydrates(t *testing.T, url string) float64 {
 // keep tailing without a single extra re-hydration.
 func TestWALWarmRestartResumesEpochAndCursor(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 600
-	cfg.waldir = t.TempDir()
-	cfg.fsync = replica.FsyncAlways
+	cfg.N = 600
+	cfg.WALDir = t.TempDir()
+	cfg.Fsync = replica.FsyncAlways
 
 	_, url, crash := startServerAt(t, cfg, "127.0.0.1:0")
 
 	rcfg := testConfig()
-	rcfg.hydrate = url
+	rcfg.Hydrate = url
 	_, rep := startReplicaServer(t, rcfg)
 
 	// Acknowledged traffic: appends, deletes, a compaction.
-	points := seedDense(cfg.n+30, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N+30, cfg.Dim, cfg.Seed)
 	raw := make([][]float64, 30)
-	for i, p := range points[cfg.n:] {
+	for i, p := range points[cfg.N:] {
 		raw[i] = toFloats(p)
 	}
 	var app struct {
@@ -144,17 +148,17 @@ func TestWALWarmRestartResumesEpochAndCursor(t *testing.T) {
 // back to life, and a fresh follower can hydrate off it.
 func TestPromoteFollowerToWriter(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 500
+	cfg.N = 500
 	writer := startServer(t, cfg)
 
 	rcfg := testConfig()
-	rcfg.hydrate = writer.URL
-	rcfg.waldir = t.TempDir()
+	rcfg.Hydrate = writer.URL
+	rcfg.WALDir = t.TempDir()
 	rs, rep := startReplicaServer(t, rcfg)
 
-	points := seedDense(cfg.n+20, cfg.dim, cfg.seed)
+	points := seedDense(cfg.N+20, cfg.Dim, cfg.Seed)
 	raw := make([][]float64, 20)
-	for i, p := range points[cfg.n:] {
+	for i, p := range points[cfg.N:] {
 		raw[i] = toFloats(p)
 	}
 	post(t, writer.URL+"/append", map[string]any{"points": raw}, http.StatusOK, nil)
@@ -182,7 +186,7 @@ func TestPromoteFollowerToWriter(t *testing.T) {
 	if st.Role != "source" || st.Epoch != pr.Epoch || st.Seq != pr.Seq+1 {
 		t.Fatalf("promoted status = %+v, want source at epoch %d seq %d", st, pr.Epoch, pr.Seq+1)
 	}
-	repl := rs.repl()
+	repl := rs.role.Load()
 	if repl.wal == nil {
 		t.Fatal("promotion with -waldir left no WAL attached")
 	}
@@ -203,7 +207,7 @@ func TestPromoteFollowerToWriter(t *testing.T) {
 
 	// A fresh follower hydrates off the promoted writer and converges.
 	fcfg := testConfig()
-	fcfg.hydrate = rep.URL
+	fcfg.Hydrate = rep.URL
 	_, rep2 := startReplicaServer(t, fcfg)
 	waitReplicaSeq(t, rep2.URL, pr.Epoch, pr.Seq+1)
 	for i, q := range points[:8] {
@@ -219,14 +223,14 @@ func TestPromoteFollowerToWriter(t *testing.T) {
 // from.
 func TestPromoteRefusals(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 400
-	cfg.snapshot = filepath.Join(t.TempDir(), "snap.bin")
+	cfg.N = 400
+	cfg.Snapshot = filepath.Join(t.TempDir(), "snap.bin")
 	writer := startServer(t, cfg)
 	post(t, writer.URL+"/promote", map[string]any{}, http.StatusConflict, nil)
 
 	post(t, writer.URL+"/snapshot", map[string]any{}, http.StatusOK, nil)
 	scfg := testConfig()
-	scfg.hydrate = cfg.snapshot
+	scfg.Hydrate = cfg.Snapshot
 	_, static := startReplicaServer(t, scfg)
 	post(t, static.URL+"/promote", map[string]any{}, http.StatusConflict, nil)
 
@@ -243,21 +247,152 @@ func TestPromoteRefusals(t *testing.T) {
 	}
 }
 
+// TestRefusedPromotionLeavesHealthyFollower: a promotion refused because
+// -waldir already holds another incarnation's segments (409) must not
+// strand the node — it keeps tailing its writer, still answers as a
+// read-only follower, and a second POST /promote succeeds once the
+// operator has emptied the directory.
+func TestRefusedPromotionLeavesHealthyFollower(t *testing.T) {
+	cfg := testConfig()
+	cfg.N = 500
+	writer := startServer(t, cfg)
+
+	// Dirty the follower's WAL directory with a foreign epoch's segment.
+	waldir := t.TempDir()
+	foreign, _, err := replica.OpenWAL(waldir, persist.DeltaHeader{Epoch: 7, Metric: persist.MetricL2, Dim: cfg.Dim}, replica.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := foreign.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rcfg := testConfig()
+	rcfg.Hydrate = writer.URL
+	rcfg.WALDir = waldir
+	_, rep := startReplicaServer(t, rcfg)
+
+	post(t, rep.URL+"/promote", map[string]any{}, http.StatusConflict, nil)
+
+	// Still a follower, still read-only, still tailing: an append on the
+	// old writer reaches it.
+	points := seedDense(cfg.N+5, cfg.Dim, cfg.Seed)
+	raw := make([][]float64, 5)
+	for i, p := range points[cfg.N:] {
+		raw[i] = toFloats(p)
+	}
+	post(t, writer.URL+"/append", map[string]any{"points": raw}, http.StatusOK, nil)
+	var pre replica.StatusResponse
+	get(t, writer.URL+"/replica/status", &pre)
+	waitReplicaSeq(t, rep.URL, pre.Epoch, pre.Seq)
+	var st replica.StatusResponse
+	get(t, rep.URL+"/replica/status", &st)
+	if st.Role != "follower" {
+		t.Fatalf("status after a refused promotion = %+v, want a follower", st)
+	}
+	post(t, rep.URL+"/append", map[string]any{"points": raw[:1]}, http.StatusForbidden, nil)
+
+	// The operator empties the directory; the retry goes through at the
+	// cursor the follower has converged to since.
+	segs, err := filepath.Glob(filepath.Join(waldir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pr struct {
+		Promoted bool   `json:"promoted"`
+		Epoch    uint64 `json:"epoch"`
+		Seq      uint64 `json:"seq"`
+	}
+	post(t, rep.URL+"/promote", map[string]any{}, http.StatusOK, &pr)
+	if !pr.Promoted || pr.Epoch == pre.Epoch || pr.Seq != pre.Seq {
+		t.Fatalf("retried promote = %+v, want a new epoch resuming after seq %d", pr, pre.Seq)
+	}
+	post(t, rep.URL+"/append", map[string]any{"points": raw[:1]}, http.StatusOK, nil)
+}
+
+// TestPromoteUnderTraffic swaps the role (a refused promotion, then a
+// successful one) while readers hammer every role-dependent endpoint;
+// under -race this is the proof the role value is swapped, never torn.
+func TestPromoteUnderTraffic(t *testing.T) {
+	cfg := testConfig()
+	cfg.N = 400
+	writer := startServer(t, cfg)
+	waldir := t.TempDir()
+	foreign, _, err := replica.OpenWAL(waldir, persist.DeltaHeader{Epoch: 7, Metric: persist.MetricL2, Dim: cfg.Dim}, replica.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign.Close()
+	rcfg := testConfig()
+	rcfg.Hydrate = writer.URL
+	rcfg.WALDir = waldir
+	_, rep := startReplicaServer(t, rcfg)
+
+	point := map[string]any{"point": toFloats(seedDense(1, cfg.Dim, cfg.Seed)[0])}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, path := range []string{"/stats", "/replica/status", "/metrics"} {
+					resp, err := http.Get(rep.URL + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+				b, _ := json.Marshal(point)
+				for _, path := range []string{"/query", "/append"} { // append: 403 until promoted, 400 after (no "points")
+					resp, err := http.Post(rep.URL+path, "application/json", bytes.NewReader(b))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	post(t, rep.URL+"/promote", map[string]any{}, http.StatusConflict, nil)
+	segs, _ := filepath.Glob(filepath.Join(waldir, "*"))
+	for _, seg := range segs {
+		os.Remove(seg)
+	}
+	post(t, rep.URL+"/promote", map[string]any{}, http.StatusOK, nil)
+	close(stop)
+	wg.Wait()
+}
+
 // TestWALJournalErrorSurfaces forces a journal encode failure and
 // checks it is no longer silent: the /stats replication block carries
 // the sticky error and /metrics counts it.
 func TestWALJournalErrorSurfaces(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 400
-	s, err := newServer(cfg)
+	cfg.N = 400
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
 	// An empty delete is unencodable; the recorder latches the log.
-	replica.NewRecorder[hybridlsh.Dense](s.log).JournalDelete(nil)
+	replica.NewRecorder[hybridlsh.Dense](s.role.Load().log).JournalDelete(nil)
 
 	var st struct {
 		Replication map[string]any `json:"replication"`
@@ -286,23 +421,23 @@ func TestWALJournalErrorSurfaces(t *testing.T) {
 // WAL still resumes the same epoch and cursor.
 func TestWALSnapshotTruncatesSegments(t *testing.T) {
 	cfg := testConfig()
-	cfg.n = 400
-	cfg.waldir = t.TempDir()
-	cfg.walSeg = 512 // rotate every handful of frames
-	cfg.snapshot = filepath.Join(t.TempDir(), "snap.bin")
-	s, err := newServer(cfg)
+	cfg.N = 400
+	cfg.WALDir = t.TempDir()
+	cfg.WALSeg = 512 // rotate every handful of frames
+	cfg.Snapshot = filepath.Join(t.TempDir(), "snap.bin")
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.handler())
+	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
-	pts := seedDense(40, cfg.dim, 77)
+	pts := seedDense(40, cfg.Dim, 77)
 	for _, p := range pts {
 		post(t, ts.URL+"/append", map[string]any{"points": [][]float64{toFloats(p)}}, http.StatusOK, nil)
 	}
-	if ws := s.repl().wal.Stats(); ws.Segments < 3 {
-		t.Fatalf("WAL rotated into %d segments with walseg=%d, want >= 3", ws.Segments, cfg.walSeg)
+	if ws := s.role.Load().wal.Stats(); ws.Segments < 3 {
+		t.Fatalf("WAL rotated into %d segments with walseg=%d, want >= 3", ws.Segments, cfg.WALSeg)
 	}
 
 	var snap struct {
@@ -312,19 +447,19 @@ func TestWALSnapshotTruncatesSegments(t *testing.T) {
 	if snap.Removed < 1 {
 		t.Fatalf("wal_segments_removed = %d after a covering snapshot, want >= 1", snap.Removed)
 	}
-	ws := s.repl().wal.Stats()
+	ws := s.role.Load().wal.Stats()
 	if ws.LastSeq != 40 {
 		t.Fatalf("WAL cursor %d after truncation, want 40 (retention must not move the cursor)", ws.LastSeq)
 	}
 
 	// A restart now needs the snapshot for the truncated prefix — and
 	// resumes the same epoch and cursor from snapshot + WAL suffix.
-	s2, err := newServer(cfg)
+	s2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("restart from snapshot + truncated WAL: %v", err)
 	}
-	if s2.log.Epoch() != s.log.Epoch() || s2.log.Seq() != 40 {
-		t.Fatalf("restart resumed epoch %d seq %d, want epoch %d seq 40", s2.log.Epoch(), s2.log.Seq(), s.log.Epoch())
+	if s2.role.Load().log.Epoch() != s.role.Load().log.Epoch() || s2.role.Load().log.Seq() != 40 {
+		t.Fatalf("restart resumed epoch %d seq %d, want epoch %d seq 40", s2.role.Load().log.Epoch(), s2.role.Load().log.Seq(), s.role.Load().log.Epoch())
 	}
 }
 
@@ -341,8 +476,8 @@ func TestWALBootRefusesTruncatedPrefixWithoutSnapshot(t *testing.T) {
 	w.Close()
 
 	cfg := testConfig()
-	cfg.waldir = dir
-	if _, err := newServer(cfg); err == nil || !strings.Contains(err.Error(), "starts at seq") {
+	cfg.WALDir = dir
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "starts at seq") {
 		t.Fatalf("newServer on a truncated-prefix WAL without -snapshot: %v, want a refusal", err)
 	}
 }
@@ -351,16 +486,16 @@ func TestWALBootRefusesTruncatedPrefixWithoutSnapshot(t *testing.T) {
 func TestWALFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		mutate func(c *config)
+		mutate func(c *Config)
 	}{
-		{"bad-fsync", func(c *config) { c.fsync = "sometimes" }},
-		{"negative-walseg", func(c *config) { c.walSeg = -1 }},
-		{"waldir-on-static-replica", func(c *config) { c.waldir = t.TempDir(); c.hydrate = "snap.bin" }},
+		{"bad-fsync", func(c *Config) { c.Fsync = "sometimes" }},
+		{"negative-walseg", func(c *Config) { c.WALSeg = -1 }},
+		{"waldir-on-static-replica", func(c *Config) { c.WALDir = t.TempDir(); c.Hydrate = "snap.bin" }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			tc.mutate(&cfg)
-			if _, err := newServer(cfg); err == nil {
+			if _, err := New(cfg); err == nil {
 				t.Fatal("newServer accepted an invalid WAL flag combination")
 			}
 		})

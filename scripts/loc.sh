@@ -5,6 +5,7 @@
 # this number; a simplification PR is expected to bring it down.
 #
 #   PR 12 (parent of PR 13): 22514
+#   PR 13 (parent of PR 15): 22074
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
