@@ -14,6 +14,7 @@ import (
 	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/multiprobe"
+	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
 
@@ -67,7 +68,7 @@ func benchFig2[P any](b *testing.B, data, queries []P, radii []float64,
 func BenchmarkFigure2a_MNIST(b *testing.B) {
 	ds := dataset.MNISTLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, distance.Hamming, 20, 2000, 3)
+	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.Hamming), 20, 2000, 3)
 	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Binary], error) {
 		return core.NewIndex(data, core.Config[vector.Binary]{
 			Family:   lsh.NewBitSampling(dataset.MNISTBits),
@@ -84,7 +85,7 @@ func BenchmarkFigure2a_MNIST(b *testing.B) {
 func BenchmarkFigure2b_Webspam(b *testing.B) {
 	ds := dataset.WebspamLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, distance.Cosine, 20, 2000, 3)
+	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.Cosine), 20, 2000, 3)
 	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Sparse], error) {
 		return core.NewIndex(data, core.Config[vector.Sparse]{
 			Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
@@ -102,7 +103,7 @@ func BenchmarkFigure2b_Webspam(b *testing.B) {
 func BenchmarkFigure2c_CoverType(b *testing.B) {
 	ds := dataset.CoverTypeLike(benchScale()/10, 1)
 	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, distance.L1, 20, 2000, 3)
+	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.L1), 20, 2000, 3)
 	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Dense], error) {
 		return core.NewIndex(data, core.Config[vector.Dense]{
 			Family:   lsh.NewPStableL1(dataset.CoverTypeDim, 4*r),
@@ -120,7 +121,7 @@ func BenchmarkFigure2c_CoverType(b *testing.B) {
 func BenchmarkFigure2d_Corel(b *testing.B) {
 	ds := dataset.CorelLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, distance.L2, 20, 2000, 3)
+	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.L2), 20, 2000, 3)
 	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Dense], error) {
 		return core.NewIndex(data, core.Config[vector.Dense]{
 			Family:   lsh.NewPStableL2(dataset.CorelDim, 2*r),

@@ -337,29 +337,32 @@ func NewJaccardIndex(points []Binary, r float64, opts ...Option) (*JaccardIndex,
 
 // Calibrate measures the cost-model constants (α, β) for dense L2 data on
 // this machine; pass the result via WithCostModel. queries and sample
-// default to the paper's 100 and 10,000 when 0.
+// default to the paper's 100 and 10,000 when 0. β is timed through the
+// point store the matching index verifies with (here the flat L2 store
+// and its batch kernel), so it is the cost of the verification the index
+// performs, not of a stand-alone distance call.
 func Calibrate(points []Dense, queries, sample int, seed uint64) CostModel {
-	return core.Calibrate(points, distance.L2, queries, sample, seed)
+	return core.Calibrate(points, pointstore.DenseL2Builder(pointstore.ModeOff), queries, sample, seed)
 }
 
 // CalibrateL1 is Calibrate under Manhattan distance.
 func CalibrateL1(points []Dense, queries, sample int, seed uint64) CostModel {
-	return core.Calibrate(points, distance.L1, queries, sample, seed)
+	return core.Calibrate(points, pointstore.GenericBuilder(distance.L1), queries, sample, seed)
 }
 
 // CalibrateCosine is Calibrate for sparse cosine data.
 func CalibrateCosine(points []Sparse, queries, sample int, seed uint64) CostModel {
-	return core.Calibrate(points, distance.Cosine, queries, sample, seed)
+	return core.Calibrate(points, pointstore.GenericBuilder(distance.Cosine), queries, sample, seed)
 }
 
 // CalibrateHamming is Calibrate for binary Hamming data.
 func CalibrateHamming(points []Binary, queries, sample int, seed uint64) CostModel {
-	return core.Calibrate(points, distance.Hamming, queries, sample, seed)
+	return core.Calibrate(points, pointstore.BinaryHammingBuilder(), queries, sample, seed)
 }
 
 // CalibrateJaccard is Calibrate for set-valued (Jaccard) data.
 func CalibrateJaccard(points []Binary, queries, sample int, seed uint64) CostModel {
-	return core.Calibrate(points, distance.Jaccard, queries, sample, seed)
+	return core.Calibrate(points, pointstore.GenericBuilder(distance.Jaccard), queries, sample, seed)
 }
 
 // GroundTruth returns the exact rNNR answer for dense L2 data by linear

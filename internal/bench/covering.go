@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
 
@@ -69,7 +70,7 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 	ds := dataset.MNISTLike(cfg.Scale, cfg.Seed)
 	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
 	cost := costModel(cfg, PaperRatioMNIST, func() core.CostModel {
-		return core.Calibrate(data, distance.Hamming, 0, 0, cfg.Seed+2)
+		return core.Calibrate(data, pointstore.GenericBuilder(distance.Hamming), 0, 0, cfg.Seed+2)
 	})
 	runs := max(cfg.Runs, 1)
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
 
@@ -64,7 +65,7 @@ func figure2[P any](cfg Config, name, metric string, points []P, radii []float64
 	paperRatio float64, k int, family func(r float64) lsh.Family[P]) (*Fig2Result, error) {
 	data, queries := dataset.SplitQueries(points, cfg.queries(len(points)), cfg.Seed+1)
 	cost := costModel(cfg, paperRatio, func() core.CostModel {
-		return core.Calibrate(data, dist, 0, 0, cfg.Seed+2)
+		return core.Calibrate(data, pointstore.GenericBuilder(dist), 0, 0, cfg.Seed+2)
 	})
 	build := func(r float64) (*core.Index[P], error) {
 		return core.NewIndex(data, indexConfig(cfg, family(r), dist, r, k, cost, cfg.Seed+3))

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/obs"
+	"repro/internal/pointstore"
 )
 
 // RecalResult reports the drift-injection experiment: how far a stale
@@ -83,7 +84,7 @@ const recalDeadBand = 0.05
 func RecalExperiment(cfg Config) (*RecalResult, error) {
 	data, queries, r := corelWorkload(cfg)
 
-	fresh, err := core.CalibrateChecked(data, distance.L2, 0, 0, cfg.Seed+2)
+	fresh, err := core.CalibrateChecked(data, pointstore.GenericBuilder(distance.L2), 0, 0, cfg.Seed+2)
 	if err != nil {
 		return nil, fmt.Errorf("bench: recal experiment needs a clean calibration: %w", err)
 	}

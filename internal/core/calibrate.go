@@ -3,9 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
-	"repro/internal/distance"
+	"repro/internal/pointstore"
 	"repro/internal/rng"
 )
 
@@ -18,12 +19,17 @@ import (
 var ErrDegenerateCalibration = errors.New("core: degenerate calibration timings (clock granularity); constants are floor fallbacks, not measurements")
 
 // Calibrate measures the cost-model constants on this machine for a given
-// point type and distance function, mirroring the paper's procedure ("we
-// use a random set of 100 queries and 10,000 data points for choosing the
+// point type and point store, mirroring the paper's procedure ("we use a
+// random set of 100 queries and 10,000 data points for choosing the
 // ratio β/α"):
 //
-//   - β is the mean wall time of one distance computation, measured over
-//     queries × sample random pairs;
+//   - β is the mean wall time of verifying one candidate, measured
+//     through the store the index verifies with: build (the index's own
+//     Config.Store builder) lays out the sampled points and each sampled
+//     query runs VerifyRadius over all of them at an all-accepting
+//     radius — so a store with a batch or SIMD kernel is priced at what
+//     that kernel costs, not at a pair-by-pair distance call the
+//     searcher never makes;
 //   - α is the mean wall time of one duplicate-removal step — a
 //     generation-stamped visited-array probe plus candidate append, the
 //     same operation searchBuckets performs per collision.
@@ -35,8 +41,8 @@ var ErrDegenerateCalibration = errors.New("core: degenerate calibration timings 
 // Degenerate timings (clock granularity on very fast ops) are floored so
 // the model stays Valid, but such a model carries no information — use
 // CalibrateChecked when the outcome decides whether to adopt the model.
-func Calibrate[P any](points []P, dist distance.Func[P], queries, sample int, seed uint64) CostModel {
-	c, _ := CalibrateChecked(points, dist, queries, sample, seed)
+func Calibrate[P any](points []P, build pointstore.Builder[P], queries, sample int, seed uint64) CostModel {
+	c, _ := CalibrateChecked(points, build, queries, sample, seed)
 	return c
 }
 
@@ -45,8 +51,9 @@ func Calibrate[P any](points []P, dist distance.Func[P], queries, sample int, se
 // ErrDegenerateCalibration) the floored-but-Valid model is returned
 // together with the error, so callers choose between logging-and-serving
 // and refusing to adopt it. A nil error means both constants are genuine
-// measurements.
-func CalibrateChecked[P any](points []P, dist distance.Func[P], queries, sample int, seed uint64) (CostModel, error) {
+// measurements. If build refuses the sample (points of mixed dimension)
+// the error is returned with DefaultCostModel.
+func CalibrateChecked[P any](points []P, build pointstore.Builder[P], queries, sample int, seed uint64) (CostModel, error) {
 	if queries <= 0 {
 		queries = 100
 	}
@@ -58,22 +65,26 @@ func CalibrateChecked[P any](points []P, dist distance.Func[P], queries, sample 
 	}
 	r := rng.New(seed)
 
-	// --- β: distance computations over random (query, point) pairs.
+	// --- β: candidate verifications of random queries against a store of
+	// randomly sampled points, in the store's own layout and kernel.
 	qIdx := make([]int, queries)
 	for i := range qIdx {
 		qIdx[i] = r.Intn(len(points))
 	}
-	pIdx := make([]int, sample)
-	for i := range pIdx {
-		pIdx[i] = r.Intn(len(points))
+	sampled := make([]P, sample)
+	cand := make([]int32, sample)
+	for i := range sampled {
+		sampled[i] = points[r.Intn(len(points))]
+		cand[i] = int32(i)
 	}
-	var sink float64
+	store, err := build(sampled)
+	if err != nil {
+		return DefaultCostModel, fmt.Errorf("core: calibration store: %w", err)
+	}
+	out := make([]int32, 0, sample)
 	t0 := time.Now()
 	for _, qi := range qIdx {
-		q := points[qi]
-		for _, pi := range pIdx {
-			sink += dist(points[pi], q)
-		}
+		out = store.VerifyRadius(points[qi], cand, math.Inf(1), out[:0])
 	}
 	beta := float64(time.Since(t0).Nanoseconds()) / float64(queries*sample)
 
@@ -117,7 +128,6 @@ func CalibrateChecked[P any](points []P, dist distance.Func[P], queries, sample 
 		}
 	}
 	alpha := float64(time.Since(t1).Nanoseconds()) / float64(dups)
-	_ = sink
 	return checkCalibration(alpha, beta)
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/distance"
+	"repro/internal/pointstore"
+	"repro/internal/vector"
 )
 
 func TestCheckCalibrationFlagsDegenerateTimings(t *testing.T) {
@@ -45,7 +47,7 @@ func TestCheckCalibrationFlagsDegenerateTimings(t *testing.T) {
 
 func TestCalibrateCheckedAgreesWithCalibrate(t *testing.T) {
 	w := makeWorkload(2000, 200, 64, 2, 13)
-	cm, err := CalibrateChecked(w.points, distance.Hamming, 20, 1000, 1)
+	cm, err := CalibrateChecked(w.points, pointstore.GenericBuilder(distance.Hamming), 20, 1000, 1)
 	if !cm.Usable() {
 		t.Fatalf("CalibrateChecked returned unusable model %+v", cm)
 	}
@@ -56,7 +58,60 @@ func TestCalibrateCheckedAgreesWithCalibrate(t *testing.T) {
 		t.Fatalf("CalibrateChecked error = %v, want nil or ErrDegenerateCalibration", err)
 	}
 	// Calibrate is the errors-swallowed wrapper: same seed, same model.
-	if got := Calibrate(w.points, distance.Hamming, 20, 1000, 1); !got.Usable() {
+	if got := Calibrate(w.points, pointstore.GenericBuilder(distance.Hamming), 20, 1000, 1); !got.Usable() {
 		t.Fatalf("Calibrate returned unusable model %+v", got)
+	}
+}
+
+// TestCalibrateTimesTheStore pins what β is a measurement of: the store
+// the builder produces is the thing verified, once per query over the
+// whole sample — not a distance function called pair by pair beside it.
+// Asserted on the store's own counter, since a timing cannot tell.
+func TestCalibrateTimesTheStore(t *testing.T) {
+	w := makeWorkload(2000, 200, 64, 2, 13)
+	const queries = 7
+	for _, tc := range []struct {
+		name         string
+		build        pointstore.Builder[vector.Binary]
+		sample, want int
+	}{
+		{"flat", pointstore.BinaryHammingBuilder(), 300, 300},
+		{"generic", pointstore.GenericBuilder(distance.Hamming), 300, 300},
+		{"sample capped at n", pointstore.BinaryHammingBuilder(), 5000, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var built pointstore.Store[vector.Binary]
+			spy := func(pts []vector.Binary) (pointstore.Store[vector.Binary], error) {
+				if built != nil {
+					t.Fatal("calibration built more than one store")
+				}
+				var err error
+				built, err = tc.build(pts)
+				return built, err
+			}
+			if cm := Calibrate(w.points, spy, queries, tc.sample, 1); !cm.Usable() {
+				t.Fatalf("Calibrate returned unusable model %+v", cm)
+			}
+			if built == nil {
+				t.Fatal("calibration never built the store")
+			}
+			if got := built.Len(); got != tc.want {
+				t.Fatalf("calibration store holds %d points, want %d", got, tc.want)
+			}
+			if got := built.Stats().Verified; got != uint64(queries*tc.want) {
+				t.Fatalf("store verified %d candidates, want queries × sample = %d", got, queries*tc.want)
+			}
+		})
+	}
+}
+
+func TestCalibrateReportsStoreError(t *testing.T) {
+	pts := []vector.Dense{{1, 2}, {1, 2, 3}, {4, 5}}
+	cm, err := CalibrateChecked(pts, pointstore.DenseL2Builder(pointstore.ModeOff), 2, 3, 1)
+	if err == nil || errors.Is(err, ErrDegenerateCalibration) {
+		t.Fatalf("mixed-dimension sample: err = %v, want the store's refusal", err)
+	}
+	if cm != DefaultCostModel {
+		t.Fatalf("model %+v, want DefaultCostModel", cm)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/rng"
 	"repro/internal/vector"
 )
@@ -334,7 +335,7 @@ func TestCostModel(t *testing.T) {
 
 func TestCalibrateProducesSaneModel(t *testing.T) {
 	w := makeWorkload(2000, 200, 64, 2, 13)
-	cm := Calibrate(w.points, distance.Hamming, 20, 1000, 1)
+	cm := Calibrate(w.points, pointstore.GenericBuilder(distance.Hamming), 20, 1000, 1)
 	if !cm.Valid() {
 		t.Fatalf("Calibrate returned invalid model %+v", cm)
 	}

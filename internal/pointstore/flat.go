@@ -21,13 +21,13 @@ const qslack = 1e-3
 // FlatL2 stores Dense points struct-of-arrays: one contiguous []float32
 // of n rows × dim columns, plus id-aligned aliasing Dense headers for
 // the Slice/At accessors. Radius verification compares squared distances
-// against r² with the unrolled vector.L2Sq kernels — no per-candidate
-// math.Sqrt, no pointer chase per point. With ModeSQ8 it additionally
-// keeps a scalar-quantized copy (per-dimension min/max, one uint8 code
-// per coordinate — a 4× smaller working set) and classifies candidates
-// against it under a conservative decode-error bound, paying the exact
-// kernel only inside the narrow ambiguity band around r, which keeps
-// answers id-identical to the exact-only store.
+// against r² inside the vector.L2SqWithin batch kernels — no
+// per-candidate math.Sqrt, call or pointer chase. With ModeSQ8 it
+// additionally keeps a scalar-quantized copy (per-dimension min/max, one
+// uint8 code per coordinate — a 4× smaller working set) and classifies
+// candidates against it under a conservative decode-error bound, paying
+// the exact kernel only inside the narrow ambiguity band around r, which
+// keeps answers id-identical to the exact-only store.
 type FlatL2 struct {
 	dim  int
 	n    int
@@ -399,90 +399,73 @@ func (s *FlatL2) Compact(dead []bool, live int) (Store[vector.Dense], error) {
 	return ns, nil
 }
 
-// VerifyRadius filters the candidate ids: with SQ8 on, each candidate
-// is classified by its quantized distance — definitely outside r
-// (rejected), definitely within r (accepted), or in the narrow
-// ambiguity band around r, which alone pays the exact squared-distance
-// check; the reported set is exactly {id : L2(point[id], q) ≤ r}
-// either way.
+// VerifyRadius filters the candidate ids with the within-radius batch
+// kernel (squared distances against r², AVX2 where the CPU has it). With
+// SQ8 on, each candidate is first classified by its quantized distance —
+// definitely outside r (rejected), definitely within r (accepted), or in
+// the narrow ambiguity band around r, which alone pays the exact kernel;
+// the reported set is exactly {id : L2(point[id], q) ≤ r} either way.
 func (s *FlatL2) VerifyRadius(q vector.Dense, ids []int32, r float64, out []int32) []int32 {
 	if s.n > 0 && len(q) != s.dim {
 		panic(fmt.Sprintf("pointstore: VerifyRadius query dim %d, want %d", len(q), s.dim))
 	}
-	r2 := r * r
 	s.verified.Add(uint64(len(ids)))
-	if z := s.q; z != nil && len(ids) > 0 {
-		lo, hi := quantBands(r, z.bound)
-		lut := z.buildLUT(q)
-		var rej, acc, chk uint64
-		for _, id := range ids {
-			switch lutClassify(lut, z.codes[int(id)*s.dim:(int(id)+1)*s.dim:(int(id)+1)*s.dim], lo, hi) {
-			case quantReject:
-				rej++
-			case quantAccept:
-				acc++
-				out = append(out, id)
-			default:
-				chk++
-				if vector.L2Sq(q, s.hdrs[id]) <= r2 {
-					out = append(out, id)
-				}
-			}
-		}
-		z.putLUT(lut)
-		s.rejected.Add(rej)
-		s.accepted.Add(acc)
-		s.rechecked.Add(chk)
-		return out
+	if s.q != nil {
+		return s.filterSQ8(q, ids, len(ids), r, out)
 	}
-	for _, id := range ids {
-		if vector.L2Sq(q, s.hdrs[id]) <= r2 {
-			out = append(out, id)
-		}
-	}
-	return out
+	return vector.L2SqWithin(out, q, s.flat, s.n, ids, r*r)
 }
 
 // ScanRadius scans every stored row (the LINEAR arm). The scan walks
-// the flat backing sequentially — no per-point pointer chase — and
-// compares squared distances; with SQ8 on it walks the 4×-smaller code
-// matrix instead and pays the exact check only inside the ambiguity
-// band around r.
+// the flat backing sequentially — no per-point pointer chase — inside
+// the batch kernel; with SQ8 on it walks the 4×-smaller code matrix
+// instead and pays the exact check only inside the ambiguity band
+// around r.
 func (s *FlatL2) ScanRadius(q vector.Dense, r float64, out []int32) []int32 {
 	if s.n > 0 && len(q) != s.dim {
 		panic(fmt.Sprintf("pointstore: ScanRadius query dim %d, want %d", len(q), s.dim))
 	}
-	r2 := r * r
 	s.verified.Add(uint64(s.n))
-	if z := s.q; z != nil && s.n > 0 {
-		lo, hi := quantBands(r, z.bound)
-		lut := z.buildLUT(q)
-		var rej, acc, chk uint64
-		for i := 0; i < s.n; i++ {
-			switch lutClassify(lut, z.codes[i*s.dim:(i+1)*s.dim:(i+1)*s.dim], lo, hi) {
-			case quantReject:
-				rej++
-			case quantAccept:
-				acc++
-				out = append(out, int32(i))
-			default:
-				chk++
-				if vector.L2Sq(q, s.hdrs[i]) <= r2 {
-					out = append(out, int32(i))
-				}
-			}
-		}
-		z.putLUT(lut)
-		s.rejected.Add(rej)
-		s.accepted.Add(acc)
-		s.rechecked.Add(chk)
+	if s.q != nil {
+		return s.filterSQ8(q, nil, s.n, r, out)
+	}
+	return vector.L2SqWithinAll(out, q, s.flat, s.n, r*r)
+}
+
+// filterSQ8 is both arms with SQ8 on: it classifies count candidates —
+// ids[k], or row k itself when ids is nil (the scan) — against the code
+// matrix and sends only the ambiguity band to the exact kernel, one id
+// at a time so the reported order stays the candidate order.
+func (s *FlatL2) filterSQ8(q vector.Dense, ids []int32, count int, r float64, out []int32) []int32 {
+	if count == 0 {
 		return out
 	}
-	for i := 0; i < s.n; i++ {
-		if vector.L2Sq(q, s.hdrs[i]) <= r2 {
-			out = append(out, int32(i))
+	z, r2 := s.q, r*r
+	lo, hi := quantBands(r, z.bound)
+	lut := z.buildLUT(q)
+	var rej, acc, chk uint64
+	var one [1]int32
+	for k := 0; k < count; k++ {
+		id := int32(k)
+		if ids != nil {
+			id = ids[k]
+		}
+		switch lutClassify(lut, z.codes[int(id)*s.dim:(int(id)+1)*s.dim:(int(id)+1)*s.dim], lo, hi) {
+		case quantReject:
+			rej++
+		case quantAccept:
+			acc++
+			out = append(out, id)
+		default:
+			chk++
+			one[0] = id
+			out = vector.L2SqWithin(out, q, s.flat, s.n, one[:], r2)
 		}
 	}
+	z.putLUT(lut)
+	s.rejected.Add(rej)
+	s.accepted.Add(acc)
+	s.rechecked.Add(chk)
 	return out
 }
 

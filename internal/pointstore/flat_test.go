@@ -372,6 +372,84 @@ func TestFlatL2Validation(t *testing.T) {
 	}
 }
 
+// TestFlatL2MatchesGeneric pins the batch kernels behind the exact store
+// against the one-distance-call-per-candidate Generic store over the
+// same squared-distance arithmetic (distance.L2Sq at radius r²): the
+// answers must agree id for id and in the same order — over shuffled
+// candidate lists with repeats longer than one kernel chunk, at radii
+// that sit exactly on a point, with points a millionth either side of
+// r, and appended to a non-empty out that has no room to spare.
+func TestFlatL2MatchesGeneric(t *testing.T) {
+	for _, dim := range []int{1, 3, 8, 32, 33} {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			const r = 0.4
+			pts := randDense(700, dim, uint64(100+dim))
+			q := pts[0]
+			rr := rng.New(uint64(dim))
+			for _, f := range []float64{1 - 1e-6, 1, 1 + 1e-6} {
+				for k := 0; k < 8; k++ {
+					p := make(vector.Dense, dim)
+					var norm float64
+					for j := range p {
+						p[j] = float32(rr.Normal())
+						norm += float64(p[j]) * float64(p[j])
+					}
+					for j := range p {
+						p[j] = q[j] + float32(float64(p[j])/math.Sqrt(norm)*r*f)
+					}
+					pts = append(pts, p)
+				}
+			}
+			flat, err := NewFlatL2(pts, ModeOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := NewGeneric(pts, distance.L2Sq)
+			cands := make([]int32, 2*len(pts))
+			for i := range cands {
+				cands[i] = int32(rr.Intn(len(pts)))
+			}
+			for _, rad := range append(radiusSweep(pts, q), r, r*(1-1e-6), r*(1+1e-6)) {
+				prefix := make([]int32, 2, 3)
+				prefix[0], prefix[1] = -1, -2
+				want := gen.VerifyRadius(q, cands, rad*rad, slices.Clone(prefix))
+				got := flat.VerifyRadius(q, cands, rad, slices.Clone(prefix))
+				if !slices.Equal(got, want) {
+					t.Fatalf("r=%g: VerifyRadius flat %v != generic %v", rad, got, want)
+				}
+				want = gen.ScanRadius(q, rad*rad, slices.Clone(prefix))
+				got = flat.ScanRadius(q, rad, slices.Clone(prefix))
+				if !slices.Equal(got, want) {
+					t.Fatalf("r=%g: ScanRadius flat %v != generic %v", rad, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFlatL2BadIDPanics: a candidate id outside [0, n) must panic in
+// either quantization mode — the kernels check it themselves — rather
+// than read another point's row or memory past the backing.
+func TestFlatL2BadIDPanics(t *testing.T) {
+	pts := randDense(50, 8, 3)
+	for _, mode := range []Mode{ModeOff, ModeSQ8} {
+		st, err := NewFlatL2(pts, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []int32{-1, 50, math.MaxInt32, math.MinInt32} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v: VerifyRadius with id %d did not panic", mode, bad)
+					}
+				}()
+				st.VerifyRadius(pts[0], []int32{1, 2, bad, 3}, 10, nil)
+			}()
+		}
+	}
+}
+
 // TestFlatBinaryMatchesGeneric pins the word-level Hamming store
 // against the generic exact store over a full radius sweep.
 func TestFlatBinaryMatchesGeneric(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,7 +34,9 @@ type RouterConfig struct {
 	// 1024). Demoted replicas keep being probed — and keep being usable
 	// as a last resort — but stop receiving routine traffic.
 	LagLimit uint64
-	// MaxBody caps a proxied request body (default 8 MiB).
+	// MaxBody caps a proxied request body and an upstream's response
+	// body alike (default 8 MiB). A longer response is never relayed
+	// cut off: the request fails with 502.
 	MaxBody int64
 	// Client issues all upstream requests (default http.DefaultClient;
 	// tests inject fault-wrapped transports here).
@@ -406,8 +409,10 @@ func (rt *Router) order() []*member {
 // do routes one request body to the replica set: primary attempt, a
 // hedged second attempt if the primary dawdles past HedgeAfter,
 // immediate failover on hard failures, first answer wins. A 4xx is an
-// answer (the client's request is at fault, every replica would agree);
-// transport errors, timeouts and 5xx burn the attempt and move on.
+// answer (the client's request is at fault, every replica would agree),
+// and so is a response longer than MaxBody: the request fails there,
+// without failover and without blaming the replica. Transport errors,
+// timeouts and 5xx burn the attempt and move on.
 func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResult, error) {
 	order := rt.order()
 	resc := make(chan attemptResult, len(order))
@@ -430,6 +435,9 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 		select {
 		case res := <-resc:
 			pending--
+			if errors.Is(res.err, errResponseTooLarge) {
+				return attemptResult{}, res.err
+			}
 			if res.err == nil && res.status < 500 {
 				if res.idx > 0 {
 					rt.hedgeWins.Inc()
@@ -462,6 +470,9 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 	return attemptResult{}, fmt.Errorf("replica: all %d replicas failed: %w", len(order), lastErr)
 }
 
+// errResponseTooLarge marks an upstream response longer than MaxBody.
+var errResponseTooLarge = errors.New("response body over the router's limit")
+
 // attemptOne sends one upstream request with the per-replica timeout.
 func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path string, body []byte) attemptResult {
 	t0 := time.Now()
@@ -481,10 +492,16 @@ func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path strin
 		return res
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+	// One byte past the cap tells a body of exactly MaxBody from a longer
+	// one, which must not be relayed as if it were whole.
+	b, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody+1))
 	res.elapsed = time.Since(t0)
 	if err != nil {
 		res.err = fmt.Errorf("replica %s: body: %w", m.url, err)
+		return res
+	}
+	if int64(len(b)) > rt.cfg.MaxBody {
+		res.err = fmt.Errorf("replica %s: %w of %d bytes", m.url, errResponseTooLarge, rt.cfg.MaxBody)
 		return res
 	}
 	res.status = resp.StatusCode

@@ -189,6 +189,57 @@ func TestRouter4xxIsAnAnswer(t *testing.T) {
 	}
 }
 
+// TestRouterRefusesOversizedResponse: an upstream answer longer than
+// MaxBody used to come back cut off at the cap with status 200. It must
+// fail as a 502 that names the limit — after one attempt, since every
+// replica would answer the same and none is at fault — while an answer
+// of exactly MaxBody bytes is relayed whole.
+func TestRouterRefusesOversizedResponse(t *testing.T) {
+	const maxBody = 4096
+	atCap := `{"ids":[` + strings.Repeat("1,", 2000) + `1]}`
+	atCap += strings.Repeat(" ", maxBody-len(atCap))
+	for _, tc := range []struct {
+		name   string
+		body   string
+		status int
+	}{
+		{"exactly MaxBody", atCap, http.StatusOK},
+		{"MaxBody+1", atCap + " ", http.StatusBadGateway},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newFakeReplica(t, tc.body)
+			b := newFakeReplica(t, tc.body)
+			rt, reg := newTestRouter(t, replica.RouterConfig{
+				HedgeAfter:  time.Hour,
+				HealthEvery: time.Hour,
+				MaxBody:     maxBody,
+			}, a, b)
+			rec := routeQuery(t, rt)
+			if rec.Code != tc.status {
+				t.Fatalf("status %d with %d body bytes, want %d", rec.Code, rec.Body.Len(), tc.status)
+			}
+			if a.hits.Load()+b.hits.Load() != 1 {
+				t.Fatalf("%d upstream attempts, want 1", a.hits.Load()+b.hits.Load())
+			}
+			if tc.status == http.StatusOK {
+				if rec.Body.String() != tc.body {
+					t.Fatalf("relayed %d bytes, want the upstream's %d unchanged", rec.Body.Len(), len(tc.body))
+				}
+				return
+			}
+			if !strings.Contains(rec.Body.String(), "4096 bytes") {
+				t.Fatalf("502 body %q does not name the limit", rec.Body.String())
+			}
+			if v := counterValue(t, reg, "hybridlsh_router_request_errors_total"); v != 1 {
+				t.Fatalf("request_errors_total = %v, want 1", v)
+			}
+			if rt.Healthy() != 2 {
+				t.Fatalf("%d healthy replicas after an oversized answer, want both", rt.Healthy())
+			}
+		})
+	}
+}
+
 func TestRouterAllReplicasFailing(t *testing.T) {
 	a := newFakeReplica(t, `{"ids":[1]}`)
 	b := newFakeReplica(t, `{"ids":[2]}`)

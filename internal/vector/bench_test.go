@@ -1,14 +1,15 @@
 package vector
 
 // Kernel microbenchmarks for the distance hot paths: the unrolled
-// kernels against the scalar loops they replaced, and the one-to-many
-// batch variants against per-call loops. CI runs these with
+// kernels against the scalar loops they replaced, and the within-radius
+// batch kernels, portable against assembly. CI runs these with
 // `go test -bench Kernel` and archives the output, so regressions in
 // the raw kernels are visible per commit.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -75,31 +76,46 @@ func BenchmarkKernelDot(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelL2SqToMany(b *testing.B) {
-	const dim, n = 32, 1024
-	r := rng.New(3)
-	flat := make([]float32, n*dim)
-	for i := range flat {
-		flat[i] = float32(r.Normal())
+// BenchmarkKernelL2SqWithin times the within-radius batch kernels the
+// flat store verifies and scans with: the portable loop beside whatever
+// the dispatcher picks on this CPU (the AVX2 assembly on amd64), over
+// 1024 rows at a radius that keeps about a tenth of them. ns/row is the
+// per-candidate cost the benchmark's pointstore.*_ns_per_* metrics see.
+func BenchmarkKernelL2SqWithin(b *testing.B) {
+	const n = 1024
+	dispatched := "dispatch"
+	if haveAVX2 {
+		dispatched = "avx2"
 	}
-	q, _ := benchDense(dim, 4)
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
+	for _, dim := range []int{8, 32, 128} {
+		r := rng.New(uint64(dim))
+		flat := make([]float32, n*dim)
+		for i := range flat {
+			flat[i] = float32(r.Normal())
+		}
+		q, _ := benchDense(dim, 4)
+		ids := make([]int32, n)
+		ds := make([]float64, n)
+		for i, p := range r.Perm(n) {
+			ids[i] = int32(p)
+			ds[i] = l2SqRaw(q, flat[i*dim:(i+1)*dim])
+		}
+		slices.Sort(ds)
+		r2 := ds[n/10]
+		out := make([]int32, 0, n)
+		run := func(name string, f func()) {
+			b.Run(fmt.Sprintf("%s-%d", name, dim), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					f()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
+		run("ids-portable", func() { out = l2SqWithinPortable(out[:0], q, flat, n, ids, r2) })
+		run("ids-"+dispatched, func() { out = L2SqWithin(out[:0], q, flat, n, ids, r2) })
+		run("all-portable", func() { out = l2SqWithinAllPortable(out[:0], q, flat, n, r2) })
+		run("all-"+dispatched, func() { out = L2SqWithinAll(out[:0], q, flat, n, r2) })
 	}
-	dst := make([]float64, n)
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			L2SqToMany(dst, q, flat, dim, ids)
-		}
-	})
-	b.Run("loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j, id := range ids {
-				dst[j] = L2Sq(q, flat[int(id)*dim:(int(id)+1)*dim])
-			}
-		}
-	})
 }
 
 func BenchmarkKernelHammingWords(b *testing.B) {

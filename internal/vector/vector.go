@@ -99,8 +99,8 @@ func L2(a, b Dense) float64 {
 // verification compares it against r² directly, saving the math.Sqrt per
 // candidate that L2 pays; the square root is monotone, so the comparison
 // is unchanged. The loop is 4×-unrolled with four independent
-// accumulators (unlike Dot, nothing downstream depends on the summation
-// order) and the slice headers are re-sliced so the compiler drops the
+// accumulators (unlike Dot, no hash key depends on the summation order)
+// and the slice headers are re-sliced so the compiler drops the
 // per-element bounds checks.
 func L2Sq(a, b Dense) float64 {
 	if len(a) != len(b) {
@@ -109,8 +109,11 @@ func L2Sq(a, b Dense) float64 {
 	return l2SqRaw(a, b)
 }
 
-// l2SqRaw is L2Sq without the length check, shared with the flat-store
-// batch kernels whose row geometry guarantees matching lengths.
+// l2SqRaw is L2Sq without the length check: the arithmetic the
+// within-radius batch kernels (within.go) run over rows whose geometry
+// guarantees matching lengths, in plain Go here and lane for lane in
+// assembly. Which dimension goes to which accumulator, the tail going to
+// s0 and the order of the final sum are therefore fixed.
 func l2SqRaw(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -131,18 +134,6 @@ func l2SqRaw(a, b []float32) float64 {
 		s0 += d * d
 	}
 	return (s0 + s1) + (s2 + s3)
-}
-
-// L2SqToMany writes into dst[k] the squared Euclidean distance between q
-// and row ids[k] of the flat row-major matrix (dim columns). It is the
-// one-to-many companion of L2Sq for struct-of-arrays point stores: the
-// rows are contiguous, so the scan is sequential in memory for sorted
-// ids. dst must have len(ids) room.
-func L2SqToMany(dst []float64, q Dense, flat []float32, dim int, ids []int32) {
-	for k, id := range ids {
-		row := flat[int(id)*dim : int(id)*dim+dim : int(id)*dim+dim]
-		dst[k] = l2SqRaw(q, row)
-	}
 }
 
 // L1 returns the Manhattan distance between a and b.
@@ -375,16 +366,6 @@ func HammingWords(a, b []uint64) int {
 		n0 += bits.OnesCount64(a[i] ^ b[i])
 	}
 	return (n0 + n1) + (n2 + n3)
-}
-
-// HammingToMany writes into dst[k] the Hamming distance between q and
-// row ids[k] of a flat row-major word matrix (wpr words per row). It is
-// the one-to-many companion of Hamming for struct-of-arrays stores.
-func HammingToMany(dst []int, q Binary, words []uint64, wpr int, ids []int32) {
-	for k, id := range ids {
-		row := words[int(id)*wpr : int(id)*wpr+wpr : int(id)*wpr+wpr]
-		dst[k] = HammingWords(q.Words, row)
-	}
 }
 
 // CacheKey returns an exact byte encoding of a, injective over Binary

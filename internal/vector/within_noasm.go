@@ -1,0 +1,13 @@
+//go:build !amd64
+
+package vector
+
+func l2SqWithin(out []int32, q Dense, flat []float32, n int, ids []int32, r2 float64) []int32 {
+	return l2SqWithinPortable(out, q, flat, n, ids, r2)
+}
+
+func l2SqWithinAll(out []int32, q Dense, flat []float32, n int, r2 float64) []int32 {
+	return l2SqWithinAllPortable(out, q, flat, n, r2)
+}
+
+const haveAVX2 = false
