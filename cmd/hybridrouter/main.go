@@ -16,6 +16,9 @@
 //   - Hard failures (connection refused, 5xx) fail over immediately.
 //   - 4xx is an answer, not a failure: every replica would agree that
 //     the request is malformed, so it is passed through unretried.
+//   - Request and response bodies are buffered whole, each capped at
+//     -maxbody: a longer request gets 413 without reaching a replica, a
+//     longer response 502 after one attempt — never a cut-off relay.
 //   - Background health checks poll GET /replica/status every -health
 //     (with exponential backoff on failures); unreachable replicas are
 //     demoted, and replicas whose delta cursor trails the most
@@ -111,7 +114,7 @@ func main() {
 	flag.DurationVar(&cfg.hedge, "hedge", cfg.hedge, "hedge a slow attempt with a second replica after this long")
 	flag.DurationVar(&cfg.health, "health", cfg.health, "base health-check interval (failures back off exponentially)")
 	flag.Uint64Var(&cfg.lagLimit, "laglimit", cfg.lagLimit, "demote a replica trailing the most caught-up one by more than this many delta frames")
-	flag.Int64Var(&cfg.maxBody, "maxbody", cfg.maxBody, "maximum request body size in bytes")
+	flag.Int64Var(&cfg.maxBody, "maxbody", cfg.maxBody, "cap in bytes on a proxied request body (413 past it) and on a replica's response body (502 past it); both are buffered whole")
 	flag.Parse()
 
 	rt, err := build(cfg)

@@ -8,10 +8,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs"
 )
 
@@ -35,11 +38,15 @@ type RouterConfig struct {
 	// as a last resort — but stop receiving routine traffic.
 	LagLimit uint64
 	// MaxBody caps a proxied request body and an upstream's response
-	// body alike (default 8 MiB). A longer response is never relayed
-	// cut off: the request fails with 502.
+	// body alike (default 8 MiB). Neither is ever passed on cut off: a
+	// longer request is refused with 413 before any replica is asked, a
+	// longer response fails the request with 502.
 	MaxBody int64
-	// Client issues all upstream requests (default http.DefaultClient;
-	// tests inject fault-wrapped transports here).
+	// Client issues all upstream requests; tests inject fault-wrapped
+	// transports here. The default is a client of the router's own whose
+	// transport keeps as many idle connections per replica as it keeps in
+	// all: http.DefaultClient keeps two per host, so sixteen concurrent
+	// requests to one replica redialled for almost every one.
 	Client *http.Client
 }
 
@@ -61,7 +68,9 @@ func (c *RouterConfig) withDefaults() RouterConfig {
 		out.MaxBody = 8 << 20
 	}
 	if out.Client == nil {
-		out.Client = http.DefaultClient
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = t.MaxIdleConns
+		out.Client = &http.Client{Transport: t}
 	}
 	return out
 }
@@ -383,7 +392,7 @@ type attemptResult struct {
 	idx     int // attempt ordinal (0 = primary, >0 = hedge/failover)
 	status  int
 	header  http.Header
-	body    []byte
+	body    *bufpool.Buf // proxy returns it to the pool once relayed
 	elapsed time.Duration
 	err     error
 }
@@ -435,7 +444,7 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 		select {
 		case res := <-resc:
 			pending--
-			if errors.Is(res.err, errResponseTooLarge) {
+			if errors.Is(res.err, errBodyTooLarge) {
 				return attemptResult{}, res.err
 			}
 			if res.err == nil && res.status < 500 {
@@ -470,8 +479,40 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 	return attemptResult{}, fmt.Errorf("replica: all %d replicas failed: %w", len(order), lastErr)
 }
 
-// errResponseTooLarge marks an upstream response longer than MaxBody.
-var errResponseTooLarge = errors.New("response body over the router's limit")
+// errBodyTooLarge marks a request or response body longer than MaxBody.
+var errBodyTooLarge = errors.New("body over the router's limit")
+
+// readBody appends r, read to its end, to dst, for both directions of
+// the relay. A stated length (a Content-Length; -1 when unknown) that
+// fits the limit sizes dst once; otherwise it doubles. One byte past the
+// limit is read so that a body of exactly limit bytes is told from a
+// longer one, which fails with errBodyTooLarge rather than being passed
+// on cut off.
+func readBody(dst []byte, r io.Reader, stated, limit int64) ([]byte, error) {
+	if stated > 0 && stated <= limit {
+		// One spare byte, so the read that reports EOF needs no regrow.
+		dst = slices.Grow(dst, int(stated)+1)
+	}
+	start := len(dst)
+	r = io.LimitReader(r, limit+1)
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, max(512, len(dst)))
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	if int64(len(dst)-start) > limit {
+		return dst, errBodyTooLarge
+	}
+	return dst, nil
+}
 
 // attemptOne sends one upstream request with the per-replica timeout.
 func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path string, body []byte) attemptResult {
@@ -492,21 +533,21 @@ func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path strin
 		return res
 	}
 	defer resp.Body.Close()
-	// One byte past the cap tells a body of exactly MaxBody from a longer
-	// one, which must not be relayed as if it were whole.
-	b, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody+1))
+	buf := bufpool.Get()
+	buf.B, err = readBody(buf.B, resp.Body, resp.ContentLength, rt.cfg.MaxBody)
 	res.elapsed = time.Since(t0)
 	if err != nil {
-		res.err = fmt.Errorf("replica %s: body: %w", m.url, err)
+		bufpool.Put(buf) // the read has returned: nothing else holds it
+		if errors.Is(err, errBodyTooLarge) {
+			res.err = fmt.Errorf("replica %s: response %w of %d bytes", m.url, err, rt.cfg.MaxBody)
+		} else {
+			res.err = fmt.Errorf("replica %s: body: %w", m.url, err)
+		}
 		return res
 	}
-	if int64(len(b)) > rt.cfg.MaxBody {
-		res.err = fmt.Errorf("replica %s: %w of %d bytes", m.url, errResponseTooLarge, rt.cfg.MaxBody)
-		return res
-	}
+	res.body = buf
 	res.status = resp.StatusCode
 	res.header = resp.Header
-	res.body = b
 	rt.attempt.With(m.url).Observe(res.elapsed.Seconds())
 	return res
 }
@@ -619,10 +660,22 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 }
 
 // proxy routes one request and relays the winning replica's answer.
+// Both bodies are held whole: a hedge needs the request twice, and "first
+// whole answer wins", failover after a mid-body error, the oversize 502
+// and 4xx-is-an-answer all need the answer before the status line
+// commits. The answer's buffer is pooled, and goes back only here, once
+// written out — a losing attempt may still be reading into its own, so
+// that one is left to the collector. The request's is not pooled at all:
+// a transport may go on sending from it after its attempt has lost.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	t0 := time.Now()
 	rt.requests.With(path).Inc()
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBody))
+	body, err := readBody(nil, r.Body, r.ContentLength, rt.cfg.MaxBody)
+	if errors.Is(err, errBodyTooLarge) {
+		// Every replica would refuse it too; none is asked, none is blamed.
+		http.Error(w, fmt.Sprintf("request %v of %d bytes", err, rt.cfg.MaxBody), http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err != nil {
 		http.Error(w, "request body: "+err.Error(), http.StatusBadRequest)
 		return
@@ -637,6 +690,8 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body.B)))
 	w.WriteHeader(res.status)
-	w.Write(res.body)
+	w.Write(res.body.B)
+	bufpool.Put(res.body)
 }

@@ -1,12 +1,21 @@
 package replica_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -352,3 +361,284 @@ func TestRouterHealthzAndReplicas(t *testing.T) {
 		t.Fatalf("replicas = %+v, want one demoted member", out)
 	}
 }
+
+// TestRouterRefusesOversizedRequest is the request-side twin of
+// TestRouterRefusesOversizedResponse: a body longer than MaxBody used to
+// be forwarded cut off at the cap, so the client got the replica's
+// "unexpected EOF" 400 where hybridserve itself answers 413. It must be a
+// 413 naming the limit, with no replica asked and none blamed — whether
+// or not the client stated a Content-Length — while a body of exactly
+// MaxBody bytes arrives upstream whole.
+func TestRouterRefusesOversizedRequest(t *testing.T) {
+	const maxBody = 4096
+	atCap := `{"point":[` + strings.Repeat("1,", 2000) + `1]}`
+	atCap += strings.Repeat(" ", maxBody-len(atCap))
+	for _, tc := range []struct {
+		name   string
+		body   string
+		stated bool
+		status int
+	}{
+		{"exactly MaxBody", atCap, true, http.StatusOK},
+		{"exactly MaxBody, length unstated", atCap, false, http.StatusOK},
+		{"MaxBody+1", atCap + " ", true, http.StatusRequestEntityTooLarge},
+		{"MaxBody+1, length unstated", atCap + " ", false, http.StatusRequestEntityTooLarge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got atomic.Value
+			var hits atomic.Int64
+			up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				b, _ := io.ReadAll(r.Body)
+				got.Store(string(b))
+				io.WriteString(w, `{"ids":[1]}`)
+			}))
+			defer up.Close()
+			reg := obs.NewRegistry()
+			rt, err := replica.NewRouter([]string{up.URL}, replica.RouterConfig{
+				HedgeAfter:  time.Hour,
+				HealthEvery: time.Hour,
+				MaxBody:     maxBody,
+			}, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body io.Reader = strings.NewReader(tc.body)
+			if !tc.stated {
+				body = struct{ io.Reader }{body} // hides the length from NewRequest
+			}
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", body))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d (%s), want %d", rec.Code, rec.Body, tc.status)
+			}
+			if tc.status == http.StatusOK {
+				if hits.Load() != 1 || got.Load() != tc.body {
+					t.Fatalf("%d upstream hits, upstream read %d bytes, want the %d sent", hits.Load(), len(got.Load().(string)), len(tc.body))
+				}
+				return
+			}
+			if hits.Load() != 0 {
+				t.Fatalf("%d upstream attempts for a request over the limit, want 0", hits.Load())
+			}
+			if !strings.Contains(rec.Body.String(), "4096 bytes") {
+				t.Fatalf("413 body %q does not name the limit", rec.Body.String())
+			}
+			if rt.Healthy() != 1 {
+				t.Fatal("the replica was demoted for a request it never saw")
+			}
+			if v := counterValue(t, reg, "hybridlsh_router_upstream_errors_total"); v != 0 {
+				t.Fatalf("upstream_errors_total = %v, want 0", v)
+			}
+		})
+	}
+}
+
+// TestRouterReusesUpstreamConnections: with http.DefaultClient's two idle
+// connections per host, 16 concurrent clients on one replica opened a
+// new upstream connection for almost every third request (256 for 800).
+// The router's own transport keeps them all.
+func TestRouterReusesUpstreamConnections(t *testing.T) {
+	const clients, perClient = 16, 50
+	var opened atomic.Int64
+	up := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		time.Sleep(500 * time.Microsecond) // so that the clients really overlap
+		io.WriteString(w, `{"ids":[1]}`)
+	}))
+	up.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	up.Start()
+	defer up.Close()
+	rt, err := replica.NewRouter([]string{up.URL}, replica.RouterConfig{HedgeAfter: time.Hour, HealthEvery: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"point":[0]}`)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("status %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// A client can send its next request a moment before the transport has
+	// shelved the connection its last answer came on, and dial once more.
+	if n := opened.Load(); n > 2*clients {
+		t.Fatalf("%d upstream connections for %d requests from %d clients, want about one per client", n, clients*perClient, clients)
+	}
+}
+
+// describedBody builds an answer that can be checked on its own: it names
+// its replica and carries the length and CRC-32 of its padding.
+func describedBody(replica string, pad []byte) []byte {
+	return fmt.Appendf(nil, `{"replica":%q,"n":%d,"sum":%d,"pad":"%s"}`, replica, len(pad), crc32.ChecksumIEEE(pad), pad)
+}
+
+func checkDescribedBody(body []byte) error {
+	var v struct {
+		Replica string `json:"replica"`
+		N       int    `json:"n"`
+		Sum     uint32 `json:"sum"`
+		Pad     string `json:"pad"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		return fmt.Errorf("%w in %d bytes", err, len(body))
+	}
+	if len(v.Pad) != v.N || crc32.ChecksumIEEE([]byte(v.Pad)) != v.Sum {
+		return fmt.Errorf("answer of %s: %d pad bytes with sum %d, body says %d and %d",
+			v.Replica, len(v.Pad), crc32.ChecksumIEEE([]byte(v.Pad)), v.N, v.Sum)
+	}
+	if want := describedBody(v.Replica, []byte(v.Pad)); !bytes.Equal(body, want) {
+		return fmt.Errorf("answer of %s: %d bytes, want %d and nothing after them", v.Replica, len(body), len(want))
+	}
+	return nil
+}
+
+// TestRouterRelayKeepsBodiesApart: relay buffers are pooled, and a hedged
+// request has two attempts filling two of them at once, one of which
+// loses and may go on reading after the winner has been relayed and its
+// buffer reused. Two replicas answer bodies of 1 B to 300 KB that
+// describe themselves, after delays spread around HedgeAfter; one breaks
+// off mid-body every fifth answer. Every relayed 200 must verify whole
+// under -race, and the hedge and failover paths must really have run.
+func TestRouterRelayKeepsBodiesApart(t *testing.T) {
+	const clients, perClient = 8, 30
+	const hedgeAfter = 3 * time.Millisecond
+	newReplica := func(name string, breaksOff bool) *httptest.Server {
+		var served atomic.Uint64
+		mux := http.NewServeMux()
+		mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			k := served.Add(1)
+			rnd := rand.New(rand.NewPCG(k, uint64(len(name))))
+			time.Sleep(time.Duration(rnd.Int64N(int64(2 * hedgeAfter))))
+			pad := make([]byte, 1<<rnd.IntN(19)+rnd.IntN(40000))
+			for i := range pad {
+				pad[i] = name[0] + byte((uint64(i)+k)%8)
+			}
+			body := describedBody(name, pad)
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			if breaksOff && k%5 == 0 {
+				w.Write(body[:len(body)/2])
+				panic(http.ErrAbortHandler) // drops the connection mid-body
+			}
+			w.Write(body)
+		})
+		mux.HandleFunc("GET /replica/status", func(w http.ResponseWriter, r *http.Request) {
+			json.NewEncoder(w).Encode(replica.StatusResponse{Format: "hybridlsh-delta/v1", Role: "follower", Epoch: 1})
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	a, b := newReplica("a", false), newReplica("q", true)
+	reg := obs.NewRegistry()
+	rt, err := replica.NewRouter([]string{a.URL, b.URL}, replica.RouterConfig{
+		HedgeAfter:  hedgeAfter,
+		HealthEvery: time.Millisecond,
+	}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"point":[0]}`)))
+				if rec.Code != http.StatusOK {
+					t.Errorf("status %d: %.100s", rec.Code, rec.Body)
+					continue
+				}
+				if err := checkDescribedBody(rec.Body.Bytes()); err != nil {
+					t.Error(err)
+				}
+				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+					t.Errorf("Content-Length %q on a relayed body of %d bytes", cl, rec.Body.Len())
+				}
+				// A broken-off answer demotes its replica; bring it back so
+				// both keep taking first attempts.
+				rt.HealthSweep(context.Background())
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range []string{"hybridlsh_router_hedge_wins_total", "hybridlsh_router_upstream_errors_total"} {
+		if counterValue(t, reg, name) == 0 {
+			t.Errorf("%s = 0: the losing-attempt path never ran", name)
+		}
+	}
+}
+
+// TestRouterAllocCeiling bounds the allocations of one routed 90 KB
+// answer, HTTP client and stub replica included (they run in this
+// process). It read 134 while io.ReadAll regrew a fresh buffer from 512 B
+// for every answer, and reads 118 now.
+func TestRouterAllocCeiling(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates")
+	}
+	const ceiling = 125
+	answer := describedBody("a", bytes.Repeat([]byte("12345,"), 15000))
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+		w.Write(answer)
+	}))
+	defer up.Close()
+	rt, err := replica.NewRouter([]string{up.URL}, replica.RouterConfig{HedgeAfter: time.Hour, HealthEvery: time.Hour}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+	w := &countingWriter{h: http.Header{}}
+	serve := func() {
+		clear(w.h)
+		w.n = 0
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(`{"point":[0]}`)))
+	}
+	serve()
+	if w.code != http.StatusOK || w.n != len(answer) {
+		t.Fatalf("status %d, %d bytes relayed, want 200 and %d", w.code, w.n, len(answer))
+	}
+	if got := testing.AllocsPerRun(100, serve); got > ceiling {
+		t.Errorf("%.0f allocations per routed request, ceiling %d", got, ceiling)
+	} else {
+		t.Logf("%.0f allocations per routed request (ceiling %d)", got, ceiling)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own and voids an allocation ceiling.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// countingWriter is a ResponseWriter that keeps nothing, so the ceiling
+// counts the router and not a recorder's body buffer.
+type countingWriter struct {
+	h    http.Header
+	n    int
+	code int
+}
+
+func (w *countingWriter) Header() http.Header         { return w.h }
+func (w *countingWriter) WriteHeader(code int)        { w.code = code }
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }

@@ -232,7 +232,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		res.Trace = s.traceOf(res)
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -262,7 +262,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res.Trace = s.traceOf(res)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
+	writeResults(w, results)
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
