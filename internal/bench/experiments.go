@@ -60,24 +60,33 @@ func (c Config) queries(n int) int {
 // figure2 runs one Figure-2 panel over points: split off the query set,
 // fix the cost model (calibrated on the data, or the paper's ratio) and
 // sweep the paper's radii, building one index per radius from family(r)
-// with the paper's k (0 derives it from δ).
+// with the paper's k (0 derives it from δ). store is the point layout
+// both the calibration and the indexes verify through (nil = the generic
+// one over dist).
 func figure2[P any](cfg Config, name, metric string, points []P, radii []float64, dist distance.Func[P],
-	paperRatio float64, k int, family func(r float64) lsh.Family[P]) (*Fig2Result, error) {
+	store pointstore.Builder[P], paperRatio float64, k int, family func(r float64) lsh.Family[P]) (*Fig2Result, error) {
+	if store == nil {
+		store = pointstore.GenericBuilder(dist)
+	}
 	data, queries := dataset.SplitQueries(points, cfg.queries(len(points)), cfg.Seed+1)
 	cost := costModel(cfg, paperRatio, func() core.CostModel {
-		return core.Calibrate(data, pointstore.GenericBuilder(dist), 0, 0, cfg.Seed+2)
+		return core.Calibrate(data, store, 0, 0, cfg.Seed+2)
 	})
 	build := func(r float64) (*core.Index[P], error) {
-		return core.NewIndex(data, indexConfig(cfg, family(r), dist, r, k, cost, cfg.Seed+3))
+		ic := indexConfig(cfg, family(r), dist, r, k, cost, cfg.Seed+3)
+		ic.Store = store
+		return core.NewIndex(data, ic)
 	}
 	return RunSweep(name, metric, data, queries, radii, build, dist, cfg.Runs)
 }
 
 // MNISTExperiment reproduces Figure 2a: Hamming distance on 64-bit
-// fingerprints, radii 12–17, bit-sampling LSH.
+// fingerprints, radii 12–17, bit-sampling LSH, over the flat binary store
+// every Hamming index of the root API verifies through.
 func MNISTExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.MNISTLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "mnist-like", "hamming", ds.Points, ds.Meta.PaperRadii, distance.Hamming, PaperRatioMNIST, 0,
+	return figure2(cfg, "mnist-like", "hamming", ds.Points, ds.Meta.PaperRadii, distance.Hamming,
+		pointstore.BinaryHammingBuilder(), PaperRatioMNIST, 0,
 		func(float64) lsh.Family[vector.Binary] { return lsh.NewBitSampling(dataset.MNISTBits) })
 }
 
@@ -85,7 +94,7 @@ func MNISTExperiment(cfg Config) (*Fig2Result, error) {
 // distance, radii 0.05–0.10, SimHash.
 func WebspamExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.WebspamLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "webspam-like", "cosine", ds.Points, ds.Meta.PaperRadii, distance.Cosine, PaperRatioWebspam, 0,
+	return figure2(cfg, "webspam-like", "cosine", ds.Points, ds.Meta.PaperRadii, distance.Cosine, nil, PaperRatioWebspam, 0,
 		func(float64) lsh.Family[vector.Sparse] { return lsh.NewSimHashCosine(dataset.WebspamDim) })
 }
 
@@ -93,7 +102,7 @@ func WebspamExperiment(cfg Config) (*Fig2Result, error) {
 // Cauchy p-stable LSH with the paper's k = 8, w = 4r.
 func CoverTypeExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CoverTypeLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "covertype-like", "l1", ds.Points, ds.Meta.PaperRadii, distance.L1, PaperRatioCoverType, 8,
+	return figure2(cfg, "covertype-like", "l1", ds.Points, ds.Meta.PaperRadii, distance.L1, nil, PaperRatioCoverType, 8,
 		func(r float64) lsh.Family[vector.Dense] { return lsh.NewPStableL1(dataset.CoverTypeDim, 4*r) })
 }
 
@@ -101,7 +110,7 @@ func CoverTypeExperiment(cfg Config) (*Fig2Result, error) {
 // Gaussian p-stable LSH with the paper's k = 7, w = 2r.
 func CorelExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "corel-like", "l2", ds.Points, ds.Meta.PaperRadii, distance.L2, PaperRatioCorel, corelK, corelFamily)
+	return figure2(cfg, "corel-like", "l2", ds.Points, ds.Meta.PaperRadii, distance.L2, nil, PaperRatioCorel, corelK, corelFamily)
 }
 
 // Table1Experiment reproduces Table 1 across all four datasets: the HLL

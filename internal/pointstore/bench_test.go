@@ -7,8 +7,11 @@ package pointstore
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/rng"
 	"repro/internal/vector"
 )
 
@@ -102,21 +105,66 @@ func BenchmarkKernelScanRadius(b *testing.B) {
 	}
 }
 
+// hammingShapes are the binary stores the Hamming benchmarks run on: the
+// served shape — 30 000 MNIST-like 64-bit fingerprints at r = 16, what one
+// shard of the load benchmark's mnist-collide holds — and 1 024 random
+// 256- and 784-bit codes at radii no row can fail early at (256 bits is
+// one 4-word block; r = 784 passes everything).
+var hammingShapes = sync.OnceValue(func() []hammingShape {
+	return []hammingShape{
+		{"64bit-30000", dataset.MNISTLike(0.5, 1).Points, 16, 8000},
+		{"256bit-1024", randBinary(1024, 256, 44), 110, 512},
+		{"784bit-1024", randBinary(1024, 784, 46), 784, 512},
+	}
+})
+
+type hammingShape struct {
+	name  string
+	pts   []vector.Binary
+	r     float64
+	cands int
+}
+
+// BenchmarkKernelHammingVerify times FlatBinary.VerifyRadius over a
+// random candidate list; ns/row is the per-candidate cost the load
+// benchmark reports as pointstore.verify_ns_per_cand.
 func BenchmarkKernelHammingVerify(b *testing.B) {
-	pts := randBinary(1024, 256, 44)
-	flat, err := NewFlatBinary(pts)
-	if err != nil {
-		b.Fatal(err)
+	for _, sh := range hammingShapes() {
+		flat, err := NewFlatBinary(sh.pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(45)
+		ids := make([]int32, sh.cands)
+		for i := range ids {
+			ids[i] = int32(r.Intn(len(sh.pts)))
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			out := make([]int32, 0, len(ids))
+			for i := 0; i < b.N; i++ {
+				out = flat.VerifyRadius(sh.pts[0], ids, sh.r, out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/row")
+		})
 	}
-	ids := make([]int32, 512)
-	for i := range ids {
-		ids[i] = int32(i * 2)
+}
+
+// BenchmarkKernelHammingScan times FlatBinary.ScanRadius, the LINEAR arm
+// (pointstore.scan_ns_per_point), on the same stores.
+func BenchmarkKernelHammingScan(b *testing.B) {
+	for _, sh := range hammingShapes() {
+		flat, err := NewFlatBinary(sh.pts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			out := make([]int32, 0, len(sh.pts))
+			for i := 0; i < b.N; i++ {
+				out = flat.ScanRadius(sh.pts[0], sh.r, out[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sh.pts)), "ns/row")
+		})
 	}
-	out := make([]int32, 0, 512)
-	for i := 0; i < b.N; i++ {
-		out = flat.VerifyRadius(pts[0], ids, 110, out[:0])
-	}
-	_ = out
 }
 
 // quantile returns the f-quantile of a copy of values.

@@ -2,6 +2,7 @@ package pointstore
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/vector"
@@ -9,10 +10,12 @@ import (
 
 // FlatBinary stores Binary points struct-of-arrays: one contiguous
 // []uint64 of n rows × wpr words, with id-aligned aliasing Binary
-// headers for At/Slice. Hamming verification runs the unrolled
-// vector.HammingWords kernel over contiguous rows — no per-point Words
-// pointer chase. Binary points carry no quantized copy (they are
-// already one bit per coordinate).
+// headers for At/Slice. Hamming verification is one call of the
+// vector.HammingWithin batch kernels over the contiguous rows, against an
+// integer bit bound — for a one-word row (a 64-bit fingerprint) one XOR,
+// POPCNT and compare, no per-row call, re-slice or Words pointer chase.
+// Binary points carry no quantized copy (they are already one bit per
+// coordinate).
 type FlatBinary struct {
 	dim   int // bits per point
 	wpr   int // words per row
@@ -56,19 +59,22 @@ func NewFlatBinary(points []vector.Binary) (*FlatBinary, error) {
 		}
 		s.words = append(s.words, p.Words...)
 	}
-	s.rebuildHeaders()
+	s.alignHeaders(true)
 	return s, nil
 }
 
-// rebuildHeaders re-derives the aliasing Binary headers after the word
-// backing moved or grew.
-func (s *FlatBinary) rebuildHeaders() {
-	if cap(s.hdrs) < s.n {
-		s.hdrs = make([]vector.Binary, s.n)
+// alignHeaders extends the aliasing Binary headers to s.n rows after the
+// word backing grew: in place, only the new rows' (so a stream of small
+// Appends costs O(batch) each, the slice growing as append does); after
+// it moved, all of them, since the old ones point into the abandoned
+// array.
+func (s *FlatBinary) alignHeaders(moved bool) {
+	if moved {
+		s.hdrs = s.hdrs[:0]
 	}
-	s.hdrs = s.hdrs[:s.n]
-	for i := 0; i < s.n; i++ {
-		s.hdrs[i] = vector.Binary{Dim: s.dim, Words: s.words[i*s.wpr : (i+1)*s.wpr : (i+1)*s.wpr]}
+	s.hdrs = slices.Grow(s.hdrs, s.n-len(s.hdrs))
+	for i := len(s.hdrs); i < s.n; i++ {
+		s.hdrs = append(s.hdrs, vector.Binary{Dim: s.dim, Words: s.words[i*s.wpr : (i+1)*s.wpr : (i+1)*s.wpr]})
 	}
 }
 
@@ -101,11 +107,12 @@ func (s *FlatBinary) Append(pts []vector.Binary) error {
 			return fmt.Errorf("pointstore: Append point %d has dim %d, want %d", i, p.Dim, s.dim)
 		}
 	}
+	moved := len(s.words)+len(pts)*s.wpr > cap(s.words)
 	for _, p := range pts {
 		s.words = append(s.words, p.Words...)
 	}
 	s.n += len(pts)
-	s.rebuildHeaders()
+	s.alignHeaders(moved)
 	return nil
 }
 
@@ -124,38 +131,44 @@ func (s *FlatBinary) Compact(dead []bool, live int) (Store[vector.Binary], error
 	if len(ns.words) != live*s.wpr {
 		return nil, fmt.Errorf("pointstore: Compact expected %d survivors, found %d", live, len(ns.words)/max(s.wpr, 1))
 	}
-	ns.rebuildHeaders()
+	ns.alignHeaders(true)
 	return ns, nil
 }
 
-// VerifyRadius filters the candidate ids by exact Hamming distance.
+// VerifyRadius filters the candidate ids by exact Hamming distance, in
+// one call of the within-radius batch kernel.
 func (s *FlatBinary) VerifyRadius(q vector.Binary, ids []int32, r float64, out []int32) []int32 {
 	if s.n > 0 && q.Dim != s.dim {
 		panic(fmt.Sprintf("pointstore: VerifyRadius query dim %d, want %d", q.Dim, s.dim))
 	}
-	for _, id := range ids {
-		row := s.words[int(id)*s.wpr : (int(id)+1)*s.wpr : (int(id)+1)*s.wpr]
-		if float64(vector.HammingWords(q.Words, row)) <= r {
-			out = append(out, id)
-		}
-	}
 	s.verified.Add(uint64(len(ids)))
-	return out
+	return vector.HammingWithin(out, q.Words, s.words, s.wpr, s.n, ids, s.bitBound(r))
 }
 
-// ScanRadius scans every stored row (the LINEAR arm).
+// ScanRadius scans every stored row (the LINEAR arm), sequentially,
+// inside the batch kernel.
 func (s *FlatBinary) ScanRadius(q vector.Binary, r float64, out []int32) []int32 {
 	if s.n > 0 && q.Dim != s.dim {
 		panic(fmt.Sprintf("pointstore: ScanRadius query dim %d, want %d", q.Dim, s.dim))
 	}
-	for i := 0; i < s.n; i++ {
-		row := s.words[i*s.wpr : (i+1)*s.wpr : (i+1)*s.wpr]
-		if float64(vector.HammingWords(q.Words, row)) <= r {
-			out = append(out, int32(i))
-		}
-	}
 	s.verified.Add(uint64(s.n))
-	return out
+	return vector.HammingWithinAll(out, q.Words, s.words, s.wpr, s.n, s.bitBound(r))
+}
+
+// bitBound turns the radius into the largest bit count it admits, once
+// per call, so the kernels compare integers: count ≤ bitBound(r) exactly
+// when float64(count) ≤ r for every count a row can have. NaN and
+// negative radii admit nothing (−1; −0.0 is 0), a radius at or beyond dim
+// admits every row (+Inf is what core.Calibrate passes), fractions floor.
+func (s *FlatBinary) bitBound(r float64) int {
+	switch {
+	case r >= float64(s.dim):
+		return s.dim
+	case r >= 0:
+		return int(r)
+	default:
+		return -1
+	}
 }
 
 // Stats returns the layout and counters.

@@ -3,6 +3,7 @@ package pointstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -87,7 +88,7 @@ func NewFlatL2(points []vector.Dense, mode Mode) (*FlatL2, error) {
 		}
 		s.flat = append(s.flat, p...)
 	}
-	s.rebuildHeaders()
+	s.alignHeaders(true)
 	if mode == ModeSQ8 {
 		s.q = &sq8{}
 		s.q.fit(s.flat, s.n, s.dim)
@@ -95,15 +96,15 @@ func NewFlatL2(points []vector.Dense, mode Mode) (*FlatL2, error) {
 	return s, nil
 }
 
-// rebuildHeaders re-derives the id-aligned aliasing Dense headers after
-// the flat backing moved or grew.
-func (s *FlatL2) rebuildHeaders() {
-	if cap(s.hdrs) < s.n {
-		s.hdrs = make([]vector.Dense, s.n)
+// alignHeaders extends the id-aligned aliasing Dense headers to s.n rows
+// after the flat backing grew (see FlatBinary.alignHeaders).
+func (s *FlatL2) alignHeaders(moved bool) {
+	if moved {
+		s.hdrs = s.hdrs[:0]
 	}
-	s.hdrs = s.hdrs[:s.n]
-	for i := 0; i < s.n; i++ {
-		s.hdrs[i] = s.flat[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+	s.hdrs = slices.Grow(s.hdrs, s.n-len(s.hdrs))
+	for i := len(s.hdrs); i < s.n; i++ {
+		s.hdrs = append(s.hdrs, s.flat[i*s.dim:(i+1)*s.dim:(i+1)*s.dim])
 	}
 }
 
@@ -346,11 +347,12 @@ func (s *FlatL2) Append(pts []vector.Dense) error {
 			}
 		}
 	}
+	moved := len(s.flat)+len(pts)*s.dim > cap(s.flat)
 	for _, p := range pts {
 		s.flat = append(s.flat, p...)
 	}
 	s.n += len(pts)
-	s.rebuildHeaders()
+	s.alignHeaders(moved)
 	if s.q != nil {
 		if refit {
 			s.q.fit(s.flat, s.n, s.dim)
@@ -380,7 +382,7 @@ func (s *FlatL2) Compact(dead []bool, live int) (Store[vector.Dense], error) {
 	if len(ns.flat) != live*s.dim {
 		return nil, fmt.Errorf("pointstore: Compact expected %d survivors, found %d", live, len(ns.flat)/max(s.dim, 1))
 	}
-	ns.rebuildHeaders()
+	ns.alignHeaders(true)
 	if s.q != nil {
 		nq := &sq8{
 			minv:  append([]float32(nil), s.q.minv...),

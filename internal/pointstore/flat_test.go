@@ -9,8 +9,12 @@ package pointstore
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/distance"
 	"repro/internal/rng"
@@ -526,4 +530,227 @@ func TestFlatBinaryMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	compare("compacted", cg, cf)
+}
+
+// refHammingRadius is FlatBinary's filter as it was before the batch
+// kernel: one row at a time, the bit count converted to float64 and
+// compared with the radius as given.
+func refHammingRadius(pts []vector.Binary, q vector.Binary, ids []int32, r float64) []int32 {
+	var out []int32
+	for _, id := range ids {
+		n := 0
+		for j, w := range pts[id].Words {
+			n += bits.OnesCount64(w ^ q.Words[j])
+		}
+		if float64(n) <= r {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// TestFlatBinaryRadiusTable: the store turns the float radius into an
+// integer bit bound once per call; at every awkward radius that bound
+// must select what comparing float64(count) <= r per row selected, and
+// the Verified counter must count what it always counted.
+func TestFlatBinaryRadiusTable(t *testing.T) {
+	for _, dim := range []int{64, 96, 784} {
+		pts := randBinary(300, dim, uint64(dim))
+		// Rows near the query, so small radii select something: point i
+		// of the first 40 is point 0 with i bits flipped.
+		for i := 1; i < 40; i++ {
+			pts[i] = pts[0].Clone()
+			for b := 0; b < i; b++ {
+				pts[i].FlipBit(b)
+			}
+		}
+		flat, err := NewFlatBinary(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int32, len(pts))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		cands := []int32{299, 3, 3, 16, 17, 0, 150, 16, 39, 1}
+		d := float64(dim)
+		var verified uint64
+		for _, r := range []float64{
+			math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 15.999, 16, 16.5,
+			d / 2, d - 1, d, d + 0.5, 1e300, math.Inf(1),
+		} {
+			if got, want := flat.ScanRadius(pts[0], r, nil), refHammingRadius(pts, pts[0], all, r); !slices.Equal(got, want) {
+				t.Fatalf("dim %d r=%v: ScanRadius %v, reference %v", dim, r, got, want)
+			}
+			if got, want := flat.VerifyRadius(pts[0], cands, r, nil), refHammingRadius(pts, pts[0], cands, r); !slices.Equal(got, want) {
+				t.Fatalf("dim %d r=%v: VerifyRadius %v, reference %v", dim, r, got, want)
+			}
+			verified += uint64(len(pts) + len(cands))
+			if got := flat.Stats().Verified; got != verified {
+				t.Fatalf("dim %d r=%v: Verified = %d, want %d", dim, r, got, verified)
+			}
+		}
+	}
+}
+
+// TestFlatBinaryPanics: a query of another dimension and a candidate id
+// outside [0, n) are refused with the store's and the kernel's own
+// messages; an empty store has no dimension to disagree with.
+func TestFlatBinaryPanics(t *testing.T) {
+	pts := randBinary(50, 64, 5)
+	flat, err := NewFlatBinary(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	panics := func(what, prefix string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, prefix) {
+				t.Fatalf("%s: panicked with %q, want %q…", what, msg, prefix)
+			}
+		}()
+		f()
+	}
+	wide := vector.NewBinary(128)
+	panics("VerifyRadius dim", "pointstore: VerifyRadius query dim 128, want 64", func() { flat.VerifyRadius(wide, []int32{1}, 3, nil) })
+	panics("ScanRadius dim", "pointstore: ScanRadius query dim 128, want 64", func() { flat.ScanRadius(wide, 3, nil) })
+	for _, bad := range []int32{-1, 50, math.MaxInt32, math.MinInt32} {
+		panics(fmt.Sprintf("id %d", bad), "vector: row id", func() { flat.VerifyRadius(pts[0], []int32{1, 2, bad, 3}, 10, nil) })
+	}
+	for _, empty := range []*FlatBinary{EmptyFlatBinary(0), EmptyFlatBinary(64)} {
+		if got := empty.ScanRadius(wide, 3, nil); len(got) != 0 {
+			t.Fatalf("empty store ScanRadius = %v", got)
+		}
+		if got := empty.VerifyRadius(wide, nil, 3, nil); len(got) != 0 {
+			t.Fatalf("empty store VerifyRadius = %v", got)
+		}
+	}
+}
+
+// flatBacking is what the Append tests need of either flat store: where
+// its backing array starts, a way to change one stored row through the
+// backing (not through a header), and a reading of a point that the
+// change moves.
+type flatBacking[P any] struct {
+	store Store[P]
+	start func() unsafe.Pointer
+	poke  func(id int)
+	peek  func(P) float64
+}
+
+func l2Backing(s *FlatL2) flatBacking[vector.Dense] {
+	return flatBacking[vector.Dense]{
+		store: s,
+		start: func() unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s.flat)) },
+		poke:  func(id int) { s.flat[id*s.dim+1]++ },
+		peek:  func(p vector.Dense) float64 { return float64(p[1]) },
+	}
+}
+
+func binaryBacking(s *FlatBinary) flatBacking[vector.Binary] {
+	return flatBacking[vector.Binary]{
+		store: s,
+		start: func() unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(s.words)) },
+		poke:  func(id int) { s.words[id*s.wpr] ^= 2 },
+		peek:  func(p vector.Binary) float64 { return float64(p.Words[0] & 2) },
+	}
+}
+
+// checkHeadersAlias writes to every row through the backing array and
+// requires At and Slice to show the write: a header still pointing into
+// an abandoned backing would not.
+func checkHeadersAlias[P any](t *testing.T, stage string, b flatBacking[P]) {
+	t.Helper()
+	n := b.store.Len()
+	if len(b.store.Slice()) != n {
+		t.Fatalf("%s: %d headers for %d points", stage, len(b.store.Slice()), n)
+	}
+	for id := 0; id < n; id++ {
+		before := b.peek(b.store.At(int32(id)))
+		b.poke(id)
+		if b.peek(b.store.At(int32(id))) == before || b.peek(b.store.Slice()[id]) == before {
+			t.Fatalf("%s: header %d of %d does not alias the live backing", stage, id, n)
+		}
+	}
+}
+
+// testAppendKeepsHeaders appends once so that the backing must move (a
+// fresh store has no spare capacity), then again so that it must not
+// (append's growth left room), and checks every header after each.
+func testAppendKeepsHeaders[P any](t *testing.T, b flatBacking[P], batch []P) {
+	t.Helper()
+	checkHeadersAlias(t, "built", b)
+	at := b.start()
+	if err := b.store.Append(batch); err != nil {
+		t.Fatal(err)
+	}
+	if b.start() == at {
+		t.Fatal("first Append did not move the backing; the test needs it to")
+	}
+	checkHeadersAlias(t, "after a moving Append", b)
+	at = b.start()
+	if err := b.store.Append(batch[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if b.start() != at {
+		t.Fatal("second Append moved the backing; the test needs it not to")
+	}
+	checkHeadersAlias(t, "after an in-place Append", b)
+}
+
+func TestAppendKeepsHeadersAliased(t *testing.T) {
+	dense := randDense(140, 8, 61)
+	l2, err := NewFlatL2(dense[:100], ModeOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testAppendKeepsHeaders(t, l2Backing(l2), dense[100:])
+	codes := randBinary(140, 96, 62)
+	bin, err := NewFlatBinary(codes[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	testAppendKeepsHeaders(t, binaryBacking(bin), codes[100:])
+}
+
+// testAppendIsBatchSized: a 32-point Append into a 30 000-point store
+// with spare capacity allocates nothing — its cost is the batch's, not
+// the store's (30 000 headers are 0.7–1 MB).
+func testAppendIsBatchSized[P any](t *testing.T, st Store[P], warm, batch []P) {
+	t.Helper()
+	// Outgrow whatever the constructor allocated, backing and headers
+	// both; append's growth then leaves room for the measured batches.
+	if err := st.Append(warm); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := st.Append(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if allocs >= 1 {
+		t.Fatalf("a %d-point Append into %d points allocated %.1f times", len(batch), st.Len(), allocs)
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun > 4096 {
+		t.Fatalf("a %d-point Append into %d points allocated %d bytes", len(batch), st.Len(), perRun)
+	}
+}
+
+func TestAppendIsBatchSized(t *testing.T) {
+	dense := randDense(31032, 32, 63)
+	l2, err := NewFlatL2(dense[:30000], ModeOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testAppendIsBatchSized[vector.Dense](t, l2, dense[30000:31000], dense[31000:])
+	codes := randBinary(31032, 64, 64)
+	bin, err := NewFlatBinary(codes[:30000])
+	if err != nil {
+		t.Fatal(err)
+	}
+	testAppendIsBatchSized[vector.Binary](t, bin, codes[30000:31000], codes[31000:])
 }

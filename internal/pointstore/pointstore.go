@@ -14,7 +14,8 @@
 //     with a conservative error bound before re-checking survivors
 //     exactly — answers stay id-identical by construction.
 //   - FlatBinary stores Binary points as one contiguous []uint64 word
-//     matrix with an unrolled popcount kernel (Hamming).
+//     matrix and verifies with the Hamming within-radius batch kernels
+//     (one XOR + POPCNT + compare per 64-bit row).
 //
 // Every store implements the same Store[P] contract: batch
 // VerifyRadius over candidate id lists, ScanRadius for the linear arm,

@@ -346,26 +346,11 @@ func Hamming(a, b Binary) int {
 	return HammingWords(a.Words, b.Words)
 }
 
-// HammingWords returns the popcount of a XOR b over raw word slices; it
-// is the kernel behind Hamming and the flat binary store. The loop is
-// 4×-unrolled with four accumulators (integer addition is associative,
-// so unlike Dot no order constraint applies) and bounds checks are
-// eliminated by re-slicing.
+// HammingWords returns the popcount of a XOR b over raw word slices: the
+// within-radius kernels' row loop (hammingWordsUpTo) with a bound no
+// count reaches.
 func HammingWords(a, b []uint64) int {
-	var n0, n1, n2, n3 int
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		aa := a[i : i+4 : i+4]
-		bb := b[i : i+4 : i+4]
-		n0 += bits.OnesCount64(aa[0] ^ bb[0])
-		n1 += bits.OnesCount64(aa[1] ^ bb[1])
-		n2 += bits.OnesCount64(aa[2] ^ bb[2])
-		n3 += bits.OnesCount64(aa[3] ^ bb[3])
-	}
-	for ; i < len(a); i++ {
-		n0 += bits.OnesCount64(a[i] ^ b[i])
-	}
-	return (n0 + n1) + (n2 + n3)
+	return hammingWordsUpTo(a, b, math.MaxInt)
 }
 
 // CacheKey returns an exact byte encoding of a, injective over Binary

@@ -19,6 +19,11 @@ import "fmt"
 // kernel ran is not observable in any answer, and there is nothing to
 // select: no flag, no option, one CPUID probe at start-up.
 
+// withinChunk is how many rows a batch kernel takes at a time: out is
+// grown once per chunk, by at most this much beyond what the hits need,
+// and on amd64 one assembly call covers a chunk.
+const withinChunk = 256
+
 // L2SqWithin appends to out the ids among ids whose row of flat is within
 // squared Euclidean distance r2 of q, in input order. flat holds n rows
 // of len(q) columns. A distance equal to r2 passes; a NaN distance (or a

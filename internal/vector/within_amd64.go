@@ -26,11 +26,6 @@ func detectAVX2() bool {
 	return ebx&avx2 != 0
 }
 
-// withinChunk is how many rows one assembly call covers: the call is paid
-// once per chunk, and out is grown by at most this much beyond what the
-// hits need.
-const withinChunk = 256
-
 func l2SqWithin(out []int32, q Dense, flat []float32, n int, ids []int32, r2 float64) []int32 {
 	if !haveAVX2 || len(q) == 0 || n == 0 {
 		return l2SqWithinPortable(out, q, flat, n, ids, r2)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -170,11 +171,13 @@ func TestL2SqWithinEmpty(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and fails unless it panics with one of the kernels'
+// own "vector: …" messages (not, say, a runtime index error).
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", what)
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "vector: ") {
+			t.Fatalf("%s: panicked with %q, want a vector: message", what, msg)
 		}
 	}()
 	f()
