@@ -113,6 +113,7 @@ func (f *PStable) NewPStableHasher(k int, r *rng.Rand) *PStableHasher {
 		h.a[i] = a
 		h.b[i] = r.Float64() * f.w
 	}
+	h.slab = vector.PackRows4(h.a)
 	return h
 }
 
@@ -133,14 +134,18 @@ func RestorePStableHasher(w float64, a []vector.Dense, b []float64) (*PStableHas
 			return nil, fmt.Errorf("lsh: RestorePStableHasher projection %d has dim %d, want %d > 0", i, len(proj), dim)
 		}
 	}
-	return &PStableHasher{w: w, a: a, b: b}, nil
+	return &PStableHasher{w: w, a: a, slab: vector.PackRows4(a), b: b}, nil
 }
 
-// PStableHasher is one g-function of the p-stable family.
+// PStableHasher is one g-function of the p-stable family. Hashing reads
+// slab, the k projections as vector.PackRows4 lays them out, and never a:
+// a is kept only so Projections can hand the drawn float32 rows to
+// persist unchanged.
 type PStableHasher struct {
-	w float64
-	a []vector.Dense
-	b []float64
+	w    float64
+	a    []vector.Dense
+	slab []float64
+	b    []float64
 }
 
 // Projections returns the k projection vectors a_i (read-only by
@@ -161,10 +166,26 @@ func (h *PStableHasher) W() float64 { return h.w }
 // key is HashInts of exactly these values, so probing code can perturb a
 // slot index and re-derive the neighboring key.
 func (h *PStableHasher) Parts(p vector.Dense, dst []int64) []int64 {
-	for i, a := range h.a {
-		dst = append(dst, int64(math.Floor((a.Dot(p)+h.b[i])/h.w)))
+	var buf [16]float64
+	proj := h.project(p, buf[:0])
+	for i, b := range h.b {
+		dst = append(dst, int64(math.Floor((proj[i]+b)/h.w)))
 	}
 	return dst
+}
+
+// project returns ⟨a_i, p⟩ for every projection i, followed by up to
+// three padding lanes, in buf's backing array when its capacity allows.
+// Each value is bit-identical to a_i.Dot(p); it panics, as Dot does, if
+// p does not have the projections' dimension.
+func (h *PStableHasher) project(p vector.Dense, buf []float64) []float64 {
+	n := (len(h.b) + 3) &^ 3
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	vector.DotRows4(buf, p, h.slab)
+	return buf
 }
 
 // PartsAndResiduals returns the slot indices and, for each function, the
@@ -173,10 +194,10 @@ func (h *PStableHasher) Parts(p vector.Dense, dst []int64) []int64 {
 // 1 − residual. Query-directed multi-probe LSH scores perturbations by
 // these residuals (Lv et al., VLDB 2007).
 func (h *PStableHasher) PartsAndResiduals(p vector.Dense) (parts []int64, residuals []float64) {
-	parts = make([]int64, len(h.a))
-	residuals = make([]float64, len(h.a))
-	for i, a := range h.a {
-		x := (a.Dot(p) + h.b[i]) / h.w
+	parts = make([]int64, len(h.b))
+	residuals = h.project(p, nil)[:len(h.b)] // overwritten in place
+	for i, b := range h.b {
+		x := (residuals[i] + b) / h.w
 		fl := math.Floor(x)
 		parts[i] = int64(fl)
 		residuals[i] = x - fl

@@ -9,6 +9,12 @@
 // practice: it halves memory traffic, and the ~7 significant digits are far
 // below the noise floor of LSH bucketing. Accumulations are done in float64
 // to avoid cancellation on long vectors.
+//
+// Every product that feeds a sum is written float64(x*y): the explicit
+// conversion rounds the product on its own, which the Go spec says rules
+// out a fused multiply-add. On arm64 the compiler would otherwise fuse
+// these reductions, and a hash key or a radius boundary would then depend
+// on the architecture that computed it.
 package vector
 
 import (
@@ -24,13 +30,13 @@ type Dense []float32
 
 // Dot returns the inner product ⟨a, b⟩. It panics if lengths differ.
 //
-// The loop is 4×-unrolled with the bounds checks hoisted, but it keeps a
-// single accumulator on purpose: the additions happen in the same order
-// as a plain sequential loop, so the result is bit-identical to it. The
-// p-stable hashers derive bucket keys from Dot, and the persist golden
-// tests require a seeded rebuild to reproduce checked-in snapshot bytes —
-// reassociating this sum (multiple accumulators) would move hash keys by
-// an ulp and break that promise.
+// The ordering promise, on every GOARCH: starting from +0, for i = 0, 1,
+// …, len−1 in turn, the product float64(a[i])·float64(b[i]) is rounded
+// to float64 and then added, rounded again, to the running sum. One
+// accumulator, no reassociation, no fused multiply-add. DotRows4 keeps
+// the same promise per lane, which is what the p-stable hashers derive
+// bucket keys from, so a seeded rebuild on any architecture reproduces
+// the checked-in snapshot bytes. The 4× unroll only hoists bounds checks.
 func (a Dense) Dot(b Dense) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vector: Dot on mismatched dims %d and %d", len(a), len(b)))
@@ -40,13 +46,13 @@ func (a Dense) Dot(b Dense) float64 {
 	for ; i+4 <= len(a); i += 4 {
 		aa := a[i : i+4 : i+4]
 		bb := b[i : i+4 : i+4]
-		s += float64(aa[0]) * float64(bb[0])
-		s += float64(aa[1]) * float64(bb[1])
-		s += float64(aa[2]) * float64(bb[2])
-		s += float64(aa[3]) * float64(bb[3])
+		s += float64(float64(aa[0]) * float64(bb[0]))
+		s += float64(float64(aa[1]) * float64(bb[1]))
+		s += float64(float64(aa[2]) * float64(bb[2]))
+		s += float64(float64(aa[3]) * float64(bb[3]))
 	}
 	for ; i < len(a); i++ {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }
@@ -55,7 +61,8 @@ func (a Dense) Dot(b Dense) float64 {
 func (a Dense) Norm2() float64 {
 	var s float64
 	for _, v := range a {
-		s += float64(v) * float64(v)
+		x := float64(v)
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -124,14 +131,14 @@ func l2SqRaw(a, b []float32) float64 {
 		d1 := float64(aa[1]) - float64(bb[1])
 		d2 := float64(aa[2]) - float64(bb[2])
 		d3 := float64(aa[3]) - float64(bb[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -222,7 +229,7 @@ func (a Sparse) Dot(b Sparse) float64 {
 		case a.Idx[i] > b.Idx[j]:
 			j++
 		default:
-			s += float64(a.Val[i]) * float64(b.Val[j])
+			s += float64(float64(a.Val[i]) * float64(b.Val[j]))
 			i++
 			j++
 		}
@@ -234,7 +241,7 @@ func (a Sparse) Dot(b Sparse) float64 {
 func (a Sparse) DotDense(d Dense) float64 {
 	var s float64
 	for k, i := range a.Idx {
-		s += float64(a.Val[k]) * float64(d[i])
+		s += float64(float64(a.Val[k]) * float64(d[i]))
 	}
 	return s
 }
@@ -243,7 +250,8 @@ func (a Sparse) DotDense(d Dense) float64 {
 func (a Sparse) Norm2() float64 {
 	var s float64
 	for _, v := range a.Val {
-		s += float64(v) * float64(v)
+		x := float64(v)
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

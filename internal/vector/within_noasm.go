@@ -10,4 +10,6 @@ func l2SqWithinAll(out []int32, q Dense, flat []float32, n int, r2 float64) []in
 	return l2SqWithinAllPortable(out, q, flat, n, r2)
 }
 
+func dotRows4(out []float64, q Dense, slab []float64) { dotRows4Portable(out, q, slab) }
+
 const haveAVX2 = false

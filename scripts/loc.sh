@@ -10,6 +10,7 @@
 #   PR 15 (parent of PR 18): 21691
 #   PR 18 (parent of PR 20): 22003
 #   PR 20 (parent of PR 24): 22260
+#   PR 24 (parent of PR 26): 22423
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
