@@ -134,8 +134,9 @@
 // Snapshots record the covering parameters (radius and each shard's
 // random map φ), so a warm restart keeps the guarantee bit for bit.
 //
-// Every request body is capped at -maxbody bytes (default 8 MiB);
-// oversized bodies get a 413 JSON error. Deletes are tombstones that
+// Every request body is capped at -maxbody bytes (default 8 MiB), counted
+// over the whole body, bytes after the JSON value included; an oversized
+// body gets a 413 JSON error and is not applied. Deletes are tombstones that
 // compaction makes real: once a shard's tombstone ratio exceeds
 // -compactthreshold (default 0.2) the shard is compacted automatically —
 // dead points leave the buckets, the per-bucket sketches are rebuilt

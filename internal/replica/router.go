@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -444,7 +443,7 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 		select {
 		case res := <-resc:
 			pending--
-			if errors.Is(res.err, errBodyTooLarge) {
+			if errors.Is(res.err, bufpool.ErrTooLarge) {
 				return attemptResult{}, res.err
 			}
 			if res.err == nil && res.status < 500 {
@@ -479,41 +478,6 @@ func (rt *Router) do(ctx context.Context, path string, body []byte) (attemptResu
 	return attemptResult{}, fmt.Errorf("replica: all %d replicas failed: %w", len(order), lastErr)
 }
 
-// errBodyTooLarge marks a request or response body longer than MaxBody.
-var errBodyTooLarge = errors.New("body over the router's limit")
-
-// readBody appends r, read to its end, to dst, for both directions of
-// the relay. A stated length (a Content-Length; -1 when unknown) that
-// fits the limit sizes dst once; otherwise it doubles. One byte past the
-// limit is read so that a body of exactly limit bytes is told from a
-// longer one, which fails with errBodyTooLarge rather than being passed
-// on cut off.
-func readBody(dst []byte, r io.Reader, stated, limit int64) ([]byte, error) {
-	if stated > 0 && stated <= limit {
-		// One spare byte, so the read that reports EOF needs no regrow.
-		dst = slices.Grow(dst, int(stated)+1)
-	}
-	start := len(dst)
-	r = io.LimitReader(r, limit+1)
-	for {
-		if len(dst) == cap(dst) {
-			dst = slices.Grow(dst, max(512, len(dst)))
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
-	if int64(len(dst)-start) > limit {
-		return dst, errBodyTooLarge
-	}
-	return dst, nil
-}
-
 // attemptOne sends one upstream request with the per-replica timeout.
 func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path string, body []byte) attemptResult {
 	t0 := time.Now()
@@ -534,11 +498,11 @@ func (rt *Router) attemptOne(ctx context.Context, m *member, idx int, path strin
 	}
 	defer resp.Body.Close()
 	buf := bufpool.Get()
-	buf.B, err = readBody(buf.B, resp.Body, resp.ContentLength, rt.cfg.MaxBody)
+	buf.B, err = bufpool.ReadBody(buf.B, resp.Body, resp.ContentLength, rt.cfg.MaxBody)
 	res.elapsed = time.Since(t0)
 	if err != nil {
 		bufpool.Put(buf) // the read has returned: nothing else holds it
-		if errors.Is(err, errBodyTooLarge) {
+		if errors.Is(err, bufpool.ErrTooLarge) {
 			res.err = fmt.Errorf("replica %s: response %w of %d bytes", m.url, err, rt.cfg.MaxBody)
 		} else {
 			res.err = fmt.Errorf("replica %s: body: %w", m.url, err)
@@ -670,8 +634,8 @@ func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	t0 := time.Now()
 	rt.requests.With(path).Inc()
-	body, err := readBody(nil, r.Body, r.ContentLength, rt.cfg.MaxBody)
-	if errors.Is(err, errBodyTooLarge) {
+	body, err := bufpool.ReadBody(nil, r.Body, r.ContentLength, rt.cfg.MaxBody)
+	if errors.Is(err, bufpool.ErrTooLarge) {
 		// Every replica would refuse it too; none is asked, none is blamed.
 		http.Error(w, fmt.Sprintf("request %v of %d bytes", err, rt.cfg.MaxBody), http.StatusRequestEntityTooLarge)
 		return

@@ -202,7 +202,7 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 
 	pre := make([][]int32, 8)
 	for qi := range pre {
-		res, err := s1.be.query(mustRaw(t, toBits(points[qi*41])), nil, nil)
+		res, err := s1.Query(mustRaw(t, toBits(points[qi*41])), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestCoveringSnapshotWarmRestart(t *testing.T) {
 		t.Fatalf("restored covering radius = %d, want %d", s2.cfg.CoverRadius, cfg.CoverRadius)
 	}
 	for qi := range pre {
-		res, err := s2.be.query(mustRaw(t, toBits(points[qi*41])), nil, nil)
+		res, err := s2.Query(mustRaw(t, toBits(points[qi*41])), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

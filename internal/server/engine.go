@@ -51,9 +51,13 @@ type backend interface {
 	// store is the serving index; on a tailing follower it moves with
 	// every re-hydration, so callers fetch it per use.
 	store() store
-	query(raw json.RawMessage, probes, radius *int) (*QueryResult, error)
-	batch(raw []json.RawMessage, workers int, probes, radius *int) ([]*QueryResult, error)
-	appendPoints(raw []json.RawMessage) ([]int32, error)
+	// query, batch and appendPoints take a whole request body and decode
+	// it (see decode.go); query and batch also report its "trace" flag.
+	query(body []byte) (res *QueryResult, trace bool, err error)
+	batch(body []byte) (res []*QueryResult, trace bool, err error)
+	appendPoints(body []byte) ([]int32, error)
+	// queryRaw answers one JSON point with the given overrides (Server.Query).
+	queryRaw(point json.RawMessage, probes, radius *int) (*QueryResult, error)
 	// streamSnapshot streams the index snapshot to w. POST /snapshot and
 	// the replication source's GET /snapshot share it, so a replica
 	// hydrated over HTTP decodes exactly what a warm restart reads.
@@ -102,18 +106,19 @@ func errUnknownMetric(metric string) error {
 }
 
 // pointKind binds one -metric to its point type: the persist metric
-// identifier, the exact cache-key encoding, the JSON point parser and
-// the synthetic index builder.
+// identifier, the exact cache-key encoding, the JSON point parser, the
+// scanner's point reader and the synthetic index builder.
 type pointKind[P any] struct {
 	metric string
 	key    func(P) string // exact query encoding for -cache (see shard.EnableCache)
 	parse  func(raw json.RawMessage, dim int) (P, error)
+	scan   func(s *scanner, dim int) (P, bool)
 	build  func(cfg *Config) (*shard.Sharded[P], error)
 }
 
 var (
-	denseKind  = pointKind[hybridlsh.Dense]{persist.MetricL2, hybridlsh.Dense.CacheKey, parseDense, buildDense}
-	binaryKind = pointKind[hybridlsh.Binary]{persist.MetricHamming, hybridlsh.Binary.CacheKey, parseBinary, buildBinary}
+	denseKind  = pointKind[hybridlsh.Dense]{persist.MetricL2, hybridlsh.Dense.CacheKey, parseDense, scanDense, buildDense}
+	binaryKind = pointKind[hybridlsh.Binary]{persist.MetricHamming, hybridlsh.Binary.CacheKey, parseBinary, scanBinary, buildBinary}
 )
 
 func (k pointKind[P]) boot(cfg *Config) (backend, follower, string, error) {
@@ -250,8 +255,11 @@ type engine[P any] struct {
 	// atomically on every re-hydration.
 	fixed        atomic.Pointer[shard.Sharded[P]]
 	follower     *replica.Follower[P]
-	pointKind[P]     // the metric's persist identifier, cache key and parser
-	dim          int // what parse checks every request point against
+	pointKind[P]     // the metric's persist identifier, cache key and parsers
+	dim          int // what every request point is checked against
+	// onPoints, when set, sees every request's points on their way to the
+	// store (FuzzPointDecoders records them there).
+	onPoints func([]P)
 }
 
 func (e *engine[P]) sharded() *shard.Sharded[P] {
@@ -323,64 +331,108 @@ func toResult(ids []int32, st shard.QueryStats, mode, o core.QueryOpts) *QueryRe
 	return res
 }
 
-func (e *engine[P]) query(raw json.RawMessage, probes, radius *int) (*QueryResult, error) {
+// decode reads one request body of the endpoint whose keys are allowed:
+// in one pass through the scanner, or through the fallback when the
+// scanner declines.
+func (e *engine[P]) decode(body []byte, allowed fields) (request[P], error) {
+	if req, ok := scan(body, allowed, e.dim, e.scan); ok {
+		return req, nil
+	}
+	env, err := fallback(body, allowed)
+	return request[P]{envelope: env}, err
+}
+
+// points returns req's points, parsing the ones the fallback left raw; a
+// /batch or /append error names the point, a /query one does not.
+func (e *engine[P]) points(req request[P], named bool) ([]P, error) {
+	pts := req.pts
+	if req.raw != nil {
+		pts = make([]P, len(req.raw))
+		for i, r := range req.raw {
+			p, err := e.parse(r, e.dim)
+			if err != nil {
+				if named {
+					err = fmt.Errorf("point %d: %w", i, err)
+				}
+				return nil, err
+			}
+			pts[i] = p
+		}
+	}
+	if e.onPoints != nil {
+		e.onPoints(pts)
+	}
+	return pts, nil
+}
+
+func (e *engine[P]) query(body []byte) (*QueryResult, bool, error) {
+	req, err := e.decode(body, queryFields)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := e.answer(req)
+	return res, req.trace, err
+}
+
+func (e *engine[P]) queryRaw(point json.RawMessage, probes, radius *int) (*QueryResult, error) {
+	return e.answer(request[P]{envelope: envelope{raw: []json.RawMessage{point}, probes: probes, radius: radius}})
+}
+
+// answer runs one decoded /query.
+func (e *engine[P]) answer(req request[P]) (*QueryResult, error) {
 	sh := e.sharded()
 	mode := sh.Defaults()
-	o, err := resolve(mode, probes, radius)
+	o, err := resolve(mode, req.probes, req.radius)
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.parse(raw, e.dim)
+	pts, err := e.points(req, false)
 	if err != nil {
 		return nil, err
 	}
-	ids, st, err := sh.QueryWith(p, o)
+	ids, st, err := sh.QueryWith(pts[0], o)
 	if err != nil {
 		return nil, err
 	}
 	return toResult(ids, st, mode, o), nil
 }
 
-func (e *engine[P]) parseAll(raw []json.RawMessage) ([]P, error) {
-	pts := make([]P, len(raw))
-	for i, r := range raw {
-		p, err := e.parse(r, e.dim)
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		pts[i] = p
+func (e *engine[P]) batch(body []byte) ([]*QueryResult, bool, error) {
+	req, err := e.decode(body, batchFields)
+	if err != nil {
+		return nil, false, err
 	}
-	return pts, nil
-}
-
-func (e *engine[P]) batch(raw []json.RawMessage, workers int, probes, radius *int) ([]*QueryResult, error) {
 	sh := e.sharded()
 	mode := sh.Defaults()
-	o, err := resolve(mode, probes, radius)
+	o, err := resolve(mode, req.probes, req.radius)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	pts, err := e.parseAll(raw)
+	pts, err := e.points(req, true)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	// Clamp client-controlled parallelism to the shard-aware ceiling the
 	// workers=0 default uses, so one request can't oversubscribe the
 	// machine.
-	workers = max(0, min(workers, sh.DefaultBatchWorkers()))
+	workers := max(0, min(req.workers, sh.DefaultBatchWorkers()))
 	results, err := sh.QueryBatchWith(pts, workers, o)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	out := make([]*QueryResult, len(results))
 	for i, r := range results {
 		out[i] = toResult(r.IDs, r.Stats, mode, o)
 	}
-	return out, nil
+	return out, req.trace, nil
 }
 
-func (e *engine[P]) appendPoints(raw []json.RawMessage) ([]int32, error) {
-	pts, err := e.parseAll(raw)
+func (e *engine[P]) appendPoints(body []byte) ([]int32, error) {
+	req, err := e.decode(body, appendFields)
+	if err != nil {
+		return nil, err
+	}
+	pts, err := e.points(req, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/persist"
@@ -157,8 +159,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.Handle("GET /metrics", s.reg)
 	// MaxBytesHandler wraps every request body in http.MaxBytesReader, so
-	// a client cannot stream an unbounded body into the JSON decoders;
-	// decode errors from the cap surface as 413 via statusFor.
+	// a client cannot stream an unbounded body into the node; readBody
+	// reads each body whole, so any body over the cap is a 413 via
+	// statusFor, even when its first JSON value ends inside the cap.
 	return http.MaxBytesHandler(mux, s.cfg.MaxBody)
 }
 
@@ -174,8 +177,33 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// readBody reads r's body whole into a pooled buffer sized from its
+// Content-Length. The caller Puts the buffer once nothing decoded from
+// it aliases the bytes.
+func (s *Server) readBody(r *http.Request) (*bufpool.Buf, error) {
+	buf := bufpool.Get()
+	var err error
+	if buf.B, err = bufpool.ReadBody(buf.B, r.Body, r.ContentLength, s.cfg.MaxBody); err != nil {
+		bufpool.Put(buf)
+		return nil, fmt.Errorf("bad request body: %w", err)
+	}
+	return buf, nil
+}
+
+// decode reads r's body and decodes it into v with decodeJSON.
+func (s *Server) decode(r *http.Request, v any) error {
+	buf, err := s.readBody(r)
+	if err != nil {
+		return err
+	}
+	defer bufpool.Put(buf)
+	return decodeJSON(buf.B, v)
+}
+
+// decodeJSON decodes the first JSON value of body into v, refusing
+// unknown fields and ignoring any bytes after the value.
+func decodeJSON(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
@@ -183,8 +211,8 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// statusFor maps a decode error to its HTTP status: 413 when the -maxbody
-// cap cut the body off, 400 for everything else.
+// statusFor maps a body error to its HTTP status: 413 when the body is
+// longer than the -maxbody cap, 400 for everything else.
 func statusFor(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -205,60 +233,43 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // telemetry with Record (hybridbench's serve experiment times the two
 // apart to price the instrumentation).
 func (s *Server) Query(point json.RawMessage, probes, radius *int) (*QueryResult, error) {
-	return s.be.query(point, probes, radius)
+	return s.be.queryRaw(point, probes, radius)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Point  json.RawMessage `json:"point"`
-		Probes *int            `json:"probes"`
-		Radius *int            `json:"radius"`
-		Trace  bool            `json:"trace"`
-	}
-	if err := decode(r, &req); err != nil {
+	buf, err := s.readBody(r)
+	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	if len(req.Point) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "point"`))
-		return
-	}
-	res, err := s.Query(req.Point, req.Probes, req.Radius)
+	res, trace, err := s.be.query(buf.B)
+	bufpool.Put(buf)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	s.Record(res)
-	if req.Trace {
+	if trace {
 		res.Trace = s.traceOf(res)
 	}
 	writeResult(w, res)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points  []json.RawMessage `json:"points"`
-		Workers int               `json:"workers"`
-		Probes  *int              `json:"probes"`
-		Radius  *int              `json:"radius"`
-		Trace   bool              `json:"trace"`
-	}
-	if err := decode(r, &req); err != nil {
+	buf, err := s.readBody(r)
+	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	if len(req.Points) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "points"`))
-		return
-	}
-	results, err := s.be.batch(req.Points, req.Workers, req.Probes, req.Radius)
+	results, trace, err := s.be.batch(buf.B)
+	bufpool.Put(buf)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	for _, res := range results {
 		s.Record(res)
-		if req.Trace {
+		if trace {
 			res.Trace = s.traceOf(res)
 		}
 	}
@@ -266,18 +277,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Points []json.RawMessage `json:"points"`
-	}
-	if err := decode(r, &req); err != nil {
+	buf, err := s.readBody(r)
+	if err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
-	if len(req.Points) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "points"`))
-		return
-	}
-	ids, err := s.be.appendPoints(req.Points)
+	ids, err := s.be.appendPoints(buf.B)
+	bufpool.Put(buf)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -289,7 +295,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		IDs []int32 `json:"ids"`
 	}
-	if err := decode(r, &req); err != nil {
+	if err := s.decode(r, &req); err != nil {
 		writeErr(w, statusFor(err), err)
 		return
 	}
@@ -305,7 +311,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Shard *int `json:"shard"`
 	}
-	if err := decode(r, &req); err != nil && !errors.Is(err, io.EOF) {
+	if err := s.decode(r, &req); err != nil && !errors.Is(err, io.EOF) {
 		writeErr(w, statusFor(err), err)
 		return
 	}

@@ -186,7 +186,7 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 
 	pre := make([][]int32, 8)
 	for qi := range pre {
-		res, err := s1.be.query(mustRaw(t, toFloats(points[qi*41])), nil, nil)
+		res, err := s1.Query(mustRaw(t, toFloats(points[qi*41])), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestMultiProbeSnapshotWarmRestart(t *testing.T) {
 		t.Fatalf("restored probes = %d, want %d", s2.cfg.Probes, cfg.Probes)
 	}
 	for qi := range pre {
-		res, err := s2.be.query(mustRaw(t, toFloats(points[qi*41])), nil, nil)
+		res, err := s2.Query(mustRaw(t, toFloats(points[qi*41])), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
