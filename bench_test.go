@@ -13,7 +13,6 @@ import (
 	"repro/internal/distance"
 	"repro/internal/hll"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
@@ -315,7 +314,7 @@ func BenchmarkFigure3_OutputSize(b *testing.B) {
 func BenchmarkExtensionMultiProbe(b *testing.B) {
 	ds := dataset.CorelLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 50, 2)
-	ix, err := multiprobe.New(data, multiprobe.Config{
+	ix, err := core.NewIndex(data, core.Config[vector.Dense]{
 		Family:   lsh.NewPStableL2(dataset.CorelDim, 0.9),
 		Distance: distance.L2,
 		Radius:   0.45,

@@ -67,8 +67,9 @@
 // strategy, since multi-probe inflates #collisions while the distinct
 // candidate count saturates. The multi-probe types expose the same
 // Query/QueryLSH/QueryLinear/DecideStrategy/QueryBatch/Append surface
-// plus per-call probe overrides (QueryWith), shard, compact and
-// snapshot through the same machinery (the probe configuration is
+// plus per-call probe overrides (QueryWith; on MultiProbeL2Index also
+// the forced paths QueryLSHWith and DecideStrategyWith), shard, compact
+// and snapshot through the same machinery (the probe configuration is
 // recorded in the snapshot), and serve via hybridserve -probes.
 //
 // # Covering serving mode (guaranteed recall)
@@ -82,8 +83,9 @@
 // bucket with the query — probability 1, zero false negatives — which
 // makes both hybrid paths exact and recall always 1.0. The covering
 // types expose the same Query/QueryLSH/QueryLinear/DecideStrategy/
-// QueryBatch/Append surface plus per-call radius narrowing
-// (QueryWith), shard, compact and snapshot through the same machinery
+// QueryBatch/Append surface plus per-call radius narrowing (QueryWith;
+// on CoveringHammingIndex also QueryLSHWith and DecideStrategyWith),
+// shard, compact and snapshot through the same machinery
 // (radius and φ are recorded in the snapshot's "covr" section), and
 // serve via hybridserve -radius.
 //

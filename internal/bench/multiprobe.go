@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/vector"
 )
 
@@ -103,7 +102,7 @@ func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
 	res.PlainRecall, res.PlainQueryUS = pm.recall, pm.queryUS
 
 	for _, l := range multiProbeTables {
-		mp, err := multiprobe.New(data, multiprobe.Config{
+		mp, err := core.NewIndex(data, core.Config[vector.Dense]{
 			Family:       lsh.NewPStableL2(dataset.CorelDim, w),
 			Distance:     distance.L2,
 			Radius:       r,
@@ -118,12 +117,14 @@ func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
 			return nil, fmt.Errorf("bench: building multi-probe index (L=%d): %w", l, err)
 		}
 		for _, t := range multiProbeProbes {
+			opts := core.QueryOpts{Probes: core.Some(t)}
 			m := measureLSH(queries, truth, runs, func(q vector.Dense) ([]int32, core.QueryStats) {
-				return mp.QueryLSHProbes(q, t)
+				ids, stats, _ := mp.QueryLSHWith(q, opts) // T is this index's one option
+				return ids, stats
 			})
 			linear := 0
 			for _, q := range queries {
-				if strat, _ := mp.DecideStrategyProbes(q, t); strat == core.StrategyLinear {
+				if strat, _, _ := mp.DecideStrategyWith(q, opts); strat == core.StrategyLinear {
 					linear++
 				}
 			}

@@ -15,11 +15,15 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/distance"
+	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
+	"repro/internal/vector"
 )
 
 // Strategy identifies which search path answered a query.
@@ -92,6 +96,12 @@ type Config[P any] struct {
 	// K is the concatenation length; 0 derives it from the family's
 	// p₁(Radius) via the paper's formula k = ⌈log(1−δ^{1/L})/log p₁⌉.
 	K int
+	// Probes is the multi-probe T: T ≥ 1 makes a query probe, besides
+	// its home bucket, the T most promising neighboring buckets per table
+	// (Lv et al., VLDB 2007); 0 is the classic one bucket per table. A
+	// probing index needs a family whose hashers can probe (the p-stable
+	// ones, see lsh.Prober).
+	Probes int
 	// HLLRegisters is m (default 128, the paper's Table-1 setting).
 	HLLRegisters int
 	// HLLThreshold overrides the sketch-on-build bucket-size threshold;
@@ -114,25 +124,43 @@ type Config[P any] struct {
 // measured value.
 var DefaultCostModel = CostModel{Alpha: 1, Beta: 8}
 
-// Index is the hybrid rNNR structure. It is safe for any number of
-// concurrent queries after NewIndex returns, but it is single-writer:
-// Append mutates the tables and the point slice without any internal
-// locking, so it must never run concurrently with queries or with
-// another Append. Callers that need concurrent mutation wrap Index in
-// the shard package's Sharded, which partitions points across indexes
-// and guards each with its own RWMutex — that is the supported
-// concurrent path; do not add ad-hoc locking around a shared Index.
+// Index is the hybrid rNNR structure: Algorithm 2 over L hash tables
+// with per-bucket sketches and a point store that verifies candidates.
+// The serving mode is data, not a type — the paper's observation (§5)
+// that the candSize estimate and the LSH-vs-linear decision do not
+// depend on which buckets a scheme probes. A classic index probes one
+// bucket per table, a multi-probe index (Config.Probes) the home bucket
+// plus T perturbed ones, and a covering index (see the covering
+// package, built through Assemble) one bucket per φ-mask table; the
+// query surface, Append and Compact are the same code for all three.
+//
+// It is safe for any number of concurrent queries after construction,
+// but it is single-writer: Append mutates the tables and the point store
+// without any internal locking, so it must never run concurrently with
+// queries or with another Append. Callers that need concurrent mutation
+// wrap Index in the shard package's Sharded, which partitions points
+// across indexes and guards each with its own RWMutex — that is the
+// supported concurrent path; do not add ad-hoc locking around a shared
+// Index.
 type Index[P any] struct {
-	// Searcher is Algorithm 2 over this index's point store; the index
-	// itself contributes the bucket collection (one per table).
-	*Searcher[P]
+	store  pointstore.Store[P]
+	tables *lsh.Tables[P]
+	// cost is the calibrated model behind Cost()/SetCost: an atomic
+	// pointer so online recalibration can swap constants mid-traffic
+	// without a lock on the query path (decide loads it once per query).
+	cost   atomic.Pointer[CostModel]
+	states sync.Pool // *queryState
+	// radius is the built reporting radius and mode the serving-mode
+	// descriptor Defaults returns: Probes set (T ≥ 1) on a multi-probe
+	// index, Radius set on a covering one, neither on a classic one.
+	radius float64
+	mode   QueryOpts
+	// dim is every point's dimension, checked by Append (-1: unknown).
+	dim    int
 	dist   distance.Func[P]
 	family lsh.Family[P]
-	radius float64
 	delta  float64
-	k      int
 	p1     float64
-	tables *lsh.Tables[P]
 }
 
 // NewIndex builds the hybrid index: L hash tables with per-bucket HLLs
@@ -160,6 +188,9 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 	}
 	if cfg.L < 1 {
 		return nil, fmt.Errorf("core: Config.L = %d, want >= 1", cfg.L)
+	}
+	if cfg.Probes < 0 {
+		return nil, fmt.Errorf("core: Config.Probes = %d, want >= 0", cfg.Probes)
 	}
 	if cfg.HLLRegisters == 0 {
 		cfg.HLLRegisters = 128
@@ -201,16 +232,11 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index[P]{
-		Searcher: NewSearcher(store, cfg.Cost, tables.Params().HLLRegisters),
-		dist:     cfg.Distance,
-		family:   cfg.Family,
-		radius:   cfg.Radius,
-		delta:    cfg.Delta,
-		k:        k,
-		p1:       p1,
-		tables:   tables,
-	}, nil
+	ix, err := Assemble(store, tables, cfg.Cost, cfg.Radius, probing(cfg.Probes))
+	if err != nil {
+		return nil, err
+	}
+	return ix.complete(cfg.Family, cfg.Distance, cfg.Delta, p1), nil
 }
 
 // RestoreConfig carries the decoded scalar state of a persisted Index;
@@ -226,6 +252,8 @@ type RestoreConfig[P any] struct {
 	// concatenation length k is taken from the tables' Params.
 	Radius, Delta, P1 float64
 	Cost              CostModel
+	// Probes is the saved multi-probe T (0: classic); see Config.Probes.
+	Probes int
 	// Store picks the point layout (see Config.Store); nil defaults to
 	// the generic layout over Distance.
 	Store pointstore.Builder[P]
@@ -247,9 +275,6 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if tables == nil {
 		return nil, fmt.Errorf("core: Restore with nil tables")
 	}
-	if tables.N() != len(points) {
-		return nil, fmt.Errorf("core: Restore with %d points but tables over %d", len(points), tables.N())
-	}
 	if !(cfg.Radius > 0) || math.IsInf(cfg.Radius, 0) {
 		return nil, fmt.Errorf("core: Restore radius = %v, want positive and finite", cfg.Radius)
 	}
@@ -262,6 +287,9 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if !cfg.Cost.Usable() {
 		return nil, fmt.Errorf("core: Restore cost = %+v, want positive finite constants", cfg.Cost)
 	}
+	if cfg.Probes < 0 {
+		return nil, fmt.Errorf("core: Restore probes = %d, want >= 0", cfg.Probes)
+	}
 	if cfg.Store == nil {
 		cfg.Store = pointstore.GenericBuilder(cfg.Distance)
 	}
@@ -269,30 +297,77 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if err != nil {
 		return nil, err
 	}
-	return &Index[P]{
-		Searcher: NewSearcher(store, cfg.Cost, tables.Params().HLLRegisters),
-		dist:     cfg.Distance,
-		family:   cfg.Family,
-		radius:   cfg.Radius,
-		delta:    cfg.Delta,
-		k:        tables.Params().K,
-		p1:       cfg.P1,
-		tables:   tables,
-	}, nil
+	ix, err := Assemble(store, tables, cfg.Cost, cfg.Radius, probing(cfg.Probes))
+	if err != nil {
+		return nil, err
+	}
+	return ix.complete(cfg.Family, cfg.Distance, cfg.Delta, cfg.P1), nil
+}
+
+// probing is the mode descriptor of a T-probe index (T = 0: classic).
+func probing(t int) QueryOpts {
+	if t == 0 {
+		return QueryOpts{}
+	}
+	return QueryOpts{Probes: Some(t)}
+}
+
+// complete fills in what NewIndex and Restore know beyond Assemble's
+// parts: the LSH family (whose dimension, when it reports one, is the
+// one Append checks), the metric, δ and p₁.
+func (ix *Index[P]) complete(fam lsh.Family[P], dist distance.Func[P], delta, p1 float64) *Index[P] {
+	ix.family, ix.dist, ix.delta, ix.p1 = fam, dist, delta, p1
+	if d, ok := fam.(interface{ Dim() int }); ok {
+		ix.dim = d.Dim()
+	}
+	return ix
+}
+
+// Assemble wires an Index over parts its caller built or decoded: tables
+// and a point store over the same n points, the cost model (used as
+// given), the reporting radius and the mode descriptor Defaults will
+// return. NewIndex and Restore end here; the covering package calls it
+// directly, because its φ-mask tables are drawn by no lsh.Family.
+// Assemble rejects a store and tables of different sizes and a probing
+// mode over hashers that cannot probe (lsh.Tables.CanProbe).
+func Assemble[P any](store pointstore.Store[P], tables *lsh.Tables[P], cost CostModel, radius float64, mode QueryOpts) (*Index[P], error) {
+	if tables.N() != store.Len() {
+		return nil, fmt.Errorf("core: %d points but tables over %d", store.Len(), tables.N())
+	}
+	if mode.Probes.Set {
+		if mode.Probes.N < 1 {
+			return nil, fmt.Errorf("core: probes = %d, want >= 1", mode.Probes.N)
+		}
+		if err := tables.CanProbe(); err != nil {
+			return nil, fmt.Errorf("core: a multi-probe index needs probing hashers: %w", err)
+		}
+	}
+	ix := &Index[P]{store: store, tables: tables, radius: radius, mode: mode, dim: -1}
+	if d, ok := store.(interface{ Dim() int }); ok && d.Dim() > 0 {
+		ix.dim = d.Dim()
+	}
+	ix.cost.Store(&cost)
+	// The visited array is sized when a state is first drawn, not here,
+	// so states created after an Append fit the grown store.
+	m := tables.Params().HLLRegisters
+	ix.states.New = func() any {
+		return &queryState{visited: make([]uint32, store.Len()), sketch: hll.New(m)}
+	}
+	return ix, nil
 }
 
 // Radius returns the reporting radius the index was built for.
 func (ix *Index[P]) Radius() float64 { return ix.radius }
 
 // K returns the concatenation length in use.
-func (ix *Index[P]) K() int { return ix.k }
+func (ix *Index[P]) K() int { return ix.tables.Params().K }
 
 // Delta returns the per-point failure probability the index was built
 // for.
 func (ix *Index[P]) Delta() float64 { return ix.delta }
 
 // Family returns the LSH family the index draws its hash functions
-// from.
+// from (nil for an assembled index whose tables no family drew).
 func (ix *Index[P]) Family() lsh.Family[P] { return ix.family }
 
 // L returns the number of hash tables.
@@ -301,8 +376,8 @@ func (ix *Index[P]) L() int { return ix.tables.L() }
 // P1 returns the family's collision probability at the index radius.
 func (ix *Index[P]) P1() float64 { return ix.p1 }
 
-// Tables exposes the underlying LSH structure (read-only) for the probing
-// extensions and white-box experiments.
+// Tables exposes the underlying LSH structure (read-only) for
+// serialization and white-box experiments.
 func (ix *Index[P]) Tables() *lsh.Tables[P] { return ix.tables }
 
 // DistanceTo returns the index metric's distance between stored point id
@@ -314,25 +389,85 @@ func (ix *Index[P]) DistanceTo(id int32, q P) float64 {
 // Point returns the stored point with the given id.
 func (ix *Index[P]) Point(id int32) P { return ix.store.At(id) }
 
+// N returns the number of indexed points.
+func (ix *Index[P]) N() int { return ix.store.Len() }
+
+// Points exposes the stored point slice (read-only; mutating it corrupts
+// the index). It exists for serialization. With a struct-of-arrays
+// layout the returned headers alias the store's flat backing; they stay
+// id-aligned, which the shard compaction hand-off relies on.
+func (ix *Index[P]) Points() []P { return ix.store.Slice() }
+
+// StoreStats returns the point store's layout and verification counters
+// (quantization mode, pre-filter rejections, refits).
+func (ix *Index[P]) StoreStats() pointstore.Stats { return ix.store.Stats() }
+
+// Cost returns the cost model in use. It is safe to call concurrently
+// with queries and with SetCost.
+func (ix *Index[P]) Cost() CostModel { return *ix.cost.Load() }
+
+// SetCost swaps the cost model driving the LINEAR-vs-LSH decision. The
+// swap is atomic: it may run concurrently with any number of queries
+// (each query decides with the model it loaded at decision time) and
+// with other SetCost calls — it is the one mutation exempt from the
+// index's single-writer contract, because it touches no index structure.
+// Models with non-positive, NaN or Inf constants are rejected, so a
+// degenerate refit can never poison the decision rule.
+func (ix *Index[P]) SetCost(c CostModel) error {
+	if !c.Usable() {
+		return fmt.Errorf("core: SetCost(%+v), want positive finite constants", c)
+	}
+	ix.cost.Store(&c)
+	return nil
+}
+
 // Append adds points to the index, assigning ids from the current N
 // upward. The per-bucket sketches are maintained incrementally (HLLs only
-// ever absorb insertions), so hybrid decisions stay accurate.
+// ever absorb insertions), so hybrid decisions stay accurate; probe
+// sequences and covering masks depend only on the drawn hash functions,
+// so they cover the new points at once. The whole batch is checked —
+// every point's dimension and the int32 id space — before anything is
+// stored, so a rejected batch leaves the index exactly as it was.
 //
 // Append is the single-writer side of the Index contract: it must not
 // run concurrently with Query, QueryBatch, or another Append — it grows
-// ix.points and the bucket slices in place, and a racing reader observes
-// torn state (verified by the race detector). The shard package provides
-// the concurrency-safe wrapper; use it instead of external locking when
-// queries and appends overlap. Note that k was solved for the build-time
-// radius and δ — appending does not retune parameters.
+// the point store and the bucket slices in place, and a racing reader
+// observes torn state (verified by the race detector). The shard package
+// provides the concurrency-safe wrapper; use it instead of external
+// locking when queries and appends overlap. Note that k was solved for
+// the build-time radius and δ — appending does not retune parameters.
 func (ix *Index[P]) Append(points []P) error {
 	if len(points) == 0 {
 		return nil
 	}
-	if err := ix.tables.Append(points); err != nil {
+	if n := ix.store.Len(); int64(n)+int64(len(points)) > math.MaxInt32 {
+		return fmt.Errorf("core: Append would overflow the int32 id space (%d + %d)", n, len(points))
+	}
+	if ix.dim >= 0 {
+		for i, p := range points {
+			if d := dimOf(p); d >= 0 && d != ix.dim {
+				return fmt.Errorf("core: Append point %d has dim %d, index dim is %d", i, d, ix.dim)
+			}
+		}
+	}
+	if err := ix.store.Append(points); err != nil {
 		return err
 	}
-	return ix.store.Append(points)
+	return ix.tables.Append(points)
+}
+
+// dimOf returns p's dimension for the vector types the indexes store,
+// and -1 for any other point type.
+func dimOf[P any](p P) int {
+	switch v := any(p).(type) {
+	case vector.Dense:
+		return len(v)
+	case vector.Binary:
+		return v.Dim
+	case vector.Sparse:
+		return v.Dim
+	}
+	return -1
 }
 
 // Compact returns a new index without the points marked dead
@@ -345,7 +480,8 @@ func (ix *Index[P]) Append(points []P) error {
 // in all three cost-model inputs: LinearCost uses the live n, #collisions
 // sums buckets holding only live ids, and candSize estimates over
 // live-only sketches. Answers are id-for-id the receiver's answers minus
-// the dead points (modulo the renumbering).
+// the dead points (modulo the renumbering), and the serving mode — probe
+// count, covering radius — carries over unchanged.
 //
 // The receiver is read, not modified, and stays fully usable — callers
 // such as shard.Sharded build the compacted index while the old one keeps
@@ -377,16 +513,12 @@ func (ix *Index[P]) Compact(dead []bool) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index[P]{
-		Searcher: NewSearcher(store, ix.Cost(), tables.Params().HLLRegisters),
-		dist:     ix.dist,
-		family:   ix.family,
-		radius:   ix.radius,
-		delta:    ix.delta,
-		k:        ix.k,
-		p1:       ix.p1,
-		tables:   tables,
-	}, nil
+	nix, err := Assemble(store, tables, ix.Cost(), ix.radius, ix.mode)
+	if err != nil {
+		return nil, err
+	}
+	nix.dim = ix.dim
+	return nix.complete(ix.family, ix.dist, ix.delta, ix.p1), nil
 }
 
 // QueryStats reports what one query did; every experiment in the paper is
@@ -452,55 +584,6 @@ func (s QueryStats) EstimateErrorRatio() (float64, bool) {
 		return 0, false
 	}
 	return s.EstCandidates / float64(s.Candidates), true
-}
-
-// Query answers one rNNR query with the hybrid strategy (Algorithm 2):
-// estimate LSHCost from bucket sizes and merged HLLs, compare with
-// LinearCost, and run the cheaper search. The returned ids are distinct
-// but in unspecified order (sorting is not part of the paper's cost model;
-// callers that need order sort the ids themselves).
-func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	return ix.answer(q, ix.radius, st.buckets, st, t0)
-}
-
-// EstimateCandSize always performs the full O(m·L) sketch merge — no
-// short-circuits — and returns the collision count, the candSize estimate
-// and the time the merge took. Table 1 measures exactly this operation.
-func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed time.Duration) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	collisions = lsh.Collisions(st.buckets)
-	est = lsh.EstimateCandidates(st.buckets, st.sketch)
-	return collisions, est, time.Since(t0)
-}
-
-// QueryLSH forces the classic LSH-based search (see Searcher.AnswerLSH).
-func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	return ix.answerLSH(q, ix.radius, st.buckets, st, t0)
-}
-
-// QueryLinear forces the exact linear scan (see Searcher.Scan).
-func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) { return ix.Scan(q, ix.radius) }
-
-// DecideStrategy runs only steps 1–3 of Algorithm 2 and returns the
-// decision without searching. The ablation experiments use it to compare
-// the HLL-based decision against an oracle.
-func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	return ix.decideOnly(st.buckets, st, t0)
 }
 
 // GroundTruth reports the exact result set of a query by linear scan; the

@@ -10,10 +10,11 @@ import (
 // Store is the index contract the shard package builds on: one shard is
 // any hybrid index that can report its size, expose its point slice for
 // snapshots and compaction absorption, answer hybrid queries, grow by
-// appending, and rewrite itself without a set of dead points. The plain
-// *Index, multiprobe.Index and covering.Index all satisfy it, which is
-// what lets the sharding, compaction and persistence machinery serve
-// multi-probe and covering shards unchanged.
+// appending, and rewrite itself without a set of dead points. *Index
+// satisfies it in every serving mode, and covering.Index (an *Index that
+// also carries its φ) does too, which is what lets the sharding,
+// compaction and persistence machinery serve multi-probe and covering
+// shards unchanged.
 //
 // Implementations follow Index's concurrency contract: any number of
 // concurrent Query calls, but Append is single-writer and CompactStore
@@ -131,19 +132,6 @@ func (o QueryOpts) Resolve(def QueryOpts) (QueryOpts, error) {
 // across shards for /stats and /metrics.
 type StoreStatser interface {
 	StoreStats() pointstore.Stats
-}
-
-// Defaults implements Store: the classic index supports no per-query
-// option.
-func (ix *Index[P]) Defaults() QueryOpts { return QueryOpts{} }
-
-// QueryWith implements Store: Query, after rejecting every set option.
-func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
-	if _, err := o.Resolve(QueryOpts{}); err != nil {
-		return nil, QueryStats{}, err
-	}
-	ids, stats := ix.Query(q)
-	return ids, stats, nil
 }
 
 // CompactStore implements Store by delegating to Compact.

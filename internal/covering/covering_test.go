@@ -149,11 +149,12 @@ func TestMaskedKeyIgnoresMaskedOutBits(t *testing.T) {
 	a := vector.NewBinary(64)
 	b := vector.NewBinary(64)
 	b.SetBit(10, true) // not in mask: keys must match
-	if maskedKey(a, mask) != maskedKey(b, mask) {
+	h := &maskHasher{mask: mask}
+	if h.Key(a) != h.Key(b) {
 		t.Fatal("masked-out bit changed the key")
 	}
 	b.SetBit(40, true) // in mask: keys must differ
-	if maskedKey(a, mask) == maskedKey(b, mask) {
+	if h.Key(a) == h.Key(b) {
 		t.Fatal("masked-in bit did not change the key")
 	}
 }
@@ -174,8 +175,8 @@ func TestSketchesAttachedToLargeBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, tab := range ix.tables {
-		for _, b := range tab {
+	for j := 0; j < ix.Tables(); j++ {
+		for _, b := range ix.TableBuckets(j) {
 			if len(b.IDs) >= 32 && b.Sketch == nil {
 				t.Fatal("large bucket missing sketch")
 			}

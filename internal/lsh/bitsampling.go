@@ -106,31 +106,3 @@ func (h *BitSamplingHasher) Key(p vector.Binary) uint64 {
 	}
 	return key
 }
-
-// KeyFromBits computes the key that Key would produce if the sampled
-// coordinates took the given values (values[i] is the bit at h.bits[i]).
-// It lets probing code derive neighbor-bucket keys without materializing a
-// flipped vector.
-func (h *BitSamplingHasher) KeyFromBits(values []bool) uint64 {
-	if len(values) != len(h.bits) {
-		panic("lsh: KeyFromBits length mismatch")
-	}
-	var key, acc uint64
-	nacc := 0
-	flushed := false
-	for _, v := range values {
-		acc <<= 1
-		if v {
-			acc |= 1
-		}
-		if nacc++; nacc == 64 {
-			key = hashutil.Combine(key, acc)
-			acc, nacc = 0, 0
-			flushed = true
-		}
-	}
-	if nacc > 0 || !flushed {
-		key = hashutil.Combine(key, acc)
-	}
-	return key
-}

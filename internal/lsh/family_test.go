@@ -283,25 +283,6 @@ func TestBitSamplingKeyIgnoresUnsampledBits(t *testing.T) {
 	}
 }
 
-func TestKeyFromBitsMatchesKey(t *testing.T) {
-	fam := NewBitSampling(128)
-	r := rng.New(10)
-	for _, k := range []int{1, 7, 63, 64, 65, 100} {
-		h := fam.NewHasher(k, r).(*BitSamplingHasher)
-		x := vector.NewBinary(128)
-		for i := 0; i < 128; i += 3 {
-			x.SetBit(i, true)
-		}
-		values := make([]bool, k)
-		for i, b := range h.Bits() {
-			values[i] = x.Bit(b)
-		}
-		if h.KeyFromBits(values) != h.Key(x) {
-			t.Fatalf("k=%d: KeyFromBits disagrees with Key", k)
-		}
-	}
-}
-
 func TestPStablePartsConsistentWithKey(t *testing.T) {
 	fam := NewPStableL2(8, 2.5)
 	h := fam.NewPStableHasher(5, rng.New(11))

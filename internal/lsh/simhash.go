@@ -13,9 +13,8 @@ import (
 // cosine similarity: a base function is h(x) = sign(⟨a, x⟩) with a a random
 // Gaussian vector, so Pr[h(x) = h(y)] = 1 − θ(x, y)/π.
 //
-// The family is defined over sparse vectors (the Webspam-like workload);
-// SimHashDense is the dense-vector twin. The distance argument of
-// CollisionProb is interpreted according to the metric the family was
+// The family is defined over sparse vectors (the Webspam-like workload).
+// The distance argument of CollisionProb is interpreted according to the metric the family was
 // constructed for: cosine distance (1 − cos θ) or normalized angle (θ/π).
 type SimHash struct {
 	dim     int
@@ -97,27 +96,19 @@ func gaussianPlanes(dim, k int, r *rng.Rand) []vector.Dense {
 	return planes
 }
 
-// validatePlanes checks a deserialized plane set: at least one plane,
-// all of the same non-zero dimension.
-func validatePlanes(planes []vector.Dense, who string) error {
+// RestoreSimHashHasher reassembles a sparse-vector hasher from planes
+// previously obtained via Planes (e.g. from a persisted snapshot). The
+// slice is referenced, not copied. Every plane must have the same
+// non-zero dimension.
+func RestoreSimHashHasher(planes []vector.Dense) (*SimHashHasher, error) {
 	if len(planes) < 1 {
-		return fmt.Errorf("lsh: %s with no planes", who)
+		return nil, fmt.Errorf("lsh: RestoreSimHashHasher with no planes")
 	}
 	dim := len(planes[0])
 	for i, p := range planes {
 		if len(p) != dim || dim == 0 {
-			return fmt.Errorf("lsh: %s plane %d has dim %d, want %d > 0", who, i, len(p), dim)
+			return nil, fmt.Errorf("lsh: RestoreSimHashHasher plane %d has dim %d, want %d > 0", i, len(p), dim)
 		}
-	}
-	return nil
-}
-
-// RestoreSimHashHasher reassembles a sparse-vector hasher from planes
-// previously obtained via Planes (e.g. from a persisted snapshot). The
-// slice is referenced, not copied.
-func RestoreSimHashHasher(planes []vector.Dense) (*SimHashHasher, error) {
-	if err := validatePlanes(planes, "RestoreSimHashHasher"); err != nil {
-		return nil, err
 	}
 	return &SimHashHasher{planes: planes}, nil
 }
@@ -143,96 +134,6 @@ func (h *SimHashHasher) Key(p vector.Sparse) uint64 {
 	for _, plane := range h.planes {
 		acc <<= 1
 		if p.DotDense(plane) >= 0 {
-			acc |= 1
-		}
-		if nacc++; nacc == 64 {
-			key = hashutil.Combine(key, acc)
-			acc, nacc = 0, 0
-			flushed = true
-		}
-	}
-	if nacc > 0 || !flushed {
-		key = hashutil.Combine(key, acc)
-	}
-	return key
-}
-
-// SimHashDense is SimHash over dense vectors. It is used both as an LSH
-// family in its own right and to produce the b-bit fingerprints of the
-// MNIST-like workload (see Fingerprint).
-type SimHashDense struct {
-	dim     int
-	angular bool
-}
-
-// NewSimHashDenseCosine returns the dense-vector SimHash family under
-// cosine distance.
-func NewSimHashDenseCosine(dim int) *SimHashDense {
-	if dim <= 0 {
-		panic(fmt.Sprintf("lsh: NewSimHashDense dim = %d", dim))
-	}
-	return &SimHashDense{dim: dim}
-}
-
-// NewSimHashDenseAngular returns the dense-vector SimHash family under
-// normalized-angle distance.
-func NewSimHashDenseAngular(dim int) *SimHashDense {
-	if dim <= 0 {
-		panic(fmt.Sprintf("lsh: NewSimHashDense dim = %d", dim))
-	}
-	return &SimHashDense{dim: dim, angular: true}
-}
-
-// Name implements Family.
-func (f *SimHashDense) Name() string {
-	if f.angular {
-		return "simhash-dense-angular"
-	}
-	return "simhash-dense-cosine"
-}
-
-// CollisionProb implements Family (same formula as the sparse family).
-func (f *SimHashDense) CollisionProb(dist float64) float64 {
-	return (&SimHash{dim: f.dim, angular: f.angular}).CollisionProb(dist)
-}
-
-// NewHasher implements Family.
-func (f *SimHashDense) NewHasher(k int, r *rng.Rand) Hasher[vector.Dense] {
-	if k < 1 {
-		panic(fmt.Sprintf("lsh: NewHasher k = %d", k))
-	}
-	return &SimHashDenseHasher{planes: gaussianPlanes(f.dim, k, r)}
-}
-
-// RestoreSimHashDenseHasher is RestoreSimHashHasher for the dense-vector
-// twin.
-func RestoreSimHashDenseHasher(planes []vector.Dense) (*SimHashDenseHasher, error) {
-	if err := validatePlanes(planes, "RestoreSimHashDenseHasher"); err != nil {
-		return nil, err
-	}
-	return &SimHashDenseHasher{planes: planes}, nil
-}
-
-// SimHashDenseHasher is the dense-vector g-function.
-type SimHashDenseHasher struct {
-	planes []vector.Dense
-}
-
-// Planes returns the k hyperplane normals (read-only by convention). It
-// exists for serialization.
-func (h *SimHashDenseHasher) Planes() []vector.Dense { return h.planes }
-
-// K implements Hasher.
-func (h *SimHashDenseHasher) K() int { return len(h.planes) }
-
-// Key implements Hasher.
-func (h *SimHashDenseHasher) Key(p vector.Dense) uint64 {
-	var key, acc uint64
-	nacc := 0
-	flushed := false
-	for _, plane := range h.planes {
-		acc <<= 1
-		if plane.Dot(p) >= 0 {
 			acc |= 1
 		}
 		if nacc++; nacc == 64 {

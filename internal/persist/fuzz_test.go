@@ -8,7 +8,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/pointstore"
 	"repro/internal/shard"
 	"repro/internal/vector"
@@ -163,12 +162,12 @@ func seedCorpus(f *testing.F) {
 		}
 	}
 	// Multi-probe L2 (exercises the optional "prob" section).
-	if ix, err := core.NewIndex(denseData(24, 4, 6), mkCfg()); err == nil {
-		if mp, err := multiprobe.FromCore(ix, 7); err == nil {
-			var buf bytes.Buffer
-			if _, err := Write(&buf, MetricL2, mp); err == nil {
-				add(buf.Bytes())
-			}
+	mcfg := mkCfg()
+	mcfg.Probes = 7
+	if mp, err := core.NewIndex(denseData(24, 4, 6), mcfg); err == nil {
+		var buf bytes.Buffer
+		if _, err := Write(&buf, MetricL2, mp); err == nil {
+			add(buf.Bytes())
 		}
 	}
 	// Sharded L2 with tombstones (exercises smet/tomb/sids paths).
@@ -188,11 +187,8 @@ func seedCorpus(f *testing.F) {
 	shmp, err := shard.New(denseData(24, 4, 7), 2, 9, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
 		c := mkCfg()
 		c.Seed = seed
-		ix, err := core.NewIndex(pts, c)
-		if err != nil {
-			return nil, err
-		}
-		return multiprobe.FromCore(ix, 5)
+		c.Probes = 5
+		return core.NewIndex(pts, c)
 	})
 	if err == nil {
 		shmp.Delete([]int32{2, 6})

@@ -12,7 +12,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/shard"
 	"repro/internal/vector"
 )
@@ -153,8 +152,9 @@ func checkGolden(t *testing.T, path string, fresh []byte, reencode func(golden [
 	}
 }
 
-// goldenL2Shard builds one classic shard of the sharded goldens.
-func goldenL2Shard(pts []vector.Dense, seed uint64) (*core.Index[vector.Dense], error) {
+// goldenL2Shard builds one shard of the sharded goldens: classic, or
+// multi-probe with T = probes.
+func goldenL2Shard(pts []vector.Dense, seed uint64, probes int) (*core.Index[vector.Dense], error) {
 	return core.NewIndex(pts, core.Config[vector.Dense]{
 		Family:       lsh.NewPStableL2(6, 0.8),
 		Distance:     distance.L2,
@@ -165,12 +165,13 @@ func goldenL2Shard(pts []vector.Dense, seed uint64) (*core.Index[vector.Dense], 
 		HLLThreshold: 3,
 		Cost:         core.CostModel{Alpha: 1, Beta: 8},
 		Seed:         seed,
+		Probes:       probes,
 	})
 }
 
 func TestGoldenShardedL2Snapshot(t *testing.T) {
 	sh, err := shard.New(denseData(48, 6, 1234), 3, 42, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return goldenL2Shard(pts, seed)
+		return goldenL2Shard(pts, seed, 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +200,7 @@ func TestGoldenShardedL2Snapshot(t *testing.T) {
 
 func TestGoldenShardedMultiProbeSnapshot(t *testing.T) {
 	sh, err := shard.New(denseData(48, 6, 1234), 2, 42, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		ix, err := goldenL2Shard(pts, seed)
-		if err != nil {
-			return nil, err
-		}
-		return multiprobe.FromCore(ix, 5)
+		return goldenL2Shard(pts, seed, 5)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,11 @@ import (
 	"repro/internal/covering"
 	"repro/internal/hll"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/pointstore"
-	"repro/internal/vector"
 )
 
-// Write writes a complete plain (kind-1) snapshot of st — a classic
-// *core.Index[P], a *multiprobe.Index or a *covering.Index — under the
+// Write writes a complete plain (kind-1) snapshot of st — a classic or
+// multi-probe *core.Index[P] or a *covering.Index — under the
 // given metric identifier and returns the number of bytes written. The
 // output is deterministic: equal indexes (same points, same drawn hash
 // functions) serialize to equal bytes. The index must not be mutated
@@ -30,22 +28,17 @@ func Write[P any](w io.Writer, metric string, st core.Store[P]) (int64, error) {
 // metric, and reassembles the index without rebuilding; the returned
 // store answers queries id-for-id identically to the one that was saved.
 // The snapshot decides the kind: a "covr" body comes back as a
-// *covering.Index, a "prob" section as a *multiprobe.Index, anything
-// else as a *core.Index[P]. Callers that demand one mode check it with
-// Meta.RequireMode.
+// *covering.Index, anything else as a *core.Index[P] — multi-probe with
+// the recorded T when a "prob" section is present. Callers that demand
+// one mode check it with Meta.RequireMode.
 func Read[P any](r io.Reader, metric string) (core.Store[P], Meta, error) {
 	c, ss, err := openContainer[P](r, metric, kindIndex)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	st, meta, err := readBody(ss, c)
+	st, meta, err := readBody(ss, c, 0)
 	if err != nil {
 		return nil, Meta{}, err
-	}
-	if meta.Probes > 0 {
-		if st, err = wrapProbes(st, meta.Probes); err != nil {
-			return nil, Meta{}, err
-		}
 	}
 	if _, err := ss.read("end!"); err != nil {
 		return nil, Meta{}, err
@@ -97,17 +90,11 @@ func openContainer[P any](r io.Reader, metric string, kind byte) (*codec[P], *se
 func writeBody[P any](w io.Writer, c *codec[P], st core.Store[P], inShard bool) error {
 	switch v := any(st).(type) {
 	case *core.Index[P]:
-		return writeIndexParts(w, c, v, 0)
-	case *multiprobe.Index:
-		ix, ok := any(v.Core()).(*core.Index[P])
-		if !ok {
-			return fmt.Errorf("persist: metric %q does not store multi-probe (dense) points", c.metric)
-		}
-		probes := v.Probes()
+		probes := v.Defaults().Probes.N
 		if inShard {
 			probes = 0
 		}
-		return writeIndexParts(w, c, ix, probes)
+		return writeIndexParts(w, c, v, probes)
 	case *covering.Index:
 		if c.metric != MetricHamming {
 			return fmt.Errorf("persist: a covering index is a %s index, not %q", MetricHamming, c.metric)
@@ -118,16 +105,18 @@ func writeBody[P any](w io.Writer, c *codec[P], st core.Store[P], inShard bool) 
 }
 
 // readBody reads one index's sections, dispatching on the first: "covr"
-// opens a covering index, "meta" a classic one. A "prob" section after
-// "meta" is reported in Meta.Probes for the caller to act on (wrapProbes)
-// — a plain snapshot wraps it, a sharded one rejects it.
-func readBody[P any](ss *sectionStream, c *codec[P]) (core.Store[P], Meta, error) {
+// opens a covering index, "meta" a classic or multi-probe one. probes is
+// a sharded snapshot's structure-level T, which every shard's index is
+// restored with; a "prob" section after "meta" (a plain snapshot's T) is
+// honoured too and reported in Meta.Probes, for the sharded reader to
+// reject.
+func readBody[P any](ss *sectionStream, c *codec[P], probes int) (core.Store[P], Meta, error) {
 	tag, err := ss.peek()
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	if tag != "covr" {
-		ix, m, err := readIndexBody(ss, c)
+		ix, m, err := readIndexBody(ss, c, probes)
 		if err != nil {
 			return nil, Meta{}, err
 		}
@@ -136,26 +125,14 @@ func readBody[P any](ss *sectionStream, c *codec[P]) (core.Store[P], Meta, error
 	if c.metric != MetricHamming {
 		return nil, Meta{}, fmt.Errorf("%w: snapshot holds a covering (%s) index, the reader wants metric %q", ErrCoverMode, MetricHamming, c.metric)
 	}
+	if probes > 0 {
+		return nil, Meta{}, corrupt("probe section on a covering index")
+	}
 	ix, cm, err := readCoveringBody(ss)
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	return any(ix).(core.Store[P]), coverPublicMeta(cm), nil // hamming stores vector.Binary (codecFor)
-}
-
-// wrapProbes rewraps a restored classic index as a multi-probe index with
-// the snapshot's probe configuration; it only succeeds for the dense
-// p-stable metrics.
-func wrapProbes[P any](st core.Store[P], probes int) (core.Store[P], error) {
-	dix, ok := any(st).(*core.Index[vector.Dense])
-	if !ok {
-		return nil, corrupt("probe section on an index that is not a classic dense one")
-	}
-	mp, err := multiprobe.FromCore(dix, probes)
-	if err != nil {
-		return nil, corrupt("restoring multi-probe index: %v", err)
-	}
-	return any(mp).(core.Store[P]), nil // P is vector.Dense: dix asserted so
 }
 
 // RequireMode returns nil when the snapshot holds the serving mode the
@@ -271,11 +248,12 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 
 // readIndexBody reads the "meta", optional "prob"/"quan", "pnts" and L
 // "tabl" sections and reassembles the index; a present "prob" section
-// is recorded in the returned meta's probes field for the caller to act
-// on, and a present "quan" section selects the quantization mode of the
-// point store the index is rebuilt over (the quantized copy itself is
-// refit from the exact points).
-func readIndexBody[P any](ss *sectionStream, c *codec[P]) (*core.Index[P], *indexMeta, error) {
+// is recorded in the returned meta's probes field and, like a non-zero
+// structure-level probes, restores a multi-probe index (hashers that
+// cannot probe are corrupt). A present "quan" section selects the
+// quantization mode of the point store the index is rebuilt over (the
+// quantized copy itself is refit from the exact points).
+func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Index[P], *indexMeta, error) {
 	payload, err := ss.read("meta")
 	if err != nil {
 		return nil, nil, err
@@ -345,6 +323,7 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P]) (*core.Index[P], *inde
 		Delta:    m.delta,
 		P1:       m.p1,
 		Cost:     core.CostModel{Alpha: m.costAlpha, Beta: m.costBeta},
+		Probes:   max(m.probes, probes),
 	}
 	if c.store != nil {
 		cfg.Store = c.store(m)

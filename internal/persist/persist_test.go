@@ -14,7 +14,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/vector"
@@ -669,7 +668,7 @@ func readIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) 
 	return st.(*core.Index[P]), meta, nil
 }
 
-func readMultiProbe(r io.Reader, metric string) (*multiprobe.Index, Meta, error) {
+func readMultiProbe(r io.Reader, metric string) (*core.Index[vector.Dense], Meta, error) {
 	st, meta, err := Read[vector.Dense](r, metric)
 	if err == nil {
 		err = meta.RequireMode(true, false)
@@ -677,7 +676,7 @@ func readMultiProbe(r io.Reader, metric string) (*multiprobe.Index, Meta, error)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return st.(*multiprobe.Index), meta, nil
+	return st.(*core.Index[vector.Dense]), meta, nil
 }
 
 func readCovering(r io.Reader) (*covering.Index, Meta, error) {

@@ -10,11 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/vector"
 )
 
-func buildMultiProbe(t *testing.T, probes int) *multiprobe.Index {
+// buildMultiProbe builds the probe tests' index with T = probes (0: the
+// classic index over the same tables).
+func buildMultiProbe(t *testing.T, probes int) *core.Index[vector.Dense] {
 	t.Helper()
 	ix, err := core.NewIndex(denseData(32, 4, 11), core.Config[vector.Dense]{
 		Family:       lsh.NewPStableL2(4, 0.8),
@@ -24,15 +25,12 @@ func buildMultiProbe(t *testing.T, probes int) *multiprobe.Index {
 		HLLRegisters: 16,
 		HLLThreshold: 2,
 		Seed:         7,
+		Probes:       probes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := multiprobe.FromCore(ix, probes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return mp
+	return ix
 }
 
 // locateProbeSection finds the "prob" section in a snapshot and returns
@@ -56,8 +54,8 @@ func TestProbeSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Probes != 9 || loaded.Probes() != 9 {
-		t.Fatalf("round trip probes = %d/%d, want 9", meta.Probes, loaded.Probes())
+	if meta.Probes != 9 || loaded.Defaults().Probes.N != 9 {
+		t.Fatalf("round trip probes = %d/%d, want 9", meta.Probes, loaded.Defaults().Probes.N)
 	}
 	q := make(vector.Dense, 4)
 	want, _ := mp.Query(q)
@@ -112,7 +110,7 @@ func TestProbeReaderMismatch(t *testing.T) {
 	}
 
 	var plainBuf bytes.Buffer
-	if _, err := Write(&plainBuf, MetricL2, mp.Core()); err != nil {
+	if _, err := Write(&plainBuf, MetricL2, buildMultiProbe(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := readMultiProbe(bytes.NewReader(plainBuf.Bytes()), MetricL2); !errors.Is(err, ErrProbeMode) {
@@ -120,7 +118,7 @@ func TestProbeReaderMismatch(t *testing.T) {
 	}
 
 	// The "prob" section must not change the plain sections: stripping
-	// it yields exactly the plain snapshot of the wrapped core.
+	// it yields exactly the plain snapshot of the same tables.
 	snap := mpBuf.Bytes()
 	start := bytes.Index(snap, []byte("prob"))
 	if start < 0 {
@@ -129,5 +127,34 @@ func TestProbeReaderMismatch(t *testing.T) {
 	stripped := append(append([]byte(nil), snap[:start]...), snap[start+12+4+4:]...) // header + payload(4) + crc
 	if !bytes.Equal(stripped, plainBuf.Bytes()) {
 		t.Fatal("multi-probe snapshot minus prob section != plain snapshot")
+	}
+}
+
+// TestProbeSectionOnNonProbingIndex splices a valid "prob" section into
+// a classic Hamming snapshot: bit-sampling hashers cannot probe, so the
+// reader must refuse the file as corrupt instead of restoring an index
+// whose queries would fail.
+func TestProbeSectionOnNonProbingIndex(t *testing.T) {
+	ix, err := core.NewIndex(binaryData(tn, 64, 5), cfg[vector.Binary](lsh.NewBitSampling(64), distance.Hamming, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := Write(&buf, MetricHamming, ix); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	meta := bytes.Index(snap, []byte("meta"))
+	if meta < 0 {
+		t.Fatal("snapshot has no meta section")
+	}
+	end := meta + 12 + int(binary.LittleEndian.Uint64(snap[meta+4:])) + 4 // header + payload + crc
+	var prob bytes.Buffer
+	if err := writeProbeSection(&prob, 5); err != nil {
+		t.Fatal(err)
+	}
+	spliced := append(append(append([]byte(nil), snap[:end]...), prob.Bytes()...), snap[end:]...)
+	if _, _, err := Read[vector.Binary](bytes.NewReader(spliced), MetricHamming); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("probe section on a Hamming snapshot: err = %v, want ErrCorrupt", err)
 	}
 }

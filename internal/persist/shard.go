@@ -19,7 +19,7 @@ import (
 //
 // The structure's serving mode (shard.Sharded.Defaults) picks the layout:
 // multi-probe shards record their shared T once in a structure-level
-// "prob" section and serialize each wrapped classic index as usual;
+// "prob" section and serialize each index's classic sections as usual;
 // covering shards record their shared radius in a structure-level "covr"
 // marker and serialize "covr" bodies; classic shards write neither.
 func WriteSharded[P any](w io.Writer, metric string, s *shard.Sharded[P]) (int64, error) {
@@ -180,7 +180,7 @@ func ReadSharded[P any](r io.Reader, metric string) (*shard.Sharded[P], Meta, er
 		if err != nil {
 			return nil, Meta{}, err
 		}
-		st, m, err := readBody(ss, c)
+		st, m, err := readBody(ss, c, probes)
 		if err != nil {
 			return nil, Meta{}, err
 		}
@@ -195,11 +195,6 @@ func ReadSharded[P any](r io.Reader, metric string) (*shard.Sharded[P], Meta, er
 		} else if m.Dim != meta.Dim || m.Radius != meta.Radius {
 			return nil, Meta{}, corrupt("shard %d has dim %d r %v, shard 0 has dim %d r %v",
 				j, m.Dim, m.Radius, meta.Dim, meta.Radius)
-		}
-		if probes > 0 {
-			if st, err = wrapProbes(st, probes); err != nil {
-				return nil, Meta{}, err
-			}
 		}
 		shards[j] = shard.ShardSnapshot[P]{Index: st, IDs: ids}
 		live += len(ids)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/rng"
@@ -233,7 +232,7 @@ func TestReplayPropertyMultiProbe(t *testing.T) {
 	for _, seed := range []uint64{2, 11} {
 		data := denseReplayData(900, seed)
 		writer, err := shard.New(data[:600], 3, seed, func(pts []vector.Dense, s uint64) (core.Store[vector.Dense], error) {
-			return multiprobe.New(pts, multiprobe.Config{
+			return core.NewIndex(pts, core.Config[vector.Dense]{
 				Family:   lsh.NewPStableL2(replayDim, 2*replayRadius),
 				Distance: distance.L2,
 				Radius:   replayRadius,

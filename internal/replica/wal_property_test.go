@@ -13,7 +13,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/replica/replicatest"
@@ -301,7 +300,7 @@ func TestWALPropertyMultiProbe(t *testing.T) {
 	newStore := func(t *testing.T) *shard.Sharded[vector.Dense] {
 		t.Helper()
 		sh, err := shard.New(data[:600], 3, seed, func(pts []vector.Dense, s uint64) (core.Store[vector.Dense], error) {
-			return multiprobe.New(pts, multiprobe.Config{
+			return core.NewIndex(pts, core.Config[vector.Dense]{
 				Family:   lsh.NewPStableL2(replayDim, 2*replayRadius),
 				Distance: distance.L2,
 				Radius:   replayRadius,

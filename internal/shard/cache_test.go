@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/vector"
@@ -173,7 +172,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheKeyedByResolvedOptions(t *testing.T) {
 	points, _ := clustered(300, 10, 8, 0.01, 61)
 	sh, err := shard.New(points, 2, 5, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return multiprobe.New(pts, multiprobe.Config{
+		return core.NewIndex(pts, core.Config[vector.Dense]{
 			Family:   lsh.NewPStableL2(8, 0.8),
 			Distance: distance.L2,
 			Radius:   0.4,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/storetest"
@@ -23,7 +22,7 @@ func multiProbeSharded(t *testing.T) (*shard.Sharded[vector.Dense], []vector.Den
 	t.Helper()
 	points, centers := clustered(300, 10, 8, 0.05, 71)
 	sh, err := shard.New(points, 3, 5, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return multiprobe.New(pts, multiprobe.Config{
+		return core.NewIndex(pts, core.Config[vector.Dense]{
 			Family:   lsh.NewPStableL2(8, 0.8),
 			Distance: distance.L2,
 			Radius:   0.4,

@@ -1,6 +1,6 @@
 // Package shard partitions a hybrid-LSH index across S independent
-// shards (any core.Store implementation — plain core.Index,
-// multiprobe.Index or covering.Index) and serves queries by parallel
+// shards (any core.Store implementation — a classic or multi-probe
+// core.Index, or a covering.Index) and serves queries by parallel
 // fan-out with a result-set merge. It is the concurrency layer of the
 // reproduction:
 // the underlying indexes are single-writer (Append must not run
@@ -49,8 +49,8 @@ import (
 )
 
 // Builder constructs one shard's index from its point subset. Any
-// core.Store implementation works — *core.Index for the classic hybrid
-// index, multiprobe.Index for multi-probe shards. seed is pre-mixed per
+// core.Store implementation works — *core.Index for classic and
+// multi-probe shards, *covering.Index for covering ones. seed is pre-mixed per
 // shard so the S sub-indexes draw independent hash functions; builders
 // should pass it through to their index's construction seed.
 type Builder[P any] func(points []P, seed uint64) (core.Store[P], error)

@@ -1,8 +1,9 @@
 // Package storetest is the shared conformance suite for core.Store
-// implementations. Every index kind the shard layer can serve — the
-// plain core.Index, multiprobe.Index and covering.Index — must pass it,
-// so the contract the sharding, compaction and persistence machinery
-// relies on is pinned in one place instead of copy-pasted per package.
+// implementations. Every index kind the shard layer can serve — a
+// core.Index in each serving mode (classic, multi-probe) and
+// covering.Index — must pass it, so the contract the sharding, compaction
+// and persistence machinery relies on is pinned in one place instead of
+// copy-pasted per package.
 //
 // Usage, from the implementation's own test package:
 //
@@ -72,6 +73,13 @@ type lshQuerier[P any] interface {
 	QueryLSH(q P) ([]int32, core.QueryStats)
 }
 
+// forcedWith is the forced-path surface under per-query options
+// (core.Index provides it in every serving mode).
+type forcedWith[P any] interface {
+	QueryLSHWith(q P, o core.QueryOpts) ([]int32, core.QueryStats, error)
+	DecideStrategyWith(q P, o core.QueryOpts) (core.Strategy, core.QueryStats, error)
+}
+
 // query answers via forced LSH when the store provides it, else Query.
 func query[P any](st core.Store[P], q P) []int32 {
 	if l, ok := st.(lshQuerier[P]); ok {
@@ -107,6 +115,7 @@ func Run[P any](t *testing.T, h Harness[P]) {
 			data := h.Data(150, 14)
 			QueryOptions(t, h.New(t, data, 7), h.queries(data), h.Pinned)
 		})
+		t.Run("ForcedPathsUnderOptions", h.testForcedPaths)
 	})
 }
 
@@ -195,6 +204,48 @@ func sorted(ids []int32) []int32 {
 	out := append([]int32(nil), ids...)
 	slices.Sort(out)
 	return out
+}
+
+// testForcedPaths checks that the forced paths honour the same options
+// as QueryWith, for the zero options and every pinned override: an
+// LSH-path QueryWith answer is QueryLSHWith's, DecideStrategyWith takes
+// QueryWith's decision, and on a store whose Defaults set Radius
+// (covering — no false negatives, so both paths are exact) QueryLSHWith
+// equals QueryWith on every query.
+func (h Harness[P]) testForcedPaths(t *testing.T) {
+	data := h.Data(150, 14)
+	st := h.New(t, data, 7)
+	f, ok := st.(forcedWith[P])
+	if !ok {
+		t.Skip("store has no forced paths under options")
+	}
+	exact := st.Defaults().Radius.Set
+	opts := []core.QueryOpts{{}}
+	for _, p := range h.Pinned {
+		opts = append(opts, p.Opts)
+	}
+	for _, o := range opts {
+		for i, q := range h.queries(data) {
+			ids, stats, err := st.QueryWith(q, o)
+			if err != nil {
+				t.Fatalf("QueryWith(%+v): %v", o, err)
+			}
+			lsh, _, err := f.QueryLSHWith(q, o)
+			if err != nil {
+				t.Fatalf("QueryLSHWith(%+v): %v", o, err)
+			}
+			if (exact || stats.Strategy == core.StrategyLSH) && !slices.Equal(sorted(ids), sorted(lsh)) {
+				t.Fatalf("query %d, %+v: QueryWith (%v) answered %d ids, QueryLSHWith %d", i, o, stats.Strategy, len(ids), len(lsh))
+			}
+			strat, _, err := f.DecideStrategyWith(q, o)
+			if err != nil {
+				t.Fatalf("DecideStrategyWith(%+v): %v", o, err)
+			}
+			if strat != stats.Strategy {
+				t.Fatalf("query %d, %+v: DecideStrategyWith = %v, QueryWith took %v", i, o, strat, stats.Strategy)
+			}
+		}
+	}
 }
 
 func (h Harness[P]) testPointsAligned(t *testing.T) {

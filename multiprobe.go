@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/lsh"
-	"repro/internal/multiprobe"
 	"repro/internal/pointstore"
 	"repro/internal/shard"
 )
@@ -28,7 +27,9 @@ import (
 // NewShardedMultiProbeL2Index the concurrency-safe sharded one; both
 // expose the same Query/QueryLSH/QueryLinear/DecideStrategy/QueryBatch
 // surface as their classic counterparts plus per-call probe overrides
-// (QueryWith with QueryOpts.Probes). WithProbes sets T; WithTables defaults to 10 here
+// (QueryOpts.Probes) — on the hybrid path through QueryWith, and on the
+// plain index also on the forced paths through QueryLSHWith and
+// DecideStrategyWith. WithProbes sets T; WithTables defaults to 10 here
 // instead of the classic 50.
 
 // MultiProbeL2Index answers rNNR queries under Euclidean distance with
@@ -36,7 +37,10 @@ import (
 // Like L2Index it is safe for concurrent queries but single-writer
 // (Append must not overlap queries); use the sharded variant for
 // serving workloads that mutate under traffic.
-type MultiProbeL2Index struct{ *multiprobe.Index }
+type MultiProbeL2Index struct{ *core.Index[Dense] }
+
+// Probes returns T, the configured extra probes per table.
+func (ix *MultiProbeL2Index) Probes() int { return ix.Defaults().Probes.N }
 
 // NewMultiProbeL2Index builds a multi-probe hybrid L2 index for radius
 // r. Defaults follow the multi-probe regime: L = 10 tables (WithTables
@@ -59,7 +63,7 @@ func NewMultiProbeL2Index(points []Dense, r float64, opts ...Option) (*MultiProb
 
 // newMultiProbeL2Core builds the multi-probe L2 index; the sharded
 // constructor reuses it with a per-shard seed.
-func newMultiProbeL2Core(points []Dense, r float64, o options) (*multiprobe.Index, error) {
+func newMultiProbeL2Core(points []Dense, r float64, o options) (*core.Index[Dense], error) {
 	w := o.slotWidth
 	if w == 0 {
 		w = 2 * r
@@ -68,14 +72,23 @@ func newMultiProbeL2Core(points []Dense, r float64, o options) (*multiprobe.Inde
 	if k == 0 {
 		k = 7 // the paper's L2 setting for δ = 0.1
 	}
-	return multiprobe.New(points, multiprobe.Config{
+	// Multi-probe's point is that it needs far fewer than the classic 50
+	// tables: L = 10 and T = 10 unless the options say otherwise.
+	l, t := o.tables, o.probes
+	if l == 0 {
+		l = 10
+	}
+	if t == 0 {
+		t = 10
+	}
+	return core.NewIndex(points, core.Config[Dense]{
 		Family:       lsh.NewPStableL2(len(points[0]), w),
 		Distance:     distance.L2,
 		Radius:       r,
 		Delta:        o.delta,
 		K:            k,
-		L:            o.tables, // 0 → multiprobe.DefaultTables (10)
-		Probes:       o.probes, // 0 → multiprobe.DefaultProbes (10)
+		L:            l,
+		Probes:       t,
 		HLLRegisters: o.hllRegs,
 		HLLThreshold: o.hllThresh,
 		Cost:         o.cost,

@@ -59,8 +59,14 @@ func TestMultiProbeMoreProbesNeverHurtRecall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
-		few, _ := ix.QueryLSHProbes(q, 0)
-		many, _ := ix.QueryLSHProbes(q, 40)
+		few, _, err := ix.QueryLSHWith(q, QueryOpts{Probes: Some(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		many, _, err := ix.QueryLSHWith(q, QueryOpts{Probes: Some(40)})
+		if err != nil {
+			t.Fatal(err)
+		}
 		fewSet := sortedIDs(few)
 		for _, id := range fewSet {
 			if _, ok := slices.BinarySearch(sortedIDs(many), id); !ok {
@@ -197,8 +203,8 @@ func TestMultiProbeAppendCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cix.Probes() != ix.Probes() || cix.L() != ix.L() {
-		t.Fatalf("compaction changed config: T %d→%d, L %d→%d", ix.Probes(), cix.Probes(), ix.L(), cix.L())
+	if cix.Defaults() != ix.Defaults() || cix.L() != ix.L() {
+		t.Fatalf("compaction changed config: mode %+v→%+v, L %d→%d", ix.Defaults(), cix.Defaults(), ix.L(), cix.L())
 	}
 	for qi, q := range queries {
 		got, _ := cix.Query(q)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/covering"
-	"repro/internal/multiprobe"
 	"repro/internal/persist"
 	"repro/internal/shard"
 )
@@ -198,7 +197,7 @@ func ReadMultiProbeL2Index(r io.Reader) (*MultiProbeL2Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MultiProbeL2Index{st.(*multiprobe.Index)}, nil
+	return &MultiProbeL2Index{st.(*core.Index[Dense])}, nil
 }
 
 // WriteTo writes a snapshot of the index, including the covering

@@ -12,6 +12,7 @@
 #   PR 20 (parent of PR 24): 22260
 #   PR 24 (parent of PR 26): 22423
 #   PR 26 (parent of PR 28): 22610
+#   PR 28 (parent of PR 30): 23012
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
