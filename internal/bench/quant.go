@@ -86,7 +86,6 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 
 	// Collect each query's deduped candidate set from the index's own
 	// tables — the exact id lists core.Index hands to VerifyRadius.
-	tables := ix.Tables()
 	seen := make([]int32, len(data))
 	gen := int32(0)
 	cands := make([][]int32, len(queries))
@@ -94,12 +93,7 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 	for qi, q := range queries {
 		gen++
 		var ids []int32
-		for j := 0; j < tables.L(); j++ {
-			tab := tables.Table(j)
-			b, ok := tab.Buckets[tab.Hasher.Key(q)]
-			if !ok {
-				continue
-			}
+		for _, b := range ix.Tables().Lookup(q) {
 			for _, id := range b.IDs {
 				if seen[id] != gen {
 					seen[id] = gen

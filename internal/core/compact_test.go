@@ -85,7 +85,7 @@ func checkCompactedStructure[P any](t *testing.T, ix *Index[P], live int) {
 				for _, id := range b.IDs {
 					want.AddID(uint64(id))
 				}
-				if !slices.Equal(b.Sketch.Registers(), want.Registers()) {
+				if !slices.Equal(b.Sketch, want.Registers()) {
 					t.Fatalf("table %d bucket %x sketch was not rebuilt from live ids", j, key)
 				}
 			} else if b.Sketch != nil {

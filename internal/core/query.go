@@ -16,15 +16,14 @@ import (
 
 // queryState is the per-query scratch: the generation-stamped visited
 // array used for duplicate removal (the paper's step S2), the HLL merge
-// target, the bucket-lookup slice, the multi-probe key buffer, and the
+// target, the lookup scratch (bucket views and the hashed keys), and the
 // deduplicated candidate-id buffer handed to the store's batch verifier.
 // Pooling it keeps queries allocation-free in steady state.
 type queryState struct {
 	visited []uint32
 	gen     uint32
 	sketch  *hll.Sketch
-	buckets []*lsh.Bucket
-	keys    []uint64
+	look    lsh.Scratch
 	cand    []int32
 }
 
@@ -41,14 +40,12 @@ func (ix *Index[P]) getState() *queryState {
 
 // lookup collects q's bucket set into st: its bucket in every table,
 // plus up to t perturbed buckets per table when t > 0 (multi-probe). The
-// result aliases st.buckets.
-func (ix *Index[P]) lookup(q P, t int, st *queryState) []*lsh.Bucket {
+// result aliases st.look.
+func (ix *Index[P]) lookup(q P, t int, st *queryState) []lsh.Bucket {
 	if t == 0 {
-		st.buckets = ix.tables.LookupInto(q, st.buckets)
-	} else {
-		st.buckets, st.keys = ix.tables.ProbeInto(q, t, st.buckets, st.keys)
+		return ix.tables.LookupInto(q, &st.look)
 	}
-	return st.buckets
+	return ix.tables.ProbeInto(q, t, &st.look)
 }
 
 // resolve checks o against the index's mode and returns the probe count
@@ -181,7 +178,7 @@ func (ix *Index[P]) DecideStrategyWith(q P, o QueryOpts) (Strategy, QueryStats, 
 // decide runs Algorithm-2 steps 1–3 into stats: collision counting, the
 // HLL merge (unless a collision bound already settles the comparison) and
 // the cost evaluation. It returns the chosen strategy.
-func (ix *Index[P]) decide(buckets []*lsh.Bucket, st *queryState, stats *QueryStats) Strategy {
+func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState, stats *QueryStats) Strategy {
 	// One atomic load per decision: the whole comparison runs against a
 	// consistent (α, β) pair even when SetCost swaps the model mid-query.
 	cost := *ix.cost.Load()
@@ -215,7 +212,7 @@ func (ix *Index[P]) decide(buckets []*lsh.Bucket, st *queryState, stats *QuerySt
 // sketches, then run the dedup bucket search or the exact linear scan,
 // whichever is cheaper. t0 is when the bucket collection started, so
 // EstimateTime covers lookup and decision alike.
-func (ix *Index[P]) answer(q P, r float64, buckets []*lsh.Bucket, st *queryState, t0 time.Time) ([]int32, QueryStats) {
+func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = ix.decide(buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
@@ -238,7 +235,7 @@ func (ix *Index[P]) answer(q P, r float64, buckets []*lsh.Bucket, st *queryState
 // batch to the store's VerifyRadius (S3) — which runs the unrolled
 // distance kernels over its own layout and, when quantized, pre-filters
 // against the SQ8 copy before the exact re-check.
-func (ix *Index[P]) searchBuckets(q P, r float64, buckets []*lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
+func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
 	st.gen++
 	if st.gen == 0 {
 		// Generation counter wrapped: clear stamps and restart.
@@ -247,8 +244,8 @@ func (ix *Index[P]) searchBuckets(q P, r float64, buckets []*lsh.Bucket, st *que
 	}
 	gen := st.gen
 	cand := st.cand[:0]
-	for _, b := range buckets {
-		for _, id := range b.IDs {
+	for i := range buckets {
+		for _, id := range buckets[i].IDs {
 			if st.visited[id] == gen {
 				continue
 			}

@@ -119,12 +119,12 @@ func (h *maskHasher) Key(p vector.Binary) uint64 {
 // K implements lsh.Hasher.
 func (h *maskHasher) K() int { return 1 }
 
-// maskTables derives one empty table per non-zero v ∈ {0,1}^(r+1), keyed
-// on v's keep-mask.
-func maskTables(phi []uint32, r int) []lsh.Table[vector.Binary] {
+// maskHashers derives one table hasher per non-zero v ∈ {0,1}^(r+1),
+// keyed on v's keep-mask.
+func maskHashers(phi []uint32, r int) []lsh.Hasher[vector.Binary] {
 	dim := len(phi)
-	tables := make([]lsh.Table[vector.Binary], NumTables(r))
-	for t := range tables {
+	hashers := make([]lsh.Hasher[vector.Binary], NumTables(r))
+	for t := range hashers {
 		v := uint32(t + 1)
 		mask := vector.NewBinary(dim)
 		for i := 0; i < dim; i++ {
@@ -132,9 +132,9 @@ func maskTables(phi []uint32, r int) []lsh.Table[vector.Binary] {
 				mask.SetBit(i, true)
 			}
 		}
-		tables[t].Hasher = &maskHasher{mask: mask}
+		hashers[t] = &maskHasher{mask: mask}
 	}
-	return tables
+	return hashers
 }
 
 // New builds a covering index over binary points for integer radius r.
@@ -159,7 +159,7 @@ func New(points []vector.Binary, r int, cfg Config) (*Index, error) {
 		phi[i] = uint32(rnd.Uint64() & ((1 << b) - 1))
 	}
 
-	ix, err := assemble(pointstore.EmptyFlatBinary(dim), r, phi, cfg.Seed, maskTables(phi, r), cfg)
+	ix, err := assemble(pointstore.EmptyFlatBinary(dim), r, phi, cfg.Seed, make([]*lsh.Slab, NumTables(r)), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -169,14 +169,15 @@ func New(points []vector.Binary, r int, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// assemble wires an Index over already consistent parts (cfg defaulted).
-func assemble(store pointstore.Store[vector.Binary], r int, phi []uint32, seed uint64, tables []lsh.Table[vector.Binary], cfg Config) (*Index, error) {
+// assemble wires an Index over already consistent parts (cfg defaulted):
+// the mask tables φ derives, holding the given slabs (nil: empty).
+func assemble(store pointstore.Store[vector.Binary], r int, phi []uint32, seed uint64, slabs []*lsh.Slab, cfg Config) (*Index, error) {
 	lt, err := lsh.RestoreTables(lsh.Params{
 		K:            1,
-		L:            len(tables),
+		L:            len(slabs),
 		HLLRegisters: cfg.HLLRegisters,
 		HLLThreshold: cfg.HLLThreshold,
-	}, tables, store.Len())
+	}, maskHashers(phi, r), slabs, store.Len())
 	if err != nil {
 		return nil, err
 	}
@@ -188,11 +189,12 @@ func assemble(store pointstore.Store[vector.Binary], r int, phi []uint32, seed u
 }
 
 // Restore reassembles an Index from decoded snapshot state without
-// re-hashing: the bucket maps (one per mask table) are used as-is, so the
-// restored index answers queries id-for-id identically to the saved one.
-// Unlike New it accepts an empty point set (a fully compacted shard); r
-// and φ must be consistent with each other and the tables.
-func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, buckets []map[uint64]*lsh.Bucket, cfg Config) (*Index, error) {
+// re-hashing: the decoded tables (one slab per mask table) are used
+// as-is, so the restored index answers queries id-for-id identically to
+// the saved one. Unlike New it accepts an empty point set (a fully
+// compacted shard); r and φ must be consistent with each other and the
+// tables.
+func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, slabs []*lsh.Slab, cfg Config) (*Index, error) {
 	dim := len(phi)
 	if err := validRadius(r, dim); err != nil {
 		return nil, err
@@ -201,8 +203,8 @@ func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, buckets [
 	if err != nil {
 		return nil, err
 	}
-	if len(buckets) != NumTables(r) {
-		return nil, fmt.Errorf("covering: Restore with %d tables for radius %d, want %d", len(buckets), r, NumTables(r))
+	if len(slabs) != NumTables(r) {
+		return nil, fmt.Errorf("covering: Restore with %d tables for radius %d, want %d", len(slabs), r, NumTables(r))
 	}
 	b := uint(r + 1)
 	for i, v := range phi {
@@ -214,11 +216,7 @@ func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, buckets [
 	if err := store.Append(points); err != nil {
 		return nil, err
 	}
-	tables := maskTables(phi, r)
-	for t := range tables {
-		tables[t].Buckets = buckets[t]
-	}
-	return assemble(store, r, phi, seed, tables, cfg)
+	return assemble(store, r, phi, seed, slabs, cfg)
 }
 
 // parity returns the XOR of the bits of x.
@@ -236,12 +234,6 @@ func (ix *Index) Dim() int { return len(ix.phi) }
 
 // Tables returns the table count 2^(r+1) − 1.
 func (ix *Index) Tables() int { return ix.L() }
-
-// TableBuckets exposes table t's bucket map (read-only); it exists for
-// serialization and white-box tests.
-func (ix *Index) TableBuckets(t int) map[uint64]*lsh.Bucket {
-	return ix.Index.Tables().Table(t).Buckets
-}
 
 // Radius returns the covering radius.
 func (ix *Index) Radius() int { return ix.Defaults().Radius.N }

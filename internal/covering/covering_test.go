@@ -176,7 +176,7 @@ func TestSketchesAttachedToLargeBuckets(t *testing.T) {
 	}
 	found := false
 	for j := 0; j < ix.Tables(); j++ {
-		for _, b := range ix.TableBuckets(j) {
+		for _, b := range ix.Index.Tables().Table(j).Buckets {
 			if len(b.IDs) >= 32 && b.Sketch == nil {
 				t.Fatal("large bucket missing sketch")
 			}

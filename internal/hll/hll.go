@@ -102,11 +102,16 @@ func (s *Sketch) StdError() float64 { return 1.04 / math.Sqrt(float64(len(s.regs
 // cardinality of the union of the two streams. It panics if the register
 // counts differ (merging incompatible geometries silently would corrupt the
 // estimate).
-func (s *Sketch) Merge(o *Sketch) {
-	if len(s.regs) != len(o.regs) {
-		panic(fmt.Sprintf("hll: merging sketches with m = %d and m = %d", len(s.regs), len(o.regs)))
+func (s *Sketch) Merge(o *Sketch) { s.MergeRegisters(o.regs) }
+
+// MergeRegisters is Merge from a bare register array, such as a sketch
+// stored in a bucket table's register slab. It panics if the register
+// counts differ.
+func (s *Sketch) MergeRegisters(regs []uint8) {
+	if len(s.regs) != len(regs) {
+		panic(fmt.Sprintf("hll: merging sketches with m = %d and m = %d", len(s.regs), len(regs)))
 	}
-	for i, r := range o.regs {
+	for i, r := range regs {
 		if r > s.regs[i] {
 			s.regs[i] = r
 		}
@@ -119,18 +124,27 @@ func (s *Sketch) Merge(o *Sketch) {
 // comes from external storage — if the register count is not a power of
 // two in [MinM, MaxM] or any register exceeds the maximal rank 64.
 func FromRegisters(regs []uint8) (*Sketch, error) {
+	if err := CheckRegisters(regs); err != nil {
+		return nil, err
+	}
+	s := &Sketch{p: uint8(bits.TrailingZeros(uint(len(regs)))), regs: make([]uint8, len(regs))}
+	copy(s.regs, regs)
+	return s, nil
+}
+
+// CheckRegisters reports whether regs could be a sketch's register
+// array: a power-of-two count in [MinM, MaxM], every rank at most 64.
+func CheckRegisters(regs []uint8) error {
 	m := len(regs)
 	if m < MinM || m > MaxM || m&(m-1) != 0 {
-		return nil, fmt.Errorf("hll: %d registers, want a power of two in [%d, %d]", m, MinM, MaxM)
+		return fmt.Errorf("hll: %d registers, want a power of two in [%d, %d]", m, MinM, MaxM)
 	}
-	s := &Sketch{p: uint8(bits.TrailingZeros(uint(m))), regs: make([]uint8, m)}
 	for i, r := range regs {
 		if r > 64 {
-			return nil, fmt.Errorf("hll: register %d holds rank %d, want <= 64", i, r)
+			return fmt.Errorf("hll: register %d holds rank %d, want <= 64", i, r)
 		}
-		s.regs[i] = r
 	}
-	return s, nil
+	return nil
 }
 
 // Clone returns an independent copy of s.

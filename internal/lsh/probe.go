@@ -32,8 +32,8 @@ type Prober[P any] interface {
 // the requirement of ProbeInto.
 func (t *Tables[P]) CanProbe() error {
 	for j := range t.tables {
-		if _, ok := t.tables[j].Hasher.(Prober[P]); !ok {
-			return fmt.Errorf("lsh: table %d hasher is %T, which cannot probe", j, t.tables[j].Hasher)
+		if _, ok := t.tables[j].hasher.(Prober[P]); !ok {
+			return fmt.Errorf("lsh: table %d hasher is %T, which cannot probe", j, t.tables[j].hasher)
 		}
 	}
 	return nil
@@ -41,20 +41,16 @@ func (t *Tables[P]) CanProbe() error {
 
 // ProbeInto is the multi-probe LookupInto: the home bucket plus up to
 // probes perturbed buckets of q in every table, table by table and in
-// probing order within a table. keys is the probe-key scratch; both
-// buffers come back grown for reuse. Every hasher must be a Prober
+// probing order within a table. Like LookupInto it computes every
+// table's probe keys before it probes. Every hasher must be a Prober
 // (CanProbe).
-func (t *Tables[P]) ProbeInto(q P, probes int, buf []*Bucket, keys []uint64) ([]*Bucket, []uint64) {
-	bs := buf[:0]
+func (t *Tables[P]) ProbeInto(q P, probes int, s *Scratch) []Bucket {
+	s.keys, s.ends = s.keys[:0], s.ends[:0]
 	for i := range t.tables {
-		keys = t.tables[i].Hasher.(Prober[P]).ProbeKeys(q, probes, keys[:0])
-		for _, key := range keys {
-			if b := t.tables[i].Buckets[key]; b != nil {
-				bs = append(bs, b)
-			}
-		}
+		s.keys = t.tables[i].hasher.(Prober[P]).ProbeKeys(q, probes, s.keys)
+		s.ends = append(s.ends, len(s.keys))
 	}
-	return bs, keys
+	return t.probe(s)
 }
 
 // perturbation is one (function index, δ) pair with its cost: the squared

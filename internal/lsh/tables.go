@@ -1,17 +1,24 @@
 package lsh
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/hashutil"
 	"repro/internal/hll"
 	"repro/internal/rng"
 )
 
-// Bucket is one hash-table bucket: the ids of the points hashed into it
-// and, if the bucket is at least Params.HLLThreshold points large, a
-// pre-built HyperLogLog over those ids (Algorithm 1 of the paper).
+// Bucket is a view of one hash-table bucket: the ids of the points hashed
+// into it, ascending, and — if the bucket is at least Params.HLLThreshold
+// points large — the registers of a pre-built HyperLogLog over those ids
+// (Algorithm 1 of the paper). A view aliases its table's storage: it is
+// read-only and valid until the next Append.
 //
 // Small buckets carry no sketch — the paper's space-saving trick (§3.2):
 // their few ids are folded into the query-time merged sketch directly,
@@ -19,7 +26,7 @@ import (
 // time.
 type Bucket struct {
 	IDs    []int32
-	Sketch *hll.Sketch
+	Sketch []uint8
 }
 
 // Params configures table construction.
@@ -63,18 +70,156 @@ func (p Params) validate() error {
 	return nil
 }
 
-// Table is one of the L hash tables.
+// Table is a map view of one of the L hash tables: its hasher and every
+// bucket under its key. Tables.Table builds it on demand for tracing and
+// white-box tests; nothing on the serving or persistence paths does.
 type Table[P any] struct {
 	Hasher  Hasher[P]
 	Buckets map[uint64]*Bucket
 }
 
+// table is one of the L hash tables: its hasher, its frozen buckets and
+// the overlay of ids appended since they were frozen. The Append that
+// takes the appended ids past 1/refreezeShare of the slab's ids folds
+// the overlay back into a new slab.
+type table[P any] struct {
+	hasher   Hasher[P]
+	slab     Slab
+	over     map[uint64]*overBucket
+	appended int                      // ids appended since the slab was frozen
+	view     atomic.Pointer[Table[P]] // Table's map view; nil until asked for
+}
+
+// refreezeShare bounds the overlay: the fold costs one slab copy per
+// len(slab.ids)/refreezeShare appended ids.
+const refreezeShare = 8
+
+// overBucket is the overlay part of one bucket: the ids appended to it
+// since the freeze and, once the whole bucket reaches the threshold, the
+// sketch over all its ids, frozen and appended. The frozen part stays in
+// the slab (frozen aliases it), so an Append into a large bucket copies
+// none of its ids.
+type overBucket struct {
+	frozen []int32
+	ids    []int32
+	sketch *hll.Sketch
+}
+
+// appendBucket appends key's bucket to bs as up to two views: the frozen
+// part, then the appended part. Readers take the two as one bucket: the
+// ids come in the bucket's order, their sizes sum to its size, and the
+// appended part carries the sketch over the whole bucket, which absorbs
+// whatever the frozen part contributes to a merge (HLL registers only
+// take maxima). The overlay is read only when it has entries.
+func (tb *table[P]) appendBucket(bs []Bucket, key uint64) []Bucket {
+	if i := tb.slab.find(key); i >= 0 {
+		bs = append(bs, tb.slab.bucket(i))
+	}
+	if len(tb.over) > 0 {
+		if ob := tb.over[key]; ob != nil {
+			b := Bucket{IDs: ob.ids[:len(ob.ids):len(ob.ids)]}
+			if ob.sketch != nil {
+				b.Sketch = ob.sketch.Registers()
+			}
+			bs = append(bs, b)
+		}
+	}
+	return bs
+}
+
+// all yields every bucket of the table whole, in ascending order of
+// Mix64(key), the slab order. A bucket with an overlay part is yielded
+// as a fresh copy of its frozen and appended ids, with the overlay's
+// sketch.
+func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
+	return func(yield func(uint64, Bucket) bool) {
+		s := &tb.slab
+		over := make([]uint64, 0, len(tb.over))
+		for k := range tb.over {
+			over = append(over, k)
+		}
+		slices.SortFunc(over, func(a, b uint64) int { return cmp.Compare(hashutil.Mix64(a), hashutil.Mix64(b)) })
+		i := 0
+		for _, k := range over {
+			h := hashutil.Mix64(k)
+			for ; i < s.len() && hashutil.Mix64(s.heads[i].key) < h; i++ {
+				if !yield(s.heads[i].key, s.bucket(i)) {
+					return
+				}
+			}
+			if i < s.len() && s.heads[i].key == k {
+				i++ // yielded whole below
+			}
+			ob := tb.over[k]
+			b := Bucket{IDs: append(slices.Clip(ob.frozen), ob.ids...)}
+			if ob.sketch != nil {
+				b.Sketch = ob.sketch.Registers()
+			}
+			if !yield(k, b) {
+				return
+			}
+		}
+		for ; i < s.len(); i++ {
+			if !yield(s.heads[i].key, s.bucket(i)) {
+				return
+			}
+		}
+	}
+}
+
+// rebuild writes the table's buckets into a new slab. With remap nil it
+// copies them, sketches included (folding the overlay back). Otherwise
+// every id is renumbered through remap, emptied buckets vanish, and the
+// sketches are rebuilt over the survivors under the usual threshold
+// (HLLs cannot un-absorb a deletion, so rebuilding is the only sound way
+// to forget).
+func (tb *table[P]) rebuild(remap []int32, p Params) Slab {
+	var kept []int32
+	survivors := func(ids []int32) []int32 {
+		if remap == nil {
+			return ids
+		}
+		kept = kept[:0]
+		for _, id := range ids {
+			if nid := remap[id]; nid >= 0 {
+				kept = append(kept, nid)
+			}
+		}
+		return kept
+	}
+	buckets, ids, sketches := 0, 0, 0
+	for _, b := range tb.all() {
+		n := len(survivors(b.IDs))
+		if n == 0 {
+			continue
+		}
+		buckets, ids = buckets+1, ids+n
+		if remap == nil && b.Sketch != nil || remap != nil && n >= p.HLLThreshold {
+			sketches++
+		}
+	}
+	w := newSlabBuilder(p.HLLRegisters, buckets, ids, sketches)
+	scratch := hll.New(p.HLLRegisters)
+	for key, b := range tb.all() {
+		ids := survivors(b.IDs)
+		if len(ids) == 0 {
+			continue
+		}
+		regs := b.Sketch
+		if remap != nil {
+			regs = sketchOf(ids, p, scratch)
+		}
+		w.add(key, ids, regs)
+	}
+	return w.finish()
+}
+
 // Tables is the paper's Algorithm-1 data structure: L hash tables whose
-// buckets carry HyperLogLog sketches. It is immutable and safe for
-// concurrent readers after Build returns.
+// buckets carry HyperLogLog sketches, each table frozen into a Slab. It
+// is safe for concurrent readers; Append is the single writer.
 type Tables[P any] struct {
 	params Params
-	tables []Table[P]
+	tables []table[P]
 	n      int
 }
 
@@ -93,17 +238,23 @@ func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
 		return nil, fmt.Errorf("lsh: Build on %d points exceeds int32 id space", len(points))
 	}
 
-	t := &Tables[P]{params: p, tables: make([]Table[P], p.L), n: len(points)}
+	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points)}
 	seeder := rng.New(p.Seed)
 	seeds := make([]uint64, p.L)
 	for j := range seeds {
 		seeds[j] = seeder.Uint64()
 	}
+	parallel(p.L, func(j int) {
+		tb := &t.tables[j]
+		tb.hasher = fam.NewHasher(p.K, rng.New(seeds[j]))
+		tb.slab = buildSlab(points, tb.hasher, p)
+	})
+	return t, nil
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.L {
-		workers = p.L
-	}
+// parallel runs fn(0..n-1) on up to GOMAXPROCS goroutines.
+func parallel(n int, fn func(j int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -111,80 +262,63 @@ func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
 		go func() {
 			defer wg.Done()
 			for j := range next {
-				t.tables[j] = buildOne(points, fam, p, seeds[j])
+				fn(j)
 			}
 		}()
 	}
-	for j := 0; j < p.L; j++ {
+	for j := 0; j < n; j++ {
 		next <- j
 	}
 	close(next)
 	wg.Wait()
-	return t, nil
-}
-
-func buildOne[P any](points []P, fam Family[P], p Params, seed uint64) Table[P] {
-	hasher := fam.NewHasher(p.K, rng.New(seed))
-	buckets := make(map[uint64]*Bucket)
-	for i, pt := range points {
-		key := hasher.Key(pt)
-		b := buckets[key]
-		if b == nil {
-			b = &Bucket{}
-			buckets[key] = b
-		}
-		b.IDs = append(b.IDs, int32(i))
-	}
-	for _, b := range buckets {
-		if len(b.IDs) >= p.HLLThreshold {
-			s := hll.New(p.HLLRegisters)
-			for _, id := range b.IDs {
-				s.AddID(uint64(id))
-			}
-			b.Sketch = s
-		}
-	}
-	return Table[P]{Hasher: hasher, Buckets: buckets}
 }
 
 // RestoreTables reassembles a Tables from decoded parts (e.g. a
-// persisted snapshot): the construction parameters, the L tables with
-// their hashers and buckets, and the indexed point count n. Unlike
-// Build, n may be 0 (a fully compacted shard); the tables slice is
-// referenced, not copied. Callers are responsible for bucket ids lying
-// in [0, n) and sketches matching HLLRegisters — persist validates both
-// while decoding.
-func RestoreTables[P any](p Params, tables []Table[P], n int) (*Tables[P], error) {
+// persisted snapshot): the construction parameters, the L hashers, each
+// table's frozen buckets (a nil slab is an empty table), and the indexed
+// point count n. Unlike Build, n may be 0 (a fully compacted shard).
+// Callers are responsible for bucket ids lying in [0, n) — persist
+// validates them while decoding.
+func RestoreTables[P any](p Params, hashers []Hasher[P], slabs []*Slab, n int) (*Tables[P], error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	if len(tables) != p.L {
-		return nil, fmt.Errorf("lsh: RestoreTables with %d tables, Params.L = %d", len(tables), p.L)
+	if len(hashers) != p.L || len(slabs) != p.L {
+		return nil, fmt.Errorf("lsh: RestoreTables with %d hashers and %d slabs, Params.L = %d", len(hashers), len(slabs), p.L)
 	}
 	if n < 0 || n > 1<<31-1 {
 		return nil, fmt.Errorf("lsh: RestoreTables with n = %d, want in [0, 2^31)", n)
 	}
-	for j := range tables {
-		if tables[j].Hasher == nil {
+	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: n}
+	for j, h := range hashers {
+		if h == nil {
 			return nil, fmt.Errorf("lsh: RestoreTables table %d has no hasher", j)
 		}
-		if tables[j].Hasher.K() != p.K {
-			return nil, fmt.Errorf("lsh: RestoreTables table %d hasher has k = %d, Params.K = %d", j, tables[j].Hasher.K(), p.K)
+		if h.K() != p.K {
+			return nil, fmt.Errorf("lsh: RestoreTables table %d hasher has k = %d, Params.K = %d", j, h.K(), p.K)
 		}
-		if tables[j].Buckets == nil {
-			tables[j].Buckets = make(map[uint64]*Bucket)
+		t.tables[j].hasher = h
+		switch s := slabs[j]; {
+		case s == nil:
+			t.tables[j].slab = emptySlab(p.HLLRegisters)
+		case s.m != p.HLLRegisters:
+			return nil, fmt.Errorf("lsh: RestoreTables table %d has %d-register sketches, Params.HLLRegisters = %d", j, s.m, p.HLLRegisters)
+		default:
+			t.tables[j].slab = *s
 		}
 	}
-	return &Tables[P]{params: p, tables: tables, n: n}, nil
+	return t, nil
 }
 
 // Append hashes additional points into every table, assigning them ids
 // starting at the current N, and maintains the per-bucket sketches: ids
 // are folded into existing sketches, and buckets that cross the threshold
 // get one built (Algorithm 1 is fully incremental — HLLs only ever absorb
-// insertions). Append must not run concurrently with Lookup or
-// EstimateCandidates; the caller synchronizes index mutation.
+// insertions). Frozen buckets are never written: the ids appended to a
+// bucket, and its sketch once it has one, go to the table's overlay.
+// Append must not run concurrently with lookups; the caller
+// synchronizes index mutation.
 func (t *Tables[P]) Append(points []P) error {
 	if len(points) == 0 {
 		return nil
@@ -193,26 +327,44 @@ func (t *Tables[P]) Append(points []P) error {
 		return fmt.Errorf("lsh: Append would exceed int32 id space")
 	}
 	for j := range t.tables {
-		tab := &t.tables[j]
+		tb := &t.tables[j]
+		tb.view.Store(nil)
 		for i, pt := range points {
 			id := int32(t.n + i)
-			key := tab.Hasher.Key(pt)
-			b := tab.Buckets[key]
-			if b == nil {
-				b = &Bucket{}
-				tab.Buckets[key] = b
-			}
-			b.IDs = append(b.IDs, id)
-			switch {
-			case b.Sketch != nil:
-				b.Sketch.AddID(uint64(id))
-			case len(b.IDs) >= t.params.HLLThreshold:
-				s := hll.New(t.params.HLLRegisters)
-				for _, existing := range b.IDs {
-					s.AddID(uint64(existing))
+			key := tb.hasher.Key(pt)
+			ob := tb.over[key]
+			if ob == nil {
+				ob = &overBucket{}
+				if at := tb.slab.find(key); at >= 0 {
+					b := tb.slab.bucket(at)
+					ob.frozen = b.IDs
+					if b.Sketch != nil {
+						// Registers from a slab were built or checked: no error.
+						ob.sketch, _ = hll.FromRegisters(b.Sketch)
+					}
 				}
-				b.Sketch = s
+				if tb.over == nil {
+					tb.over = make(map[uint64]*overBucket)
+				}
+				tb.over[key] = ob
 			}
+			ob.ids = append(ob.ids, id)
+			tb.appended++
+			switch {
+			case ob.sketch != nil:
+				ob.sketch.AddID(uint64(id))
+			case len(ob.frozen)+len(ob.ids) >= t.params.HLLThreshold:
+				ob.sketch = hll.New(t.params.HLLRegisters)
+				for _, part := range [][]int32{ob.frozen, ob.ids} {
+					for _, x := range part {
+						ob.sketch.AddID(uint64(x))
+					}
+				}
+			}
+		}
+		if tb.appended*refreezeShare > len(tb.slab.ids) {
+			tb.slab = tb.rebuild(nil, t.params)
+			tb.over, tb.appended = nil, 0
 		}
 	}
 	t.n += len(points)
@@ -226,11 +378,11 @@ func (t *Tables[P]) Append(points []P) error {
 // hash functions — survivors land in the same buckets under the same
 // keys, so answers over the compacted tables are the original answers
 // minus the dropped points, with no re-hashing of surviving points.
-// Bucket id lists are rewritten, empty buckets are removed, and
-// per-bucket sketches are rebuilt from the surviving ids under the usual
-// size threshold (HLLs cannot un-absorb a deletion, so rebuilding is the
-// only sound way to forget). The receiver is not modified and remains
-// valid; callers swap the result in under their own synchronization.
+// Every table, overlay included, is written into a new slab: bucket id
+// lists are rewritten, empty buckets are removed, and per-bucket sketches
+// are rebuilt from the surviving ids under the usual size threshold. The
+// receiver is not modified and remains valid; callers swap the result in
+// under their own synchronization.
 //
 // persist uses the same rewrite when it compacts tombstoned points out of
 // a snapshot, so online compaction and snapshot compaction produce
@@ -263,59 +415,12 @@ func (t *Tables[P]) Compact(remap []int32, live int) (*Tables[P], error) {
 		return nil, fmt.Errorf("lsh: Compact remap has %d survivors, live = %d", survivors, live)
 	}
 
-	nt := &Tables[P]{params: t.params, tables: make([]Table[P], len(t.tables)), n: live}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(t.tables) {
-		workers = len(t.tables)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range next {
-				nt.tables[j] = Table[P]{
-					Hasher:  t.tables[j].Hasher,
-					Buckets: compactBuckets(t.tables[j].Buckets, remap, t.params),
-				}
-			}
-		}()
-	}
-	for j := range t.tables {
-		next <- j
-	}
-	close(next)
-	wg.Wait()
+	nt := &Tables[P]{params: t.params, tables: make([]table[P], len(t.tables)), n: live}
+	parallel(len(t.tables), func(j int) {
+		nt.tables[j].hasher = t.tables[j].hasher
+		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params)
+	})
 	return nt, nil
-}
-
-// compactBuckets rewrites one table's bucket map through remap: surviving
-// ids are renumbered, emptied buckets vanish, and sketches are rebuilt
-// over the survivors when the bucket still meets the threshold.
-func compactBuckets(src map[uint64]*Bucket, remap []int32, p Params) map[uint64]*Bucket {
-	dst := make(map[uint64]*Bucket, len(src))
-	for key, b := range src {
-		kept := make([]int32, 0, len(b.IDs))
-		for _, id := range b.IDs {
-			if nid := remap[id]; nid >= 0 {
-				kept = append(kept, nid)
-			}
-		}
-		if len(kept) == 0 {
-			continue
-		}
-		nb := &Bucket{IDs: kept}
-		if len(kept) >= p.HLLThreshold {
-			s := hll.New(p.HLLRegisters)
-			for _, id := range kept {
-				s.AddID(uint64(id))
-			}
-			nb.Sketch = s
-		}
-		dst[key] = nb
-	}
-	return dst
 }
 
 // N returns the number of indexed points.
@@ -327,38 +432,109 @@ func (t *Tables[P]) Params() Params { return t.params }
 // L returns the number of tables.
 func (t *Tables[P]) L() int { return len(t.tables) }
 
-// Table returns table j; it exists for the probing extensions.
-func (t *Tables[P]) Table(j int) *Table[P] { return &t.tables[j] }
+// Hasher returns table j's hash function.
+func (t *Tables[P]) Hasher(j int) Hasher[P] { return t.tables[j].hasher }
 
-// Lookup returns the buckets of q in all L tables; tables where q's bucket
-// is empty contribute nothing, so the result may be shorter than L.
-func (t *Tables[P]) Lookup(q P) []*Bucket {
-	return t.LookupInto(q, nil)
-}
-
-// LookupInto is Lookup reusing buf's backing array (buf may be nil). It
-// exists so query loops can thread a pooled scratch slice through and stay
-// allocation-free in steady state; the result aliases buf and must not be
-// retained once buf is recycled.
-func (t *Tables[P]) LookupInto(q P, buf []*Bucket) []*Bucket {
-	bs := buf[:0]
-	if cap(bs) == 0 {
-		bs = make([]*Bucket, 0, len(t.tables))
-	}
-	for i := range t.tables {
-		if b := t.tables[i].Buckets[t.tables[i].Hasher.Key(q)]; b != nil {
-			bs = append(bs, b)
+// SortedBuckets yields table j's buckets in ascending key order — the
+// order snapshots store them in.
+func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
+	tb := &t.tables[j]
+	return func(yield func(uint64, Bucket) bool) {
+		type keyed struct {
+			key uint64
+			b   Bucket
+		}
+		all := make([]keyed, 0, tb.slab.len()+len(tb.over))
+		for k, b := range tb.all() {
+			all = append(all, keyed{k, b})
+		}
+		slices.SortFunc(all, func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
+		for _, x := range all {
+			if !yield(x.key, x.b) {
+				return
+			}
 		}
 	}
+}
+
+// Table returns a map view of table j, built on the first call after
+// construction or the last Append. It serves tracing and white-box tests;
+// lookups go through LookupInto and ProbeInto, which need no view.
+func (t *Tables[P]) Table(j int) *Table[P] {
+	tb := &t.tables[j]
+	if v := tb.view.Load(); v != nil {
+		return v
+	}
+	buckets := make([]Bucket, 0, tb.slab.len()+len(tb.over))
+	v := &Table[P]{Hasher: tb.hasher, Buckets: make(map[uint64]*Bucket, cap(buckets))}
+	for k, b := range tb.all() {
+		buckets = append(buckets, b)
+		v.Buckets[k] = &buckets[len(buckets)-1]
+	}
+	tb.view.CompareAndSwap(nil, v)
+	return tb.view.Load()
+}
+
+// Viewed reports whether any table's map view (Table) exists.
+func (t *Tables[P]) Viewed() bool {
+	for j := range t.tables {
+		if t.tables[j].view.Load() != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// Scratch is a query's reusable lookup state: the bucket views the last
+// lookup returned and the keys it hashed. The zero value is ready to
+// use; reusing one keeps lookups allocation-free in steady state.
+type Scratch struct {
+	Buckets []Bucket
+	keys    []uint64
+	ends    []int // table i's keys end at keys[ends[i]]
+}
+
+// Lookup returns the buckets of q in all L tables; tables where q's bucket
+// is empty contribute nothing, and a bucket with ids appended since its
+// table was frozen comes as two views, frozen part first, which every
+// reader of the result (Collisions, EstimateCandidates, a walk over the
+// ids) takes as one bucket.
+func (t *Tables[P]) Lookup(q P) []Bucket {
+	return t.LookupInto(q, &Scratch{})
+}
+
+// LookupInto is Lookup through s: it hashes q for every table first and
+// then probes the tables, so the probes' cache misses overlap. The
+// result is s.Buckets; it must not be retained once s is reused.
+func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
+	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	for i := range t.tables {
+		s.keys = append(s.keys, t.tables[i].hasher.Key(q))
+		s.ends = append(s.ends, len(s.keys))
+	}
+	return t.probe(s)
+}
+
+// probe collects the buckets of the keys in s, table by table.
+func (t *Tables[P]) probe(s *Scratch) []Bucket {
+	bs := s.Buckets[:0]
+	start := 0
+	for i, end := range s.ends {
+		for _, key := range s.keys[start:end] {
+			bs = t.tables[i].appendBucket(bs, key)
+		}
+		start = end
+	}
+	s.Buckets = bs
 	return bs
 }
 
 // Collisions returns Σ|bucket| over bs — the paper's #collisions term,
 // available exactly from the stored bucket sizes (step 1 of Algorithm 2).
-func Collisions(bs []*Bucket) int {
+func Collisions(bs []Bucket) int {
 	n := 0
-	for _, b := range bs {
-		n += len(b.IDs)
+	for i := range bs {
+		n += len(bs[i].IDs)
 	}
 	return n
 }
@@ -368,27 +544,35 @@ func Collisions(bs []*Bucket) int {
 // candSize term of Equation (1), step 2 of Algorithm 2. Buckets below the
 // HLL threshold are folded in id-by-id, implementing the paper's on-demand
 // trick. scratch must have the buckets' register count.
-func EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
+func EstimateCandidates(bs []Bucket, scratch *hll.Sketch) float64 {
 	scratch.Reset()
-	for _, b := range bs {
-		if b.Sketch != nil {
-			scratch.Merge(b.Sketch)
-		} else {
-			for _, id := range b.IDs {
-				scratch.AddID(uint64(id))
-			}
-		}
+	for i := range bs {
+		mergeBucket(scratch, &bs[i])
 	}
 	return scratch.Estimate()
 }
 
-// EstimateCandidates is the package-level EstimateCandidates over this
-// structure's sketch geometry; pass a nil scratch to allocate one.
+// EstimateCandidates is the package-level EstimateCandidates over buckets
+// of the Table view; pass a nil scratch to allocate one.
 func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
 	if scratch == nil {
 		scratch = hll.New(t.params.HLLRegisters)
 	}
-	return EstimateCandidates(bs, scratch)
+	scratch.Reset()
+	for _, b := range bs {
+		mergeBucket(scratch, b)
+	}
+	return scratch.Estimate()
+}
+
+func mergeBucket(s *hll.Sketch, b *Bucket) {
+	if b.Sketch != nil {
+		s.MergeRegisters(b.Sketch)
+		return
+	}
+	for _, id := range b.IDs {
+		s.AddID(uint64(id))
+	}
 }
 
 // Stats summarizes the built structure.
@@ -408,15 +592,13 @@ func (t *Tables[P]) Stats() Stats {
 	s := Stats{Tables: len(t.tables), Points: t.n}
 	total := 0
 	for i := range t.tables {
-		for _, b := range t.tables[i].Buckets {
+		for _, b := range t.tables[i].all() {
 			s.Buckets++
 			total += len(b.IDs)
-			if len(b.IDs) > s.MaxBucket {
-				s.MaxBucket = len(b.IDs)
-			}
+			s.MaxBucket = max(s.MaxBucket, len(b.IDs))
 			if b.Sketch != nil {
 				s.SketchedBuckets++
-				s.SketchBytes += b.Sketch.SizeBytes()
+				s.SketchBytes += len(b.Sketch)
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func TestTablesWithSimHash(t *testing.T) {
 		if len(bs) != 12 {
 			t.Fatalf("point found in %d/12 buckets", len(bs))
 		}
-		est := tb.EstimateCandidates(bs, nil)
+		est := tb.EstimateCandidates(views(bs), nil)
 		truth := trueDistinct(bs)
 		if truth > 0 && math.Abs(est-float64(truth))/float64(truth) > 0.4 {
 			t.Fatalf("estimate %v vs truth %d", est, truth)

@@ -123,7 +123,7 @@ func TestEstimateCandidatesAccuracy(t *testing.T) {
 	for qi := 0; qi < 10; qi++ {
 		q := pts[qi*13]
 		bs := tb.Lookup(q)
-		est := tb.EstimateCandidates(bs, scratch)
+		est := tb.EstimateCandidates(views(bs), scratch)
 		truth := trueDistinct(bs)
 		if truth == 0 {
 			t.Fatal("query found no candidates; test setup broken")
@@ -135,7 +135,17 @@ func TestEstimateCandidatesAccuracy(t *testing.T) {
 	}
 }
 
-func trueDistinct(bs []*Bucket) int {
+// views points at each bucket of bs, the shape Tables.EstimateCandidates
+// takes.
+func views(bs []Bucket) []*Bucket {
+	out := make([]*Bucket, len(bs))
+	for i := range bs {
+		out[i] = &bs[i]
+	}
+	return out
+}
+
+func trueDistinct(bs []Bucket) int {
 	seen := make(map[int32]bool)
 	for _, b := range bs {
 		for _, id := range b.IDs {
@@ -149,7 +159,7 @@ func TestEstimateCandidatesNilScratchAllocates(t *testing.T) {
 	pts := randomBinaries(100, 64, 6)
 	tb := mustBuild(t, pts, Params{K: 2, L: 4, HLLRegisters: 32, Seed: 5})
 	bs := tb.Lookup(pts[0])
-	if est := tb.EstimateCandidates(bs, nil); est <= 0 {
+	if est := tb.EstimateCandidates(views(bs), nil); est <= 0 {
 		t.Fatalf("estimate = %v, want > 0", est)
 	}
 }
@@ -179,8 +189,8 @@ func TestHLLThresholdControlsSketching(t *testing.T) {
 
 	for qi := 0; qi < 10; qi++ {
 		q := pts[qi*7]
-		estAll := all.EstimateCandidates(all.Lookup(q), nil)
-		estNone := none.EstimateCandidates(none.Lookup(q), nil)
+		estAll := all.EstimateCandidates(views(all.Lookup(q)), nil)
+		estNone := none.EstimateCandidates(views(none.Lookup(q)), nil)
 		if math.Abs(estAll-estNone) > 1e-9 {
 			t.Fatalf("on-demand estimate %v differs from pre-built %v", estNone, estAll)
 		}
@@ -237,7 +247,7 @@ func TestConcurrentLookups(t *testing.T) {
 				q := pts[(w*100+i)%len(pts)]
 				bs := tb.Lookup(q)
 				_ = Collisions(bs)
-				_ = tb.EstimateCandidates(bs, scratch)
+				_ = tb.EstimateCandidates(views(bs), scratch)
 			}
 		}(w)
 	}
@@ -335,7 +345,7 @@ func TestCompactRewritesBuckets(t *testing.T) {
 				for _, id := range want {
 					fresh.AddID(uint64(id))
 				}
-				if !slices.Equal(nb.Sketch.Registers(), fresh.Registers()) {
+				if !slices.Equal(nb.Sketch, fresh.Registers()) {
 					t.Fatalf("table %d bucket %x sketch not rebuilt from live ids", j, key)
 				}
 			} else if nb.Sketch != nil {
@@ -376,15 +386,19 @@ func TestCompactValidation(t *testing.T) {
 func TestLookupIntoReusesScratch(t *testing.T) {
 	pts := randomBinaries(200, 64, 11)
 	tb := mustBuild(t, pts, Params{K: 3, L: 10, HLLRegisters: 32, Seed: 11})
-	buf := tb.LookupInto(pts[0], nil)
+	var s Scratch
+	buf := tb.LookupInto(pts[0], &s)
 	if got, want := len(buf), len(tb.Lookup(pts[0])); got != want {
 		t.Fatalf("LookupInto found %d buckets, Lookup %d", got, want)
 	}
-	buf2 := tb.LookupInto(pts[1], buf)
+	buf2 := tb.LookupInto(pts[1], &s)
 	if cap(buf) > 0 && len(buf2) > 0 && &buf2[0] != &buf[:1][0] {
 		t.Fatal("LookupInto did not reuse the scratch backing array")
 	}
 	if got, want := len(buf2), len(tb.Lookup(pts[1])); got != want {
 		t.Fatalf("reused LookupInto found %d buckets, want %d", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { tb.LookupInto(pts[2], &s) }); allocs != 0 {
+		t.Fatalf("LookupInto with a warm scratch allocates %v times", allocs)
 	}
 }

@@ -1,12 +1,12 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"iter"
 	"math"
-	"slices"
 
 	"repro/internal/distance"
-	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
 	"repro/internal/vector"
@@ -507,20 +507,15 @@ func readCrossPolytopeHasher(d *dec, m *indexMeta) (lsh.Hasher[vector.Dense], er
 
 // ---- bucket encoding (shared by every metric) ----
 
-// writeBuckets appends the bucket map sorted by key: key, id count,
-// ids, and the sketch flag plus registers when the bucket carries one.
-func writeBuckets(e *enc, buckets map[uint64]*lsh.Bucket, n int) error {
-	keys := make([]uint64, 0, len(buckets))
+// writeBuckets appends one table's buckets, which come in ascending key
+// order (lsh.Tables.SortedBuckets): their count, then per bucket the key,
+// id count, ids, and the sketch flag plus registers when the bucket
+// carries one.
+func writeBuckets(e *enc, buckets iter.Seq2[uint64, lsh.Bucket], n int) error {
+	at := len(e.b)
+	e.u64(0) // the bucket count, filled in below
+	count := uint64(0)
 	for k, b := range buckets {
-		if len(b.IDs) == 0 {
-			continue // canonical form: no empty buckets
-		}
-		keys = append(keys, k)
-	}
-	slices.Sort(keys) // determinism: equal indexes serialize to equal bytes
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		b := buckets[k]
 		e.u64(k)
 		e.u32(uint32(len(b.IDs)))
 		for _, id := range b.IDs {
@@ -531,66 +526,70 @@ func writeBuckets(e *enc, buckets map[uint64]*lsh.Bucket, n int) error {
 		}
 		if b.Sketch != nil {
 			e.u8(1)
-			e.b = append(e.b, b.Sketch.Registers()...)
+			e.b = append(e.b, b.Sketch...)
 		} else {
 			e.u8(0)
 		}
+		count++
 	}
+	binary.LittleEndian.PutUint64(e.b[at:], count)
 	return nil
 }
 
-// readBuckets decodes a bucket map, range-checking every id against n
-// and rebuilding each stored sketch from its registers.
-func readBuckets(d *dec, m *indexMeta) (map[uint64]*lsh.Bucket, error) {
+// readBuckets decodes one table's buckets, in any key order, straight
+// into a frozen slab, range-checking every id against n and every
+// stored sketch's registers.
+func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 	// A minimal bucket is key(8) + count(4) + one id(4) + flag(1).
 	nb := d.count(17, "bucket")
 	if d.err != nil {
 		return nil, d.err
 	}
-	buckets := make(map[uint64]*lsh.Bucket, nb)
+	mreg := m.params.HLLRegisters
+	// The id hint is exact for a table without sketches.
+	sb := lsh.NewSlabBuilder(mreg, nb, max(d.rem()-13*nb, 0)/4)
 	for i := 0; i < nb; i++ {
 		key := d.u64()
-		nids := int(d.u32())
+		nids := d.u32()
 		if d.err != nil {
 			return nil, d.err
 		}
 		if nids == 0 {
 			return nil, corrupt("bucket %d is empty", i)
 		}
-		if !d.need(nids * 4) {
-			return nil, d.err
+		if uint64(nids) > uint64(d.rem())/4 {
+			return nil, corrupt("bucket %d claims %d ids, %d payload bytes left", i, nids, d.rem())
 		}
-		ids := make([]int32, nids)
+		ids := sb.Add(key, int(nids))
 		for k := range ids {
 			ids[k] = d.i32()
 			if ids[k] < 0 || int(ids[k]) >= m.n {
 				return nil, corrupt("bucket %d id %d outside [0,%d)", i, ids[k], m.n)
 			}
 		}
-		b := &lsh.Bucket{IDs: ids}
 		switch flag := d.u8(); flag {
 		case 0:
 		case 1:
-			mreg := m.params.HLLRegisters
 			if !d.need(mreg) {
 				return nil, d.err
 			}
-			s, err := hll.FromRegisters(d.b[d.off : d.off+mreg])
-			if err != nil {
+			if err := sb.Sketch(d.b[d.off : d.off+mreg]); err != nil {
 				return nil, corrupt("bucket %d sketch: %v", i, err)
 			}
 			d.off += mreg
-			b.Sketch = s
 		default:
 			if d.err != nil {
 				return nil, d.err
 			}
 			return nil, corrupt("bucket %d has sketch flag %d", i, flag)
 		}
-		if _, dup := buckets[key]; dup {
-			return nil, corrupt("duplicate bucket key %#x", key)
-		}
-		buckets[key] = b
 	}
-	return buckets, d.err
+	if d.err != nil {
+		return nil, d.err
+	}
+	slab, err := sb.Freeze()
+	if err != nil {
+		return nil, corrupt("%v", err)
+	}
+	return slab, nil
 }

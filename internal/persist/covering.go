@@ -142,7 +142,7 @@ func writeCoveringBody(w io.Writer, ix *covering.Index) error {
 	}
 	for t := 0; t < ix.Tables(); t++ {
 		e = enc{}
-		if err := writeBuckets(&e, ix.TableBuckets(t), ix.N()); err != nil {
+		if err := writeBuckets(&e, ix.Index.Tables().SortedBuckets(t), ix.N()); err != nil {
 			return err
 		}
 		if err := writeSection(w, "tabl", e.b); err != nil {
@@ -172,23 +172,23 @@ func readCoveringBody(ss *sectionStream) (*covering.Index, *coverMeta, error) {
 	if err := d.done("pnts"); err != nil {
 		return nil, nil, err
 	}
-	tables := make([]map[uint64]*lsh.Bucket, covering.NumTables(cm.radius))
-	for t := range tables {
+	slabs := make([]*lsh.Slab, covering.NumTables(cm.radius))
+	for t := range slabs {
 		payload, err = ss.read("tabl")
 		if err != nil {
 			return nil, nil, err
 		}
 		d = &dec{b: payload}
-		buckets, err := readBuckets(d, im)
+		slab, err := readBuckets(d, im)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := d.done("tabl"); err != nil {
 			return nil, nil, err
 		}
-		tables[t] = buckets
+		slabs[t] = slab
 	}
-	ix, err := covering.Restore(points, cm.radius, cm.phi, cm.seed, tables, covering.Config{
+	ix, err := covering.Restore(points, cm.radius, cm.phi, cm.seed, slabs, covering.Config{
 		HLLRegisters: cm.m,
 		HLLThreshold: cm.thresh,
 		Cost:         core.CostModel{Alpha: cm.alpha, Beta: cm.beta},

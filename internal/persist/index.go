@@ -231,12 +231,11 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 	}
 
 	for j := 0; j < ix.Tables().L(); j++ {
-		tab := ix.Tables().Table(j)
 		e = enc{}
-		if err := c.writeHasher(&e, m, tab.Hasher); err != nil {
+		if err := c.writeHasher(&e, m, ix.Tables().Hasher(j)); err != nil {
 			return err
 		}
-		if err := writeBuckets(&e, tab.Buckets, m.n); err != nil {
+		if err := writeBuckets(&e, ix.Tables().SortedBuckets(j), m.n); err != nil {
 			return err
 		}
 		if err := writeSection(w, "tabl", e.b); err != nil {
@@ -287,8 +286,9 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 		return nil, nil, err
 	}
 
-	tables := make([]lsh.Table[P], m.params.L)
-	for j := range tables {
+	hashers := make([]lsh.Hasher[P], m.params.L)
+	slabs := make([]*lsh.Slab, m.params.L)
+	for j := range hashers {
 		payload, err = ss.read("tabl")
 		if err != nil {
 			return nil, nil, err
@@ -298,17 +298,17 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 		if err != nil {
 			return nil, nil, err
 		}
-		buckets, err := readBuckets(d, m)
+		slab, err := readBuckets(d, m)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := d.done("tabl"); err != nil {
 			return nil, nil, err
 		}
-		tables[j] = lsh.Table[P]{Hasher: hasher, Buckets: buckets}
+		hashers[j], slabs[j] = hasher, slab
 	}
 
-	lt, err := lsh.RestoreTables(m.params, tables, m.n)
+	lt, err := lsh.RestoreTables(m.params, hashers, slabs, m.n)
 	if err != nil {
 		return nil, nil, corrupt("restoring tables: %v", err)
 	}

@@ -452,6 +452,9 @@ func (s *FlatL2) filterSQ8(q vector.Dense, ids []int32, count int, r float64, ou
 		if ids != nil {
 			id = ids[k]
 		}
+		if uint(int(id)) >= uint(s.n) { // before the offset: int(id)*s.dim wraps on 32-bit hosts
+			panic(fmt.Sprintf("pointstore: VerifyRadius id %d outside [0,%d)", id, s.n))
+		}
 		switch lutClassify(lut, z.codes[int(id)*s.dim:(int(id)+1)*s.dim:(int(id)+1)*s.dim], lo, hi) {
 		case quantReject:
 			rej++

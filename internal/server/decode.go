@@ -166,7 +166,7 @@ func (s *scanner) int() (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(t), 10, 64)
+	n, err := strconv.ParseInt(string(t), 10, strconv.IntSize)
 	return int(n), err == nil
 }
 

@@ -321,7 +321,8 @@ func TestScannerAccepts(t *testing.T) {
 		{false, queryFields, `{"point":[0.5,-0.001,2]}`},
 		{false, queryFields, "\t{ \"point\" :\n[ 1.5E+2 , -0 , 3.4028235e38 ]\r, \"probes\": 4, \"radius\": 0, \"trace\": true } trailing"},
 		{false, batchFields, `{"points":[[0.1,0.2,0.3],[1,2,3]],"workers":-2,"trace":false}`},
-		{false, batchFields, `{"trace":true,"workers":9223372036854775807,"points":[[1e-46,1e39,0.30000001]]}`},
+		// The host's largest int: 2^63-1 on 64-bit hosts, 2^31-1 on 32-bit ones.
+		{false, batchFields, `{"trace":true,"workers":` + strconv.Itoa(math.MaxInt) + `,"points":[[1e-46,1e39,0.30000001]]}`},
 		{false, appendFields, `{"points":[[0,0,0]]}`},
 		{true, queryFields, `{"point":[0,1,1,0],"radius":2}`},
 		{true, batchFields, `{"points":[[1,1,1,1], [0,0,0,0]]}`},
@@ -366,7 +367,7 @@ func TestScannerDeclines(t *testing.T) {
 		{"too many dims", false, batchFields, `{"points":[[1,2,3,4]]}`},
 		{"too few bits", true, queryFields, `{"point":[0,1,1]}`},
 		{"float64 overflow", false, queryFields, `{"point":[1,2,1e400]}`},
-		{"int overflow", false, batchFields, `{"points":[[1,2,3]],"workers":9223372036854775808}`},
+		{"int overflow", false, batchFields, `{"points":[[1,2,3]],"workers":` + strconv.FormatUint(math.MaxInt+1, 10) + `}`},
 		{"fractional option", false, queryFields, `{"point":[1,2,3],"probes":1.5}`},
 		{"unknown key", false, queryFields, `{"point":[1,2,3],"k":1}`},
 		{"key of another endpoint", false, appendFields, `{"points":[[1,2,3]],"trace":true}`},

@@ -1,3 +1,5 @@
+//go:build !noasm
+
 package vector
 
 func dotRows4(out []float64, q Dense, slab []float64) {

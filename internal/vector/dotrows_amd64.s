@@ -1,3 +1,5 @@
+//go:build !noasm
+
 #include "textflag.h"
 
 // func dotRows4AVX2(out *float64, q *float32, slab *float64, dim, blocks int)

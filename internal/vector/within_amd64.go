@@ -1,3 +1,5 @@
+//go:build !noasm
+
 package vector
 
 import "slices"

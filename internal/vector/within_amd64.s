@@ -1,3 +1,5 @@
+//go:build !noasm
+
 #include "textflag.h"
 
 // ROWDIST leaves in X0 the squared distance between the two CX-wide

@@ -1,4 +1,7 @@
-//go:build !amd64
+//go:build !amd64 || noasm
+
+// The portable dispatch: every platform but amd64, and amd64 built with
+// -tags noasm, which is how the portable kernels get tested on an AVX2 host.
 
 package vector
 
