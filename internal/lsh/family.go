@@ -26,6 +26,24 @@ type Hasher[P any] interface {
 	K() int
 }
 
+// A blockHasher keys a block of points faster than one Key call per
+// point: Keys sets dst[i] to Key(points[i]) for every point.
+type blockHasher[P any] interface {
+	Keys(points []P, dst []uint64)
+}
+
+// Keys sets dst[i] to h.Key(points[i]) for every point, through h's
+// block path when it has one.
+func Keys[P any](h Hasher[P], points []P, dst []uint64) {
+	if bh, ok := h.(blockHasher[P]); ok {
+		bh.Keys(points, dst)
+		return
+	}
+	for i, p := range points {
+		dst[i] = h.Key(p)
+	}
+}
+
 // Family describes an LSH family for a point type P: it constructs fresh
 // per-table hashers and knows the collision probability of a single base
 // function as a function of distance.

@@ -433,3 +433,50 @@ func TestFamilyConstructorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestKeysMatchKey holds the block path, Keys, to one Key call per point
+// for every family: the p-stable hasher's kernel over more than one of
+// its point blocks, and every other family's Key loop.
+func TestKeysMatchKey(t *testing.T) {
+	r := rng.New(41)
+	const dim, n, k = 24, 150, 6
+	dense := make([]vector.Dense, n)
+	binary := make([]vector.Binary, n)
+	sparse := make([]vector.Sparse, n)
+	for i := range n {
+		dense[i] = make(vector.Dense, dim)
+		for j := range dense[i] {
+			dense[i][j] = float32(r.Normal())
+		}
+		binary[i] = vector.NewBinary(dim)
+		for _, j := range r.Sample(dim, 1+i%dim) {
+			binary[i].SetBit(j, true)
+		}
+		sparse[i] = vector.NewSparse(dim, []int32{int32(i % dim)}, []float32{float32(r.Normal())})
+	}
+	check := func(name string, keys func([]uint64), key func(i int) uint64) {
+		t.Helper()
+		got := make([]uint64, n)
+		keys(got)
+		for i, g := range got {
+			if want := key(i); g != want {
+				t.Fatalf("%s: Keys[%d] = %#x, Key = %#x", name, i, g, want)
+			}
+		}
+	}
+	for _, fam := range []Family[vector.Dense]{NewPStableL2(dim, 1.5), NewPStableL1(dim, 3), NewCrossPolytope(dim, 5)} {
+		h := fam.NewHasher(k, r)
+		check(fam.Name(), func(dst []uint64) { Keys(h, dense, dst) }, func(i int) uint64 { return h.Key(dense[i]) })
+	}
+	for _, fam := range []Family[vector.Binary]{NewBitSampling(dim), NewMinHash(dim)} {
+		h := fam.NewHasher(k, r)
+		check(fam.Name(), func(dst []uint64) { Keys(h, binary, dst) }, func(i int) uint64 { return h.Key(binary[i]) })
+	}
+	for _, fam := range []Family[vector.Sparse]{NewSimHashCosine(dim), NewSimHashAngular(dim)} {
+		h := fam.NewHasher(k, r)
+		check(fam.Name(), func(dst []uint64) { Keys(h, sparse, dst) }, func(i int) uint64 { return h.Key(sparse[i]) })
+	}
+	if _, ok := NewPStableL2(dim, 1).NewHasher(k, r).(blockHasher[vector.Dense]); !ok {
+		t.Fatal("the p-stable hasher has no block path")
+	}
+}

@@ -167,7 +167,11 @@ func (h *PStableHasher) W() float64 { return h.w }
 // slot index and re-derive the neighboring key.
 func (h *PStableHasher) Parts(p vector.Dense, dst []int64) []int64 {
 	var buf [16]float64
-	proj := h.project(p, buf[:0])
+	return h.slots(h.project(p, buf[:0]), dst)
+}
+
+// slots appends ⌊(proj[i] + b_i)/w⌋ for every function i to dst.
+func (h *PStableHasher) slots(proj []float64, dst []int64) []int64 {
 	for i, b := range h.b {
 		dst = append(dst, int64(math.Floor((proj[i]+b)/h.w)))
 	}
@@ -210,6 +214,33 @@ func (h *PStableHasher) Key(p vector.Dense) uint64 {
 	var buf [16]int64
 	parts := h.Parts(p, buf[:0])
 	return hashutil.HashInts(parts)
+}
+
+// keysBlock is how many points Keys projects per kernel call: their
+// projections, keysBlock·4⌈k/4⌉ float64s, stay in L1 until folded.
+const keysBlock = 64
+
+// Keys sets dst[i] to Key(points[i]) for every point, the block path
+// lsh.Keys takes: the points are projected keysBlock at a time with
+// vector.DotRows4Batch, bit-identical to Key's projections. A block of
+// at most 64 projections stays on the stack, so appending a few points
+// allocates nothing per table.
+func (h *PStableHasher) Keys(points []vector.Dense, dst []uint64) {
+	n := (len(h.b) + 3) &^ 3
+	var stack [64]float64
+	proj := stack[:]
+	if need := min(len(points), keysBlock) * n; need > len(proj) {
+		proj = make([]float64, need)
+	}
+	var buf [16]int64
+	for len(points) > 0 {
+		blk := points[:min(len(points), keysBlock)]
+		vector.DotRows4Batch(proj[:len(blk)*n], blk, h.slab)
+		for i := range blk {
+			dst[i] = hashutil.HashInts(h.slots(proj[i*n:], buf[:0]))
+		}
+		points, dst = points[len(blk):], dst[len(blk):]
+	}
 }
 
 // KeyFromParts folds externally computed (possibly perturbed) slot indices

@@ -41,12 +41,19 @@ func TestPStableHasherMatchesDot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for round := 0; round < 4; round++ {
+				pts := make([]vector.Dense, 9)
+				wantKeys := make([]uint64, len(pts))
+				for round := range pts {
 					p := make(vector.Dense, dim)
 					for j := range p {
 						p[j] = float32(r.Normal() * 2)
 					}
+					pts[round] = p
 					wantParts, wantRes := oldParts(drawn, p)
+					wantKeys[round] = hashutil.HashInts(wantParts)
+					if round >= 4 {
+						continue
+					}
 					for name, h := range map[string]*PStableHasher{"drawn": drawn, "restored": restored} {
 						what := fmt.Sprintf("%s %s dim %d k %d", fam.Name(), name, dim, k)
 						if got := h.Parts(p, []int64{-9}); !slices.Equal(got, append([]int64{-9}, wantParts...)) {
@@ -61,6 +68,14 @@ func TestPStableHasherMatchesDot(t *testing.T) {
 						}
 					}
 				}
+				// The block path, on every partial group of four points.
+				for n := 1; n <= len(pts); n++ {
+					got := make([]uint64, n)
+					restored.Keys(pts[:n], got)
+					if !slices.Equal(got, wantKeys[:n]) {
+						t.Fatalf("%s dim %d k %d: Keys of %d points %#x, want %#x", fam.Name(), dim, k, n, got, wantKeys[:n])
+					}
+				}
 			}
 		}
 	}
@@ -73,6 +88,7 @@ func TestPStableHasherDimMismatchPanics(t *testing.T) {
 			"Key":               func() { h.Key(p) },
 			"Parts":             func() { h.Parts(p, nil) },
 			"PartsAndResiduals": func() { h.PartsAndResiduals(p) },
+			"Keys":              func() { h.Keys([]vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2)) },
 		} {
 			func() {
 				defer func() {
@@ -94,6 +110,15 @@ func TestPStableKeyDoesNotAllocate(t *testing.T) {
 			p := make(vector.Dense, dim)
 			if n := testing.AllocsPerRun(20, func() { h.Key(p) }); n != 0 {
 				t.Errorf("dim %d k %d: Key allocates %v times", dim, k, n)
+			}
+			// The block path too: one point, and eight while their
+			// projections fit the stack buffer (k ≤ 8).
+			pts, keys := []vector.Dense{p}, make([]uint64, 8)
+			if k <= 8 {
+				pts = slices.Repeat(pts, 8)
+			}
+			if n := testing.AllocsPerRun(20, func() { h.Keys(pts, keys) }); n != 0 {
+				t.Errorf("dim %d k %d: Keys of %d points allocates %v times", dim, k, len(pts), n)
 			}
 		}
 	}

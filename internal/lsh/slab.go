@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/hashutil"
 	"repro/internal/hll"
@@ -173,27 +174,42 @@ func (b *SlabBuilder) finish() Slab {
 // emptySlab is a slab with no buckets.
 func emptySlab(m int) Slab { return newSlabBuilder(m, 0, 0, 0).finish() }
 
+// hashBufs keeps hashOrder's hash arrays between calls, so that a
+// snapshot load, which orders its tables one after another, allocates no
+// hash array per table: that much more garbage moves the loading node's
+// GC cycles and raises its peak RSS.
+var hashBufs sync.Pool // of *[]uint64
+
 // hashOrder returns 0..n-1 in ascending order of Mix64(key(i)), equal
-// keys in index order: a counting sort on the hash's top bits, then a
-// sort within each slot.
+// keys in index order: each hash is computed once, then the indexes are
+// counting-sorted on the hash's top bits and sorted by hash within each
+// slot.
 func hashOrder(n int, key func(i int) uint64) []int32 {
 	b := max(bits.Len(uint(n))-2, 0)
 	shift := 64 - b
+	buf, _ := hashBufs.Get().(*[]uint64)
+	if buf == nil || cap(*buf) < n {
+		buf = &[]uint64{}
+		*buf = make([]uint64, n)
+	}
+	defer hashBufs.Put(buf)
+	hs := (*buf)[:n]
 	next := make([]uint32, 1<<b+1)
-	for i := range n {
-		next[hashutil.Mix64(key(i))>>shift+1]++
+	for i := range hs {
+		hs[i] = hashutil.Mix64(key(i))
+		next[hs[i]>>shift+1]++
 	}
 	for i := 1; i < len(next); i++ {
 		next[i] += next[i-1]
 	}
 	perm := make([]int32, n)
-	for i := range n {
-		slot := hashutil.Mix64(key(i)) >> shift
+	for i, h := range hs {
+		slot := h >> shift
 		perm[next[slot]] = int32(i)
 		next[slot]++
 	}
-	// next[s] is now where slot s ends.
-	byHash := func(a, b int32) int { return cmp.Compare(hashutil.Mix64(key(int(a))), hashutil.Mix64(key(int(b)))) }
+	// next[s] is now where slot s ends, its indexes ascending.
+	byHash := func(x, y int32) int { return cmp.Compare(hs[x], hs[y]) }
 	start := uint32(0)
 	for _, end := range next[:len(next)-1] {
 		if end-start > 1 {
@@ -223,9 +239,7 @@ func sketchOf(ids []int32, p Params, scratch *hll.Sketch) []uint8 {
 // leaves each bucket's ids ascending.
 func buildSlab[P any](points []P, h Hasher[P], p Params) Slab {
 	keys := make([]uint64, len(points))
-	for i, pt := range points {
-		keys[i] = h.Key(pt)
-	}
+	Keys(h, points, keys)
 	perm := hashOrder(len(keys), func(i int) uint64 { return keys[i] })
 	runs := func(yield func(lo, hi int) bool) {
 		for lo := 0; lo < len(perm); {

@@ -522,3 +522,35 @@ func TestConcurrentViewAndLookups(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkKernelBuild builds one dense128-batch-shaped table set, scaled
+// to a short benchmark: 4 096 points at d = 128 in 64 tight clusters,
+// L = 50 tables of k = 7 Gaussian projections. ns/point is the whole
+// Build (hashing every point into every table, then grouping and
+// freezing each table) per indexed point.
+func BenchmarkKernelBuild(b *testing.B) {
+	const n, dim, clusters = 4096, 128, 64
+	r := rng.New(7)
+	centres := make([]vector.Dense, clusters)
+	for c := range centres {
+		centres[c] = make(vector.Dense, dim)
+		for d := range centres[c] {
+			centres[c][d] = float32(r.Float64())
+		}
+	}
+	pts := make([]vector.Dense, n)
+	for i := range pts {
+		c := centres[i%clusters]
+		pts[i] = make(vector.Dense, dim)
+		for d := range pts[i] {
+			pts[i][d] = c[d] + float32(0.03*r.Normal())
+		}
+	}
+	fam := NewPStableL2(dim, 0.6)
+	for b.Loop() {
+		if _, err := Build(pts, fam, Params{K: 7, L: 50, HLLRegisters: 64, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
+}

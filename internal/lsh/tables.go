@@ -326,12 +326,13 @@ func (t *Tables[P]) Append(points []P) error {
 	if t.n+len(points) > 1<<31-1 {
 		return fmt.Errorf("lsh: Append would exceed int32 id space")
 	}
+	keys := make([]uint64, len(points))
 	for j := range t.tables {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
-		for i, pt := range points {
+		Keys(tb.hasher, points, keys)
+		for i, key := range keys {
 			id := int32(t.n + i)
-			key := tb.hasher.Key(pt)
 			ob := tb.over[key]
 			if ob == nil {
 				ob = &overBucket{}
@@ -436,25 +437,75 @@ func (t *Tables[P]) L() int { return len(t.tables) }
 func (t *Tables[P]) Hasher(j int) Hasher[P] { return t.tables[j].hasher }
 
 // SortedBuckets yields table j's buckets in ascending key order — the
-// order snapshots store them in.
+// order snapshots store them in. It radix-sorts the keys, each with the
+// position of its bucket: in the slab, or, while an overlay is live, in
+// all()'s order, whose buckets are then kept aside to be yielded by
+// position.
 func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
 	tb := &t.tables[j]
 	return func(yield func(uint64, Bucket) bool) {
-		type keyed struct {
-			key uint64
-			b   Bucket
+		keys := make([]keyAt, 0, tb.slab.len()+len(tb.over))
+		bucket := tb.slab.bucket
+		if len(tb.over) == 0 {
+			for i, h := range tb.slab.heads[:tb.slab.len()] {
+				keys = append(keys, keyAt{h.key, uint32(i)})
+			}
+		} else {
+			var kept []Bucket
+			for k, b := range tb.all() {
+				keys = append(keys, keyAt{k, uint32(len(kept))})
+				kept = append(kept, b)
+			}
+			bucket = func(i int) Bucket { return kept[i] }
 		}
-		all := make([]keyed, 0, tb.slab.len()+len(tb.over))
-		for k, b := range tb.all() {
-			all = append(all, keyed{k, b})
-		}
-		slices.SortFunc(all, func(x, y keyed) int { return cmp.Compare(x.key, y.key) })
-		for _, x := range all {
-			if !yield(x.key, x.b) {
+		for _, x := range sortKeys(keys, make([]keyAt, len(keys))) {
+			if !yield(x.key, bucket(int(x.at))) {
 				return
 			}
 		}
 	}
+}
+
+// keyAt is a bucket key and the position of its bucket.
+type keyAt struct {
+	key uint64
+	at  uint32
+}
+
+// sortKeys sorts s by key, an LSD radix sort through tmp (of len(s)) on
+// the key's 11-bit digits, six passes at most: a digit on which every key
+// agrees is skipped. (Eleven bits sorted a table's keys faster than
+// eight, eight passes, or sixteen, whose counters outgrow the table.) It
+// returns the sorted slice, which is s or tmp.
+func sortKeys(s, tmp []keyAt) []keyAt {
+	const bits, digits = 11, (64 + 10) / 11
+	if len(s) < 2 {
+		return s
+	}
+	digit := func(key uint64, d int) uint64 { return key >> (bits * d) & (1<<bits - 1) }
+	var count [digits][1 << bits]uint32
+	for _, x := range s {
+		for d := range count {
+			count[d][digit(x.key, d)]++
+		}
+	}
+	for d := range count {
+		c := &count[d]
+		if c[digit(s[0].key, d)] == uint32(len(s)) {
+			continue
+		}
+		sum := uint32(0)
+		for v, k := range c {
+			c[v], sum = sum, sum+k
+		}
+		for _, x := range s {
+			v := digit(x.key, d)
+			tmp[c[v]] = x
+			c[v]++
+		}
+		s, tmp = tmp, s
+	}
+	return s
 }
 
 // Table returns a map view of table j, built on the first call after

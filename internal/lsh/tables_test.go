@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"sync"
@@ -400,5 +401,113 @@ func TestLookupIntoReusesScratch(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { tb.LookupInto(pts[2], &s) }); allocs != 0 {
 		t.Fatalf("LookupInto with a warm scratch allocates %v times", allocs)
+	}
+}
+
+// keyFamily hashes a point that is its own bucket key, so a test can
+// place buckets under any keys it likes.
+type keyFamily struct{}
+
+func (keyFamily) NewHasher(int, *rng.Rand) Hasher[uint64] { return keyHasher{} }
+func (keyFamily) CollisionProb(float64) float64           { return 0 }
+func (keyFamily) Name() string                            { return "key" }
+
+type keyHasher struct{}
+
+func (keyHasher) Key(p uint64) uint64 { return p }
+func (keyHasher) K() int              { return 1 }
+
+// TestSortedBucketsAdversarialKeys: whatever the keys, SortedBuckets
+// yields them strictly ascending, each with exactly the ids and sketch
+// all() holds for it — before and after an Append leaves an overlay.
+// The key sets make the radix sort skip every byte but one (keys
+// differing in one byte at each position), take the extremes 0 and
+// MaxUint64, and hold small covering-style masks next to full-width
+// keys.
+func TestSortedBucketsAdversarialKeys(t *testing.T) {
+	const base = 0x0123456789abcdef
+	oneByte := func(pos int) []uint64 {
+		var ks []uint64
+		for v := range 256 {
+			if v%3 == 0 || v == 255 {
+				ks = append(ks, base&^(0xff<<(8*pos))|uint64(v)<<(8*pos))
+			}
+		}
+		return ks
+	}
+	var mixed []uint64
+	for pos := range 8 {
+		mixed = append(mixed, oneByte(pos)...)
+	}
+	for r := 1; r <= 5; r++ {
+		for m := uint64(1); m < 1<<(r+1); m++ {
+			mixed = append(mixed, m)
+		}
+	}
+	mixed = append(mixed, 0, math.MaxUint64, math.MaxUint64-1, 1<<63, 1<<63-1,
+		0x5555555555555555, 0xaaaaaaaaaaaaaaaa, 0x0f0f0f0f0f0f0f0f, 0xf0f0f0f0f0f0f0f0)
+	sets := map[string][]uint64{
+		"mixed":    mixed,
+		"low byte": oneByte(0),
+		"top byte": oneByte(7),
+		"mid byte": oneByte(4),
+		"extremes": {math.MaxUint64, 0},
+		"one key":  {math.MaxUint64},
+	}
+	for name, keys := range sets {
+		r := rng.New(uint64(len(keys)))
+		// Key i carries 1–5 ids, in shuffled order, so buckets of 4 and
+		// more carry sketches.
+		var ordered []uint64
+		for i, k := range keys {
+			for range 1 + i%5 {
+				ordered = append(ordered, k)
+			}
+		}
+		pts := make([]uint64, len(ordered))
+		for i, at := range r.Perm(len(pts)) {
+			pts[i] = ordered[at]
+		}
+		tb, err := Build(pts, keyFamily{}, Params{K: 1, L: 2, HLLRegisters: 16, HLLThreshold: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSortedBuckets(t, name, tb)
+		// A few appends, under new keys and existing ones, stay in the
+		// overlay of every table but the smallest.
+		grow := []uint64{keys[0], keys[len(keys)/2], 0x1122334455667788, 7}
+		if err := tb.Append(grow); err != nil {
+			t.Fatal(err)
+		}
+		if overlay := len(tb.tables[0].over) > 0; overlay != (len(pts) >= refreezeShare*len(grow)) {
+			t.Fatalf("%s: overlay %v after appending %d ids to %d", name, overlay, len(grow), len(pts))
+		}
+		checkSortedBuckets(t, name+" with overlay", tb)
+	}
+}
+
+func checkSortedBuckets[P any](t *testing.T, name string, tb *Tables[P]) {
+	t.Helper()
+	for j := range tb.tables {
+		want := map[uint64]Bucket{}
+		for k, b := range tb.tables[j].all() {
+			want[k] = b
+		}
+		n := 0
+		prev := uint64(0)
+		for k, b := range tb.SortedBuckets(j) {
+			if n > 0 && k <= prev {
+				t.Fatalf("%s table %d: key %#x after %#x", name, j, k, prev)
+			}
+			w, ok := want[k]
+			if !ok || !slices.Equal(b.IDs, w.IDs) || !bytes.Equal(b.Sketch, w.Sketch) || (b.Sketch == nil) != (w.Sketch == nil) {
+				t.Fatalf("%s table %d: key %#x yields %v/%v, all() holds %v/%v (present %v)", name, j, k, b.IDs, b.Sketch, w.IDs, w.Sketch, ok)
+			}
+			prev = k
+			n++
+		}
+		if n != len(want) {
+			t.Fatalf("%s table %d: SortedBuckets yields %d buckets, all() %d", name, j, n, len(want))
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 
 	"repro/internal/distance"
 	"repro/internal/lsh"
@@ -171,6 +172,7 @@ func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 // ---- point encodings ----
 
 func writeDensePoints(e *enc, m *indexMeta, pts []vector.Dense) error {
+	e.b = slices.Grow(e.b, 4*m.dim*len(pts))
 	for i, p := range pts {
 		if len(p) != m.dim {
 			return fmt.Errorf("persist: point %d has dim %d, index dim is %d", i, len(p), m.dim)
@@ -255,6 +257,7 @@ func readSparsePoints(d *dec, m *indexMeta) ([]vector.Sparse, error) {
 
 func writeBinaryPoints(e *enc, m *indexMeta, pts []vector.Binary) error {
 	words := (m.dim + 63) / 64
+	e.b = slices.Grow(e.b, 8*words*len(pts))
 	for i, p := range pts {
 		if p.Dim != m.dim || len(p.Words) != words {
 			return fmt.Errorf("persist: point %d has dim %d (%d words), index dim is %d", i, p.Dim, len(p.Words), m.dim)

@@ -141,7 +141,7 @@ func writeCoveringBody(w io.Writer, ix *covering.Index) error {
 		return err
 	}
 	for t := 0; t < ix.Tables(); t++ {
-		e = enc{}
+		e.b = e.b[:0]
 		if err := writeBuckets(&e, ix.Index.Tables().SortedBuckets(t), ix.N()); err != nil {
 			return err
 		}

@@ -222,7 +222,7 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 		}
 	}
 
-	e = enc{}
+	e.b = e.b[:0]
 	if err := c.writePoints(&e, m, points); err != nil {
 		return err
 	}
@@ -231,7 +231,7 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 	}
 
 	for j := 0; j < ix.Tables().L(); j++ {
-		e = enc{}
+		e.b = e.b[:0]
 		if err := c.writeHasher(&e, m, ix.Tables().Hasher(j)); err != nil {
 			return err
 		}

@@ -106,6 +106,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/pointstore"
 )
@@ -535,7 +536,13 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // WriteFileAtomic writes a snapshot to path atomically: the payload
 // goes to a temporary file in the same directory, is synced, and is
 // renamed over path only on success, so a crash or error mid-write
-// never leaves a partial snapshot behind. It returns the bytes written.
+// never leaves a partial snapshot behind. The directory is synced after
+// the rename, and an I/O failure there is returned: until that sync the
+// rename itself can be lost, so a caller must not discard what the
+// snapshot replaces (a WAL) unless the call succeeded. A filesystem that
+// does not support directory fsync (EINVAL, ENOTSUP) is not a failure;
+// there the rename is as durable as it gets. It returns the bytes
+// written.
 func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snap-*.tmp")
@@ -557,5 +564,24 @@ func WriteFileAtomic(path string, write func(io.Writer) (int64, error)) (int64, 
 		os.Remove(tmp.Name())
 		return 0, err
 	}
+	// EINVAL and ENOTSUP only say the filesystem cannot fsync a directory.
+	if err := SyncDir(dir); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, errors.ErrUnsupported) {
+		return 0, fmt.Errorf("persist: syncing directory %s after renaming the snapshot into it: %w", dir, err)
+	}
 	return n, nil
+}
+
+// SyncDir fsyncs the directory dir, so that a file just renamed into it
+// survives a crash. WriteFileAtomic and the replica WAL call it through
+// this variable so that tests can make it fail; nothing else assigns it.
+var SyncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

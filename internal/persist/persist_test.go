@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	"repro/internal/core"
@@ -552,6 +554,61 @@ func TestReadRejectsTrailingGarbage(t *testing.T) {
 	snap := validSnapshot(t)
 	if _, _, err := readIndex[vector.Dense](bytes.NewReader(snap[:len(snap)-6]), MetricL2); err == nil {
 		t.Fatal("missing terminator went unnoticed")
+	}
+}
+
+// TestWriteFileAtomicSyncsDirAfterRename: the directory is synced once
+// the snapshot has been renamed into place, and a failing sync fails the
+// call, so no caller treats an undurable rename as durable.
+func TestWriteFileAtomicSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.snap")
+	payload := []byte("snapshot bytes")
+	write := func(w io.Writer) (int64, error) {
+		n, err := w.Write(payload)
+		return int64(n), err
+	}
+	defer func(orig func(string) error) { SyncDir = orig }(SyncDir)
+	var synced []string
+	boom := errors.New("directory fsync failed")
+	SyncDir = func(d string) error {
+		synced = append(synced, d)
+		got, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("directory synced before the rename: %s holds %q (%v)", path, got, err)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, ".snap-*.tmp")); len(tmps) != 0 {
+			t.Errorf("directory synced while %v remain", tmps)
+		}
+		return boom
+	}
+	if _, err := WriteFileAtomic(path, write); !errors.Is(err, boom) {
+		t.Fatalf("WriteFileAtomic with a failing directory sync returned %v, want %v", err, boom)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("synced %q, want [%q]", synced, dir)
+	}
+}
+
+// TestWriteFileAtomicDirSyncUnsupported: a filesystem that cannot fsync
+// a directory (EINVAL, ENOTSUP) does not fail the write; the snapshot is
+// in place and its size is returned.
+func TestWriteFileAtomicDirSyncUnsupported(t *testing.T) {
+	defer func(orig func(string) error) { SyncDir = orig }(SyncDir)
+	for _, errno := range []syscall.Errno{syscall.EINVAL, syscall.ENOTSUP} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "index.snap")
+		SyncDir = func(d string) error { return &os.PathError{Op: "sync", Path: d, Err: errno} }
+		n, err := WriteFileAtomic(path, func(w io.Writer) (int64, error) {
+			n, err := w.Write([]byte("snapshot bytes"))
+			return int64(n), err
+		})
+		if err != nil || n != int64(len("snapshot bytes")) {
+			t.Fatalf("directory sync failing with %v: WriteFileAtomic = %d, %v; want %d, nil", errno, n, err, len("snapshot bytes"))
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "snapshot bytes" {
+			t.Fatalf("directory sync failing with %v: %s holds %q (%v)", errno, path, got, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"slices"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/rng"
 	"repro/internal/vector"
 )
 
@@ -336,4 +338,104 @@ func TestSnapshotLoadAllocatesPerTable(t *testing.T) {
 			bigBuckets, big, smallBuckets, small)
 	}
 	t.Logf("%d buckets: %.0f allocations; %d buckets: %.0f", smallBuckets, small, bigBuckets, big)
+}
+
+// TestOverlaySnapshotBytes pins the writer's overlay path: a snapshot
+// taken while the tables hold appended ids in their overlays (fewer
+// appends since the freeze than the tables' refreeze share of an eighth
+// of their ids) must equal, byte for byte, the snapshot of the same
+// index loaded back, whose tables are slabs alone. Half the appended
+// points repeat indexed ones, so the overlay both extends frozen buckets
+// (some past the sketch threshold) and adds buckets of its own.
+func TestOverlaySnapshotBytes(t *testing.T) {
+	l2pts := denseData(tn, tdim, 21)
+	l2grow := append(slices.Clone(l2pts[:12]), denseData(12, tdim, 91)...)
+	l2, err := core.NewIndex(l2pts, cfg[vector.Dense](lsh.NewPStableL2(tdim, 0.8), distance.L2, 0.4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverlayBytes[vector.Dense](t, "l2", MetricL2, l2, l2grow)
+
+	mpCfg := cfg[vector.Dense](lsh.NewPStableL2(tdim, 0.8), distance.L2, 0.4)
+	mpCfg.Probes = 6
+	mp, err := core.NewIndex(l2pts, mpCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverlayBytes[vector.Dense](t, "multiprobe", MetricL2, mp, l2grow)
+
+	const dim = 64
+	hpts := binaryData(tn, dim, 22)
+	ham, err := core.NewIndex(hpts, cfg[vector.Binary](lsh.NewBitSampling(dim), distance.Hamming, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOverlayBytes[vector.Binary](t, "hamming", MetricHamming, ham, append(slices.Clone(hpts[:12]), binaryData(12, dim, 92)...))
+
+	cgrow := append(coveringData(12, dim, 23), coveringData(12, dim, 93)...)
+	checkOverlayBytes[vector.Binary](t, "covering", MetricHamming, buildCoveringIndex(t, tn, 23), cgrow)
+}
+
+func checkOverlayBytes[P any](t *testing.T, name, metric string, st core.Store[P], grow []P) {
+	t.Helper()
+	if err := st.Append(grow); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var snap, again bytes.Buffer
+	if _, err := Write(&snap, metric, st); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	loaded, _, err := Read[P](bytes.NewReader(snap.Bytes()), metric)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if _, err := Write(&again, metric, loaded); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !bytes.Equal(snap.Bytes(), again.Bytes()) {
+		t.Fatalf("%s: the snapshot written with live overlays (%d bytes) differs from the slab-only rewrite (%d bytes)", name, snap.Len(), again.Len())
+	}
+}
+
+// BenchmarkKernelSnapshotWrite writes the snapshot of a
+// dense128-batch-shaped shard, scaled to a short benchmark: 8 192 points
+// at d = 128 in 64 tight clusters, L = 50 tables of k = 7, 128-register
+// sketches (about 1.3 ids per bucket, as the benchmark's shards hold).
+// MB/s is snapshot bytes per second; the points section is a plain copy,
+// so the tables' key order and encoding set the rate.
+func BenchmarkKernelSnapshotWrite(b *testing.B) {
+	const n, dim, clusters = 8192, 128, 64
+	r := rng.New(7)
+	centres := denseData(clusters, dim, 8)
+	pts := make([]vector.Dense, n)
+	for i := range pts {
+		c := centres[i%clusters]
+		pts[i] = make(vector.Dense, dim)
+		for d := range pts[i] {
+			pts[i][d] = c[d] + float32(0.03*r.Normal())
+		}
+	}
+	ix, err := core.NewIndex(pts, core.Config[vector.Dense]{
+		Family:       lsh.NewPStableL2(dim, 0.6),
+		Distance:     distance.L2,
+		Radius:       0.3,
+		Delta:        0.1,
+		K:            7,
+		L:            50,
+		HLLRegisters: 128,
+		Seed:         7,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	size, err := Write(io.Discard, MetricL2, ix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	for b.Loop() {
+		if _, err := Write(io.Discard, MetricL2, ix); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -350,12 +350,7 @@ func (w *WAL) newSegmentLocked(firstSeq uint64) error {
 // syncDir fsyncs the directory so renames/creates/removes survive a
 // crash. Best effort: not every filesystem supports directory fsync,
 // and the segment contents themselves are already synced.
-func (w *WAL) syncDir() {
-	if d, err := os.Open(w.dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-}
+func (w *WAL) syncDir() { persist.SyncDir(w.dir) }
 
 // Append writes one encoded frame carrying seq, rotating and fsyncing
 // per the options. seq must be exactly the next sequence number — the

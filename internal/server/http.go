@@ -392,7 +392,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	ro := s.role.Load()
 	// Read the covered cursor before serializing: the snapshot sees at
 	// least every mutation journaled up to here, so WAL segments whose
-	// frames all fall at or below it are redundant once the write lands.
+	// frames all fall at or below it are redundant once the write lands,
+	// which is when WriteFileAtomic has synced the directory it renamed
+	// the file into. On any error the WAL stays whole.
 	covered := ro.log.Seq() // mutating admitted the request, so this is a writer role
 	t0 := time.Now()
 	n, err := persist.WriteFileAtomic(path, s.be.streamSnapshot)

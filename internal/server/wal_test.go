@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -460,6 +461,55 @@ func TestWALSnapshotTruncatesSegments(t *testing.T) {
 	}
 	if s2.role.Load().log.Epoch() != s.role.Load().log.Epoch() || s2.role.Load().log.Seq() != 40 {
 		t.Fatalf("restart resumed epoch %d seq %d, want epoch %d seq 40", s2.role.Load().log.Epoch(), s2.role.Load().log.Seq(), s.role.Load().log.Epoch())
+	}
+}
+
+// TestWALSnapshotKeepsSegmentsWhenDirSyncFails: a POST /snapshot whose
+// directory sync fails answers 500 and truncates no WAL segment — the
+// renamed snapshot may not survive a crash, so the WAL must. Once the
+// sync works again, the next snapshot truncates as usual.
+func TestWALSnapshotKeepsSegmentsWhenDirSyncFails(t *testing.T) {
+	cfg := testConfig()
+	cfg.N = 400
+	cfg.WALDir = t.TempDir()
+	cfg.WALSeg = 512 // rotate every handful of frames
+	cfg.Snapshot = filepath.Join(t.TempDir(), "snap.bin")
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	for _, p := range seedDense(40, cfg.Dim, 78) {
+		post(t, ts.URL+"/append", map[string]any{"points": [][]float64{toFloats(p)}}, http.StatusOK, nil)
+	}
+	before := s.role.Load().wal.Stats()
+	if before.Segments < 3 {
+		t.Fatalf("WAL rotated into %d segments with walseg=%d, want >= 3", before.Segments, cfg.WALSeg)
+	}
+
+	defer func(orig func(string) error) { persist.SyncDir = orig }(persist.SyncDir)
+	renamed := false
+	persist.SyncDir = func(dir string) error {
+		_, err := os.Stat(cfg.Snapshot)
+		renamed = err == nil
+		return errors.New("directory fsync failed")
+	}
+	post(t, ts.URL+"/snapshot", map[string]any{}, http.StatusInternalServerError, nil)
+	if !renamed {
+		t.Fatal("the directory was synced before the snapshot was renamed into it")
+	}
+	if after := s.role.Load().wal.Stats(); after.Segments != before.Segments {
+		t.Fatalf("WAL holds %d segments after a snapshot whose directory sync failed, want all %d kept", after.Segments, before.Segments)
+	}
+
+	persist.SyncDir = func(string) error { return nil }
+	var snap struct {
+		Removed int `json:"wal_segments_removed"`
+	}
+	post(t, ts.URL+"/snapshot", map[string]any{}, http.StatusOK, &snap)
+	if snap.Removed < 1 {
+		t.Fatalf("wal_segments_removed = %d once the sync works, want >= 1", snap.Removed)
 	}
 }
 

@@ -16,6 +16,13 @@ import "fmt"
 // flight, no FMA); everywhere else the portable loop below keeps four
 // scalar sums. Both perform the same IEEE operations on the same operands
 // in the same order, so which one ran is not observable in a key.
+//
+// DotRows4Batch is the same kernel over many queries at once, for
+// hashing a block of points: each lane is still one (row, query) dot
+// product in Dot's order, but with AVX2 a pass over the slab feeds four
+// queries, so one row load serves them all and their add chains overlap
+// instead of each query waiting out its own. The portable path runs the
+// one-query loop per query.
 
 // PackRows4 returns rows as the slab DotRows4 reads. Every row must have
 // the length of rows[0]; it panics otherwise.
@@ -51,6 +58,32 @@ func DotRows4(out []float64, q Dense, slab []float64) {
 	}
 }
 
+// DotRows4Batch is DotRows4 for every query of qs: with n =
+// len(out)/len(qs), it sets out[p·n+i] to the dot product of qs[p] with
+// row i of slab, bit-identical to DotRows4(out[p·n:(p+1)·n], qs[p],
+// slab). It panics unless len(out) is len(qs)·n for a multiple n of 4
+// and slab holds n rows of the length every query has.
+func DotRows4Batch(out []float64, qs []Dense, slab []float64) {
+	if len(qs) == 0 {
+		if len(out) != 0 {
+			panic(fmt.Sprintf("vector: DotRows4Batch of no queries into %d values", len(out)))
+		}
+		return
+	}
+	n, dim := len(out)/len(qs), len(qs[0])
+	if n%4 != 0 || len(out) != n*len(qs) || len(slab) != n*dim {
+		panic(fmt.Sprintf("vector: DotRows4Batch of %d queries into %d values over a slab of %d values at dim %d", len(qs), len(out), len(slab), dim))
+	}
+	for p, q := range qs {
+		if len(q) != dim {
+			panic(fmt.Sprintf("vector: DotRows4Batch query %d has dim %d, want %d", p, len(q), dim))
+		}
+	}
+	if n > 0 {
+		dotRows4Batch(out, qs, slab)
+	}
+}
+
 // dotRows4Portable is DotRows4 in plain Go: the path of every CPU without
 // AVX2. float64(x*a[l]) rounds each product before the add (see the
 // package comment).
@@ -69,5 +102,14 @@ func dotRows4Portable(out []float64, q Dense, slab []float64) {
 		}
 		out[0], out[1], out[2], out[3] = s0, s1, s2, s3
 		out = out[4:]
+	}
+}
+
+// dotRows4BatchPortable is DotRows4Batch in plain Go: dotRows4Portable
+// once per query.
+func dotRows4BatchPortable(out []float64, qs []Dense, slab []float64) {
+	n := len(out) / len(qs)
+	for p, q := range qs {
+		dotRows4Portable(out[p*n:(p+1)*n], q, slab)
 	}
 }

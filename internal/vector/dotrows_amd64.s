@@ -68,3 +68,87 @@ singledim:
 done:
 	VZEROUPPER
 	RET
+
+// func dotRows4x4AVX2(out *float64, q0, q1, q2, q3 *float32, slab *float64, dim, pairs, n int)
+//
+// dotRows4AVX2 for four queries over the first 2·pairs blocks of a slab,
+// query p's products going to out[p·n:]. Per dimension j, two blocks'
+// row values are loaded once and each query's q[j] is broadcast and
+// widened (VBROADCASTSS, VCVTPS2PD: exact, as VCVTSS2SD is) and
+// multiplied into both: eight accumulators, one per (query, block),
+// Y0…Y7, so eight add chains overlap where dotRows4AVX2 has two. The
+// lanes' operations and their order are dotRows4AVX2's.
+TEXT ·dotRows4x4AVX2(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ q0+8(FP), SI
+	MOVQ q1+16(FP), R12
+	MOVQ q2+24(FP), R13
+	MOVQ q3+32(FP), AX
+	MOVQ slab+40(FP), BX
+	MOVQ dim+48(FP), CX
+	MOVQ pairs+56(FP), R10
+	MOVQ n+64(FP), R9
+	SHLQ $3, R9 // bytes per query's output
+	MOVQ CX, R8
+	SHLQ $5, R8 // bytes per block: dim × 4 lanes × 8
+
+quadpair:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   BX, DX
+	XORQ   R11, R11
+
+quadpairdim:
+	VMOVUPD      (DX), Y8
+	VMOVUPD      (DX)(R8*1), Y9
+	VBROADCASTSS (SI)(R11*4), X10
+	VCVTPS2PD    X10, Y10
+	VMULPD       Y8, Y10, Y11
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y11, Y0, Y0
+	VADDPD       Y12, Y1, Y1
+	VBROADCASTSS (R12)(R11*4), X13
+	VCVTPS2PD    X13, Y13
+	VMULPD       Y8, Y13, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y14, Y2, Y2
+	VADDPD       Y15, Y3, Y3
+	VBROADCASTSS (R13)(R11*4), X10
+	VCVTPS2PD    X10, Y10
+	VMULPD       Y8, Y10, Y11
+	VMULPD       Y9, Y10, Y12
+	VADDPD       Y11, Y4, Y4
+	VADDPD       Y12, Y5, Y5
+	VBROADCASTSS (AX)(R11*4), X13
+	VCVTPS2PD    X13, Y13
+	VMULPD       Y8, Y13, Y14
+	VMULPD       Y9, Y13, Y15
+	VADDPD       Y14, Y6, Y6
+	VADDPD       Y15, Y7, Y7
+	ADDQ         $32, DX
+	INCQ         R11
+	CMPQ         R11, CX
+	JLT          quadpairdim
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R9*1)
+	VMOVUPD Y3, 32(DI)(R9*1)
+	LEAQ    (DI)(R9*2), DX
+	VMOVUPD Y4, (DX)
+	VMOVUPD Y5, 32(DX)
+	VMOVUPD Y6, (DX)(R9*1)
+	VMOVUPD Y7, 32(DX)(R9*1)
+	ADDQ    $64, DI
+	LEAQ    (BX)(R8*2), BX
+	DECQ    R10
+	JNZ     quadpair
+
+	VZEROUPPER
+	RET

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -159,6 +160,120 @@ func FuzzDotRows4(f *testing.F) {
 	})
 }
 
+// checkDotRows4Batch packs rows and runs DotRows4Batch and its portable
+// loop for the queries qs, each at an odd offset of its own backing,
+// comparing every lane with the per-row Dot reference.
+func checkDotRows4Batch(t *testing.T, qs []Dense, rows []Dense) {
+	t.Helper()
+	slab := PackRows4(rows)
+	n := (len(rows) + 3) &^ 3
+	got := make([]float64, len(qs)*n)
+	DotRows4Batch(got, qs, slab)
+	port := make([]float64, len(qs)*n)
+	dotRows4BatchPortable(port, qs, slab)
+	zero := make(Dense, len(qs[0]))
+	for p, q := range qs {
+		for i := range n {
+			ref := zero.Dot(q)
+			if i < len(rows) {
+				ref = rows[i].Dot(q)
+			}
+			if g, o := got[p*n+i], port[p*n+i]; !sameFloat(g, ref) || !sameFloat(o, ref) {
+				t.Fatalf("dim %d, %d queries, %d rows, query %d row %d: DotRows4Batch %v (%#x), portable %v (%#x), Dot %v (%#x)",
+					len(q), len(qs), len(rows), p, i, g, math.Float64bits(g), o, math.Float64bits(o), ref, math.Float64bits(ref))
+			}
+		}
+	}
+}
+
+// TestDotRows4BatchMatchesDot covers 1–9 queries (every partial group of
+// four, and the AVX2 kernel's odd last block) against 1–20 rows.
+func TestDotRows4BatchMatchesDot(t *testing.T) {
+	r := rng.New(32)
+	for _, dim := range dotRowsDims {
+		for k := 1; k <= 20; k++ {
+			for nq := 1; nq <= 9; nq++ {
+				special := (k+nq)%2 == 0
+				_, rows := randRows(r, dim, k, special)
+				_, qs := randRows(r, dim, nq, special)
+				checkDotRows4Batch(t, qs, rows)
+			}
+		}
+	}
+}
+
+// TestDotRows4BatchQueryValues puts each awkward value into one query of
+// five alone, at the first, a middle and the last dimension.
+func TestDotRows4BatchQueryValues(t *testing.T) {
+	r := rng.New(33)
+	for _, dim := range []int{1, 5, 33, 128} {
+		_, rows := randRows(r, dim, 7, false)
+		rows[3][dim/2] = 0 // Inf·0 is NaN in this lane only
+		_, qs := randRows(r, dim, 5, false)
+		for _, v := range awkward {
+			for _, at := range []int{0, dim / 2, dim - 1} {
+				for p := range qs {
+					qv := slices.Clone(qs)
+					qv[p] = qv[p].Clone()
+					qv[p][at] = v
+					checkDotRows4Batch(t, qv, rows)
+				}
+			}
+		}
+	}
+}
+
+func TestDotRows4BatchPanics(t *testing.T) {
+	_, rows := randRows(rng.New(34), 6, 5, false)
+	_, qs := randRows(rng.New(35), 6, 3, false)
+	slab := PackRows4(rows)
+	mustPanic(t, "short query", func() { DotRows4Batch(make([]float64, 24), []Dense{qs[0], qs[1][:5], qs[2]}, slab) })
+	mustPanic(t, "out not whole blocks", func() { DotRows4Batch(make([]float64, 15), qs, slab) })
+	mustPanic(t, "out of the wrong length", func() { DotRows4Batch(make([]float64, 12), qs, slab) })
+	mustPanic(t, "values for no queries", func() { DotRows4Batch(make([]float64, 8), nil, slab) })
+	DotRows4Batch(nil, nil, slab) // no queries: nothing to do
+}
+
+// FuzzDotRowsBatch decodes a dimension (1…130), a row count (1…20) and
+// a query count (1…9) from the first three bytes and raw float32 bits
+// from the rest — the queries first, then the rows, zeros where the input
+// runs out.
+func FuzzDotRowsBatch(f *testing.F) {
+	seed := func(dim, k, nq byte, vals ...float32) {
+		b := []byte{dim - 1, k - 1, nq - 1}
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		f.Add(b)
+	}
+	seed(1, 1, 1, 0.5, 2)
+	seed(3, 5, 5, 1, 2, 3, 4, 5, 6, -7, 8, 9)
+	seed(5, 9, 7, append(awkward, awkward...)...)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dim, k, nq := 1, 1, 1
+		if len(data) >= 3 {
+			dim, k, nq, data = 1+int(data[0])%130, 1+int(data[1])%20, 1+int(data[2])%9, data[3:]
+		}
+		next := func() float32 {
+			if len(data) < 4 {
+				return 0
+			}
+			v := math.Float32frombits(binary.LittleEndian.Uint32(data))
+			data = data[4:]
+			return v
+		}
+		vecs := make([]Dense, nq+k)
+		for i := range vecs {
+			vecs[i] = make(Dense, dim)
+			for j := range vecs[i] {
+				vecs[i][j] = next()
+			}
+		}
+		checkDotRows4Batch(t, vecs[:nq], vecs[nq:])
+	})
+}
+
 // BenchmarkKernelDotRows4 times the 350 projections one dense128-batch
 // query costs per shard (L = 50 tables of k = 7) four ways: the per-row
 // Dense.Dot the hashers used to call, DotRows4's portable loop and its
@@ -203,5 +318,43 @@ func BenchmarkKernelDotRows4(b *testing.B) {
 			}
 		})
 		run(dispatched+"-onepass", func() { DotRows4(out[:len(whole)/dim], q, whole) })
+	}
+}
+
+// BenchmarkKernelDotRows4Batch times one table's projections (k = 7
+// rows) for a block of 4 096 points, the shape lsh.Build hashes in: a
+// DotRows4 call per point against one DotRows4Batch call, on the
+// dispatched kernel and on the portable loop; ns/point.
+func BenchmarkKernelDotRows4Batch(b *testing.B) {
+	const k, points = 7, 4096
+	dispatched := "dispatch"
+	if haveAVX2 {
+		dispatched = "avx2"
+	}
+	for _, dim := range []int{32, 128} {
+		_, rows := randRows(rng.New(uint64(dim)), dim, k, false)
+		_, qs := randRows(rng.New(uint64(dim)+1), dim, points, false)
+		slab := PackRows4(rows)
+		out := make([]float64, 8*points)
+		run := func(name string, f func()) {
+			b.Run(fmt.Sprintf("%s-%d", name, dim), func(b *testing.B) {
+				for b.Loop() {
+					f()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/points, "ns/point")
+			})
+		}
+		run("portable-perpoint", func() {
+			for p, q := range qs {
+				dotRows4Portable(out[8*p:8*p+8], q, slab)
+			}
+		})
+		run("portable-batch", func() { dotRows4BatchPortable(out, qs, slab) })
+		run(dispatched+"-perpoint", func() {
+			for p, q := range qs {
+				DotRows4(out[8*p:8*p+8], q, slab)
+			}
+		})
+		run(dispatched+"-batch", func() { DotRows4Batch(out, qs, slab) })
 	}
 }

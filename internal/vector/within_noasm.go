@@ -15,4 +15,6 @@ func l2SqWithinAll(out []int32, q Dense, flat []float32, n int, r2 float64) []in
 
 func dotRows4(out []float64, q Dense, slab []float64) { dotRows4Portable(out, q, slab) }
 
+func dotRows4Batch(out []float64, qs []Dense, slab []float64) { dotRows4BatchPortable(out, qs, slab) }
+
 const haveAVX2 = false

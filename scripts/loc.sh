@@ -14,6 +14,7 @@
 #   PR 26 (parent of PR 28): 22610
 #   PR 28 (parent of PR 30): 23012
 #   PR 30 (parent of PR 31): 22451
+#   PR 31 (parent of PR 32): 22894
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
