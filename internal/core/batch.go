@@ -2,8 +2,8 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // BatchResult is one query's outcome within QueryBatch.
@@ -14,51 +14,32 @@ type BatchResult struct {
 	Stats QueryStats
 }
 
-// ForEach runs fn(i) for every i in [0, n) from a pool of up to workers
-// goroutines (0 means GOMAXPROCS), returning when all calls are done.
-// It is the worker pool behind the batch query paths here and in the
-// shard package.
-func ForEach(n, workers int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// QueryBatch answers many queries concurrently, using up to workers
-// goroutines (0 means GOMAXPROCS). Results are positionally aligned with
-// queries. The index is read-only during queries, so any number of
-// concurrent batches is safe; each worker draws its own pooled query
-// state.
+// QueryBatch answers many queries concurrently: it splits them into up
+// to workers blocks (0 means GOMAXPROCS) of consecutive queries and
+// answers each block with QueryBlock on its own goroutine. Results are
+// positionally aligned with queries. The index is read-only during
+// queries, so any number of concurrent batches is safe.
 func (ix *Index[P]) QueryBatch(queries []P, workers int) []BatchResult {
 	if len(queries) == 0 {
 		return nil
 	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	results := make([]BatchResult, len(queries))
-	ForEach(len(queries), workers, func(i int) {
-		ids, stats := ix.Query(queries[i])
-		results[i] = BatchResult{IDs: ids, Stats: stats}
-	})
+	blocks := min(workers, len(queries))
+	var wg sync.WaitGroup
+	for b := range blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo, hi := b*len(queries)/blocks, (b+1)*len(queries)/blocks
+			// The zero options cannot fail.
+			_ = ix.QueryBlock(queries[lo:hi], QueryOpts{}, func(i int, ids []int32, stats QueryStats) {
+				results[lo+i] = BatchResult{IDs: slices.Clone(ids), Stats: stats}
+			})
+		}()
+	}
+	wg.Wait()
 	return results
 }

@@ -25,6 +25,11 @@ type queryState struct {
 	sketch  *hll.Sketch
 	look    lsh.Scratch
 	cand    []int32
+	// QueryBlock's state: the block's keys, table-major, the hashers'
+	// projection scratch and the ids of the query it is answering.
+	keys []uint64
+	proj []float64
+	out  []int32
 }
 
 // getState draws a pooled query state, growing its visited array if the
@@ -75,7 +80,7 @@ func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
 	t0 := time.Now()
-	return ix.answer(q, ix.radius, ix.lookup(q, ix.mode.Probes.N, st), st, t0)
+	return ix.answer(q, ix.radius, ix.lookup(q, ix.mode.Probes.N, st), st, t0, nil)
 }
 
 // QueryWith implements Store: Query under per-query overrides. The zero
@@ -91,7 +96,7 @@ func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
 	st := ix.getState()
 	defer ix.states.Put(st)
 	t0 := time.Now()
-	ids, stats := ix.answer(q, r, ix.lookup(q, t, st), st, t0)
+	ids, stats := ix.answer(q, r, ix.lookup(q, t, st), st, t0, nil)
 	return ids, stats, nil
 }
 
@@ -133,7 +138,7 @@ func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) ([]int32, QueryStats, error) 
 	stats.Collisions = lsh.Collisions(buckets)
 	stats.EstimateTime = time.Since(t0)
 	t1 := time.Now()
-	out := ix.searchBuckets(q, r, buckets, st, &stats)
+	out := ix.searchBuckets(q, r, buckets, st, &stats, nil)
 	stats.SearchTime = time.Since(t1)
 	return out, stats, nil
 }
@@ -146,7 +151,7 @@ func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = StrategyLinear
 	t0 := time.Now()
-	out := ix.searchLinear(q, ix.radius, &stats)
+	out := ix.searchLinear(q, ix.radius, &stats, nil)
 	stats.SearchTime = time.Since(t0)
 	return out, stats
 }
@@ -210,22 +215,66 @@ func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState, stats *QuerySta
 // answer answers one rNNR query at radius r with the hybrid strategy
 // over the given bucket set: decide from bucket sizes and merged
 // sketches, then run the dedup bucket search or the exact linear scan,
-// whichever is cheaper. t0 is when the bucket collection started, so
-// EstimateTime covers lookup and decision alike.
-func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) ([]int32, QueryStats) {
+// whichever is cheaper, appending the ids to out. t0 is when the bucket
+// collection started, so EstimateTime covers lookup and decision alike.
+func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time, out []int32) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = ix.decide(buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
 
 	t1 := time.Now()
-	var out []int32
 	if stats.Strategy == StrategyLSH {
-		out = ix.searchBuckets(q, r, buckets, st, &stats)
+		out = ix.searchBuckets(q, r, buckets, st, &stats, out)
 	} else {
-		out = ix.searchLinear(q, r, &stats)
+		out = ix.searchLinear(q, r, &stats, out)
 	}
 	stats.SearchTime = time.Since(t1)
 	return out, stats
+}
+
+// MaxBlock is the most queries QueryBlock hashes at once: a larger
+// block is answered in blocks of MaxBlock.
+const MaxBlock = 64
+
+// QueryBlock answers every query of block under the options o, as
+// QueryWith does, and calls emit(i, ids, stats) for query i, in order;
+// ids is valid only during the call. It resolves o and draws a pooled
+// query state once for the whole block. A classic or covering index
+// hashes up to MaxBlock queries into every table first, table by table
+// through each hasher's block path, and then looks each query up from
+// those keys; every query's EstimateTime carries an equal share of that
+// hashing. A multi-probe index looks up each query's probe sequence in
+// turn. The answers are QueryWith's.
+func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error {
+	t, r, err := ix.resolve(o)
+	if err != nil {
+		return err
+	}
+	st := ix.getState()
+	defer ix.states.Put(st)
+	for base := 0; base < len(block); base += MaxBlock {
+		blk := block[base:min(len(block), base+MaxBlock)]
+		var share time.Duration
+		if t == 0 {
+			t0 := time.Now()
+			st.keys, st.proj = ix.tables.BlockKeys(blk, st.keys, st.proj)
+			share = time.Since(t0) / time.Duration(len(blk))
+		}
+		for i, q := range blk {
+			t0 := time.Now()
+			var buckets []lsh.Bucket
+			if t == 0 {
+				buckets = ix.tables.LookupKeys(st.keys, i, len(blk), &st.look)
+			} else {
+				buckets = ix.tables.ProbeInto(q, t, &st.look)
+			}
+			var stats QueryStats
+			st.out, stats = ix.answer(q, r, buckets, st, t0, st.out[:0])
+			stats.EstimateTime += share
+			emit(base+i, st.out, stats)
+		}
+	}
+	return nil
 }
 
 // searchBuckets is the paper's steps S2 + S3, restructured for batch
@@ -235,7 +284,7 @@ func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState,
 // batch to the store's VerifyRadius (S3) — which runs the unrolled
 // distance kernels over its own layout and, when quantized, pre-filters
 // against the SQ8 copy before the exact re-check.
-func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
+func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState, stats *QueryStats, out []int32) []int32 {
 	st.gen++
 	if st.gen == 0 {
 		// Generation counter wrapped: clear stamps and restart.
@@ -255,15 +304,18 @@ func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *quer
 	}
 	st.cand = cand
 	stats.Candidates = len(cand)
-	out := ix.store.VerifyRadius(q, cand, r, nil)
-	stats.Results = len(out)
+	n := len(out)
+	out = ix.store.VerifyRadius(q, cand, r, out)
+	stats.Results = len(out) - n
 	return out
 }
 
-// searchLinear scans all points; it is exact.
-func (ix *Index[P]) searchLinear(q P, r float64, stats *QueryStats) []int32 {
-	out := ix.store.ScanRadius(q, r, nil)
+// searchLinear scans all points, appending the ids within r to out; it
+// is exact.
+func (ix *Index[P]) searchLinear(q P, r float64, stats *QueryStats, out []int32) []int32 {
+	n := len(out)
+	out = ix.store.ScanRadius(q, r, out)
 	stats.Candidates = ix.store.Len()
-	stats.Results = len(out)
+	stats.Results = len(out) - n
 	return out
 }

@@ -31,6 +31,12 @@ type Store[P any] interface {
 	// Query exactly; an option the store does not support yields
 	// ErrUnsupportedOption (see QueryOpts.Resolve).
 	QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error)
+	// QueryBlock answers every query of block under o, as QueryWith
+	// does, calling emit(i, ids, stats) for query i in order; ids is
+	// valid only during the call. It is the batch path: one resolve,
+	// one pooled state and one hashing pass per block (see
+	// Index.QueryBlock).
+	QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error
 	// Defaults returns the options the store supports, set to the values
 	// it was built with: T for a multi-probe store, the built radius for
 	// a covering one, nothing for the classic index.

@@ -27,21 +27,23 @@ type Hasher[P any] interface {
 }
 
 // A blockHasher keys a block of points faster than one Key call per
-// point: Keys sets dst[i] to Key(points[i]) for every point.
+// point: Keys sets dst[i] to Key(points[i]) for every point, working in
+// the scratch proj, and returns proj, grown as needed.
 type blockHasher[P any] interface {
-	Keys(points []P, dst []uint64)
+	Keys(points []P, dst []uint64, proj []float64) []float64
 }
 
 // Keys sets dst[i] to h.Key(points[i]) for every point, through h's
-// block path when it has one.
-func Keys[P any](h Hasher[P], points []P, dst []uint64) {
+// block path when it has one. proj is that path's scratch: Keys returns
+// it, grown as needed, for the caller's next call (nil starts one).
+func Keys[P any](h Hasher[P], points []P, dst []uint64, proj []float64) []float64 {
 	if bh, ok := h.(blockHasher[P]); ok {
-		bh.Keys(points, dst)
-		return
+		return bh.Keys(points, dst, proj)
 	}
 	for i, p := range points {
 		dst[i] = h.Key(p)
 	}
+	return proj
 }
 
 // Family describes an LSH family for a point type P: it constructs fresh

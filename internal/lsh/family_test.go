@@ -466,15 +466,15 @@ func TestKeysMatchKey(t *testing.T) {
 	}
 	for _, fam := range []Family[vector.Dense]{NewPStableL2(dim, 1.5), NewPStableL1(dim, 3), NewCrossPolytope(dim, 5)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, dense, dst) }, func(i int) uint64 { return h.Key(dense[i]) })
+		check(fam.Name(), func(dst []uint64) { Keys(h, dense, dst, nil) }, func(i int) uint64 { return h.Key(dense[i]) })
 	}
 	for _, fam := range []Family[vector.Binary]{NewBitSampling(dim), NewMinHash(dim)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, binary, dst) }, func(i int) uint64 { return h.Key(binary[i]) })
+		check(fam.Name(), func(dst []uint64) { Keys(h, binary, dst, nil) }, func(i int) uint64 { return h.Key(binary[i]) })
 	}
 	for _, fam := range []Family[vector.Sparse]{NewSimHashCosine(dim), NewSimHashAngular(dim)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, sparse, dst) }, func(i int) uint64 { return h.Key(sparse[i]) })
+		check(fam.Name(), func(dst []uint64) { Keys(h, sparse, dst, nil) }, func(i int) uint64 { return h.Key(sparse[i]) })
 	}
 	if _, ok := NewPStableL2(dim, 1).NewHasher(k, r).(blockHasher[vector.Dense]); !ok {
 		t.Fatal("the p-stable hasher has no block path")

@@ -222,14 +222,12 @@ const keysBlock = 64
 
 // Keys sets dst[i] to Key(points[i]) for every point, the block path
 // lsh.Keys takes: the points are projected keysBlock at a time with
-// vector.DotRows4Batch, bit-identical to Key's projections. A block of
-// at most 64 projections stays on the stack, so appending a few points
-// allocates nothing per table.
-func (h *PStableHasher) Keys(points []vector.Dense, dst []uint64) {
+// vector.DotRows4Batch, bit-identical to Key's projections, into proj,
+// the caller's scratch. It returns proj, grown if a block needed more,
+// so a caller that keys many tables or many blocks allocates it once.
+func (h *PStableHasher) Keys(points []vector.Dense, dst []uint64, proj []float64) []float64 {
 	n := (len(h.b) + 3) &^ 3
-	var stack [64]float64
-	proj := stack[:]
-	if need := min(len(points), keysBlock) * n; need > len(proj) {
+	if need := min(len(points), keysBlock) * n; need > cap(proj) {
 		proj = make([]float64, need)
 	}
 	var buf [16]int64
@@ -241,6 +239,7 @@ func (h *PStableHasher) Keys(points []vector.Dense, dst []uint64) {
 		}
 		points, dst = points[len(blk):], dst[len(blk):]
 	}
+	return proj
 }
 
 // KeyFromParts folds externally computed (possibly perturbed) slot indices

@@ -71,7 +71,7 @@ func TestPStableHasherMatchesDot(t *testing.T) {
 				// The block path, on every partial group of four points.
 				for n := 1; n <= len(pts); n++ {
 					got := make([]uint64, n)
-					restored.Keys(pts[:n], got)
+					restored.Keys(pts[:n], got, nil)
 					if !slices.Equal(got, wantKeys[:n]) {
 						t.Fatalf("%s dim %d k %d: Keys of %d points %#x, want %#x", fam.Name(), dim, k, n, got, wantKeys[:n])
 					}
@@ -88,7 +88,7 @@ func TestPStableHasherDimMismatchPanics(t *testing.T) {
 			"Key":               func() { h.Key(p) },
 			"Parts":             func() { h.Parts(p, nil) },
 			"PartsAndResiduals": func() { h.PartsAndResiduals(p) },
-			"Keys":              func() { h.Keys([]vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2)) },
+			"Keys":              func() { h.Keys([]vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2), nil) },
 		} {
 			func() {
 				defer func() {
@@ -111,14 +111,15 @@ func TestPStableKeyDoesNotAllocate(t *testing.T) {
 			if n := testing.AllocsPerRun(20, func() { h.Key(p) }); n != 0 {
 				t.Errorf("dim %d k %d: Key allocates %v times", dim, k, n)
 			}
-			// The block path too: one point, and eight while their
-			// projections fit the stack buffer (k ≤ 8).
-			pts, keys := []vector.Dense{p}, make([]uint64, 8)
-			if k <= 8 {
-				pts = slices.Repeat(pts, 8)
-			}
-			if n := testing.AllocsPerRun(20, func() { h.Keys(pts, keys) }); n != 0 {
-				t.Errorf("dim %d k %d: Keys of %d points allocates %v times", dim, k, len(pts), n)
+			// The block path too, through the caller's scratch (grown by
+			// the warm-up call): a block under, at and over keysBlock.
+			var proj []float64
+			keys := make([]uint64, 65)
+			for _, n := range []int{1, 32, 64, 65} {
+				pts := slices.Repeat([]vector.Dense{p}, n)
+				if a := testing.AllocsPerRun(20, func() { proj = h.Keys(pts, keys, proj) }); a != 0 {
+					t.Errorf("dim %d k %d: Keys of %d points allocates %v times", dim, k, n, a)
+				}
 			}
 		}
 	}

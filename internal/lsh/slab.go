@@ -52,9 +52,21 @@ const noSketch = math.MaxUint32
 func (s *Slab) len() int { return len(s.heads) - 1 }
 
 // find returns the index of key's bucket, or -1 when there is none.
-func (s *Slab) find(key uint64) int {
+func (s *Slab) find(key uint64) int { return s.scan(key, s.run(key)) }
+
+// run is the span of heads key's bucket would lie in: its directory
+// slot's run, the first of the two reads a lookup makes.
+func (s *Slab) run(key uint64) span {
 	slot := hashutil.Mix64(key) >> s.shift
-	for i := s.dir[slot]; i < s.dir[slot+1]; i++ {
+	return span{s.dir[slot], s.dir[slot+1]}
+}
+
+// span is a half-open range [lo, hi) of heads.
+type span struct{ lo, hi uint32 }
+
+// scan returns the index of key's bucket within r, its run, or -1.
+func (s *Slab) scan(key uint64, r span) int {
+	for i := r.lo; i < r.hi; i++ {
 		if s.heads[i].key == key {
 			return int(i)
 		}
@@ -239,7 +251,7 @@ func sketchOf(ids []int32, p Params, scratch *hll.Sketch) []uint8 {
 // leaves each bucket's ids ascending.
 func buildSlab[P any](points []P, h Hasher[P], p Params) Slab {
 	keys := make([]uint64, len(points))
-	Keys(h, points, keys)
+	Keys(h, points, keys, nil)
 	perm := hashOrder(len(keys), func(i int) uint64 { return keys[i] })
 	runs := func(yield func(lo, hi int) bool) {
 		for lo := 0; lo < len(perm); {

@@ -105,24 +105,23 @@ type overBucket struct {
 	sketch *hll.Sketch
 }
 
-// appendBucket appends key's bucket to bs as up to two views: the frozen
-// part, then the appended part. Readers take the two as one bucket: the
-// ids come in the bucket's order, their sizes sum to its size, and the
-// appended part carries the sketch over the whole bucket, which absorbs
-// whatever the frozen part contributes to a merge (HLL registers only
-// take maxima). The overlay is read only when it has entries.
-func (tb *table[P]) appendBucket(bs []Bucket, key uint64) []Bucket {
-	if i := tb.slab.find(key); i >= 0 {
-		bs = append(bs, tb.slab.bucket(i))
+// appendOverlay appends the overlay part of key's bucket to bs, the
+// ids appended since the freeze, when there is one. Readers take it and
+// the frozen part before it as one bucket: the ids come in the bucket's
+// order, their sizes sum to its size, and the appended part carries the
+// sketch over the whole bucket, which absorbs whatever the frozen part
+// contributes to a merge (HLL registers only take maxima). The overlay
+// is read only when it has entries.
+func (tb *table[P]) appendOverlay(bs []Bucket, key uint64) []Bucket {
+	if len(tb.over) == 0 {
+		return bs
 	}
-	if len(tb.over) > 0 {
-		if ob := tb.over[key]; ob != nil {
-			b := Bucket{IDs: ob.ids[:len(ob.ids):len(ob.ids)]}
-			if ob.sketch != nil {
-				b.Sketch = ob.sketch.Registers()
-			}
-			bs = append(bs, b)
+	if ob := tb.over[key]; ob != nil {
+		b := Bucket{IDs: ob.ids[:len(ob.ids):len(ob.ids)]}
+		if ob.sketch != nil {
+			b.Sketch = ob.sketch.Registers()
 		}
+		bs = append(bs, b)
 	}
 	return bs
 }
@@ -327,10 +326,11 @@ func (t *Tables[P]) Append(points []P) error {
 		return fmt.Errorf("lsh: Append would exceed int32 id space")
 	}
 	keys := make([]uint64, len(points))
+	var proj []float64
 	for j := range t.tables {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
-		Keys(tb.hasher, points, keys)
+		proj = Keys(tb.hasher, points, keys, proj)
 		for i, key := range keys {
 			id := int32(t.n + i)
 			ob := tb.over[key]
@@ -537,12 +537,14 @@ func (t *Tables[P]) Viewed() bool {
 }
 
 // Scratch is a query's reusable lookup state: the bucket views the last
-// lookup returned and the keys it hashed. The zero value is ready to
-// use; reusing one keeps lookups allocation-free in steady state.
+// lookup returned, the keys it hashed and their directory runs. The zero
+// value is ready to use; reusing one keeps lookups allocation-free in
+// steady state.
 type Scratch struct {
 	Buckets []Bucket
 	keys    []uint64
 	ends    []int // table i's keys end at keys[ends[i]]
+	runs    []span
 }
 
 // Lookup returns the buckets of q in all L tables; tables where q's bucket
@@ -566,13 +568,54 @@ func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
 	return t.probe(s)
 }
 
-// probe collects the buckets of the keys in s, table by table.
+// BlockKeys hashes a block of queries into every table, one table at a
+// time through its hasher's block path (Keys): keys[j·len(block)+i]
+// becomes table j's key of block[i]. proj is the block path's scratch.
+// It returns keys and proj, grown as needed, for reuse.
+func (t *Tables[P]) BlockKeys(block []P, keys []uint64, proj []float64) ([]uint64, []float64) {
+	b := len(block)
+	keys = slices.Grow(keys[:0], len(t.tables)*b)[:len(t.tables)*b]
+	for j := range t.tables {
+		proj = Keys(t.tables[j].hasher, block, keys[j*b:(j+1)*b], proj)
+	}
+	return keys, proj
+}
+
+// LookupKeys is LookupInto for query i of a block of b queries whose
+// keys BlockKeys computed: its key in table j is keys[j·b+i].
+func (t *Tables[P]) LookupKeys(keys []uint64, i, b int, s *Scratch) []Bucket {
+	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	for j := range t.tables {
+		s.keys = append(s.keys, keys[j*b+i])
+		s.ends = append(s.ends, len(s.keys))
+	}
+	return t.probe(s)
+}
+
+// probe collects the buckets of the keys in s, table by table, in two
+// passes. The first reads every key's directory run; the second scans
+// the runs' heads and reads the overlay. A lookup costs two dependent
+// cache misses per key, and splitting them so lets the misses of
+// different keys overlap instead of chaining.
 func (t *Tables[P]) probe(s *Scratch) []Bucket {
-	bs := s.Buckets[:0]
+	s.runs = slices.Grow(s.runs[:0], len(s.keys))[:len(s.keys)]
 	start := 0
 	for i, end := range s.ends {
-		for _, key := range s.keys[start:end] {
-			bs = t.tables[i].appendBucket(bs, key)
+		slab := &t.tables[i].slab
+		for k, key := range s.keys[start:end] {
+			s.runs[start+k] = slab.run(key)
+		}
+		start = end
+	}
+	bs := s.Buckets[:0]
+	start = 0
+	for i, end := range s.ends {
+		tb := &t.tables[i]
+		for k, key := range s.keys[start:end] {
+			if at := tb.slab.scan(key, s.runs[start+k]); at >= 0 {
+				bs = append(bs, tb.slab.bucket(at))
+			}
+			bs = tb.appendOverlay(bs, key)
 		}
 		start = end
 	}

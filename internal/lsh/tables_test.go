@@ -511,3 +511,127 @@ func checkSortedBuckets[P any](t *testing.T, name string, tb *Tables[P]) {
 		}
 	}
 }
+
+// TestProbeMatchesPerKeyFind: the two-pass probe returns, key by key and
+// in the same order, exactly the buckets a per-key search of the heads
+// plus an overlay read returns — for hits, misses, keys that share a
+// directory slot with other buckets, keys only the overlay holds and
+// keys with a frozen and an appended part, several keys per table as a
+// multi-probe lookup asks.
+func TestProbeMatchesPerKeyFind(t *testing.T) {
+	r := rng.New(17)
+	pts := make([]uint64, 600)
+	for i := range pts {
+		pts[i] = r.Uint64() % 400 // repeated keys: buckets of several ids
+	}
+	tb, err := Build(pts, keyFamily{}, Params{K: 1, L: 3, HLLRegisters: 16, HLLThreshold: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ten old keys grow a frozen bucket, ten new ones live in the overlay
+	// alone; 20 appended ids stay under the re-freeze share.
+	added := slices.Clone(pts[:10])
+	for k := uint64(1000); k < 1010; k++ {
+		added = append(added, k)
+	}
+	if err := tb.Append(added); err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.tables[0].over) == 0 {
+		t.Fatal("test setup: the Append re-froze the table")
+	}
+	ref := func(j int, key uint64) []Bucket {
+		tbl := &tb.tables[j]
+		var bs []Bucket
+		for i := range tbl.slab.len() {
+			if tbl.slab.heads[i].key == key {
+				bs = append(bs, tbl.slab.bucket(i))
+			}
+		}
+		if ob := tbl.over[key]; ob != nil {
+			b := Bucket{IDs: ob.ids}
+			if ob.sketch != nil {
+				b.Sketch = ob.sketch.Registers()
+			}
+			bs = append(bs, b)
+		}
+		return bs
+	}
+	var hit, miss, shared, overOnly, both int
+	var s Scratch
+	const perTable = 7
+	for start := uint64(0); start < 1100; start += perTable {
+		s.keys, s.ends = s.keys[:0], s.ends[:0]
+		var want []Bucket
+		for j := range tb.L() {
+			for k := start; k < start+perTable; k++ {
+				key := k + uint64(j) // a different key run in every table
+				s.keys = append(s.keys, key)
+				want = append(want, ref(j, key)...)
+				slab := &tb.tables[j].slab
+				frozen, over := slab.find(key) >= 0, tb.tables[j].over[key] != nil
+				run := slab.run(key)
+				switch {
+				case frozen && over:
+					both++
+				case over:
+					overOnly++
+				case frozen:
+					hit++
+				default:
+					miss++
+				}
+				if run.hi-run.lo > 1 && frozen {
+					shared++
+				}
+			}
+			s.ends = append(s.ends, len(s.keys))
+		}
+		if got := tb.probe(&s); !sameBuckets(got, want) {
+			t.Fatalf("keys %d..: probe found %d buckets, the per-key reference %d (or their ids differ)", start, len(got), len(want))
+		}
+	}
+	if hit == 0 || miss == 0 || shared == 0 || overOnly == 0 || both == 0 {
+		t.Fatalf("key mix: %d hits, %d misses, %d in shared slots, %d overlay-only, %d frozen+overlay; want every kind", hit, miss, shared, overOnly, both)
+	}
+}
+
+// TestBlockKeysLookupMatchesLookupInto: a lookup through the keys
+// BlockKeys hashed for a block finds exactly LookupInto's buckets, for
+// blocks under, at and over the hasher's projection block, with an
+// overlay live.
+func TestBlockKeysLookupMatchesLookupInto(t *testing.T) {
+	r := rng.New(23)
+	gauss := func(n int) []vector.Dense {
+		pts := make([]vector.Dense, n)
+		for i := range pts {
+			pts[i] = make(vector.Dense, 16)
+			for d := range pts[i] {
+				pts[i][d] = float32(r.Normal())
+			}
+		}
+		return pts
+	}
+	pts := gauss(500)
+	tb, err := Build(pts, NewPStableL2(16, 2), Params{K: 3, L: 6, HLLRegisters: 16, HLLThreshold: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Append(gauss(20)); err != nil {
+		t.Fatal(err)
+	}
+	queries := append(gauss(40), pts[:40]...)
+	var keys []uint64
+	var proj []float64
+	var s, ref Scratch
+	for _, b := range []int{1, 5, 64, 65, 80} {
+		block := queries[:b]
+		keys, proj = tb.BlockKeys(block, keys, proj)
+		for i, q := range block {
+			want := slices.Clone(tb.LookupInto(q, &ref))
+			if got := tb.LookupKeys(keys, i, b, &s); !sameBuckets(got, want) {
+				t.Fatalf("block of %d, query %d: %d buckets through BlockKeys, %d through LookupInto", b, i, len(got), len(want))
+			}
+		}
+	}
+}

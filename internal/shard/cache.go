@@ -150,29 +150,41 @@ func (s *Sharded[P]) epoch() uint64 {
 	return e
 }
 
-// answer serves one query under the resolved options o through the
-// cache protocol: look up under (o, exact key); on a hit return the
-// copied ids with the decision bypassed entirely; on a miss read the
-// epoch first, fan out, and file the merged answer under that pre-fan-out
-// epoch (conservative: a mutation overlapping the fan-out lands the entry
-// with a stale stamp, and it dies at its next lookup).
-func (s *Sharded[P]) answer(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
+// serve answers queries under the resolved options o through the cache
+// protocol: read the epoch, look every query up under (o, exact key)
+// and return the hits' copied ids with the decision bypassed entirely;
+// answer the misses in one batch pass and file each merged answer under
+// the epoch read before it (conservative: a mutation overlapping the
+// pass lands the entries with a stale stamp, and they die at their next
+// lookup). A hit's WallTime is its lookup's.
+func (s *Sharded[P]) serve(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
 	if s.cache == nil {
-		return s.fanOut(q, o)
+		return s.batch(queries, workers, o)
 	}
-	t0 := time.Now()
-	key := entryKey{opts: o, point: s.cacheKey(q)}
+	results := make([]BatchResult, len(queries))
+	keys := make([]entryKey, len(queries))
+	var missed []int
+	var misses []P
 	epoch := s.epoch()
-	if ids, ok := s.cache.get(key, epoch); ok {
-		return ids, QueryStats{
-			CacheHit: true,
-			Results:  len(ids),
-			WallTime: time.Since(t0),
-		}, nil
+	for i, q := range queries {
+		t0 := time.Now()
+		keys[i] = entryKey{opts: o, point: s.cacheKey(q)}
+		if ids, ok := s.cache.get(keys[i], epoch); ok {
+			results[i] = BatchResult{IDs: ids, Stats: QueryStats{CacheHit: true, Results: len(ids), WallTime: time.Since(t0)}}
+			continue
+		}
+		missed, misses = append(missed, i), append(misses, q)
 	}
-	ids, qs, err := s.fanOut(q, o)
-	if err == nil {
-		s.cache.put(key, epoch, ids)
+	if len(misses) == 0 {
+		return results, nil
 	}
-	return ids, qs, err
+	answered, err := s.batch(misses, workers, o)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range missed {
+		results[i] = answered[k]
+		s.cache.put(keys[i], epoch, answered[k].IDs)
+	}
+	return results, nil
 }

@@ -35,7 +35,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -430,18 +429,29 @@ type QueryStats struct {
 	// fan-out's critical path. TotalShardTime is the sum over shards, the
 	// CPU cost of the query.
 	MaxShardTime, TotalShardTime time.Duration
-	// WallTime is the end-to-end latency including merge and filtering.
+	// WallTime is the end-to-end latency including merge and filtering;
+	// in a batch, the query's share of the batch pass (QueryBatchWith).
 	WallTime time.Duration
 }
 
 // Query fans q out to every shard in parallel, merges the per-shard
 // result sets into global ids, drops tombstoned ids and returns the rest
-// (distinct, unordered) with aggregated stats.
+// (distinct, unordered) with aggregated stats. It is a batch of one.
 func (s *Sharded[P]) Query(q P) ([]int32, QueryStats) {
 	// The zero options are Query itself on every store (core.Store), so
 	// there is no error to report.
 	ids, stats, _ := s.answer(q, core.QueryOpts{})
 	return ids, stats
+}
+
+// answer serves one query under the resolved options o as a batch of
+// one.
+func (s *Sharded[P]) answer(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
+	results, err := s.serve([]P{q}, 1, o)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return results[0].IDs, results[0].Stats, nil
 }
 
 // QueryWith is Query under per-query overrides, applied on every shard
@@ -503,88 +513,45 @@ func (s *Sharded[P]) SetCost(c core.CostModel) error {
 	return nil
 }
 
-// shardPart is one shard's contribution to a fan-out.
+// shardPart is one shard's contribution to a batch pass: the global
+// ids of a range of queries, back to back, in a buffer drawn from
+// idBufs.
 type shardPart struct {
-	ids []int32 // global ids
+	ids []int32
+	buf *[]int32
 	err error
 }
 
-// fanOut answers q on every shard in parallel under the resolved
-// options o and merges the results.
-func (s *Sharded[P]) fanOut(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
-	t0 := time.Now()
-	stats := QueryStats{PerShard: make([]core.QueryStats, len(s.shards))}
-	parts := make([]shardPart, len(s.shards))
+// idBufs recycles the shard parts' id buffers, which the merge copies
+// out of: built in a fresh buffer, a 15 000-id answer regrows it some
+// thirty times.
+var idBufs = sync.Pool{New: func() any { return new([]int32) }}
 
-	var wg sync.WaitGroup
-	answer := func(j int, st *shardState[P]) {
-		defer wg.Done()
-		st.mu.RLock()
-		local, qs, err := st.ix.QueryWith(q, o)
-		global := make([]int32, len(local))
-		for i, id := range local {
-			global[i] = st.ids[id]
-		}
-		st.mu.RUnlock()
-		st.queries.Add(1)
-		st.queryNanos.Add(int64(qs.TotalTime()))
-		parts[j] = shardPart{ids: global, err: err}
-		stats.PerShard[j] = qs
+// add folds one shard's stats into the fan-out's aggregates.
+func (st *QueryStats) add(qs core.QueryStats) {
+	if qs.Strategy == core.StrategyLSH {
+		st.LSHShards++
+	} else {
+		st.LinearShards++
 	}
-	for j, st := range s.shards {
-		wg.Add(1)
-		go answer(j, st)
-	}
-	wg.Wait()
-
-	for j, p := range parts {
-		if p.err != nil {
-			return nil, QueryStats{}, fmt.Errorf("shard %d: %w", j, p.err)
-		}
-	}
-	for _, qs := range stats.PerShard {
-		if qs.Strategy == core.StrategyLSH {
-			stats.LSHShards++
-		} else {
-			stats.LinearShards++
-		}
-		stats.Collisions += qs.Collisions
-		stats.Candidates += qs.Candidates
-		stats.TotalShardTime += qs.TotalTime()
-		if t := qs.TotalTime(); t > stats.MaxShardTime {
-			stats.MaxShardTime = t
-		}
-	}
-
-	out := s.mergeLive(parts)
-	stats.Results = len(out)
-	stats.WallTime = time.Since(t0)
-	return out, stats, nil
+	st.Collisions += qs.Collisions
+	st.Candidates += qs.Candidates
+	st.TotalShardTime += qs.TotalTime()
+	st.MaxShardTime = max(st.MaxShardTime, qs.TotalTime())
 }
 
-// mergeLive concatenates the per-shard global-id sets, dropping
-// tombstoned ids. Shards never share ids, so no dedup is needed.
-func (s *Sharded[P]) mergeLive(parts []shardPart) []int32 {
-	n := 0
-	for _, p := range parts {
-		n += len(p.ids)
-	}
-	out := make([]int32, 0, n)
-	s.tombMu.RLock()
+// appendLive appends the ids that are not tombstoned to out. Shards
+// never share ids, so concatenating their sets needs no dedup. The
+// caller holds tombMu.
+func (s *Sharded[P]) appendLive(out, ids []int32) []int32 {
 	if len(s.tombs) == 0 {
-		for _, p := range parts {
-			out = append(out, p.ids...)
-		}
-	} else {
-		for _, p := range parts {
-			for _, id := range p.ids {
-				if _, dead := s.tombs[id]; !dead {
-					out = append(out, id)
-				}
-			}
+		return append(out, ids...)
+	}
+	for _, id := range ids {
+		if _, dead := s.tombs[id]; !dead {
+			out = append(out, id)
 		}
 	}
-	s.tombMu.RUnlock()
 	return out
 }
 
@@ -595,10 +562,10 @@ type BatchResult struct {
 }
 
 // DefaultBatchWorkers is the worker count QueryBatch uses for
-// workers <= 0: one per shard-fanned query slot (GOMAXPROCS/Shards
-// rounded up to at least 1), since each query already fans out one
-// goroutine per shard. Serving layers that clamp client-supplied worker
-// counts should clamp to this same ceiling.
+// workers <= 0: GOMAXPROCS/Shards rounded up to at least 1, since every
+// block of queries runs on every shard at once. Serving layers that
+// clamp client-supplied worker counts should clamp to this same
+// ceiling.
 func (s *Sharded[P]) DefaultBatchWorkers() int {
 	w := (runtime.GOMAXPROCS(0) + len(s.shards) - 1) / len(s.shards)
 	if w < 1 {
@@ -607,9 +574,9 @@ func (s *Sharded[P]) DefaultBatchWorkers() int {
 	return w
 }
 
-// QueryBatch answers many queries concurrently, running up to workers
-// queries at a time (0 means DefaultBatchWorkers). Results are
-// positionally aligned with queries.
+// QueryBatch answers many queries concurrently, splitting them into up
+// to workers ranges per shard (0 means DefaultBatchWorkers). Results
+// are positionally aligned with queries.
 func (s *Sharded[P]) QueryBatch(queries []P, workers int) []BatchResult {
 	// As in Query: the zero options cannot fail.
 	results, _ := s.QueryBatchWith(queries, workers, core.QueryOpts{})
@@ -617,8 +584,10 @@ func (s *Sharded[P]) QueryBatch(queries []P, workers int) []BatchResult {
 }
 
 // QueryBatchWith is QueryBatch with the overrides o applied to every
-// query (see QueryWith). The options are checked once, before any worker
-// starts.
+// query (see QueryWith). The options are checked once, before any shard
+// is touched. Each result is the one QueryWith gives, except for its
+// times: a query's EstimateTime carries its share of its block's hashing
+// and its WallTime its share of the pass.
 func (s *Sharded[P]) QueryBatchWith(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
 	o, err := o.Resolve(s.defaults)
 	if err != nil {
@@ -630,15 +599,115 @@ func (s *Sharded[P]) QueryBatchWith(queries []P, workers int, o core.QueryOpts) 
 	if workers <= 0 {
 		workers = s.DefaultBatchWorkers()
 	}
-	results := make([]BatchResult, len(queries))
-	errs := make([]error, len(queries))
-	core.ForEach(len(queries), workers, func(i int) {
-		results[i].IDs, results[i].Stats, errs[i] = s.answer(queries[i], o)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	return s.serve(queries, workers, o)
+}
+
+// batch answers queries under the resolved options o, shard-major: on
+// every shard it splits them into up to workers ranges of consecutive
+// queries and answers each range on its own goroutine, MaxBlock queries
+// at a time through core.Store.QueryBlock. Each block takes the shard's
+// read lock and reads its index and id map afresh, so a compaction swap
+// lands between blocks, and writes its global ids into the one buffer of
+// its (shard, range). The merge then concatenates every query's segments
+// across shards into one result slab, dropping tombstoned ids. A batch
+// of one is a plain fan-out, and its WallTime the whole of it.
+func (s *Sharded[P]) batch(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
+	t0 := time.Now()
+	n, shards := len(queries), len(s.shards)
+	ranges := min(workers, n)
+	bounds := func(r int) (int, int) { return r * n / ranges, (r + 1) * n / ranges }
+	perShard := make([]core.QueryStats, n*shards)
+	// parts[j·ranges+r] holds shard j's global ids for range r; query i's
+	// segment of them ends at ends[j·n+i].
+	parts := make([]shardPart, shards*ranges)
+	ends := make([]int, shards*n)
+	var wg sync.WaitGroup
+	for j, st := range s.shards {
+		for r := range ranges {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lo, hi := bounds(r)
+				p := &parts[j*ranges+r]
+				p.buf = idBufs.Get().(*[]int32)
+				p.ids, p.err = st.answerRange(queries[lo:hi], o, (*p.buf)[:0], ends[j*n+lo:j*n+hi], func(i int, qs core.QueryStats) {
+					perShard[(lo+i)*shards+j] = qs
+				})
+			}()
+		}
+	}
+	wg.Wait()
+
+	total := 0
+	for j, p := range parts {
+		if p.err != nil {
+			return nil, fmt.Errorf("shard %d: %w", j/ranges, p.err)
+		}
+		total += len(p.ids)
+	}
+	results := make([]BatchResult, n)
+	out := make([]int32, 0, total)
+	s.tombMu.RLock()
+	for r := range ranges {
+		lo, hi := bounds(r)
+		for i := lo; i < hi; i++ {
+			start := len(out)
+			stats := QueryStats{PerShard: perShard[i*shards : (i+1)*shards : (i+1)*shards]}
+			for j := range shards {
+				from := 0
+				if i > lo {
+					from = ends[j*n+i-1]
+				}
+				out = s.appendLive(out, parts[j*ranges+r].ids[from:ends[j*n+i]])
+				stats.add(perShard[i*shards+j])
+			}
+			stats.Results = len(out) - start
+			results[i] = BatchResult{IDs: out[start:len(out):len(out)], Stats: stats}
+		}
+	}
+	s.tombMu.RUnlock()
+	for _, p := range parts {
+		*p.buf = p.ids[:0]
+		idBufs.Put(p.buf)
+	}
+	// A query's wall time is its share of the pass: the pass's wall time
+	// over the queries its range answered one after another.
+	wall := time.Since(t0)
+	for r := range ranges {
+		lo, hi := bounds(r)
+		for i := lo; i < hi; i++ {
+			results[i].Stats.WallTime = wall / time.Duration(hi-lo)
+		}
 	}
 	return results, nil
+}
+
+// answerRange answers queries on this shard, MaxBlock at a time, each
+// block under its own read lock. It appends the queries' global ids to
+// ids back to back, query i's ending at ends[i], returns them, and hands
+// query i's stats to record.
+func (st *shardState[P]) answerRange(queries []P, o core.QueryOpts, ids []int32, ends []int, record func(i int, qs core.QueryStats)) ([]int32, error) {
+	for base := 0; base < len(queries); base += core.MaxBlock {
+		block := queries[base:min(len(queries), base+core.MaxBlock)]
+		var nanos int64
+		st.mu.RLock()
+		global := st.ids
+		err := st.ix.QueryBlock(block, o, func(i int, local []int32, qs core.QueryStats) {
+			for _, id := range local {
+				ids = append(ids, global[id])
+			}
+			ends[base+i] = len(ids)
+			record(base+i, qs)
+			nanos += int64(qs.TotalTime())
+		})
+		st.mu.RUnlock()
+		st.queries.Add(int64(len(block)))
+		st.queryNanos.Add(nanos)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return ids, nil
 }
 
 // Append adds points under fresh global ids (returned, assigned from the
@@ -789,7 +858,7 @@ func (s *Sharded[P]) Delete(ids []int32) int {
 		}
 	}
 	// Still under tombMu: a cache fill that observes these bumps also
-	// observes the tombstones in mergeLive, so its entry is fresh; one
+	// observes the tombstones in the merge, so its entry is fresh; one
 	// that doesn't is stamped with the old epoch and dies.
 	for j := range touched {
 		s.shards[j].gen.Add(1)

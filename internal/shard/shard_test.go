@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/vector"
@@ -269,8 +270,16 @@ func TestConcurrentMutationStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// 130 queries on 2 workers: two blocks per range, each under its
+		// own read lock, so appends and compactions land in between.
+		batch := slices.Repeat(queries, 13)
 		for i := 0; i < rounds; i++ {
 			sh.QueryBatch(queries[:4], 2)
+			for k, r := range sh.QueryBatch(batch, 2) {
+				if r.Stats.Results != len(r.IDs) {
+					t.Errorf("batch query %d: Results = %d, want %d", k, r.Stats.Results, len(r.IDs))
+				}
+			}
 		}
 	}()
 	wg.Add(1)
@@ -328,4 +337,75 @@ func TestNewValidation(t *testing.T) {
 	if got := sh.Shards(); got != 3 {
 		t.Errorf("Shards() = %d, want clamp to 3", got)
 	}
+}
+
+// TestQueryBatchAllocations pins the cost of the shard-major batch pass:
+// a /batch-sized request of 64 queries on 2 shards allocates a bounded
+// number of times — result, stats and id slabs, one buffer and one
+// goroutine per shard — not a fan-out per query (the per-query path
+// this replaced took 671 here).
+func TestQueryBatchAllocations(t *testing.T) {
+	points, _ := clustered(2000, 40, 32, 0.05, 9)
+	sh, err := shard.New(points, 2, 3, l2Builder(32, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := points[:64]
+	sh.QueryBatch(queries, 1) // fill the pools
+	if n := testing.AllocsPerRun(10, func() { sh.QueryBatch(queries, 1) }); n >= 100 {
+		t.Fatalf("a batch of 64 on 2 shards allocates %v times, want < 100", n)
+	}
+}
+
+// BenchmarkKernelQueryBatch answers /batch-shaped requests of 64 queries
+// on a dense128-batch-shaped index scaled down for CI: 10 000 points of
+// a d = 128 Gaussian mixture on 2 shards, L = 50 tables of k = 7 at
+// r = 0.3, flat L2 verification. "query" answers the 64 one Query (one
+// fan-out) at a time, "batch" as one QueryBatch (one shard-major pass);
+// ns/query is per query point.
+func BenchmarkKernelQueryBatch(b *testing.B) {
+	const n, dim, radius = 10000, 128, 0.3
+	r := rng.New(128)
+	centers := make([]float32, 64*dim)
+	for i := range centers {
+		centers[i] = float32(r.Float64())
+	}
+	points := make([]vector.Dense, n+64)
+	for i := range points {
+		c := centers[r.Intn(64)*dim:]
+		p := make(vector.Dense, dim)
+		for d := range p {
+			p[d] = c[d] + float32(r.Normal()*0.03)
+		}
+		points[i] = p
+	}
+	queries := points[n:]
+	sh, err := shard.New(points[:n], 2, 1, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
+		return core.NewIndex(pts, core.Config[vector.Dense]{
+			Family:   lsh.NewPStableL2(dim, 2*radius),
+			Distance: distance.L2,
+			Radius:   radius,
+			K:        7,
+			Cost:     core.CostModel{Alpha: 1, Beta: 10},
+			Seed:     seed,
+			Store:    pointstore.DenseL2Builder(pointstore.ModeOff),
+		})
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("query", func(b *testing.B) {
+		for b.Loop() {
+			for _, q := range queries {
+				sh.Query(q)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
+	})
+	b.Run("batch", func(b *testing.B) {
+		for b.Loop() {
+			sh.QueryBatch(queries, 0)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
+	})
 }

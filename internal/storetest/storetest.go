@@ -17,6 +17,7 @@ package storetest
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -25,6 +26,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // Harness describes one store implementation under test.
@@ -91,8 +93,8 @@ func query[P any](st core.Store[P], q P) []int32 {
 }
 
 // Run exercises the core.Store contract: point exposure, id hygiene,
-// append equivalence, batch alignment, decision consistency and the
-// CompactStore rewrite semantics.
+// append equivalence, batch equivalence (also through shard.Sharded),
+// decision consistency and the CompactStore rewrite semantics.
 func Run[P any](t *testing.T, h Harness[P]) {
 	t.Helper()
 	if h.New == nil || h.Data == nil {
@@ -188,11 +190,10 @@ func QueryOptions[P, S any](t *testing.T, st OptionQuerier[P, S], queries []P, p
 
 // queries returns a deterministic query set drawn from the data itself,
 // so every store sees non-trivial result sets.
-func (h Harness[P]) queries(data []P) []P {
-	n := 20
-	if n > len(data) {
-		n = len(data)
-	}
+func (h Harness[P]) queries(data []P) []P { return h.queriesN(data, min(20, len(data))) }
+
+// queriesN returns n queries drawn from the data, every 13th point.
+func (h Harness[P]) queriesN(data []P, n int) []P {
 	qs := make([]P, 0, n)
 	for i := 0; i < n; i++ {
 		qs = append(qs, data[(i*13)%len(data)])
@@ -317,23 +318,160 @@ func (h Harness[P]) testAppendEmpty(t *testing.T) {
 	}
 }
 
+// testQueryBatchAlignment pins batch equivalence, not only alignment:
+// every batch result is the single Query's answer — the same sorted ids
+// and the same Strategy, Collisions, Candidates, Results and Estimated —
+// for batches of 1, 64, 65 and 67 queries (blocks under, at and over
+// core.MaxBlock) on 1 and 3 workers, before and after an Append that
+// leaves a table overlay live; and so through a two-shard shard.Sharded,
+// with tombstones and with the result cache on.
 func (h Harness[P]) testQueryBatchAlignment(t *testing.T) {
-	data := h.Data(150, 5)
-	st := h.New(t, data, 7)
+	data := h.Data(200, 5)
+	// 20 appended points stay under the tables' re-freeze share (1/8 of
+	// the 180 frozen ids), so the overlay is live for the second check.
+	st := h.New(t, data[:180:180], 7)
 	b, ok := st.(batcher[P])
 	if !ok {
 		t.Fatalf("%T does not provide QueryBatch", st)
 	}
-	queries := h.queries(data)
-	results := b.QueryBatch(queries, 3)
-	if len(results) != len(queries) {
-		t.Fatalf("%d results for %d queries", len(results), len(queries))
-	}
-	for i, r := range results {
-		want, _ := st.Query(queries[i])
-		if !slices.Equal(sorted(r.IDs), sorted(want)) {
-			t.Fatalf("batch result %d misaligned", i)
+	check := func(stage string) {
+		t.Helper()
+		for _, n := range []int{1, 64, 65, 67} {
+			queries := h.queriesN(data, n)
+			for _, workers := range []int{1, 3} {
+				results := b.QueryBatch(queries, workers)
+				if len(results) != len(queries) {
+					t.Fatalf("%s: %d results for %d queries", stage, len(results), len(queries))
+				}
+				for i, r := range results {
+					ids, stats := st.Query(queries[i])
+					where := fmt.Sprintf("%s: batch of %d on %d workers, query %d", stage, n, workers, i)
+					sameAnswer(t, where, r.IDs, ids, r.Stats, stats)
+				}
+			}
 		}
+	}
+	check("built")
+	if err := st.Append(data[180:]); err != nil {
+		t.Fatal(err)
+	}
+	check("appended")
+	h.testShardedBatch(t, data)
+}
+
+// testShardedBatch is the batch equivalence check through a two-shard
+// shard.Sharded over h's stores: each QueryBatchWith result equals
+// QueryWith's, shard by shard, on the built structure, after an Append
+// and with tombstones; with the result cache on, the ids agree whether
+// the batch or the single query filled the cache.
+func (h Harness[P]) testShardedBatch(t *testing.T, data []P) {
+	build := func() *shard.Sharded[P] {
+		t.Helper()
+		var snaps [2]shard.ShardSnapshot[P]
+		var parts [2][]P
+		for i, p := range data[:180] {
+			parts[i%2] = append(parts[i%2], p)
+			snaps[i%2].IDs = append(snaps[i%2].IDs, int32(i))
+		}
+		for j := range snaps {
+			snaps[j].Index = h.New(t, parts[j], uint64(7+j))
+		}
+		sh, err := shard.Restore(snaps[:], 180, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.SetAutoCompact(1) // keep the tombstones in the buckets
+		return sh
+	}
+	check := func(stage string, sh *shard.Sharded[P]) {
+		t.Helper()
+		for _, n := range []int{1, 64, 65, 67} {
+			queries := h.queriesN(data, n)
+			for _, workers := range []int{1, 3} {
+				results, err := sh.QueryBatchWith(queries, workers, core.QueryOpts{})
+				if err != nil {
+					t.Fatalf("%s: QueryBatchWith: %v", stage, err)
+				}
+				if len(results) != len(queries) {
+					t.Fatalf("%s: %d results for %d queries", stage, len(results), len(queries))
+				}
+				for i, r := range results {
+					ids, stats, err := sh.QueryWith(queries[i], core.QueryOpts{})
+					if err != nil {
+						t.Fatalf("%s: QueryWith: %v", stage, err)
+					}
+					where := fmt.Sprintf("%s: sharded batch of %d on %d workers, query %d", stage, n, workers, i)
+					if !slices.Equal(sorted(r.IDs), sorted(ids)) {
+						t.Fatalf("%s: ids %v, QueryWith %v", where, sorted(r.IDs), sorted(ids))
+					}
+					if r.Stats.CacheHit || stats.CacheHit {
+						continue
+					}
+					if len(r.Stats.PerShard) != len(stats.PerShard) {
+						t.Fatalf("%s: %d shard records, QueryWith %d", where, len(r.Stats.PerShard), len(stats.PerShard))
+					}
+					for j := range stats.PerShard {
+						sameStats(t, fmt.Sprintf("%s, shard %d", where, j), r.Stats.PerShard[j], stats.PerShard[j])
+					}
+					got, want := r.Stats, stats
+					if got.LSHShards != want.LSHShards || got.Collisions != want.Collisions || got.Candidates != want.Candidates || got.Results != want.Results {
+						t.Fatalf("%s: aggregates %d lsh, %d collisions, %d candidates, %d results; QueryWith %d, %d, %d, %d", where,
+							got.LSHShards, got.Collisions, got.Candidates, got.Results, want.LSHShards, want.Collisions, want.Candidates, want.Results)
+					}
+					if got.WallTime <= 0 || got.MaxShardTime <= 0 {
+						t.Fatalf("%s: wall time %v, slowest shard %v; want both > 0", where, got.WallTime, got.MaxShardTime)
+					}
+				}
+			}
+		}
+	}
+	sh := build()
+	check("sharded", sh)
+	if _, err := sh.Append(data[180:]); err != nil {
+		t.Fatal(err)
+	}
+	check("sharded appended", sh)
+	var dead []int32
+	for id := int32(0); id < 200; id += 3 {
+		dead = append(dead, id)
+	}
+	sh.Delete(dead)
+	check("sharded tombstones", sh)
+
+	cached := build()
+	if err := cached.EnableCache(512, func(p P) string { return fmt.Sprintf("%v", p) }); err != nil {
+		t.Fatal(err)
+	}
+	cached.Delete(dead)
+	check("cache filled by the batch", cached)
+	check("cache hits", cached)
+	queries := h.queriesN(data, 67)
+	results, _ := cached.QueryBatchWith(queries, 1, core.QueryOpts{})
+	for i, r := range results {
+		if !r.Stats.CacheHit {
+			t.Fatalf("query %d missed a cache its own answer filled", i)
+		}
+	}
+}
+
+// sameAnswer fails unless a batch answer has the ids and the decision of
+// the single query's.
+func sameAnswer(t *testing.T, where string, got, want []int32, gs, ws core.QueryStats) {
+	t.Helper()
+	if !slices.Equal(sorted(got), sorted(want)) {
+		t.Fatalf("%s: ids %v, Query %v", where, sorted(got), sorted(want))
+	}
+	sameStats(t, where, gs, ws)
+}
+
+// sameStats fails unless two stats record the same decision and work.
+func sameStats(t *testing.T, where string, got, want core.QueryStats) {
+	t.Helper()
+	if got.Strategy != want.Strategy || got.Collisions != want.Collisions || got.Candidates != want.Candidates ||
+		got.Results != want.Results || got.Estimated != want.Estimated {
+		t.Fatalf("%s: %v, %d collisions, %d candidates, %d results, estimated %v; Query %v, %d, %d, %d, %v", where,
+			got.Strategy, got.Collisions, got.Candidates, got.Results, got.Estimated,
+			want.Strategy, want.Collisions, want.Candidates, want.Results, want.Estimated)
 	}
 }
 

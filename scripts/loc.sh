@@ -15,6 +15,7 @@
 #   PR 28 (parent of PR 30): 23012
 #   PR 30 (parent of PR 31): 22451
 #   PR 31 (parent of PR 32): 22894
+#   PR 32 (parent of PR 33): 23190
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
