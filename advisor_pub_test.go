@@ -41,7 +41,7 @@ func TestAdvisePublicEndToEnd(t *testing.T) {
 		pts[i] = NewBinaryVector(64)
 		pts[i].SetBit(i%64, true)
 	}
-	ix, err := NewHammingIndex(pts, 8, WithK(best.K), WithTables(best.L), WithSeed(1))
+	ix, err := New(Hamming, pts, 8, WithK(best.K), WithTables(best.L), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,21 +7,12 @@ import (
 	"repro/internal/rng"
 )
 
-// rejectedAppender is the part of a plain index's API the rejected-Append
-// check drives.
-type rejectedAppender[P any] interface {
-	N() int
-	Append(points []P) error
-	Query(q P) ([]int32, QueryStats)
-	QueryLSH(q P) ([]int32, QueryStats)
-}
-
 // checkRejectedAppend appends the batch [good, bad], where bad has the
 // wrong dimension, and requires the index to refuse it with an error
 // rather than a panic and to stay exactly as it was: same N, and the same
 // hybrid and forced-LSH answers to queries (which should include good, so
 // a half-applied batch shows up as a colliding id past N).
-func checkRejectedAppend[P any](t *testing.T, ix rejectedAppender[P], err error, good, bad P, queries []P) {
+func checkRejectedAppend[P any](t *testing.T, ix *Index[P], err error, good, bad P, queries []P) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -82,36 +73,36 @@ func TestRejectedAppendLeavesIndexIntact(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"l2", func(t *testing.T) {
-			ix, err := NewL2Index(dense, 0.5, WithSeed(4))
-			checkRejectedAppend[Dense](t, ix, err, dense[0], shortDense, dense[:10])
+			ix, err := New(L2, dense, 0.5, WithSeed(4))
+			checkRejectedAppend(t, ix, err, dense[0], shortDense, dense[:10])
 		}},
 		{"l1", func(t *testing.T) {
-			ix, err := NewL1Index(dense, 1.5, WithSeed(4))
-			checkRejectedAppend[Dense](t, ix, err, dense[0], shortDense, dense[:10])
+			ix, err := New(L1, dense, 1.5, WithSeed(4))
+			checkRejectedAppend(t, ix, err, dense[0], shortDense, dense[:10])
 		}},
 		{"angular", func(t *testing.T) {
-			ix, err := NewAngularIndex(unit, 0.3, WithSeed(4))
-			checkRejectedAppend[Dense](t, ix, err, unit[0], shortDense, unit[:10])
+			ix, err := New(Angular, unit, 0.3, WithSeed(4))
+			checkRejectedAppend(t, ix, err, unit[0], shortDense, unit[:10])
 		}},
 		{"multiprobe-l2", func(t *testing.T) {
-			ix, err := NewMultiProbeL2Index(dense, 0.5, WithSeed(4))
-			checkRejectedAppend[Dense](t, ix, err, dense[0], shortDense, dense[:10])
+			ix, err := New(L2, dense, 0.5, WithSeed(4), WithProbes(10))
+			checkRejectedAppend(t, ix, err, dense[0], shortDense, dense[:10])
 		}},
 		{"hamming", func(t *testing.T) {
-			ix, err := NewHammingIndex(bits, 16, WithSeed(4))
-			checkRejectedAppend[Binary](t, ix, err, bits[0], wideBits, bits[:10])
+			ix, err := New(Hamming, bits, 16, WithSeed(4))
+			checkRejectedAppend(t, ix, err, bits[0], wideBits, bits[:10])
 		}},
 		{"jaccard", func(t *testing.T) {
-			ix, err := NewJaccardIndex(bits, 0.5, WithSeed(4))
-			checkRejectedAppend[Binary](t, ix, err, bits[0], wideBits, bits[:10])
+			ix, err := New(Jaccard, bits, 0.5, WithSeed(4))
+			checkRejectedAppend(t, ix, err, bits[0], wideBits, bits[:10])
 		}},
 		{"covering-hamming", func(t *testing.T) {
-			ix, err := NewCoveringHammingIndex(bits, WithRadius(3), WithSeed(4))
-			checkRejectedAppend[Binary](t, ix, err, bits[0], wideBits, bits[:10])
+			ix, err := New(Hamming, bits, 3, WithCovering(), WithSeed(4))
+			checkRejectedAppend(t, ix, err, bits[0], wideBits, bits[:10])
 		}},
 		{"cosine", func(t *testing.T) {
-			ix, err := NewCosineIndex(sparse, 0.3, WithSeed(4))
-			checkRejectedAppend[Sparse](t, ix, err, sparse[0], shortSparse, sparse[:10])
+			ix, err := New(Cosine, sparse, 0.3, WithSeed(4))
+			checkRejectedAppend(t, ix, err, sparse[0], shortSparse, sparse[:10])
 		}},
 	}
 	for _, c := range cases {

@@ -40,24 +40,16 @@ func binaryClusters(n, nc, dim, maxFlips int, seed uint64) []Binary {
 func TestCoveringHammingBasics(t *testing.T) {
 	points := binaryClusters(600, 20, 64, 1, 31)
 
-	def, err := NewCoveringHammingIndex(points, WithSeed(7))
+	ix, err := New(Hamming, points, 3, WithCovering(), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Radius() != 2 || def.Tables() != 7 {
-		t.Fatalf("default covering r=%d tables=%d, want 2/7", def.Radius(), def.Tables())
-	}
-
-	ix, err := NewCoveringHammingIndex(points, WithRadius(3), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Radius() != 3 || ix.Tables() != 15 {
-		t.Fatalf("covering r=%d tables=%d, want 3/15", ix.Radius(), ix.Tables())
+	if ix.Defaults() != (QueryOpts{Radius: Some(3)}) || ix.L() != 15 {
+		t.Fatalf("covering mode %+v tables=%d, want radius 3 and 15 tables", ix.Defaults(), ix.L())
 	}
 	for qi := 0; qi < 15; qi++ {
 		q := points[qi*37]
-		truth := GroundTruthHamming(points, q, 3)
+		truth := GroundTruth(Hamming, points, q, 3)
 		ids, st := ix.Query(q)
 		if !slices.Equal(sortedIDs(ids), sortedIDs(truth)) {
 			t.Errorf("query %d: covering hybrid = %d ids, truth = %d — recall must be exactly 1",
@@ -68,29 +60,36 @@ func TestCoveringHammingBasics(t *testing.T) {
 		}
 	}
 
-	if _, err := NewCoveringHammingIndex(nil); err == nil {
+	if _, err := New(Hamming, nil, 3, WithCovering()); err == nil {
 		t.Error("empty point set accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("WithRadius(0) did not panic")
+	for _, r := range []float64{0.5, 2.5, 13} {
+		if _, err := New(Hamming, points, r, WithCovering()); err == nil {
+			t.Errorf("covering radius %v accepted", r)
 		}
-	}()
-	NewCoveringHammingIndex(points, WithRadius(0))
+	}
+	// Covering is a Hamming mode only.
+	if _, err := New(Jaccard, points, 0.3, WithCovering()); !errors.Is(err, ErrUnsupportedOption) {
+		t.Errorf("WithCovering on jaccard: err = %v, want ErrUnsupportedOption", err)
+	}
+	dense, _ := tightClusters(50, 5, 8, 31)
+	if _, err := NewSharded(L2, dense, 1, WithCovering()); !errors.Is(err, ErrUnsupportedOption) {
+		t.Errorf("WithCovering on sharded l2: err = %v, want ErrUnsupportedOption", err)
+	}
 }
 
 func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 	points := binaryClusters(900, 30, 64, 1, 33)
-	sh, err := NewShardedCoveringHammingIndex(points, WithRadius(3), WithSeed(9), WithShards(4))
+	sh, err := NewSharded(Hamming, points, 3, WithCovering(), WithSeed(9), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Radius() != 3 || sh.Defaults().Mode() != "covering" {
-		t.Fatalf("sharded covering r=%d mode=%s", sh.Radius(), sh.Defaults().Mode())
+	if sh.Defaults().Radius.N != 3 || sh.Defaults().Mode() != "covering" {
+		t.Fatalf("sharded covering r=%d mode=%s", sh.Defaults().Radius.N, sh.Defaults().Mode())
 	}
 	for qi := 0; qi < 12; qi++ {
 		q := points[qi*31]
-		truth := GroundTruthHamming(points, q, 3)
+		truth := GroundTruth(Hamming, points, q, 3)
 		ids, _ := sh.Query(q)
 		if !slices.Equal(sortedIDs(ids), sortedIDs(truth)) {
 			t.Errorf("query %d: sharded covering != exact ground truth", qi)
@@ -100,13 +99,13 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(sortedIDs(nids), sortedIDs(GroundTruthHamming(points, q, 1))) {
+		if !slices.Equal(sortedIDs(nids), sortedIDs(GroundTruth(Hamming, points, q, 1))) {
 			t.Errorf("query %d: sharded radius-1 override != radius-1 truth", qi)
 		}
 	}
 
 	// Classic sharded Hamming indexes reject radius overrides.
-	classic, err := NewShardedHammingIndex(points, 3, WithSeed(9), WithShards(4))
+	classic, err := NewSharded(Hamming, points, 3, WithSeed(9), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 // no-false-negatives property holds over the survivors.
 func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	points := binaryClusters(700, 25, 64, 1, 35)
-	sh, err := NewShardedCoveringHammingIndex(points[:600], WithRadius(3), WithSeed(11), WithShards(3))
+	sh, err := NewSharded(Hamming, points[:600], 3, WithCovering(), WithSeed(11), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +140,13 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	if _, err := sh.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadShardedCoveringHammingIndex(bytes.NewReader(buf.Bytes()))
+	restored, err := OpenSharded(Hamming, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Radius() != 3 || restored.N() != sh.N() || restored.Deleted() != sh.Deleted() {
+	if restored.Defaults().Radius.N != 3 || restored.N() != sh.N() || restored.Deleted() != sh.Deleted() {
 		t.Fatalf("restored r=%d N=%d deleted=%d, want 3/%d/%d",
-			restored.Radius(), restored.N(), restored.Deleted(), sh.N(), sh.Deleted())
+			restored.Defaults().Radius.N, restored.N(), restored.Deleted(), sh.N(), sh.Deleted())
 	}
 
 	dead := make(map[int32]bool, len(deleted))
@@ -173,25 +172,10 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	// Reader mismatches are typed rejections in both directions.
-	if _, err := ReadShardedHammingIndex(bytes.NewReader(buf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
-		t.Fatalf("classic sharded reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
-	}
-	classic, err := NewShardedHammingIndex(points, 3, WithSeed(12), WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if _, err := classic.WriteTo(&cbuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardedCoveringHammingIndex(bytes.NewReader(cbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
-		t.Fatalf("covering sharded reader on a classic snapshot: err = %v, want persist.ErrCoverMode", err)
-	}
-
-	// The plain readers demand their mode the same way — including a
-	// reader whose metric cannot hold a covering index at all.
-	cov, err := NewCoveringHammingIndex(points[:100], WithRadius(3), WithSeed(11))
+	// The snapshot decides the mode: the plain reader opens a covering
+	// file as covering, and a metric that cannot hold a covering index
+	// rejects it with the typed error.
+	cov, err := New(Hamming, points[:100], 3, WithCovering(), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +183,14 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	if _, err := cov.WriteTo(&pbuf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadHammingIndex(bytes.NewReader(pbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
-		t.Fatalf("classic reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
+	opened, err := Open(Hamming, bytes.NewReader(pbuf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadJaccardIndex(bytes.NewReader(pbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
+	if opened.Defaults() != cov.Defaults() {
+		t.Fatalf("opened covering snapshot in mode %+v, want %+v", opened.Defaults(), cov.Defaults())
+	}
+	if _, err := Open(Jaccard, bytes.NewReader(pbuf.Bytes())); !errors.Is(err, persist.ErrCoverMode) {
 		t.Fatalf("jaccard reader on a covering snapshot: err = %v, want persist.ErrCoverMode", err)
 	}
 

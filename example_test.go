@@ -5,19 +5,16 @@ import (
 	"fmt"
 
 	hybridlsh "repro"
-	"repro/internal/core"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 )
 
-// ExampleNewL2Index builds an index over a tiny point set and reports the
+// ExampleNew builds an L2 index over a tiny point set and reports the
 // r-near neighbors of a query.
-func ExampleNewL2Index() {
+func ExampleNew() {
 	points := []hybridlsh.Dense{
 		{0, 0}, {0.1, 0}, {0, 0.1}, // a tight corner cluster
 		{5, 5}, {9, 9}, // far away
 	}
-	index, err := hybridlsh.NewL2Index(points, 0.5, hybridlsh.WithSeed(1))
+	index, err := hybridlsh.New(hybridlsh.L2, points, 0.5, hybridlsh.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
@@ -26,8 +23,9 @@ func ExampleNewL2Index() {
 	// Output: 3 neighbors within 0.5
 }
 
-// ExampleNewHammingIndex uses bit-packed binary fingerprints.
-func ExampleNewHammingIndex() {
+// ExampleNew_hamming indexes bit-packed binary fingerprints: the metric
+// fixes the point type, so Hamming takes Binary.
+func ExampleNew_hamming() {
 	fingerprints := make([]hybridlsh.Binary, 4)
 	for i := range fingerprints {
 		fingerprints[i] = hybridlsh.NewBinaryVector(64)
@@ -37,7 +35,7 @@ func ExampleNewHammingIndex() {
 	for b := 0; b < 40; b += 2 {
 		fingerprints[3].SetBit(b, true) // distance 20 from #0
 	}
-	index, err := hybridlsh.NewHammingIndex(fingerprints, 2, hybridlsh.WithSeed(1))
+	index, err := hybridlsh.New(hybridlsh.Hamming, fingerprints, 2, hybridlsh.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
@@ -77,22 +75,16 @@ func ExampleAdvise() {
 	// k and L positive: true
 }
 
-// ExampleLadderOf builds a custom radius ladder for a metric without a
-// dedicated helper (here L1 with the paper's w = 4r per rung); the
-// metric-specific NewL2Ladder/NewHammingLadder are thin wrappers over
-// exactly this call.
+// ExampleLadderOf builds a radius ladder whose rungs differ in more than
+// the radius (here L1 with fewer tables on the wider rungs, whose
+// collision probability is higher); NewLadder is LadderOf with every
+// rung built by New under the same options.
 func ExampleLadderOf() {
 	points := []hybridlsh.Dense{{0, 0}, {0.5, 0}, {2, 0}, {9, 9}}
-	ladder, err := hybridlsh.LadderOf(0.5, 4.0, 2.0, distance.L1,
-		func(r float64) (*core.Index[hybridlsh.Dense], error) {
-			return core.NewIndex(points, core.Config[hybridlsh.Dense]{
-				Family:   lsh.NewPStableL1(2, 4*r),
-				Distance: distance.L1,
-				Radius:   r,
-				K:        8, // the paper's L1 setting
-				Seed:     1,
-			})
-		})
+	ladder, err := hybridlsh.LadderOf(0.5, 4.0, 2.0, func(r float64) (*hybridlsh.Index[hybridlsh.Dense], error) {
+		return hybridlsh.New(hybridlsh.L1, points, r,
+			hybridlsh.WithSeed(1), hybridlsh.WithTables(int(40/r)))
+	})
 	if err != nil {
 		panic(err)
 	}
@@ -107,16 +99,16 @@ func ExampleLadderOf() {
 	// 2 neighbors within L1 distance 0.6
 }
 
-// ExampleNewShardedL2Index_queryBatch answers many queries in parallel
+// ExampleNewSharded_queryBatch answers many queries in parallel
 // against a sharded index: each query fans out across the shards, and
 // the batch runs several queries concurrently on top.
-func ExampleNewShardedL2Index_queryBatch() {
+func ExampleNewSharded_queryBatch() {
 	points := []hybridlsh.Dense{
 		{0, 0}, {0.1, 0}, {0, 0.1}, // a tight corner cluster
 		{5, 5}, {5.1, 5}, // a second cluster
 		{9, 9}, // isolated
 	}
-	index, err := hybridlsh.NewShardedL2Index(points, 0.5,
+	index, err := hybridlsh.NewSharded(hybridlsh.L2, points, 0.5,
 		hybridlsh.WithSeed(1), hybridlsh.WithShards(2))
 	if err != nil {
 		panic(err)
@@ -130,22 +122,22 @@ func ExampleNewShardedL2Index_queryBatch() {
 	// query 1: 2 neighbors
 }
 
-// ExampleNewMultiProbeL2Index trades tables for probes: 4 tables
-// probing 9 buckets each (home + 8) instead of the classic 50 tables
-// probing one — the memory-constrained serving mode.
-func ExampleNewMultiProbeL2Index() {
+// ExampleWithProbes trades tables for probes: 4 tables probing 9 buckets
+// each (home + 8) instead of the classic 50 tables probing one — the
+// memory-constrained serving mode.
+func ExampleWithProbes() {
 	points := []hybridlsh.Dense{
 		{0, 0}, {0.1, 0}, {0, 0.1}, // a tight corner cluster
 		{5, 5}, {9, 9}, // far away
 	}
-	index, err := hybridlsh.NewMultiProbeL2Index(points, 0.5,
+	index, err := hybridlsh.New(hybridlsh.L2, points, 0.5,
 		hybridlsh.WithSeed(1), hybridlsh.WithTables(4), hybridlsh.WithProbes(8))
 	if err != nil {
 		panic(err)
 	}
 	ids, _ := index.Query(hybridlsh.Dense{0.05, 0.05})
 	fmt.Printf("%d neighbors from %d tables × %d probed buckets\n",
-		len(ids), index.L(), 1+index.Probes())
+		len(ids), index.L(), 1+index.Defaults().Probes.N)
 	// Output: 3 neighbors from 4 tables × 9 probed buckets
 }
 
@@ -160,14 +152,15 @@ func ExampleQueryOpts() {
 	q := hybridlsh.Dense{0.05, 0.05}
 	wide := hybridlsh.QueryOpts{Probes: hybridlsh.Some(30)}
 
-	probing, err := hybridlsh.NewMultiProbeL2Index(points, 0.5, hybridlsh.WithSeed(1), hybridlsh.WithTables(4))
+	probing, err := hybridlsh.New(hybridlsh.L2, points, 0.5,
+		hybridlsh.WithSeed(1), hybridlsh.WithTables(4), hybridlsh.WithProbes(10))
 	if err != nil {
 		panic(err)
 	}
 	ids, _, err := probing.QueryWith(q, wide)
 	fmt.Println(len(ids), "neighbors at T=30, err:", err)
 
-	classic, err := hybridlsh.NewL2Index(points, 0.5, hybridlsh.WithSeed(1))
+	classic, err := hybridlsh.New(hybridlsh.L2, points, 0.5, hybridlsh.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
@@ -181,7 +174,7 @@ func ExampleQueryOpts() {
 // ExampleLadder serves arbitrary radii from one structure.
 func ExampleLadder() {
 	points := []hybridlsh.Dense{{0, 0}, {0.3, 0}, {0.9, 0}, {8, 8}}
-	ladder, err := hybridlsh.NewL2Ladder(points, 0.25, 1.0, 2.0, hybridlsh.WithSeed(1))
+	ladder, err := hybridlsh.NewLadder(hybridlsh.L2, points, 0.25, 1.0, 2.0, hybridlsh.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}

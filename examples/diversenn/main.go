@@ -32,7 +32,7 @@ func main() {
 	corpus, reading := dataset.SplitQueries(ds.Points, 6, 32)
 	fmt.Printf("archive: %d articles, %d-term vocabulary\n", len(corpus), ds.Meta.Dim)
 
-	index, err := hybridlsh.NewCosineIndex(corpus, radius, hybridlsh.WithSeed(33))
+	index, err := hybridlsh.New(hybridlsh.Cosine, corpus, radius, hybridlsh.WithSeed(33))
 	if err != nil {
 		panic(err)
 	}

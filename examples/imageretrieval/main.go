@@ -26,7 +26,7 @@ func main() {
 	fmt.Printf("catalog: %d images, %d-bin histograms\n", len(catalog), ds.Meta.Dim)
 
 	const radius = 0.45 // the middle of the paper's Figure-2d sweep
-	index, err := hybridlsh.NewL2Index(catalog, radius, hybridlsh.WithSeed(23))
+	index, err := hybridlsh.New(hybridlsh.L2, catalog, radius, hybridlsh.WithSeed(23))
 	if err != nil {
 		panic(err)
 	}

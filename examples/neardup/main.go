@@ -33,7 +33,7 @@ func main() {
 	pages, labels := makeCorpus(rnd)
 	fmt.Printf("corpus: %d pages, %d shingle dimensions\n", len(pages), vocabSize)
 
-	index, err := hybridlsh.NewJaccardIndex(pages, 0.3, hybridlsh.WithSeed(11))
+	index, err := hybridlsh.New(hybridlsh.Jaccard, pages, 0.3, hybridlsh.WithSeed(11))
 	if err != nil {
 		panic(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 
 	// One index per (radius, δ); defaults are the paper's parameters
 	// (δ = 0.1, L = 50 tables, m = 128 HLL registers, k = 7, w = 2r).
-	index, err := hybridlsh.NewL2Index(points, radius, hybridlsh.WithSeed(42))
+	index, err := hybridlsh.New(hybridlsh.L2, points, radius, hybridlsh.WithSeed(42))
 	if err != nil {
 		panic(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	// Recall check against exact ground truth for one query.
 	q := jitter(rnd, center, 0.01)
 	ids, _ := index.Query(q)
-	truth := hybridlsh.GroundTruth(points, q, radius)
+	truth := hybridlsh.GroundTruth(hybridlsh.L2, points, q, radius)
 	fmt.Printf("\nrecall vs exact scan: %.3f (%d reported / %d true, δ = 0.1 budget)\n",
 		hybridlsh.Recall(ids, truth), len(ids), len(truth))
 }

@@ -13,7 +13,7 @@ import (
 func TestNewL2IndexEndToEnd(t *testing.T) {
 	ds := dataset.CorelLike(0.01, 1)
 	data, queries := dataset.SplitQueries(ds.Points, 20, 2)
-	ix, err := NewL2Index(data, 0.45, WithSeed(3))
+	ix, err := New(L2, data, 0.45, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestNewL2IndexEndToEnd(t *testing.T) {
 	var nonEmpty int
 	for _, q := range queries {
 		ids, stats := ix.Query(q)
-		truth := GroundTruth(data, q, 0.45)
+		truth := GroundTruth(L2, data, q, 0.45)
 		if len(truth) > 0 {
 			nonEmpty++
 			recallSum += Recall(ids, truth)
@@ -47,7 +47,7 @@ func TestNewL2IndexEndToEnd(t *testing.T) {
 func TestNewL1IndexEndToEnd(t *testing.T) {
 	ds := dataset.CoverTypeLike(0.001, 4)
 	data, queries := dataset.SplitQueries(ds.Points, 10, 5)
-	ix, err := NewL1Index(data, 3400, WithSeed(6))
+	ix, err := New(L1, data, 3400, WithSeed(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestNewL1IndexEndToEnd(t *testing.T) {
 	var nonEmpty int
 	for _, q := range queries {
 		ids, _ := ix.Query(q)
-		truth := GroundTruthL1(data, q, 3400)
+		truth := GroundTruth(L1, data, q, 3400)
 		if len(truth) > 0 {
 			nonEmpty++
 			recallSum += Recall(ids, truth)
@@ -75,7 +75,7 @@ func TestNewL1IndexEndToEnd(t *testing.T) {
 func TestNewCosineIndexEndToEnd(t *testing.T) {
 	ds := dataset.WebspamLike(0.004, 7)
 	data, queries := dataset.SplitQueries(ds.Points, 15, 8)
-	ix, err := NewCosineIndex(data, 0.08, WithSeed(9))
+	ix, err := New(Cosine, data, 0.08, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestNewCosineIndexEndToEnd(t *testing.T) {
 func TestNewHammingIndexEndToEnd(t *testing.T) {
 	ds := dataset.MNISTLike(0.01, 10)
 	data, queries := dataset.SplitQueries(ds.Points, 15, 11)
-	ix, err := NewHammingIndex(data, 14, WithSeed(12))
+	ix, err := New(Hamming, data, 14, WithSeed(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestNewJaccardIndexEndToEnd(t *testing.T) {
 		}
 		pts[i] = p
 	}
-	ix, err := NewJaccardIndex(pts, 0.3, WithSeed(14))
+	ix, err := New(Jaccard, pts, 0.3, WithSeed(14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,37 +188,37 @@ func TestNewJaccardIndexEndToEnd(t *testing.T) {
 }
 
 func TestConstructorErrors(t *testing.T) {
-	if _, err := NewL2Index(nil, 1); err == nil {
+	if _, err := New(L2, nil, 1); err == nil {
 		t.Error("empty L2 accepted")
 	}
-	if _, err := NewHammingIndex(nil, 1); err == nil {
+	if _, err := New(Hamming, nil, 1); err == nil {
 		t.Error("empty Hamming accepted")
 	}
-	if _, err := NewCosineIndex(nil, 1); err == nil {
+	if _, err := New(Cosine, nil, 1); err == nil {
 		t.Error("empty cosine accepted")
 	}
-	if _, err := NewJaccardIndex(nil, 0.5); err == nil {
+	if _, err := New(Jaccard, nil, 0.5); err == nil {
 		t.Error("empty Jaccard accepted")
 	}
-	if _, err := NewL1Index(nil, 1); err == nil {
+	if _, err := New(L1, nil, 1); err == nil {
 		t.Error("empty L1 accepted")
 	}
 	pts := []Dense{{1, 2}, {3, 4}}
-	if _, err := NewL2Index(pts, -1); err == nil {
+	if _, err := New(L2, pts, -1); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, err := NewL2Index(pts, 1, WithDelta(2)); err == nil {
+	if _, err := New(L2, pts, 1, WithDelta(2)); err == nil {
 		t.Error("delta > 1 accepted")
 	}
 	bin := []Binary{NewBinaryVector(64)}
-	if _, err := NewHammingIndex(bin, 64); err == nil {
+	if _, err := New(Hamming, bin, 64); err == nil {
 		t.Error("degenerate radius (p1 = 0) accepted")
 	}
 }
 
 func TestOptionsApplied(t *testing.T) {
 	ds := dataset.MNISTLike(0.01, 15)
-	ix, err := NewHammingIndex(ds.Points, 13,
+	ix, err := New(Hamming, ds.Points, 13,
 		WithTables(20), WithK(9), WithHLLRegisters(32),
 		WithSeed(16), WithCostModel(CostModel{Alpha: 2, Beta: 4}),
 		WithDelta(0.05),
@@ -245,11 +245,11 @@ func TestWithSlotWidthPanicsOnNonPositive(t *testing.T) {
 
 func TestWithSlotWidthOverridesDefault(t *testing.T) {
 	ds := dataset.CorelLike(0.01, 17)
-	a, err := NewL2Index(ds.Points, 0.5, WithSeed(1))
+	a, err := New(L2, ds.Points, 0.5, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewL2Index(ds.Points, 0.5, WithSeed(1), WithSlotWidth(5))
+	b, err := New(L2, ds.Points, 0.5, WithSeed(1), WithSlotWidth(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestWithSlotWidthOverridesDefault(t *testing.T) {
 
 func TestCalibrateHelper(t *testing.T) {
 	ds := dataset.CorelLike(0.01, 18)
-	cm := Calibrate(ds.Points, 10, 500, 1)
+	cm := Calibrate(L2, ds.Points, 10, 500, 1)
 	if !cm.Valid() {
 		t.Fatalf("Calibrate returned %+v", cm)
 	}
@@ -284,36 +284,36 @@ func TestSparseVectorHelper(t *testing.T) {
 
 func TestMetricSpecificHelpers(t *testing.T) {
 	dense := []Dense{{0, 0}, {1, 0}, {5, 5}}
-	if got := GroundTruthL1(dense, Dense{0, 0}, 1.5); len(got) != 2 {
-		t.Errorf("GroundTruthL1 = %v", got)
+	if got := GroundTruth(L1, dense, Dense{0, 0}, 1.5); len(got) != 2 {
+		t.Errorf("GroundTruth(L1) = %v", got)
 	}
 	sp := []Sparse{
 		NewSparseVector(3, []int32{0}, []float32{1}),
 		NewSparseVector(3, []int32{0, 1}, []float32{1, 0.05}),
 		NewSparseVector(3, []int32{2}, []float32{1}),
 	}
-	if got := GroundTruthCosine(sp, sp[0], 0.01); len(got) != 2 {
-		t.Errorf("GroundTruthCosine = %v", got)
+	if got := GroundTruth(Cosine, sp, sp[0], 0.01); len(got) != 2 {
+		t.Errorf("GroundTruth(Cosine) = %v", got)
 	}
 	bin := []Binary{NewBinaryVector(64), NewBinaryVector(64)}
 	bin[1].SetBit(0, true)
-	if got := GroundTruthHamming(bin, bin[0], 0); len(got) != 1 {
-		t.Errorf("GroundTruthHamming = %v", got)
+	if got := GroundTruth(Hamming, bin, bin[0], 0); len(got) != 1 {
+		t.Errorf("GroundTruth(Hamming) = %v", got)
 	}
-	if got := GroundTruthJaccard(bin, bin[0], 0.0); len(got) != 1 {
-		t.Errorf("GroundTruthJaccard = %v", got)
+	if got := GroundTruth(Jaccard, bin, bin[0], 0.0); len(got) != 1 {
+		t.Errorf("GroundTruth(Jaccard) = %v", got)
 	}
 	for _, cm := range []CostModel{
-		CalibrateL1(dense, 5, 3, 1),
-		CalibrateHamming(bin, 5, 2, 1),
-		CalibrateJaccard(bin, 5, 2, 1),
+		Calibrate(L1, dense, 5, 3, 1),
+		Calibrate(Hamming, bin, 5, 2, 1),
+		Calibrate(Jaccard, bin, 5, 2, 1),
 	} {
 		if !cm.Valid() {
 			t.Errorf("calibration invalid: %+v", cm)
 		}
 	}
 	ds := dataset.WebspamLike(0.003, 3)
-	if cm := CalibrateCosine(ds.Points, 5, 200, 1); !cm.Valid() {
+	if cm := Calibrate(Cosine, ds.Points, 5, 200, 1); !cm.Valid() {
 		t.Errorf("cosine calibration invalid: %+v", cm)
 	}
 }
@@ -342,7 +342,7 @@ func TestNewAngularIndexEndToEnd(t *testing.T) {
 		}
 		pts[i] = p
 	}
-	ix, err := NewAngularIndex(pts, 0.12, WithSeed(92), WithTables(30))
+	ix, err := New(Angular, pts, 0.12, WithSeed(92), WithTables(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestNewAngularIndexEndToEnd(t *testing.T) {
 			t.Fatal("false positive beyond angular radius")
 		}
 	}
-	if _, err := NewAngularIndex(nil, 0.1); err == nil {
+	if _, err := New(Angular, nil, 0.1); err == nil {
 		t.Error("empty point set accepted")
 	}
 }

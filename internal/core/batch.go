@@ -18,11 +18,14 @@ type BatchResult struct {
 // to workers blocks (0 means GOMAXPROCS) of consecutive queries and
 // answers each block with QueryBlock on its own goroutine. Results are
 // positionally aligned with queries. The index is read-only during
-// queries, so any number of concurrent batches is safe.
+// queries, so any number of concurrent batches is safe. A query of the
+// wrong dimension panics on the caller's goroutine, before any block
+// starts.
 func (ix *Index[P]) QueryBatch(queries []P, workers int) []BatchResult {
 	if len(queries) == 0 {
 		return nil
 	}
+	must(CheckDims(ix.dim, queries, "query"))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -34,7 +37,7 @@ func (ix *Index[P]) QueryBatch(queries []P, workers int) []BatchResult {
 		go func() {
 			defer wg.Done()
 			lo, hi := b*len(queries)/blocks, (b+1)*len(queries)/blocks
-			// The zero options cannot fail.
+			// The zero options cannot fail, and the dimensions are checked.
 			_ = ix.QueryBlock(queries[lo:hi], QueryOpts{}, func(i int, ids []int32, stats QueryStats) {
 				results[lo+i] = BatchResult{IDs: slices.Clone(ids), Stats: stats}
 			})

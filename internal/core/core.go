@@ -177,6 +177,9 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 	if cfg.Radius <= 0 {
 		return nil, fmt.Errorf("core: Config.Radius = %v, want > 0", cfg.Radius)
 	}
+	if _, err := PointsDim(points); err != nil {
+		return nil, err
+	}
 	if cfg.Delta == 0 {
 		cfg.Delta = 0.1
 	}
@@ -443,18 +446,47 @@ func (ix *Index[P]) Append(points []P) error {
 	if n := ix.store.Len(); int64(n)+int64(len(points)) > math.MaxInt32 {
 		return fmt.Errorf("core: Append would overflow the int32 id space (%d + %d)", n, len(points))
 	}
-	if ix.dim >= 0 {
-		for i, p := range points {
-			if d := dimOf(p); d >= 0 && d != ix.dim {
-				return fmt.Errorf("core: Append point %d has dim %d, index dim is %d", i, d, ix.dim)
-			}
-		}
+	if err := CheckDims(ix.dim, points, "Append point"); err != nil {
+		return err
 	}
 	if err := ix.store.Append(points); err != nil {
 		return err
 	}
 	return ix.tables.Append(points)
 }
+
+// CheckDims returns an error naming the first of points whose dimension
+// is not dim; a negative dim (a point type without one) accepts any.
+func CheckDims[P any](dim int, points []P, what string) error {
+	if dim < 0 {
+		return nil
+	}
+	for i, p := range points {
+		if d := dimOf(p); d >= 0 && d != dim {
+			return fmt.Errorf("core: %s %d has dim %d, index dim is %d", what, i, d, dim)
+		}
+	}
+	return nil
+}
+
+// PointsDim returns the dimension all of points share: -1 for no points
+// or a point type without one, and an error when a point disagrees with
+// the first or the dimension is 0. It is the build-time check a family
+// constructor needs to have passed before it sees the dimension.
+func PointsDim[P any](points []P) (int, error) {
+	if len(points) == 0 {
+		return -1, nil
+	}
+	dim := dimOf(points[0])
+	if dim == 0 {
+		return 0, fmt.Errorf("core: points have dimension 0")
+	}
+	return dim, CheckDims(dim, points, "point")
+}
+
+// Dim implements Store: the points' dimension, or -1 for a point type
+// without one.
+func (ix *Index[P]) Dim() int { return ix.dim }
 
 // dimOf returns p's dimension for the vector types the indexes store,
 // and -1 for any other point type.

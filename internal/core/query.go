@@ -53,9 +53,12 @@ func (ix *Index[P]) lookup(q P, t int, st *queryState) []lsh.Bucket {
 	return ix.tables.ProbeInto(q, t, &st.look)
 }
 
-// resolve checks o against the index's mode and returns the probe count
-// and radius the query runs with.
-func (ix *Index[P]) resolve(o QueryOpts) (int, float64, error) {
+// resolve checks o against the index's mode and the queries against its
+// dimension, and returns the probe count and radius the queries run with.
+func (ix *Index[P]) resolve(o QueryOpts, queries []P) (int, float64, error) {
+	if err := CheckDims(ix.dim, queries, "query"); err != nil {
+		return 0, 0, err
+	}
 	o, err := o.Resolve(ix.mode)
 	if err != nil {
 		return 0, 0, err
@@ -75,21 +78,31 @@ func (ix *Index[P]) Defaults() QueryOpts { return ix.mode }
 // estimate LSHCost from bucket sizes and merged HLLs, compare with
 // LinearCost, and run the cheaper search. The returned ids are distinct
 // but in unspecified order (sorting is not part of the paper's cost model;
-// callers that need order sort the ids themselves).
+// callers that need order sort the ids themselves). A query of the
+// wrong dimension panics.
 func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	return ix.answer(q, ix.radius, ix.lookup(q, ix.mode.Probes.N, st), st, t0, nil)
+	ids, stats, err := ix.QueryWith(q, QueryOpts{})
+	must(err)
+	return ids, stats
+}
+
+// must panics with err, if any: the zero QueryOpts cannot fail, so for
+// the query methods without an error result only a query of the wrong
+// dimension lands here, and it panics on the caller's goroutine.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // QueryWith implements Store: Query under per-query overrides. The zero
 // QueryOpts is Query exactly; Probes sets T on a multi-probe index (0
 // probes home buckets only), Radius narrows a covering index's report —
 // both paths stay exact, since the points within r' ≤ r are a subset of
-// those the tables cover. Any other set option is ErrUnsupportedOption.
+// those the tables cover. Any other set option is ErrUnsupportedOption,
+// and a query of the wrong dimension an error too.
 func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
-	t, r, err := ix.resolve(o)
+	t, r, err := ix.resolve(o, []P{q})
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -104,6 +117,7 @@ func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
 // short-circuits — and returns the collision count, the candSize estimate
 // and the time the merge took. Table 1 measures exactly this operation.
 func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed time.Duration) {
+	must(CheckDims(ix.dim, []P{q}, "query"))
 	st := ix.getState()
 	defer ix.states.Put(st)
 	t0 := time.Now()
@@ -119,13 +133,14 @@ func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed 
 // the collision count, SearchTime only the S2 dedup + S3 distance
 // computations.
 func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
-	ids, stats, _ := ix.QueryLSHWith(q, QueryOpts{})
+	ids, stats, err := ix.QueryLSHWith(q, QueryOpts{})
+	must(err)
 	return ids, stats
 }
 
 // QueryLSHWith is QueryLSH under per-query overrides (see QueryWith).
 func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
-	t, r, err := ix.resolve(o)
+	t, r, err := ix.resolve(o, []P{q})
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -148,6 +163,7 @@ func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) ([]int32, QueryStats, error) 
 // no estimation, so EstimateTime is genuinely zero and SearchTime is the
 // whole scan.
 func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
+	must(CheckDims(ix.dim, []P{q}, "query"))
 	var stats QueryStats
 	stats.Strategy = StrategyLinear
 	t0 := time.Now()
@@ -160,14 +176,15 @@ func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
 // decision without searching. The ablation experiments use it to compare
 // the HLL-based decision against an oracle.
 func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
-	s, stats, _ := ix.DecideStrategyWith(q, QueryOpts{})
+	s, stats, err := ix.DecideStrategyWith(q, QueryOpts{})
+	must(err)
 	return s, stats
 }
 
 // DecideStrategyWith is DecideStrategy under per-query overrides (see
 // QueryWith): the decision QueryWith would take with the same options.
 func (ix *Index[P]) DecideStrategyWith(q P, o QueryOpts) (Strategy, QueryStats, error) {
-	t, _, err := ix.resolve(o)
+	t, _, err := ix.resolve(o, []P{q})
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
@@ -244,9 +261,10 @@ const MaxBlock = 64
 // through each hasher's block path, and then looks each query up from
 // those keys; every query's EstimateTime carries an equal share of that
 // hashing. A multi-probe index looks up each query's probe sequence in
-// turn. The answers are QueryWith's.
+// turn. The answers are QueryWith's; a query of the wrong dimension fails
+// the block before any is answered.
 func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error {
-	t, r, err := ix.resolve(o)
+	t, r, err := ix.resolve(o, block)
 	if err != nil {
 		return err
 	}

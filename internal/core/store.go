@@ -23,6 +23,9 @@ import (
 type Store[P any] interface {
 	// N returns the number of indexed points.
 	N() int
+	// Dim returns the points' dimension (-1 for a point type without
+	// one); queries of another dimension are an error.
+	Dim() int
 	// Points exposes the stored point slice (read-only).
 	Points() []P
 	// Query answers one rNNR query with the hybrid strategy.

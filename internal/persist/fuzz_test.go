@@ -45,7 +45,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			ix.Query(vector.NewBinary(binDimOf(ix)))
 		}
 		if ix, _, err := readIndex[vector.Sparse](bytes.NewReader(data), MetricCosine); err == nil {
-			ix.Query(vector.Sparse{Dim: 1})
+			ix.Query(vector.Sparse{Dim: ix.Dim()})
 		}
 		if ix, meta, err := readMultiProbe(bytes.NewReader(data), MetricL2); err == nil {
 			ix.Query(make(vector.Dense, meta.Dim))

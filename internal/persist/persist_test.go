@@ -711,8 +711,8 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 //
 // The package's readers let the snapshot decide the serving mode; these
 // helpers are what a caller that demands one mode does with the result
-// (Meta.RequireMode, then the concrete type), as the root package's
-// Read…Index functions do.
+// (Meta.RequireMode, then the concrete type), as a server whose mode
+// flag is set does.
 
 func readIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) {
 	st, meta, err := Read[P](r, metric)

@@ -33,7 +33,7 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 
 	for qi := 0; qi < 10; qi++ {
 		q := points[qi*37]
-		truth := hybridlsh.GroundTruthHamming(points, q, float64(cfg.CoverRadius))
+		truth := hybridlsh.GroundTruth(hybridlsh.Hamming, points, q, float64(cfg.CoverRadius))
 		var res QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toBits(q)}, http.StatusOK, &res)
 		if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {
@@ -44,7 +44,7 @@ func TestCoveringQueryEndToEnd(t *testing.T) {
 		}
 
 		// Narrowing: radius 1 must be the exact radius-1 report.
-		narrow := hybridlsh.GroundTruthHamming(points, q, 1)
+		narrow := hybridlsh.GroundTruth(hybridlsh.Hamming, points, q, 1)
 		var nres QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toBits(q), "radius": 1}, http.StatusOK, &nres)
 		if !slices.Equal(sortedIDs(nres.IDs), sortedIDs(narrow)) {

@@ -105,20 +105,20 @@ func errUnknownMetric(metric string) error {
 	return fmt.Errorf("unknown metric %q (want l2 or hamming)", metric)
 }
 
-// pointKind binds one -metric to its point type: the persist metric
-// identifier, the exact cache-key encoding, the JSON point parser, the
-// scanner's point reader and the synthetic index builder.
+// pointKind binds one -metric to its point type: the index metric, the
+// exact cache-key encoding, the JSON point parser, the scanner's point
+// reader and the synthetic dataset generator.
 type pointKind[P any] struct {
-	metric string
+	metric hybridlsh.Metric[P]
 	key    func(P) string // exact query encoding for -cache (see shard.EnableCache)
 	parse  func(raw json.RawMessage, dim int) (P, error)
 	scan   func(s *scanner, dim int) (P, bool)
-	build  func(cfg *Config) (*shard.Sharded[P], error)
+	seed   func(n, dim int, seed uint64) []P
 }
 
 var (
-	denseKind  = pointKind[hybridlsh.Dense]{persist.MetricL2, hybridlsh.Dense.CacheKey, parseDense, scanDense, buildDense}
-	binaryKind = pointKind[hybridlsh.Binary]{persist.MetricHamming, hybridlsh.Binary.CacheKey, parseBinary, scanBinary, buildBinary}
+	denseKind  = pointKind[hybridlsh.Dense]{hybridlsh.L2, hybridlsh.Dense.CacheKey, parseDense, scanDense, seedDense}
+	binaryKind = pointKind[hybridlsh.Binary]{hybridlsh.Hamming, hybridlsh.Binary.CacheKey, parseBinary, scanBinary, seedBinary}
 )
 
 func (k pointKind[P]) boot(cfg *Config) (backend, follower, string, error) {
@@ -129,7 +129,7 @@ func (k pointKind[P]) boot(cfg *Config) (backend, follower, string, error) {
 		// follower (e.fixed nil), which swaps it on every re-hydration.
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		e.follower = replica.NewFollower[P](cfg.Hydrate, cfg.Client, k.metric)
+		e.follower = replica.NewFollower[P](cfg.Hydrate, cfg.Client, k.metric.String())
 		err := e.follower.Hydrate(ctx)
 		if err == nil {
 			err = cfg.adopt(e.follower.Meta())
@@ -180,7 +180,7 @@ func (k pointKind[P]) read(cfg *Config, path string) (*shard.Sharded[P], error) 
 		return nil, err
 	}
 	defer f.Close()
-	sh, m, err := persist.ReadSharded[P](bufio.NewReaderSize(f, 1<<20), k.metric)
+	sh, m, err := persist.ReadSharded[P](bufio.NewReaderSize(f, 1<<20), k.metric.String())
 	if err == nil {
 		err = cfg.adopt(m)
 	}
@@ -441,7 +441,7 @@ func (e *engine[P]) appendPoints(body []byte) ([]int32, error) {
 
 func (e *engine[P]) streamSnapshot(w io.Writer) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	n, err := persist.WriteSharded(bw, e.metric, e.sharded())
+	n, err := persist.WriteSharded(bw, e.metric.String(), e.sharded())
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -474,46 +474,25 @@ func (e *engine[P]) enableCache(entries int) error {
 	return e.sharded().EnableCache(entries, e.key)
 }
 
-// synthOpts are the root-API options every synthetic build shares.
-func synthOpts(cfg *Config) []hybridlsh.Option {
+// build builds the synthetic index the flags describe over the seed
+// dataset, in the serving mode -probes or -radius selects.
+func (k pointKind[P]) build(cfg *Config) (*shard.Sharded[P], error) {
 	quant, _ := hybridlsh.ParseQuantMode(cfg.Quant) // Validate vetted it
 	opts := []hybridlsh.Option{hybridlsh.WithSeed(cfg.Seed), hybridlsh.WithShards(cfg.Shards), hybridlsh.WithQuant(quant)}
 	if cfg.Tables > 0 {
 		opts = append(opts, hybridlsh.WithTables(cfg.Tables))
 	}
-	return opts
-}
-
-func buildDense(cfg *Config) (*shard.Sharded[hybridlsh.Dense], error) {
-	points := seedDense(cfg.N, cfg.Dim, cfg.Seed)
-	if cfg.Probes > 0 {
-		ix, err := hybridlsh.NewShardedMultiProbeL2Index(points, cfg.Radius,
-			append(synthOpts(cfg), hybridlsh.WithProbes(cfg.Probes))...)
-		if err != nil {
-			return nil, err
-		}
-		return ix.Sharded, nil
-	}
-	ix, err := hybridlsh.NewShardedL2Index(points, cfg.Radius, synthOpts(cfg)...)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Sharded, nil
-}
-
-func buildBinary(cfg *Config) (*shard.Sharded[hybridlsh.Binary], error) {
-	points := seedBinary(cfg.N, cfg.Dim, cfg.Seed)
-	if cfg.CoverRadius > 0 {
-		// Covering mode ignores -tables: the table count is forced to
+	r := cfg.Radius
+	switch {
+	case cfg.Probes > 0:
+		opts = append(opts, hybridlsh.WithProbes(cfg.Probes))
+	case cfg.CoverRadius > 0:
+		// Covering ignores -tables: the table count is forced to
 		// 2^(r+1)−1 by the radius.
-		ix, err := hybridlsh.NewShardedCoveringHammingIndex(points,
-			hybridlsh.WithRadius(cfg.CoverRadius), hybridlsh.WithSeed(cfg.Seed), hybridlsh.WithShards(cfg.Shards))
-		if err != nil {
-			return nil, err
-		}
-		return ix.Sharded, nil
+		r = float64(cfg.CoverRadius)
+		opts = append(opts, hybridlsh.WithCovering())
 	}
-	ix, err := hybridlsh.NewShardedHammingIndex(points, cfg.Radius, synthOpts(cfg)...)
+	ix, err := hybridlsh.NewSharded(k.metric, k.seed(cfg.N, cfg.Dim, cfg.Seed), r, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestMultiProbeQueryEndToEnd(t *testing.T) {
 	nonEmpty := 0
 	for qi := 0; qi < 10; qi++ {
 		q := points[qi*37]
-		truth := hybridlsh.GroundTruth(points, q, cfg.Radius)
+		truth := hybridlsh.GroundTruth(hybridlsh.L2, points, q, cfg.Radius)
 		var res QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toFloats(q)}, http.StatusOK, &res)
 		if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {

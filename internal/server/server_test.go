@@ -102,7 +102,7 @@ func TestQueryEndToEnd(t *testing.T) {
 	nonEmpty := 0
 	for qi := 0; qi < 10; qi++ {
 		q := points[qi*37]
-		truth := hybridlsh.GroundTruth(points, q, cfg.Radius)
+		truth := hybridlsh.GroundTruth(hybridlsh.L2, points, q, cfg.Radius)
 		var res QueryResult
 		post(t, ts.URL+"/query", map[string]any{"point": toFloats(q)}, http.StatusOK, &res)
 		if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {
@@ -237,7 +237,7 @@ func TestHammingServer(t *testing.T) {
 			bits[i] = 1
 		}
 	}
-	truth := hybridlsh.GroundTruthHamming(points, q, cfg.Radius)
+	truth := hybridlsh.GroundTruth(hybridlsh.Hamming, points, q, cfg.Radius)
 	var res QueryResult
 	post(t, ts.URL+"/query", map[string]any{"point": bits}, http.StatusOK, &res)
 	if !slices.Equal(sortedIDs(res.IDs), sortedIDs(truth)) {

@@ -156,8 +156,12 @@ func (s *Sharded[P]) epoch() uint64 {
 // answer the misses in one batch pass and file each merged answer under
 // the epoch read before it (conservative: a mutation overlapping the
 // pass lands the entries with a stale stamp, and they die at their next
-// lookup). A hit's WallTime is its lookup's.
+// lookup). A hit's WallTime is its lookup's. A query of the wrong
+// dimension fails the call first.
 func (s *Sharded[P]) serve(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
+	if err := core.CheckDims(s.dim, queries, "query"); err != nil {
+		return nil, err
+	}
 	if s.cache == nil {
 		return s.batch(queries, workers, o)
 	}

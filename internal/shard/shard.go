@@ -101,6 +101,9 @@ type Sharded[P any] struct {
 	// each shard's kind and configuration); New and Restore reject shards
 	// that disagree, so one Resolve up front speaks for the whole fan-out.
 	defaults core.QueryOpts
+	// dim is every shard's core.Store.Dim, checked against each query
+	// before any shard is touched.
+	dim int
 
 	// appendMu serializes appends (target selection + id allocation);
 	// nextID is atomic so readers (N, Delete, Stats) never block behind
@@ -283,13 +286,17 @@ func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], 
 	return sh, nil
 }
 
-// setDefaults records the shards' common Defaults, failing when two
-// shards were built in different modes or configurations.
+// setDefaults records the shards' common Defaults and Dim, failing when
+// two shards were built in different modes, configurations or
+// dimensions.
 func (s *Sharded[P]) setDefaults() error {
-	s.defaults = s.shards[0].ix.Defaults()
+	s.defaults, s.dim = s.shards[0].ix.Defaults(), s.shards[0].ix.Dim()
 	for j, st := range s.shards[1:] {
 		if d := st.ix.Defaults(); d != s.defaults {
 			return fmt.Errorf("shard: shard %d is built as %+v, shard 0 as %+v", j+1, d, s.defaults)
+		}
+		if d := st.ix.Dim(); d != s.dim {
+			return fmt.Errorf("shard: shard %d has dim %d, shard 0 dim %d", j+1, d, s.dim)
 		}
 	}
 	return nil
@@ -436,12 +443,21 @@ type QueryStats struct {
 
 // Query fans q out to every shard in parallel, merges the per-shard
 // result sets into global ids, drops tombstoned ids and returns the rest
-// (distinct, unordered) with aggregated stats. It is a batch of one.
+// (distinct, unordered) with aggregated stats. It is a batch of one. A
+// query of the wrong dimension panics on the caller's goroutine.
 func (s *Sharded[P]) Query(q P) ([]int32, QueryStats) {
-	// The zero options are Query itself on every store (core.Store), so
-	// there is no error to report.
-	ids, stats, _ := s.answer(q, core.QueryOpts{})
+	ids, stats, err := s.answer(q, core.QueryOpts{})
+	must(err)
 	return ids, stats
+}
+
+// must panics with err, if any: the zero options are Query itself on
+// every store (core.Store), so for the query methods without an error
+// result only a query of the wrong dimension lands here.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // answer serves one query under the resolved options o as a batch of
@@ -458,7 +474,7 @@ func (s *Sharded[P]) answer(q P, o core.QueryOpts) ([]int32, QueryStats, error) 
 // (core.Store.QueryWith): a probe count on multi-probe shards, a
 // narrowed reporting radius on covering ones. An option the shards do
 // not support yields core.ErrUnsupportedOption before any shard is
-// touched.
+// touched, and so does a query of the wrong dimension.
 func (s *Sharded[P]) QueryWith(q P, o core.QueryOpts) ([]int32, QueryStats, error) {
 	o, err := o.Resolve(s.defaults)
 	if err != nil {
@@ -576,18 +592,20 @@ func (s *Sharded[P]) DefaultBatchWorkers() int {
 
 // QueryBatch answers many queries concurrently, splitting them into up
 // to workers ranges per shard (0 means DefaultBatchWorkers). Results
-// are positionally aligned with queries.
+// are positionally aligned with queries. A query of the wrong dimension
+// panics on the caller's goroutine, before any shard is touched.
 func (s *Sharded[P]) QueryBatch(queries []P, workers int) []BatchResult {
-	// As in Query: the zero options cannot fail.
-	results, _ := s.QueryBatchWith(queries, workers, core.QueryOpts{})
+	results, err := s.QueryBatchWith(queries, workers, core.QueryOpts{})
+	must(err)
 	return results
 }
 
 // QueryBatchWith is QueryBatch with the overrides o applied to every
-// query (see QueryWith). The options are checked once, before any shard
-// is touched. Each result is the one QueryWith gives, except for its
-// times: a query's EstimateTime carries its share of its block's hashing
-// and its WallTime its share of the pass.
+// query (see QueryWith). The options and the queries' dimensions are
+// checked once, before any shard is touched. Each result is the one
+// QueryWith gives, except for its times: a query's EstimateTime carries
+// its share of its block's hashing and its WallTime its share of the
+// pass.
 func (s *Sharded[P]) QueryBatchWith(queries []P, workers int, o core.QueryOpts) ([]BatchResult, error) {
 	o, err := o.Resolve(s.defaults)
 	if err != nil {

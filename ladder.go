@@ -2,13 +2,7 @@ package hybridlsh
 
 import (
 	"fmt"
-	"math"
 	"sort"
-
-	"repro/internal/core"
-	"repro/internal/distance"
-	"repro/internal/lsh"
-	"repro/internal/pointstore"
 )
 
 // A hybrid index answers rNNR for the one radius it was built with — the
@@ -22,26 +16,31 @@ import (
 // within r.
 type Ladder[P any] struct {
 	radii   []float64
-	indexes []*core.Index[P]
-	dist    distance.Func[P]
+	indexes []*Index[P]
+}
+
+// NewLadder builds a ladder of indexes under m over points, covering
+// query radii in [rmin, rmax] with grid ratio c. Every rung is built as
+// New builds it, with the same options (so each keeps the metric's
+// per-radius defaults, such as L2's w = 2r).
+func NewLadder[P any](m Metric[P], points []P, rmin, rmax, c float64, opts ...Option) (*Ladder[P], error) {
+	return LadderOf(rmin, rmax, c, func(r float64) (*Index[P], error) {
+		return New(m, points, r, opts...)
+	})
 }
 
 // LadderOf builds a radius ladder from rmin to at least rmax with ratio c
-// (c > 1; the number of rungs is ⌈log_c(rmax/rmin)⌉ + 1). build constructs
-// the per-radius index; use the metric constructors' internals via the
-// helper functions below for the common metrics.
-func LadderOf[P any](rmin, rmax, c float64, dist distance.Func[P],
-	build func(r float64) (*core.Index[P], error)) (*Ladder[P], error) {
+// (c > 1; the number of rungs is ⌈log_c(rmax/rmin)⌉ + 1); build
+// constructs the index of one grid radius. NewLadder is LadderOf over
+// New.
+func LadderOf[P any](rmin, rmax, c float64, build func(r float64) (*Index[P], error)) (*Ladder[P], error) {
 	if rmin <= 0 || rmax < rmin {
 		return nil, fmt.Errorf("hybridlsh: ladder range [%v, %v] invalid", rmin, rmax)
 	}
 	if c <= 1 {
 		return nil, fmt.Errorf("hybridlsh: ladder ratio c = %v, want > 1", c)
 	}
-	if dist == nil {
-		return nil, fmt.Errorf("hybridlsh: ladder distance is nil")
-	}
-	l := &Ladder[P]{dist: dist}
+	l := &Ladder[P]{}
 	for r := rmin; ; r *= c {
 		ix, err := build(r)
 		if err != nil {
@@ -92,49 +91,4 @@ func (l *Ladder[P]) Query(q P, r float64) ([]int32, QueryStats, error) {
 	}
 	stats.Results = len(kept)
 	return kept, stats, nil
-}
-
-// NewL2Ladder builds a ladder of L2 hybrid indexes over points covering
-// query radii in [rmin, rmax] with grid ratio c. Options apply to every
-// rung (each rung keeps the paper's per-radius w = 2r).
-func NewL2Ladder(points []Dense, rmin, rmax, c float64, opts ...Option) (*Ladder[Dense], error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewL2Ladder")
-	}
-	dim := len(points[0])
-	return LadderOf(rmin, rmax, c, distance.L2, func(r float64) (*core.Index[Dense], error) {
-		w := o.slotWidth
-		if w == 0 {
-			w = 2 * r
-		}
-		cfg := overlay(o, core.Config[Dense]{
-			Family:   lsh.NewPStableL2(dim, w),
-			Distance: distance.L2,
-			Radius:   r,
-			Store:    pointstore.DenseL2Builder(o.quant),
-		})
-		if cfg.K == 0 {
-			cfg.K = 7
-		}
-		return core.NewIndex(points, cfg)
-	})
-}
-
-// NewHammingLadder builds a ladder of Hamming hybrid indexes covering
-// integer radii in [rmin, rmax] with ratio c.
-func NewHammingLadder(points []Binary, rmin, rmax, c float64, opts ...Option) (*Ladder[Binary], error) {
-	o := applyOptions(opts)
-	if len(points) == 0 {
-		return nil, errEmpty("NewHammingLadder")
-	}
-	dim := points[0].Dim
-	return LadderOf(rmin, rmax, c, distance.Hamming, func(r float64) (*core.Index[Binary], error) {
-		cfg := overlay(o, core.Config[Binary]{
-			Family:   lsh.NewBitSampling(dim),
-			Distance: distance.Hamming,
-			Radius:   math.Ceil(r), // Hamming radii are integral
-		})
-		return core.NewIndex(points, cfg)
-	})
 }

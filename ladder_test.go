@@ -10,7 +10,7 @@ import (
 func TestNewL2LadderServesArbitraryRadii(t *testing.T) {
 	ds := dataset.CorelLike(0.01, 61)
 	data, queries := dataset.SplitQueries(ds.Points, 10, 62)
-	ladder, err := NewL2Ladder(data, 0.2, 0.7, 1.4, WithSeed(63))
+	ladder, err := NewLadder(L2, data, 0.2, 0.7, 1.4, WithSeed(63))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestNewL2LadderServesArbitraryRadii(t *testing.T) {
 					t.Fatalf("r=%v: reported point at distance %v", r, distance.L2(data[id], q))
 				}
 			}
-			truth := GroundTruth(data, q, r)
+			truth := GroundTruth(L2, data, q, r)
 			if len(truth) > 0 {
 				nonEmpty++
 				recallSum += Recall(ids, truth)
@@ -50,7 +50,7 @@ func TestNewL2LadderServesArbitraryRadii(t *testing.T) {
 
 func TestLadderQueryErrors(t *testing.T) {
 	ds := dataset.CorelLike(0.01, 64)
-	ladder, err := NewL2Ladder(ds.Points, 0.3, 0.5, 1.3, WithSeed(65))
+	ladder, err := NewLadder(L2, ds.Points, 0.3, 0.5, 1.3, WithSeed(65))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +77,15 @@ func TestLadderConstructionErrors(t *testing.T) {
 		{0.1, 1, 0.5}, // c < 1
 	}
 	for i, tc := range cases {
-		if _, err := NewL2Ladder(pts, tc.rmin, tc.rmax, tc.c); err == nil {
+		if _, err := NewLadder(L2, pts, tc.rmin, tc.rmax, tc.c); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if _, err := NewL2Ladder(nil, 0.1, 1, 2); err == nil {
+	if _, err := NewLadder(L2, nil, 0.1, 1, 2); err == nil {
 		t.Error("empty points accepted")
 	}
 	// Too many rungs.
-	if _, err := NewL2Ladder(pts, 1e-9, 1e9, 1.01); err == nil {
+	if _, err := NewLadder(L2, pts, 1e-9, 1e9, 1.01); err == nil {
 		t.Error("absurd rung count accepted")
 	}
 }
@@ -93,7 +93,7 @@ func TestLadderConstructionErrors(t *testing.T) {
 func TestNewHammingLadder(t *testing.T) {
 	ds := dataset.MNISTLike(0.01, 66)
 	data, queries := dataset.SplitQueries(ds.Points, 8, 67)
-	ladder, err := NewHammingLadder(data, 8, 18, 1.5, WithSeed(68))
+	ladder, err := NewLadder(Hamming, data, 8, 18, 1.5, WithSeed(68))
 	if err != nil {
 		t.Fatal(err)
 	}

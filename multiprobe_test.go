@@ -3,28 +3,27 @@ package hybridlsh
 import (
 	"bytes"
 	"errors"
+	"io"
 	"slices"
 	"testing"
-
-	"repro/internal/persist"
 )
 
 func TestMultiProbeL2Basics(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(800, 20, 10, 31)
 
-	ix, err := NewMultiProbeL2Index(points, radius, WithSeed(7))
+	ix, err := New(L2, points, radius, WithSeed(7), WithProbes(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix.L() != 10 {
 		t.Fatalf("default L = %d, want 10 (the multi-probe regime)", ix.L())
 	}
-	if ix.Probes() != 10 {
-		t.Fatalf("default Probes = %d, want 10", ix.Probes())
+	if ix.Defaults() != (QueryOpts{Probes: Some(10)}) {
+		t.Fatalf("mode = %+v, want 10 probes", ix.Defaults())
 	}
 	for qi, q := range queries {
-		truth := GroundTruth(points, q, radius)
+		truth := GroundTruth(L2, points, q, radius)
 		ids, st := ix.Query(q)
 		if !slices.Equal(sortedIDs(ids), sortedIDs(truth)) {
 			t.Errorf("query %d: multi-probe hybrid = %v, truth = %v", qi, sortedIDs(ids), sortedIDs(truth))
@@ -54,7 +53,7 @@ func TestMultiProbeL2Basics(t *testing.T) {
 func TestMultiProbeMoreProbesNeverHurtRecall(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(600, 15, 8, 5)
-	ix, err := NewMultiProbeL2Index(points, radius, WithSeed(3), WithTables(4), WithProbes(2))
+	ix, err := New(L2, points, radius, WithSeed(3), WithTables(4), WithProbes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,43 +77,50 @@ func TestMultiProbeMoreProbesNeverHurtRecall(t *testing.T) {
 
 func TestMultiProbeValidation(t *testing.T) {
 	points, _ := tightClusters(50, 5, 6, 9)
-	if _, err := NewMultiProbeL2Index(nil, 0.3); err == nil {
+	if _, err := New(L2, nil, 0.3, WithProbes(10)); err == nil {
 		t.Error("empty point set accepted")
 	}
-	if _, err := NewMultiProbeL2Index(points, 0); err == nil {
+	if _, err := New(L2, points, 0, WithProbes(10)); err == nil {
 		t.Error("zero radius accepted")
 	}
-	if _, err := NewShardedMultiProbeL2Index(nil, 0.3); err == nil {
+	if _, err := NewSharded(L2, nil, 0.3, WithProbes(10)); err == nil {
 		t.Error("sharded: empty point set accepted")
 	}
-	if _, err := NewShardedMultiProbeL2Index(points, -1); err == nil {
+	if _, err := NewSharded(L2, points, -1, WithProbes(10)); err == nil {
 		t.Error("sharded: negative radius accepted")
+	}
+	// Multi-probe is an L2 mode only.
+	if _, err := New(L1, points, 0.3, WithProbes(10)); !errors.Is(err, ErrUnsupportedOption) {
+		t.Errorf("WithProbes on l1: err = %v, want ErrUnsupportedOption", err)
+	}
+	if _, err := NewSharded(Hamming, binaryClusters(50, 5, 64, 1, 9), 3, WithProbes(10)); !errors.Is(err, ErrUnsupportedOption) {
+		t.Errorf("WithProbes on sharded hamming: err = %v, want ErrUnsupportedOption", err)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("applying WithProbes(0) did not panic")
 		}
 	}()
-	NewMultiProbeL2Index(points, 0.3, WithProbes(0))
+	New(L2, points, 0.3, WithProbes(0))
 }
 
 func TestShardedMultiProbeMatchesUnsharded(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(1000, 25, 10, 17)
 
-	flat, err := NewMultiProbeL2Index(points, radius, WithSeed(4))
+	flat, err := New(L2, points, radius, WithSeed(4), WithProbes(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedMultiProbeL2Index(points, radius, WithSeed(4), WithShards(5), WithProbes(12))
+	sh, err := NewSharded(L2, points, radius, WithSeed(4), WithShards(5), WithProbes(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sh.Probes() != 12 {
-		t.Fatalf("Probes() = %d, want 12", sh.Probes())
+	if sh.Defaults().Probes.N != 12 {
+		t.Fatalf("probes = %d, want 12", sh.Defaults().Probes.N)
 	}
 	for qi, q := range queries {
-		truth := GroundTruth(points, q, radius)
+		truth := GroundTruth(L2, points, q, radius)
 		flatIDs, _ := flat.Query(q)
 		shIDs, st := sh.Query(q)
 		if !slices.Equal(sortedIDs(flatIDs), sortedIDs(truth)) {
@@ -146,7 +152,7 @@ func TestShardedMultiProbeMatchesUnsharded(t *testing.T) {
 
 func TestPlainShardedRejectsProbeOverride(t *testing.T) {
 	points, queries := tightClusters(200, 5, 8, 23)
-	sh, err := NewShardedL2Index(points, 0.4, WithSeed(2))
+	sh, err := NewSharded(L2, points, 0.4, WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +170,7 @@ func TestMultiProbeAppendCompact(t *testing.T) {
 	grow, queries2 := tightClusters(200, 15, 8, 42)
 	_ = queries2
 
-	ix, err := NewMultiProbeL2Index(points, radius, WithSeed(6))
+	ix, err := New(L2, points, radius, WithSeed(6), WithProbes(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestMultiProbeAppendCompact(t *testing.T) {
 	pre := make([][]int32, len(queries))
 	for qi, q := range queries {
 		ids, _ := ix.Query(q)
-		truth := GroundTruth(all, q, radius)
+		truth := GroundTruth(L2, all, q, radius)
 		if !slices.Equal(sortedIDs(ids), sortedIDs(truth)) {
 			t.Fatalf("query %d: post-append answer != truth", qi)
 		}
@@ -227,7 +233,7 @@ func TestShardedMultiProbeDeleteCompactSnapshotRestore(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(900, 20, 10, 57)
 
-	sh, err := NewShardedMultiProbeL2Index(points, radius,
+	sh, err := NewSharded(L2, points, radius,
 		WithSeed(9), WithShards(4), WithProbes(8), WithCompactionThreshold(2)) // auto-compaction off
 	if err != nil {
 		t.Fatal(err)
@@ -259,12 +265,12 @@ func TestShardedMultiProbeDeleteCompactSnapshotRestore(t *testing.T) {
 	if _, err := sh.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadShardedMultiProbeL2Index(bytes.NewReader(buf.Bytes()))
+	restored, err := OpenSharded(L2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Probes() != sh.Probes() {
-		t.Fatalf("restored Probes() = %d, want %d", restored.Probes(), sh.Probes())
+	if restored.Defaults() != sh.Defaults() {
+		t.Fatalf("restored mode %+v, want %+v", restored.Defaults(), sh.Defaults())
 	}
 	if restored.N() != sh.N() || restored.Deleted() != sh.Deleted() {
 		t.Fatalf("restored N/Deleted = %d/%d, want %d/%d", restored.N(), restored.Deleted(), sh.N(), sh.Deleted())
@@ -299,7 +305,7 @@ func TestShardedMultiProbeDeleteCompactSnapshotRestore(t *testing.T) {
 func TestMultiProbePersistRoundTrip(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(500, 12, 8, 71)
-	ix, err := NewMultiProbeL2Index(points, radius, WithSeed(11), WithProbes(6), WithTables(6))
+	ix, err := New(L2, points, radius, WithSeed(11), WithProbes(6), WithTables(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,12 +313,12 @@ func TestMultiProbePersistRoundTrip(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadMultiProbeL2Index(bytes.NewReader(buf.Bytes()))
+	loaded, err := Open(L2, bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Probes() != 6 || loaded.L() != 6 {
-		t.Fatalf("loaded T/L = %d/%d, want 6/6", loaded.Probes(), loaded.L())
+	if loaded.Defaults().Probes.N != 6 || loaded.L() != 6 {
+		t.Fatalf("loaded T/L = %d/%d, want 6/6", loaded.Defaults().Probes.N, loaded.L())
 	}
 	for qi, q := range queries {
 		want, ws := ix.Query(q)
@@ -335,54 +341,47 @@ func TestMultiProbePersistRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMultiProbeSnapshotReaderMismatch checks that the snapshot, not the
+// reader, decides the mode: Open and OpenSharded restore a multi-probe
+// or a classic file as what it holds, and a plain reader refuses a
+// sharded file and the reverse.
 func TestMultiProbeSnapshotReaderMismatch(t *testing.T) {
 	points, _ := tightClusters(200, 5, 8, 83)
-
-	mp, err := NewMultiProbeL2Index(points, 0.4, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	snapshot := func(ix io.WriterTo, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var mpBuf bytes.Buffer
-	if _, err := mp.WriteTo(&mpBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadL2Index(bytes.NewReader(mpBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
-		t.Errorf("plain reader on a multi-probe snapshot: err = %v, want persist.ErrProbeMode", err)
-	}
-
-	plain, err := NewL2Index(points, 0.4, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plainBuf bytes.Buffer
-	if _, err := plain.WriteTo(&plainBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMultiProbeL2Index(bytes.NewReader(plainBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
-		t.Errorf("multi-probe reader on a plain snapshot: err = %v, want persist.ErrProbeMode", err)
-	}
-
-	shPlain, err := NewShardedL2Index(points, 0.4, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shPlainBuf bytes.Buffer
-	if _, err := shPlain.WriteTo(&shPlainBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardedMultiProbeL2Index(bytes.NewReader(shPlainBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
-		t.Errorf("sharded multi-probe reader on a plain sharded snapshot: err = %v, want persist.ErrProbeMode", err)
-	}
-
-	shMP, err := NewShardedMultiProbeL2Index(points, 0.4, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shMPBuf bytes.Buffer
-	if _, err := shMP.WriteTo(&shMPBuf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadShardedL2Index(bytes.NewReader(shMPBuf.Bytes())); !errors.Is(err, persist.ErrProbeMode) {
-		t.Errorf("plain sharded reader on a multi-probe sharded snapshot: err = %v, want persist.ErrProbeMode", err)
+	for _, opts := range [][]Option{{WithSeed(1)}, {WithSeed(1), WithProbes(10)}} {
+		ix, err := New(L2, points, 0.4, opts...)
+		plain := snapshot(ix, err)
+		loaded, err := Open(L2, bytes.NewReader(plain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Defaults() != ix.Defaults() {
+			t.Errorf("Open: mode %+v, want %+v", loaded.Defaults(), ix.Defaults())
+		}
+		sh, err := NewSharded(L2, points, 0.4, opts...)
+		sharded := snapshot(sh, err)
+		shLoaded, err := OpenSharded(L2, bytes.NewReader(sharded))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shLoaded.Defaults() != sh.Defaults() {
+			t.Errorf("OpenSharded: mode %+v, want %+v", shLoaded.Defaults(), sh.Defaults())
+		}
+		if _, err := Open(L2, bytes.NewReader(sharded)); err == nil {
+			t.Error("Open accepted a sharded snapshot")
+		}
+		if _, err := OpenSharded(L2, bytes.NewReader(plain)); err == nil {
+			t.Error("OpenSharded accepted a plain snapshot")
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"repro/internal/pointstore"
 )
 
-// QuantMode selects the point-store quantization behavior of the dense
-// L2 constructors (see WithQuant).
+// QuantMode selects the point-store quantization behavior of L2 indexes
+// (see WithQuant).
 type QuantMode = pointstore.Mode
 
 // The quantization modes.
@@ -26,10 +26,13 @@ const (
 // ParseQuantMode parses "off" or "sq8" (the -quant flag values).
 func ParseQuantMode(s string) (QuantMode, error) { return pointstore.ParseMode(s) }
 
-// Option customizes index construction. The defaults reproduce the paper's
-// experimental setting: δ = 0.1, L = 50 tables, m = 128 HLL registers,
-// k solved from the family's p₁(r) (or the paper's fixed k for the
-// p-stable families).
+// Option customizes index construction (New, NewSharded, NewLadder). The
+// defaults reproduce the paper's experimental setting: δ = 0.1, L = 50
+// tables, m = 128 HLL registers, k solved from the family's p₁(r) (or
+// the paper's fixed k for the p-stable families). An option a metric or
+// mode has no use for is ignored; the exceptions are errors: a serving
+// mode (WithProbes, WithCovering) the metric does not serve, and
+// WithCache on Cosine.
 type Option func(*options)
 
 type options struct {
@@ -44,13 +47,12 @@ type options struct {
 	shards        int
 	compactThresh float64
 	probes        int
-	radius        int
+	covering      bool
 	cacheSize     int
 	quant         QuantMode
 }
 
-// shardCount resolves the shard count for the sharded constructors
-// (default 4).
+// shardCount resolves the shard count of NewSharded (default 4).
 func (o options) shardCount() int {
 	if o.shards == 0 {
 		return 4
@@ -64,22 +66,6 @@ func applyOptions(opts []Option) options {
 		opt(&o)
 	}
 	return o
-}
-
-// overlay applies the collected options onto a metric-specific base config.
-func overlay[P any](o options, base core.Config[P]) core.Config[P] {
-	base.Delta = o.delta
-	base.L = o.tables
-	base.K = o.k
-	base.HLLRegisters = o.hllRegs
-	base.HLLThreshold = o.hllThresh
-	base.Seed = o.seed
-	base.Cost = o.cost
-	return base
-}
-
-func errEmpty(fn string) error {
-	return fmt.Errorf("hybridlsh: %s on empty point set", fn)
 }
 
 // WithDelta sets the per-point failure probability δ ∈ (0, 1); each true
@@ -108,9 +94,8 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // default model uses β/α = 8.
 func WithCostModel(c CostModel) Option { return func(o *options) { o.cost = c } }
 
-// WithShards sets the partition count of the sharded constructors
-// (NewShardedL2Index, NewShardedHammingIndex); plain constructors ignore
-// it. Default 4; the constructors clamp it to the point count.
+// WithShards sets the partition count of NewSharded; New ignores it.
+// Default 4; NewSharded clamps it to the point count.
 func WithShards(s int) Option {
 	return func(o *options) {
 		if s < 1 {
@@ -120,12 +105,11 @@ func WithShards(s int) Option {
 	}
 }
 
-// WithCompactionThreshold sets the sharded constructors' auto-compaction
-// trigger: a shard is compacted — dead points dropped from its buckets,
+// WithCompactionThreshold sets NewSharded's auto-compaction trigger: a shard is compacted — dead points dropped from its buckets,
 // sketches rebuilt from live ids, hash functions kept — once Delete
 // pushes its tombstoned-point ratio above t. Default 0.20; t >= 1
 // disables auto-compaction (explicit Compact/CompactAll still work).
-// Plain (unsharded) constructors ignore it.
+// New ignores it.
 func WithCompactionThreshold(t float64) Option {
 	return func(o *options) {
 		if t <= 0 {
@@ -135,13 +119,14 @@ func WithCompactionThreshold(t float64) Option {
 	}
 }
 
-// WithCache installs a result cache of the given entry capacity on the
-// sharded constructors: repeated queries (bit-identical points, same
+// WithCache installs a result cache of the given entry capacity on a
+// NewSharded index: repeated queries (bit-identical points, same
 // probe/radius override) are answered from an LRU without fanning out,
 // and generation counters bumped by Append/Delete/Compact guarantee a
 // cached answer is never served across a mutation — no resurrected
-// tombstones, no missed new points. Plain (unsharded) constructors
-// ignore it. Default: no cache.
+// tombstones, no missed new points. New ignores it; on Cosine, whose
+// sparse points have no exact key encoding, NewSharded rejects it.
+// Default: no cache.
 func WithCache(entries int) Option {
 	return func(o *options) {
 		if entries < 1 {
@@ -151,11 +136,12 @@ func WithCache(entries int) Option {
 	}
 }
 
-// WithProbes sets T, the number of extra buckets a multi-probe index
-// probes per table beyond the home bucket (NewMultiProbeL2Index,
-// NewShardedMultiProbeL2Index; ignored by the classic constructors).
-// Default 10. Larger T raises recall at fixed (k, L) — the multi-probe
-// trade: fewer tables, more probes per table.
+// WithProbes selects the multi-probe serving mode with T = t: each table
+// is probed at the query's home bucket plus the t neighboring buckets
+// most likely to hold near points (Lv et al., VLDB 2007), so far fewer
+// tables reach the same recall — L defaults to 10 instead of 50. Larger t
+// raises recall at fixed (k, L). Multi-probe is L2 only; on any other
+// metric the constructor returns an error wrapping ErrUnsupportedOption.
 func WithProbes(t int) Option {
 	return func(o *options) {
 		if t < 1 {
@@ -165,31 +151,24 @@ func WithProbes(t int) Option {
 	}
 }
 
-// WithRadius sets the integer covering radius r of the covering-LSH
-// constructors (NewCoveringHammingIndex, NewShardedCoveringHammingIndex;
-// ignored by every other constructor, whose radius is the float argument
-// they take directly). Default covering.DefaultRadius = 2. A covering
-// index maintains 2^(r+1) − 1 tables, so r is capped at 12.
-func WithRadius(r int) Option {
-	return func(o *options) {
-		if r < 1 {
-			panic(fmt.Sprintf("hybridlsh: WithRadius(%d), want >= 1", r))
-		}
-		o.radius = r
-	}
-}
+// WithCovering selects the covering serving mode (Pagh, SODA 2016): the
+// radius r must be an integer in [1, 12], and the index keeps 2^(r+1) − 1
+// mask tables drawn from a random map φ so that every point within r
+// shares a bucket with the query — no false negatives, recall 1.0.
+// WithTables, WithK and WithDelta do not apply. Covering is Hamming only;
+// on any other metric the constructor returns an error wrapping
+// ErrUnsupportedOption.
+func WithCovering() Option { return func(o *options) { o.covering = true } }
 
-// WithQuant sets the point-store quantization mode of the dense L2
-// constructors (NewL2Index, NewShardedL2Index, NewMultiProbeL2Index,
-// NewShardedMultiProbeL2Index, NewL2Ladder). QuantSQ8 keeps a
+// WithQuant sets the point-store quantization mode of an L2 index.
+// QuantSQ8 keeps a
 // scalar-quantized copy of the points and uses it as a conservative
 // pre-filter during candidate verification — answers stay id-identical
-// to QuantOff, the verification working set shrinks 4×. Constructors
-// whose metric has no quantized layout (L1, cosine, angular, Hamming,
-// Jaccard) ignore it. Default QuantOff.
+// to QuantOff, the verification working set shrinks 4×. The other
+// metrics have no quantized layout and ignore it. Default QuantOff.
 func WithQuant(m QuantMode) Option { return func(o *options) { o.quant = m } }
 
-// WithSlotWidth overrides the p-stable slot width w (L1/L2 indexes only;
+// WithSlotWidth overrides the p-stable slot width w (L1 and L2 only;
 // ignored elsewhere). Defaults: w = 4r for L1, w = 2r for L2, the paper's
 // settings.
 func WithSlotWidth(w float64) Option {

@@ -70,7 +70,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	opts := []Option{WithSeed(11), WithTables(6), WithHLLRegisters(16), WithHLLThreshold(4)}
 
 	t.Run("l2", func(t *testing.T) {
-		ix, err := NewL2Index(persistTestData(n, dim, 1), 0.4, opts...)
+		ix, err := New(L2, persistTestData(n, dim, 1), 0.4, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := wt.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadL2Index(&buf)
+		loaded, err := Open(L2, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	})
 
 	t.Run("l1", func(t *testing.T) {
-		ix, err := NewL1Index(persistTestData(n, dim, 4), 0.9, opts...)
+		ix, err := New(L1, persistTestData(n, dim, 4), 0.9, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadL1Index(&buf)
+		loaded, err := Open(L1, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	})
 
 	t.Run("hamming", func(t *testing.T) {
-		ix, err := NewHammingIndex(persistBinaryData(n, 64, 6), 14, opts...)
+		ix, err := New(Hamming, persistBinaryData(n, 64, 6), 14, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadHammingIndex(&buf)
+		loaded, err := Open(Hamming, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 			}
 			pts[i] = NewSparseVector(50, idx32, val)
 		}
-		ix, err := NewCosineIndex(pts, 0.3, opts...)
+		ix, err := New(Cosine, pts, 0.3, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadCosineIndex(&buf)
+		loaded, err := Open(Cosine, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 	})
 
 	t.Run("jaccard", func(t *testing.T) {
-		ix, err := NewJaccardIndex(persistBinaryData(n, 64, 9), 0.4, opts...)
+		ix, err := New(Jaccard, persistBinaryData(n, 64, 9), 0.4, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadJaccardIndex(&buf)
+		loaded, err := Open(Jaccard, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 			}
 			pts[i].Normalize()
 		}
-		ix, err := NewAngularIndex(pts, 0.2, opts...)
+		ix, err := New(Angular, pts, 0.2, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadAngularIndex(&buf)
+		loaded, err := Open(Angular, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestPublicPersistRoundTrip(t *testing.T) {
 // TestPublicPersistWrongFamily checks the typed readers reject snapshots
 // of a different family instead of misinterpreting them.
 func TestPublicPersistWrongFamily(t *testing.T) {
-	ix, err := NewL2Index(persistTestData(100, 8, 12), 0.4, WithSeed(1))
+	ix, err := New(L2, persistTestData(100, 8, 12), 0.4, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,14 +204,14 @@ func TestPublicPersistWrongFamily(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadL1Index(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadL1Index accepted an L2 snapshot")
+	if _, err := Open(L1, bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("Open(L1) accepted an L2 snapshot")
 	}
-	if _, err := ReadHammingIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadHammingIndex accepted an L2 snapshot")
+	if _, err := Open(Hamming, bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("Open(Hamming) accepted an L2 snapshot")
 	}
-	if _, err := ReadShardedL2Index(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadShardedL2Index accepted a plain snapshot")
+	if _, err := OpenSharded(L2, bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatal("OpenSharded(L2) accepted a plain snapshot")
 	}
 }
 
@@ -219,7 +219,7 @@ func TestPublicPersistWrongFamily(t *testing.T) {
 // a grow → delete → save → load → grow cycle.
 func TestPublicShardedPersist(t *testing.T) {
 	const n, dim = 400, 8
-	ix, err := NewShardedL2Index(persistTestData(n, dim, 13), 0.4, WithSeed(14), WithShards(4),
+	ix, err := NewSharded(L2, persistTestData(n, dim, 13), 0.4, WithSeed(14), WithShards(4),
 		WithTables(6), WithHLLRegisters(16), WithHLLThreshold(4))
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestPublicShardedPersist(t *testing.T) {
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadShardedL2Index(&buf)
+	loaded, err := OpenSharded(L2, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

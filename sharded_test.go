@@ -1,6 +1,7 @@
 package hybridlsh
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -42,11 +43,11 @@ func TestShardedL2MatchesUnsharded(t *testing.T) {
 	const radius = 0.4
 	points, queries := tightClusters(1000, 25, 10, 13)
 
-	flat, err := NewL2Index(points, radius, WithSeed(4))
+	flat, err := New(L2, points, radius, WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedL2Index(points, radius, WithSeed(4), WithShards(5))
+	sh, err := NewSharded(L2, points, radius, WithSeed(4), WithShards(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestShardedL2MatchesUnsharded(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 5", got)
 	}
 	for qi, q := range queries {
-		truth := GroundTruth(points, q, radius)
+		truth := GroundTruth(L2, points, q, radius)
 		flatIDs, _ := flat.Query(q)
 		shIDs, st := sh.Query(q)
 		if !slices.Equal(sortedIDs(flatIDs), sortedIDs(truth)) {
@@ -71,18 +72,26 @@ func TestShardedL2MatchesUnsharded(t *testing.T) {
 
 func TestShardedL2DefaultsAndValidation(t *testing.T) {
 	points, _ := tightClusters(100, 5, 6, 19)
-	sh, err := NewShardedL2Index(points, 0.3, WithSeed(1))
+	sh, err := NewSharded(L2, points, 0.3, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sh.Shards(); got != 4 {
 		t.Fatalf("default Shards() = %d, want 4", got)
 	}
-	if _, err := NewShardedL2Index(nil, 0.3); err == nil {
+	if _, err := NewSharded(L2, nil, 0.3); err == nil {
 		t.Error("empty points should fail")
 	}
-	if _, err := NewShardedL2Index(points, 0); err == nil {
+	if _, err := NewSharded(L2, points, 0); err == nil {
 		t.Error("zero radius should fail")
+	}
+	// Sparse points have no exact cache key.
+	sparse := pinSparse(20, 50, 5)
+	if _, err := NewSharded(Cosine, sparse, 0.1, WithCache(8)); !errors.Is(err, ErrUnsupportedOption) {
+		t.Errorf("WithCache on cosine: err = %v, want ErrUnsupportedOption", err)
+	}
+	if _, err := NewSharded(Cosine, sparse, 0.1); err != nil {
+		t.Errorf("sharded cosine: %v", err)
 	}
 }
 
@@ -116,19 +125,19 @@ func TestShardedHammingMatchesUnsharded(t *testing.T) {
 		points[i] = b
 	}
 
-	flat, err := NewHammingIndex(points, radius, WithSeed(8))
+	flat, err := New(Hamming, points, radius, WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedHammingIndex(points, radius, WithSeed(8), WithShards(4))
+	sh, err := NewSharded(Hamming, points, radius, WithSeed(8), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedHammingIndex(nil, radius); err == nil {
+	if _, err := NewSharded(Hamming, nil, radius); err == nil {
 		t.Error("empty points should fail")
 	}
 	for qi, q := range protos {
-		truth := GroundTruthHamming(points, q, radius)
+		truth := GroundTruth(Hamming, points, q, radius)
 		flatIDs, _ := flat.Query(q)
 		shIDs, _ := sh.Query(q)
 		if !slices.Equal(sortedIDs(flatIDs), sortedIDs(truth)) {
@@ -142,7 +151,7 @@ func TestShardedHammingMatchesUnsharded(t *testing.T) {
 
 func TestShardedAppendDeleteRoundTrip(t *testing.T) {
 	points, _ := tightClusters(200, 10, 6, 37)
-	sh, err := NewShardedL2Index(points, 0.3, WithSeed(2), WithShards(4))
+	sh, err := NewSharded(L2, points, 0.3, WithSeed(2), WithShards(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +210,7 @@ func TestShardedHammingCompactEquivalence(t *testing.T) {
 		}
 		points[i] = b
 	}
-	sh, err := NewShardedHammingIndex(points, radius, WithSeed(8), WithShards(4),
+	sh, err := NewSharded(Hamming, points, radius, WithSeed(8), WithShards(4),
 		WithCompactionThreshold(1)) // compact explicitly below
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +259,7 @@ func TestShardedHammingCompactEquivalence(t *testing.T) {
 // threshold compacts it without any explicit call.
 func TestShardedL2AutoCompaction(t *testing.T) {
 	points, queries := tightClusters(800, 20, 8, 41)
-	sh, err := NewShardedL2Index(points, 0.3, WithSeed(3), WithShards(4),
+	sh, err := NewSharded(L2, points, 0.3, WithSeed(3), WithShards(4),
 		WithCompactionThreshold(0.1))
 	if err != nil {
 		t.Fatal(err)

@@ -184,61 +184,61 @@ func TestPinnedSurface(t *testing.T) {
 		ids      uint64
 	}{
 		{"l2", func() ([]byte, [][]int32, error) {
-			ix, err := NewL2Index(dData, 0.2, opts...)
-			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return ReadL2Index(r) })
+			ix, err := New(L2, dData, 0.2, opts...)
+			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return Open(L2, r) })
 		}, "b85a00cab4a7d1080e3e24ae64152a26bfc4a365d2621ee7708ae9755981ff25", 0x5139b83014ef7b6},
 		{"l1", func() ([]byte, [][]int32, error) {
-			ix, err := NewL1Index(dData, 0.5, opts...)
-			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return ReadL1Index(r) })
+			ix, err := New(L1, dData, 0.5, opts...)
+			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return Open(L1, r) })
 		}, "f836e1410c7a47f758fd806da0656497987975666fee40dae28f1e909ff23ba5", 0x8d38bcceecb8564d},
 		{"angular", func() ([]byte, [][]int32, error) {
-			ix, err := NewAngularIndex(uData, 0.02, opts...)
-			return pinBuilt(ix, err, uQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return ReadAngularIndex(r) })
+			ix, err := New(Angular, uData, 0.02, opts...)
+			return pinBuilt(ix, err, uQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return Open(Angular, r) })
 		}, "77d13575bb4c9246a6e4ec6fe4faad185ca732bba03382e6c74aa954d3de4ee5", 0xc5bf1d5f8b999fa5},
 		{"cosine", func() ([]byte, [][]int32, error) {
-			ix, err := NewCosineIndex(sData, 0.005, opts...)
-			return pinBuilt(ix, err, sQueries, func(r io.Reader) (pinIndex[Sparse, QueryStats], error) { return ReadCosineIndex(r) })
+			ix, err := New(Cosine, sData, 0.005, opts...)
+			return pinBuilt(ix, err, sQueries, func(r io.Reader) (pinIndex[Sparse, QueryStats], error) { return Open(Cosine, r) })
 		}, "033cf6c4b2d8995d0e2eddaf2cc8a9e6cfd5a429538a16e6db29d0a2d7d01306", 0x90dc99758a0787aa},
 		{"hamming", func() ([]byte, [][]int32, error) {
-			ix, err := NewHammingIndex(hData, 8, opts...)
-			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return ReadHammingIndex(r) })
+			ix, err := New(Hamming, hData, 8, opts...)
+			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return Open(Hamming, r) })
 		}, "253c52faefa6fc6a266b6de10defbebf231c42f36f5ac359f5f7b7ce73c22a1b", 0xda15fc4f00cff786},
 		{"jaccard", func() ([]byte, [][]int32, error) {
-			ix, err := NewJaccardIndex(jData, 0.15, opts...)
-			return pinBuilt(ix, err, jQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return ReadJaccardIndex(r) })
+			ix, err := New(Jaccard, jData, 0.15, opts...)
+			return pinBuilt(ix, err, jQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return Open(Jaccard, r) })
 		}, "6fa19b4f137c9ff237f3bd2d46062f88e5b037f558c34d0488c0c8e6e9860fe7", 0xc10d0ce52a07c066},
 		{"multiprobe-l2", func() ([]byte, [][]int32, error) {
-			ix, err := NewMultiProbeL2Index(dData, 0.2, append(opts, WithProbes(6))...)
-			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return ReadMultiProbeL2Index(r) })
+			ix, err := New(L2, dData, 0.2, append(opts, WithProbes(6))...)
+			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, QueryStats], error) { return Open(L2, r) })
 		}, "76043dc24de97bc7915cf3b8b356bb1cd2fcb9a8c7ff4ec80ccadfaa0ba5b1b7", 0xb6f4fb553f8c47b7},
 		{"covering-hamming", func() ([]byte, [][]int32, error) {
-			ix, err := NewCoveringHammingIndex(hData, append(opts, WithRadius(7))...)
-			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return ReadCoveringHammingIndex(r) })
+			ix, err := New(Hamming, hData, 7, append(opts, WithCovering())...)
+			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, QueryStats], error) { return Open(Hamming, r) })
 		}, "7d36228293ed98e8d72bd90dd487bf8ff4837333bf2f6974a408cce08f76af45", 0xc276e1eb9740065},
 		{"sharded-l2", func() ([]byte, [][]int32, error) {
-			ix, err := NewShardedL2Index(dData, 0.2, sharded...)
-			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, ShardedQueryStats], error) { return ReadShardedL2Index(r) })
+			ix, err := NewSharded(L2, dData, 0.2, sharded...)
+			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, ShardedQueryStats], error) { return OpenSharded(L2, r) })
 		}, "b04cd20702b931a32a057f031abb13047dedf7952842e35f692cb25a8ee6cb3d", 0x86211d8e9391a3df},
 		{"sharded-hamming", func() ([]byte, [][]int32, error) {
-			ix, err := NewShardedHammingIndex(hData, 8, sharded...)
-			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, ShardedQueryStats], error) { return ReadShardedHammingIndex(r) })
+			ix, err := NewSharded(Hamming, hData, 8, sharded...)
+			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, ShardedQueryStats], error) { return OpenSharded(Hamming, r) })
 		}, "6ec0274c5f798ab1da796dbb283531e83f3eb99c421a8757842e179babfbbb4e", 0xf9a0b44b58a287f5},
 		{"sharded-multiprobe-l2", func() ([]byte, [][]int32, error) {
-			ix, err := NewShardedMultiProbeL2Index(dData, 0.2, append(sharded, WithProbes(6))...)
-			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, ShardedQueryStats], error) { return ReadShardedMultiProbeL2Index(r) })
+			ix, err := NewSharded(L2, dData, 0.2, append(sharded, WithProbes(6))...)
+			return pinBuilt(ix, err, dQueries, func(r io.Reader) (pinIndex[Dense, ShardedQueryStats], error) { return OpenSharded(L2, r) })
 		}, "d40ee9cef23ffbc1f5c28ff5030322dd7e695d0e377ba87869f2c4743ae9799c", 0xf06724a4b4185d3d},
 		{"sharded-covering-hamming", func() ([]byte, [][]int32, error) {
-			ix, err := NewShardedCoveringHammingIndex(hData, append(sharded, WithRadius(7))...)
+			ix, err := NewSharded(Hamming, hData, 7, append(sharded, WithCovering())...)
 			return pinBuilt(ix, err, hQueries, func(r io.Reader) (pinIndex[Binary, ShardedQueryStats], error) {
-				return ReadShardedCoveringHammingIndex(r)
+				return OpenSharded(Hamming, r)
 			})
 		}, "a5c54579bfd2597deee55b6dd14db6ed32f63703808729509c32834b4ffb8c6c", 0xc276e1eb9740065},
 		{"ladder-l2", func() ([]byte, [][]int32, error) {
-			l, err := NewL2Ladder(dData, 0.1, 0.4, 2, opts...)
+			l, err := NewLadder(L2, dData, 0.1, 0.4, 2, opts...)
 			return pinLadder(l, err, dQueries, []float64{0.1, 0.15, 0.4})
 		}, "", 0xb70b27332a587b79},
 		{"ladder-hamming", func() ([]byte, [][]int32, error) {
-			l, err := NewHammingLadder(hData, 2, 8, 2, opts...)
+			l, err := NewLadder(Hamming, hData, 2, 8, 2, opts...)
 			return pinLadder(l, err, hQueries, []float64{2, 3, 8})
 		}, "", 0xd1309812a682301e},
 	}
