@@ -31,8 +31,8 @@ var ErrDegenerateCalibration = errors.New("core: degenerate calibration timings 
 //     that kernel costs, not at a pair-by-pair distance call the
 //     searcher never makes;
 //   - α is the mean wall time of one duplicate-removal step — a
-//     generation-stamped visited-array probe plus candidate append, the
-//     same operation searchBuckets performs per collision.
+//     generation-stamped visited-array probe and stamp, timed through
+//     dedup, the function searchBuckets runs per collision.
 //
 // The returned CostModel is expressed in nanoseconds; only the β/α ratio
 // matters to the decision rule. queries and sample default to the paper's
@@ -89,11 +89,10 @@ func CalibrateChecked[P any](points []P, build pointstore.Builder[P], queries, s
 	beta := float64(time.Since(t0).Nanoseconds()) / float64(queries*sample)
 
 	// --- α: duplicate-removal steps over realistic bucket structure: L
-	// bucket slices of random ids walked with a generation-stamped
-	// visited array, exactly the shape of the search's S2 phase. A first
-	// untimed pass marks every id, so the timed pass measures the pure
-	// duplicate-removal path (probe + branch) including the cache misses
-	// of random access into a visited array of the true size.
+	// bucket slices of random ids walked by dedup, the function the
+	// search's S2 phase runs, against a visited array of the true size
+	// (so its random accesses miss the cache as a query's do). An untimed
+	// first pass marks every id; the timed passes then see duplicates only.
 	visited := make([]uint32, len(points))
 	const nBuckets = 50
 	buckets := make([][]int32, nBuckets)
@@ -106,28 +105,20 @@ func CalibrateChecked[P any](points []P, build pointstore.Builder[P], queries, s
 		buckets[b] = ids
 	}
 	const gen = 1
-	var dups int
+	var seen []int32
 	for _, ids := range buckets { // warm pass: mark everything
-		for _, id := range ids {
-			if visited[id] != gen {
-				visited[id] = gen
-			}
-		}
+		seen = dedup(visited, gen, ids, seen)
 	}
 	reps := 20
+	var steps int
 	t1 := time.Now()
 	for rep := 0; rep < reps; rep++ {
 		for _, ids := range buckets {
-			for _, id := range ids {
-				if visited[id] == gen {
-					dups++
-					continue
-				}
-				visited[id] = gen
-			}
+			seen = dedup(visited, gen, ids, seen[:0])
+			steps += len(ids)
 		}
 	}
-	alpha := float64(time.Since(t1).Nanoseconds()) / float64(dups)
+	alpha := float64(time.Since(t1).Nanoseconds()) / float64(steps)
 	return checkCalibration(alpha, beta)
 }
 

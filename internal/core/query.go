@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/hll"
@@ -296,36 +297,56 @@ func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []in
 }
 
 // searchBuckets is the paper's steps S2 + S3, restructured for batch
-// verification: walk the probed buckets and remove duplicates with the
-// generation-stamped visited array (S2), collecting the distinct
-// candidate ids into the pooled scratch buffer, then hand the whole
-// batch to the store's VerifyRadius (S3) — which runs the unrolled
-// distance kernels over its own layout and, when quantized, pre-filters
-// against the SQ8 copy before the exact re-check.
+// verification: walk the probed buckets and remove duplicates (S2,
+// collect), then hand the distinct candidates to the store's
+// VerifyRadius (S3) — which runs the unrolled distance kernels over its
+// own layout and, when quantized, pre-filters against the SQ8 copy
+// before the exact re-check.
 func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState, stats *QueryStats, out []int32) []int32 {
+	cand := st.collect(buckets)
+	stats.Candidates = len(cand)
+	n := len(out)
+	out = ix.store.VerifyRadius(q, cand, r, out)
+	stats.Results = len(out) - n
+	return out
+}
+
+// collect is the paper's step S2: it gathers the distinct ids of buckets
+// into the pooled candidate buffer, in first-occurrence order, under a
+// fresh generation of the visited array.
+func (st *queryState) collect(buckets []lsh.Bucket) []int32 {
 	st.gen++
 	if st.gen == 0 {
 		// Generation counter wrapped: clear stamps and restart.
 		clear(st.visited)
 		st.gen = 1
 	}
-	gen := st.gen
 	cand := st.cand[:0]
 	for i := range buckets {
-		for _, id := range buckets[i].IDs {
-			if st.visited[id] == gen {
-				continue
-			}
-			st.visited[id] = gen
-			cand = append(cand, id)
-		}
+		cand = dedup(st.visited, st.gen, buckets[i].IDs, cand)
 	}
 	st.cand = cand
-	stats.Candidates = len(cand)
-	n := len(out)
-	out = ix.store.VerifyRadius(q, cand, r, out)
-	stats.Results = len(out) - n
-	return out
+	return cand
+}
+
+// dedup appends to cand the ids whose visited stamp is not gen, in the
+// order they come, and stamps every id with gen: one duplicate-removal
+// step per id, the α of the cost model (Calibrate times this function).
+// The body has no branch: every id is stored into room grown once per
+// call and kept by advancing past it only when its stamp was stale, so
+// a run of duplicates costs no misprediction.
+func dedup(visited []uint32, gen uint32, ids, cand []int32) []int32 {
+	n := len(cand)
+	cand = slices.Grow(cand, len(ids))[:n+len(ids)]
+	for _, id := range ids {
+		stale := visited[id] != gen
+		visited[id] = gen
+		cand[n] = id
+		if stale {
+			n++
+		}
+	}
+	return cand[:n]
 }
 
 // searchLinear scans all points, appending the ids within r to out; it

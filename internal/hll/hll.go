@@ -20,6 +20,7 @@
 package hll
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -107,14 +108,24 @@ func (s *Sketch) Merge(o *Sketch) { s.MergeRegisters(o.regs) }
 // MergeRegisters is Merge from a bare register array, such as a sketch
 // stored in a bucket table's register slab. It panics if the register
 // counts differ.
+//
+// It takes the max of eight registers at a time, one uint64 from each
+// side (m is a power of two ≥ MinM, so the words cover it exactly).
+// With the top bit of every byte of a set, each byte of (a|H)−b keeps
+// that bit exactly when a ≥ b. No byte borrows from the next because
+// every register is at most 64 < 128: Add caps ranks at 64−p+1 and
+// CheckRegisters refuses larger ones at load.
 func (s *Sketch) MergeRegisters(regs []uint8) {
 	if len(s.regs) != len(regs) {
 		panic(fmt.Sprintf("hll: merging sketches with m = %d and m = %d", len(s.regs), len(regs)))
 	}
-	for i, r := range regs {
-		if r > s.regs[i] {
-			s.regs[i] = r
-		}
+	const h = 0x8080808080808080
+	for i := 0; i+8 <= len(regs); i += 8 {
+		a := binary.LittleEndian.Uint64(s.regs[i:])
+		b := binary.LittleEndian.Uint64(regs[i:])
+		ge := ((a | h) - b) & h // the top bit of the bytes where a ≥ b
+		m := (ge >> 7) * 0xff
+		binary.LittleEndian.PutUint64(s.regs[i:], a&m|b&^m)
 	}
 }
 

@@ -2,6 +2,7 @@ package hll
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -301,15 +302,73 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkMerge128(b *testing.B) {
-	x, y := New(128), New(128)
-	for i := uint64(0); i < 10000; i++ {
-		x.AddID(i)
-		y.AddID(i * 3)
+// mergeBytes is MergeRegisters as the byte loop it replaced.
+func mergeBytes(dst, src []uint8) {
+	for i, r := range src {
+		if r > dst[i] {
+			dst[i] = r
+		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.Merge(y)
+}
+
+// TestMergeRegistersMatchesByteLoop holds the word-wide merge to the byte
+// loop for every pair of ranks in [0, 64] in each of the eight lanes of
+// a word, beside random neighbours (a borrow would leak into them) and
+// in a word whose lanes all hold the pair.
+func TestMergeRegistersMatchesByteLoop(t *testing.T) {
+	r := rng.New(64)
+	s, want := New(MinM), make([]uint8, MinM)
+	other := make([]uint8, MinM)
+	for a := range uint8(65) {
+		for b := range uint8(65) {
+			for lane := range 8 {
+				for i := range other {
+					s.regs[i], other[i] = uint8(r.Intn(65)), uint8(r.Intn(65))
+				}
+				s.regs[lane], other[lane] = a, b
+				for i := 8; i < 16; i++ {
+					s.regs[i], other[i] = a, b
+				}
+				copy(want, s.regs)
+				mergeBytes(want, other)
+				s.MergeRegisters(other)
+				if !slices.Equal(s.regs, want) {
+					t.Fatalf("max(%d, %d) in lane %d: merged %v, want %v", a, b, lane, s.regs, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkKernelHLLMerge times a query's estimate-side merge: fifty
+// 128-register bucket sketches folded into one scratch sketch, through
+// the byte loop and through MergeRegisters; one op is one query.
+func BenchmarkKernelHLLMerge(b *testing.B) {
+	const tables, m = 50, 128
+	buckets := make([][]uint8, tables)
+	for j := range buckets {
+		s := New(m)
+		for i := range uint64(2000) {
+			s.AddID(i*tables + uint64(j))
+		}
+		buckets[j] = s.Registers()
+	}
+	for _, bc := range []struct {
+		name  string
+		merge func(s *Sketch, regs []uint8)
+	}{
+		{"bytes", func(s *Sketch, regs []uint8) { mergeBytes(s.regs, regs) }},
+		{"words", (*Sketch).MergeRegisters},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(m)
+			for b.Loop() {
+				s.Reset()
+				for _, regs := range buckets {
+					bc.merge(s, regs)
+				}
+			}
+		})
 	}
 }
 

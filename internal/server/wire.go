@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"log"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/bufpool"
@@ -24,66 +27,52 @@ import (
 // hand-written array replaces exactly this prefix.
 const nullIDs = `{"ids":null`
 
-// digitPairs holds "00" "01" … "99", so two digits cost one division.
-const digitPairs = "" +
-	"0001020304050607080910111213141516171819" +
-	"2021222324252627282930313233343536373839" +
-	"4041424344454647484950515253545556575859" +
-	"6061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
-
-// decimalLen is the number of digits in u's decimal form.
-func decimalLen(u uint32) int {
-	switch {
-	case u < 10:
-		return 1
-	case u < 100:
-		return 2
-	case u < 1_000:
-		return 3
-	case u < 10_000:
-		return 4
-	case u < 100_000:
-		return 5
-	case u < 1_000_000:
-		return 6
-	case u < 10_000_000:
-		return 7
-	case u < 100_000_000:
-		return 8
-	case u < 1_000_000_000:
-		return 9
+// digitPairs[i] is the two ASCII digits of i < 100, the first in the
+// low byte, as a little-endian store lays them out.
+var digitPairs = func() (t [100]uint64) {
+	for i := range t {
+		t[i] = uint64('0'+i/10) | uint64('0'+i%10)<<8
 	}
-	return 10
-}
+	return t
+}()
+
+// idChunk is how many ids appendIDs writes per growth of the buffer.
+const idChunk = 512
 
 // appendIDs appends ids as the comma-separated elements of a JSON array.
-// Ids are never negative; one that is still comes out right.
+// An id in [0, 10^8) is written by one 8-byte store: its eight digits,
+// leading zeros included, built from four digitPairs entries, shifted
+// right past the leading zeros so the store starts at its first digit;
+// the bytes it writes past them are overwritten by the comma and the
+// next id, or lie beyond the returned length. Ids are never negative or
+// that large; one that is still comes out right, through strconv.
 func appendIDs(b []byte, ids []int32) []byte {
-	for i, id := range ids {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if id < 0 {
-			b = strconv.AppendInt(b, int64(id), 10)
-			continue
-		}
-		u := uint32(id)
-		b = append(b, "0000000000"[:decimalLen(u)]...)
-		p := len(b)
-		for u >= 100 {
-			d := u % 100 * 2
-			u /= 100
-			p -= 2
-			b[p], b[p+1] = digitPairs[d], digitPairs[d+1]
-		}
-		if u >= 10 {
-			b[p-2], b[p-1] = digitPairs[u*2], digitPairs[u*2+1]
-		} else {
-			b[p-1] = '0' + byte(u)
-		}
+	if len(ids) == 0 {
+		return b
 	}
-	return b
+	for c := range slices.Chunk(ids, idChunk) {
+		n := len(b)
+		// An id's worst case is "-2147483648," and the store's overhang.
+		b = slices.Grow(b, len(c)*12+8)
+		w := b[:cap(b)]
+		for _, id := range c {
+			if uint32(id) >= 100_000_000 {
+				n = len(strconv.AppendInt(w[:n], int64(id), 10))
+			} else {
+				hi, lo := uint32(id)/10_000, uint32(id)%10_000
+				d := digitPairs[hi/100] | digitPairs[hi%100]<<16 | digitPairs[lo/100]<<32 | digitPairs[lo%100]<<48
+				// Leading zeros are the low '0' bytes; the units digit
+				// always stays.
+				z := bits.TrailingZeros64((d^0x3030303030303030)|1<<56) / 8
+				binary.LittleEndian.PutUint64(w[n:], d>>(8*z))
+				n += 8 - z
+			}
+			w[n] = ','
+			n++
+		}
+		b = w[:n]
+	}
+	return b[:len(b)-1]
 }
 
 // appendResult appends res as a JSON object without a trailing newline.

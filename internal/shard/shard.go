@@ -36,6 +36,7 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -116,10 +117,12 @@ type Sharded[P any] struct {
 	// reverse (Delete releases tombMu before triggering compaction).
 	tombMu sync.RWMutex
 	// tombs is the set of deleted global ids, filtered out of every
-	// report. Ids stay in it forever — even after compaction removes the
-	// points from the buckets — because the id space never shrinks: N()
-	// and persisted snapshots account for the holes through this set.
-	tombs map[int32]struct{}
+	// report, and nTombs its size. Ids stay in it forever — even after
+	// compaction removes the points from the buckets — because the id
+	// space never shrinks: N() and persisted snapshots account for the
+	// holes through this set. It has room for every id owners has.
+	tombs  idBits
+	nTombs int
 	// owners[id] is the shard currently holding id's point, or -1 once
 	// compaction dropped it from the buckets. It attributes each delete
 	// to a shard in O(1) so the auto-compaction trigger knows per-shard
@@ -253,7 +256,7 @@ func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], 
 
 	sh := &Sharded[P]{
 		shards:        make([]*shardState[P], s),
-		tombs:         make(map[int32]struct{}),
+		tombs:         makeIDBits(len(points)),
 		owners:        owners,
 		shardDead:     make([]int, s),
 		compactions:   make([]int64, s),
@@ -333,12 +336,8 @@ func (s *Sharded[P]) Snapshot(f func(shards []ShardSnapshot[P], nextID int32, to
 	}
 
 	s.tombMu.RLock()
-	tombs := make([]int32, 0, len(s.tombs))
-	for id := range s.tombs {
-		tombs = append(tombs, id)
-	}
+	tombs := s.tombs.appendTo(make([]int32, 0, s.nTombs))
 	s.tombMu.RUnlock()
-	slices.Sort(tombs)
 
 	return f(view, s.nextID.Load(), tombs)
 }
@@ -359,7 +358,7 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 	}
 	sh := &Sharded[P]{
 		shards:        make([]*shardState[P], len(shards)),
-		tombs:         make(map[int32]struct{}, len(tombstones)),
+		tombs:         makeIDBits(int(nextID)),
 		owners:        make([]int32, nextID),
 		shardDead:     make([]int, len(shards)),
 		compactions:   make([]int64, len(shards)),
@@ -372,9 +371,11 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 		if id < 0 || id >= nextID {
 			return nil, fmt.Errorf("shard: Restore tombstone id %d outside [0,%d)", id, nextID)
 		}
-		sh.tombs[id] = struct{}{}
+		if sh.tombs.add(id) {
+			sh.nTombs++
+		}
 	}
-	seen := make(map[int32]struct{}, int(nextID))
+	seen := makeIDBits(int(nextID))
 	for j, v := range shards {
 		if v.Index == nil {
 			return nil, fmt.Errorf("shard: Restore shard %d has no index", j)
@@ -386,16 +387,15 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 			if id < 0 || id >= nextID {
 				return nil, fmt.Errorf("shard: Restore shard %d id %d outside [0,%d)", j, id, nextID)
 			}
-			if _, dup := seen[id]; dup {
+			if !seen.add(id) {
 				return nil, fmt.Errorf("shard: Restore id %d appears in more than one shard", id)
 			}
-			seen[id] = struct{}{}
 			sh.owners[id] = int32(j)
 			// A snapshot normally compacts tombstoned points out, but the
 			// invariant Restore itself enforces is weaker; count any
 			// still-bucketed tombstone so the auto-compaction trigger
 			// sees it.
-			if _, dead := sh.tombs[id]; dead {
+			if sh.tombs.has(id) {
 				sh.shardDead[j]++
 			}
 		}
@@ -412,7 +412,7 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 func (s *Sharded[P]) N() int {
 	total := int(s.nextID.Load())
 	s.tombMu.RLock()
-	dead := len(s.tombs)
+	dead := s.nTombs
 	s.tombMu.RUnlock()
 	return total - dead
 }
@@ -558,17 +558,21 @@ func (st *QueryStats) add(qs core.QueryStats) {
 
 // appendLive appends the ids that are not tombstoned to out. Shards
 // never share ids, so concatenating their sets needs no dedup. The
-// caller holds tombMu.
+// caller holds tombMu. The body has no branch: every id is stored and
+// kept by advancing past it only when its tombstone bit is clear.
 func (s *Sharded[P]) appendLive(out, ids []int32) []int32 {
-	if len(s.tombs) == 0 {
+	if s.nTombs == 0 {
 		return append(out, ids...)
 	}
+	tombs, n := s.tombs, len(out)
+	out = slices.Grow(out, len(ids))[:n+len(ids)]
 	for _, id := range ids {
-		if _, dead := s.tombs[id]; !dead {
-			out = append(out, id)
+		out[n] = id
+		if !tombs.has(id) {
+			n++
 		}
 	}
-	return out
+	return out[:n]
 }
 
 // BatchResult is one query's outcome within QueryBatch.
@@ -789,6 +793,7 @@ func (s *Sharded[P]) appendToLocked(targetIdx int, points []P, journal bool) ([]
 	for range ids {
 		s.owners = append(s.owners, int32(targetIdx))
 	}
+	s.tombs = s.tombs.grow(len(s.owners))
 	s.tombMu.Unlock()
 	// Journal before publishing through nextID: a Delete can only see
 	// these ids after the publish, so no delete frame can precede its
@@ -862,10 +867,10 @@ func (s *Sharded[P]) Delete(ids []int32) int {
 		if id < 0 || id >= max {
 			continue
 		}
-		if _, dead := s.tombs[id]; dead {
+		if !s.tombs.add(id) {
 			continue
 		}
-		s.tombs[id] = struct{}{}
+		s.nTombs++
 		deleted++
 		if s.journal != nil {
 			newlyDead = append(newlyDead, id)
@@ -1007,7 +1012,7 @@ func (s *Sharded[P]) compactWith(j int, pick map[int32]struct{}, journal bool) (
 	ndead := 0
 	s.tombMu.RLock()
 	for l, gid := range ids0 {
-		if _, d := s.tombs[gid]; !d {
+		if !s.tombs.has(gid) {
 			continue
 		}
 		if pick != nil {
@@ -1096,7 +1101,7 @@ func (s *Sharded[P]) CompactAll() (int, error) {
 // Deleted returns the current tombstone count.
 func (s *Sharded[P]) Deleted() int {
 	s.tombMu.RLock()
-	n := len(s.tombs)
+	n := s.nTombs
 	s.tombMu.RUnlock()
 	return n
 }
@@ -1197,4 +1202,40 @@ func (s *Sharded[P]) Stats() Stats {
 		st.CacheCapacity = s.cache.cap
 	}
 	return st
+}
+
+// idBits is a set of global ids, one bit each: the tombstones, and the
+// ids Restore has placed.
+type idBits []uint64
+
+// makeIDBits returns an empty set with room for the ids below n.
+func makeIDBits(n int) idBits { return make(idBits, (n+63)/64) }
+
+// grow returns b with room for the ids below n.
+func (b idBits) grow(n int) idBits {
+	if w := (n + 63) / 64; w > len(b) {
+		return append(b, make(idBits, w-len(b))...)
+	}
+	return b
+}
+
+// has reports whether id is in the set.
+func (b idBits) has(id int32) bool { return b[uint32(id)/64]>>(uint32(id)%64)&1 != 0 }
+
+// add puts id in the set and reports whether it was absent.
+func (b idBits) add(id int32) bool {
+	w, bit := &b[uint32(id)/64], uint64(1)<<(uint32(id)%64)
+	absent := *w&bit == 0
+	*w |= bit
+	return absent
+}
+
+// appendTo appends the set's ids to out in ascending order.
+func (b idBits) appendTo(out []int32) []int32 {
+	for i, w := range b {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
