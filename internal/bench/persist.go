@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lsh"
 	"repro/internal/persist"
 	"repro/internal/vector"
 )
@@ -34,6 +35,9 @@ type PersistResult struct {
 	// Speedup is BuildSec / LoadSec: how many cold rebuilds one
 	// snapshot load replaces.
 	Speedup float64 `json:"speedup"`
+	// LoadHashes counts hash evaluations (lsh.HashEvaluations) across
+	// the loads: a load reads the tables, so it hashes nothing.
+	LoadHashes uint64 `json:"load_hashes"`
 	// QueriesChecked queries were answered by both indexes; Mismatches
 	// of them diverged in ids or strategy, and Identical is their
 	// absence.
@@ -85,6 +89,7 @@ func PersistExperiment(cfg Config) (*PersistResult, error) {
 
 	var loaded core.Store[vector.Dense]
 	var loadTotal time.Duration
+	hashes := lsh.HashEvaluations()
 	for i := 0; i < runs; i++ {
 		t0 := time.Now()
 		loaded, _, err = persist.Read[vector.Dense](bytes.NewReader(buf.Bytes()), persist.MetricL2)
@@ -94,6 +99,7 @@ func PersistExperiment(cfg Config) (*PersistResult, error) {
 		loadTotal += time.Since(t0)
 	}
 	res.LoadSec = loadTotal.Seconds() / float64(runs)
+	res.LoadHashes = lsh.HashEvaluations() - hashes
 	if res.LoadSec > 0 {
 		res.Speedup = res.BuildSec / res.LoadSec
 	}

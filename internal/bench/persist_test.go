@@ -22,11 +22,11 @@ func TestPersistExperiment(t *testing.T) {
 	if res.SnapshotBytes <= 0 || res.BuildSec <= 0 || res.LoadSec <= 0 {
 		t.Fatalf("degenerate measurements: %+v", res)
 	}
-	// The ≥5× acceptance target is asserted by the full-scale bench run,
-	// not here (CI timing is too noisy for a hard threshold at tiny
-	// scale) — but load must at least beat rebuild.
-	if res.Speedup <= 1 {
-		t.Errorf("snapshot load (%.4fs) not faster than rebuild (%.4fs)", res.LoadSec, res.BuildSec)
+	// Why a load beats a rebuild, asserted on a counter rather than on
+	// two wall-clock samples: a build hashes every point into every
+	// table, a load hashes nothing. The times are printed below.
+	if res.LoadHashes != 0 {
+		t.Errorf("the snapshot loads hashed %d points, want 0", res.LoadHashes)
 	}
 	t.Logf("build %.4fs, load %.4fs, speedup %.1f×, snapshot %d bytes",
 		res.BuildSec, res.LoadSec, res.Speedup, res.SnapshotBytes)

@@ -88,19 +88,27 @@ func CalibrateChecked[P any](points []P, build pointstore.Builder[P], queries, s
 	}
 	beta := float64(time.Since(t0).Nanoseconds()) / float64(queries*sample)
 
-	// --- α: duplicate-removal steps over realistic bucket structure: L
-	// bucket slices of random ids walked by dedup, the function the
-	// search's S2 phase runs, against a visited array of the true size
-	// (so its random accesses miss the cache as a query's do). An untimed
-	// first pass marks every id; the timed passes then see duplicates only.
-	visited := make([]uint32, len(points))
+	elapsed, steps := timeDedup(len(points), sample, r)
+	alpha := float64(elapsed.Nanoseconds()) / float64(steps)
+	return checkCalibration(alpha, beta)
+}
+
+// timeDedup is the α loop: duplicate-removal steps over realistic bucket
+// structure — L bucket slices of random ids in [0, n), sample in all,
+// walked by dedup, the function the search's S2 phase runs, against a
+// visited array of the true size (so its random accesses miss the cache
+// as a query's do). An untimed first pass marks every id; the timed
+// passes then see duplicates only. It returns their wall time and how
+// many dedup steps it covers.
+func timeDedup(n, sample int, r *rng.Rand) (time.Duration, int) {
+	visited := make([]uint32, n)
 	const nBuckets = 50
 	buckets := make([][]int32, nBuckets)
 	perBucket := sample/nBuckets + 1
 	for b := range buckets {
 		ids := make([]int32, perBucket)
 		for i := range ids {
-			ids[i] = int32(r.Intn(len(points)))
+			ids[i] = int32(r.Intn(n))
 		}
 		buckets[b] = ids
 	}
@@ -118,8 +126,7 @@ func CalibrateChecked[P any](points []P, build pointstore.Builder[P], queries, s
 			steps += len(ids)
 		}
 	}
-	alpha := float64(time.Since(t1).Nanoseconds()) / float64(steps)
-	return checkCalibration(alpha, beta)
+	return time.Since(t1), steps
 }
 
 // checkCalibration applies the degenerate-timing floors and reports

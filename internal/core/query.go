@@ -29,7 +29,7 @@ type queryState struct {
 	// QueryBlock's state: the block's keys, table-major, the hashers'
 	// projection scratch and the ids of the query it is answering.
 	keys []uint64
-	proj []float64
+	hash lsh.KeyScratch
 	out  []int32
 }
 
@@ -276,7 +276,7 @@ func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []in
 		var share time.Duration
 		if t == 0 {
 			t0 := time.Now()
-			st.keys, st.proj = ix.tables.BlockKeys(blk, st.keys, st.proj)
+			st.keys = ix.tables.BlockKeys(blk, st.keys, &st.hash)
 			share = time.Since(t0) / time.Duration(len(blk))
 		}
 		for i, q := range blk {

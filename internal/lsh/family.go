@@ -11,8 +11,11 @@ package lsh
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/rng"
+	"repro/internal/vector"
 )
 
 // Hasher maps a point to its bucket key in one hash table. A Hasher is the
@@ -27,23 +30,60 @@ type Hasher[P any] interface {
 }
 
 // A blockHasher keys a block of points faster than one Key call per
-// point: Keys sets dst[i] to Key(points[i]) for every point, working in
-// the scratch proj, and returns proj, grown as needed.
+// point: keys sets dst[i] to Key(points[i]) for every point, working in
+// s.
 type blockHasher[P any] interface {
-	Keys(points []P, dst []uint64, proj []float64) []float64
+	keys(points []P, dst []uint64, s *KeyScratch)
 }
 
+// KeyScratch is the block path's working memory, reusable across blocks:
+// a block's projections and, for dense points, the norm bounds the
+// p-stable screen needs once per block, not once per table; rechecked
+// counts the projections the screen left to the float64 reference.
+type KeyScratch struct {
+	proj, norms []float64
+	zero        vector.Dense
+	rechecked   int
+}
+
+// begin readies s for a new block: for dense points, its norm bounds.
+func (s *KeyScratch) begin(points any) {
+	s.norms = s.norms[:0]
+	if ps, ok := points.([]vector.Dense); ok {
+		for _, p := range ps { // zero is never written: all of its capacity is 0
+			s.zero = slices.Grow(s.zero, len(p))[:max(len(s.zero), len(p))]
+		}
+		s.norms = appendNorms(s.norms, ps, s.zero)
+	}
+}
+
+var hashEvals atomic.Uint64
+
+// HashEvaluations returns how many times a point has been hashed into
+// one table, by any path (Keys, BlockKeys, a lookup, a probe, Build or
+// Append), since the process started.
+func HashEvaluations() uint64 { return hashEvals.Load() }
+
 // Keys sets dst[i] to h.Key(points[i]) for every point, through h's
-// block path when it has one. proj is that path's scratch: Keys returns
-// it, grown as needed, for the caller's next call (nil starts one).
-func Keys[P any](h Hasher[P], points []P, dst []uint64, proj []float64) []float64 {
+// block path when it has one, working in s (nil allocates one).
+func Keys[P any](h Hasher[P], points []P, dst []uint64, s *KeyScratch) {
+	if s == nil {
+		s = new(KeyScratch)
+	}
+	s.begin(points)
+	keysOf(h, points, dst, s)
+}
+
+// keysOf is Keys for a block s has begun.
+func keysOf[P any](h Hasher[P], points []P, dst []uint64, s *KeyScratch) {
+	hashEvals.Add(uint64(len(points)))
 	if bh, ok := h.(blockHasher[P]); ok {
-		return bh.Keys(points, dst, proj)
+		bh.keys(points, dst, s)
+		return
 	}
 	for i, p := range points {
 		dst[i] = h.Key(p)
 	}
-	return proj
 }
 
 // Family describes an LSH family for a point type P: it constructs fresh

@@ -46,6 +46,7 @@ func (t *Tables[P]) CanProbe() error {
 // (CanProbe).
 func (t *Tables[P]) ProbeInto(q P, probes int, s *Scratch) []Bucket {
 	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	hashEvals.Add(uint64(len(t.tables)))
 	for i := range t.tables {
 		s.keys = t.tables[i].hasher.(Prober[P]).ProbeKeys(q, probes, s.keys)
 		s.ends = append(s.ends, len(s.keys))

@@ -3,6 +3,7 @@ package lsh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/hashutil"
 	"repro/internal/rng"
@@ -100,21 +101,20 @@ func (f *PStable) NewPStableHasher(k int, r *rng.Rand) *PStableHasher {
 	if k < 1 {
 		panic(fmt.Sprintf("lsh: NewHasher k = %d", k))
 	}
-	h := &PStableHasher{w: f.w, a: make([]vector.Dense, k), b: make([]float64, k)}
+	a, b := make([]vector.Dense, k), make([]float64, k)
 	for i := 0; i < k; i++ {
-		a := make(vector.Dense, f.dim)
-		for j := range a {
+		proj := make(vector.Dense, f.dim)
+		for j := range proj {
 			if f.cauchy {
-				a[j] = float32(r.Cauchy())
+				proj[j] = float32(r.Cauchy())
 			} else {
-				a[j] = float32(r.Normal())
+				proj[j] = float32(r.Normal())
 			}
 		}
-		h.a[i] = a
-		h.b[i] = r.Float64() * f.w
+		a[i] = proj
+		b[i] = r.Float64() * f.w
 	}
-	h.slab = vector.PackRows4(h.a)
-	return h
+	return newPStableHasher(f.w, a, b)
 }
 
 // RestorePStableHasher reassembles a hasher from parameters previously
@@ -134,18 +134,34 @@ func RestorePStableHasher(w float64, a []vector.Dense, b []float64) (*PStableHas
 			return nil, fmt.Errorf("lsh: RestorePStableHasher projection %d has dim %d, want %d > 0", i, len(proj), dim)
 		}
 	}
-	return &PStableHasher{w: w, a: a, slab: vector.PackRows4(a), b: b}, nil
+	return newPStableHasher(w, a, b), nil
 }
 
-// PStableHasher is one g-function of the p-stable family. Hashing reads
-// slab, the k projections as vector.PackRows4 lays them out, and never a:
-// a is kept only so Projections can hand the drawn float32 rows to
-// persist unchanged.
+func newPStableHasher(w float64, a []vector.Dense, b []float64) *PStableHasher {
+	h := &PStableHasher{w: w, a: a, slab: vector.PackRows4(a), slab8: vector.PackRows8(a), b: b, tol: make([]float64, len(a))}
+	rel, abs := vector.DotRows8Error(len(a[0]))
+	for i, proj := range a {
+		h.tol[i] = 2 * rel * proj.Norm2() * (1 + 0x1p-20) / w
+	}
+	h.eta, h.invW = 2*abs/w, 1/w
+	return h
+}
+
+// PStableHasher is one g-function of the p-stable family. Key, Parts
+// and PartsAndResiduals read slab, the k projections as vector.PackRows4
+// lays them out; the block path screens with slab8, their float32
+// vector.PackRows8 copy (exact: the projections are float32). a is kept
+// for the screen's fallback and so Projections can hand the drawn rows
+// to persist unchanged.
 type PStableHasher struct {
-	w    float64
-	a    []vector.Dense
-	slab []float64
-	b    []float64
+	w     float64
+	a     []vector.Dense
+	slab  []float64
+	slab8 []float32
+	b     []float64
+	tol   []float64 // the screen's margin: tol[i]·‖p‖ + eta + 2⁻⁴⁸·|x|
+	eta   float64
+	invW  float64
 }
 
 // Projections returns the k projection vectors a_i (read-only by
@@ -216,30 +232,79 @@ func (h *PStableHasher) Key(p vector.Dense) uint64 {
 	return hashutil.HashInts(parts)
 }
 
-// keysBlock is how many points Keys projects per kernel call: their
-// projections, keysBlock·4⌈k/4⌉ float64s, stay in L1 until folded.
+// keysBlock is how many points keysBy projects per kernel call: their
+// projections, keysBlock·8⌈k/8⌉ float64s, stay in L1 until folded.
 const keysBlock = 64
 
-// Keys sets dst[i] to Key(points[i]) for every point, the block path
-// lsh.Keys takes: the points are projected keysBlock at a time with
-// vector.DotRows4Batch, bit-identical to Key's projections, into proj,
-// the caller's scratch. It returns proj, grown if a block needed more,
-// so a caller that keys many tables or many blocks allocates it once.
-func (h *PStableHasher) Keys(points []vector.Dense, dst []uint64, proj []float64) []float64 {
+// keys sets dst[i] to Key(points[i]) for every point, the block path
+// lsh.Keys takes: screened where the CPU has the FMA kernel.
+func (h *PStableHasher) keys(points []vector.Dense, dst []uint64, s *KeyScratch) {
+	h.keysBy(points, dst, s, vector.HaveFMA())
+}
+
+// keysBy is keys projecting keysBlock points per kernel call: in float32
+// (vector.DotRows8Batch) with screenSlots proving each slot equal to
+// Key's when screen is set, else through the float64 reference
+// (vector.DotRows4Batch).
+func (h *PStableHasher) keysBy(points []vector.Dense, dst []uint64, s *KeyScratch, screen bool) {
 	n := (len(h.b) + 3) &^ 3
-	if need := min(len(points), keysBlock) * n; need > cap(proj) {
-		proj = make([]float64, need)
-	}
-	var buf [16]int64
-	for len(points) > 0 {
-		blk := points[:min(len(points), keysBlock)]
-		vector.DotRows4Batch(proj[:len(blk)*n], blk, h.slab)
-		for i := range blk {
-			dst[i] = hashutil.HashInts(h.slots(proj[i*n:], buf[:0]))
+	if screen {
+		n = (len(h.b) + 7) &^ 7
+		if len(s.norms) != len(points) {
+			s.begin(points)
 		}
-		points, dst = points[len(blk):], dst[len(blk):]
 	}
-	return proj
+	s.proj = slices.Grow(s.proj[:0], min(len(points), keysBlock)*n)
+	var buf [16]int64
+	for base := 0; base < len(points); base += keysBlock {
+		blk := points[base:min(len(points), base+keysBlock)]
+		proj := s.proj[:len(blk)*n]
+		if screen {
+			vector.DotRows8Batch(proj, blk, h.slab8)
+		} else {
+			vector.DotRows4Batch(proj, blk, h.slab)
+		}
+		for i, p := range blk {
+			parts := buf[:0]
+			if screen {
+				parts = h.screenSlots(p, proj[i*n:], s.norms[base+i], parts, s)
+			} else {
+				parts = h.slots(proj[i*n:], parts)
+			}
+			dst[base+i] = hashutil.HashInts(parts)
+		}
+	}
+}
+
+// screenSlots appends p's k slot indices from its screened projections
+// proj, given pn ≥ ‖p‖₂. x = (proj[i]+b_i)·(1/w) is within
+// M = 2·(rel·‖a_i‖·pn + abs)/w + 2⁻⁴⁸·|x| of the reference (⟨a_i,p⟩+b_i)/w
+// (vector.DotRows8Error with Σ|aⱼpⱼ| ≤ ‖a_i‖·‖p‖, doubled; five roundings
+// of +b, 1/w, · and / taken as 32), so ⌊x⌋ is the reference slot when x
+// lies more than M inside it. Any other slot, NaN and Inf included, is
+// recomputed from Dense.Dot and counted in s.rechecked.
+func (h *PStableHasher) screenSlots(p vector.Dense, proj []float64, pn float64, dst []int64, s *KeyScratch) []int64 {
+	for i, b := range h.b {
+		x := (proj[i] + b) * h.invW
+		f := math.Floor(x)
+		if m := h.tol[i]*pn + h.eta + 0x1p-48*math.Abs(x); !(x-f > m && f+1-x > m) {
+			s.rechecked++
+			f = math.Floor((h.a[i].Dot(p) + b) / h.w)
+		}
+		dst = append(dst, int64(f))
+	}
+	return dst
+}
+
+// appendNorms appends an upper bound on ‖p‖₂ for every point: its
+// float64 L2Sq from the origin (zero, at least as long as any point),
+// whose relative error is far below 2⁻²⁰ at any dimension the screen
+// takes, rounded up by 2⁻²⁰.
+func appendNorms(dst []float64, points []vector.Dense, zero vector.Dense) []float64 {
+	for _, p := range points {
+		dst = append(dst, math.Sqrt(vector.L2Sq(p, zero[:len(p)]))*(1+0x1p-20))
+	}
+	return dst
 }
 
 // KeyFromParts folds externally computed (possibly perturbed) slot indices

@@ -249,9 +249,9 @@ func sketchOf(ids []int32, p Params, scratch *hll.Sketch) []uint8 {
 // buildSlab hashes every point with h and groups the ids by key. The
 // hash order of the point keys is the id slab itself: a stable sort
 // leaves each bucket's ids ascending.
-func buildSlab[P any](points []P, h Hasher[P], p Params) Slab {
+func buildSlab[P any](points []P, h Hasher[P], p Params, norms []float64) Slab {
 	keys := make([]uint64, len(points))
-	Keys(h, points, keys, nil)
+	keysOf(h, points, keys, &KeyScratch{norms: norms})
 	perm := hashOrder(len(keys), func(i int) uint64 { return keys[i] })
 	runs := func(yield func(lo, hi int) bool) {
 		for lo := 0; lo < len(perm); {

@@ -238,6 +238,8 @@ func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
 	}
 
 	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points)}
+	var base KeyScratch // the points' norms, shared read-only by every table
+	base.begin(points)
 	seeder := rng.New(p.Seed)
 	seeds := make([]uint64, p.L)
 	for j := range seeds {
@@ -246,7 +248,7 @@ func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
 	parallel(p.L, func(j int) {
 		tb := &t.tables[j]
 		tb.hasher = fam.NewHasher(p.K, rng.New(seeds[j]))
-		tb.slab = buildSlab(points, tb.hasher, p)
+		tb.slab = buildSlab(points, tb.hasher, p, base.norms)
 	})
 	return t, nil
 }
@@ -326,11 +328,12 @@ func (t *Tables[P]) Append(points []P) error {
 		return fmt.Errorf("lsh: Append would exceed int32 id space")
 	}
 	keys := make([]uint64, len(points))
-	var proj []float64
+	var s KeyScratch
+	s.begin(points)
 	for j := range t.tables {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
-		proj = Keys(tb.hasher, points, keys, proj)
+		keysOf(tb.hasher, points, keys, &s)
 		for i, key := range keys {
 			id := int32(t.n + i)
 			ob := tb.over[key]
@@ -561,6 +564,7 @@ func (t *Tables[P]) Lookup(q P) []Bucket {
 // result is s.Buckets; it must not be retained once s is reused.
 func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
 	s.keys, s.ends = s.keys[:0], s.ends[:0]
+	hashEvals.Add(uint64(len(t.tables)))
 	for i := range t.tables {
 		s.keys = append(s.keys, t.tables[i].hasher.Key(q))
 		s.ends = append(s.ends, len(s.keys))
@@ -570,15 +574,16 @@ func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
 
 // BlockKeys hashes a block of queries into every table, one table at a
 // time through its hasher's block path (Keys): keys[j·len(block)+i]
-// becomes table j's key of block[i]. proj is the block path's scratch.
-// It returns keys and proj, grown as needed, for reuse.
-func (t *Tables[P]) BlockKeys(block []P, keys []uint64, proj []float64) ([]uint64, []float64) {
+// becomes table j's key of block[i]. s is the block path's scratch. It
+// returns keys, grown as needed, for reuse.
+func (t *Tables[P]) BlockKeys(block []P, keys []uint64, s *KeyScratch) []uint64 {
 	b := len(block)
 	keys = slices.Grow(keys[:0], len(t.tables)*b)[:len(t.tables)*b]
+	s.begin(block)
 	for j := range t.tables {
-		proj = Keys(t.tables[j].hasher, block, keys[j*b:(j+1)*b], proj)
+		keysOf(t.tables[j].hasher, block, keys[j*b:(j+1)*b], s)
 	}
-	return keys, proj
+	return keys
 }
 
 // LookupKeys is LookupInto for query i of a block of b queries whose

@@ -622,11 +622,11 @@ func TestBlockKeysLookupMatchesLookupInto(t *testing.T) {
 	}
 	queries := append(gauss(40), pts[:40]...)
 	var keys []uint64
-	var proj []float64
+	var hs KeyScratch
 	var s, ref Scratch
 	for _, b := range []int{1, 5, 64, 65, 80} {
 		block := queries[:b]
-		keys, proj = tb.BlockKeys(block, keys, proj)
+		keys = tb.BlockKeys(block, keys, &hs)
 		for i, q := range block {
 			want := slices.Clone(tb.LookupInto(q, &ref))
 			if got := tb.LookupKeys(keys, i, b, &s); !sameBuckets(got, want) {

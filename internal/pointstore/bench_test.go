@@ -71,10 +71,30 @@ func BenchmarkKernelVerifyRadius(b *testing.B) {
 			return out
 		})
 	})
+	// flat-reference is the float64 decision l2Sq ≤ r² row by row, what
+	// the screened flat arm must reproduce; band/row is the share of
+	// candidates the screen left to it.
+	b.Run("flat-reference", func(b *testing.B) {
+		benchArm(b, func(q vector.Dense, ids, out []int32) []int32 {
+			for _, id := range ids {
+				if vector.L2Sq(q, flat.flat[int(id)*flat.dim:int(id+1)*flat.dim]) <= r*r {
+					out = append(out, id)
+				}
+			}
+			return out
+		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/row")
+	})
 	b.Run("flat", func(b *testing.B) {
 		benchArm(b, func(q vector.Dense, ids, out []int32) []int32 {
 			return flat.VerifyRadius(q, ids, r, out)
 		})
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*512), "ns/row")
+		ids := make([]int32, 512)
+		for i := range ids {
+			ids[i] = int32(i * 2)
+		}
+		b.ReportMetric(vector.WithinBandShare(pts[0], flat.flat, flat.n, ids, r*r), "band/row")
 	})
 	b.Run("sq8", func(b *testing.B) {
 		benchArm(b, func(q vector.Dense, ids, out []int32) []int32 {
@@ -101,8 +121,30 @@ func BenchmarkKernelScanRadius(b *testing.B) {
 				out = st.ScanRadius(pts[0], r, out[:0])
 			}
 			_ = out
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/row")
+			if mode == ModeOff {
+				all := make([]int32, st.n)
+				for i := range all {
+					all[i] = int32(i)
+				}
+				b.ReportMetric(vector.WithinBandShare(pts[0], st.flat, st.n, all, r*r), "band/row")
+			}
 		})
 	}
+	// The float64 reference decision over every row, for comparison.
+	flat := slices.Concat(pts...)
+	b.Run("reference", func(b *testing.B) {
+		out := make([]int32, 0, 512)
+		for i := 0; i < b.N; i++ {
+			out = out[:0]
+			for j := range pts {
+				if vector.L2Sq(pts[0], flat[j*32:j*32+32]) <= r*r {
+					out = append(out, int32(j))
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pts)), "ns/row")
+	})
 }
 
 // hammingShapes are the binary stores the Hamming benchmarks run on: the

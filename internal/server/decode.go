@@ -113,17 +113,20 @@ func (s *scanner) key() (fields, bool) {
 	return 0, false
 }
 
-// skipDigits returns the index of the first non-digit at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits returns the index of the first non-digit at or after i, and m
+// with the digits before it appended in decimal (wrapping past 19).
+func digits(b []byte, i int, m uint64) (int, uint64) {
+	for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		m = m*10 + uint64(b[i]-'0')
 	}
-	return i
+	return i, m
 }
 
-// number returns the next value's text when it is a JSON number:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (s *scanner) number() ([]byte, bool) {
+// number returns the next value's text when it is a JSON number,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, gathering on the way
+// the n digits of its mantissa m and the exponent e of ±m·10^e; n is
+// set past 19 when that does not hold (m wrapped, or an exponent part).
+func (s *scanner) number() (t []byte, m uint64, n, e int, ok bool) {
 	s.peek()
 	b, i := s.b, s.i
 	start := i
@@ -132,37 +135,62 @@ func (s *scanner) number() ([]byte, bool) {
 	}
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if j := skipDigits(b, i); j > i {
-		i = j
+	} else if j := i; i < len(b) && '1' <= b[i] && b[i] <= '9' {
+		i, m = digits(b, i, 0)
+		n = i - j
 	} else {
-		return nil, false
+		return nil, 0, 0, 0, false
 	}
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return nil, false
+		j := i + 1
+		if i, m = digits(b, j, m); i == j {
+			return nil, 0, 0, 0, false
 		}
-		i = j
+		n, e = n+i-j, j-i
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		if i < len(b)-1 && (b[i+1] == '+' || b[i+1] == '-') {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			return nil, false
+		j := i + 1
+		if i, _ = digits(b, j, 0); i == j {
+			return nil, 0, 0, 0, false
 		}
-		i = j
+		n = 20
 	}
 	s.i = i
-	return b[start:i], true
+	return b[start:i], m, n, e, true
 }
+
+// float reads a number the way encoding/json fills a float64, off the
+// one walk number makes. A mantissa of at most 19 digits below 2⁵³ is
+// exact in float64, as is 10^−e for e ≥ −22, so float64(m)/10^−e is one
+// correctly rounded IEEE operation and equals strconv.ParseFloat, which
+// is correctly rounded too (and takes this very path inside). Any other
+// number goes to ParseFloat.
+func (s *scanner) float() (float64, bool) {
+	t, m, n, e, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	if n <= 19 && m < 1<<53 && e >= -22 {
+		v := float64(m) / pow10[-e]
+		if t[0] == '-' {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseFloat(string(t), 64)
+	return v, err == nil
+}
+
+// pow10[e] is 10^e, exact in float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // int reads an integer the way encoding/json fills an int: ParseInt of
 // the number's text, which refuses fractions, exponents and overflow.
 func (s *scanner) int() (int, bool) {
-	t, ok := s.number()
+	t, _, _, _, ok := s.number()
 	if !ok {
 		return 0, false
 	}
@@ -199,18 +227,14 @@ func (s *scanner) array(n int, elem func(i int) bool) bool {
 }
 
 // scanDense reads a point of dim numbers. Each is parsed as
-// encoding/json parses a float64 and narrowed to float32, so the point
-// is parseDense's bit for bit.
+// encoding/json parses a float64 (float) and narrowed to float32, so the
+// point is parseDense's bit for bit.
 func scanDense(s *scanner, dim int) (hybridlsh.Dense, bool) {
 	p := make(hybridlsh.Dense, dim)
 	return p, s.array(dim, func(i int) bool {
-		t, ok := s.number()
-		if !ok {
-			return false
-		}
-		v, err := strconv.ParseFloat(string(t), 64)
+		v, ok := s.float()
 		p[i] = float32(v)
-		return err == nil
+		return ok
 	})
 }
 

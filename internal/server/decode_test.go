@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -48,6 +49,13 @@ func FuzzPointDecoders(f *testing.F) {
 		{3, `{"point": [0,1,1,0,1,0,0,-0], "trace": true}`},
 		{4, `{"points": [` + bits + `, [1,1,1,1,1,1,1,1]], "workers": 1}`},
 		{5, `{"points": [` + bits + `, [0,0,0,0,0,0,0,2]]}`},
+		// The edges of the exact fast path: −0 spellings, 19- and
+		// 20-digit mantissas, 2⁵³ ± 1, 10^±22 against 10^±23, and the
+		// float32 denormal range.
+		{0, `{"point": [-0.0, -0e5, 0.000, -0.0e-0]}`},
+		{0, `{"point": [1234567890123456789, 12345678901234567890, 0.1234567890123456789, 9.0071992547409935e15]}`},
+		{1, `{"points": [[9007199254740993, 9007199254740992, 1e22, 1e23], [1e-22, 1e-23, 8.5e-22, 123456e-27]]}`},
+		{2, `{"points": [[1.4e-45, 7e-46, 1.1754942e-38, 3.4028236e38]]}`},
 	} {
 		f.Add(seed.which, []byte(seed.body))
 	}
@@ -291,6 +299,9 @@ func FuzzRequestDecoder(f *testing.F) {
 		{1, 1, `{"points":[[1,1,1,1],[0,0,0,0]],"workers":0}`},
 		{1, 2, `{"points":[[1,0,-0,1]]}`},
 		{1, 2, `{"Points":[[1,0,0,1]]}`},
+		{0, 0, `{"point":[-0.0,-0e5,-0.0e-0]}`},
+		{0, 1, `{"points":[[1234567890123456789,12345678901234567890,9007199254740993]]}`},
+		{0, 2, `{"points":[[1e22,1e23,1e-22],[1e-23,4.5e-44,1.17549435e-38]]}`},
 	} {
 		f.Add(seed.kind, seed.shape, []byte(seed.body))
 	}
@@ -542,5 +553,50 @@ func TestScanAllocs(t *testing.T) {
 	})
 	if allocs > n+10 {
 		t.Fatalf("%v allocations for %d points, want at most one per point plus 10", allocs, n)
+	}
+}
+
+// TestScannerFloatMatchesParseFloat holds the scanner's one-pass float
+// to strconv.ParseFloat, bit for bit, on numbers built around the fast
+// path's limits: mantissas of 1–21 digits near 2⁵³, decimal exponents
+// from −30 to 30 by fraction digits and by e-notation, and both signs.
+func TestScannerFloatMatchesParseFloat(t *testing.T) {
+	r := rand.New(rand.NewPCG(38, 1))
+	var texts []string
+	for range 20000 {
+		digits := 1 + r.IntN(21)
+		var m []byte
+		switch r.IntN(3) {
+		case 0:
+			m = strconv.AppendUint(nil, 1<<53+uint64(r.IntN(5))-2, 10)
+		default:
+			m = append(m, byte('1'+r.IntN(9)))
+			for len(m) < digits {
+				m = append(m, byte('0'+r.IntN(10)))
+			}
+		}
+		txt := string(m)
+		if frac := 1 + r.IntN(len(m)); r.IntN(2) == 0 {
+			txt = string(m[:len(m)-frac]) + "." + string(m[len(m)-frac:])
+			if frac == len(m) {
+				txt = "0" + txt
+			}
+		}
+		if r.IntN(2) == 0 {
+			txt += "e" + strconv.Itoa(r.IntN(61)-30)
+		}
+		if r.IntN(2) == 0 {
+			txt = "-" + txt
+		}
+		texts = append(texts, txt)
+	}
+	texts = append(texts, "0", "-0", "0.0", "-0.0e3", "1e22", "1e23", "1e-22", "1e-23", "4.9e-324", "1.4e-45")
+	for _, txt := range texts {
+		s := scanner{b: []byte(txt)}
+		got, ok := s.float()
+		want, err := strconv.ParseFloat(txt, 64)
+		if !ok || err != nil || math.Float64bits(got) != math.Float64bits(want) || s.i != len(txt) {
+			t.Fatalf("%s: scanner %v (ok %v, read %d bytes), ParseFloat %v (%v)", txt, got, ok, s.i, want, err)
+		}
 	}
 }

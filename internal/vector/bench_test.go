@@ -77,15 +77,17 @@ func BenchmarkKernelDot(b *testing.B) {
 }
 
 // BenchmarkKernelL2SqWithin times the within-radius batch kernels the
-// flat store verifies and scans with: the portable loop beside whatever
-// the dispatcher picks on this CPU (the AVX2 assembly on amd64), over
-// 1024 rows at a radius that keeps about a tenth of them. ns/row is the
-// per-candidate cost the benchmark's pointstore.*_ns_per_* metrics see.
+// flat store verifies and scans with: the portable float64 reference
+// beside whatever the dispatcher picks on this CPU (the float32 FMA
+// screen on amd64), over 1024 rows at a radius that keeps about a tenth
+// of them. ns/row is the per-candidate cost the benchmark's
+// pointstore.*_ns_per_* metrics see; band/row is the share of rows the
+// screen left to the reference.
 func BenchmarkKernelL2SqWithin(b *testing.B) {
 	const n = 1024
 	dispatched := "dispatch"
-	if haveAVX2 {
-		dispatched = "avx2"
+	if haveFMA {
+		dispatched = "screen"
 	}
 	for _, dim := range []int{8, 32, 128} {
 		r := rng.New(uint64(dim))
@@ -103,18 +105,23 @@ func BenchmarkKernelL2SqWithin(b *testing.B) {
 		slices.Sort(ds)
 		r2 := ds[n/10]
 		out := make([]int32, 0, n)
-		run := func(name string, f func()) {
+		run := func(name string, band float64, f func()) {
 			b.Run(fmt.Sprintf("%s-%d", name, dim), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+				b.ReportMetric(band, "band/row")
 			})
 		}
-		run("ids-portable", func() { out = l2SqWithinPortable(out[:0], q, flat, n, ids, r2) })
-		run("ids-"+dispatched, func() { out = L2SqWithin(out[:0], q, flat, n, ids, r2) })
-		run("all-portable", func() { out = l2SqWithinAllPortable(out[:0], q, flat, n, r2) })
-		run("all-"+dispatched, func() { out = L2SqWithinAll(out[:0], q, flat, n, r2) })
+		run("ids-portable", 0, func() { out = l2SqWithinPortable(out[:0], q, flat, n, ids, r2) })
+		run("ids-"+dispatched, WithinBandShare(q, flat, n, ids, r2), func() { out = L2SqWithin(out[:0], q, flat, n, ids, r2) })
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		run("all-portable", 0, func() { out = l2SqWithinPortable(out[:0], q, flat, n, all, r2) })
+		run("all-"+dispatched, WithinBandShare(q, flat, n, all, r2), func() { out = L2SqWithinAll(out[:0], q, flat, n, r2) })
 	}
 }
 

@@ -10,24 +10,19 @@ func dotRows4(out []float64, q Dense, slab []float64) {
 	dotRows4AVX2(&out[0], &q[0], &slab[0], len(q), len(out)/4)
 }
 
-func dotRows4Batch(out []float64, qs []Dense, slab []float64) {
-	dim, n := len(qs[0]), len(out)/len(qs)
-	if !haveAVX2 || dim == 0 {
-		dotRows4BatchPortable(out, qs, slab)
+func dotRows8Batch(out []float64, qs []Dense, slab []float32) {
+	if !haveFMA || len(qs[0]) == 0 {
+		dotRows8Portable(out, qs, slab)
 		return
 	}
-	// The four-query kernel takes the blocks in pairs; an odd last block,
-	// and the queries past the last four, go through dotRows4AVX2.
-	for ; len(qs) >= 4 && n >= 8; qs, out = qs[4:], out[4*n:] {
-		dotRows4x4AVX2(&out[0], &qs[0][0], &qs[1][0], &qs[2][0], &qs[3][0], &slab[0], dim, n/8, n)
-		if n%8 != 0 {
-			for p, q := range qs[:4] {
-				dotRows4AVX2(&out[p*n+n-4], &q[0], &slab[(n-4)*dim], dim, 1)
-			}
+	n := len(out) / len(qs)
+	var ptrs [8]*float32
+	for g := 0; g < len(qs); g += 8 {
+		grp := qs[g:min(g+8, len(qs))]
+		for p := range ptrs {
+			ptrs[p] = &grp[min(p, len(grp)-1)][0]
 		}
-	}
-	for p, q := range qs {
-		dotRows4AVX2(&out[p*n], &q[0], &slab[0], dim, n/4)
+		dotRows8FMA(&out[g*n], &ptrs, len(grp), &slab[0], len(grp[0]), n/8, n)
 	}
 }
 
@@ -37,9 +32,9 @@ func dotRows4Batch(out []float64, qs []Dense, slab []float64) {
 //go:noescape
 func dotRows4AVX2(out *float64, q *float32, slab *float64, dim, blocks int)
 
-// dotRows4x4AVX2 is dotRows4AVX2 for the four queries q0…q3 at once,
-// over the slab's first 2·pairs blocks (pairs ≥ 1): query p's products
-// go to out[p·n:].
+// dotRows8FMA is the screen for the queries ptrs[:nq] (1 ≤ nq ≤ 8; the
+// other pointers must be readable rows too) over blocks ≥ 1 blocks of a
+// dim ≥ 1 float32 slab: query p's values go to out[p·n:].
 //
 //go:noescape
-func dotRows4x4AVX2(out *float64, q0, q1, q2, q3 *float32, slab *float64, dim, pairs, n int)
+func dotRows8FMA(out *float64, ptrs *[8]*float32, nq int, slab *float32, dim, blocks, n int)

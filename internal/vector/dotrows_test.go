@@ -170,7 +170,9 @@ func checkDotRows4Batch(t *testing.T, qs []Dense, rows []Dense) {
 	got := make([]float64, len(qs)*n)
 	DotRows4Batch(got, qs, slab)
 	port := make([]float64, len(qs)*n)
-	dotRows4BatchPortable(port, qs, slab)
+	for p, q := range qs {
+		dotRows4Portable(port[p*n:(p+1)*n], q, slab)
+	}
 	zero := make(Dense, len(qs[0]))
 	for p, q := range qs {
 		for i := range n {
@@ -349,12 +351,70 @@ func BenchmarkKernelDotRows4Batch(b *testing.B) {
 				dotRows4Portable(out[8*p:8*p+8], q, slab)
 			}
 		})
-		run("portable-batch", func() { dotRows4BatchPortable(out, qs, slab) })
 		run(dispatched+"-perpoint", func() {
 			for p, q := range qs {
 				DotRows4(out[8*p:8*p+8], q, slab)
 			}
 		})
 		run(dispatched+"-batch", func() { DotRows4Batch(out, qs, slab) })
+	}
+}
+
+// TestDotRows8BatchWithinBound holds the projection screen, assembly and
+// portable alike, to the bound it promises against the float64
+// reference Dot, |screen − Dot| ≤ rel·Σ|aⱼpⱼ| + abs, for 1–19 queries
+// (full and partial groups of eight) and k across block boundaries;
+// and its shape checks to panics.
+func TestDotRows8BatchWithinBound(t *testing.T) {
+	r := rng.New(38)
+	for _, dim := range []int{0, 1, 7, 8, 9, 32, 128, 129} {
+		for _, k := range []int{1, 7, 8, 9, 17} {
+			nq := 1 + r.Intn(19)
+			rows := make([]Dense, k)
+			qs := make([]Dense, nq)
+			for i := range rows {
+				rows[i], _ = randRows(r, dim, 0, false)
+			}
+			for i := range qs {
+				qs[i], _ = randRows(r, dim, 0, false)
+				if i%3 == 1 {
+					for j := range qs[i] {
+						qs[i][j] *= 1e-40 // subnormal products
+					}
+				}
+			}
+			slab := PackRows8(rows)
+			n := (k + 7) &^ 7
+			rel, abs := DotRows8Error(dim)
+			for name, run := range map[string]func([]float64){
+				"dispatch": func(out []float64) { DotRows8Batch(out, qs, slab) },
+				"portable": func(out []float64) { dotRows8Portable(out, qs, slab) },
+			} {
+				out := make([]float64, nq*n)
+				run(out)
+				for p, q := range qs {
+					for i, row := range rows {
+						var mag float64
+						for j := range q {
+							mag += math.Abs(float64(q[j]) * float64(row[j]))
+						}
+						want := row.Dot(q)
+						if got := out[p*n+i]; math.Abs(got-want) > rel*mag+abs {
+							t.Fatalf("%s dim %d k %d query %d row %d: %v, Dot %v, bound %v", name, dim, k, p, i, got, want, rel*mag+abs)
+						}
+					}
+				}
+			}
+		}
+	}
+	q := make(Dense, 4)
+	slab := PackRows8([]Dense{q})
+	for name, f := range map[string]func(){
+		"n not a multiple of 8": func() { DotRows8Batch(make([]float64, 4), []Dense{q}, slab[:16]) },
+		"wrong query dim":       func() { DotRows8Batch(make([]float64, 16), []Dense{q, q[:3]}, slab) },
+		"no queries":            func() { DotRows8Batch(make([]float64, 8), nil, slab) },
+		"ragged rows":           func() { PackRows8([]Dense{q, q[:3]}) },
+	} {
+		mustPanic(t, name, f)
 	}
 }

@@ -2,133 +2,220 @@
 
 #include "textflag.h"
 
-// ROWDIST leaves in X0 the squared distance between the two CX-wide
-// float32 rows at SI and BX, with R12 = CX &^ 3. It is l2SqRaw lane for
-// lane: Y0 holds the accumulators s0..s3, every block of 4 dimensions is
-// widened to float64, subtracted, squared and added (four separate
-// roundings — no FMA), the 1–3 tail dimensions go into s0 alone, and the
-// result is (s0+s1)+(s2+s3): after the blocks X0 = (s0, s1) and X3 =
-// (s2, s3), the tail's VADDSD touches lane 0 only, VHADDPD gives
-// (s0+s1, s2+s3). Clobbers R11, X1, X2, X3; usable once per TEXT (its
-// labels are function-scoped).
-#define ROWDIST \
-	VXORPD       Y0, Y0, Y0;          \
-	XORQ         R11, R11;            \
-	TESTQ        R12, R12;            \
-	JEQ          rowhigh;             \
-rowblock:                             \
-	VCVTPS2PD    (SI)(R11*4), Y1;     \
-	VCVTPS2PD    (BX)(R11*4), Y2;     \
-	VSUBPD       Y2, Y1, Y1;          \
-	VMULPD       Y1, Y1, Y1;          \
-	VADDPD       Y1, Y0, Y0;          \
-	ADDQ         $4, R11;             \
-	CMPQ         R11, R12;            \
-	JLT          rowblock;            \
-rowhigh:                              \
-	VEXTRACTF128 $1, Y0, X3;          \
-	CMPQ         R11, CX;             \
-	JGE          rowsum;              \
-rowtail:                              \
-	VCVTSS2SD    (SI)(R11*4), X1, X1; \
-	VCVTSS2SD    (BX)(R11*4), X2, X2; \
-	VSUBSD       X2, X1, X1;          \
-	VMULSD       X1, X1, X1;          \
-	VADDSD       X1, X0, X0;          \
-	INCQ         R11;                 \
-	CMPQ         R11, CX;             \
-	JLT          rowtail;             \
-rowsum:                               \
-	VHADDPD      X3, X0, X0;          \
-	VUNPCKHPD    X0, X0, X1;          \
-	VADDSD       X1, X0, X0
+// tailmask<>+32-4r is the VMASKMOVPS mask of the first r lanes.
+DATA tailmask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailmask<>+32(SB)/8, $0
+DATA tailmask<>+40(SB)/8, $0
+DATA tailmask<>+48(SB)/8, $0
+DATA tailmask<>+56(SB)/8, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
 
-// EMIT stores the id in R13 at dst[k] and advances k (AX) iff the
-// distance in X0 is ≤ r2 (X4): VUCOMISD sets CF when r2 < d or either is
-// NaN, and SBBQ computes k = k + 1 - CF. The store is unconditional, so
-// the loop has no data-dependent branch.
-#define EMIT \
-	VUCOMISD X0, X4;          \
-	MOVL     R13, (DI)(AX*4); \
-	SBBQ     $-1, AX
+// lanemask<>+r has the low r bits set: the valid lanes of r ≤ 4 rows.
+DATA lanemask<>+0(SB)/8, $0x0f0f07030100
+GLOBL lanemask<>(SB), RODATA|NOPTR, $8
 
-#define PREFETCH 4
+// ROW points reg at the end of the whole blocks of 8 of row ids[off/4]
+// (R14 = their bytes), or jumps to badid when the id is outside [0, n):
+// a negative id zero-extends to above any n.
+#define ROW(off, reg) \
+	MOVL  off(R9), reg;      \
+	CMPQ  reg, R8;           \
+	JAE   badid;             \
+	IMULQ CX, reg;           \
+	LEAQ  (DX)(reg*4), reg;  \
+	ADDQ  R14, reg
 
-// func l2SqWithinIDsAVX2(dst *int32, q, flat *float32, dim, n int, ids *int32, nids int, r2 float64) int
-TEXT ·l2SqWithinIDsAVX2(SB), NOSPLIT, $0-72
-	MOVQ   dst+0(FP), DI
-	MOVQ   q+8(FP), SI
-	MOVQ   flat+16(FP), DX
-	MOVQ   dim+24(FP), CX
-	MOVQ   n+32(FP), R8
-	MOVQ   ids+40(FP), R9
-	MOVQ   nids+48(FP), R10
-	VMOVSD r2+56(FP), X4
-	MOVQ   CX, R12
-	ANDQ   $-4, R12
-	XORQ   AX, AX
-	TESTQ  R10, R10
-	JLE    done
+#define PREFETCH(off) \
+	MOVL       off(R9), R14; \
+	IMULQ      CX, R14;      \
+	PREFETCHT0 (DX)(R14*4)
 
-idloop:
-	MOVL  (R9), R13  // zero-extends: a negative id compares above any n
-	CMPQ  R13, R8
-	JAE   badid
-	MOVQ  R13, BX
-	IMULQ CX, BX
-	LEAQ  (DX)(BX*4), BX
-	CMPQ  R10, $PREFETCH
-	JLE   noprefetch
-	MOVL  (4*PREFETCH)(R9), R11
-	IMULQ CX, R11
-	PREFETCHT0 (DX)(R11*4)
-	PREFETCHT0 64(DX)(R11*4)
-noprefetch:
-	ROWDIST
-	EMIT
-	ADDQ  $4, R9
-	DECQ  R10
-	JNZ   idloop
+// EMIT stores ids[off/4] at dst[k] and advances k by the low pass bit.
+#define EMIT(off) \
+	MOVL off(R9), R12;    \
+	MOVL R12, (DI)(AX*4); \
+	SHRQ $1, BX;          \
+	ADCQ $0, AX
 
-done:
+// func l2SqWithinIDsFMA(dst *int32, q, flat *float32, dim, n int, ids *int32, nids int, lo, hi float32) (k, band int)
+//
+// The within-radius screen (within.go): Σ(q−p)² in float32 for four
+// rows at a time, one YMM accumulator per row (lane l of a tail group
+// rereads row min(l, nids−1)), eight dimensions per VFMADD231PS, the
+// d mod 8 tail through the tailmask, then a three-level lane sum. A sum
+// ≤ lo passes, a finite sum > hi fails, and any other row is written as
+// ^id and counted in band. X14 = lo, X13 = hi, X12 = +Inf; SI points
+// past q's whole blocks of 8.
+TEXT ·l2SqWithinIDsFMA(SB), NOSPLIT, $0-80
+	MOVQ         dst+0(FP), DI
+	MOVQ         q+8(FP), SI
+	MOVQ         flat+16(FP), DX
+	MOVQ         dim+24(FP), CX
+	MOVQ         n+32(FP), R8
+	MOVQ         ids+40(FP), R9
+	MOVQ         nids+48(FP), R10
+	MOVQ         $0, band+72(FP)
+	VBROADCASTSS lo+56(FP), X14
+	VBROADCASTSS hi+60(FP), X13
+	MOVL         $0x7f800000, R14
+	MOVQ         R14, X12
+	VBROADCASTSS X12, X12
+	MOVQ         CX, R14
+	ANDQ         $7, R14
+	SHLQ         $2, R14
+	NEGQ         R14
+	LEAQ         tailmask<>+32(SB), R12
+	VMOVDQU      (R12)(R14*1), Y15
+	MOVQ         CX, R14
+	ANDQ         $-8, R14
+	LEAQ         (SI)(R14*4), SI
+	XORQ         AX, AX
+
+idgroup:
+	TESTQ R10, R10
+	JLE   iddone
+	CMPQ  R10, $8
+	JLT   idrows
+	PREFETCH(16)
+	PREFETCH(20)
+	PREFETCH(24)
+	PREFETCH(28)
+
+idrows:
+	MOVQ CX, R14
+	ANDQ $-8, R14
+	SHLQ $2, R14
+	ROW(0, BX)
+	MOVQ BX, R11
+	CMPQ R10, $2
+	JLT  idlane2
+	ROW(4, R11)
+
+idlane2:
+	MOVQ R11, R12
+	CMPQ R10, $3
+	JLT  idlane3
+	ROW(8, R12)
+
+idlane3:
+	MOVQ R12, R13
+	CMPQ R10, $4
+	JLT  idsum
+	ROW(12, R13)
+
+idsum:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	NEGQ   R14
+	JEQ    disttail
+
+distloop:
+	VMOVUPS     (SI)(R14*1), Y4
+	VSUBPS      (BX)(R14*1), Y4, Y5
+	VFMADD231PS Y5, Y5, Y0
+	VSUBPS      (R11)(R14*1), Y4, Y6
+	VFMADD231PS Y6, Y6, Y1
+	VSUBPS      (R12)(R14*1), Y4, Y7
+	VFMADD231PS Y7, Y7, Y2
+	VSUBPS      (R13)(R14*1), Y4, Y8
+	VFMADD231PS Y8, Y8, Y3
+	ADDQ        $32, R14
+	JNZ         distloop
+
+disttail:
+	TESTQ       $7, CX
+	JEQ         distsum
+	VMASKMOVPS  (SI), Y15, Y4
+	VMASKMOVPS  (BX), Y15, Y5
+	VSUBPS      Y5, Y4, Y5
+	VFMADD231PS Y5, Y5, Y0
+	VMASKMOVPS  (R11), Y15, Y6
+	VSUBPS      Y6, Y4, Y6
+	VFMADD231PS Y6, Y6, Y1
+	VMASKMOVPS  (R12), Y15, Y7
+	VSUBPS      Y7, Y4, Y7
+	VFMADD231PS Y7, Y7, Y2
+	VMASKMOVPS  (R13), Y15, Y8
+	VSUBPS      Y8, Y4, Y8
+	VFMADD231PS Y8, Y8, Y3
+
+distsum:
+	VHADDPS      Y1, Y0, Y0
+	VHADDPS      Y3, Y2, Y2
+	VHADDPS      Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS       X1, X0, X0 // the four rows' sums
+
+	// BX = pass bits, R11 = band bits, both within the valid lanes R13.
+	MOVQ      $4, R14
+	CMPQ      R10, R14
+	CMOVQLT   R10, R14
+	LEAQ      lanemask<>(SB), R13
+	MOVBLZX   (R13)(R14*1), R13
+	VCMPPS    $0x02, X14, X0, X1 // ≤ lo
+	VMOVMSKPS X1, BX
+	VCMPPS    $0x0e, X13, X0, X2 // > hi
+	VCMPPS    $0x01, X12, X0, X3 // < +Inf
+	VANDPS    X3, X2, X2
+	VMOVMSKPS X2, R11
+	ANDQ      R13, BX
+	ORQ       BX, R11
+	NOTQ      R11
+	ANDQ      R13, R11
+	JNE       idslow
+	CMPQ      R10, $4
+	JLT       idslow
+	EMIT(0) // all four decided: store every id, count the passes
+	EMIT(4)
+	EMIT(8)
+	EMIT(12)
+	JMP       idnext
+
+idslow:
+	XORQ R14, R14
+
+idslowlane:
+	MOVQ  BX, R13
+	ORQ   R11, R13
+	TESTQ $1, R13
+	JEQ   idslownext
+	MOVL  (R9)(R14*4), R12
+	TESTQ $1, R11
+	JEQ   idslowstore
+	NOTL  R12
+	INCQ  band+72(FP)
+
+idslowstore:
+	MOVL R12, (DI)(AX*4)
+	INCQ AX
+
+idslownext:
+	SHRQ $1, BX
+	SHRQ $1, R11
+	INCQ R14
+	CMPQ R14, $4
+	JLT  idslowlane
+
+idnext:
+	ADDQ $16, R9
+	SUBQ $4, R10
+	JMP  idgroup
+
+iddone:
 	VZEROUPPER
-	MOVQ AX, ret+64(FP)
+	MOVQ AX, k+64(FP)
 	RET
 
 badid:
 	MOVQ nids+48(FP), AX
 	SUBQ R10, AX
-	NOTQ AX          // -1-i
-	JMP  done
-
-// func l2SqWithinRowsAVX2(dst *int32, q, rows *float32, dim, first, nrows int, r2 float64) int
-TEXT ·l2SqWithinRowsAVX2(SB), NOSPLIT, $0-64
-	MOVQ   dst+0(FP), DI
-	MOVQ   q+8(FP), SI
-	MOVQ   rows+16(FP), BX
-	MOVQ   dim+24(FP), CX
-	MOVQ   first+32(FP), R13
-	MOVQ   nrows+40(FP), R10
-	VMOVSD r2+48(FP), X4
-	MOVQ   CX, R12
-	ANDQ   $-4, R12
-	LEAQ   (CX*4), R8 // row stride in bytes
-	XORQ   AX, AX
-	TESTQ  R10, R10
-	JLE    rowsdone
-
-rowloop:
-	ROWDIST
-	EMIT
-	ADDQ R8, BX
-	INCQ R13
-	DECQ R10
-	JNZ  rowloop
-
-rowsdone:
-	VZEROUPPER
-	MOVQ AX, ret+56(FP)
-	RET
+	NOTQ AX // -1-i for the group starting at ids[i]
+	JMP  iddone
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -5,16 +5,12 @@
 
 package vector
 
-func l2SqWithin(out []int32, q Dense, flat []float32, n int, ids []int32, r2 float64) []int32 {
-	return l2SqWithinPortable(out, q, flat, n, ids, r2)
-}
-
-func l2SqWithinAll(out []int32, q Dense, flat []float32, n int, r2 float64) []int32 {
-	return l2SqWithinAllPortable(out, q, flat, n, r2)
+func l2SqWithin(out []int32, q Dense, flat []float32, n int, ids []int32, r2 float64) ([]int32, int) {
+	return l2SqWithinPortable(out, q, flat, n, ids, r2), 0
 }
 
 func dotRows4(out []float64, q Dense, slab []float64) { dotRows4Portable(out, q, slab) }
 
-func dotRows4Batch(out []float64, qs []Dense, slab []float64) { dotRows4BatchPortable(out, qs, slab) }
+func dotRows8Batch(out []float64, qs []Dense, slab []float32) { dotRows8Portable(out, qs, slab) }
 
-const haveAVX2 = false
+const haveAVX2, haveFMA = false, false

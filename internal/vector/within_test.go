@@ -76,11 +76,19 @@ func checkAgainstPortable(t *testing.T, c withinCase, ids []int32, r2 float64) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("dim %d n %d r2 %v: L2SqWithin = %v, portable %v", len(c.q), c.n, r2, got, want)
 	}
-	want = l2SqWithinAllPortable(slices.Clone(prefix), c.q, c.flat, c.n, r2)
+	want = l2SqWithinPortable(slices.Clone(prefix), c.q, c.flat, c.n, allIDs(c.n), r2)
 	got = L2SqWithinAll(slices.Clone(prefix), c.q, c.flat, c.n, r2)
 	if !slices.Equal(got, want) {
 		t.Fatalf("dim %d n %d r2 %v: L2SqWithinAll = %v, portable %v", len(c.q), c.n, r2, got, want)
 	}
+}
+
+func allIDs(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
 }
 
 // checkDistanceBits proves the dispatching kernels compute, for every
@@ -133,6 +141,55 @@ func TestL2SqWithinMatchesPortable(t *testing.T) {
 				checkAgainstPortable(t, c, nil, r2)
 			}
 		}
+	}
+}
+
+// TestL2SqWithinScreenBandEdges drives both screens where they must hand
+// over to the float64 reference: radii equal to a row's reference
+// distance and its float64 neighbours, rows duplicated with 1-ulp
+// perturbations, value scales from subnormal to 1e30, NaN and Inf rows,
+// r² ∈ {0, tiny, huge, NaN, Inf}, every n mod 4 and every d mod 8. On a
+// CPU with the screen, some row must have landed in the band.
+func TestL2SqWithinScreenBandEdges(t *testing.T) {
+	r := rng.New(38)
+	banded := 0
+	for dim := 1; dim <= 40; dim++ {
+		for _, scale := range []float64{1e-42, 1e-6, 1, 1e3, 1e30} {
+			n := 1 + r.Intn(12)
+			c := randWithinCase(r, dim, n, scale == 1)
+			for i := range c.flat {
+				c.flat[i] = float32(float64(c.flat[i]) * scale)
+			}
+			for i := range c.q {
+				c.q[i] = float32(float64(c.q[i]) * scale)
+			}
+			for i := 1; i < n; i += 2 { // row i is row i-1 with one coordinate 1 ulp off
+				copy(c.row(i), c.row(i-1))
+				j := r.Intn(dim)
+				c.row(i)[j] = math.Nextafter32(c.row(i)[j], float32(math.Inf(1)))
+			}
+			if n > 2 && r.Intn(3) == 0 {
+				c.row(n - 1)[r.Intn(dim)] = awkward[7+r.Intn(3)] // ±Inf or NaN
+			}
+			ids := make([]int32, 2*n)
+			for i := range ids {
+				ids[i] = int32(r.Intn(n))
+			}
+			r2s := []float64{0, 5e-324, 1e300, math.NaN(), math.Inf(1)}
+			for i := 0; i < n; i++ {
+				d := l2SqRaw(c.q, c.row(i))
+				r2s = append(r2s, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)))
+			}
+			for _, r2 := range r2s {
+				checkAgainstPortable(t, c, ids, r2)
+				checkAgainstPortable(t, c, nil, r2)
+				banded += int(WithinBandShare(c.q, c.flat, c.n, ids, r2) * float64(len(ids)))
+				banded += int(WithinBandShare(c.q, c.flat, c.n, allIDs(c.n), r2) * float64(c.n))
+			}
+		}
+	}
+	if haveFMA && banded == 0 {
+		t.Fatal("no row ever landed in the screen's band: the edges were not exercised")
 	}
 }
 
@@ -245,6 +302,15 @@ func FuzzL2SqWithin(f *testing.F) {
 	seed(1, 0.5, 0.5, 1.5)
 	seed(3, 1, 2, 3, 1, 2, 3, 4, 5, 6)
 	seed(5, append(slices.Clone(awkward), awkward...)...)
+	// The screen's edges: a row and its 1-ulp neighbour at r² = its
+	// distance, subnormal and 1e30-scale rows, d mod 8 = 1 and 7.
+	seed(9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, math.Nextafter32(9, 10))
+	f.Add([]byte{9, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40, 0, 0, 0x40, 0x40, 0, 0, 0x80, 0x40, 0, 0, 0xa0, 0x40, 0, 0, 0xc0, 0x40, 0, 0, 0xe0, 0x40, 0, 0, 0, 0x41, 0, 0, 0x10, 0x41}, 285.0)
+	seed(7, 1e-42, 2e-42, 3e-42, 0, 1e-45, 5e-43, 7e-44, 0, 0, 0, 0, 0, 0, 0)
+	seed(15, 1e30, -1e30, 2e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30,
+		1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30, 1e30)
+	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, math.Inf(1))
+	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, 5e-324)
 	f.Add([]byte{}, 0.0)
 	f.Fuzz(func(t *testing.T, data []byte, r2 float64) {
 		c := fuzzWithinCase(data)

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/lsh"
 	"repro/internal/rng"
 )
 
@@ -259,5 +260,49 @@ func TestPublicShardedPersist(t *testing.T) {
 	}
 	if ids[0] != int32(n+20) {
 		t.Fatalf("append after reload starts at id %d, want %d", ids[0], n+20)
+	}
+}
+
+// TestOpenHashesNothing: a snapshot carries the hash tables, so Open and
+// OpenSharded rebuild none of them — the hash-evaluation counter does
+// not move across either, while building and querying move it.
+func TestOpenHashesNothing(t *testing.T) {
+	pts := persistTestData(400, 8, 21)
+	opts := []Option{WithSeed(3), WithTables(6)}
+	before := lsh.HashEvaluations()
+	ix, err := New(L2, pts, 0.4, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewSharded(L2, pts, 0.4, append(opts, WithShards(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsh.HashEvaluations() == before {
+		t.Fatal("building hashed nothing: the counter is not counting")
+	}
+	var plain, sharded bytes.Buffer
+	if _, err := ix.WriteTo(&plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.WriteTo(&sharded); err != nil {
+		t.Fatal(err)
+	}
+	before = lsh.HashEvaluations()
+	loaded, err := Open(L2, &plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadedSh, err := OpenSharded(L2, &sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := lsh.HashEvaluations() - before; n != 0 {
+		t.Fatalf("Open and OpenSharded hashed %d points", n)
+	}
+	loaded.Query(pts[0])
+	loadedSh.Query(pts[0])
+	if lsh.HashEvaluations() == before {
+		t.Fatal("querying the loaded indexes hashed nothing")
 	}
 }

@@ -18,6 +18,7 @@
 #   PR 32 (parent of PR 33): 23190
 #   PR 33 (parent of PR 34): 23504
 #   PR 34 (parent of PR 35): 23007
+#   PR 35 (parent of PR 38): 23060
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
