@@ -7,14 +7,10 @@
 //	hybridbench -exp fig2c             # Figure 2c: CoverType, L1
 //	hybridbench -exp fig2d             # Figure 2d: Corel, L2
 //	hybridbench -exp fig3              # Figure 3: Webspam output sizes & LS%
-//	hybridbench -exp persist           # build-once-load-many: snapshot load vs rebuild
-//	hybridbench -exp delete            # tombstone skew vs online compaction
 //	hybridbench -exp multiprobe        # multi-probe T vs L at fixed recall
 //	hybridbench -exp covering          # covering LSH: guaranteed recall vs classic Hamming
 //	hybridbench -exp serve             # serving-layer observability overhead (bare vs instrumented)
 //	hybridbench -exp recal             # drift injection: online α/β refit vs a stale cost model
-//	hybridbench -exp cache             # result cache: Zipf traffic, cached vs uncached p50
-//	hybridbench -exp replica           # replicated serving: router overhead, hedge rate, convergence lag
 //	hybridbench -exp all               # everything
 //
 // The -scale flag multiplies the paper's dataset sizes (default 0.05 so a
@@ -40,60 +36,76 @@ import (
 )
 
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "experiment: "+strings.Join(names(), ", ")+", all")
-		quantMode  = flag.String("quant", "sq8", "point-store quantization mode the quant experiment gates on (off or sq8)")
-		scale      = flag.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = paper scale)")
-		queries    = flag.Int("queries", 100, "query-set size (paper: 100)")
-		runs       = flag.Int("runs", 5, "timing runs to average (paper: 5)")
-		seed       = flag.Uint64("seed", 1, "generation/construction seed")
-		paperRatio = flag.Bool("paperratio", false, "use the paper's fixed β/α ratios instead of calibrating")
-		csvDir     = flag.String("csv", "", "also write results as CSV files into this directory")
-		jsonPath   = flag.String("json", "", "also write all results as one machine-readable JSON file (e.g. BENCH_results.json)")
-	)
-	flag.Parse()
+	if err := cli(os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "hybridbench:", err)
+		os.Exit(1)
+	}
+}
 
+// cli is main without the exit: it parses args, runs the chosen
+// experiments and writes the -json report. A run that fails leaves no
+// report file behind.
+func cli(args []string) (err error) {
+	fs := flag.NewFlagSet("hybridbench", flag.ExitOnError)
+	var (
+		exp        = fs.String("exp", "all", "experiment: "+strings.Join(names(), ", ")+", all")
+		quantMode  = fs.String("quant", "sq8", "point-store quantization mode the quant experiment gates on (off or sq8)")
+		scale      = fs.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = paper scale)")
+		queries    = fs.Int("queries", 100, "query-set size (paper: 100)")
+		runs       = fs.Int("runs", 5, "timing runs to average (paper: 5)")
+		seed       = fs.Uint64("seed", 1, "generation/construction seed")
+		paperRatio = fs.Bool("paperratio", false, "use the paper's fixed β/α ratios instead of calibrating")
+		csvDir     = fs.String("csv", "", "also write results as CSV files into this directory")
+		jsonPath   = fs.String("json", "", "also write all results as one machine-readable JSON file (e.g. BENCH_results.json)")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits with the usage
+
+	xs, err := pick(*exp)
+	if err != nil {
+		return err
+	}
+	qmode, err := pointstore.ParseMode(*quantMode)
+	if err != nil {
+		return err
+	}
 	cfg := bench.DefaultConfig(*scale)
 	cfg.Queries = *queries
 	cfg.Runs = *runs
 	cfg.Seed = *seed
 	cfg.Calibrate = !*paperRatio
 
-	qmode, err := pointstore.ParseMode(*quantMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridbench:", err)
-		os.Exit(1)
-	}
-	var rep *bench.JSONReport
-	var jsonOut *os.File
+	e := env{cfg: cfg, csvDir: *csvDir, qmode: qmode}
 	if *jsonPath != "" {
-		// The run meta (environment + quant mode) is stamped once here,
-		// before any experiment runs, so every report this invocation
-		// writes carries an identical meta block.
-		rep = bench.NewJSONReport(cfg, qmode.String())
+		// The run meta is stamped once here, before any experiment runs,
+		// so every report this invocation writes carries an identical
+		// meta block.
+		e.rep = bench.NewJSONReport(cfg)
 		// Open the output before the (potentially minutes-long) run so an
 		// unwritable path fails fast instead of discarding the results.
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hybridbench:", err)
-			os.Exit(1)
+		f, ferr := os.Create(*jsonPath)
+		if ferr != nil {
+			return ferr
 		}
-		jsonOut = f
+		// err is cli's result: the report is written only when every
+		// experiment succeeded, and removed when anything failed.
+		defer func() {
+			if err == nil {
+				err = bench.WriteJSON(f, e.rep)
+			}
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				os.Remove(*jsonPath) // best effort: err is what gets reported
+			}
+		}()
 	}
-	if err := run(*exp, cfg, *csvDir, rep, qmode); err != nil {
-		fmt.Fprintln(os.Stderr, "hybridbench:", err)
-		os.Exit(1)
-	}
-	if rep != nil {
-		err := bench.WriteJSON(jsonOut, rep)
-		if cerr := jsonOut.Close(); err == nil {
-			err = cerr
+	for _, x := range xs {
+		if err := x.run(e); err != nil {
+			return err
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hybridbench:", err)
-			os.Exit(1)
-		}
 	}
+	return nil
 }
 
 type report = bench.JSONReport
@@ -172,10 +184,6 @@ var experiments = []experiment{
 	figure("fig2d", "Figure 2d — Corel-like, L2 distance", bench.CorelExperiment, false, bench.PrintFig2),
 	figure("fig3", "Figure 3 — Webspam-like output sizes and linear-search calls (β/α = 10, the paper's choice)",
 		bench.WebspamExperiment, true, bench.PrintFig3),
-	define("persist", "Persistence — snapshot load vs cold rebuild (build-once-load-many)",
-		plain(bench.PersistExperiment), bench.PrintPersist, func(r *report, v *bench.PersistResult) { r.Persist = v }, nil),
-	define("delete", "Deletes — tombstone-skewed cost model vs online shard compaction",
-		plain(bench.DeleteExperiment), bench.PrintDelete, func(r *report, v *bench.DeleteResult) { r.Delete = v }, nil),
 	define("multiprobe", "Multi-probe — T probes vs L tables at fixed recall",
 		plain(bench.MultiProbeExperiment), bench.PrintMultiProbe, func(r *report, v *bench.MultiProbeResult) { r.MultiProbe = v }, nil),
 	define("covering", "Covering LSH — guaranteed recall vs classic Hamming",
@@ -184,13 +192,9 @@ var experiments = []experiment{
 		plain(bench.ServeExperiment), bench.PrintServe, func(r *report, v *bench.ServeResult) { r.Serve = v }, nil),
 	define("recal", "Recalibration — decision agreement with a fresh model, stale vs refitted",
 		plain(bench.RecalExperiment), bench.PrintRecal, func(r *report, v *bench.RecalResult) { r.Recal = v }, nil),
-	define("cache", "Result cache — Zipf traffic, cached vs uncached query path",
-		plain(bench.CacheExperiment), bench.PrintCache, func(r *report, v *bench.CacheResult) { r.Cache = v }, nil),
 	define("quant", "Point store — candidate verification: baseline vs flat vs SQ8",
 		func(e env) (*bench.QuantResult, error) { return bench.QuantExperiment(e.cfg, e.qmode) },
 		bench.PrintQuant, func(r *report, v *bench.QuantResult) { r.Quant = v }, nil),
-	define("replica", "Replication — router fan-out vs direct replica, convergence lag",
-		plain(bench.ReplicaExperiment), bench.PrintReplica, func(r *report, v *bench.ReplicaResult) { r.Replica = v }, nil),
 }
 
 func names() []string {
@@ -201,22 +205,17 @@ func names() []string {
 	return out
 }
 
-// run executes one experiment (or all, in table order), printing
-// human-readable tables and accumulating into rep when non-nil.
-func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmode pointstore.Mode) error {
-	ran := false
+// pick returns the experiments -exp names (one, or all in table order).
+func pick(exp string) ([]experiment, error) {
+	if exp == "all" {
+		return experiments, nil
+	}
 	for _, x := range experiments {
-		if exp == x.name || exp == "all" {
-			if err := x.run(env{cfg, csvDir, rep, qmode}); err != nil {
-				return err
-			}
-			ran = true
+		if x.name == exp {
+			return []experiment{x}, nil
 		}
 	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q (want %s or all)", exp, strings.Join(names(), ", "))
-	}
-	return nil
+	return nil, fmt.Errorf("unknown experiment %q (want %s or all)", exp, strings.Join(names(), ", "))
 }
 
 // writeCSV creates dir/name and streams the writer callback into it.

@@ -57,8 +57,8 @@ func (cfg Config) corelConfig(r float64, cost core.CostModel, seed uint64) core.
 // corelShards is the shard count of the sharded Corel fixture.
 const corelShards = 4
 
-// corelSharded builds the sharded Corel fixture the cache, delete,
-// recal, replica and serve experiments share.
+// corelSharded builds the sharded Corel fixture the recal and serve
+// experiments share.
 func corelSharded(cfg Config, data []vector.Dense, r float64, cost core.CostModel) (*shard.Sharded[vector.Dense], error) {
 	return shard.New(data, corelShards, cfg.Seed+3, func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
 		return core.NewIndex(pts, cfg.corelConfig(r, cost, seed))

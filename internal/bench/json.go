@@ -30,9 +30,6 @@ type RunMeta struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
-	// Quant is the point-store quantization mode the run benchmarked
-	// ("off" or "sq8"; empty in reports that predate the mode).
-	Quant string `json:"quant,omitempty"`
 }
 
 // JSONReport is the machine-readable form of one hybridbench run: the
@@ -45,38 +42,33 @@ type JSONReport struct {
 	Config     Config            `json:"config"`
 	Table1     []Table1Row       `json:"table1,omitempty"`
 	Figures    []JSONFigure      `json:"figures,omitempty"`
-	Persist    *PersistResult    `json:"persist,omitempty"`
-	Delete     *DeleteResult     `json:"delete,omitempty"`
 	MultiProbe *MultiProbeResult `json:"multiprobe,omitempty"`
 	Covering   *CoveringResult   `json:"covering,omitempty"`
 	Serve      *ServeResult      `json:"serve,omitempty"`
 	Recal      *RecalResult      `json:"recal,omitempty"`
-	Cache      *CacheResult      `json:"cache,omitempty"`
 	Quant      *QuantResult      `json:"quant,omitempty"`
-	Replica    *ReplicaResult    `json:"replica,omitempty"`
 }
 
-// NewJSONReport starts an empty report for the given configuration and
-// quantization mode, stamped with the producing environment. The meta
-// is collected exactly once, here: every report one invocation writes
-// carries an identical RunMeta no matter which experiments ran, so
-// BENCH_*.json files from the same run can be compared meta-for-meta.
-func NewJSONReport(cfg Config, quant string) *JSONReport {
+// NewJSONReport starts an empty report for the given configuration,
+// stamped with the producing environment. The meta is collected exactly
+// once, here: every report one invocation writes carries an identical
+// RunMeta no matter which experiments ran, so BENCH_*.json files from
+// the same run can be compared meta-for-meta.
+func NewJSONReport(cfg Config) *JSONReport {
 	return &JSONReport{
 		Schema: JSONSchema,
-		Meta:   CollectRunMeta(quant),
+		Meta:   CollectRunMeta(),
 		Config: cfg,
 	}
 }
 
 // CollectRunMeta gathers the environment stamp for one invocation.
-func CollectRunMeta(quant string) RunMeta {
+func CollectRunMeta() RunMeta {
 	return RunMeta{
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Quant:     quant,
 	}
 }
 

@@ -9,21 +9,21 @@ import (
 // TestRunMetaIdenticalAcrossReports is the shape guarantee CI relies
 // on: one invocation stamps its RunMeta exactly once, so every
 // BENCH_*.json it writes carries a byte-identical meta block no matter
-// which experiments each report recorded. AddQuant used to mutate
-// Meta.Quant after the fact, which made the quant report's meta
-// disagree with every sibling report of the same run.
+// which experiments each report recorded. The meta holds the
+// environment only: the quantization mode a run measured lives in
+// QuantResult.Mode, the one result that has a mode.
 func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	cfg := DefaultConfig(0.01)
-	meta := CollectRunMeta("sq8")
+	meta := CollectRunMeta()
 
 	reports := []*JSONReport{
-		NewJSONReport(cfg, "sq8"),
-		NewJSONReport(cfg, "sq8"),
-		NewJSONReport(cfg, "sq8"),
+		NewJSONReport(cfg),
+		NewJSONReport(cfg),
+		NewJSONReport(cfg),
 	}
 	// Feed each report a different experiment mix — the meta must not
 	// care. In particular the quant result's recorded mode must not leak
-	// back into the run meta.
+	// into the run meta.
 	reports[0].Table1 = []Table1Row{{Dataset: "x"}}
 	reports[1].Quant = &QuantResult{Mode: "off"}
 	reports[2].Figures = []JSONFigure{{ID: "fig2a", Calibrated: true, Fig2Result: &Fig2Result{}}}
@@ -39,6 +39,9 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		metas = append(metas, b)
+	}
+	if bytes.Contains(metas[0], []byte(`"quant"`)) {
+		t.Errorf("run meta %s carries a quant mode; only QuantResult.Mode records one", metas[0])
 	}
 	for i := 1; i < len(metas); i++ {
 		if !bytes.Equal(metas[i], metas[0]) {

@@ -41,7 +41,7 @@ func TestServeExperiment(t *testing.T) {
 		t.Errorf("PrintServe output missing summary: %q", out.String())
 	}
 
-	rep := NewJSONReport(cfg, "off")
+	rep := NewJSONReport(cfg)
 	rep.Serve = res
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {
