@@ -94,7 +94,7 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 		gen++
 		var ids []int32
 		for _, b := range ix.Tables().Lookup(q) {
-			for _, id := range b.IDs {
+			for _, id := range b.AppendIDs(nil) {
 				if seen[id] != gen {
 					seen[id] = gen
 					ids = append(ids, id)

@@ -395,11 +395,15 @@ func (ix *Index[P]) Point(id int32) P { return ix.store.At(id) }
 // N returns the number of indexed points.
 func (ix *Index[P]) N() int { return ix.store.Len() }
 
-// Points exposes the stored point slice (read-only; mutating it corrupts
-// the index). It exists for serialization. With a struct-of-arrays
-// layout the returned headers alias the store's flat backing; they stay
-// id-aligned, which the shard compaction hand-off relies on.
-func (ix *Index[P]) Points() []P { return ix.store.Slice() }
+// Rows returns the stored points lo..hi-1, id-aligned from lo (read-only;
+// mutating them corrupts the index). The flat layouts build these views
+// on demand; the shard compaction hand-off absorbs an append tail
+// through it.
+func (ix *Index[P]) Rows(lo, hi int) []P { return ix.store.Rows(lo, hi) }
+
+// Points returns every stored point, Rows(0, N) (read-only). Snapshots
+// write through Point instead, so only tracing pays for these views.
+func (ix *Index[P]) Points() []P { return ix.store.Rows(0, ix.store.Len()) }
 
 // StoreStats returns the point store's layout and verification counters
 // (quantization mode, pre-filter rejections, refits).

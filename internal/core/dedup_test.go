@@ -98,7 +98,8 @@ func branchyDedup(visited []uint32, gen uint32, ids, cand []int32) []int32 {
 
 // BenchmarkKernelDedup times the S2 walk over 50 sorted buckets of 800
 // ids drawn from a 4 000-id neighbourhood of a 30 000-point shard — the
-// heavy overlap of a dense query's bucket set — in ns per collision.
+// heavy overlap of a dense query's bucket set — in ns per collision, with
+// the ids as int32 and as the uint16 a narrow slab stores.
 func BenchmarkKernelDedup(b *testing.B) {
 	const n, tables, size, hood = 30000, 50, 800, 4000
 	r := rng.New(7)
@@ -113,13 +114,22 @@ func BenchmarkKernelDedup(b *testing.B) {
 		buckets[i] = slices.Compact(ids)
 	}
 	collisions := 0
-	for _, ids := range buckets {
+	narrow := make([][]uint16, tables) // the same buckets as a narrow slab holds them
+	for i, ids := range buckets {
 		collisions += len(ids)
+		narrow[i] = make([]uint16, len(ids))
+		for j, id := range ids {
+			narrow[i][j] = uint16(id)
+		}
 	}
 	for _, bc := range []struct {
 		name string
-		walk func(visited []uint32, gen uint32, ids, cand []int32) []int32
-	}{{"branchy", branchyDedup}, {"dedup", dedup}} {
+		walk func(visited []uint32, gen uint32, i int, cand []int32) []int32
+	}{
+		{"branchy", func(v []uint32, g uint32, i int, c []int32) []int32 { return branchyDedup(v, g, buckets[i], c) }},
+		{"dedup", func(v []uint32, g uint32, i int, c []int32) []int32 { return dedup(v, g, buckets[i], c) }},
+		{"dedup-narrow", func(v []uint32, g uint32, i int, c []int32) []int32 { return dedup(v, g, narrow[i], c) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			visited := make([]uint32, n)
 			var cand []int32
@@ -127,8 +137,8 @@ func BenchmarkKernelDedup(b *testing.B) {
 			for b.Loop() {
 				gen++
 				cand = cand[:0]
-				for _, ids := range buckets {
-					cand = bc.walk(visited, gen, ids, cand)
+				for i := range buckets {
+					cand = bc.walk(visited, gen, i, cand)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*collisions), "ns/collision")

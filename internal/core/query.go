@@ -323,7 +323,11 @@ func (st *queryState) collect(buckets []lsh.Bucket) []int32 {
 	}
 	cand := st.cand[:0]
 	for i := range buckets {
-		cand = dedup(st.visited, st.gen, buckets[i].IDs, cand)
+		if ids := buckets[i].Narrow(); ids != nil {
+			cand = dedup(st.visited, st.gen, ids, cand)
+		} else {
+			cand = dedup(st.visited, st.gen, buckets[i].IDs, cand)
+		}
 	}
 	st.cand = cand
 	return cand
@@ -334,14 +338,15 @@ func (st *queryState) collect(buckets []lsh.Bucket) []int32 {
 // step per id, the α of the cost model (Calibrate times this function).
 // The body has no branch: every id is stored into room grown once per
 // call and kept by advancing past it only when its stamp was stale, so
-// a run of duplicates costs no misprediction.
-func dedup(visited []uint32, gen uint32, ids, cand []int32) []int32 {
+// a run of duplicates costs no misprediction. The ids come in either
+// slab width.
+func dedup[S lsh.ID](visited []uint32, gen uint32, ids []S, cand []int32) []int32 {
 	n := len(cand)
 	cand = slices.Grow(cand, len(ids))[:n+len(ids)]
 	for _, id := range ids {
 		stale := visited[id] != gen
 		visited[id] = gen
-		cand[n] = id
+		cand[n] = int32(id)
 		if stale {
 			n++
 		}

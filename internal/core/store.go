@@ -8,8 +8,8 @@ import (
 )
 
 // Store is the index contract the shard package builds on: one shard is
-// any hybrid index that can report its size, expose its point slice for
-// snapshots and compaction absorption, answer hybrid queries, grow by
+// any hybrid index that can report its size, expose a range of its points
+// for compaction absorption, answer hybrid queries, grow by
 // appending, and rewrite itself without a set of dead points. *Index
 // satisfies it in every serving mode, and covering.Index (an *Index that
 // also carries its φ) does too, which is what lets the sharding,
@@ -26,8 +26,8 @@ type Store[P any] interface {
 	// Dim returns the points' dimension (-1 for a point type without
 	// one); queries of another dimension are an error.
 	Dim() int
-	// Points exposes the stored point slice (read-only).
-	Points() []P
+	// Rows returns the stored points lo..hi-1 (read-only).
+	Rows(lo, hi int) []P
 	// Query answers one rNNR query with the hybrid strategy.
 	Query(q P) ([]int32, QueryStats)
 	// QueryWith is Query under per-query overrides. The zero QueryOpts is

@@ -77,13 +77,23 @@ func (s *Sketch) Add(hash uint64) {
 // updates.
 func (s *Sketch) AddID(id uint64) { s.Add(hashutil.ElementHash(id)) }
 
+// negPow2[r] is 2^-r for every rank a register can hold (CheckRegisters
+// caps them at 64): Estimate reads it instead of calling math.Ldexp once
+// per register.
+var negPow2 = func() (t [65]float64) {
+	for r := range t {
+		t[r] = math.Ldexp(1, -r)
+	}
+	return t
+}()
+
 // Estimate returns the estimated number of distinct elements added.
 func (s *Sketch) Estimate() float64 {
 	m := float64(len(s.regs))
 	var sum float64
 	zeros := 0
 	for _, r := range s.regs {
-		sum += math.Ldexp(1, -int(r)) // 2^-r
+		sum += negPow2[r]
 		if r == 0 {
 			zeros++
 		}

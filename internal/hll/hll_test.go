@@ -340,6 +340,49 @@ func TestMergeRegistersMatchesByteLoop(t *testing.T) {
 	}
 }
 
+// TestNegPow2MatchesLdexp holds the table Estimate reads to math.Ldexp
+// for every rank a register can hold.
+func TestNegPow2MatchesLdexp(t *testing.T) {
+	for r := range 65 {
+		if got, want := negPow2[r], math.Ldexp(1, -r); got != want {
+			t.Fatalf("negPow2[%d] = %g, want %g", r, got, want)
+		}
+	}
+}
+
+// TestEstimateMatchesLdexpSum holds Estimate to the per-register
+// math.Ldexp sum it replaced, bit for bit, on random register arrays of
+// every width, sparse (linear counting) and dense alike.
+func TestEstimateMatchesLdexpSum(t *testing.T) {
+	r := rng.New(65)
+	for m := MinM; m <= 4096; m *= 2 {
+		for trial := range 50 {
+			s := New(m)
+			for i := range s.regs {
+				if r.Intn(4) > trial%4 {
+					s.regs[i] = uint8(r.Intn(65))
+				}
+			}
+			var sum float64
+			zeros := 0
+			for _, x := range s.regs {
+				sum += math.Ldexp(1, -int(x))
+				if x == 0 {
+					zeros++
+				}
+			}
+			fm := float64(m)
+			want := alpha(m) * fm * fm / sum
+			if want <= 2.5*fm && zeros > 0 {
+				want = fm * math.Log(fm/float64(zeros))
+			}
+			if got := s.Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("m = %d, trial %d: Estimate = %v, Ldexp sum gives %v", m, trial, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkKernelHLLMerge times a query's estimate-side merge: fifty
 // 128-register bucket sketches folded into one scratch sketch, through
 // the byte loop and through MergeRegisters; one op is one query.

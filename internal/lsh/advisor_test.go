@@ -139,7 +139,7 @@ func TestAdviseAgainstEmpiricalWorkload(t *testing.T) {
 	bs := tb.Lookup(pts[0])
 	found := make(map[int32]bool)
 	for _, b := range bs {
-		for _, id := range b.IDs {
+		for _, id := range b.AppendIDs(nil) {
 			found[id] = true
 		}
 	}

@@ -139,7 +139,7 @@ func TestCrossPolytopeInHybridIndex(t *testing.T) {
 	bs := tb.Lookup(center)
 	found := make(map[int32]bool)
 	for _, b := range bs {
-		for _, id := range b.IDs {
+		for _, id := range b.AppendIDs(nil) {
 			found[id] = true
 		}
 	}

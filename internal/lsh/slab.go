@@ -18,13 +18,19 @@ import (
 //
 //   - heads holds one (key, offset, sketch ordinal) triple per bucket,
 //     in ascending order of Mix64(key) — a bijection, so no two keys tie
-//     — plus a closing head whose offset is len(ids). dir groups the
+//     — plus a closing head whose offset is the id count. dir groups the
 //     buckets by the top bits of that hash: slot s holds
 //     heads[dir[s]:dir[s+1]], two to four buckets on average, so a
 //     lookup reads one dir entry and one short run of heads, and a hit
 //     finds its id span and sketch on the line it matched the key on.
-//   - ids is every bucket's id list back to back, each ascending as its
-//     ids were inserted: bucket i holds ids[heads[i].off:heads[i+1].off].
+//   - narrow or wide is every bucket's id list back to back, each
+//     ascending as its ids were inserted: bucket i holds
+//     ids[heads[i].off:heads[i+1].off]. The width is decided once, when
+//     the slab is built, from the table's id bound n: a slab whose ids
+//     all lie below narrowBound stores them as uint16 (narrow, the other
+//     nil), any other slab as int32 (wide). The L·n stored ids are most
+//     of an index's bytes, so a shard of at most 65 536 points holds
+//     them in half the space.
 //   - regs is the register slab of the sketched buckets: bucket i's
 //     registers are regs[o·m:(o+1)·m] for o = heads[i].sketch, or none
 //     when o is noSketch.
@@ -32,12 +38,13 @@ import (
 // A Slab is never written after it is built, so readers keep using it
 // while a writer builds its successor.
 type Slab struct {
-	heads []head
-	dir   []uint32
-	shift uint8
-	ids   []int32
-	regs  []uint8
-	m     int
+	heads  []head
+	dir    []uint32
+	shift  uint8
+	narrow []uint16
+	wide   []int32
+	regs   []uint8
+	m      int
 }
 
 type head struct {
@@ -45,11 +52,28 @@ type head struct {
 	off, sketch uint32
 }
 
+// ID is the type of a slab's stored ids, narrow or wide.
+type ID interface{ uint16 | int32 }
+
+// narrowBound is the largest id bound n whose slabs store their ids as
+// uint16: every id of such a table lies in [0, 65 536).
+const narrowBound = 1 << 16
+
+// forceWide makes every slab wide whatever its n. It is the tests' seam
+// for building one point set at both widths.
+var forceWide bool
+
+// narrowFor reports whether a slab over ids in [0, n) stores them narrow.
+func narrowFor(n int) bool { return n <= narrowBound && !forceWide }
+
 // noSketch is the sketch ordinal of a bucket that carries no sketch.
 const noSketch = math.MaxUint32
 
 // len returns the number of buckets.
 func (s *Slab) len() int { return len(s.heads) - 1 }
+
+// nids returns the number of stored ids.
+func (s *Slab) nids() int { return len(s.narrow) + len(s.wide) }
 
 // find returns the index of key's bucket, or -1 when there is none.
 func (s *Slab) find(key uint64) int { return s.scan(key, s.run(key)) }
@@ -74,10 +98,15 @@ func (s *Slab) scan(key uint64, r span) int {
 	return -1
 }
 
-// bucket returns a read-only view of bucket i.
+// bucket returns a read-only view of bucket i, in the slab's width.
 func (s *Slab) bucket(i int) Bucket {
 	h, hi := s.heads[i], s.heads[i+1].off
-	b := Bucket{IDs: s.ids[h.off:hi:hi]}
+	var b Bucket
+	if s.narrow != nil {
+		b.narrow = s.narrow[h.off:hi:hi]
+	} else {
+		b.IDs = s.wide[h.off:hi:hi]
+	}
 	if h.sketch != noSketch {
 		at := int(h.sketch) * s.m
 		b.Sketch = s.regs[at : at+s.m : at+s.m]
@@ -92,26 +121,40 @@ func (s *Slab) bucket(i int) Bucket {
 // finish).
 type SlabBuilder struct{ s Slab }
 
-// NewSlabBuilder returns a builder for m-register sketches, sized for
-// the given bucket and id counts (hints; either may be exceeded).
-func NewSlabBuilder(m, buckets, ids int) *SlabBuilder { return newSlabBuilder(m, buckets, ids, 0) }
+// NewSlabBuilder returns a builder for m-register sketches over ids in
+// [0, n), which picks the slab's id width, sized for the given bucket
+// and id counts (hints; either may be exceeded).
+func NewSlabBuilder(m, n, buckets, ids int) *SlabBuilder {
+	return newSlabBuilder(m, narrowFor(n), buckets, ids, 0)
+}
 
-func newSlabBuilder(m, buckets, ids, sketches int) *SlabBuilder {
-	return &SlabBuilder{Slab{
+func newSlabBuilder(m int, narrow bool, buckets, ids, sketches int) *SlabBuilder {
+	b := &SlabBuilder{Slab{
 		heads: make([]head, 0, buckets+1),
-		ids:   make([]int32, 0, ids),
 		regs:  make([]uint8, 0, sketches*m),
 		m:     m,
 	}}
+	if narrow {
+		b.s.narrow = make([]uint16, 0, ids)
+	} else {
+		b.s.wide = make([]int32, 0, ids)
+	}
+	return b
 }
 
 // Add starts a bucket under key with n ids and returns the slice the
-// caller fills them into, before its next call on the builder.
-func (b *SlabBuilder) Add(key uint64, n int) []int32 {
-	at := len(b.s.ids)
+// caller fills them into, before its next call on the builder: narrow
+// when the slab stores uint16 ids, wide otherwise; the other is nil. The
+// caller must keep every id below the builder's n.
+func (b *SlabBuilder) Add(key uint64, n int) (narrow []uint16, wide []int32) {
+	at := b.s.nids()
 	b.s.heads = append(b.s.heads, head{key, uint32(at), noSketch})
-	b.s.ids = slices.Grow(b.s.ids, n)[:at+n]
-	return b.s.ids[at:]
+	if b.s.narrow != nil {
+		b.s.narrow = slices.Grow(b.s.narrow, n)[:at+n]
+		return b.s.narrow[at:], nil
+	}
+	b.s.wide = slices.Grow(b.s.wide, n)[:at+n]
+	return nil, b.s.wide[at:]
 }
 
 // Sketch gives the bucket Add just started a sketch with the registers
@@ -133,34 +176,52 @@ func (b *SlabBuilder) sketch(regs []uint8) {
 	b.s.regs = append(b.s.regs, regs...)
 }
 
-// add appends a bucket with its ids and, unless regs is nil, its sketch.
-func (b *SlabBuilder) add(key uint64, ids []int32, regs []uint8) {
-	copy(b.Add(key, len(ids)), ids)
+// addIDs appends a bucket under key with ids, converted to the slab's
+// width (they must fit it), and, unless regs is nil, its sketch.
+func addIDs[S ID](b *SlabBuilder, key uint64, ids []S, regs []uint8) {
+	b.s.heads = append(b.s.heads, head{key, uint32(b.s.nids()), noSketch})
+	if b.s.narrow != nil {
+		b.s.narrow = appendAs(b.s.narrow, ids)
+	} else {
+		b.s.wide = appendAs(b.s.wide, ids)
+	}
 	if regs != nil {
 		b.sketch(regs)
 	}
 }
 
+// appendAs appends src to dst, each id converted to dst's width.
+func appendAs[D, S ID](dst []D, src []S) []D {
+	for _, id := range src {
+		dst = append(dst, D(id))
+	}
+	return dst
+}
+
 // Freeze orders the buckets for lookup and returns the slab. It fails
 // when a key repeats or the ids overflow the slab's 32-bit offsets.
 func (b *SlabBuilder) Freeze() (*Slab, error) {
-	if uint64(len(b.s.ids)) > math.MaxUint32 {
-		return nil, fmt.Errorf("lsh: %d bucket ids exceed a table's 32-bit offsets", len(b.s.ids))
-	}
 	in, nb := b.s, len(b.s.heads)
-	heads := append(in.heads, head{off: uint32(len(in.ids))}) // closes the last span
-	perm := hashOrder(nb, func(i int) uint64 { return heads[i].key })
-	out := newSlabBuilder(in.m, nb, len(in.ids), len(in.regs)/in.m)
+	if uint64(in.nids()) > math.MaxUint32 {
+		return nil, fmt.Errorf("lsh: %d bucket ids exceed a table's 32-bit offsets", in.nids())
+	}
+	in.heads = append(in.heads, head{off: uint32(in.nids())}) // closes the last span
+	perm := hashOrder(nb, func(i int) uint64 { return in.heads[i].key })
+	out := newSlabBuilder(in.m, in.narrow != nil, nb, in.nids(), len(in.regs)/in.m)
 	for k, i := range perm {
-		h := heads[i]
-		if k > 0 && h.key == heads[perm[k-1]].key {
+		h, end := in.heads[i], in.heads[i+1].off
+		if k > 0 && h.key == in.heads[perm[k-1]].key {
 			return nil, fmt.Errorf("lsh: duplicate bucket key %#x", h.key)
 		}
 		var regs []uint8
 		if h.sketch != noSketch {
 			regs = in.regs[int(h.sketch)*in.m : int(h.sketch+1)*in.m]
 		}
-		out.add(h.key, in.ids[h.off:heads[i+1].off], regs)
+		if in.narrow != nil {
+			addIDs(out, h.key, in.narrow[h.off:end], regs)
+		} else {
+			addIDs(out, h.key, in.wide[h.off:end], regs)
+		}
 	}
 	s := out.finish()
 	return &s, nil
@@ -170,7 +231,7 @@ func (b *SlabBuilder) Freeze() (*Slab, error) {
 // must have come in ascending order of Mix64(key).
 func (b *SlabBuilder) finish() Slab {
 	s := b.s
-	s.heads = append(s.heads, head{off: uint32(len(s.ids))})
+	s.heads = append(s.heads, head{off: uint32(s.nids())})
 	slots := max(bits.Len(uint(s.len()))-2, 0) // 2^slots slots: 2–4 buckets per slot
 	s.shift = uint8(64 - slots)
 	s.dir = make([]uint32, 1<<slots+1)
@@ -184,7 +245,7 @@ func (b *SlabBuilder) finish() Slab {
 }
 
 // emptySlab is a slab with no buckets.
-func emptySlab(m int) Slab { return newSlabBuilder(m, 0, 0, 0).finish() }
+func emptySlab(m int) Slab { return newSlabBuilder(m, true, 0, 0, 0).finish() }
 
 // hashBufs keeps hashOrder's hash arrays between calls, so that a
 // snapshot load, which orders its tables one after another, allocates no
@@ -272,10 +333,10 @@ func buildSlab[P any](points []P, h Hasher[P], p Params, norms []float64) Slab {
 			sketches++
 		}
 	}
-	b := newSlabBuilder(p.HLLRegisters, buckets, len(perm), sketches)
+	b := newSlabBuilder(p.HLLRegisters, narrowFor(len(points)), buckets, len(perm), sketches)
 	scratch := hll.New(p.HLLRegisters)
 	for lo, hi := range runs {
-		b.add(keys[perm[lo]], perm[lo:hi], sketchOf(perm[lo:hi], p, scratch))
+		addIDs(b, keys[perm[lo]], perm[lo:hi], sketchOf(perm[lo:hi], p, scratch))
 	}
 	return b.finish()
 }

@@ -166,8 +166,8 @@ func encodeTable(buckets iter.Seq2[uint64, Bucket]) []byte {
 	count := uint64(0)
 	for k, b := range buckets {
 		body = binary.LittleEndian.AppendUint64(body, k)
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(b.IDs)))
-		for _, id := range b.IDs {
+		body = binary.LittleEndian.AppendUint32(body, uint32(b.Len()))
+		for _, id := range b.AppendIDs(nil) {
 			body = binary.LittleEndian.AppendUint32(body, uint32(id))
 		}
 		if b.Sketch != nil {
@@ -183,14 +183,14 @@ func encodeTable(buckets iter.Seq2[uint64, Bucket]) []byte {
 func flatIDs(bs []Bucket) []int32 {
 	var out []int32
 	for _, b := range bs {
-		out = append(out, b.IDs...)
+		out = b.AppendIDs(out)
 	}
 	return out
 }
 
 func sameBuckets(a, b []Bucket) bool {
 	return slices.EqualFunc(a, b, func(x, y Bucket) bool {
-		return slices.Equal(x.IDs, y.IDs) && (x.Sketch == nil) == (y.Sketch == nil) && slices.Equal(x.Sketch, y.Sketch)
+		return slices.Equal(x.AppendIDs(nil), y.AppendIDs(nil)) && (x.Sketch == nil) == (y.Sketch == nil) && slices.Equal(x.Sketch, y.Sketch)
 	})
 }
 
@@ -203,6 +203,10 @@ func checkSame[P any](t *testing.T, state string, tb *Tables[P], ref *refTables[
 	}
 	buckets, sketched := 0, 0
 	for j := 0; j < tb.L(); j++ {
+		// These tables stay below 65 536 points: narrow unless forced.
+		if slab := &tb.tables[j].slab; (slab.narrow == nil) != forceWide || (slab.wide == nil) == forceWide {
+			t.Fatalf("%s: table %d slab has %d narrow and %d wide ids with forceWide %v", state, j, len(slab.narrow), len(slab.wide), forceWide)
+		}
 		if got, want := encodeTable(tb.SortedBuckets(j)), encodeTable(ref.sorted(j)); !bytes.Equal(got, want) {
 			t.Fatalf("%s: table %d encodes to %d bytes that differ from the reference's %d", state, j, len(got), len(want))
 		}
@@ -265,9 +269,17 @@ func restoreShuffled[P any](t *testing.T, tb *Tables[P], r *rng.Rand) *Tables[P]
 			k := r.Intn(i + 1)
 			all[i], all[k] = all[k], all[i]
 		}
-		sb := NewSlabBuilder(tb.Params().HLLRegisters, len(all), 0)
+		sb := NewSlabBuilder(tb.Params().HLLRegisters, tb.N(), len(all), 0)
 		for _, x := range all {
-			copy(sb.Add(x.key, len(x.b.IDs)), x.b.IDs)
+			ids := x.b.AppendIDs(nil)
+			narrow, wide := sb.Add(x.key, len(ids))
+			for k, id := range ids {
+				if narrow != nil {
+					narrow[k] = uint16(id)
+				} else {
+					wide[k] = id
+				}
+			}
 			if x.b.Sketch != nil {
 				if err := sb.Sketch(x.b.Sketch); err != nil {
 					t.Fatal(err)
@@ -360,7 +372,17 @@ func (h maskHasher) Key(p vector.Binary) uint64 {
 
 func (h maskHasher) K() int { return 1 }
 
-func TestSlabsMatchMapTables(t *testing.T) {
+func TestSlabsMatchMapTables(t *testing.T) { testSlabsMatchMapTables(t) }
+
+// TestSlabsMatchMapTablesWide is TestSlabsMatchMapTables with every slab
+// stored wide, as a table over more than 65 536 points stores it.
+func TestSlabsMatchMapTablesWide(t *testing.T) {
+	forceWide = true
+	defer func() { forceWide = false }()
+	testSlabsMatchMapTables(t)
+}
+
+func testSlabsMatchMapTables(t *testing.T) {
 	const dim = 64
 	binaries := func(n int, seed uint64) []vector.Binary { return randomBinaries(n, dim, seed) }
 	dense := func(n int, seed uint64) []vector.Dense {
@@ -430,15 +452,15 @@ func TestAppendKeepsSlabsFrozen(t *testing.T) {
 	pts := randomBinaries(400, 64, 7)
 	tb := mustBuild(t, pts, Params{K: 8, L: 3, HLLRegisters: 16, HLLThreshold: 4, Seed: 1})
 	before := tb.Table(0)
-	frozen := slices.Clone(tb.tables[0].slab.ids)
-	regs := slices.Clone(tb.tables[0].slab.regs)
+	slab := &tb.tables[0].slab
+	narrow, wide, regs := slices.Clone(slab.narrow), slices.Clone(slab.wide), slices.Clone(slab.regs)
 	if err := tb.Append(pts[:3]); err != nil {
 		t.Fatal(err)
 	}
 	if len(tb.tables[0].over) == 0 {
 		t.Fatal("a small Append re-froze the table")
 	}
-	if !slices.Equal(tb.tables[0].slab.ids, frozen) || !slices.Equal(tb.tables[0].slab.regs, regs) {
+	if !slices.Equal(slab.narrow, narrow) || !slices.Equal(slab.wide, wide) || !slices.Equal(slab.regs, regs) {
 		t.Fatal("Append wrote into the frozen slab")
 	}
 	key := tb.Hasher(0).Key(pts[0])

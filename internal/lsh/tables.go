@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/hashutil"
 	"repro/internal/hll"
@@ -24,9 +25,30 @@ import (
 // their few ids are folded into the query-time merged sketch directly,
 // which costs the same O(1) per id as a sketch update would have at build
 // time.
+//
+// A view of a bucket in a narrow slab holds its ids as uint16 (Narrow)
+// and leaves IDs nil; every other view holds them in IDs. Readers that
+// walk the ids take both (Len, AppendIDs, or one generic body over ID);
+// the Table map view always fills IDs.
 type Bucket struct {
 	IDs    []int32
 	Sketch []uint8
+	narrow []uint16
+}
+
+// Narrow returns the ids of a view into a narrow slab, and nil for any
+// other view, whose ids are IDs.
+func (b Bucket) Narrow() []uint16 { return b.narrow }
+
+// Len returns the bucket's id count.
+func (b Bucket) Len() int { return len(b.IDs) + len(b.narrow) }
+
+// AppendIDs appends the bucket's ids to dst as int32 and returns it.
+func (b Bucket) AppendIDs(dst []int32) []int32 {
+	for _, id := range b.narrow {
+		dst = append(dst, int32(id))
+	}
+	return append(dst, b.IDs...)
 }
 
 // Params configures table construction.
@@ -91,16 +113,17 @@ type table[P any] struct {
 }
 
 // refreezeShare bounds the overlay: the fold costs one slab copy per
-// len(slab.ids)/refreezeShare appended ids.
+// slab.nids()/refreezeShare appended ids.
 const refreezeShare = 8
 
 // overBucket is the overlay part of one bucket: the ids appended to it
 // since the freeze and, once the whole bucket reaches the threshold, the
 // sketch over all its ids, frozen and appended. The frozen part stays in
-// the slab (frozen aliases it), so an Append into a large bucket copies
-// none of its ids.
+// the slab (frozen is a view of it), so an Append into a large bucket
+// copies none of its ids. Appended ids are int32 whatever the slab's
+// width; the next refreeze picks the width for the grown table.
 type overBucket struct {
-	frozen []int32
+	frozen Bucket
 	ids    []int32
 	sketch *hll.Sketch
 }
@@ -150,7 +173,8 @@ func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
 				i++ // yielded whole below
 			}
 			ob := tb.over[k]
-			b := Bucket{IDs: append(slices.Clip(ob.frozen), ob.ids...)}
+			ids := ob.frozen.AppendIDs(make([]int32, 0, ob.frozen.Len()+len(ob.ids)))
+			b := Bucket{IDs: append(ids, ob.ids...)}
 			if ob.sketch != nil {
 				b.Sketch = ob.sketch.Registers()
 			}
@@ -166,51 +190,63 @@ func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
 	}
 }
 
-// rebuild writes the table's buckets into a new slab. With remap nil it
-// copies them, sketches included (folding the overlay back). Otherwise
-// every id is renumbered through remap, emptied buckets vanish, and the
-// sketches are rebuilt over the survivors under the usual threshold
-// (HLLs cannot un-absorb a deletion, so rebuilding is the only sound way
-// to forget).
-func (tb *table[P]) rebuild(remap []int32, p Params) Slab {
+// rebuild writes the table's buckets into a new slab over ids in [0, n),
+// whose width it picks from n. With remap nil it copies them, sketches
+// included (folding the overlay back). Otherwise every id is renumbered
+// through remap, emptied buckets vanish, and the sketches are rebuilt
+// over the survivors under the usual threshold (HLLs cannot un-absorb a
+// deletion, so rebuilding is the only sound way to forget).
+func (tb *table[P]) rebuild(remap []int32, p Params, n int) Slab {
 	var kept []int32
-	survivors := func(ids []int32) []int32 {
+	survivors := func(b Bucket) Bucket {
 		if remap == nil {
-			return ids
+			return b
 		}
-		kept = kept[:0]
-		for _, id := range ids {
-			if nid := remap[id]; nid >= 0 {
-				kept = append(kept, nid)
-			}
+		if b.narrow != nil {
+			kept = remapIDs(kept[:0], b.narrow, remap)
+		} else {
+			kept = remapIDs(kept[:0], b.IDs, remap)
 		}
-		return kept
+		return Bucket{IDs: kept}
 	}
 	buckets, ids, sketches := 0, 0, 0
 	for _, b := range tb.all() {
-		n := len(survivors(b.IDs))
-		if n == 0 {
+		c := survivors(b).Len()
+		if c == 0 {
 			continue
 		}
-		buckets, ids = buckets+1, ids+n
-		if remap == nil && b.Sketch != nil || remap != nil && n >= p.HLLThreshold {
+		buckets, ids = buckets+1, ids+c
+		if remap == nil && b.Sketch != nil || remap != nil && c >= p.HLLThreshold {
 			sketches++
 		}
 	}
-	w := newSlabBuilder(p.HLLRegisters, buckets, ids, sketches)
+	w := newSlabBuilder(p.HLLRegisters, narrowFor(n), buckets, ids, sketches)
 	scratch := hll.New(p.HLLRegisters)
 	for key, b := range tb.all() {
-		ids := survivors(b.IDs)
-		if len(ids) == 0 {
+		b = survivors(b)
+		if b.Len() == 0 {
 			continue
 		}
-		regs := b.Sketch
 		if remap != nil {
-			regs = sketchOf(ids, p, scratch)
+			b.Sketch = sketchOf(b.IDs, p, scratch)
 		}
-		w.add(key, ids, regs)
+		if b.narrow != nil {
+			addIDs(w, key, b.narrow, b.Sketch)
+		} else {
+			addIDs(w, key, b.IDs, b.Sketch)
+		}
 	}
 	return w.finish()
+}
+
+// remapIDs appends the new ids of the survivors among ids to kept.
+func remapIDs[S ID](kept []int32, ids []S, remap []int32) []int32 {
+	for _, id := range ids {
+		if nid := remap[id]; nid >= 0 {
+			kept = append(kept, nid)
+		}
+	}
+	return kept
 }
 
 // Tables is the paper's Algorithm-1 data structure: L hash tables whose
@@ -340,11 +376,10 @@ func (t *Tables[P]) Append(points []P) error {
 			if ob == nil {
 				ob = &overBucket{}
 				if at := tb.slab.find(key); at >= 0 {
-					b := tb.slab.bucket(at)
-					ob.frozen = b.IDs
-					if b.Sketch != nil {
+					ob.frozen = tb.slab.bucket(at)
+					if ob.frozen.Sketch != nil {
 						// Registers from a slab were built or checked: no error.
-						ob.sketch, _ = hll.FromRegisters(b.Sketch)
+						ob.sketch, _ = hll.FromRegisters(ob.frozen.Sketch)
 					}
 				}
 				if tb.over == nil {
@@ -357,17 +392,16 @@ func (t *Tables[P]) Append(points []P) error {
 			switch {
 			case ob.sketch != nil:
 				ob.sketch.AddID(uint64(id))
-			case len(ob.frozen)+len(ob.ids) >= t.params.HLLThreshold:
+			case ob.frozen.Len()+len(ob.ids) >= t.params.HLLThreshold:
+				// The frozen part carries no sketch, or ob.sketch would
+				// have started from it: merging it folds its ids.
 				ob.sketch = hll.New(t.params.HLLRegisters)
-				for _, part := range [][]int32{ob.frozen, ob.ids} {
-					for _, x := range part {
-						ob.sketch.AddID(uint64(x))
-					}
-				}
+				mergeBucket(ob.sketch, &ob.frozen)
+				foldIDs(ob.sketch, ob.ids)
 			}
 		}
-		if tb.appended*refreezeShare > len(tb.slab.ids) {
-			tb.slab = tb.rebuild(nil, t.params)
+		if tb.appended*refreezeShare > tb.slab.nids() {
+			tb.slab = tb.rebuild(nil, t.params, t.n+len(points))
 			tb.over, tb.appended = nil, 0
 		}
 	}
@@ -422,7 +456,7 @@ func (t *Tables[P]) Compact(remap []int32, live int) (*Tables[P], error) {
 	nt := &Tables[P]{params: t.params, tables: make([]table[P], len(t.tables)), n: live}
 	parallel(len(t.tables), func(j int) {
 		nt.tables[j].hasher = t.tables[j].hasher
-		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params)
+		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params, live)
 	})
 	return nt, nil
 }
@@ -513,15 +547,23 @@ func sortKeys(s, tmp []keyAt) []keyAt {
 
 // Table returns a map view of table j, built on the first call after
 // construction or the last Append. It serves tracing and white-box tests;
-// lookups go through LookupInto and ProbeInto, which need no view.
+// lookups go through LookupInto and ProbeInto, which need no view. Every
+// bucket of the view holds its ids in IDs, copied to int32 from a narrow
+// slab.
 func (t *Tables[P]) Table(j int) *Table[P] {
 	tb := &t.tables[j]
 	if v := tb.view.Load(); v != nil {
 		return v
 	}
 	buckets := make([]Bucket, 0, tb.slab.len()+len(tb.over))
+	wide := make([]int32, 0, len(tb.slab.narrow)) // the narrow buckets' ids
 	v := &Table[P]{Hasher: tb.hasher, Buckets: make(map[uint64]*Bucket, cap(buckets))}
 	for k, b := range tb.all() {
+		if b.narrow != nil {
+			at := len(wide)
+			wide = b.AppendIDs(wide)
+			b = Bucket{IDs: wide[at:len(wide):len(wide)], Sketch: b.Sketch}
+		}
 		buckets = append(buckets, b)
 		v.Buckets[k] = &buckets[len(buckets)-1]
 	}
@@ -633,7 +675,7 @@ func (t *Tables[P]) probe(s *Scratch) []Bucket {
 func Collisions(bs []Bucket) int {
 	n := 0
 	for i := range bs {
-		n += len(bs[i].IDs)
+		n += bs[i].Len()
 	}
 	return n
 }
@@ -664,12 +706,22 @@ func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float6
 	return scratch.Estimate()
 }
 
+// mergeBucket folds b into s: its sketch when it carries one, otherwise
+// each of its ids.
 func mergeBucket(s *hll.Sketch, b *Bucket) {
-	if b.Sketch != nil {
+	switch {
+	case b.Sketch != nil:
 		s.MergeRegisters(b.Sketch)
-		return
+	case b.narrow != nil:
+		foldIDs(s, b.narrow)
+	default:
+		foldIDs(s, b.IDs)
 	}
-	for _, id := range b.IDs {
+}
+
+// foldIDs adds every id to s.
+func foldIDs[S ID](s *hll.Sketch, ids []S) {
+	for _, id := range ids {
 		s.AddID(uint64(id))
 	}
 }
@@ -683,6 +735,13 @@ type Stats struct {
 	SketchBytes     int     // total HLL register memory
 	MaxBucket       int     // largest bucket size
 	AvgBucket       float64 // mean bucket size
+	// IDBytes is the bytes of the frozen slabs' id arrays: 2 per id in a
+	// slab over at most 65 536 points, 4 above. Ids in an Append overlay
+	// are not counted.
+	IDBytes int
+	// HeadBytes is the bytes of the frozen slabs' bucket heads and
+	// lookup directories.
+	HeadBytes int
 }
 
 // Stats scans the structure and reports size statistics; it is used by the
@@ -691,10 +750,13 @@ func (t *Tables[P]) Stats() Stats {
 	s := Stats{Tables: len(t.tables), Points: t.n}
 	total := 0
 	for i := range t.tables {
+		slab := &t.tables[i].slab
+		s.IDBytes += 2*len(slab.narrow) + 4*len(slab.wide)
+		s.HeadBytes += int(unsafe.Sizeof(head{}))*len(slab.heads) + 4*len(slab.dir)
 		for _, b := range t.tables[i].all() {
 			s.Buckets++
-			total += len(b.IDs)
-			s.MaxBucket = max(s.MaxBucket, len(b.IDs))
+			total += b.Len()
+			s.MaxBucket = max(s.MaxBucket, b.Len())
 			if b.Sketch != nil {
 				s.SketchedBuckets++
 				s.SketchBytes += len(b.Sketch)

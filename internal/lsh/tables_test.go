@@ -81,7 +81,7 @@ func TestLookupFindsOwnBucket(t *testing.T) {
 		}
 		for _, b := range bs {
 			found := false
-			for _, id := range b.IDs {
+			for _, id := range b.AppendIDs(nil) {
 				if int(id) == qi {
 					found = true
 					break
@@ -149,7 +149,7 @@ func views(bs []Bucket) []*Bucket {
 func trueDistinct(bs []Bucket) int {
 	seen := make(map[int32]bool)
 	for _, b := range bs {
-		for _, id := range b.IDs {
+		for _, id := range b.AppendIDs(nil) {
 			seen[id] = true
 		}
 	}
@@ -224,13 +224,8 @@ func TestBuildDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("lookup sizes differ: %d vs %d (parallel build nondeterminism?)", len(ba), len(bb))
 	}
 	for i := range ba {
-		if len(ba[i].IDs) != len(bb[i].IDs) {
-			t.Fatal("bucket contents differ across identical builds")
-		}
-		for j := range ba[i].IDs {
-			if ba[i].IDs[j] != bb[i].IDs[j] {
-				t.Fatal("bucket id order differs across identical builds")
-			}
+		if ba[i].Len() == 0 || !slices.Equal(ba[i].AppendIDs(nil), bb[i].AppendIDs(nil)) {
+			t.Fatal("bucket ids or their order differ across identical builds")
 		}
 	}
 }
@@ -500,8 +495,8 @@ func checkSortedBuckets[P any](t *testing.T, name string, tb *Tables[P]) {
 				t.Fatalf("%s table %d: key %#x after %#x", name, j, k, prev)
 			}
 			w, ok := want[k]
-			if !ok || !slices.Equal(b.IDs, w.IDs) || !bytes.Equal(b.Sketch, w.Sketch) || (b.Sketch == nil) != (w.Sketch == nil) {
-				t.Fatalf("%s table %d: key %#x yields %v/%v, all() holds %v/%v (present %v)", name, j, k, b.IDs, b.Sketch, w.IDs, w.Sketch, ok)
+			if !ok || b.Len() == 0 || !slices.Equal(b.AppendIDs(nil), w.AppendIDs(nil)) || !bytes.Equal(b.Sketch, w.Sketch) || (b.Sketch == nil) != (w.Sketch == nil) {
+				t.Fatalf("%s table %d: key %#x yields %v/%v, all() holds %v/%v (present %v)", name, j, k, b.AppendIDs(nil), b.Sketch, w.AppendIDs(nil), w.Sketch, ok)
 			}
 			prev = k
 			n++

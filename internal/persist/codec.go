@@ -39,7 +39,7 @@ type codec[P any] struct {
 	dist        distance.Func[P]
 	family      func(m *indexMeta) (lsh.Family[P], error)
 	extra       func(fam lsh.Family[P], m *indexMeta) error // harvest w/curve before writing
-	writePoints func(e *enc, m *indexMeta, pts []P) error
+	writePoints func(e *enc, m *indexMeta, at func(i int) P) error
 	readPoints  func(d *dec, m *indexMeta) ([]P, error)
 	writeHasher func(e *enc, m *indexMeta, h lsh.Hasher[P]) error
 	readHasher  func(d *dec, m *indexMeta) (lsh.Hasher[P], error)
@@ -171,9 +171,10 @@ func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 
 // ---- point encodings ----
 
-func writeDensePoints(e *enc, m *indexMeta, pts []vector.Dense) error {
-	e.b = slices.Grow(e.b, 4*m.dim*len(pts))
-	for i, p := range pts {
+func writeDensePoints(e *enc, m *indexMeta, at func(i int) vector.Dense) error {
+	e.b = slices.Grow(e.b, 4*m.dim*m.n)
+	for i := range m.n {
+		p := at(i)
 		if len(p) != m.dim {
 			return fmt.Errorf("persist: point %d has dim %d, index dim is %d", i, len(p), m.dim)
 		}
@@ -203,8 +204,9 @@ func readDensePoints(d *dec, m *indexMeta) ([]vector.Dense, error) {
 	return pts, nil
 }
 
-func writeSparsePoints(e *enc, m *indexMeta, pts []vector.Sparse) error {
-	for i, p := range pts {
+func writeSparsePoints(e *enc, m *indexMeta, at func(i int) vector.Sparse) error {
+	for i := range m.n {
+		p := at(i)
 		if p.Dim != m.dim {
 			return fmt.Errorf("persist: point %d has dim %d, index dim is %d", i, p.Dim, m.dim)
 		}
@@ -255,10 +257,11 @@ func readSparsePoints(d *dec, m *indexMeta) ([]vector.Sparse, error) {
 	return pts, d.err
 }
 
-func writeBinaryPoints(e *enc, m *indexMeta, pts []vector.Binary) error {
+func writeBinaryPoints(e *enc, m *indexMeta, at func(i int) vector.Binary) error {
 	words := (m.dim + 63) / 64
-	e.b = slices.Grow(e.b, 8*words*len(pts))
-	for i, p := range pts {
+	e.b = slices.Grow(e.b, 8*words*m.n)
+	for i := range m.n {
+		p := at(i)
 		if p.Dim != m.dim || len(p.Words) != words {
 			return fmt.Errorf("persist: point %d has dim %d (%d words), index dim is %d", i, p.Dim, len(p.Words), m.dim)
 		}
@@ -520,12 +523,15 @@ func writeBuckets(e *enc, buckets iter.Seq2[uint64, lsh.Bucket], n int) error {
 	count := uint64(0)
 	for k, b := range buckets {
 		e.u64(k)
-		e.u32(uint32(len(b.IDs)))
-		for _, id := range b.IDs {
-			if id < 0 || int(id) >= n {
-				return fmt.Errorf("persist: bucket id %d outside [0,%d)", id, n)
-			}
-			e.i32(id)
+		e.u32(uint32(b.Len()))
+		var err error
+		if ids := b.Narrow(); ids != nil {
+			err = writeIDs(e, ids, n)
+		} else {
+			err = writeIDs(e, b.IDs, n)
+		}
+		if err != nil {
+			return err
 		}
 		if b.Sketch != nil {
 			e.u8(1)
@@ -539,9 +545,33 @@ func writeBuckets(e *enc, buckets iter.Seq2[uint64, lsh.Bucket], n int) error {
 	return nil
 }
 
+// writeIDs appends a bucket's ids, in either slab width, as int32s.
+func writeIDs[S lsh.ID](e *enc, ids []S, n int) error {
+	for _, id := range ids {
+		if int(id) < 0 || int(id) >= n {
+			return fmt.Errorf("persist: bucket id %d outside [0,%d)", id, n)
+		}
+		e.i32(int32(id))
+	}
+	return nil
+}
+
+// readIDs decodes a bucket's ids into the slab's width, refusing an id
+// outside [0, n) before it is narrowed.
+func readIDs[D lsh.ID](d *dec, ids []D, n, bucket int) error {
+	for k := range ids {
+		id := d.i32()
+		if id < 0 || int(id) >= n {
+			return corrupt("bucket %d id %d outside [0,%d)", bucket, id, n)
+		}
+		ids[k] = D(id)
+	}
+	return nil
+}
+
 // readBuckets decodes one table's buckets, in any key order, straight
-// into a frozen slab, range-checking every id against n and every
-// stored sketch's registers.
+// into a frozen slab of the width n picks, range-checking every id
+// against n and every stored sketch's registers.
 func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 	// A minimal bucket is key(8) + count(4) + one id(4) + flag(1).
 	nb := d.count(17, "bucket")
@@ -550,7 +580,7 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 	}
 	mreg := m.params.HLLRegisters
 	// The id hint is exact for a table without sketches.
-	sb := lsh.NewSlabBuilder(mreg, nb, max(d.rem()-13*nb, 0)/4)
+	sb := lsh.NewSlabBuilder(mreg, m.n, nb, max(d.rem()-13*nb, 0)/4)
 	for i := 0; i < nb; i++ {
 		key := d.u64()
 		nids := d.u32()
@@ -563,12 +593,14 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 		if uint64(nids) > uint64(d.rem())/4 {
 			return nil, corrupt("bucket %d claims %d ids, %d payload bytes left", i, nids, d.rem())
 		}
-		ids := sb.Add(key, int(nids))
-		for k := range ids {
-			ids[k] = d.i32()
-			if ids[k] < 0 || int(ids[k]) >= m.n {
-				return nil, corrupt("bucket %d id %d outside [0,%d)", i, ids[k], m.n)
-			}
+		var err error
+		if narrow, wide := sb.Add(key, int(nids)); narrow != nil {
+			err = readIDs(d, narrow, m.n, i)
+		} else {
+			err = readIDs(d, wide, m.n, i)
+		}
+		if err != nil {
+			return nil, err
 		}
 		switch flag := d.u8(); flag {
 		case 0:

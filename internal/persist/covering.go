@@ -8,6 +8,7 @@ import (
 	"repro/internal/covering"
 	"repro/internal/hll"
 	"repro/internal/lsh"
+	"repro/internal/vector"
 )
 
 // Covering-LSH snapshots. A covering index stores no LSH family and no
@@ -134,7 +135,7 @@ func writeCoveringBody(w io.Writer, ix *covering.Index) error {
 	}
 	im := &indexMeta{dim: ix.Dim(), n: ix.N()}
 	var e enc
-	if err := writeBinaryPoints(&e, im, ix.Points()); err != nil {
+	if err := writeBinaryPoints(&e, im, func(i int) vector.Binary { return ix.Point(int32(i)) }); err != nil {
 		return err
 	}
 	if err := writeSection(w, "pnts", e.b); err != nil {

@@ -209,7 +209,7 @@ func EncodeDeltaFrame[P any](h DeltaHeader, f DeltaFrame[P]) ([]byte, error) {
 		p.i32(f.Base)
 		p.u64(uint64(len(f.Points)))
 		m := &indexMeta{metric: h.Metric, dim: h.Dim, n: len(f.Points)}
-		if err := c.writePoints(&p, m, f.Points); err != nil {
+		if err := c.writePoints(&p, m, func(i int) P { return f.Points[i] }); err != nil {
 			return nil, err
 		}
 	case DeltaDelete:

@@ -172,7 +172,6 @@ func publicMeta(m *indexMeta) Meta {
 // section (snapshots without it are byte-identical to the probe-less
 // format).
 func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes int) error {
-	points := ix.Points()
 	fam := ix.Family()
 	if fam == nil {
 		return fmt.Errorf("persist: index has no family (built before persistence support?)")
@@ -182,7 +181,7 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 	}
 	m := &indexMeta{
 		metric:    c.metric,
-		n:         len(points),
+		n:         ix.N(),
 		radius:    ix.Radius(),
 		delta:     ix.Delta(),
 		p1:        ix.P1(),
@@ -223,7 +222,7 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 	}
 
 	e.b = e.b[:0]
-	if err := c.writePoints(&e, m, points); err != nil {
+	if err := c.writePoints(&e, m, func(i int) P { return ix.Point(int32(i)) }); err != nil {
 		return err
 	}
 	if err := writeSection(w, "pnts", e.b); err != nil {

@@ -204,6 +204,12 @@ func TestTableSectionDecoding(t *testing.T) {
 			bs[1].ids[0] = int32(tn)
 			return len(bs), bs
 		},
+		// This table is narrow (n < 65 536): an id that wraps to a
+		// valid one in 16 bits must be refused before it is narrowed.
+		"IDWrapsNarrow": func(bs []rawBucket) (int, []rawBucket) {
+			bs[1].ids[0] += 1 << 16
+			return len(bs), bs
+		},
 		"NegativeID": func(bs []rawBucket) (int, []rawBucket) {
 			bs[0].ids[0] = -1
 			return len(bs), bs

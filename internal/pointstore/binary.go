@@ -2,26 +2,24 @@ package pointstore
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/vector"
 )
 
 // FlatBinary stores Binary points struct-of-arrays: one contiguous
-// []uint64 of n rows × wpr words, with id-aligned aliasing Binary
-// headers for At/Slice. Hamming verification is one call of the
-// vector.HammingWithin batch kernels over the contiguous rows, against an
-// integer bit bound — for a one-word row (a 64-bit fingerprint) one XOR,
-// POPCNT and compare, no per-row call, re-slice or Words pointer chase.
-// Binary points carry no quantized copy (they are already one bit per
-// coordinate).
+// []uint64 of n rows × wpr words and nothing per point; At and Rows
+// build Binary views of the rows on demand. Hamming verification is one
+// call of the vector.HammingWithin batch kernels over the contiguous
+// rows, against an integer bit bound — for a one-word row (a 64-bit
+// fingerprint) one XOR, POPCNT and compare, no per-row call, re-slice or
+// Words pointer chase. Binary points carry no quantized copy (they are
+// already one bit per coordinate).
 type FlatBinary struct {
 	dim   int // bits per point
 	wpr   int // words per row
 	n     int
 	words []uint64
-	hdrs  []vector.Binary
 
 	verified atomic.Uint64
 }
@@ -39,9 +37,7 @@ func BinaryHammingBuilder() Builder[vector.Binary] {
 // ready to Append into (covering.Index builds its store this way, since
 // an empty point set carries no dimension of its own).
 func EmptyFlatBinary(dim int) *FlatBinary {
-	s := &FlatBinary{dim: dim, wpr: (dim + 63) / 64}
-	s.hdrs = []vector.Binary{}
-	return s
+	return &FlatBinary{dim: dim, wpr: (dim + 63) / 64}
 }
 
 // NewFlatBinary copies points into a fresh struct-of-arrays store. All
@@ -59,23 +55,7 @@ func NewFlatBinary(points []vector.Binary) (*FlatBinary, error) {
 		}
 		s.words = append(s.words, p.Words...)
 	}
-	s.alignHeaders(true)
 	return s, nil
-}
-
-// alignHeaders extends the aliasing Binary headers to s.n rows after the
-// word backing grew: in place, only the new rows' (so a stream of small
-// Appends costs O(batch) each, the slice growing as append does); after
-// it moved, all of them, since the old ones point into the abandoned
-// array.
-func (s *FlatBinary) alignHeaders(moved bool) {
-	if moved {
-		s.hdrs = s.hdrs[:0]
-	}
-	s.hdrs = slices.Grow(s.hdrs, s.n-len(s.hdrs))
-	for i := len(s.hdrs); i < s.n; i++ {
-		s.hdrs = append(s.hdrs, vector.Binary{Dim: s.dim, Words: s.words[i*s.wpr : (i+1)*s.wpr : (i+1)*s.wpr]})
-	}
 }
 
 // Len returns the stored point count.
@@ -84,12 +64,18 @@ func (s *FlatBinary) Len() int { return s.n }
 // Dim returns the point dimension in bits.
 func (s *FlatBinary) Dim() int { return s.dim }
 
-// At returns the point with the given id (an aliasing header; treat as
+// At returns the point with the given id, a view of its row (treat as
 // read-only).
-func (s *FlatBinary) At(id int32) vector.Binary { return s.hdrs[id] }
+func (s *FlatBinary) At(id int32) vector.Binary {
+	i := int(id)
+	if uint(i) >= uint(s.n) {
+		panic(fmt.Sprintf("pointstore: At id %d outside [0,%d)", id, s.n))
+	}
+	return vector.Binary{Dim: s.dim, Words: s.words[i*s.wpr : (i+1)*s.wpr : (i+1)*s.wpr]}
+}
 
-// Slice exposes the id-aligned point headers (read-only).
-func (s *FlatBinary) Slice() []vector.Binary { return s.hdrs }
+// Rows returns views of the points lo..hi-1 (read-only), built on demand.
+func (s *FlatBinary) Rows(lo, hi int) []vector.Binary { return rows(s, lo, hi) }
 
 // Append adds points.
 func (s *FlatBinary) Append(pts []vector.Binary) error {
@@ -107,12 +93,10 @@ func (s *FlatBinary) Append(pts []vector.Binary) error {
 			return fmt.Errorf("pointstore: Append point %d has dim %d, want %d", i, p.Dim, s.dim)
 		}
 	}
-	moved := len(s.words)+len(pts)*s.wpr > cap(s.words)
 	for _, p := range pts {
 		s.words = append(s.words, p.Words...)
 	}
 	s.n += len(pts)
-	s.alignHeaders(moved)
 	return nil
 }
 
@@ -131,7 +115,6 @@ func (s *FlatBinary) Compact(dead []bool, live int) (Store[vector.Binary], error
 	if len(ns.words) != live*s.wpr {
 		return nil, fmt.Errorf("pointstore: Compact expected %d survivors, found %d", live, len(ns.words)/max(s.wpr, 1))
 	}
-	ns.alignHeaders(true)
 	return ns, nil
 }
 

@@ -3,7 +3,6 @@ package pointstore
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,9 +19,9 @@ import (
 const qslack = 1e-3
 
 // FlatL2 stores Dense points struct-of-arrays: one contiguous []float32
-// of n rows × dim columns, plus id-aligned aliasing Dense headers for
-// the Slice/At accessors. Radius verification compares squared distances
-// against r² inside the vector.L2SqWithin batch kernels — no
+// of n rows × dim columns and nothing per point; At and Rows build Dense
+// views of the rows on demand. Radius verification compares squared
+// distances against r² inside the vector.L2SqWithin batch kernels — no
 // per-candidate math.Sqrt, call or pointer chase. With ModeSQ8 it
 // additionally keeps a scalar-quantized copy (per-dimension min/max, one
 // uint8 code per coordinate — a 4× smaller working set) and classifies
@@ -32,9 +31,8 @@ const qslack = 1e-3
 type FlatL2 struct {
 	dim  int
 	n    int
-	flat []float32      // n*dim, row-major
-	hdrs []vector.Dense // hdrs[i] aliases flat row i
-	q    *sq8           // nil when ModeOff
+	flat []float32 // n*dim, row-major
+	q    *sq8      // nil when ModeOff
 
 	verified  atomic.Uint64
 	rejected  atomic.Uint64
@@ -88,24 +86,11 @@ func NewFlatL2(points []vector.Dense, mode Mode) (*FlatL2, error) {
 		}
 		s.flat = append(s.flat, p...)
 	}
-	s.alignHeaders(true)
 	if mode == ModeSQ8 {
 		s.q = &sq8{}
 		s.q.fit(s.flat, s.n, s.dim)
 	}
 	return s, nil
-}
-
-// alignHeaders extends the id-aligned aliasing Dense headers to s.n rows
-// after the flat backing grew (see FlatBinary.alignHeaders).
-func (s *FlatL2) alignHeaders(moved bool) {
-	if moved {
-		s.hdrs = s.hdrs[:0]
-	}
-	s.hdrs = slices.Grow(s.hdrs, s.n-len(s.hdrs))
-	for i := len(s.hdrs); i < s.n; i++ {
-		s.hdrs = append(s.hdrs, s.flat[i*s.dim:(i+1)*s.dim:(i+1)*s.dim])
-	}
 }
 
 // fit computes the per-dimension min/max over flat, the affine scales,
@@ -309,12 +294,18 @@ func (s *FlatL2) Mode() Mode {
 	return ModeOff
 }
 
-// At returns the point with the given id (an aliasing header into the
-// flat backing; treat as read-only).
-func (s *FlatL2) At(id int32) vector.Dense { return s.hdrs[id] }
+// At returns the point with the given id, a view of its row in the flat
+// backing (treat as read-only).
+func (s *FlatL2) At(id int32) vector.Dense {
+	i := int(id)
+	if uint(i) >= uint(s.n) {
+		panic(fmt.Sprintf("pointstore: At id %d outside [0,%d)", id, s.n))
+	}
+	return s.flat[i*s.dim : (i+1)*s.dim : (i+1)*s.dim]
+}
 
-// Slice exposes the id-aligned point headers (read-only).
-func (s *FlatL2) Slice() []vector.Dense { return s.hdrs }
+// Rows returns views of the points lo..hi-1 (read-only), built on demand.
+func (s *FlatL2) Rows(lo, hi int) []vector.Dense { return rows(s, lo, hi) }
 
 // Append adds points, keeping the flat and quantized copies coherent.
 // If a new value falls outside the fitted per-dimension range, the SQ8
@@ -347,12 +338,10 @@ func (s *FlatL2) Append(pts []vector.Dense) error {
 			}
 		}
 	}
-	moved := len(s.flat)+len(pts)*s.dim > cap(s.flat)
 	for _, p := range pts {
 		s.flat = append(s.flat, p...)
 	}
 	s.n += len(pts)
-	s.alignHeaders(moved)
 	if s.q != nil {
 		if refit {
 			s.q.fit(s.flat, s.n, s.dim)
@@ -382,7 +371,6 @@ func (s *FlatL2) Compact(dead []bool, live int) (Store[vector.Dense], error) {
 	if len(ns.flat) != live*s.dim {
 		return nil, fmt.Errorf("pointstore: Compact expected %d survivors, found %d", live, len(ns.flat)/max(s.dim, 1))
 	}
-	ns.alignHeaders(true)
 	if s.q != nil {
 		nq := &sq8{
 			minv:  append([]float32(nil), s.q.minv...),

@@ -189,7 +189,7 @@ func TestSQ8Mutations(t *testing.T) {
 	check := func(stage string, e, z Store[vector.Dense]) {
 		t.Helper()
 		for _, q := range pts[:6] {
-			for _, r := range radiusSweep(e.Slice(), q) {
+			for _, r := range radiusSweep(e.Rows(0, e.Len()), q) {
 				assertSameIDs(t, stage, e, z, q, r)
 			}
 		}
@@ -627,10 +627,9 @@ func TestFlatBinaryPanics(t *testing.T) {
 	}
 }
 
-// flatBacking is what the Append tests need of either flat store: where
+// flatBacking is what the view test needs of either flat store: where
 // its backing array starts, a way to change one stored row through the
-// backing (not through a header), and a reading of a point that the
-// change moves.
+// backing, and a reading of a point that the change moves.
 type flatBacking[P any] struct {
 	store Store[P]
 	start func() unsafe.Pointer
@@ -656,30 +655,45 @@ func binaryBacking(s *FlatBinary) flatBacking[vector.Binary] {
 	}
 }
 
-// checkHeadersAlias writes to every row through the backing array and
-// requires At and Slice to show the write: a header still pointing into
-// an abandoned backing would not.
-func checkHeadersAlias[P any](t *testing.T, stage string, b flatBacking[P]) {
+// checkViewsLive writes to every row through the backing array and
+// requires At and Rows to show the write, and every window of Rows to
+// start at its own row.
+func checkViewsLive[P any](t *testing.T, stage string, b flatBacking[P]) {
 	t.Helper()
 	n := b.store.Len()
-	if len(b.store.Slice()) != n {
-		t.Fatalf("%s: %d headers for %d points", stage, len(b.store.Slice()), n)
+	if got := len(b.store.Rows(0, n)); got != n {
+		t.Fatalf("%s: Rows(0, %d) has %d points", stage, n, got)
 	}
 	for id := 0; id < n; id++ {
 		before := b.peek(b.store.At(int32(id)))
 		b.poke(id)
-		if b.peek(b.store.At(int32(id))) == before || b.peek(b.store.Slice()[id]) == before {
-			t.Fatalf("%s: header %d of %d does not alias the live backing", stage, id, n)
+		if b.peek(b.store.At(int32(id))) == before || b.peek(b.store.Rows(id, n)[0]) == before {
+			t.Fatalf("%s: the view of row %d of %d does not read the live backing", stage, id, n)
 		}
 	}
 }
 
-// testAppendKeepsHeaders appends once so that the backing must move (a
+// TestViewsReadLiveBacking appends once so that the backing must move (a
 // fresh store has no spare capacity), then again so that it must not
-// (append's growth left room), and checks every header after each.
-func testAppendKeepsHeaders[P any](t *testing.T, b flatBacking[P], batch []P) {
+// (append's growth left room), and checks the views after each.
+func TestViewsReadLiveBacking(t *testing.T) {
+	dense := randDense(140, 8, 61)
+	l2, err := NewFlatL2(dense[:100], ModeOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testViewsReadLiveBacking(t, l2Backing(l2), dense[100:])
+	codes := randBinary(140, 96, 62)
+	bin, err := NewFlatBinary(codes[:100])
+	if err != nil {
+		t.Fatal(err)
+	}
+	testViewsReadLiveBacking(t, binaryBacking(bin), codes[100:])
+}
+
+func testViewsReadLiveBacking[P any](t *testing.T, b flatBacking[P], batch []P) {
 	t.Helper()
-	checkHeadersAlias(t, "built", b)
+	checkViewsLive(t, "built", b)
 	at := b.start()
 	if err := b.store.Append(batch); err != nil {
 		t.Fatal(err)
@@ -687,7 +701,7 @@ func testAppendKeepsHeaders[P any](t *testing.T, b flatBacking[P], batch []P) {
 	if b.start() == at {
 		t.Fatal("first Append did not move the backing; the test needs it to")
 	}
-	checkHeadersAlias(t, "after a moving Append", b)
+	checkViewsLive(t, "after a moving Append", b)
 	at = b.start()
 	if err := b.store.Append(batch[:1]); err != nil {
 		t.Fatal(err)
@@ -695,31 +709,27 @@ func testAppendKeepsHeaders[P any](t *testing.T, b flatBacking[P], batch []P) {
 	if b.start() != at {
 		t.Fatal("second Append moved the backing; the test needs it not to")
 	}
-	checkHeadersAlias(t, "after an in-place Append", b)
-}
-
-func TestAppendKeepsHeadersAliased(t *testing.T) {
-	dense := randDense(140, 8, 61)
-	l2, err := NewFlatL2(dense[:100], ModeOff)
-	if err != nil {
-		t.Fatal(err)
+	checkViewsLive(t, "after an in-place Append", b)
+	n := b.store.Len()
+	for _, bad := range []int32{-1, int32(n)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("At(%d) of %d points did not panic", bad, n)
+				}
+			}()
+			b.store.At(bad)
+		}()
 	}
-	testAppendKeepsHeaders(t, l2Backing(l2), dense[100:])
-	codes := randBinary(140, 96, 62)
-	bin, err := NewFlatBinary(codes[:100])
-	if err != nil {
-		t.Fatal(err)
-	}
-	testAppendKeepsHeaders(t, binaryBacking(bin), codes[100:])
 }
 
 // testAppendIsBatchSized: a 32-point Append into a 30 000-point store
 // with spare capacity allocates nothing — its cost is the batch's, not
-// the store's (30 000 headers are 0.7–1 MB).
+// the store's.
 func testAppendIsBatchSized[P any](t *testing.T, st Store[P], warm, batch []P) {
 	t.Helper()
-	// Outgrow whatever the constructor allocated, backing and headers
-	// both; append's growth then leaves room for the measured batches.
+	// Outgrow whatever the constructor allocated; append's growth then
+	// leaves room for the measured batches.
 	if err := st.Append(warm); err != nil {
 		t.Fatal(err)
 	}

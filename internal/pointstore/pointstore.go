@@ -117,7 +117,7 @@ func (s *Stats) Add(other Stats) {
 	s.QuantRefits += other.QuantRefits
 }
 
-// Store is the storage + verification contract. Reads (At, Slice,
+// Store is the storage + verification contract. Reads (At, Rows,
 // VerifyRadius, ScanRadius, Stats) are safe concurrently; Append and
 // Compact follow the single-writer rule of the index that owns the
 // store.
@@ -126,9 +126,10 @@ type Store[P any] interface {
 	Len() int
 	// At returns the point with the given id.
 	At(id int32) P
-	// Slice exposes all points, id-aligned (read-only; for
-	// serialization and compaction hand-off).
-	Slice() []P
+	// Rows returns the points lo..hi-1, id-aligned from lo (read-only;
+	// for compaction hand-off and tracing). The flat layouts build the
+	// views on demand, so the result costs one header per point.
+	Rows(lo, hi int) []P
 	// Append adds points, assigning ids upward from Len.
 	Append(pts []P) error
 	// Compact returns a new store holding only the points with
@@ -179,8 +180,18 @@ func (g *Generic[P]) Len() int { return len(g.pts) }
 // At returns point id.
 func (g *Generic[P]) At(id int32) P { return g.pts[id] }
 
-// Slice exposes the backing point slice.
-func (g *Generic[P]) Slice() []P { return g.pts }
+// Rows returns the backing point slice's lo..hi-1 window.
+func (g *Generic[P]) Rows(lo, hi int) []P { return g.pts[lo:hi:hi] }
+
+// rows builds Rows for a store without point headers: one At view per
+// point.
+func rows[P any](s interface{ At(id int32) P }, lo, hi int) []P {
+	out := make([]P, hi-lo)
+	for i := range out {
+		out[i] = s.At(int32(lo + i))
+	}
+	return out
+}
 
 // Append adds points.
 func (g *Generic[P]) Append(pts []P) error {

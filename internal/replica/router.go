@@ -400,7 +400,9 @@ type attemptResult struct {
 // first, then the demoted remainder as a last resort.
 func (rt *Router) order() []*member {
 	n := len(rt.members)
-	start := int(rt.rr.Add(1)-1) % n
+	// The modulus is taken in uint64: converting the cursor to int first
+	// turns it negative past 2³¹ requests on 32-bit hosts (2⁶³ on 64-bit).
+	start := int((rt.rr.Add(1) - 1) % uint64(n))
 	healthy := make([]*member, 0, n)
 	demoted := make([]*member, 0, n)
 	for i := 0; i < n; i++ {

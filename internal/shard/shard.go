@@ -1046,7 +1046,7 @@ func (s *Sharded[P]) compactWith(j int, pick map[int32]struct{}, journal bool) (
 	// lost.
 	st.mu.Lock()
 	if n1 := st.ix.N(); n1 > n0 {
-		if err := nix.Append(st.ix.Points()[n0:n1]); err != nil {
+		if err := nix.Append(st.ix.Rows(n0, n1)); err != nil {
 			st.mu.Unlock()
 			return 0, err
 		}

@@ -255,8 +255,8 @@ func (h Harness[P]) testPointsAligned(t *testing.T) {
 	if st.N() != len(data) {
 		t.Fatalf("N() = %d, want %d", st.N(), len(data))
 	}
-	if got := st.Points(); len(got) != len(data) {
-		t.Fatalf("Points() has %d entries, want %d", len(got), len(data))
+	if got := st.Rows(0, st.N()); len(got) != len(data) {
+		t.Fatalf("Rows(0, N) has %d entries, want %d", len(got), len(data))
 	}
 }
 

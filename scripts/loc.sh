@@ -20,6 +20,7 @@
 #   PR 34 (parent of PR 35): 23007
 #   PR 35 (parent of PR 38): 23060
 #   PR 38 (parent of PR 39): 23409
+#   576aa31 (parent of 16-bit slab ids, headerless rows): 22580
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
