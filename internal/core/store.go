@@ -61,6 +61,10 @@ type Store[P any] interface {
 	// the points marked dead (see Index.Compact for the exact contract:
 	// hash functions kept, survivors rank-renumbered, sketches rebuilt).
 	CompactStore(dead []bool) (Store[P], error)
+	// StoreStats returns the point store's layout and verification
+	// counters; the serving layer sums them across shards for /stats
+	// and /metrics.
+	StoreStats() pointstore.Stats
 }
 
 // ErrUnsupportedOption marks a per-query option the answering store
@@ -133,14 +137,6 @@ func (o QueryOpts) Resolve(def QueryOpts) (QueryOpts, error) {
 		o.Radius = OptInt{}
 	}
 	return o, nil
-}
-
-// StoreStatser is implemented by stores that can report their point
-// store's layout and verification counters (quantization mode, SQ8
-// pre-filter rejections, refits); the serving layer aggregates these
-// across shards for /stats and /metrics.
-type StoreStatser interface {
-	StoreStats() pointstore.Stats
 }
 
 // CompactStore implements Store by delegating to Compact.

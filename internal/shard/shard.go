@@ -1156,9 +1156,9 @@ type Stats struct {
 	CacheEnabled                               bool
 	CacheHits, CacheMisses, CacheInvalidations int64
 	CacheEntries, CacheCapacity                int
-	// Store aggregates the shards' point-store stats — layout,
+	// Store aggregates the shards' point-store stats: layout,
 	// quantization sizes and the verification counters summed across
-	// shards; the zero value when the shard indexes don't report them.
+	// shards.
 	Store pointstore.Stats
 }
 
@@ -1178,9 +1178,7 @@ func (s *Sharded[P]) Stats() Stats {
 		st.ShardQueryNanos[j] = sh.queryNanos.Load()
 		st.ShardAppends[j] = sh.appends.Load()
 		sh.mu.RLock()
-		if ss, ok := sh.ix.(core.StoreStatser); ok {
-			st.Store.Add(ss.StoreStats())
-		}
+		st.Store.Add(sh.ix.StoreStats())
 		sh.mu.RUnlock()
 	}
 	s.tombMu.RLock()
