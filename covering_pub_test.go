@@ -3,11 +3,15 @@ package hybridlsh
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/covering"
 	"repro/internal/persist"
 	"repro/internal/rng"
+	"repro/internal/shard"
 	"repro/internal/vector"
 )
 
@@ -202,5 +206,105 @@ func TestShardedCoveringDeleteCompactSnapshotRestore(t *testing.T) {
 	}
 	if ids[0] != 700 || ids[1] != 701 {
 		t.Fatalf("appended ids %v, want continuation from 700", ids)
+	}
+}
+
+// TestCoveringDistanceTo holds a covering index's DistanceTo to the
+// Hamming distance, built and opened from a snapshot alike.
+func TestCoveringDistanceTo(t *testing.T) {
+	points := binaryClusters(200, 10, 64, 2, 41)
+	ix, err := New(Hamming, points, 3, WithCovering(), WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(Hamming, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*Index[Binary]{ix, opened} {
+		for id := int32(0); id < 20; id++ {
+			q := points[(id*7+3)%int32(len(points))]
+			if got, want := x.DistanceTo(id, q), float64(vector.Hamming(points[id], q)); got != want {
+				t.Fatalf("DistanceTo(%d) = %v, want %v", id, got, want)
+			}
+		}
+	}
+}
+
+// TestCoveringPhiSurvivesOpen holds the drawn map φ, its radius and its
+// seed across a snapshot: Open and OpenSharded bring back the φ each
+// index (each shard) was built with.
+func TestCoveringPhiSurvivesOpen(t *testing.T) {
+	points := binaryClusters(300, 12, 64, 1, 43)
+	phiOf := func(ix *core.Index[Binary]) covering.Phi {
+		t.Helper()
+		phi, ok := covering.PhiOf(ix)
+		if !ok {
+			t.Fatal("PhiOf finds no φ on a covering index")
+		}
+		return *phi
+	}
+	samePhi := func(what string, got, want covering.Phi) {
+		t.Helper()
+		if got.Radius != want.Radius || got.Seed != want.Seed || !slices.Equal(got.Map, want.Map) {
+			t.Fatalf("%s: φ r=%d seed=%d, want r=%d seed=%d (maps equal: %v)",
+				what, got.Radius, got.Seed, want.Radius, want.Seed, slices.Equal(got.Map, want.Map))
+		}
+	}
+
+	ix, err := New(Hamming, points, 2, WithCovering(), WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(Hamming, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := phiOf(ix.Index); want.Radius != 2 || want.Seed != 9 {
+		t.Fatalf("built φ has r=%d seed=%d, want 2 and 9", want.Radius, want.Seed)
+	}
+	samePhi("Open", phiOf(opened.Index), phiOf(ix.Index))
+
+	shardPhis := func(s *Sharded[Binary]) []covering.Phi {
+		t.Helper()
+		var phis []covering.Phi
+		err := s.Snapshot(func(shards []shard.ShardSnapshot[Binary], _ int32, _ []int32) error {
+			for _, sv := range shards {
+				phis = append(phis, phiOf(sv.Index.(*core.Index[Binary])))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phis
+	}
+	sh, err := NewSharded(Hamming, points, 2, WithCovering(), WithSeed(9), WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Delete([]int32{0, 1, 2, 50})
+	buf.Reset()
+	if _, err := sh.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenSharded(Hamming, bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := shardPhis(sh), shardPhis(restored)
+	if len(got) != 3 || len(want) != 3 {
+		t.Fatalf("%d restored shards, %d built, want 3", len(got), len(want))
+	}
+	for j := range want {
+		samePhi(fmt.Sprintf("OpenSharded shard %d", j), got[j], want[j])
 	}
 }

@@ -21,19 +21,7 @@ import (
 // that mutate under traffic.
 type Index[P any] struct {
 	*core.Index[P]
-	// store is the mode's store: the embedded index itself, or the
-	// covering.Index around it, which also carries φ.
-	store  core.Store[P]
 	metric string
-}
-
-// wrap makes an Index of a built or decoded store.
-func wrap[P any](metric string, st core.Store[P]) *Index[P] {
-	ix, ok := st.(*core.Index[P])
-	if !ok { // a covering index: the hybrid index inside it
-		ix = any(any(st).(*covering.Index).Index).(*core.Index[P])
-	}
-	return &Index[P]{Index: ix, store: st, metric: metric}
 }
 
 // Sharded partitions an index across S shards (WithShards, default 4)
@@ -89,11 +77,11 @@ func New[P any](m Metric[P], points []P, r float64, opts ...Option) (*Index[P], 
 	if err != nil {
 		return nil, err
 	}
-	st, err := m.build(points, dim, r, o)
+	ix, err := m.build(points, dim, r, o)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(m.name, st), nil
+	return &Index[P]{ix, m.name}, nil
 }
 
 // NewSharded builds a sharded hybrid index under m for radius r. The
@@ -156,7 +144,7 @@ func (m Metric[P]) resolve(points []P, r float64, opts []Option) (options, int, 
 
 // build builds one index over points in the mode o selects; New builds
 // the whole index with it, NewSharded every shard under its own seed.
-func (m Metric[P]) build(points []P, dim int, r float64, o options) (core.Store[P], error) {
+func (m Metric[P]) build(points []P, dim int, r float64, o options) (*core.Index[P], error) {
 	if o.covering {
 		ix, err := covering.New(any(points).([]Binary), int(r), covering.Config{
 			HLLRegisters: o.hllRegs,
@@ -167,7 +155,7 @@ func (m Metric[P]) build(points []P, dim int, r float64, o options) (core.Store[
 		if err != nil {
 			return nil, err
 		}
-		return any(ix).(core.Store[P]), nil
+		return any(ix).(*core.Index[P]), nil // resolve admits covering on Binary points only
 	}
 	w := o.slotWidth
 	if w == 0 {
@@ -201,11 +189,11 @@ func (m Metric[P]) build(points []P, dim int, r float64, o options) (core.Store[
 // are kept, survivors are renumbered by rank and the sketches rebuilt
 // from them (see core.Index.Compact). The receiver stays usable.
 func (ix *Index[P]) Compact(dead []bool) (*Index[P], error) {
-	st, err := ix.store.CompactStore(dead)
+	nix, err := ix.Index.Compact(dead)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(ix.metric, st), nil
+	return &Index[P]{nix, ix.metric}, nil
 }
 
 // SnapshotFormat names the snapshot wire format the WriteTo methods
@@ -222,7 +210,7 @@ const SnapshotFormat = persist.FormatName
 // index answers id-for-id as this one does. The index must not be
 // appended to concurrently.
 func (ix *Index[P]) WriteTo(w io.Writer) (int64, error) {
-	return persist.Write(w, ix.metric, ix.store)
+	return persist.Write(w, ix.metric, ix.Index)
 }
 
 // WriteTo writes a snapshot of the sharded index, every shard's own hash
@@ -243,11 +231,11 @@ func (s *Sharded[P]) WriteTo(w io.Writer) (int64, error) {
 // rejects a snapshot of another metric, a sharded one, and corrupt,
 // truncated or adversarial input with an error rather than a panic.
 func Open[P any](m Metric[P], r io.Reader) (*Index[P], error) {
-	st, _, err := persist.Read[P](r, m.name)
+	ix, _, err := persist.Read[P](r, m.name)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(m.name, st), nil
+	return &Index[P]{ix, m.name}, nil
 }
 
 // OpenSharded is Open for snapshots written by Sharded.WriteTo.

@@ -98,7 +98,7 @@ func RunSweep[P any](name, metric string, data, queries []P, radii []float64,
 			ix.QueryLinear(queries[i])
 		}
 		row := Fig2Row{Radius: r, OutMin: math.MaxInt}
-		var hybT, lshT, linT stats.Stream
+		var hybT, lshT, linT []float64 // per-run totals
 		var estErrSum float64
 		var estErrCount int
 		outSum := 0
@@ -147,13 +147,13 @@ func RunSweep[P any](name, metric string, data, queries []P, radii []float64,
 					row.OutMin = out
 				}
 			}
-			hybT.Add(hybSet)
-			lshT.Add(lshSet)
-			linT.Add(linSet)
+			hybT = append(hybT, hybSet)
+			lshT = append(lshT, lshSet)
+			linT = append(linT, linSet)
 		}
-		row.HybridSec, row.HybridStdSec = hybT.Mean(), hybT.Std()
-		row.LSHSec, row.LSHStdSec = lshT.Mean(), lshT.Std()
-		row.LinearSec, row.LinearStdSec = linT.Mean(), linT.Std()
+		row.HybridSec, row.HybridStdSec = stats.Mean(hybT), stats.Std(hybT)
+		row.LSHSec, row.LSHStdSec = stats.Mean(lshT), stats.Std(lshT)
+		row.LinearSec, row.LinearStdSec = stats.Mean(linT), stats.Std(linT)
 		nq := float64(len(queries))
 		row.HybridRecall /= nq
 		row.LSHRecall /= nq

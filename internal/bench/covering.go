@@ -111,7 +111,7 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 		}
 		res.Rows = append(res.Rows, CoveringRow{
 			Radius:          r,
-			Tables:          cov.Tables(),
+			Tables:          cov.L(),
 			CoverRecall:     cm.recall,
 			CoverQueryUS:    ch.queryUS,
 			CoverCollisions: cm.collisions,

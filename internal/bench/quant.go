@@ -42,6 +42,10 @@ type QuantResult struct {
 	// FlatSec for off); the CI gate requires >= 1.3.
 	SpeedupFlat   float64 `json:"speedup_flat"`
 	SpeedupVerify float64 `json:"speedup_verify"`
+	// SQ8OverFlat is QuantSec/FlatSec: the comparison an index makes
+	// when it picks a store (below 1: the SQ8 screen is faster than the
+	// exact flat verify).
+	SQ8OverFlat float64 `json:"sq8_over_flat"`
 	// RejectedFrac and AcceptedFrac are the shares of candidates the
 	// SQ8 screen resolved without an exact check (clear of the
 	// ambiguity band on either side); Bound is the fit's conservative
@@ -173,6 +177,7 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 
 	if res.FlatSec > 0 {
 		res.SpeedupFlat = res.BaselineSec / res.FlatSec
+		res.SQ8OverFlat = res.QuantSec / res.FlatSec
 	}
 	switch mode {
 	case pointstore.ModeSQ8:
@@ -211,5 +216,5 @@ func PrintQuant(w io.Writer, r *QuantResult) {
 	fmt.Fprintf(w, "  flat (SoA, squared)    %8.3f ms   %.2fx\n", r.FlatSec*1e3, r.SpeedupFlat)
 	fmt.Fprintf(w, "  sq8 (quant screen)     %8.3f ms   rejected %.0f%% accepted %.0f%% (bound %.3g)\n",
 		r.QuantSec*1e3, r.RejectedFrac*100, r.AcceptedFrac*100, r.Bound)
-	fmt.Fprintf(w, "  speedup_verify %.2fx   mismatches %d\n", r.SpeedupVerify, r.Mismatches)
+	fmt.Fprintf(w, "  speedup_verify %.2fx   sq8_over_flat %.2f   mismatches %d\n", r.SpeedupVerify, r.SQ8OverFlat, r.Mismatches)
 }

@@ -235,11 +235,11 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := Assemble(store, tables, cfg.Cost, cfg.Radius, probing(cfg.Probes))
+	ix, err := Assemble(store, tables, cfg.Distance, cfg.Cost, cfg.Radius, probing(cfg.Probes))
 	if err != nil {
 		return nil, err
 	}
-	return ix.complete(cfg.Family, cfg.Distance, cfg.Delta, p1), nil
+	return ix.complete(cfg.Family, cfg.Delta, p1), nil
 }
 
 // RestoreConfig carries the decoded scalar state of a persisted Index;
@@ -300,11 +300,11 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if err != nil {
 		return nil, err
 	}
-	ix, err := Assemble(store, tables, cfg.Cost, cfg.Radius, probing(cfg.Probes))
+	ix, err := Assemble(store, tables, cfg.Distance, cfg.Cost, cfg.Radius, probing(cfg.Probes))
 	if err != nil {
 		return nil, err
 	}
-	return ix.complete(cfg.Family, cfg.Distance, cfg.Delta, cfg.P1), nil
+	return ix.complete(cfg.Family, cfg.Delta, cfg.P1), nil
 }
 
 // probing is the mode descriptor of a T-probe index (T = 0: classic).
@@ -317,9 +317,9 @@ func probing(t int) QueryOpts {
 
 // complete fills in what NewIndex and Restore know beyond Assemble's
 // parts: the LSH family (whose dimension, when it reports one, is the
-// one Append checks), the metric, δ and p₁.
-func (ix *Index[P]) complete(fam lsh.Family[P], dist distance.Func[P], delta, p1 float64) *Index[P] {
-	ix.family, ix.dist, ix.delta, ix.p1 = fam, dist, delta, p1
+// one Append checks), δ and p₁.
+func (ix *Index[P]) complete(fam lsh.Family[P], delta, p1 float64) *Index[P] {
+	ix.family, ix.delta, ix.p1 = fam, delta, p1
 	if d, ok := fam.(interface{ Dim() int }); ok {
 		ix.dim = d.Dim()
 	}
@@ -327,13 +327,17 @@ func (ix *Index[P]) complete(fam lsh.Family[P], dist distance.Func[P], delta, p1
 }
 
 // Assemble wires an Index over parts its caller built or decoded: tables
-// and a point store over the same n points, the cost model (used as
-// given), the reporting radius and the mode descriptor Defaults will
-// return. NewIndex and Restore end here; the covering package calls it
-// directly, because its φ-mask tables are drawn by no lsh.Family.
-// Assemble rejects a store and tables of different sizes and a probing
-// mode over hashers that cannot probe (lsh.Tables.CanProbe).
-func Assemble[P any](store pointstore.Store[P], tables *lsh.Tables[P], cost CostModel, radius float64, mode QueryOpts) (*Index[P], error) {
+// and a point store over the same n points, the metric DistanceTo
+// reports, the cost model (used as given), the reporting radius and the
+// mode descriptor Defaults will return. NewIndex and Restore end here;
+// the covering package calls it directly, because its φ-mask tables are
+// drawn by no lsh.Family. Assemble rejects a nil metric, a store and
+// tables of different sizes and a probing mode over hashers that cannot
+// probe (lsh.Tables.CanProbe).
+func Assemble[P any](store pointstore.Store[P], tables *lsh.Tables[P], dist distance.Func[P], cost CostModel, radius float64, mode QueryOpts) (*Index[P], error) {
+	if dist == nil {
+		return nil, fmt.Errorf("core: Assemble with nil distance")
+	}
 	if tables.N() != store.Len() {
 		return nil, fmt.Errorf("core: %d points but tables over %d", store.Len(), tables.N())
 	}
@@ -345,7 +349,7 @@ func Assemble[P any](store pointstore.Store[P], tables *lsh.Tables[P], cost Cost
 			return nil, fmt.Errorf("core: a multi-probe index needs probing hashers: %w", err)
 		}
 	}
-	ix := &Index[P]{store: store, tables: tables, radius: radius, mode: mode, dim: -1}
+	ix := &Index[P]{store: store, tables: tables, dist: dist, radius: radius, mode: mode, dim: -1}
 	if d, ok := store.(interface{ Dim() int }); ok && d.Dim() > 0 {
 		ix.dim = d.Dim()
 	}
@@ -549,12 +553,12 @@ func (ix *Index[P]) Compact(dead []bool) (*Index[P], error) {
 	if err != nil {
 		return nil, err
 	}
-	nix, err := Assemble(store, tables, ix.Cost(), ix.radius, ix.mode)
+	nix, err := Assemble(store, tables, ix.dist, ix.Cost(), ix.radius, ix.mode)
 	if err != nil {
 		return nil, err
 	}
 	nix.dim = ix.dim
-	return nix.complete(ix.family, ix.dist, ix.delta, ix.p1), nil
+	return nix.complete(ix.family, ix.delta, ix.p1), nil
 }
 
 // QueryStats reports what one query did; every experiment in the paper is

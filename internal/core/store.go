@@ -8,17 +8,18 @@ import (
 )
 
 // Store is the index contract the shard package builds on: one shard is
-// any hybrid index that can report its size, expose a range of its points
-// for compaction absorption, answer hybrid queries, grow by
-// appending, and rewrite itself without a set of dead points. *Index
-// satisfies it in every serving mode, and covering.Index (an *Index that
-// also carries its φ) does too, which is what lets the sharding,
-// compaction and persistence machinery serve multi-probe and covering
-// shards unchanged.
+// a hybrid index that can report its size, expose a range of its points
+// for compaction absorption, answer hybrid queries, grow by appending,
+// and rewrite itself without a set of dead points. *Index is its one
+// implementation, in every serving mode — classic, multi-probe and
+// covering (whose φ rides in its mask tables' hashers) — which is what
+// lets the sharding, compaction and persistence machinery serve every
+// mode unchanged. It stays an interface so that holders of a shard's
+// index (shard.ShardSnapshot.Index) can be type-asserted.
 //
 // Implementations follow Index's concurrency contract: any number of
-// concurrent Query calls, but Append is single-writer and CompactStore
-// may run concurrently with queries only (the shard layer provides the
+// concurrent Query calls, but Append is single-writer and Compact may
+// run concurrently with queries only (the shard layer provides the
 // locking).
 type Store[P any] interface {
 	// N returns the number of indexed points.
@@ -57,10 +58,10 @@ type Store[P any] interface {
 	SetCost(c CostModel) error
 	// Append adds points under ids N..N+len(points)-1.
 	Append(points []P) error
-	// CompactStore returns a new store of the same concrete type without
-	// the points marked dead (see Index.Compact for the exact contract:
-	// hash functions kept, survivors rank-renumbered, sketches rebuilt).
-	CompactStore(dead []bool) (Store[P], error)
+	// Compact returns a new index without the points marked dead (see
+	// Index.Compact for the exact contract: hash functions kept,
+	// survivors rank-renumbered, sketches rebuilt).
+	Compact(dead []bool) (*Index[P], error)
 	// StoreStats returns the point store's layout and verification
 	// counters; the serving layer sums them across shards for /stats
 	// and /metrics.
@@ -137,13 +138,4 @@ func (o QueryOpts) Resolve(def QueryOpts) (QueryOpts, error) {
 		o.Radius = OptInt{}
 	}
 	return o, nil
-}
-
-// CompactStore implements Store by delegating to Compact.
-func (ix *Index[P]) CompactStore(dead []bool) (Store[P], error) {
-	nix, err := ix.Compact(dead)
-	if err != nil {
-		return nil, err
-	}
-	return nix, nil
 }

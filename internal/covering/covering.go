@@ -16,23 +16,26 @@
 // exactly what keeps hard queries from drowning in duplicate removal.
 //
 // The mask tables are an ordinary lsh.Tables whose table-v hasher keys on
-// its φ-mask, and the index is a core.Index over them: queries, Append and
-// Compact are the shared Algorithm-2 code, so shard.Sharded fans out,
-// tombstones, auto-compacts and snapshots covering shards with the same
-// machinery as classic and multi-probe ones. Append hashes new points with
-// the already-drawn φ (the guarantee is per-pair and oblivious to the data,
-// so it survives growth), Compact rewrites the mask tables without the dead
-// points while keeping φ, and Restore reassembles a persisted index without
-// re-hashing. The mode descriptor sets core.QueryOpts.Radius: a per-query
-// radius r' ≤ r narrows the report while keeping the guarantee, because
-// the points within r' are a subset of the points within r that the
-// tables already cover.
+// its φ-mask, built by lsh.BuildWith's sort path, and a covering index is
+// a plain core.Index over them: queries, Append and Compact are the
+// shared Algorithm-2 code, so shard.Sharded fans out, tombstones,
+// auto-compacts and snapshots covering shards with the same machinery as
+// classic and multi-probe ones. Every mask hasher points to the drawn
+// Phi, which PhiOf reads back, so φ travels with the tables: Append
+// hashes new points with the already-drawn φ (the guarantee is per-pair
+// and oblivious to the data, so it survives growth), Compact rewrites the
+// mask tables without the dead points while keeping φ, and Restore
+// reassembles a persisted index without re-hashing. The mode descriptor
+// sets core.QueryOpts.Radius: a per-query radius r' ≤ r narrows the
+// report while keeping the guarantee, because the points within r' are a
+// subset of the points within r that the tables already cover.
 package covering
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/distance"
 	"repro/internal/hashutil"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
@@ -75,18 +78,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// Index is the covering-LSH structure: a core.Index over 2^(r+1)−1 mask
-// tables with per-bucket sketches, plus the drawn map φ the masks derive
-// from. It is safe for any number of concurrent queries, but — like
-// core.Index — single-writer: Append must not run concurrently with
-// queries or another Append (wrap in shard.Sharded for concurrent
-// mutation).
-type Index struct {
-	*core.Index[vector.Binary]
-	seed uint64
-	phi  []uint32 // φ(i) ∈ {0,1}^(r+1) per dimension
-}
-
 // NumTables returns the table count 2^(r+1) − 1 a covering index of
 // radius r maintains.
 func NumTables(r int) int { return 1<<(r+1) - 1 }
@@ -102,10 +93,23 @@ func validRadius(r, dim int) error {
 	return nil
 }
 
+// Phi is the random map φ a covering index was drawn with, together with
+// the radius it covers and the seed it was drawn from. Every mask
+// table's hasher points to it, so Append, Compact and a snapshot carry
+// it along with the tables; PhiOf reads it back. Read-only.
+type Phi struct {
+	Radius int
+	Seed   uint64
+	Map    []uint32 // φ(i) ∈ {0,1}^(Radius+1) for every dimension i
+}
+
 // maskHasher is table v's hash function: it keeps exactly the
 // coordinates i with parity(φ(i) & v) = 1. It is one base function
 // (K() == 1) — the whole mask — which is how persist records the tables.
-type maskHasher struct{ mask vector.Binary }
+type maskHasher struct {
+	mask vector.Binary
+	phi  *Phi
+}
 
 // Key implements lsh.Hasher: a hash of the masked coordinates of p.
 func (h *maskHasher) Key(p vector.Binary) uint64 {
@@ -121,93 +125,98 @@ func (h *maskHasher) K() int { return 1 }
 
 // maskHashers derives one table hasher per non-zero v ∈ {0,1}^(r+1),
 // keyed on v's keep-mask.
-func maskHashers(phi []uint32, r int) []lsh.Hasher[vector.Binary] {
-	dim := len(phi)
-	hashers := make([]lsh.Hasher[vector.Binary], NumTables(r))
+func maskHashers(phi *Phi) []lsh.Hasher[vector.Binary] {
+	dim := len(phi.Map)
+	hashers := make([]lsh.Hasher[vector.Binary], NumTables(phi.Radius))
 	for t := range hashers {
 		v := uint32(t + 1)
 		mask := vector.NewBinary(dim)
 		for i := 0; i < dim; i++ {
-			if parity(phi[i]&v) == 1 {
+			if parity(phi.Map[i]&v) == 1 {
 				mask.SetBit(i, true)
 			}
 		}
-		hashers[t] = &maskHasher{mask: mask}
+		hashers[t] = &maskHasher{mask: mask, phi: phi}
 	}
 	return hashers
 }
 
+// PhiOf returns the map φ of a covering index, and false for an index
+// in any other mode.
+func PhiOf[P any](ix *core.Index[P]) (*Phi, bool) {
+	if h, ok := any(ix.Tables().Hasher(0)).(*maskHasher); ok {
+		return h.phi, true
+	}
+	return nil, false
+}
+
 // New builds a covering index over binary points for integer radius r.
-func New(points []vector.Binary, r int, cfg Config) (*Index, error) {
+func New(points []vector.Binary, r int, cfg Config) (*core.Index[vector.Binary], error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("covering: empty point set")
 	}
-	dim := points[0].Dim
+	dim, err := core.PointsDim(points)
+	if err != nil {
+		return nil, err
+	}
 	if err := validRadius(r, dim); err != nil {
 		return nil, err
 	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
+	if cfg, err = cfg.withDefaults(); err != nil {
 		return nil, err
 	}
 
 	// φ(i) ∈ {0,1}^b per dimension, drawn uniformly.
 	b := uint(r + 1)
 	rnd := rng.New(cfg.Seed)
-	phi := make([]uint32, dim)
-	for i := range phi {
-		phi[i] = uint32(rnd.Uint64() & ((1 << b) - 1))
+	phi := &Phi{Radius: r, Seed: cfg.Seed, Map: make([]uint32, dim)}
+	for i := range phi.Map {
+		phi.Map[i] = uint32(rnd.Uint64() & ((1 << b) - 1))
 	}
 
-	ix, err := assemble(pointstore.EmptyFlatBinary(dim), r, phi, cfg.Seed, make([]*lsh.Slab, NumTables(r)), cfg)
+	lt, err := lsh.BuildWith(points, maskHashers(phi), cfg.params(r))
 	if err != nil {
 		return nil, err
 	}
-	if err := ix.Append(points); err != nil {
+	store, err := pointstore.NewFlatBinary(points)
+	if err != nil {
 		return nil, err
 	}
-	return ix, nil
+	return assemble(store, lt, r, cfg)
 }
 
-// assemble wires an Index over already consistent parts (cfg defaulted):
-// the mask tables φ derives, holding the given slabs (nil: empty).
-func assemble(store pointstore.Store[vector.Binary], r int, phi []uint32, seed uint64, slabs []*lsh.Slab, cfg Config) (*Index, error) {
-	lt, err := lsh.RestoreTables(lsh.Params{
-		K:            1,
-		L:            len(slabs),
-		HLLRegisters: cfg.HLLRegisters,
-		HLLThreshold: cfg.HLLThreshold,
-	}, maskHashers(phi, r), slabs, store.Len())
-	if err != nil {
-		return nil, err
-	}
-	cix, err := core.Assemble(store, lt, cfg.Cost, float64(r), core.QueryOpts{Radius: core.Some(r)})
-	if err != nil {
-		return nil, err
-	}
-	return &Index{Index: cix, seed: seed, phi: phi}, nil
+// params are the table parameters of a radius-r covering index: one
+// mask per table, 2^(r+1) − 1 tables.
+func (cfg Config) params(r int) lsh.Params {
+	return lsh.Params{K: 1, L: NumTables(r), HLLRegisters: cfg.HLLRegisters, HLLThreshold: cfg.HLLThreshold}
 }
 
-// Restore reassembles an Index from decoded snapshot state without
-// re-hashing: the decoded tables (one slab per mask table) are used
-// as-is, so the restored index answers queries id-for-id identically to
-// the saved one. Unlike New it accepts an empty point set (a fully
-// compacted shard); r and φ must be consistent with each other and the
-// tables.
-func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, slabs []*lsh.Slab, cfg Config) (*Index, error) {
-	dim := len(phi)
-	if err := validRadius(r, dim); err != nil {
+// assemble wires a covering core.Index over its store and mask tables
+// (cfg defaulted): Hamming distance, reporting radius r.
+func assemble(store pointstore.Store[vector.Binary], lt *lsh.Tables[vector.Binary], r int, cfg Config) (*core.Index[vector.Binary], error) {
+	return core.Assemble(store, lt, distance.Hamming, cfg.Cost, float64(r), core.QueryOpts{Radius: core.Some(r)})
+}
+
+// Restore reassembles a covering index from decoded snapshot state
+// without re-hashing: the decoded tables (one slab per mask table) are
+// used as-is, so the restored index answers queries id-for-id
+// identically to the saved one. Unlike New it accepts an empty point set
+// (a fully compacted shard); phi must be consistent with itself and the
+// tables. cfg.Seed is not used: the seed travels in phi.
+func Restore(points []vector.Binary, phi *Phi, slabs []*lsh.Slab, cfg Config) (*core.Index[vector.Binary], error) {
+	dim := len(phi.Map)
+	if err := validRadius(phi.Radius, dim); err != nil {
 		return nil, err
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if len(slabs) != NumTables(r) {
-		return nil, fmt.Errorf("covering: Restore with %d tables for radius %d, want %d", len(slabs), r, NumTables(r))
+	if len(slabs) != NumTables(phi.Radius) {
+		return nil, fmt.Errorf("covering: Restore with %d tables for radius %d, want %d", len(slabs), phi.Radius, NumTables(phi.Radius))
 	}
-	b := uint(r + 1)
-	for i, v := range phi {
+	b := uint(phi.Radius + 1)
+	for i, v := range phi.Map {
 		if v >= 1<<b {
 			return nil, fmt.Errorf("covering: Restore φ(%d) = %#x outside {0,1}^%d", i, v, b)
 		}
@@ -216,7 +225,11 @@ func Restore(points []vector.Binary, r int, phi []uint32, seed uint64, slabs []*
 	if err := store.Append(points); err != nil {
 		return nil, err
 	}
-	return assemble(store, r, phi, seed, slabs, cfg)
+	lt, err := lsh.RestoreTables(cfg.params(phi.Radius), maskHashers(phi), slabs, store.Len())
+	if err != nil {
+		return nil, err
+	}
+	return assemble(store, lt, phi.Radius, cfg)
 }
 
 // parity returns the XOR of the bits of x.
@@ -228,48 +241,3 @@ func parity(x uint32) uint32 {
 	x ^= x >> 1
 	return x & 1
 }
-
-// Dim returns the bit width the index was built for.
-func (ix *Index) Dim() int { return len(ix.phi) }
-
-// Tables returns the table count 2^(r+1) − 1.
-func (ix *Index) Tables() int { return ix.L() }
-
-// Radius returns the covering radius.
-func (ix *Index) Radius() int { return ix.Defaults().Radius.N }
-
-// Phi exposes the drawn random map φ (read-only); it exists for
-// serialization — masks and tables are fully determined by it.
-func (ix *Index) Phi() []uint32 { return ix.phi }
-
-// Seed returns the construction seed φ was drawn from.
-func (ix *Index) Seed() uint64 { return ix.seed }
-
-// HLLRegisters returns m, the per-sketch register count.
-func (ix *Index) HLLRegisters() int { return ix.Index.Tables().Params().HLLRegisters }
-
-// HLLThreshold returns the pre-built-sketch bucket-size threshold.
-func (ix *Index) HLLThreshold() int { return ix.Index.Tables().Params().HLLThreshold }
-
-// Compact returns a new covering index without the points marked dead
-// (see core.Index.Compact). φ — and hence every mask — is kept, so the
-// covering guarantee carries over unchanged. If no point is marked dead
-// the receiver itself is returned.
-func (ix *Index) Compact(dead []bool) (*Index, error) {
-	cix, err := ix.Index.Compact(dead)
-	if err != nil {
-		return nil, err
-	}
-	if cix == ix.Index {
-		return ix, nil
-	}
-	return &Index{Index: cix, seed: ix.seed, phi: ix.phi}, nil
-}
-
-// CompactStore implements core.Store by delegating to Compact.
-func (ix *Index) CompactStore(dead []bool) (core.Store[vector.Binary], error) {
-	return ix.Compact(dead)
-}
-
-// Compile-time check: the shard layer's contract.
-var _ core.Store[vector.Binary] = (*Index)(nil)

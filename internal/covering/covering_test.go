@@ -1,10 +1,13 @@
 package covering
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/distance"
+	"repro/internal/lsh"
 	"repro/internal/rng"
 	"repro/internal/vector"
 )
@@ -64,8 +67,8 @@ func TestTableCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := 1<<(r+1) - 1; ix.Tables() != want {
-			t.Fatalf("r=%d: %d tables, want %d", r, ix.Tables(), want)
+		if want := 1<<(r+1) - 1; ix.L() != want {
+			t.Fatalf("r=%d: %d tables, want %d", r, ix.L(), want)
 		}
 	}
 }
@@ -175,8 +178,8 @@ func TestSketchesAttachedToLargeBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for j := 0; j < ix.Tables(); j++ {
-		for _, b := range ix.Index.Tables().Table(j).Buckets {
+	for j := 0; j < ix.L(); j++ {
+		for _, b := range ix.Tables().Table(j).Buckets {
 			if len(b.IDs) >= 32 && b.Sketch == nil {
 				t.Fatal("large bucket missing sketch")
 			}
@@ -211,4 +214,66 @@ func TestConcurrentQueries(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPhiOfSurvivesCompact holds the drawn map φ, its radius and its
+// seed to the mask tables: Compact keeps them, down to n = 0, and
+// Append into the emptied index still covers under them.
+func TestPhiOfSurvivesCompact(t *testing.T) {
+	pts, center := randomPoints(300, 100, 64, 2, 31)
+	ix, err := New(pts, 3, Config{Seed: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phi, ok := PhiOf(ix)
+	if !ok || phi.Radius != 3 || phi.Seed != 32 || len(phi.Map) != 64 {
+		t.Fatalf("PhiOf = %+v, %v; want radius 3, seed 32, 64 entries", phi, ok)
+	}
+	want := slices.Clone(phi.Map)
+	check := func(stage string, x *core.Index[vector.Binary]) {
+		t.Helper()
+		got, ok := PhiOf(x)
+		if !ok || got.Radius != 3 || got.Seed != 32 || !slices.Equal(got.Map, want) {
+			t.Fatalf("%s: PhiOf = %+v, %v; want the built φ", stage, got, ok)
+		}
+	}
+	dead := make([]bool, len(pts))
+	for i := range dead {
+		dead[i] = i%3 == 0
+	}
+	part, err := ix.Compact(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", part)
+	for i := range dead {
+		dead[i] = true
+	}
+	empty, err := ix.Compact(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.N() != 0 {
+		t.Fatalf("full compaction left %d points", empty.N())
+	}
+	check("compacted to n = 0", empty)
+	if err := empty.Append(pts); err != nil {
+		t.Fatal(err)
+	}
+	out, _ := empty.QueryLSH(center)
+	truth := core.GroundTruth(pts, distance.Hamming, center, 3)
+	if rec := core.Recall(out, truth); rec != 1 {
+		t.Fatalf("recall %v after refilling a fully compacted index, want 1", rec)
+	}
+
+	// A non-covering index has no φ.
+	classic, err := core.NewIndex(pts, core.Config[vector.Binary]{
+		Family: lsh.NewBitSampling(64), Distance: distance.Hamming, Radius: 3, L: 4, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := PhiOf(classic); ok {
+		t.Fatal("PhiOf found a φ on a classic index")
+	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vector"
 )
 
-// The shard.Builder / compaction contracts — Append, CompactStore,
+// The shard.Builder / compaction contracts — Append, Compact,
 // DecideStrategy, QueryBatch, the per-query radius narrowing — are pinned
 // by the shared conformance suite; this file adds only the
 // covering-specific surface.

@@ -258,13 +258,35 @@ type Tables[P any] struct {
 	n      int
 }
 
-// Build hashes every point into L tables and attaches sketches to large
-// buckets. Construction parallelizes across tables. It returns an error on
-// invalid parameters.
+// Build draws L hashers of k base functions from fam, each from its own
+// seed split off p.Seed, and builds the tables over points with them
+// (see BuildWith). It returns an error on invalid parameters.
 func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
+	if err := p.withDefaults().validate(); err != nil {
+		return nil, err
+	}
+	seeder := rng.New(p.Seed)
+	seeds := make([]uint64, p.L)
+	for j := range seeds {
+		seeds[j] = seeder.Uint64()
+	}
+	hashers := make([]Hasher[P], p.L)
+	parallel(p.L, func(j int) { hashers[j] = fam.NewHasher(p.K, rng.New(seeds[j])) })
+	return BuildWith(points, hashers, p)
+}
+
+// BuildWith hashes every point into one table per hasher (len(hashers)
+// must be p.L, each of p.K base functions) and attaches sketches to
+// large buckets: each table is sorted into its slab in one pass.
+// Construction parallelizes across tables. It returns an error on
+// invalid parameters or an empty point set.
+func BuildWith[P any](points []P, hashers []Hasher[P], p Params) (*Tables[P], error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
+	}
+	if len(hashers) != p.L {
+		return nil, fmt.Errorf("lsh: BuildWith with %d hashers, Params.L = %d", len(hashers), p.L)
 	}
 	if len(points) == 0 {
 		return nil, fmt.Errorf("lsh: Build on empty point set")
@@ -276,14 +298,9 @@ func Build[P any](points []P, fam Family[P], p Params) (*Tables[P], error) {
 	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points)}
 	var base KeyScratch // the points' norms, shared read-only by every table
 	base.begin(points)
-	seeder := rng.New(p.Seed)
-	seeds := make([]uint64, p.L)
-	for j := range seeds {
-		seeds[j] = seeder.Uint64()
-	}
 	parallel(p.L, func(j int) {
 		tb := &t.tables[j]
-		tb.hasher = fam.NewHasher(p.K, rng.New(seeds[j]))
+		tb.hasher = hashers[j]
 		tb.slab = buildSlab(points, tb.hasher, p, base.norms)
 	})
 	return t, nil

@@ -146,9 +146,9 @@ func sameIndexes(t *testing.T, stage string, a, b *core.Index[vector.Binary], qu
 // and answer as the original does.
 func sameSnapshots(t *testing.T, stage string, a, b *core.Index[vector.Binary], queries []vector.Binary) {
 	t.Helper()
-	write := func(st core.Store[vector.Binary]) []byte {
+	write := func(ix *core.Index[vector.Binary]) []byte {
 		var buf bytes.Buffer
-		if _, err := persist.Write(&buf, persist.MetricHamming, st); err != nil {
+		if _, err := persist.Write(&buf, persist.MetricHamming, ix); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -159,11 +159,11 @@ func sameSnapshots(t *testing.T, stage string, a, b *core.Index[vector.Binary], 
 	}
 	read := func(wide bool) *core.Index[vector.Binary] {
 		defer lsh.SetForceWide(wide)()
-		st, _, err := persist.Read[vector.Binary](bytes.NewReader(snap), persist.MetricHamming)
+		ix, _, err := persist.Read[vector.Binary](bytes.NewReader(snap), persist.MetricHamming)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st.(*core.Index[vector.Binary])
+		return ix
 	}
 	ra, rb := read(false), read(true)
 	want := 2
@@ -249,17 +249,17 @@ func TestWidthsAgree(t *testing.T) {
 			live++
 		}
 	}
-	ca, err := a.CompactStore(dead)
+	ca, err := a.Compact(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restore := lsh.SetForceWide(true)
-	cb, err := b.CompactStore(dead)
+	cb, err := b.Compact(dead)
 	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b = ca.(*core.Index[vector.Binary]), cb.(*core.Index[vector.Binary])
+	a, b = ca, cb
 	if a.N() != live || idBytes(t, a.Tables()) != 2 || idBytes(t, b.Tables()) != 4 {
 		t.Fatalf("compacted to %d points: want a narrow and a forced-wide slab", live)
 	}

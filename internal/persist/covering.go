@@ -33,17 +33,18 @@ import (
 // byte-identical to the original layout.
 
 // writeCovrSection encodes one covering index's parameters.
-func writeCovrSection(w io.Writer, ix *covering.Index) error {
+func writeCovrSection(w io.Writer, ix *core.Index[vector.Binary], phi *covering.Phi) error {
+	p := ix.Tables().Params()
 	var e enc
-	e.u32(uint32(ix.Radius()))
-	e.u32(uint32(ix.Dim()))
+	e.u32(uint32(phi.Radius))
+	e.u32(uint32(len(phi.Map)))
 	e.u64(uint64(ix.N()))
-	e.u32(uint32(ix.HLLRegisters()))
-	e.u32(uint32(ix.HLLThreshold()))
+	e.u32(uint32(p.HLLRegisters))
+	e.u32(uint32(p.HLLThreshold))
 	e.f64(ix.Cost().Alpha)
 	e.f64(ix.Cost().Beta)
-	e.u64(ix.Seed())
-	for _, v := range ix.Phi() {
+	e.u64(phi.Seed)
+	for _, v := range phi.Map {
 		e.u32(v)
 	}
 	return writeSection(w, "covr", e.b)
@@ -51,11 +52,10 @@ func writeCovrSection(w io.Writer, ix *covering.Index) error {
 
 // coverMeta is the decoded "covr" section of one covering index.
 type coverMeta struct {
-	radius, dim, n int
-	m, thresh      int
-	alpha, beta    float64
-	seed           uint64
-	phi            []uint32
+	phi         covering.Phi
+	dim, n      int
+	m, thresh   int
+	alpha, beta float64
 }
 
 // im bridges to the shared binary-point and bucket codecs, which read
@@ -65,7 +65,7 @@ func (cm *coverMeta) im() *indexMeta {
 		metric: MetricHamming,
 		dim:    cm.dim,
 		n:      cm.n,
-		params: lsh.Params{K: 1, L: covering.NumTables(cm.radius), HLLRegisters: cm.m, HLLThreshold: cm.thresh},
+		params: lsh.Params{K: 1, L: covering.NumTables(cm.phi.Radius), HLLRegisters: cm.m, HLLThreshold: cm.thresh},
 	}
 }
 
@@ -78,25 +78,25 @@ func (s *sectionStream) readCovrSection() (*coverMeta, error) {
 	}
 	d := &dec{b: payload}
 	cm := &coverMeta{}
-	cm.radius = int(d.u32())
+	cm.phi.Radius = int(d.u32())
 	cm.dim = int(d.u32())
 	cm.n = int(d.u64())
 	cm.m = int(d.u32())
 	cm.thresh = int(d.u32())
 	cm.alpha = d.f64()
 	cm.beta = d.f64()
-	cm.seed = d.u64()
+	cm.phi.Seed = d.u64()
 	if d.err != nil {
 		return nil, d.err
 	}
-	if cm.radius < 1 || cm.radius > covering.MaxRadius {
-		return nil, corrupt("covering radius %d outside [1,%d]", cm.radius, covering.MaxRadius)
+	if cm.phi.Radius < 1 || cm.phi.Radius > covering.MaxRadius {
+		return nil, corrupt("covering radius %d outside [1,%d]", cm.phi.Radius, covering.MaxRadius)
 	}
 	if cm.dim < 1 || cm.dim > maxDim {
 		return nil, corrupt("dim %d outside [1,%d]", cm.dim, maxDim)
 	}
-	if cm.radius >= cm.dim {
-		return nil, corrupt("covering radius %d >= dim %d", cm.radius, cm.dim)
+	if cm.phi.Radius >= cm.dim {
+		return nil, corrupt("covering radius %d >= dim %d", cm.phi.Radius, cm.dim)
 	}
 	if cm.n < 0 || cm.n > 1<<31-1 {
 		return nil, corrupt("point count %d outside [0,2^31)", cm.n)
@@ -113,12 +113,12 @@ func (s *sectionStream) readCovrSection() (*coverMeta, error) {
 	if !d.need(cm.dim * 4) {
 		return nil, d.err
 	}
-	cm.phi = make([]uint32, cm.dim)
-	bits := uint(cm.radius + 1)
-	for i := range cm.phi {
-		cm.phi[i] = d.u32()
-		if cm.phi[i] >= 1<<bits {
-			return nil, corrupt("φ(%d) = %#x outside {0,1}^%d", i, cm.phi[i], bits)
+	cm.phi.Map = make([]uint32, cm.dim)
+	bits := uint(cm.phi.Radius + 1)
+	for i := range cm.phi.Map {
+		cm.phi.Map[i] = d.u32()
+		if cm.phi.Map[i] >= 1<<bits {
+			return nil, corrupt("φ(%d) = %#x outside {0,1}^%d", i, cm.phi.Map[i], bits)
 		}
 	}
 	if err := d.done("covr"); err != nil {
@@ -128,12 +128,12 @@ func (s *sectionStream) readCovrSection() (*coverMeta, error) {
 }
 
 // writeCoveringBody writes the "covr", "pnts" and per-table "tabl"
-// sections of one covering index.
-func writeCoveringBody(w io.Writer, ix *covering.Index) error {
-	if err := writeCovrSection(w, ix); err != nil {
+// sections of one covering index, whose map is phi.
+func writeCoveringBody(w io.Writer, ix *core.Index[vector.Binary], phi *covering.Phi) error {
+	if err := writeCovrSection(w, ix, phi); err != nil {
 		return err
 	}
-	im := &indexMeta{dim: ix.Dim(), n: ix.N()}
+	im := &indexMeta{dim: len(phi.Map), n: ix.N()}
 	var e enc
 	if err := writeBinaryPoints(&e, im, func(i int) vector.Binary { return ix.Point(int32(i)) }); err != nil {
 		return err
@@ -141,9 +141,9 @@ func writeCoveringBody(w io.Writer, ix *covering.Index) error {
 	if err := writeSection(w, "pnts", e.b); err != nil {
 		return err
 	}
-	for t := 0; t < ix.Tables(); t++ {
+	for t := 0; t < ix.L(); t++ {
 		e.b = e.b[:0]
-		if err := writeBuckets(&e, ix.Index.Tables().SortedBuckets(t), ix.N()); err != nil {
+		if err := writeBuckets(&e, ix.Tables().SortedBuckets(t), ix.N()); err != nil {
 			return err
 		}
 		if err := writeSection(w, "tabl", e.b); err != nil {
@@ -155,7 +155,7 @@ func writeCoveringBody(w io.Writer, ix *covering.Index) error {
 
 // readCoveringBody reads one covering index's sections and reassembles
 // it without re-hashing.
-func readCoveringBody(ss *sectionStream) (*covering.Index, *coverMeta, error) {
+func readCoveringBody(ss *sectionStream) (*core.Index[vector.Binary], *coverMeta, error) {
 	cm, err := ss.readCovrSection()
 	if err != nil {
 		return nil, nil, err
@@ -173,7 +173,7 @@ func readCoveringBody(ss *sectionStream) (*covering.Index, *coverMeta, error) {
 	if err := d.done("pnts"); err != nil {
 		return nil, nil, err
 	}
-	slabs := make([]*lsh.Slab, covering.NumTables(cm.radius))
+	slabs := make([]*lsh.Slab, covering.NumTables(cm.phi.Radius))
 	for t := range slabs {
 		payload, err = ss.read("tabl")
 		if err != nil {
@@ -189,7 +189,7 @@ func readCoveringBody(ss *sectionStream) (*covering.Index, *coverMeta, error) {
 		}
 		slabs[t] = slab
 	}
-	ix, err := covering.Restore(points, cm.radius, cm.phi, cm.seed, slabs, covering.Config{
+	ix, err := covering.Restore(points, &cm.phi, slabs, covering.Config{
 		HLLRegisters: cm.m,
 		HLLThreshold: cm.thresh,
 		Cost:         core.CostModel{Alpha: cm.alpha, Beta: cm.beta},
@@ -206,10 +206,10 @@ func coverPublicMeta(cm *coverMeta) Meta {
 		Metric:      MetricHamming,
 		Dim:         cm.dim,
 		N:           cm.n,
-		Radius:      float64(cm.radius),
-		L:           covering.NumTables(cm.radius),
-		CoverRadius: cm.radius,
-		Seed:        cm.seed,
+		Radius:      float64(cm.phi.Radius),
+		L:           covering.NumTables(cm.phi.Radius),
+		CoverRadius: cm.phi.Radius,
+		Seed:        cm.phi.Seed,
 	}
 }
 

@@ -28,7 +28,7 @@ func coveringData(n, dim int, seed uint64) []vector.Binary {
 	return pts
 }
 
-func buildCoveringIndex(t *testing.T, n int, seed uint64) *covering.Index {
+func buildCoveringIndex(t *testing.T, n int, seed uint64) *core.Index[vector.Binary] {
 	t.Helper()
 	ix, err := covering.New(coveringData(n, 64, seed), 3, covering.Config{
 		HLLRegisters: 16,
@@ -44,16 +44,21 @@ func buildCoveringIndex(t *testing.T, n int, seed uint64) *covering.Index {
 
 // assertCoveringIdentical requires two covering indexes to answer
 // id-for-id identically, with matching strategies and parameters.
-func assertCoveringIdentical(t *testing.T, want, got *covering.Index, queries []vector.Binary) {
+func assertCoveringIdentical(t *testing.T, want, got *core.Index[vector.Binary], queries []vector.Binary) {
 	t.Helper()
-	if got.N() != want.N() || got.Radius() != want.Radius() || got.Dim() != want.Dim() ||
-		got.Tables() != want.Tables() || got.Cost() != want.Cost() ||
-		got.HLLRegisters() != want.HLLRegisters() || got.HLLThreshold() != want.HLLThreshold() ||
-		got.Seed() != want.Seed() {
-		t.Fatalf("loaded covering parameters differ: n=%d r=%d dim=%d tables=%d",
-			got.N(), got.Radius(), got.Dim(), got.Tables())
+	gphi, gok := covering.PhiOf(got)
+	wphi, wok := covering.PhiOf(want)
+	if !gok || !wok {
+		t.Fatalf("PhiOf: loaded %v, saved %v, want both covering", gok, wok)
 	}
-	if !slices.Equal(got.Phi(), want.Phi()) {
+	if got.N() != want.N() || got.Radius() != want.Radius() || got.Dim() != want.Dim() ||
+		got.L() != want.L() || got.Cost() != want.Cost() ||
+		got.Tables().Params() != want.Tables().Params() ||
+		gphi.Radius != wphi.Radius || gphi.Seed != wphi.Seed {
+		t.Fatalf("loaded covering parameters differ: n=%d r=%v dim=%d tables=%d",
+			got.N(), got.Radius(), got.Dim(), got.L())
+	}
+	if !slices.Equal(gphi.Map, wphi.Map) {
 		t.Fatal("loaded φ differs")
 	}
 	for qi, q := range queries {
@@ -260,7 +265,7 @@ const goldenCoveringPath = "testdata/golden-covering-v1.snap"
 
 // buildGoldenCoveringIndex builds the exact index the golden file was
 // generated from: fully seeded, so the build is reproducible.
-func buildGoldenCoveringIndex(t *testing.T) *covering.Index {
+func buildGoldenCoveringIndex(t *testing.T) *core.Index[vector.Binary] {
 	t.Helper()
 	ix, err := covering.New(coveringData(48, 64, 1234), 3, covering.Config{
 		HLLRegisters: 16,
@@ -338,5 +343,37 @@ func TestGoldenCoveringWrongMagic(t *testing.T) {
 	copy(mut, "not-a-snapshot")
 	if _, _, err := readCovering(bytes.NewReader(mut)); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
+	}
+}
+
+// TestCoveringBuildMatchesAppend holds covering.New's sort-path build
+// to the index grown by appending every point into empty mask tables
+// under the same φ: the two write the same snapshot bytes.
+func TestCoveringBuildMatchesAppend(t *testing.T) {
+	pts := coveringData(900, 64, 17)
+	for _, r := range []int{2, 3, 4} {
+		cfg := covering.Config{HLLRegisters: 16, HLLThreshold: 3, Cost: core.CostModel{Alpha: 1, Beta: 8}, Seed: uint64(r) * 5}
+		built, err := covering.New(pts, r, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phi, _ := covering.PhiOf(built)
+		grown, err := covering.Restore(nil, phi, make([]*lsh.Slab, covering.NumTables(r)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := grown.Append(pts); err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if _, err := Write(&a, MetricHamming, built); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Write(&b, MetricHamming, grown); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("r=%d: the built index writes %d bytes, the appended one %d, or other bytes", r, a.Len(), b.Len())
+		}
 	}
 }

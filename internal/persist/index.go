@@ -10,28 +10,28 @@ import (
 	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
+	"repro/internal/vector"
 )
 
-// Write writes a complete plain (kind-1) snapshot of st — a classic or
-// multi-probe *core.Index[P] or a *covering.Index — under the
-// given metric identifier and returns the number of bytes written. The
-// output is deterministic: equal indexes (same points, same drawn hash
-// functions) serialize to equal bytes. The index must not be mutated
-// concurrently.
-func Write[P any](w io.Writer, metric string, st core.Store[P]) (int64, error) {
+// Write writes a complete plain (kind-1) snapshot of ix — classic,
+// multi-probe or covering — under the given metric identifier and
+// returns the number of bytes written. The output is deterministic:
+// equal indexes (same points, same drawn hash functions) serialize to
+// equal bytes. The index must not be mutated concurrently.
+func Write[P any](w io.Writer, metric string, ix *core.Index[P]) (int64, error) {
 	return writeContainer(w, metric, kindIndex, func(w io.Writer, c *codec[P]) error {
-		return writeBody(w, c, st, false)
+		return writeBody(w, c, ix, false)
 	})
 }
 
 // Read reads a plain (kind-1) snapshot, requiring it to hold the given
 // metric, and reassembles the index without rebuilding; the returned
-// store answers queries id-for-id identically to the one that was saved.
-// The snapshot decides the kind: a "covr" body comes back as a
-// *covering.Index, anything else as a *core.Index[P] — multi-probe with
-// the recorded T when a "prob" section is present. Callers that demand
-// one mode check it with Meta.RequireMode.
-func Read[P any](r io.Reader, metric string) (core.Store[P], Meta, error) {
+// index answers queries id-for-id identically to the one that was saved.
+// The snapshot decides the mode: a "covr" body comes back as a covering
+// index (covering.PhiOf reads its φ), anything else as classic, or
+// multi-probe with the recorded T when a "prob" section is present.
+// Callers that demand one mode check it with Meta.RequireMode.
+func Read[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) {
 	c, ss, err := openContainer[P](r, metric, kindIndex)
 	if err != nil {
 		return nil, Meta{}, err
@@ -84,24 +84,22 @@ func openContainer[P any](r io.Reader, metric string, kind byte) (*codec[P], *se
 }
 
 // writeBody writes one index's sections — the body of a plain snapshot
-// and of every shard in a sharded one — dispatching on the store's kind.
-// inShard drops a multi-probe index's "prob" section: a sharded snapshot
-// records T once, at structure level.
-func writeBody[P any](w io.Writer, c *codec[P], st core.Store[P], inShard bool) error {
-	switch v := any(st).(type) {
-	case *core.Index[P]:
-		probes := v.Defaults().Probes.N
-		if inShard {
-			probes = 0
-		}
-		return writeIndexParts(w, c, v, probes)
-	case *covering.Index:
+// and of every shard in a sharded one: a "covr" body when the index has
+// a covering map φ, the classic sections otherwise. inShard drops a
+// multi-probe index's "prob" section: a sharded snapshot records T once,
+// at structure level.
+func writeBody[P any](w io.Writer, c *codec[P], ix *core.Index[P], inShard bool) error {
+	if phi, ok := covering.PhiOf(ix); ok {
 		if c.metric != MetricHamming {
 			return fmt.Errorf("persist: a covering index is a %s index, not %q", MetricHamming, c.metric)
 		}
-		return writeCoveringBody(w, v)
+		return writeCoveringBody(w, any(ix).(*core.Index[vector.Binary]), phi) // mask hashers hash vector.Binary
 	}
-	return fmt.Errorf("persist: unsupported index type %T", st)
+	probes := ix.Defaults().Probes.N
+	if inShard {
+		probes = 0
+	}
+	return writeIndexParts(w, c, ix, probes)
 }
 
 // readBody reads one index's sections, dispatching on the first: "covr"
@@ -110,7 +108,7 @@ func writeBody[P any](w io.Writer, c *codec[P], st core.Store[P], inShard bool) 
 // restored with; a "prob" section after "meta" (a plain snapshot's T) is
 // honoured too and reported in Meta.Probes, for the sharded reader to
 // reject.
-func readBody[P any](ss *sectionStream, c *codec[P], probes int) (core.Store[P], Meta, error) {
+func readBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Index[P], Meta, error) {
 	tag, err := ss.peek()
 	if err != nil {
 		return nil, Meta{}, err
@@ -132,7 +130,7 @@ func readBody[P any](ss *sectionStream, c *codec[P], probes int) (core.Store[P],
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return any(ix).(core.Store[P]), coverPublicMeta(cm), nil // hamming stores vector.Binary (codecFor)
+	return any(ix).(*core.Index[P]), coverPublicMeta(cm), nil // hamming stores vector.Binary (codecFor)
 }
 
 // RequireMode returns nil when the snapshot holds the serving mode the

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
 	"repro/internal/rng"
@@ -711,8 +710,7 @@ func TestSnapshotUnderTraffic(t *testing.T) {
 //
 // The package's readers let the snapshot decide the serving mode; these
 // helpers are what a caller that demands one mode does with the result
-// (Meta.RequireMode, then the concrete type), as a server whose mode
-// flag is set does.
+// (Meta.RequireMode), as a server whose mode flag is set does.
 
 func readIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) {
 	st, meta, err := Read[P](r, metric)
@@ -722,7 +720,7 @@ func readIndex[P any](r io.Reader, metric string) (*core.Index[P], Meta, error) 
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return st.(*core.Index[P]), meta, nil
+	return st, meta, nil
 }
 
 func readMultiProbe(r io.Reader, metric string) (*core.Index[vector.Dense], Meta, error) {
@@ -733,18 +731,18 @@ func readMultiProbe(r io.Reader, metric string) (*core.Index[vector.Dense], Meta
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return st.(*core.Index[vector.Dense]), meta, nil
+	return st, meta, nil
 }
 
-func readCovering(r io.Reader) (*covering.Index, Meta, error) {
-	st, meta, err := Read[vector.Binary](r, MetricHamming)
+func readCovering(r io.Reader) (*core.Index[vector.Binary], Meta, error) {
+	ix, meta, err := Read[vector.Binary](r, MetricHamming)
 	if err == nil {
 		err = meta.RequireMode(false, true)
 	}
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return st.(*covering.Index), meta, nil
+	return ix, meta, nil
 }
 
 func readShardedCovering(r io.Reader) (*shard.Sharded[vector.Binary], Meta, error) {

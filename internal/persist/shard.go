@@ -46,14 +46,14 @@ func WriteSharded[P any](w io.Writer, metric string, s *shard.Sharded[P]) (int64
 				}
 			}
 			for j, sv := range shards {
-				st, ids, err := compactShard(sv, tombstones)
+				ix, ids, err := compactShard(sv, tombstones)
 				if err != nil {
 					return fmt.Errorf("persist: compacting shard %d for snapshot: %w", j, err)
 				}
 				if err := writeIDSection(w, "sids", ids); err != nil {
 					return err
 				}
-				if err := writeBody(w, c, st, true); err != nil {
+				if err := writeBody(w, c, ix, true); err != nil {
 					return fmt.Errorf("persist: shard %d: %w", j, err)
 				}
 			}
@@ -63,32 +63,29 @@ func WriteSharded[P any](w io.Writer, metric string, s *shard.Sharded[P]) (int64
 }
 
 // compactShard filters a shard's tombstoned points out of its snapshot
-// view: the surviving global ids are returned with the store rewritten
-// by its own CompactStore — hash functions kept, survivors renumbered,
+// view: the surviving global ids are returned with the index rewritten
+// by its own Compact — hash functions kept, survivors renumbered,
 // sketches rebuilt over the surviving ids (HLLs cannot un-absorb a
 // deletion, so rebuild is the only sound option). That is the rewrite
 // the online shard.Sharded.Compact path runs, so a snapshot of a
 // tombstoned index and a snapshot of the same index compacted online are
-// byte-identical. When the shard holds no tombstoned point the original
-// (live, read-locked) state is returned without copying.
-func compactShard[P any](sv shard.ShardSnapshot[P], tombstones []int32) (core.Store[P], []int32, error) {
-	if len(tombstones) == 0 {
-		return sv.Index, sv.IDs, nil
-	}
+// byte-identical. When the shard holds no tombstoned point Compact
+// returns the original (live, read-locked) index without copying.
+func compactShard[P any](sv shard.ShardSnapshot[P], tombstones []int32) (*core.Index[P], []int32, error) {
 	dead := make([]bool, len(sv.IDs))
-	ids := make([]int32, 0, len(sv.IDs))
-	for l, gid := range sv.IDs {
-		if _, d := slices.BinarySearch(tombstones, gid); d {
-			dead[l] = true
-		} else {
-			ids = append(ids, gid)
+	ids := sv.IDs
+	if len(tombstones) > 0 {
+		ids = make([]int32, 0, len(sv.IDs))
+		for l, gid := range sv.IDs {
+			if _, d := slices.BinarySearch(tombstones, gid); d {
+				dead[l] = true
+			} else {
+				ids = append(ids, gid)
+			}
 		}
 	}
-	if len(ids) == len(sv.IDs) {
-		return sv.Index, sv.IDs, nil
-	}
-	st, err := sv.Index.CompactStore(dead)
-	return st, ids, err
+	ix, err := sv.Index.Compact(dead)
+	return ix, ids, err
 }
 
 // writeIDSection writes a "tomb" or "sids" section: a counted id list.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
 	"repro/internal/rng"
@@ -265,11 +264,10 @@ func TestSnapshotsAndQueriesBuildNoTableView(t *testing.T) {
 		if _, err := Write(&buf, MetricL2, ix); err != nil {
 			t.Fatal(err)
 		}
-		st, _, err := Read[vector.Dense](bytes.NewReader(buf.Bytes()), MetricL2)
+		loaded, _, err := Read[vector.Dense](bytes.NewReader(buf.Bytes()), MetricL2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded := st.(*core.Index[vector.Dense])
 		for _, x := range []*core.Index[vector.Dense]{ix, loaded} {
 			for _, q := range queries {
 				x.Query(q)
@@ -293,11 +291,11 @@ func TestSnapshotsAndQueriesBuildNoTableView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []*covering.Index{cov, loaded} {
+	for _, x := range []*core.Index[vector.Binary]{cov, loaded} {
 		for _, q := range coveringData(20, 64, 4) {
 			x.Query(q)
 		}
-		if x.Index.Tables().Viewed() {
+		if x.Tables().Viewed() {
 			t.Fatal("covering: a snapshot write or query built the map view")
 		}
 	}
@@ -382,7 +380,7 @@ func TestOverlaySnapshotBytes(t *testing.T) {
 	checkOverlayBytes[vector.Binary](t, "covering", MetricHamming, buildCoveringIndex(t, tn, 23), cgrow)
 }
 
-func checkOverlayBytes[P any](t *testing.T, name, metric string, st core.Store[P], grow []P) {
+func checkOverlayBytes[P any](t *testing.T, name, metric string, st *core.Index[P], grow []P) {
 	t.Helper()
 	if err := st.Append(grow); err != nil {
 		t.Fatalf("%s: %v", name, err)

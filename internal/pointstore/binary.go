@@ -34,8 +34,9 @@ func BinaryHammingBuilder() Builder[vector.Binary] {
 }
 
 // EmptyFlatBinary returns an empty store of the given bit dimension,
-// ready to Append into (covering.Index builds its store this way, since
-// an empty point set carries no dimension of its own).
+// ready to Append into (covering.Restore builds its store this way,
+// since the empty point set of a fully compacted snapshot carries no
+// dimension of its own).
 func EmptyFlatBinary(dim int) *FlatBinary {
 	return &FlatBinary{dim: dim, wpr: (dim + 63) / 64}
 }

@@ -1,9 +1,8 @@
 // Package shard partitions a hybrid-LSH index across S independent
-// shards (any core.Store implementation — a classic or multi-probe
-// core.Index, or a covering.Index) and serves queries by parallel
+// shards (each a core.Store: a core.Index in any serving mode —
+// classic, multi-probe or covering) and serves queries by parallel
 // fan-out with a result-set merge. It is the concurrency layer of the
-// reproduction:
-// the underlying indexes are single-writer (Append must not run
+// reproduction: the underlying indexes are single-writer (Append must not run
 // concurrently with queries), whereas Sharded guards every shard with
 // its own sync.RWMutex, so queries proceed on S-1 shards while the S-th
 // absorbs an Append (a concurrent query's fan-out merge still waits for
@@ -48,11 +47,11 @@ import (
 	"repro/internal/pointstore"
 )
 
-// Builder constructs one shard's index from its point subset. Any
-// core.Store implementation works — *core.Index for classic and
-// multi-probe shards, *covering.Index for covering ones. seed is pre-mixed per
-// shard so the S sub-indexes draw independent hash functions; builders
-// should pass it through to their index's construction seed.
+// Builder constructs one shard's index from its point subset: a
+// *core.Index in any serving mode (covering.New builds covering ones).
+// seed is pre-mixed per shard so the S sub-indexes draw independent hash
+// functions; builders should pass it through to their index's
+// construction seed.
 type Builder[P any] func(points []P, seed uint64) (core.Store[P], error)
 
 // shardState is one partition: the immutable-under-RLock index and
@@ -1028,7 +1027,7 @@ func (s *Sharded[P]) compactWith(j int, pick map[int32]struct{}, journal bool) (
 		st.mu.RUnlock()
 		return 0, nil
 	}
-	nix, err := ix0.CompactStore(dead)
+	nix, err := ix0.Compact(dead)
 	st.mu.RUnlock()
 	if err != nil {
 		return 0, err

@@ -1,7 +1,9 @@
 // Package stats provides the small set of summary statistics the
-// experiment harness reports: streaming mean/variance (Welford), min/max,
-// and exact quantiles. The paper reports "the average of 5 runs of
-// algorithms on the query set"; Summary aggregates exactly that.
+// experiment harness and the serving layer report: the mean and sample
+// standard deviation of a set of measurements, exact quantiles, and
+// Recorder, a sliding-window latency sample for percentiles. The paper
+// reports "the average of 5 runs of algorithms on the query set"; Mean
+// over the runs is exactly that.
 package stats
 
 import (
@@ -9,94 +11,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Stream accumulates moments one observation at a time using Welford's
-// algorithm, which is numerically stable for long runs of similar values
-// (e.g. nanosecond timings).
-type Stream struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation into the stream.
-func (s *Stream) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the number of observations.
-func (s *Stream) N() int { return s.n }
-
-// Mean returns the sample mean (0 for an empty stream).
-func (s *Stream) Mean() float64 { return s.mean }
-
-// Var returns the unbiased sample variance (0 for fewer than two
-// observations).
-func (s *Stream) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Stream) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation (0 for an empty stream).
-func (s *Stream) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation (0 for an empty stream).
-func (s *Stream) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
-// Merge folds another stream into s (parallel Welford merge).
-func (s *Stream) Merge(o *Stream) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n := float64(s.n + o.n)
-	d := o.mean - s.mean
-	s.m2 += o.m2 + d*d*float64(s.n)*float64(o.n)/n
-	s.mean += d * float64(o.n) / n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-}
-
-// String formats the stream as "mean ± std [min, max] (n)".
-func (s *Stream) String() string {
-	return fmt.Sprintf("%.6g ± %.3g [%.6g, %.6g] (n=%d)", s.Mean(), s.Std(), s.Min(), s.Max(), s.n)
-}
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
 // interpolation on the sorted sample. It panics on an empty sample or a q

@@ -1,9 +1,8 @@
-// Package storetest is the shared conformance suite for core.Store
-// implementations. Every index kind the shard layer can serve — a
-// core.Index in each serving mode (classic, multi-probe) and
-// covering.Index — must pass it, so the contract the sharding, compaction
-// and persistence machinery relies on is pinned in one place instead of
-// copy-pasted per package.
+// Package storetest is the shared conformance suite for the core.Store
+// contract. Every serving mode the shard layer can serve — a core.Index
+// built classic, multi-probe or covering (covering.New) — must pass it,
+// so the contract the sharding, compaction and persistence machinery
+// relies on is pinned in one place instead of copy-pasted per package.
 //
 // Usage, from the implementation's own test package:
 //
@@ -20,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -45,7 +43,7 @@ type Harness[P any] struct {
 	// the flat layout when New uses the generic one. When set, the
 	// QuantEquivalence subtest pins the store-swap guarantee: for equal
 	// (points, seed) the two builds must answer id-identically, at
-	// build time and after Append and CompactStore. Nil skips the
+	// build time and after Append and Compact. Nil skips the
 	// subtest (e.g. store layouts with no alternative encoding).
 	NewQuant func(t *testing.T, points []P, seed uint64) core.Store[P]
 	// Pinned lists the per-query overrides the store supports, each with
@@ -94,7 +92,7 @@ func query[P any](st core.Store[P], q P) []int32 {
 
 // Run exercises the core.Store contract: point exposure, id hygiene,
 // append equivalence, batch equivalence (also through shard.Sharded),
-// decision consistency and the CompactStore rewrite semantics.
+// decision consistency and the Compact rewrite semantics.
 func Run[P any](t *testing.T, h Harness[P]) {
 	t.Helper()
 	if h.New == nil || h.Data == nil {
@@ -494,7 +492,7 @@ func (h Harness[P]) testDecideStrategy(t *testing.T) {
 	}
 }
 
-// testCompactStore pins the rewrite contract: same concrete type back,
+// testCompactStore pins the rewrite contract: same serving mode back,
 // survivors rank-renumbered, answers = pre-compaction answers minus the
 // dead points, and the receiver left fully usable.
 func (h Harness[P]) testCompactStore(t *testing.T) {
@@ -518,12 +516,12 @@ func (h Harness[P]) testCompactStore(t *testing.T) {
 		pre[i] = query(st, q)
 	}
 
-	compacted, err := st.CompactStore(dead)
+	compacted, err := st.Compact(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := reflect.TypeOf(compacted), reflect.TypeOf(st); got != want {
-		t.Fatalf("CompactStore returned %v, want the receiver's concrete type %v", got, want)
+	if got, want := compacted.Defaults(), st.Defaults(); got != want {
+		t.Fatalf("Compact returned mode %+v, want the receiver's %+v", got, want)
 	}
 	if compacted.N() != int(live) {
 		t.Fatalf("compacted N = %d, want %d", compacted.N(), live)
@@ -542,7 +540,7 @@ func (h Harness[P]) testCompactStore(t *testing.T) {
 		// The receiver must still answer its original result set.
 		again := query(st, q)
 		if !slices.Equal(sorted(again), sorted(pre[qi])) {
-			t.Fatalf("query %d: receiver answers changed after CompactStore", qi)
+			t.Fatalf("query %d: receiver answers changed after Compact", qi)
 		}
 	}
 }
@@ -550,8 +548,8 @@ func (h Harness[P]) testCompactStore(t *testing.T) {
 func (h Harness[P]) testCompactBadLength(t *testing.T) {
 	data := h.Data(40, 9)
 	st := h.New(t, data, 7)
-	if _, err := st.CompactStore(make([]bool, len(data)+1)); err == nil {
-		t.Fatal("CompactStore accepted a dead slice of the wrong length")
+	if _, err := st.Compact(make([]bool, len(data)+1)); err == nil {
+		t.Fatal("Compact accepted a dead slice of the wrong length")
 	}
 }
 
@@ -563,7 +561,7 @@ func (h Harness[P]) testCompactBadLength(t *testing.T) {
 // the hybrid Query (exercising whichever arm the shared decision picks,
 // including the store's linear ScanRadius) and forced LSH when
 // available (exercising VerifyRadius), at build time, after Append and
-// after CompactStore.
+// after Compact.
 func (h Harness[P]) testQuantEquivalence(t *testing.T) {
 	if h.NewQuant == nil {
 		t.Skip("harness has no alternative-store build")
@@ -600,11 +598,11 @@ func (h Harness[P]) testQuantEquivalence(t *testing.T) {
 	for i := range dead {
 		dead[i] = i%3 == 0
 	}
-	ce, err := exact.CompactStore(dead)
+	ce, err := exact.Compact(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := quant.CompactStore(dead)
+	cq, err := quant.Compact(dead)
 	if err != nil {
 		t.Fatal(err)
 	}

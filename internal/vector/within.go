@@ -87,11 +87,42 @@ func l2SqWithinPortable(out []int32, q Dense, flat []float32, n int, ids []int32
 			panicRowID(id, n)
 		}
 		row := flat[int(id)*dim : int(id)*dim+dim : int(id)*dim+dim]
-		if l2SqRaw(q, row) <= r2 {
+		if l2SqRawWithin(q, row, r2) {
 			out = append(out, id)
 		}
 	}
 	return out
+}
+
+// l2SqRawWithin reports l2SqRaw(a, b) <= r2 with l2SqRaw's accumulators
+// and order, but leaves the loop once the partial sum after a block of
+// 16 dimensions exceeds r2. Every term is ≥ 0 (or NaN) and rounding is
+// monotone, so the accumulators only grow and (s0+s1)+(s2+s3) with them:
+// the full sum would exceed r2 too, or be NaN, and fail all the same. A
+// NaN partial sum or r2 never exits early. The decisions are l2SqRaw's.
+func l2SqRawWithin(a, b []float32, r2 float64) bool {
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		aa := a[i : i+4 : i+4]
+		bb := b[i : i+4 : i+4]
+		d0 := float64(aa[0]) - float64(bb[0])
+		d1 := float64(aa[1]) - float64(bb[1])
+		d2 := float64(aa[2]) - float64(bb[2])
+		d3 := float64(aa[3]) - float64(bb[3])
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
+		if i&15 == 12 && (s0+s1)+(s2+s3) > r2 {
+			return false
+		}
+	}
+	for ; i < len(a); i++ {
+		d := float64(a[i]) - float64(b[i])
+		s0 += float64(d * d)
+	}
+	return (s0+s1)+(s2+s3) <= r2
 }
 
 // l2SqWithinAll is l2SqWithin over the ids of every row, a chunk at a

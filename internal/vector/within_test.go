@@ -83,6 +83,18 @@ func checkAgainstPortable(t *testing.T, c withinCase, ids []int32, r2 float64) {
 	}
 }
 
+// checkPortableDecisions holds the portable kernel, early exit and all,
+// to l2SqRaw(q, row) ≤ r2 row by row.
+func checkPortableDecisions(t *testing.T, c withinCase, r2 float64) {
+	t.Helper()
+	for i := 0; i < c.n; i++ {
+		want := l2SqRaw(c.q, c.row(i)) <= r2
+		if got := len(l2SqWithinPortable(nil, c.q, c.flat, c.n, []int32{int32(i)}, r2)) == 1; got != want {
+			t.Fatalf("dim %d row %d r2 %v: portable kernel says %v, l2SqRaw %v", len(c.q), i, r2, got, want)
+		}
+	}
+}
+
 func allIDs(n int) []int32 {
 	ids := make([]int32, n)
 	for i := range ids {
@@ -312,11 +324,38 @@ func FuzzL2SqWithin(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, math.Inf(1))
 	f.Add([]byte{1, 0, 0, 0x80, 0x3f, 0, 0, 0, 0x40}, 5e-324)
 	f.Add([]byte{}, 0.0)
+	// The portable kernel's early exit: the partial sum after the first
+	// 16-dimension block is exactly 16 = r² (no exit, the row passes when
+	// the rest adds nothing and fails when it adds a little), one ulp
+	// above r² (exit) and NaN (no exit, fail); d = 16, 32 and 35 (a tail).
+	blockEdge := func(dim int, r2 float64, rest ...float32) {
+		b := []byte{byte(dim)}
+		b = append(b, make([]byte, 4*dim)...) // q = 0
+		for _, tail := range rest {
+			for i := 0; i < dim; i++ {
+				v := float32(0)
+				if i < 16 {
+					v = 1
+				} else if i == dim-1 {
+					v = tail
+				}
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+			}
+		}
+		f.Add(b, r2)
+	}
+	for _, dim := range []int{16, 32, 35} {
+		nan := float32(math.NaN())
+		blockEdge(dim, 16, 0, 1e-3, 0x1p-20, nan)
+		blockEdge(dim, math.Nextafter(16, 0), 0, 1e-3)
+		blockEdge(dim, math.NaN(), 0, 1e-3)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, r2 float64) {
 		c := fuzzWithinCase(data)
 		if c.n > 64 {
 			c.n, c.flat = 64, c.flat[:64*len(c.q)]
 		}
+		checkPortableDecisions(t, c, r2)
 		checkDistanceBits(t, c)
 		ids := make([]int32, 0, 2*c.n)
 		for i := c.n - 1; i >= 0; i-- {

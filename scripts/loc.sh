@@ -22,6 +22,7 @@
 #   PR 38 (parent of PR 39): 23409
 #   576aa31 (parent of 16-bit slab ids, headerless rows): 22580
 #   5cde909 (parent of the SQ8 re-measurement): 22738
+#   4f65b86 (parent of covering as a table family): 22732
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
