@@ -26,12 +26,10 @@ func TestServeExperiment(t *testing.T) {
 		t.Fatalf("degenerate scrape measurement: %+v", res)
 	}
 	// The <5% acceptance target is asserted by the full-scale bench run;
-	// CI timing at tiny scale is too noisy for a hard threshold here. A
-	// sanity ceiling still catches an accidental O(shards·window) step
-	// slipping onto the record path.
-	if res.OverheadP50Pct > 100 {
-		t.Errorf("instrumentation more than doubled p50: %+v", res)
-	}
+	// two wall-clock p50s of 30 queries compare nothing while other
+	// packages' tests share the CPUs, so the overhead is only printed.
+	// An O(shards·window) step slipping onto the record path is caught
+	// without a clock by internal/server's TestRecordAllocatesNothing.
 	t.Logf("bare p50 %.1fµs, instrumented p50 %.1fµs, overhead %+.2f%%, scrape %.1fµs/%dB",
 		res.BareP50US, res.InstrP50US, res.OverheadP50Pct, res.ScrapeUS, res.ScrapeBytes)
 

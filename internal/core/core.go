@@ -243,7 +243,8 @@ func NewIndex[P any](points []P, cfg Config[P]) (*Index[P], error) {
 }
 
 // RestoreConfig carries the decoded scalar state of a persisted Index;
-// the structural state (points, tables) travels alongside in Restore.
+// the structural state (point store, tables) travels alongside in
+// Restore.
 type RestoreConfig[P any] struct {
 	// Family is the reconstructed LSH family (hash functions themselves
 	// live in the tables' hashers; the family is retained for its
@@ -257,18 +258,15 @@ type RestoreConfig[P any] struct {
 	Cost              CostModel
 	// Probes is the saved multi-probe T (0: classic); see Config.Probes.
 	Probes int
-	// Store picks the point layout (see Config.Store); nil defaults to
-	// the generic layout over Distance.
-	Store pointstore.Builder[P]
 }
 
 // Restore reassembles an Index from a decoded snapshot without
-// rebuilding: the tables (hashers, buckets, sketches) are used as-is, so
-// the restored index answers queries id-for-id identically to the saved
-// one. Unlike NewIndex it accepts an empty point set (a fully compacted
-// shard) and a degenerate P1 (the saved index may have been built with
-// an explicit K).
-func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*Index[P], error) {
+// rebuilding: the point store and the tables (hashers, buckets, sketches)
+// are used as-is, so the restored index answers queries id-for-id
+// identically to the saved one. Unlike NewIndex it accepts an empty point
+// set (a fully compacted shard) and a degenerate P1 (the saved index may
+// have been built with an explicit K).
+func Restore[P any](store pointstore.Store[P], tables *lsh.Tables[P], cfg RestoreConfig[P]) (*Index[P], error) {
 	if cfg.Family == nil {
 		return nil, fmt.Errorf("core: Restore with nil family")
 	}
@@ -292,13 +290,6 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	}
 	if cfg.Probes < 0 {
 		return nil, fmt.Errorf("core: Restore probes = %d, want >= 0", cfg.Probes)
-	}
-	if cfg.Store == nil {
-		cfg.Store = pointstore.GenericBuilder(cfg.Distance)
-	}
-	store, err := cfg.Store(points)
-	if err != nil {
-		return nil, err
 	}
 	ix, err := Assemble(store, tables, cfg.Distance, cfg.Cost, cfg.Radius, probing(cfg.Probes))
 	if err != nil {

@@ -97,7 +97,7 @@ func TestMultiProbeRejectsNonProbingHashers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.Restore(bits, ix.Tables(), core.RestoreConfig[vector.Binary]{
+	if _, err := core.Restore(pointstore.NewGeneric(bits, distance.Hamming), ix.Tables(), core.RestoreConfig[vector.Binary]{
 		Family: ix.Family(), Distance: distance.Hamming, Radius: 2, Delta: 0.1, P1: ix.P1(),
 		Cost: ix.Cost(), Probes: 5,
 	}); err == nil {

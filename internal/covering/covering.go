@@ -198,15 +198,19 @@ func assemble(store pointstore.Store[vector.Binary], lt *lsh.Tables[vector.Binar
 }
 
 // Restore reassembles a covering index from decoded snapshot state
-// without re-hashing: the decoded tables (one slab per mask table) are
-// used as-is, so the restored index answers queries id-for-id
-// identically to the saved one. Unlike New it accepts an empty point set
-// (a fully compacted shard); phi must be consistent with itself and the
-// tables. cfg.Seed is not used: the seed travels in phi.
-func Restore(points []vector.Binary, phi *Phi, slabs []*lsh.Slab, cfg Config) (*core.Index[vector.Binary], error) {
+// without re-hashing: the decoded point store and tables (one slab per
+// mask table) are used as-is, so the restored index answers queries
+// id-for-id identically to the saved one. Unlike New it accepts an empty
+// store (a fully compacted shard); phi must be consistent with itself,
+// the store's dimension and the tables. cfg.Seed is not used: the seed
+// travels in phi.
+func Restore(store *pointstore.FlatBinary, phi *Phi, slabs []*lsh.Slab, cfg Config) (*core.Index[vector.Binary], error) {
 	dim := len(phi.Map)
 	if err := validRadius(phi.Radius, dim); err != nil {
 		return nil, err
+	}
+	if store.Dim() != dim {
+		return nil, fmt.Errorf("covering: Restore with %d-bit points for a %d-bit φ", store.Dim(), dim)
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -220,10 +224,6 @@ func Restore(points []vector.Binary, phi *Phi, slabs []*lsh.Slab, cfg Config) (*
 		if v >= 1<<b {
 			return nil, fmt.Errorf("covering: Restore φ(%d) = %#x outside {0,1}^%d", i, v, b)
 		}
-	}
-	store := pointstore.EmptyFlatBinary(dim)
-	if err := store.Append(points); err != nil {
-		return nil, err
 	}
 	lt, err := lsh.RestoreTables(cfg.params(phi.Radius), maskHashers(phi), slabs, store.Len())
 	if err != nil {

@@ -114,22 +114,14 @@ func (s *Slab) bucket(i int) Bucket {
 	return b
 }
 
-// A SlabBuilder collects one table's buckets and freezes them into a
-// Slab. A snapshot decoder adds buckets in any key order (Add, Sketch)
-// and calls Freeze; Build and Compact add them in hash order, sized up
-// front so every array is allocated once at its final length (add,
-// finish).
-type SlabBuilder struct{ s Slab }
+// A slabBuilder collects one table's buckets in hash order, sized up
+// front so that every array is allocated once at its final length (add,
+// finish): Build, Compact and the snapshot decoder's NewSlab all lay
+// their slabs out through it.
+type slabBuilder struct{ s Slab }
 
-// NewSlabBuilder returns a builder for m-register sketches over ids in
-// [0, n), which picks the slab's id width, sized for the given bucket
-// and id counts (hints; either may be exceeded).
-func NewSlabBuilder(m, n, buckets, ids int) *SlabBuilder {
-	return newSlabBuilder(m, narrowFor(n), buckets, ids, 0)
-}
-
-func newSlabBuilder(m int, narrow bool, buckets, ids, sketches int) *SlabBuilder {
-	b := &SlabBuilder{Slab{
+func newSlabBuilder(m int, narrow bool, buckets, ids, sketches int) *slabBuilder {
+	b := &slabBuilder{Slab{
 		heads: make([]head, 0, buckets+1),
 		regs:  make([]uint8, 0, sketches*m),
 		m:     m,
@@ -142,43 +134,14 @@ func newSlabBuilder(m int, narrow bool, buckets, ids, sketches int) *SlabBuilder
 	return b
 }
 
-// Add starts a bucket under key with n ids and returns the slice the
-// caller fills them into, before its next call on the builder: narrow
-// when the slab stores uint16 ids, wide otherwise; the other is nil. The
-// caller must keep every id below the builder's n.
-func (b *SlabBuilder) Add(key uint64, n int) (narrow []uint16, wide []int32) {
-	at := b.s.nids()
-	b.s.heads = append(b.s.heads, head{key, uint32(at), noSketch})
-	if b.s.narrow != nil {
-		b.s.narrow = slices.Grow(b.s.narrow, n)[:at+n]
-		return b.s.narrow[at:], nil
-	}
-	b.s.wide = slices.Grow(b.s.wide, n)[:at+n]
-	return nil, b.s.wide[at:]
-}
-
-// Sketch gives the bucket Add just started a sketch with the registers
-// regs (copied). It fails on a register count other than m or a rank
-// above 64.
-func (b *SlabBuilder) Sketch(regs []uint8) error {
-	if len(regs) != b.s.m {
-		return fmt.Errorf("lsh: %d sketch registers, want %d", len(regs), b.s.m)
-	}
-	if err := hll.CheckRegisters(regs); err != nil {
-		return err
-	}
-	b.sketch(regs)
-	return nil
-}
-
-func (b *SlabBuilder) sketch(regs []uint8) {
+func (b *slabBuilder) sketch(regs []uint8) {
 	b.s.heads[len(b.s.heads)-1].sketch = uint32(len(b.s.regs) / b.s.m)
 	b.s.regs = append(b.s.regs, regs...)
 }
 
 // addIDs appends a bucket under key with ids, converted to the slab's
 // width (they must fit it), and, unless regs is nil, its sketch.
-func addIDs[S ID](b *SlabBuilder, key uint64, ids []S, regs []uint8) {
+func addIDs[S ID](b *slabBuilder, key uint64, ids []S, regs []uint8) {
 	b.s.heads = append(b.s.heads, head{key, uint32(b.s.nids()), noSketch})
 	if b.s.narrow != nil {
 		b.s.narrow = appendAs(b.s.narrow, ids)
@@ -198,38 +161,65 @@ func appendAs[D, S ID](dst []D, src []S) []D {
 	return dst
 }
 
-// Freeze orders the buckets for lookup and returns the slab. It fails
-// when a key repeats or the ids overflow the slab's 32-bit offsets.
-func (b *SlabBuilder) Freeze() (*Slab, error) {
-	in, nb := b.s, len(b.s.heads)
-	if uint64(in.nids()) > math.MaxUint32 {
-		return nil, fmt.Errorf("lsh: %d bucket ids exceed a table's 32-bit offsets", in.nids())
+// NewSlab lays out a slab of m-register sketches over ids in [0, n)
+// from nb buckets met in any key order, the way a snapshot decoder meets
+// them: describe(i) gives bucket i's key, id count and whether it
+// carries a sketch. NewSlab ranks the buckets by hash, allocates every
+// array at its final length and then calls fill once per bucket, in hash
+// order, to write bucket i's ids straight into their place — narrow when
+// the slab stores uint16 ids, wide otherwise, the other nil — and, when
+// it is sketched, its registers into regs (nil otherwise). fill must
+// keep every id below n. NewSlab fails on a repeated key, on more ids
+// than a table's 32-bit offsets address, and with fill's first error.
+func NewSlab(m, n, nb int, describe func(i int) (key uint64, ids int, sketched bool),
+	fill func(i int, narrow []uint16, wide []int32, regs []uint8) error) (*Slab, error) {
+	total, sketches := 0, 0
+	for i := range nb {
+		_, ids, sketched := describe(i)
+		total += ids
+		if sketched {
+			sketches++
+		}
 	}
-	in.heads = append(in.heads, head{off: uint32(in.nids())}) // closes the last span
-	perm := hashOrder(nb, func(i int) uint64 { return in.heads[i].key })
-	out := newSlabBuilder(in.m, in.narrow != nil, nb, in.nids(), len(in.regs)/in.m)
+	if uint64(total) > math.MaxUint32 {
+		return nil, fmt.Errorf("lsh: %d bucket ids exceed a table's 32-bit offsets", total)
+	}
+	perm := hashOrder(nb, func(i int) uint64 { key, _, _ := describe(i); return key })
+	b := newSlabBuilder(m, narrowFor(n), nb, total, sketches)
+	s := &b.s
+	s.narrow, s.wide, s.regs = s.narrow[:cap(s.narrow)], s.wide[:cap(s.wide)], s.regs[:cap(s.regs)]
+	off, sketch := 0, 0
 	for k, i := range perm {
-		h, end := in.heads[i], in.heads[i+1].off
-		if k > 0 && h.key == in.heads[perm[k-1]].key {
-			return nil, fmt.Errorf("lsh: duplicate bucket key %#x", h.key)
+		key, ids, sketched := describe(int(i))
+		if k > 0 && key == s.heads[k-1].key {
+			return nil, fmt.Errorf("lsh: duplicate bucket key %#x", key)
 		}
+		h := head{key, uint32(off), noSketch}
 		var regs []uint8
-		if h.sketch != noSketch {
-			regs = in.regs[int(h.sketch)*in.m : int(h.sketch+1)*in.m]
+		if sketched {
+			h.sketch = uint32(sketch)
+			regs = s.regs[sketch*m : (sketch+1)*m : (sketch+1)*m]
+			sketch++
 		}
-		if in.narrow != nil {
-			addIDs(out, h.key, in.narrow[h.off:end], regs)
+		s.heads = append(s.heads, h)
+		var err error
+		if s.narrow != nil {
+			err = fill(int(i), s.narrow[off:off+ids:off+ids], nil, regs)
 		} else {
-			addIDs(out, h.key, in.wide[h.off:end], regs)
+			err = fill(int(i), nil, s.wide[off:off+ids:off+ids], regs)
 		}
+		if err != nil {
+			return nil, err
+		}
+		off += ids
 	}
-	s := out.finish()
-	return &s, nil
+	slab := b.finish()
+	return &slab, nil
 }
 
 // finish closes the last bucket and builds the directory; the buckets
 // must have come in ascending order of Mix64(key).
-func (b *SlabBuilder) finish() Slab {
+func (b *slabBuilder) finish() Slab {
 	s := b.s
 	s.heads = append(s.heads, head{off: uint32(s.nids())})
 	slots := max(bits.Len(uint(s.len()))-2, 0) // 2^slots slots: 2–4 buckets per slot
@@ -248,8 +238,8 @@ func (b *SlabBuilder) finish() Slab {
 func emptySlab(m int) Slab { return newSlabBuilder(m, true, 0, 0, 0).finish() }
 
 // hashBufs keeps hashOrder's hash arrays between calls, so that a
-// snapshot load, which orders its tables one after another, allocates no
-// hash array per table: that much more garbage moves the loading node's
+// snapshot load, which orders its tables one after another on each of
+// its workers, allocates no hash array per table: that much more garbage moves the loading node's
 // GC cycles and raises its peak RSS.
 var hashBufs sync.Pool // of *[]uint64
 

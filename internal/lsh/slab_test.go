@@ -249,8 +249,8 @@ func checkSame[P any](t *testing.T, state string, tb *Tables[P], ref *refTables[
 	}
 }
 
-// restoreShuffled rebuilds tb the way a snapshot decoder does, feeding
-// each table's buckets to a SlabBuilder in a random order.
+// restoreShuffled rebuilds tb the way a snapshot decoder does, handing
+// each table's buckets to NewSlab in a random order.
 func restoreShuffled[P any](t *testing.T, tb *Tables[P], r *rng.Rand) *Tables[P] {
 	t.Helper()
 	hashers := make([]Hasher[P], tb.L())
@@ -259,35 +259,31 @@ func restoreShuffled[P any](t *testing.T, tb *Tables[P], r *rng.Rand) *Tables[P]
 		hashers[j] = tb.Hasher(j)
 		type kb struct {
 			key uint64
+			ids []int32
 			b   Bucket
 		}
 		var all []kb
 		for k, b := range tb.SortedBuckets(j) {
-			all = append(all, kb{k, b})
+			all = append(all, kb{k, b.AppendIDs(nil), b})
 		}
 		for i := len(all) - 1; i > 0; i-- {
 			k := r.Intn(i + 1)
 			all[i], all[k] = all[k], all[i]
 		}
-		sb := NewSlabBuilder(tb.Params().HLLRegisters, tb.N(), len(all), 0)
-		for _, x := range all {
-			ids := x.b.AppendIDs(nil)
-			narrow, wide := sb.Add(x.key, len(ids))
-			for k, id := range ids {
+		describe := func(i int) (uint64, int, bool) { return all[i].key, len(all[i].ids), all[i].b.Sketch != nil }
+		fill := func(i int, narrow []uint16, wide []int32, regs []uint8) error {
+			for k, id := range all[i].ids {
 				if narrow != nil {
 					narrow[k] = uint16(id)
 				} else {
 					wide[k] = id
 				}
 			}
-			if x.b.Sketch != nil {
-				if err := sb.Sketch(x.b.Sketch); err != nil {
-					t.Fatal(err)
-				}
-			}
+			copy(regs, all[i].b.Sketch)
+			return nil
 		}
 		var err error
-		if slabs[j], err = sb.Freeze(); err != nil {
+		if slabs[j], err = NewSlab(tb.Params().HLLRegisters, tb.N(), len(all), describe, fill); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -520,6 +520,23 @@ func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
 	}
 }
 
+// Extent returns the size of what SortedBuckets(j) yields: the bucket
+// count, the id count and the number of buckets that carry a sketch.
+func (t *Tables[P]) Extent(j int) (buckets, ids, sketched int) {
+	tb := &t.tables[j]
+	if len(tb.over) == 0 {
+		s := &tb.slab
+		return s.len(), s.nids(), len(s.regs) / s.m
+	}
+	for _, b := range tb.all() {
+		buckets, ids = buckets+1, ids+b.Len()
+		if b.Sketch != nil {
+			sketched++
+		}
+	}
+	return buckets, ids, sketched
+}
+
 // keyAt is a bucket key and the position of its bucket.
 type keyAt struct {
 	key uint64

@@ -2,12 +2,12 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"iter"
 	"math"
-	"slices"
 
 	"repro/internal/distance"
+	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/pointstore"
 	"repro/internal/vector"
@@ -41,13 +41,14 @@ type codec[P any] struct {
 	extra       func(fam lsh.Family[P], m *indexMeta) error // harvest w/curve before writing
 	writePoints func(e *enc, m *indexMeta, at func(i int) P) error
 	readPoints  func(d *dec, m *indexMeta) ([]P, error)
+	// readStore, when set, decodes a "pnts" payload straight into the
+	// flat point store a restored index verifies through, which adopts
+	// the decoded rows; the l2 codec honors the decoded "quan" mode here,
+	// so an SQ8 snapshot refits its quantized copy on hydrate. The other
+	// metrics restore the generic store over readPoints' points.
+	readStore   func(d *dec, m *indexMeta) (pointstore.Store[P], error)
 	writeHasher func(e *enc, m *indexMeta, h lsh.Hasher[P]) error
 	readHasher  func(d *dec, m *indexMeta) (lsh.Hasher[P], error)
-	// store picks the point-store builder a restored index verifies
-	// through (nil, or a nil return, falls back to core's generic
-	// store). The l2 codec honors the decoded "quan" mode here, so an
-	// SQ8 snapshot refits its quantized copy on hydrate.
-	store func(m *indexMeta) pointstore.Builder[P]
 }
 
 // codecFor resolves metric to its codec, checking that the caller's
@@ -84,11 +85,9 @@ func codecFor[P any](metric string) (*codec[P], error) {
 			extra:       func(lsh.Family[vector.Binary], *indexMeta) error { return nil },
 			writePoints: writeBinaryPoints,
 			readPoints:  readBinaryPoints,
+			readStore:   readFlatBinary,
 			writeHasher: writeBitSamplingHasher,
 			readHasher:  readBitSamplingHasher,
-			store: func(*indexMeta) pointstore.Builder[vector.Binary] {
-				return pointstore.BinaryHammingBuilder()
-			},
 		}
 	case MetricJaccard:
 		c = &codec[vector.Binary]{
@@ -141,6 +140,10 @@ func codecFor[P any](metric string) (*codec[P], error) {
 // reconstructed by newFam).
 func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 	newFam func(dim int, w float64) *lsh.PStable) *codec[vector.Dense] {
+	var readStore func(d *dec, m *indexMeta) (pointstore.Store[vector.Dense], error)
+	if metric == MetricL2 {
+		readStore = readFlatL2 // the flat kernels compute squared L2
+	}
 	return &codec[vector.Dense]{
 		metric:     metric,
 		familyName: familyName,
@@ -158,50 +161,97 @@ func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 		},
 		writePoints: writeDensePoints,
 		readPoints:  readDensePoints,
+		readStore:   readStore,
 		writeHasher: writePStableHasher,
 		readHasher:  readPStableHasher,
-		store: func(m *indexMeta) pointstore.Builder[vector.Dense] {
-			if metric != MetricL2 {
-				return nil // the flat kernels compute squared L2; L1 keeps the generic store
-			}
-			return pointstore.DenseL2Builder(m.quant)
-		},
 	}
+}
+
+// store decodes a "pnts" payload into a restored index's point store.
+func (c *codec[P]) store(d *dec, m *indexMeta) (pointstore.Store[P], error) {
+	if c.readStore != nil {
+		return c.readStore(d, m)
+	}
+	pts, err := c.readPoints(d, m)
+	if err != nil {
+		return nil, err
+	}
+	return pointstore.NewGeneric(pts, c.dist), nil
+}
+
+// readFlatL2 decodes dense points into the l2 flat store, which adopts
+// the decoded rows.
+func readFlatL2(d *dec, m *indexMeta) (pointstore.Store[vector.Dense], error) {
+	flat, err := readDenseRows(d, m)
+	if err != nil {
+		return nil, err
+	}
+	return pointstore.AdoptFlatL2(flat, m.dim, m.quant)
+}
+
+// readFlatBinary decodes binary points into the Hamming flat store,
+// which adopts the decoded rows.
+func readFlatBinary(d *dec, m *indexMeta) (pointstore.Store[vector.Binary], error) {
+	words, err := readBinaryRows(d, m)
+	if err != nil {
+		return nil, err
+	}
+	return pointstore.AdoptFlatBinary(words, m.dim)
 }
 
 // ---- point encodings ----
 
 func writeDensePoints(e *enc, m *indexMeta, at func(i int) vector.Dense) error {
-	e.b = slices.Grow(e.b, 4*m.dim*m.n)
+	row := 4 * m.dim
+	b := e.grow(row * m.n)
 	for i := range m.n {
 		p := at(i)
 		if len(p) != m.dim {
 			return fmt.Errorf("persist: point %d has dim %d, index dim is %d", i, len(p), m.dim)
 		}
-		for _, v := range p {
-			e.f32(v)
-		}
+		putFloats(b[i*row:(i+1)*row], p)
 	}
 	return nil
 }
 
-func readDensePoints(d *dec, m *indexMeta) ([]vector.Dense, error) {
+// readDenseRows decodes the n × dim floats of a dense points payload
+// into one array, the rows back to back.
+func readDenseRows(d *dec, m *indexMeta) ([]float32, error) {
 	total := uint64(m.n) * uint64(m.dim)
 	if total*4 > uint64(d.rem()) {
 		return nil, corrupt("%d dense points of dim %d exceed the %d payload bytes", m.n, m.dim, d.rem())
 	}
-	backing := make([]float32, int(total))
-	for i := range backing {
-		backing[i] = d.f32()
-	}
-	if d.err != nil {
-		return nil, d.err
+	flat := make([]float32, int(total))
+	getFloats(flat, d.take(4*len(flat)))
+	return flat, nil
+}
+
+func readDensePoints(d *dec, m *indexMeta) ([]vector.Dense, error) {
+	flat, err := readDenseRows(d, m)
+	if err != nil {
+		return nil, err
 	}
 	pts := make([]vector.Dense, m.n)
 	for i := range pts {
-		pts[i] = vector.Dense(backing[i*m.dim : (i+1)*m.dim : (i+1)*m.dim])
+		pts[i] = vector.Dense(flat[i*m.dim : (i+1)*m.dim : (i+1)*m.dim])
 	}
 	return pts, nil
+}
+
+// putFloats encodes src into dst, 4 bytes each.
+func putFloats(dst []byte, src []float32) {
+	dst = dst[:4*len(src)]
+	for k, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*k:], math.Float32bits(v))
+	}
+}
+
+// getFloats decodes dst from src, 4 bytes each.
+func getFloats(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	for k := range dst {
+		dst[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*k:]))
+	}
 }
 
 func writeSparsePoints(e *enc, m *indexMeta, at func(i int) vector.Sparse) error {
@@ -259,20 +309,22 @@ func readSparsePoints(d *dec, m *indexMeta) ([]vector.Sparse, error) {
 
 func writeBinaryPoints(e *enc, m *indexMeta, at func(i int) vector.Binary) error {
 	words := (m.dim + 63) / 64
-	e.b = slices.Grow(e.b, 8*words*m.n)
+	b := e.grow(8 * words * m.n)
 	for i := range m.n {
 		p := at(i)
 		if p.Dim != m.dim || len(p.Words) != words {
 			return fmt.Errorf("persist: point %d has dim %d (%d words), index dim is %d", i, p.Dim, len(p.Words), m.dim)
 		}
-		for _, w := range p.Words {
-			e.u64(w)
+		for k, w := range p.Words {
+			binary.LittleEndian.PutUint64(b[8*(i*words+k):], w)
 		}
 	}
 	return nil
 }
 
-func readBinaryPoints(d *dec, m *indexMeta) ([]vector.Binary, error) {
+// readBinaryRows decodes the n rows of a binary points payload into one
+// word array, the rows back to back.
+func readBinaryRows(d *dec, m *indexMeta) ([]uint64, error) {
 	words := (m.dim + 63) / 64
 	total := uint64(m.n) * uint64(words)
 	if total*8 > uint64(d.rem()) {
@@ -284,18 +336,26 @@ func readBinaryPoints(d *dec, m *indexMeta) ([]vector.Binary, error) {
 	if r := uint(m.dim) % 64; r != 0 {
 		tailMask = 1<<r - 1
 	}
-	backing := make([]uint64, int(total))
-	for i := range backing {
-		backing[i] = d.u64()
+	rows := make([]uint64, int(total))
+	src := d.take(8 * len(rows))
+	for k := range rows {
+		rows[k] = binary.LittleEndian.Uint64(src[8*k:])
 	}
-	if d.err != nil {
-		return nil, d.err
+	for i := words - 1; i < len(rows); i += words {
+		rows[i] &= tailMask
 	}
+	return rows, nil
+}
+
+func readBinaryPoints(d *dec, m *indexMeta) ([]vector.Binary, error) {
+	rows, err := readBinaryRows(d, m)
+	if err != nil {
+		return nil, err
+	}
+	words := (m.dim + 63) / 64
 	pts := make([]vector.Binary, m.n)
 	for i := range pts {
-		w := backing[i*words : (i+1)*words : (i+1)*words]
-		w[words-1] &= tailMask
-		pts[i] = vector.Binary{Dim: m.dim, Words: w}
+		pts[i] = vector.Binary{Dim: m.dim, Words: rows[i*words : (i+1)*words : (i+1)*words]}
 	}
 	return pts, nil
 }
@@ -513,65 +573,81 @@ func readCrossPolytopeHasher(d *dec, m *indexMeta) (lsh.Hasher[vector.Dense], er
 
 // ---- bucket encoding (shared by every metric) ----
 
-// writeBuckets appends one table's buckets, which come in ascending key
-// order (lsh.Tables.SortedBuckets): their count, then per bucket the key,
-// id count, ids, and the sketch flag plus registers when the bucket
-// carries one.
-func writeBuckets(e *enc, buckets iter.Seq2[uint64, lsh.Bucket], n int) error {
-	at := len(e.b)
-	e.u64(0) // the bucket count, filled in below
-	count := uint64(0)
-	for k, b := range buckets {
-		e.u64(k)
-		e.u32(uint32(b.Len()))
+// writeBuckets appends table j's buckets in ascending key order
+// (lsh.Tables.SortedBuckets): their count, then per bucket the key, id
+// count, ids, and the sketch flag plus registers when the bucket carries
+// one. The section's length is known before the first bucket comes
+// (lsh.Tables.Extent), so its bytes are sized once and written in place.
+func writeBuckets[P any](e *enc, lt *lsh.Tables[P], j, n int) error {
+	nb, nids, sketched := lt.Extent(j)
+	b := e.grow(8 + 13*nb + 4*nids + lt.Params().HLLRegisters*sketched)
+	binary.LittleEndian.PutUint64(b, uint64(nb))
+	p, count := 8, 0
+	for key, bk := range lt.SortedBuckets(j) {
+		size := bk.Len()
+		if 13+4*size+len(bk.Sketch) > len(b)-p {
+			return fmt.Errorf("persist: table %d yields more than its %d section bytes", j, len(b))
+		}
+		binary.LittleEndian.PutUint64(b[p:], key)
+		binary.LittleEndian.PutUint32(b[p+8:], uint32(size))
+		p += 12
 		var err error
-		if ids := b.Narrow(); ids != nil {
-			err = writeIDs(e, ids, n)
+		if ids := bk.Narrow(); ids != nil {
+			err = putIDs(b[p:], ids, n)
 		} else {
-			err = writeIDs(e, b.IDs, n)
+			err = putIDs(b[p:], bk.IDs, n)
 		}
 		if err != nil {
 			return err
 		}
-		if b.Sketch != nil {
-			e.u8(1)
-			e.b = append(e.b, b.Sketch...)
-		} else {
-			e.u8(0)
+		p += 4 * size
+		b[p] = 0
+		if bk.Sketch != nil {
+			b[p] = 1
+			p += copy(b[p+1:], bk.Sketch)
 		}
+		p++
 		count++
 	}
-	binary.LittleEndian.PutUint64(e.b[at:], count)
+	if p != len(b) || count != nb {
+		return fmt.Errorf("persist: table %d yields %d buckets in %d bytes, its extent says %d in %d", j, count, p, nb, len(b))
+	}
 	return nil
 }
 
-// writeIDs appends a bucket's ids, in either slab width, as int32s.
-func writeIDs[S lsh.ID](e *enc, ids []S, n int) error {
-	for _, id := range ids {
+// putIDs encodes a bucket's ids, in either slab width, as int32s.
+func putIDs[S lsh.ID](dst []byte, ids []S, n int) error {
+	dst = dst[:4*len(ids)]
+	for k, id := range ids {
 		if int(id) < 0 || int(id) >= n {
 			return fmt.Errorf("persist: bucket id %d outside [0,%d)", id, n)
 		}
-		e.i32(int32(id))
+		binary.LittleEndian.PutUint32(dst[4*k:], uint32(id))
 	}
 	return nil
 }
 
-// readIDs decodes a bucket's ids into the slab's width, refusing an id
-// outside [0, n) before it is narrowed.
-func readIDs[D lsh.ID](d *dec, ids []D, n, bucket int) error {
+// getIDs decodes a bucket's int32 ids from src into the slab's width,
+// refusing an id outside [0, n) before it is narrowed. It returns the
+// position of the first refused id, or -1.
+func getIDs[D lsh.ID](ids []D, src []byte, n int) int {
+	src = src[:4*len(ids)]
 	for k := range ids {
-		id := d.i32()
-		if id < 0 || int(id) >= n {
-			return corrupt("bucket %d id %d outside [0,%d)", bucket, id, n)
+		id := binary.LittleEndian.Uint32(src[4*k:])
+		if id >= uint32(n) { // a negative int32 is above every n < 2^31
+			return k
 		}
 		ids[k] = D(id)
 	}
-	return nil
+	return -1
 }
 
-// readBuckets decodes one table's buckets, in any key order, straight
-// into a frozen slab of the width n picks, range-checking every id
-// against n and every stored sketch's registers.
+// readBuckets decodes one table's buckets, in any key order, into a
+// frozen slab of the width n picks, in two passes over the payload. The
+// first checks the framing — counts, sketch flags, every stored sketch's
+// registers — and notes where each bucket starts; the second, NewSlab's
+// fill in hash order, decodes each bucket's ids straight into the slab,
+// range-checking every one against n, and copies its registers.
 func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 	// A minimal bucket is key(8) + count(4) + one id(4) + flag(1).
 	nb := d.count(17, "bucket")
@@ -579,10 +655,10 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 		return nil, d.err
 	}
 	mreg := m.params.HLLRegisters
-	// The id hint is exact for a table without sketches.
-	sb := lsh.NewSlabBuilder(mreg, m.n, nb, max(d.rem()-13*nb, 0)/4)
-	for i := 0; i < nb; i++ {
-		key := d.u64()
+	at := make([]int, nb)
+	for i := range at {
+		at[i] = d.off
+		d.u64() // the key
 		nids := d.u32()
 		if d.err != nil {
 			return nil, d.err
@@ -593,25 +669,16 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 		if uint64(nids) > uint64(d.rem())/4 {
 			return nil, corrupt("bucket %d claims %d ids, %d payload bytes left", i, nids, d.rem())
 		}
-		var err error
-		if narrow, wide := sb.Add(key, int(nids)); narrow != nil {
-			err = readIDs(d, narrow, m.n, i)
-		} else {
-			err = readIDs(d, wide, m.n, i)
-		}
-		if err != nil {
-			return nil, err
-		}
+		d.off += 4 * int(nids)
 		switch flag := d.u8(); flag {
 		case 0:
 		case 1:
 			if !d.need(mreg) {
 				return nil, d.err
 			}
-			if err := sb.Sketch(d.b[d.off : d.off+mreg]); err != nil {
+			if err := hll.CheckRegisters(d.take(mreg)); err != nil {
 				return nil, corrupt("bucket %d sketch: %v", i, err)
 			}
-			d.off += mreg
 		default:
 			if d.err != nil {
 				return nil, d.err
@@ -619,12 +686,29 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 			return nil, corrupt("bucket %d has sketch flag %d", i, flag)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	b := d.b
+	describe := func(i int) (uint64, int, bool) {
+		o := at[i]
+		nids := int(binary.LittleEndian.Uint32(b[o+8:]))
+		return binary.LittleEndian.Uint64(b[o:]), nids, b[o+12+4*nids] == 1
 	}
-	slab, err := sb.Freeze()
-	if err != nil {
-		return nil, corrupt("%v", err)
+	fill := func(i int, narrow []uint16, wide []int32, regs []uint8) error {
+		ids := b[at[i]+12:]
+		bad := -1
+		if narrow != nil {
+			bad = getIDs(narrow, ids, m.n)
+		} else {
+			bad = getIDs(wide, ids, m.n)
+		}
+		if bad >= 0 {
+			return corrupt("bucket %d id %d outside [0,%d)", i, int32(binary.LittleEndian.Uint32(ids[4*bad:])), m.n)
+		}
+		copy(regs, ids[4*(len(narrow)+len(wide))+1:])
+		return nil
 	}
-	return slab, nil
+	slab, err := lsh.NewSlab(mreg, m.n, nb, describe, fill)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		err = corrupt("%v", err)
+	}
+	return slab, err
 }

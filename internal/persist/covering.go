@@ -8,6 +8,7 @@ import (
 	"repro/internal/covering"
 	"repro/internal/hll"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
 
@@ -141,16 +142,8 @@ func writeCoveringBody(w io.Writer, ix *core.Index[vector.Binary], phi *covering
 	if err := writeSection(w, "pnts", e.b); err != nil {
 		return err
 	}
-	for t := 0; t < ix.L(); t++ {
-		e.b = e.b[:0]
-		if err := writeBuckets(&e, ix.Tables().SortedBuckets(t), ix.N()); err != nil {
-			return err
-		}
-		if err := writeSection(w, "tabl", e.b); err != nil {
-			return err
-		}
-	}
-	return nil
+	lt := ix.Tables()
+	return writeTables(w, lt.L(), func(j int, e *enc) error { return writeBuckets(e, lt, j, im.n) })
 }
 
 // readCoveringBody reads one covering index's sections and reassembles
@@ -166,7 +159,7 @@ func readCoveringBody(ss *sectionStream) (*core.Index[vector.Binary], *coverMeta
 		return nil, nil, err
 	}
 	d := &dec{b: payload}
-	points, err := readBinaryPoints(d, im)
+	store, err := readFlatBinary(d, im)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,22 +167,14 @@ func readCoveringBody(ss *sectionStream) (*core.Index[vector.Binary], *coverMeta
 		return nil, nil, err
 	}
 	slabs := make([]*lsh.Slab, covering.NumTables(cm.phi.Radius))
-	for t := range slabs {
-		payload, err = ss.read("tabl")
-		if err != nil {
-			return nil, nil, err
-		}
-		d = &dec{b: payload}
-		slab, err := readBuckets(d, im)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := d.done("tabl"); err != nil {
-			return nil, nil, err
-		}
-		slabs[t] = slab
+	if err := readTables(ss, len(slabs), func(j int, d *dec) error {
+		var err error
+		slabs[j], err = readBuckets(d, im)
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
-	ix, err := covering.Restore(points, &cm.phi, slabs, covering.Config{
+	ix, err := covering.Restore(store.(*pointstore.FlatBinary), &cm.phi, slabs, covering.Config{
 		HLLRegisters: cm.m,
 		HLLThreshold: cm.thresh,
 		Cost:         core.CostModel{Alpha: cm.alpha, Beta: cm.beta},

@@ -12,6 +12,7 @@ import (
 	"repro/internal/covering"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/shard"
 	"repro/internal/vector"
 )
@@ -358,7 +359,7 @@ func TestCoveringBuildMatchesAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		phi, _ := covering.PhiOf(built)
-		grown, err := covering.Restore(nil, phi, make([]*lsh.Slab, covering.NumTables(r)), cfg)
+		grown, err := covering.Restore(pointstore.EmptyFlatBinary(64), phi, make([]*lsh.Slab, covering.NumTables(r)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

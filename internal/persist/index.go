@@ -227,19 +227,13 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], probes 
 		return err
 	}
 
-	for j := 0; j < ix.Tables().L(); j++ {
-		e.b = e.b[:0]
-		if err := c.writeHasher(&e, m, ix.Tables().Hasher(j)); err != nil {
+	lt := ix.Tables()
+	return writeTables(w, lt.L(), func(j int, e *enc) error {
+		if err := c.writeHasher(e, m, lt.Hasher(j)); err != nil {
 			return err
 		}
-		if err := writeBuckets(&e, ix.Tables().SortedBuckets(j), m.n); err != nil {
-			return err
-		}
-		if err := writeSection(w, "tabl", e.b); err != nil {
-			return err
-		}
-	}
-	return nil
+		return writeBuckets(e, lt, j, m.n)
+	})
 }
 
 // readIndexBody reads the "meta", optional "prob"/"quan", "pnts" and L
@@ -275,7 +269,7 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 		return nil, nil, err
 	}
 	d := &dec{b: payload}
-	points, err := c.readPoints(d, m)
+	store, err := c.store(d, m)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -285,24 +279,15 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 
 	hashers := make([]lsh.Hasher[P], m.params.L)
 	slabs := make([]*lsh.Slab, m.params.L)
-	for j := range hashers {
-		payload, err = ss.read("tabl")
-		if err != nil {
-			return nil, nil, err
+	if err := readTables(ss, len(slabs), func(j int, d *dec) error {
+		var err error
+		if hashers[j], err = c.readHasher(d, m); err != nil {
+			return err
 		}
-		d = &dec{b: payload}
-		hasher, err := c.readHasher(d, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		slab, err := readBuckets(d, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := d.done("tabl"); err != nil {
-			return nil, nil, err
-		}
-		hashers[j], slabs[j] = hasher, slab
+		slabs[j], err = readBuckets(d, m)
+		return err
+	}); err != nil {
+		return nil, nil, err
 	}
 
 	lt, err := lsh.RestoreTables(m.params, hashers, slabs, m.n)
@@ -322,10 +307,7 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 		Cost:     core.CostModel{Alpha: m.costAlpha, Beta: m.costBeta},
 		Probes:   max(m.probes, probes),
 	}
-	if c.store != nil {
-		cfg.Store = c.store(m)
-	}
-	ix, err := core.Restore(points, lt, cfg)
+	ix, err := core.Restore(store, lt, cfg)
 	if err != nil {
 		return nil, nil, corrupt("restoring index: %v", err)
 	}

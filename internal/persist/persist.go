@@ -97,7 +97,6 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,6 +105,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 
 	"repro/internal/pointstore"
@@ -245,6 +245,11 @@ func readHeader(r io.Reader) (kind byte, err error) {
 
 // writeSection frames one payload: tag, length, bytes, CRC32.
 func writeSection(w io.Writer, tag string, payload []byte) error {
+	return writeFramed(w, tag, payload, crc32.ChecksumIEEE(payload))
+}
+
+// writeFramed frames one payload whose CRC32 the caller computed.
+func writeFramed(w io.Writer, tag string, payload []byte, crc uint32) error {
 	if len(tag) != 4 {
 		panic("persist: section tag must be 4 bytes")
 	}
@@ -257,9 +262,9 @@ func writeSection(w io.Writer, tag string, payload []byte) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(crc[:])
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc)
+	_, err := w.Write(sum[:])
 	return err
 }
 
@@ -284,10 +289,12 @@ func (s *sectionStream) peek() (string, error) {
 }
 
 // read reads the next section, requires its tag to be wantTag, verifies
-// the CRC and returns the payload. The payload is read incrementally
-// (io.CopyN into a growing buffer), so a truncated file that claims a
-// huge length never causes a huge allocation.
-func (s *sectionStream) read(wantTag string) ([]byte, error) {
+// the CRC and returns the payload.
+func (s *sectionStream) read(wantTag string) ([]byte, error) { return s.readInto(wantTag, nil) }
+
+// readInto is read with the payload in buf's storage when it has room
+// for it.
+func (s *sectionStream) readInto(wantTag string, buf []byte) ([]byte, error) {
 	tag, err := s.peek()
 	if err != nil {
 		return nil, err
@@ -297,22 +304,49 @@ func (s *sectionStream) read(wantTag string) ([]byte, error) {
 		return nil, corrupt("section %q where %q was expected", tag, wantTag)
 	}
 	n := binary.LittleEndian.Uint64(s.hdr[4:])
-	if n > maxSectionLen {
-		return nil, corrupt("section %q claims %d bytes, cap is %d", tag, n, int64(maxSectionLen))
+	if n > maxSectionLen || n > math.MaxInt {
+		return nil, corrupt("section %q claims %d bytes, cap is %d", tag, n, int64(min(maxSectionLen, math.MaxInt)))
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, s.r, int64(n)); err != nil {
+	payload, err := readPayload(s.r, int(n), buf)
+	if err != nil {
 		return nil, corrupt("truncated section %q (%v)", tag, err)
 	}
 	var crc [4]byte
 	if _, err := io.ReadFull(s.r, crc[:]); err != nil {
 		return nil, corrupt("truncated section %q checksum (%v)", tag, err)
 	}
-	payload := buf.Bytes()
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, corrupt("section %q checksum mismatch (got %08x, want %08x)", tag, got, want)
 	}
 	return payload, nil
+}
+
+// readChunk is the most a payload read allocates ahead of the bytes that
+// have arrived.
+const readChunk = 1 << 20
+
+// readPayload reads an n-byte payload from r, into buf when it has room,
+// otherwise into a buffer of its own. A payload up to readChunk long is
+// read into a buffer of its exact length; a longer one first fills
+// readChunk bytes, and the buffer doubles only as the bytes arrive, so a
+// truncated stream that claims a huge length never causes a huge
+// allocation.
+func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf = make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		k, err := io.ReadFull(r, buf[got:])
+		if got += k; err != nil || got == n {
+			return buf, err
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // optional returns a decoder over the payload of the section tag when it
@@ -393,6 +427,14 @@ func writeQuantSection(w io.Writer, mode pointstore.Mode) error {
 // enc accumulates a section payload.
 type enc struct{ b []byte }
 
+// grow extends the payload by n bytes and returns them, for a caller
+// that knows a part's length before writing it in place.
+func (e *enc) grow(n int) []byte {
+	at := len(e.b)
+	e.b = slices.Grow(e.b, n)[:at+n]
+	return e.b[at:]
+}
+
 func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -441,6 +483,16 @@ func (d *dec) need(n int) bool {
 		return false
 	}
 	return true
+}
+
+// take consumes the next n bytes and returns them (nil, failing the
+// decoder, when they are not present).
+func (d *dec) take(n int) []byte {
+	if !d.need(n) {
+		return nil
+	}
+	d.off += n
+	return d.b[d.off-n : d.off]
 }
 
 func (d *dec) u8() uint8 {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distance"
 	"repro/internal/lsh"
+	"repro/internal/pointstore"
 	"repro/internal/rng"
 	"repro/internal/vector"
 )
@@ -408,6 +409,39 @@ func checkOverlayBytes[P any](t *testing.T, name, metric string, st *core.Index[
 // MB/s is snapshot bytes per second; the points section is a plain copy,
 // so the tables' key order and encoding set the rate.
 func BenchmarkKernelSnapshotWrite(b *testing.B) {
+	ix := denseShard(b)
+	size, err := Write(io.Discard, MetricL2, ix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	for b.Loop() {
+		if _, err := Write(io.Discard, MetricL2, ix); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkKernelSnapshotRead loads the snapshot BenchmarkKernelSnapshotWrite
+// writes: MB/s is snapshot bytes per second, B/op what one load
+// allocates (the loaded index itself included).
+func BenchmarkKernelSnapshotRead(b *testing.B) {
+	var buf bytes.Buffer
+	if _, err := Write(&buf, MetricL2, denseShard(b)); err != nil {
+		b.Fatal(err)
+	}
+	snap := buf.Bytes()
+	b.SetBytes(int64(len(snap)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := Read[vector.Dense](bytes.NewReader(snap), MetricL2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// denseShard builds the snapshot benchmarks' dense128-batch-shaped shard.
+func denseShard(b *testing.B) *core.Index[vector.Dense] {
 	const n, dim, clusters = 8192, 128, 64
 	r := rng.New(7)
 	centres := denseData(clusters, dim, 8)
@@ -428,18 +462,10 @@ func BenchmarkKernelSnapshotWrite(b *testing.B) {
 		L:            50,
 		HLLRegisters: 128,
 		Seed:         7,
+		Store:        pointstore.DenseL2Builder(pointstore.ModeOff),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	size, err := Write(io.Discard, MetricL2, ix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(size)
-	for b.Loop() {
-		if _, err := Write(io.Discard, MetricL2, ix); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return ix
 }

@@ -48,7 +48,8 @@ func NewFlatBinary(points []vector.Binary) (*FlatBinary, error) {
 	if len(points) > 0 {
 		dim = points[0].Dim
 	}
-	s := &FlatBinary{dim: dim, wpr: (dim + 63) / 64, n: len(points)}
+	s := EmptyFlatBinary(dim)
+	s.n = len(points)
 	s.words = make([]uint64, 0, s.n*s.wpr)
 	for i, p := range points {
 		if p.Dim != dim {
@@ -56,6 +57,19 @@ func NewFlatBinary(points []vector.Binary) (*FlatBinary, error) {
 		}
 		s.words = append(s.words, p.Words...)
 	}
+	return s, nil
+}
+
+// AdoptFlatBinary returns a store of dim-bit points that takes
+// ownership of words, their rows back to back (a snapshot decoder's
+// points section, the bits beyond dim clear), instead of copying it: the
+// caller must not use words afterwards.
+func AdoptFlatBinary(words []uint64, dim int) (*FlatBinary, error) {
+	s := EmptyFlatBinary(dim)
+	if dim < 1 || len(words)%s.wpr != 0 {
+		return nil, fmt.Errorf("pointstore: %d words are no whole number of %d-bit rows", len(words), dim)
+	}
+	s.n, s.words = len(words)/s.wpr, words
 	return s, nil
 }
 

@@ -79,18 +79,34 @@ func NewFlatL2(points []vector.Dense, mode Mode) (*FlatL2, error) {
 	if len(points) > 0 {
 		dim = len(points[0])
 	}
-	s := &FlatL2{dim: dim, n: len(points), flat: make([]float32, 0, len(points)*dim)}
+	flat := make([]float32, 0, len(points)*dim)
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("pointstore: point %d has dim %d, want %d", i, len(p), dim)
 		}
-		s.flat = append(s.flat, p...)
+		flat = append(flat, p...)
 	}
+	return adoptFlatL2(flat, len(points), dim, mode), nil
+}
+
+// AdoptFlatL2 returns a store of dim-dimensional points that takes
+// ownership of flat, their rows back to back (a snapshot decoder's
+// points section), instead of copying it: the caller must not use flat
+// afterwards.
+func AdoptFlatL2(flat []float32, dim int, mode Mode) (*FlatL2, error) {
+	if dim < 1 || len(flat)%dim != 0 {
+		return nil, fmt.Errorf("pointstore: %d floats are no whole number of %d-dimensional rows", len(flat), dim)
+	}
+	return adoptFlatL2(flat, len(flat)/dim, dim, mode), nil
+}
+
+func adoptFlatL2(flat []float32, n, dim int, mode Mode) *FlatL2 {
+	s := &FlatL2{dim: dim, n: n, flat: flat}
 	if mode == ModeSQ8 {
 		s.q = &sq8{}
 		s.q.fit(s.flat, s.n, s.dim)
 	}
-	return s, nil
+	return s
 }
 
 // fit computes the per-dimension min/max over flat, the affine scales,

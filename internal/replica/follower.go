@@ -54,6 +54,8 @@ type Follower[P any] struct {
 	polls      atomic.Int64
 	applied    atomic.Int64
 	rehydrates atomic.Int64
+	// The latest hydration's decode, as the snapshot streamed in.
+	loadNanos, loadBytes atomic.Int64
 }
 
 // NewFollower prepares a follower for a source serving the given persist
@@ -91,6 +93,13 @@ func (f *Follower[P]) Cursor() (epoch, seq uint64) {
 // Rehydrates returns how many times the follower threw its state away
 // and hydrated from scratch (the first Hydrate counts).
 func (f *Follower[P]) Rehydrates() int64 { return f.rehydrates.Load() }
+
+// LastLoad returns how long the latest successful hydration took to
+// decode its snapshot as it streamed in, and how many bytes it read
+// (zero before the first).
+func (f *Follower[P]) LastLoad() (time.Duration, int64) {
+	return time.Duration(f.loadNanos.Load()), f.loadBytes.Load()
+}
 
 // Applied returns the total frames applied since construction.
 func (f *Follower[P]) Applied() int64 { return f.applied.Load() }
@@ -140,10 +149,14 @@ func (f *Follower[P]) Hydrate(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("replica: snapshot response lacks %s", HeaderSeq)
 	}
-	sh, meta, err := persist.ReadSharded[P](io.LimitReader(resp.Body, maxSnapshotBytes), f.metric)
+	body := &countingReader{r: io.LimitReader(resp.Body, maxSnapshotBytes)}
+	t0 := time.Now()
+	sh, meta, err := persist.ReadSharded[P](body, f.metric)
 	if err != nil {
 		return fmt.Errorf("replica: snapshot decode: %w", err)
 	}
+	f.loadNanos.Store(int64(time.Since(t0)))
+	f.loadBytes.Store(body.n)
 	sh.SetAutoCompact(1) // >= 1 disables; replays drive compaction
 
 	f.metaMu.Lock()
@@ -303,4 +316,16 @@ func Apply[P any](sh *shard.Sharded[P], f persist.DeltaFrame[P]) error {
 		return err
 	}
 	return fmt.Errorf("replica: unknown delta frame kind %d", f.Kind)
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

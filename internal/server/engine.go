@@ -71,6 +71,10 @@ type backend interface {
 	// releaseFollower detaches the follower's converged store for
 	// promotion and pins it as the serving index.
 	releaseFollower() error
+	// lastLoad is the duration and size of the latest snapshot load: the
+	// -snapshot or -hydrate file the node booted from, or its latest
+	// hydration from a writer (zero for a built index).
+	lastLoad() (time.Duration, int64)
 	enableCache(entries int) error
 }
 
@@ -144,7 +148,11 @@ func (k pointKind[P]) boot(cfg *Config) (backend, follower, string, error) {
 	if cfg.Hydrate != "" {
 		path = cfg.Hydrate
 	}
-	sh, err := k.read(cfg, path)
+	t0 := time.Now()
+	sh, size, err := k.read(cfg, path)
+	if sh != nil {
+		e.loadTime, e.loadBytes = time.Since(t0), size
+	}
 	switch {
 	case err != nil:
 		return nil, nil, "", err
@@ -166,28 +174,33 @@ func (k pointKind[P]) boot(cfg *Config) (backend, follower, string, error) {
 }
 
 // read decodes the snapshot at path when one is named and the file
-// exists, returning (nil, nil) otherwise. The -metric flag must match the
-// file — the reader rejects a snapshot of a different metric.
-func (k pointKind[P]) read(cfg *Config, path string) (*shard.Sharded[P], error) {
+// exists, returning it with the file's size, and (nil, 0, nil) otherwise.
+// The -metric flag must match the file — the reader rejects a snapshot
+// of a different metric.
+func (k pointKind[P]) read(cfg *Config, path string) (*shard.Sharded[P], int64, error) {
 	if path == "" {
-		return nil, nil
+		return nil, 0, nil
 	}
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
 	sh, m, err := persist.ReadSharded[P](bufio.NewReaderSize(f, 1<<20), k.metric.String())
 	if err == nil {
 		err = cfg.adopt(m)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("loading %s: %w", path, err)
+		return nil, 0, fmt.Errorf("loading %s: %w", path, err)
 	}
-	return sh, nil
+	return sh, fi.Size(), nil
 }
 
 func parseDense(raw json.RawMessage, dim int) (hybridlsh.Dense, error) {
@@ -257,6 +270,9 @@ type engine[P any] struct {
 	follower     *replica.Follower[P]
 	pointKind[P]     // the metric's persist identifier, cache key and parsers
 	dim          int // what every request point is checked against
+	// loadTime and loadBytes describe the file the node booted from.
+	loadTime  time.Duration
+	loadBytes int64
 	// onPoints, when set, sees every request's points on their way to the
 	// store (FuzzPointDecoders records them there).
 	onPoints func([]P)
@@ -446,6 +462,13 @@ func (e *engine[P]) streamSnapshot(w io.Writer) (int64, error) {
 		err = bw.Flush()
 	}
 	return n, err
+}
+
+func (e *engine[P]) lastLoad() (time.Duration, int64) {
+	if e.follower != nil {
+		return e.follower.LastLoad()
+	}
+	return e.loadTime, e.loadBytes
 }
 
 func (e *engine[P]) installJournal(l *replica.Log) {

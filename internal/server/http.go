@@ -48,6 +48,9 @@ type Server struct {
 	metrics   *obs.ServerMetrics
 	sampled   atomic.Int64
 	recalTick atomic.Int64
+	// writeNanos and writeBytes describe the latest snapshot the node
+	// wrote (writeSnapshot).
+	writeNanos, writeBytes atomic.Int64
 }
 
 // New validates cfg and boots the node it describes: the index is loaded
@@ -397,7 +400,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// the file into. On any error the WAL stays whole.
 	covered := ro.log.Seq() // mutating admitted the request, so this is a writer role
 	t0 := time.Now()
-	n, err := persist.WriteFileAtomic(path, s.be.streamSnapshot)
+	n, err := persist.WriteFileAtomic(path, s.writeSnapshot)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

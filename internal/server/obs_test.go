@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -413,4 +414,87 @@ func startServerKeep(t *testing.T, cfg Config) keptServer {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	return keptServer{s: s, srv: srv}
+}
+
+// TestRecordAllocatesNothing holds the record path — latency window,
+// query metrics, the drift loop's tick — to zero allocations per
+// answered query: no step on it copies a window or walks the shards per
+// query. It is the clock-free form of what the serve experiment's
+// instrumented-vs-bare overhead measures.
+func TestRecordAllocatesNothing(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector allocates")
+	}
+	s, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	point, _ := json.Marshal(make([]float64, testConfig().Dim))
+	res, err := s.Query(point, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record(res)
+	if got := testing.AllocsPerRun(1000, func() { s.Record(res) }); got != 0 {
+		t.Errorf("Record allocates %.0f times per answered query, want 0", got)
+	}
+}
+
+// TestSnapshotMetrics drives every snapshot load and write a node does
+// and reads the four set-up gauges back from /metrics: a built node has
+// loaded nothing; POST /snapshot and the GET /snapshot feed set the
+// writer's write gauges to the bytes they wrote; a -snapshot boot and a
+// hydration set the load gauges to the bytes they read.
+func TestSnapshotMetrics(t *testing.T) {
+	gauges := func(url string) (loadS, loadB, writeS, writeB float64) {
+		t.Helper()
+		exp := scrapeMetrics(t, url)
+		v := func(name string) float64 {
+			x, ok := exp.Value(name, nil)
+			if !ok {
+				t.Fatalf("%s missing from /metrics", name)
+			}
+			return x
+		}
+		return v("hybridlsh_snapshot_load_seconds"), v("hybridlsh_snapshot_load_bytes"),
+			v("hybridlsh_snapshot_write_seconds"), v("hybridlsh_snapshot_write_bytes")
+	}
+	cfg := testConfig()
+	cfg.Snapshot = filepath.Join(t.TempDir(), "index.snap")
+	writer := startServer(t, cfg)
+	if ls, lb, ws, wb := gauges(writer.URL); ls != 0 || lb != 0 || ws != 0 || wb != 0 {
+		t.Fatalf("built node: load %vs %vB, write %vs %vB; want all 0", ls, lb, ws, wb)
+	}
+
+	var snap struct {
+		Bytes int64 `json:"bytes"`
+	}
+	post(t, writer.URL+"/snapshot", nil, http.StatusOK, &snap)
+	fi, err := os.Stat(cfg.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Bytes != fi.Size() {
+		t.Fatalf("POST /snapshot reports %d bytes, the file holds %d", snap.Bytes, fi.Size())
+	}
+	if _, _, ws, wb := gauges(writer.URL); ws <= 0 || wb != float64(fi.Size()) {
+		t.Fatalf("after POST /snapshot: write %vs %vB, want > 0 s and %d B", ws, wb, fi.Size())
+	}
+
+	warm := startServer(t, cfg)
+	if ls, lb, ws, wb := gauges(warm.URL); ls <= 0 || lb != float64(fi.Size()) || ws != 0 || wb != 0 {
+		t.Fatalf("-snapshot boot: load %vs %vB, write %vs %vB; want > 0 s and %d B loaded, nothing written", ls, lb, ws, wb, fi.Size())
+	}
+
+	// The writer appends, so the feed the follower hydrates from is a
+	// snapshot of another size than the file.
+	post(t, writer.URL+"/append", map[string]any{"points": [][]float64{make([]float64, cfg.Dim)}}, http.StatusOK, nil)
+	rcfg := testConfig()
+	rcfg.Hydrate = writer.URL
+	_, rep := startReplicaServer(t, rcfg)
+	ls, lb, _, _ := gauges(rep.URL)
+	_, _, ws, wb := gauges(writer.URL)
+	if ls <= 0 || lb <= 0 || lb == float64(fi.Size()) || lb != wb || ws <= 0 {
+		t.Fatalf("hydration: follower loaded %vs %vB, writer fed %vs %vB (file %d B); want the fed bytes loaded", ls, lb, ws, wb, fi.Size())
+	}
 }

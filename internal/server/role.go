@@ -150,7 +150,7 @@ func (s *Server) becomeWriter(from *role) (*role, error) {
 	// Installed after any WAL replay, so replayed frames are never
 	// re-journaled.
 	s.be.installJournal(dlog)
-	w := &role{log: dlog, wal: wal, source: &replica.Source{Log: dlog, WriteSnapshot: s.be.streamSnapshot}}
+	w := &role{log: dlog, wal: wal, source: &replica.Source{Log: dlog, WriteSnapshot: s.writeSnapshot}}
 	if cfg.Recalibrate == "auto" {
 		w.recal = obs.NewRecalibrator(s.reg, s.metrics.Drift,
 			func() core.CostModel { return s.be.store().Cost() },

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"log"
 	"net/http"
 	"time"
@@ -89,6 +90,34 @@ func (s *Server) registerMetrics() {
 	s.reg.NewGaugeFunc("hybridlsh_wal_last_seq",
 		"Highest sequence number durably appended to the WAL (0 without -waldir).",
 		walStat(func(ws replica.WALStats) float64 { return float64(ws.LastSeq) }))
+	// Set-up cost: the latest snapshot load (boot from -snapshot or a
+	// -hydrate file, hydration and re-hydration from a writer) and write
+	// (POST /snapshot, the GET /snapshot feed).
+	s.reg.NewGaugeFunc("hybridlsh_snapshot_load_seconds",
+		"Duration of the latest snapshot load: the -snapshot or -hydrate boot, or the latest (re-)hydration from a writer (0 for a built index).",
+		func() float64 { d, _ := s.be.lastLoad(); return d.Seconds() })
+	s.reg.NewGaugeFunc("hybridlsh_snapshot_load_bytes",
+		"Size of the latest snapshot load (0 for a built index).",
+		func() float64 { _, n := s.be.lastLoad(); return float64(n) })
+	s.reg.NewGaugeFunc("hybridlsh_snapshot_write_seconds",
+		"Duration of the latest snapshot write: POST /snapshot or the GET /snapshot feed (0 before the first).",
+		func() float64 { return time.Duration(s.writeNanos.Load()).Seconds() })
+	s.reg.NewGaugeFunc("hybridlsh_snapshot_write_bytes",
+		"Size of the latest snapshot write (0 before the first).",
+		func() float64 { return float64(s.writeBytes.Load()) })
+}
+
+// writeSnapshot streams the index snapshot to w — the body of POST
+// /snapshot and of the GET /snapshot feed — and records its duration and
+// size for /metrics.
+func (s *Server) writeSnapshot(w io.Writer) (int64, error) {
+	t0 := time.Now()
+	n, err := s.be.streamSnapshot(w)
+	if err == nil {
+		s.writeNanos.Store(int64(time.Since(t0)))
+		s.writeBytes.Store(n)
+	}
+	return n, err
 }
 
 // answered reads the query and per-strategy shard-answer counters off
