@@ -184,7 +184,9 @@ func NewSlab(m, n, nb int, describe func(i int) (key uint64, ids int, sketched b
 	if uint64(total) > math.MaxUint32 {
 		return nil, fmt.Errorf("lsh: %d bucket ids exceed a table's 32-bit offsets", total)
 	}
-	perm := hashOrder(nb, func(i int) uint64 { key, _, _ := describe(i); return key })
+	perm, done := borrow[int32](&permBufs, nb)
+	defer done()
+	hashOrder(perm, func(i int) uint64 { key, _, _ := describe(i); return key })
 	b := newSlabBuilder(m, narrowFor(n), nb, total, sketches)
 	s := &b.s
 	s.narrow, s.wide, s.regs = s.narrow[:cap(s.narrow)], s.wide[:cap(s.wide)], s.regs[:cap(s.regs)]
@@ -237,26 +239,34 @@ func (b *slabBuilder) finish() Slab {
 // emptySlab is a slab with no buckets.
 func emptySlab(m int) Slab { return newSlabBuilder(m, true, 0, 0, 0).finish() }
 
-// hashBufs keeps hashOrder's hash arrays between calls, so that a
-// snapshot load, which orders its tables one after another on each of
-// its workers, allocates no hash array per table: that much more garbage moves the loading node's
-// GC cycles and raises its peak RSS.
-var hashBufs sync.Pool // of *[]uint64
+// hashBufs and permBufs keep hashOrder's hash arrays and NewSlab's
+// bucket orders between calls, so that a snapshot load, which lays its
+// tables out one after another on each of its workers, allocates neither
+// per table: that much more garbage moves the loading node's GC cycles
+// and raises its peak RSS.
+var hashBufs, permBufs sync.Pool // of *[]uint64, *[]int32
 
-// hashOrder returns 0..n-1 in ascending order of Mix64(key(i)), equal
-// keys in index order: each hash is computed once, then the indexes are
-// counting-sorted on the hash's top bits and sorted by hash within each
-// slot.
-func hashOrder(n int, key func(i int) uint64) []int32 {
+// borrow returns n elements of one of p's arrays, whatever they hold,
+// and the call that hands the array back.
+func borrow[T any](p *sync.Pool, n int) ([]T, func()) {
+	buf, _ := p.Get().(*[]T)
+	if buf == nil || cap(*buf) < n {
+		buf = new([]T)
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n], func() { p.Put(buf) }
+}
+
+// hashOrder fills perm with 0..len(perm)-1 in ascending order of
+// Mix64(key(i)), equal keys in index order: each hash is computed once,
+// then the indexes are counting-sorted on the hash's top bits and sorted
+// by hash within each slot.
+func hashOrder(perm []int32, key func(i int) uint64) {
+	n := len(perm)
 	b := max(bits.Len(uint(n))-2, 0)
 	shift := 64 - b
-	buf, _ := hashBufs.Get().(*[]uint64)
-	if buf == nil || cap(*buf) < n {
-		buf = &[]uint64{}
-		*buf = make([]uint64, n)
-	}
-	defer hashBufs.Put(buf)
-	hs := (*buf)[:n]
+	hs, done := borrow[uint64](&hashBufs, n)
+	defer done()
 	next := make([]uint32, 1<<b+1)
 	for i := range hs {
 		hs[i] = hashutil.Mix64(key(i))
@@ -265,7 +275,6 @@ func hashOrder(n int, key func(i int) uint64) []int32 {
 	for i := 1; i < len(next); i++ {
 		next[i] += next[i-1]
 	}
-	perm := make([]int32, n)
 	for i, h := range hs {
 		slot := h >> shift
 		perm[next[slot]] = int32(i)
@@ -280,7 +289,6 @@ func hashOrder(n int, key func(i int) uint64) []int32 {
 		}
 		start = end
 	}
-	return perm
 }
 
 // sketchOf returns the registers of a sketch over ids when the bucket
@@ -303,7 +311,8 @@ func sketchOf(ids []int32, p Params, scratch *hll.Sketch) []uint8 {
 func buildSlab[P any](points []P, h Hasher[P], p Params, norms []float64) Slab {
 	keys := make([]uint64, len(points))
 	keysOf(h, points, keys, &KeyScratch{norms: norms})
-	perm := hashOrder(len(keys), func(i int) uint64 { return keys[i] })
+	perm := make([]int32, len(keys))
+	hashOrder(perm, func(i int) uint64 { return keys[i] })
 	runs := func(yield func(lo, hi int) bool) {
 		for lo := 0; lo < len(perm); {
 			hi := lo + 1

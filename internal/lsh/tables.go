@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -543,40 +544,59 @@ type keyAt struct {
 	at  uint32
 }
 
-// sortKeys sorts s by key, an LSD radix sort through tmp (of len(s)) on
-// the key's 11-bit digits, six passes at most: a digit on which every key
-// agrees is skipped. (Eleven bits sorted a table's keys faster than
-// eight, eight passes, or sixteen, whose counters outgrow the table.) It
-// returns the sorted slice, which is s or tmp.
+// sortKeys sorts s by key through tmp (of len(s)) and returns the sorted
+// slice, which is s or tmp. It is an MSD radix sort on 11-bit digits
+// read from the highest bit on which the keys differ down: one counting
+// pass scatters the keys into 2 048 runs, each of which is sorted by
+// insertion or comparison when it is short and on its next digit
+// otherwise. The
+// hashed keys of most tables spread evenly, so one pass leaves runs of a
+// few keys; keys that share their high bits (bit-sampling keys, covering
+// masks) skip them, and each level of runs agrees on 11 more bits.
 func sortKeys(s, tmp []keyAt) []keyAt {
-	const bits, digits = 11, (64 + 10) / 11
-	if len(s) < 2 {
+	const bits11, tiny, short = 11, 16, 256
+	switch {
+	case len(s) <= tiny:
+		for i := 1; i < len(s); i++ {
+			for j := i; j > 0 && s[j].key < s[j-1].key; j-- {
+				s[j], s[j-1] = s[j-1], s[j]
+			}
+		}
+		return s
+	case len(s) <= short:
+		slices.SortFunc(s, func(a, b keyAt) int { return cmp.Compare(a.key, b.key) })
 		return s
 	}
-	digit := func(key uint64, d int) uint64 { return key >> (bits * d) & (1<<bits - 1) }
-	var count [digits][1 << bits]uint32
+	diff := uint64(0)
+	for _, x := range s[1:] {
+		diff |= x.key ^ s[0].key
+	}
+	if diff == 0 {
+		return s
+	}
+	shift := max(bits.Len64(diff)-bits11, 0)
+	digit := func(key uint64) uint64 { return key >> shift & (1<<bits11 - 1) }
+	var start [1<<bits11 + 1]uint32
 	for _, x := range s {
-		for d := range count {
-			count[d][digit(x.key, d)]++
+		start[digit(x.key)+1]++
+	}
+	for d := 1; d < len(start); d++ {
+		start[d] += start[d-1]
+	}
+	next := start
+	for _, x := range s {
+		d := digit(x.key)
+		tmp[next[d]] = x
+		next[d]++
+	}
+	for d := range 1 << bits11 {
+		if lo, hi := start[d], start[d+1]; hi-lo > 1 {
+			if run := sortKeys(tmp[lo:hi], s[lo:hi]); &run[0] != &tmp[lo] {
+				copy(tmp[lo:hi], run)
+			}
 		}
 	}
-	for d := range count {
-		c := &count[d]
-		if c[digit(s[0].key, d)] == uint32(len(s)) {
-			continue
-		}
-		sum := uint32(0)
-		for v, k := range c {
-			c[v], sum = sum, sum+k
-		}
-		for _, x := range s {
-			v := digit(x.key, d)
-			tmp[c[v]] = x
-			c[v]++
-		}
-		s, tmp = tmp, s
-	}
-	return s
+	return tmp
 }
 
 // Table returns a map view of table j, built on the first call after

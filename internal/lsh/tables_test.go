@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"bytes"
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -626,6 +627,45 @@ func TestBlockKeysLookupMatchesLookupInto(t *testing.T) {
 			want := slices.Clone(tb.LookupInto(q, &ref))
 			if got := tb.LookupKeys(keys, i, b, &s); !sameBuckets(got, want) {
 				t.Fatalf("block of %d, query %d: %d buckets through BlockKeys, %d through LookupInto", b, i, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestSortKeysMatchesSort holds the writer's radix sort to a comparison
+// sort on key sets of every shape it meets: uniform hashed keys, keys
+// below 2^12 (bit-sampling), keys sharing their top 40 bits, keys whose
+// bits are mostly clear, and repeated keys — at sizes around the cut
+// between the comparison and the radix path.
+func TestSortKeysMatchesSort(t *testing.T) {
+	r := rng.New(3)
+	shapes := map[string]func() uint64{
+		"uniform":    r.Uint64,
+		"small":      func() uint64 { return r.Uint64() % (1 << 12) },
+		"shared top": func() uint64 { return 0xabcdef0123<<24 | r.Uint64()%(1<<24) },
+		"sparse":     func() uint64 { return 1<<r.Intn(64) | 1<<r.Intn(64) },
+		"repeated":   func() uint64 { return uint64(r.Intn(40)) << 50 },
+	}
+	for name, draw := range shapes {
+		for _, n := range []int{0, 1, 2, 255, 256, 257, 1000, 20000} {
+			s := make([]keyAt, n)
+			for i := range s {
+				s[i] = keyAt{draw(), uint32(i)}
+			}
+			want := slices.Clone(s)
+			slices.SortStableFunc(want, func(a, b keyAt) int { return cmp.Compare(a.key, b.key) })
+			got := sortKeys(s, make([]keyAt, n))
+			for i := range got {
+				if got[i].key != want[i].key {
+					t.Fatalf("%s, %d keys: position %d holds %#x, want %#x", name, n, i, got[i].key, want[i].key)
+				}
+			}
+			seen := make([]bool, n)
+			for _, x := range got {
+				seen[x.at] = true
+			}
+			if slices.Contains(seen, false) {
+				t.Fatalf("%s, %d keys: a key's position was lost", name, n)
 			}
 		}
 	}

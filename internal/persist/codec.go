@@ -1,10 +1,12 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/distance"
 	"repro/internal/hll"
@@ -41,12 +43,13 @@ type codec[P any] struct {
 	extra       func(fam lsh.Family[P], m *indexMeta) error // harvest w/curve before writing
 	writePoints func(e *enc, m *indexMeta, at func(i int) P) error
 	readPoints  func(d *dec, m *indexMeta) ([]P, error)
-	// readStore, when set, decodes a "pnts" payload straight into the
-	// flat point store a restored index verifies through, which adopts
-	// the decoded rows; the l2 codec honors the decoded "quan" mode here,
-	// so an SQ8 snapshot refits its quantized copy on hydrate. The other
-	// metrics restore the generic store over readPoints' points.
-	readStore   func(d *dec, m *indexMeta) (pointstore.Store[P], error)
+	// readStore, when set, decodes a "pnts" payload, in the parts it
+	// arrived in, straight into the flat point store a restored index
+	// verifies through, which adopts the decoded rows; the l2 codec
+	// honors the decoded "quan" mode here, so an SQ8 snapshot refits its
+	// quantized copy on hydrate. The other metrics restore the generic
+	// store over readPoints' points.
+	readStore   func(parts [][]byte, m *indexMeta) (pointstore.Store[P], error)
 	writeHasher func(e *enc, m *indexMeta, h lsh.Hasher[P]) error
 	readHasher  func(d *dec, m *indexMeta) (lsh.Hasher[P], error)
 }
@@ -140,7 +143,7 @@ func codecFor[P any](metric string) (*codec[P], error) {
 // reconstructed by newFam).
 func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 	newFam func(dim int, w float64) *lsh.PStable) *codec[vector.Dense] {
-	var readStore func(d *dec, m *indexMeta) (pointstore.Store[vector.Dense], error)
+	var readStore func(parts [][]byte, m *indexMeta) (pointstore.Store[vector.Dense], error)
 	if metric == MetricL2 {
 		readStore = readFlatL2 // the flat kernels compute squared L2
 	}
@@ -167,13 +170,18 @@ func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 	}
 }
 
-// store decodes a "pnts" payload into a restored index's point store.
-func (c *codec[P]) store(d *dec, m *indexMeta) (pointstore.Store[P], error) {
+// store decodes a "pnts" payload, in the parts it arrived in, into a
+// restored index's point store.
+func (c *codec[P]) store(parts [][]byte, m *indexMeta) (pointstore.Store[P], error) {
 	if c.readStore != nil {
-		return c.readStore(d, m)
+		return c.readStore(parts, m)
 	}
+	d := &dec{b: bytes.Join(parts, nil)}
 	pts, err := c.readPoints(d, m)
 	if err != nil {
+		return nil, err
+	}
+	if err := d.done("pnts"); err != nil {
 		return nil, err
 	}
 	return pointstore.NewGeneric(pts, c.dist), nil
@@ -181,22 +189,36 @@ func (c *codec[P]) store(d *dec, m *indexMeta) (pointstore.Store[P], error) {
 
 // readFlatL2 decodes dense points into the l2 flat store, which adopts
 // the decoded rows.
-func readFlatL2(d *dec, m *indexMeta) (pointstore.Store[vector.Dense], error) {
-	flat, err := readDenseRows(d, m)
-	if err != nil {
+func readFlatL2(parts [][]byte, m *indexMeta) (pointstore.Store[vector.Dense], error) {
+	if err := holds(parts, 4*uint64(m.n)*uint64(m.dim), "dense points"); err != nil {
 		return nil, err
 	}
-	return pointstore.AdoptFlatL2(flat, m.dim, m.quant)
+	return pointstore.AdoptFlatL2(denseRows(parts, m), m.dim, m.quant)
 }
 
 // readFlatBinary decodes binary points into the Hamming flat store,
 // which adopts the decoded rows.
-func readFlatBinary(d *dec, m *indexMeta) (pointstore.Store[vector.Binary], error) {
-	words, err := readBinaryRows(d, m)
-	if err != nil {
+func readFlatBinary(parts [][]byte, m *indexMeta) (pointstore.Store[vector.Binary], error) {
+	if err := holds(parts, 8*uint64(m.n)*uint64((m.dim+63)/64), "binary points"); err != nil {
 		return nil, err
 	}
-	return pointstore.AdoptFlatBinary(words, m.dim)
+	return pointstore.AdoptFlatBinary(binaryRows(parts, m), m.dim)
+}
+
+// holds checks that a points payload's parts hold exactly the size
+// bytes its n points take.
+func holds(parts [][]byte, size uint64, what string) error {
+	got := uint64(0)
+	for _, p := range parts {
+		got += uint64(len(p))
+	}
+	switch {
+	case got < size:
+		return corrupt("%d bytes of %s exceed the %d payload bytes", size, what, got)
+	case got > size:
+		return corrupt("section %q has %d trailing bytes", "pnts", got-size)
+	}
+	return nil
 }
 
 // ---- point encodings ----
@@ -214,23 +236,25 @@ func writeDensePoints(e *enc, m *indexMeta, at func(i int) vector.Dense) error {
 	return nil
 }
 
-// readDenseRows decodes the n × dim floats of a dense points payload
-// into one array, the rows back to back.
-func readDenseRows(d *dec, m *indexMeta) ([]float32, error) {
+// denseRows decodes the n × dim floats of a dense points payload into
+// one array, the rows back to back, from parts that hold exactly their
+// bytes, each a multiple of 4 long.
+func denseRows(parts [][]byte, m *indexMeta) []float32 {
+	flat := make([]float32, m.n*m.dim)
+	k := 0
+	for _, p := range parts {
+		getFloats(flat[k:k+len(p)/4], p)
+		k += len(p) / 4
+	}
+	return flat
+}
+
+func readDensePoints(d *dec, m *indexMeta) ([]vector.Dense, error) {
 	total := uint64(m.n) * uint64(m.dim)
 	if total*4 > uint64(d.rem()) {
 		return nil, corrupt("%d dense points of dim %d exceed the %d payload bytes", m.n, m.dim, d.rem())
 	}
-	flat := make([]float32, int(total))
-	getFloats(flat, d.take(4*len(flat)))
-	return flat, nil
-}
-
-func readDensePoints(d *dec, m *indexMeta) ([]vector.Dense, error) {
-	flat, err := readDenseRows(d, m)
-	if err != nil {
-		return nil, err
-	}
+	flat := denseRows([][]byte{d.take(4 * int(total))}, m)
 	pts := make([]vector.Dense, m.n)
 	for i := range pts {
 		pts[i] = vector.Dense(flat[i*m.dim : (i+1)*m.dim : (i+1)*m.dim])
@@ -322,37 +346,36 @@ func writeBinaryPoints(e *enc, m *indexMeta, at func(i int) vector.Binary) error
 	return nil
 }
 
-// readBinaryRows decodes the n rows of a binary points payload into one
-// word array, the rows back to back.
-func readBinaryRows(d *dec, m *indexMeta) ([]uint64, error) {
+// binaryRows decodes the n rows of a binary points payload into one word
+// array, the rows back to back, from parts that hold exactly their
+// bytes, each a multiple of 8 long. The bits beyond dim in each row's
+// trailing word are cleared, so PopCount and Hamming over adversarial
+// input match what SetBit could produce.
+func binaryRows(parts [][]byte, m *indexMeta) []uint64 {
+	words := (m.dim + 63) / 64
+	rows := make([]uint64, m.n*words)
+	k := 0
+	for _, p := range parts {
+		for i := range len(p) / 8 {
+			rows[k+i] = binary.LittleEndian.Uint64(p[8*i:])
+		}
+		k += len(p) / 8
+	}
+	if r := uint(m.dim) % 64; r != 0 {
+		for i := words - 1; i < len(rows); i += words {
+			rows[i] &= 1<<r - 1
+		}
+	}
+	return rows
+}
+
+func readBinaryPoints(d *dec, m *indexMeta) ([]vector.Binary, error) {
 	words := (m.dim + 63) / 64
 	total := uint64(m.n) * uint64(words)
 	if total*8 > uint64(d.rem()) {
 		return nil, corrupt("%d binary points of %d words exceed the %d payload bytes", m.n, words, d.rem())
 	}
-	// Mask the bits beyond dim in each trailing word so PopCount and
-	// Hamming over adversarial input match what SetBit could produce.
-	tailMask := ^uint64(0)
-	if r := uint(m.dim) % 64; r != 0 {
-		tailMask = 1<<r - 1
-	}
-	rows := make([]uint64, int(total))
-	src := d.take(8 * len(rows))
-	for k := range rows {
-		rows[k] = binary.LittleEndian.Uint64(src[8*k:])
-	}
-	for i := words - 1; i < len(rows); i += words {
-		rows[i] &= tailMask
-	}
-	return rows, nil
-}
-
-func readBinaryPoints(d *dec, m *indexMeta) ([]vector.Binary, error) {
-	rows, err := readBinaryRows(d, m)
-	if err != nil {
-		return nil, err
-	}
-	words := (m.dim + 63) / 64
+	rows := binaryRows([][]byte{d.take(8 * int(total))}, m)
 	pts := make([]vector.Binary, m.n)
 	for i := range pts {
 		pts[i] = vector.Binary{Dim: m.dim, Words: rows[i*words : (i+1)*words : (i+1)*words]}
@@ -642,6 +665,22 @@ func getIDs[D lsh.ID](ids []D, src []byte, n int) int {
 	return -1
 }
 
+// startBufs keeps readBuckets' bucket offsets between tables, so that a
+// load, which decodes its tables one after another on each worker,
+// allocates none per table.
+var startBufs sync.Pool // of *[]int
+
+// bucketStarts returns an array of n offsets and the call that hands it
+// back.
+func bucketStarts(n int) ([]int, func()) {
+	buf, _ := startBufs.Get().(*[]int)
+	if buf == nil || cap(*buf) < n {
+		buf = new([]int)
+		*buf = make([]int, n)
+	}
+	return (*buf)[:n], func() { startBufs.Put(buf) }
+}
+
 // readBuckets decodes one table's buckets, in any key order, into a
 // frozen slab of the width n picks, in two passes over the payload. The
 // first checks the framing — counts, sketch flags, every stored sketch's
@@ -655,7 +694,8 @@ func readBuckets(d *dec, m *indexMeta) (*lsh.Slab, error) {
 		return nil, d.err
 	}
 	mreg := m.params.HLLRegisters
-	at := make([]int, nb)
+	at, done := bucketStarts(nb)
+	defer done()
 	for i := range at {
 		at[i] = d.off
 		d.u64() // the key

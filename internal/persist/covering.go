@@ -154,16 +154,12 @@ func readCoveringBody(ss *sectionStream) (*core.Index[vector.Binary], *coverMeta
 		return nil, nil, err
 	}
 	im := cm.im()
-	payload, err := ss.read("pnts")
+	parts, err := ss.readParts("pnts", nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &dec{b: payload}
-	store, err := readFlatBinary(d, im)
+	store, err := readFlatBinary(parts, im)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := d.done("pnts"); err != nil {
 		return nil, nil, err
 	}
 	slabs := make([]*lsh.Slab, covering.NumTables(cm.phi.Radius))

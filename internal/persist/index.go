@@ -264,16 +264,12 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], probes int) (*core.Ind
 		return nil, nil, corrupt("metric %q snapshot carries a %q quantization section (only %s supports one)", m.metric, m.quant, MetricL2)
 	}
 
-	payload, err = ss.read("pnts")
+	parts, err := ss.readParts("pnts", nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &dec{b: payload}
-	store, err := c.store(d, m)
+	store, err := c.store(parts, m)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := d.done("pnts"); err != nil {
 		return nil, nil, err
 	}
 

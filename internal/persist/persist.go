@@ -97,6 +97,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -295,6 +296,20 @@ func (s *sectionStream) read(wantTag string) ([]byte, error) { return s.readInto
 // readInto is read with the payload in buf's storage when it has room
 // for it.
 func (s *sectionStream) readInto(wantTag string, buf []byte) ([]byte, error) {
+	parts, err := s.readParts(wantTag, buf)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(parts) == 1:
+		return parts[0], nil
+	}
+	return bytes.Join(parts, nil), nil
+}
+
+// readParts is readInto with a payload longer than buf's room left in
+// the parts it arrived in (readPayload), for a caller that decodes them
+// where they lie.
+func (s *sectionStream) readParts(wantTag string, buf []byte) ([][]byte, error) {
 	tag, err := s.peek()
 	if err != nil {
 		return nil, err
@@ -307,7 +322,7 @@ func (s *sectionStream) readInto(wantTag string, buf []byte) ([]byte, error) {
 	if n > maxSectionLen || n > math.MaxInt {
 		return nil, corrupt("section %q claims %d bytes, cap is %d", tag, n, int64(min(maxSectionLen, math.MaxInt)))
 	}
-	payload, err := readPayload(s.r, int(n), buf)
+	parts, err := readPayload(s.r, int(n), buf)
 	if err != nil {
 		return nil, corrupt("truncated section %q (%v)", tag, err)
 	}
@@ -315,38 +330,42 @@ func (s *sectionStream) readInto(wantTag string, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(s.r, crc[:]); err != nil {
 		return nil, corrupt("truncated section %q checksum (%v)", tag, err)
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crc[:]); got != want {
+	got := uint32(0)
+	for _, p := range parts {
+		got = crc32.Update(got, crc32.IEEETable, p)
+	}
+	if want := binary.LittleEndian.Uint32(crc[:]); got != want {
 		return nil, corrupt("section %q checksum mismatch (got %08x, want %08x)", tag, got, want)
 	}
-	return payload, nil
+	return parts, nil
 }
 
 // readChunk is the most a payload read allocates ahead of the bytes that
 // have arrived.
 const readChunk = 1 << 20
 
-// readPayload reads an n-byte payload from r, into buf when it has room,
-// otherwise into a buffer of its own. A payload up to readChunk long is
-// read into a buffer of its exact length; a longer one first fills
-// readChunk bytes, and the buffer doubles only as the bytes arrive, so a
-// truncated stream that claims a huge length never causes a huge
-// allocation.
-func readPayload(r io.Reader, n int, buf []byte) ([]byte, error) {
+// readPayload reads an n-byte payload from r: into buf when it has room,
+// as one part of its exact length when it is at most readChunk long, and
+// otherwise into parts of readChunk, 2·readChunk, 4·readChunk … bytes.
+// Each part is allocated when the bytes before it have arrived and is
+// at most twice as long as they are, so a truncated stream that claims a
+// huge length never causes a huge allocation, and no byte is copied
+// twice. Every part but the last is a multiple of 8 bytes long.
+func readPayload(r io.Reader, n int, buf []byte) ([][]byte, error) {
 	if cap(buf) >= n {
 		buf = buf[:n]
 		_, err := io.ReadFull(r, buf)
-		return buf, err
+		return [][]byte{buf}, err
 	}
-	buf = make([]byte, min(n, readChunk))
-	for got := 0; ; {
-		k, err := io.ReadFull(r, buf[got:])
-		if got += k; err != nil || got == n {
-			return buf, err
+	var parts [][]byte
+	for size := readChunk; n > 0; size *= 2 {
+		p := make([]byte, min(n, size))
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
 		}
-		grown := make([]byte, min(n, 2*len(buf)))
-		copy(grown, buf)
-		buf = grown
+		parts, n = append(parts, p), n-len(p)
 	}
+	return parts, nil
 }
 
 // optional returns a decoder over the payload of the section tag when it

@@ -202,22 +202,28 @@ func TestTruncatedSectionAllocatesWhatArrives(t *testing.T) {
 
 // TestReadPayloadCopiesOnce: a payload that fits a recycled buffer is
 // read into it; a short one gets a buffer of its exact length; a long
-// one grows with the bytes that arrive and arrives whole.
+// one arrives whole in parts that double, each a multiple of 8 bytes
+// but the last.
 func TestReadPayloadCopiesOnce(t *testing.T) {
 	data := make([]byte, 5*readChunk+17)
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
 	buf := make([]byte, 0, 100)
-	got, err := readPayload(bytes.NewReader(data), 100, buf)
-	if err != nil || &got[0] != &buf[:1][0] || !bytes.Equal(got, data[:100]) {
-		t.Fatalf("a payload that fits the buffer: err %v, reused %v", err, &got[0] == &buf[:1][0])
+	parts, err := readPayload(bytes.NewReader(data), 100, buf)
+	if err != nil || len(parts) != 1 || &parts[0][0] != &buf[:1][0] || !bytes.Equal(parts[0], data[:100]) {
+		t.Fatalf("a payload that fits the buffer: err %v, %d parts", err, len(parts))
 	}
-	if got, err = readPayload(bytes.NewReader(data), 1000, buf); err != nil || cap(got) != 1000 || !bytes.Equal(got, data[:1000]) {
-		t.Fatalf("a short payload: err %v, cap %d", err, cap(got))
+	if parts, err = readPayload(bytes.NewReader(data), 1000, buf); err != nil || len(parts) != 1 || cap(parts[0]) != 1000 || !bytes.Equal(parts[0], data[:1000]) {
+		t.Fatalf("a short payload: err %v, %d parts", err, len(parts))
 	}
-	if got, err = readPayload(bytes.NewReader(data), len(data), nil); err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("a long payload: err %v, %d bytes", err, len(got))
+	if parts, err = readPayload(bytes.NewReader(data), len(data), nil); err != nil || !bytes.Equal(bytes.Join(parts, nil), data) {
+		t.Fatalf("a long payload: err %v, %d parts", err, len(parts))
+	}
+	for i, p := range parts {
+		if want := min(readChunk<<i, len(data)-(1<<i-1)*readChunk); len(p) != want {
+			t.Fatalf("part %d holds %d bytes, want %d", i, len(p), want)
+		}
 	}
 	if _, err = readPayload(bytes.NewReader(data), len(data)+1, nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("a truncated payload: err %v", err)
