@@ -115,9 +115,9 @@ func (s *Slab) bucket(i int) Bucket {
 }
 
 // A slabBuilder collects one table's buckets in hash order, sized up
-// front so that every array is allocated once at its final length (add,
-// finish): Build, Compact and the snapshot decoder's NewSlab all lay
-// their slabs out through it.
+// front so that every array is allocated once at its final length
+// (addIDs, finish): Build, Compact and NewSlab all lay their slabs out
+// through it.
 type slabBuilder struct{ s Slab }
 
 func newSlabBuilder(m int, narrow bool, buckets, ids, sketches int) *slabBuilder {

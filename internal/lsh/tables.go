@@ -549,10 +549,10 @@ type keyAt struct {
 // read from the highest bit on which the keys differ down: one counting
 // pass scatters the keys into 2 048 runs, each of which is sorted by
 // insertion or comparison when it is short and on its next digit
-// otherwise. The
-// hashed keys of most tables spread evenly, so one pass leaves runs of a
-// few keys; keys that share their high bits (bit-sampling keys, covering
-// masks) skip them, and each level of runs agrees on 11 more bits.
+// otherwise. The hashed keys of most tables spread evenly, so one pass
+// leaves runs of a few keys; keys that share their high bits
+// (bit-sampling keys, covering masks) skip them, and each level of runs
+// agrees on 11 more bits.
 func sortKeys(s, tmp []keyAt) []keyAt {
 	const bits11, tiny, short = 11, 16, 256
 	switch {

@@ -306,9 +306,9 @@ func (s *sectionStream) readInto(wantTag string, buf []byte) ([]byte, error) {
 	return bytes.Join(parts, nil), nil
 }
 
-// readParts is readInto with a payload longer than buf's room left in
-// the parts it arrived in (readPayload), for a caller that decodes them
-// where they lie.
+// readParts is readInto for a caller that decodes a long payload where
+// it lies: one that does not fit buf stays in the parts it arrived in
+// (readPayload).
 func (s *sectionStream) readParts(wantTag string, buf []byte) ([][]byte, error) {
 	tag, err := s.peek()
 	if err != nil {
