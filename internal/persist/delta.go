@@ -71,28 +71,15 @@ const (
 	DeltaCompact DeltaKind = 3 // "cmpt"
 )
 
-// deltaTag maps a kind to its 4-byte wire tag.
-func deltaTag(k DeltaKind) (string, error) {
-	switch k {
-	case DeltaAppend:
-		return "appd", nil
-	case DeltaDelete:
-		return "dele", nil
-	case DeltaCompact:
-		return "cmpt", nil
-	}
-	return "", fmt.Errorf("persist: unknown delta kind %d", k)
-}
+// deltaTags maps a kind to its 4-byte wire tag ("" for no kind).
+var deltaTags = [...]string{DeltaAppend: "appd", DeltaDelete: "dele", DeltaCompact: "cmpt"}
 
 // deltaKindOf maps a wire tag back to its kind (0 for unknown tags).
 func deltaKindOf(tag string) DeltaKind {
-	switch tag {
-	case "appd":
-		return DeltaAppend
-	case "dele":
-		return DeltaDelete
-	case "cmpt":
-		return DeltaCompact
+	for k, t := range deltaTags {
+		if k > 0 && t == tag {
+			return DeltaKind(k)
+		}
 	}
 	return 0
 }
@@ -132,51 +119,98 @@ type DeltaFrame[P any] struct {
 
 // WriteDeltaHeader writes the delta stream header.
 func WriteDeltaHeader(w io.Writer, h DeltaHeader) error {
+	return deltaStream.write(w, h, 0)
+}
+
+// ReadDeltaHeader reads and validates a delta stream header, returning
+// it and how many bytes it occupied (the offset of the first frame).
+func ReadDeltaHeader(r io.Reader) (DeltaHeader, int, error) {
+	h, _, n, err := deltaStream.read(r)
+	return h, n, err
+}
+
+// streamHeader is the header codec the delta stream and the WAL
+// segment share:
+//
+//	magic[14] | version u32 | epoch u64 | [first-seq u64] |
+//	metric str (u16 len + bytes) | dim u32
+//
+// Each format keeps its own magic and version; only the WAL segment
+// carries first-seq.
+type streamHeader struct {
+	magic    string
+	version  uint32
+	name     string // the format as error messages name it
+	firstSeq bool
+}
+
+var (
+	deltaStream = streamHeader{magic: deltaMagic, version: DeltaVersion, name: "delta log"}
+	walSegment  = streamHeader{magic: walSegMagic, version: WALSegVersion, name: "wal segment", firstSeq: true}
+)
+
+func (s streamHeader) write(w io.Writer, h DeltaHeader, firstSeq uint64) error {
 	if h.Dim < 1 || h.Dim > maxDim {
-		return fmt.Errorf("persist: delta header dim %d outside [1,%d]", h.Dim, maxDim)
+		return fmt.Errorf("persist: %s header dim %d outside [1,%d]", s.name, h.Dim, maxDim)
+	}
+	if s.firstSeq && firstSeq == 0 {
+		return fmt.Errorf("persist: %s first-seq 0 (sequences start at 1)", s.name)
 	}
 	var e enc
-	e.b = append(e.b, deltaMagic...)
-	e.u32(DeltaVersion)
+	e.b = append(e.b, s.magic...)
+	e.u32(s.version)
 	e.u64(h.Epoch)
+	if s.firstSeq {
+		e.u64(firstSeq)
+	}
 	e.str(h.Metric)
 	e.u32(uint32(h.Dim))
 	_, err := w.Write(e.b)
 	return err
 }
 
-// ReadDeltaHeader reads and validates a delta stream header.
-func ReadDeltaHeader(r io.Reader) (DeltaHeader, error) {
-	var h DeltaHeader
-	var fixed [len(deltaMagic) + 4]byte
+// read reads and validates a header, returning it, its first-seq (0
+// for a delta stream) and its length in bytes. A header cut inside its
+// magic and version is ErrBadMagic, one cut later ErrCorrupt.
+func (s streamHeader) read(r io.Reader) (h DeltaHeader, firstSeq uint64, n int, err error) {
+	var fixed [len(deltaMagic) + 4]byte // both magics are 14 bytes
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return h, fmt.Errorf("%w: truncated delta header (%v)", ErrBadMagic, err)
+		return h, 0, 0, fmt.Errorf("%w: truncated %s header (%v)", ErrBadMagic, s.name, err)
 	}
-	if string(fixed[:len(deltaMagic)]) != deltaMagic {
-		return h, ErrBadMagic
+	if string(fixed[:len(s.magic)]) != s.magic {
+		return h, 0, 0, ErrBadMagic
 	}
-	if v := binary.LittleEndian.Uint32(fixed[len(deltaMagic):]); v != DeltaVersion {
-		return h, fmt.Errorf("%w: delta log has version %d, this reader handles %d", ErrVersion, v, DeltaVersion)
+	if v := binary.LittleEndian.Uint32(fixed[len(s.magic):]); v != s.version {
+		return h, 0, 0, fmt.Errorf("%w: %s has version %d, this reader handles %d", ErrVersion, s.name, v, s.version)
 	}
-	var rest [8 + 2]byte // epoch + metric length
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
-		return h, corrupt("truncated delta header (%v)", err)
+	restLen := 8 + 2 // epoch + metric length
+	if s.firstSeq {
+		restLen += 8
 	}
-	h.Epoch = binary.LittleEndian.Uint64(rest[:8])
-	mlen := int(binary.LittleEndian.Uint16(rest[8:]))
+	rest := make([]byte, restLen)
+	if _, err := io.ReadFull(r, rest); err != nil {
+		return h, 0, 0, corrupt("truncated %s header (%v)", s.name, err)
+	}
+	h.Epoch = binary.LittleEndian.Uint64(rest)
+	if s.firstSeq {
+		if firstSeq = binary.LittleEndian.Uint64(rest[8:]); firstSeq == 0 {
+			return h, 0, 0, corrupt("%s first-seq 0 (sequences start at 1)", s.name)
+		}
+	}
+	mlen := int(binary.LittleEndian.Uint16(rest[len(rest)-2:]))
 	if mlen > 64 {
-		return h, corrupt("delta metric name claims %d bytes", mlen)
+		return h, 0, 0, corrupt("%s metric name claims %d bytes", s.name, mlen)
 	}
 	buf := make([]byte, mlen+4)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return h, corrupt("truncated delta header (%v)", err)
+		return h, 0, 0, corrupt("truncated %s header (%v)", s.name, err)
 	}
 	h.Metric = string(buf[:mlen])
 	h.Dim = int(binary.LittleEndian.Uint32(buf[mlen:]))
 	if h.Dim < 1 || h.Dim > maxDim {
-		return h, corrupt("delta header dim %d outside [1,%d]", h.Dim, maxDim)
+		return h, 0, 0, corrupt("%s header dim %d outside [1,%d]", s.name, h.Dim, maxDim)
 	}
-	return h, nil
+	return h, firstSeq, len(fixed) + len(rest) + len(buf), nil
 }
 
 // EncodeDeltaFrame encodes one frame for the header's metric and
@@ -186,9 +220,8 @@ func EncodeDeltaFrame[P any](h DeltaHeader, f DeltaFrame[P]) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	tag, err := deltaTag(f.Kind)
-	if err != nil {
-		return nil, err
+	if int(f.Kind) >= len(deltaTags) || deltaTags[f.Kind] == "" {
+		return nil, fmt.Errorf("persist: unknown delta kind %d", f.Kind)
 	}
 	if f.Seq == 0 {
 		return nil, fmt.Errorf("persist: delta frame sequence numbers start at 1")
@@ -226,7 +259,7 @@ func EncodeDeltaFrame[P any](h DeltaHeader, f DeltaFrame[P]) ([]byte, error) {
 		}
 	}
 	var e enc
-	e.b = append(e.b, tag...)
+	e.b = append(e.b, deltaTags[f.Kind]...)
 	e.u64(f.Seq)
 	e.u64(uint64(len(p.b)))
 	e.b = append(e.b, p.b...)
@@ -252,124 +285,129 @@ func encodeDeltaIDs(e *enc, ids []int32) error {
 	return nil
 }
 
-// DeltaReader decodes a delta stream: the header once, then one frame
-// per Next call until a clean io.EOF at a frame boundary. Any damage —
-// truncation mid-frame, a CRC mismatch, a sequence gap, an impossible
-// count — surfaces as an error wrapping ErrCorrupt; a reader never
-// panics and never allocates more than the input can justify.
-type DeltaReader[P any] struct {
-	r       io.Reader
-	h       DeltaHeader
-	c       *codec[P]
-	lastSeq uint64
-	started bool
+// deltaFrameHdr is a frame's tag[4] + seq u64 + length u64.
+const deltaFrameHdr = 20
+
+// ScanDeltaFrame validates the delta frame at the start of b at the raw
+// level — known tag, sane length, the expected sequence number, and the
+// CRC over tag+seq+len+payload — without decoding the payload (which
+// would need the point type). It returns the frame's total length in
+// bytes. wantSeq 0 accepts any sequence number. Every failure mode,
+// including a buffer too short to hold the frame, surfaces as an error
+// wrapping ErrCorrupt: to WAL recovery a torn tail and a bad frame call
+// for the same truncation. It is the only place a frame's framing is
+// checked; DeltaDecoder runs it before decoding a payload.
+func ScanDeltaFrame(b []byte, wantSeq uint64) (int, error) {
+	if len(b) < deltaFrameHdr {
+		return 0, corrupt("truncated delta frame header (%d bytes)", len(b))
+	}
+	tag := string(b[:4])
+	if deltaKindOf(tag) == 0 {
+		return 0, corrupt("unknown delta frame tag %q", tag)
+	}
+	seq := binary.LittleEndian.Uint64(b[4:])
+	if seq == 0 {
+		return 0, corrupt("delta frame sequence 0 (sequences start at 1)")
+	}
+	if wantSeq != 0 && seq != wantSeq {
+		return 0, corrupt("delta frame sequence %d, want %d", seq, wantSeq)
+	}
+	n := binary.LittleEndian.Uint64(b[12:])
+	if n > maxSectionLen {
+		return 0, corrupt("delta frame %q claims %d bytes, cap is %d", tag, n, int64(maxSectionLen))
+	}
+	total := deltaFrameHdr + int(n) + 4
+	if int64(len(b)) < int64(deltaFrameHdr)+int64(n)+4 {
+		return 0, corrupt("truncated delta frame %q (%d of %d bytes)", tag, len(b), total)
+	}
+	sum := crc32.ChecksumIEEE(b[:deltaFrameHdr+int(n)])
+	if want := binary.LittleEndian.Uint32(b[deltaFrameHdr+int(n):]); sum != want {
+		return 0, corrupt("delta frame %q checksum mismatch (got %08x, want %08x)", tag, sum, want)
+	}
+	return total, nil
 }
 
-// NewDeltaReader reads and validates the stream header. wantMetric,
-// when non-empty, must match the header's metric (ErrMetric otherwise);
-// pass "" to accept whatever the header declares, subject to the point
-// type P matching.
-func NewDeltaReader[P any](r io.Reader, wantMetric string) (*DeltaReader[P], error) {
-	h, err := ReadDeltaHeader(r)
-	if err != nil {
-		return nil, err
-	}
+// DeltaDecoder decodes the frames of one delta stream held in memory.
+// Any damage — truncation, a CRC mismatch, an unexpected sequence
+// number, an impossible count — surfaces as an error wrapping
+// ErrCorrupt; a decoder never panics and never allocates more than the
+// input can justify.
+type DeltaDecoder[P any] struct {
+	h DeltaHeader
+	c *codec[P]
+}
+
+// NewDeltaDecoder returns a decoder for frames written under h.
+// wantMetric, when non-empty, must match the header's metric
+// (ErrMetric otherwise); pass "" to accept whatever the header
+// declares, subject to the point type P matching.
+func NewDeltaDecoder[P any](h DeltaHeader, wantMetric string) (*DeltaDecoder[P], error) {
 	if wantMetric != "" && h.Metric != wantMetric {
 		return nil, fmt.Errorf("%w: delta log is %q, want %q", ErrMetric, h.Metric, wantMetric)
+	}
+	if h.Dim < 1 || h.Dim > maxDim {
+		return nil, fmt.Errorf("persist: delta header dim %d outside [1,%d]", h.Dim, maxDim)
 	}
 	c, err := codecFor[P](h.Metric)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaReader[P]{r: r, h: h, c: c}, nil
+	return &DeltaDecoder[P]{h: h, c: c}, nil
 }
 
-// Header returns the decoded stream header.
-func (dr *DeltaReader[P]) Header() DeltaHeader { return dr.h }
-
-// Next decodes the next frame. It returns io.EOF — and only io.EOF — at
-// a clean end of stream on a frame boundary.
-func (dr *DeltaReader[P]) Next() (DeltaFrame[P], error) {
+// Decode validates the frame at the start of b through ScanDeltaFrame
+// (wantSeq 0 accepts any sequence number) and decodes its payload where
+// it lies. It returns the frame and its length in bytes.
+func (dd *DeltaDecoder[P]) Decode(b []byte, wantSeq uint64) (DeltaFrame[P], int, error) {
 	var f DeltaFrame[P]
-	var hdr [20]byte // tag[4] + seq u64 + len u64
-	if _, err := io.ReadFull(dr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return f, io.EOF
-		}
-		return f, corrupt("truncated delta frame header (%v)", err)
-	}
-	tag := string(hdr[:4])
-	f.Kind = deltaKindOf(tag)
-	if f.Kind == 0 {
-		return f, corrupt("unknown delta frame tag %q", tag)
-	}
-	f.Seq = binary.LittleEndian.Uint64(hdr[4:])
-	n := binary.LittleEndian.Uint64(hdr[12:])
-	if n > maxSectionLen {
-		return f, corrupt("delta frame %q claims %d bytes, cap is %d", tag, n, int64(maxSectionLen))
-	}
-	if f.Seq == 0 {
-		return f, corrupt("delta frame sequence 0 (sequences start at 1)")
-	}
-	if dr.started && f.Seq != dr.lastSeq+1 {
-		return f, corrupt("delta sequence gap: frame %d follows %d", f.Seq, dr.lastSeq)
-	}
-	payload, err := readN(dr.r, int64(n), tag)
+	n, err := ScanDeltaFrame(b, wantSeq)
 	if err != nil {
-		return f, err
+		return f, 0, err
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(dr.r, crc[:]); err != nil {
-		return f, corrupt("truncated delta frame %q checksum (%v)", tag, err)
-	}
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	if want := binary.LittleEndian.Uint32(crc[:]); sum != want {
-		return f, corrupt("delta frame %q checksum mismatch (got %08x, want %08x)", tag, sum, want)
-	}
-	d := &dec{b: payload}
+	tag := string(b[:4])
+	f.Kind = deltaKindOf(tag)
+	f.Seq = binary.LittleEndian.Uint64(b[4:])
+	d := &dec{b: b[deltaFrameHdr : n-4]}
 	switch f.Kind {
 	case DeltaAppend:
 		shard := d.u32()
 		f.Base = d.i32()
 		if d.err == nil && shard >= maxShards {
-			return f, corrupt("append frame shard %d outside [0,%d)", shard, maxShards)
+			return f, 0, corrupt("append frame shard %d outside [0,%d)", shard, maxShards)
 		}
 		if d.err == nil && f.Base < 0 {
-			return f, corrupt("append frame base id %d is negative", f.Base)
+			return f, 0, corrupt("append frame base id %d is negative", f.Base)
 		}
 		f.Shard = int(shard)
-		m := &indexMeta{metric: dr.h.Metric, dim: dr.h.Dim}
-		m.n = d.count(pointFloor(dr.h.Metric, dr.h.Dim), "append point")
+		m := &indexMeta{metric: dd.h.Metric, dim: dd.h.Dim}
+		m.n = d.count(pointFloor(dd.h.Metric, dd.h.Dim), "append point")
 		if d.err != nil {
-			return f, d.err
+			return f, 0, d.err
 		}
 		if m.n == 0 {
-			return f, corrupt("empty append frame")
+			return f, 0, corrupt("empty append frame")
 		}
-		if f.Points, err = dr.c.readPoints(d, m); err != nil {
-			return f, err
+		if f.Points, err = dd.c.readPoints(d, m); err != nil {
+			return f, 0, err
 		}
 	case DeltaDelete:
 		if f.IDs, err = decodeDeltaIDs(d); err != nil {
-			return f, err
+			return f, 0, err
 		}
 	case DeltaCompact:
 		shard := d.u32()
 		if d.err == nil && shard >= maxShards {
-			return f, corrupt("compact frame shard %d outside [0,%d)", shard, maxShards)
+			return f, 0, corrupt("compact frame shard %d outside [0,%d)", shard, maxShards)
 		}
 		f.Shard = int(shard)
 		if f.IDs, err = decodeDeltaIDs(d); err != nil {
-			return f, err
+			return f, 0, err
 		}
 	}
 	if err := d.done(tag); err != nil {
-		return f, err
+		return f, 0, err
 	}
-	dr.started = true
-	dr.lastSeq = f.Seq
-	return f, nil
+	return f, n, nil
 }
 
 // pointFloor returns the minimum wire size of one point for a metric,
@@ -407,22 +445,4 @@ func decodeDeltaIDs(d *dec) ([]int32, error) {
 		prev = ids[i]
 	}
 	return ids, nil
-}
-
-// readN reads exactly n bytes incrementally (so a truncated stream that
-// claims a huge length never causes a huge allocation).
-func readN(r io.Reader, n int64, tag string) ([]byte, error) {
-	var buf deltaBuf
-	if _, err := io.CopyN(&buf, r, n); err != nil {
-		return nil, corrupt("truncated delta frame %q (%v)", tag, err)
-	}
-	return buf.b, nil
-}
-
-// deltaBuf is a minimal growable sink for readN.
-type deltaBuf struct{ b []byte }
-
-func (d *deltaBuf) Write(p []byte) (int, error) {
-	d.b = append(d.b, p...)
-	return len(p), nil
 }

@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"testing"
 
@@ -27,24 +26,63 @@ func writeDeltaStream[P any](t *testing.T, h DeltaHeader, frames []DeltaFrame[P]
 	return buf.Bytes()
 }
 
-// readAll decodes every frame of a stream, failing the test on any
-// error other than the terminating io.EOF.
-func readAll[P any](t *testing.T, data []byte, metric string) (DeltaHeader, []DeltaFrame[P]) {
-	t.Helper()
-	dr, err := NewDeltaReader[P](bytes.NewReader(data), metric)
+// decodeStream decodes a whole in-memory delta stream: the header,
+// then frames with contiguous sequence numbers until the bytes run out.
+// It stops at the first error, returning the frames decoded before it.
+func decodeStream[P any](data []byte, metric string) (DeltaHeader, []DeltaFrame[P], error) {
+	h, off, err := ReadDeltaHeader(bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("NewDeltaReader: %v", err)
+		return h, nil, err
+	}
+	dd, err := NewDeltaDecoder[P](h, metric)
+	if err != nil {
+		return h, nil, err
 	}
 	var out []DeltaFrame[P]
-	for {
-		f, err := dr.Next()
-		if err == io.EOF {
-			return dr.Header(), out
-		}
+	var want uint64 // the first frame may carry any seq
+	for b := data[off:]; len(b) > 0; {
+		f, n, err := dd.Decode(b, want)
 		if err != nil {
-			t.Fatalf("Next (after %d frames): %v", len(out), err)
+			return h, out, err
 		}
 		out = append(out, f)
+		want = f.Seq + 1
+		b = b[n:]
+	}
+	return h, out, nil
+}
+
+// readAll decodes every frame of a stream, failing the test on any
+// error.
+func readAll[P any](t *testing.T, data []byte, metric string) (DeltaHeader, []DeltaFrame[P]) {
+	t.Helper()
+	h, out, err := decodeStream[P](data, metric)
+	if err != nil {
+		t.Fatalf("decode (after %d frames): %v", len(out), err)
+	}
+	return h, out
+}
+
+// checkFrameBounds decodes each frame on its own, under its own seq and
+// under the wildcard 0, and requires the decoder to consume exactly the
+// bytes the encoder wrote.
+func checkFrameBounds[P any](t *testing.T, h DeltaHeader, frames []DeltaFrame[P]) {
+	t.Helper()
+	dd, err := NewDeltaDecoder[P](h, h.Metric)
+	if err != nil {
+		t.Fatalf("NewDeltaDecoder: %v", err)
+	}
+	for _, f := range frames {
+		b, err := EncodeDeltaFrame(h, f)
+		if err != nil {
+			t.Fatalf("EncodeDeltaFrame(seq %d): %v", f.Seq, err)
+		}
+		for _, want := range []uint64{f.Seq, 0} {
+			got, n, err := dd.Decode(b, want)
+			if err != nil || n != len(b) || !reflect.DeepEqual(got, f) {
+				t.Fatalf("Decode(seq %d, want %d) = %+v over %d bytes, %v; encoder wrote %d bytes", f.Seq, want, got, n, err, len(b))
+			}
+		}
 	}
 }
 
@@ -56,6 +94,7 @@ func TestDeltaRoundTripDense(t *testing.T) {
 		{Seq: 3, Kind: DeltaCompact, Shard: 2, IDs: []int32{3, 101}},
 		{Seq: 4, Kind: DeltaAppend, Shard: 0, Base: 105, Points: denseData(1, 4, 9)},
 	}
+	checkFrameBounds(t, h, frames)
 	data := writeDeltaStream(t, h, frames)
 	gotH, got := readAll[vector.Dense](t, data, MetricL2)
 	if gotH != h {
@@ -72,6 +111,7 @@ func TestDeltaRoundTripBinary(t *testing.T) {
 		{Seq: 1, Kind: DeltaAppend, Shard: 0, Base: 0, Points: binaryData(3, 96, 5)},
 		{Seq: 2, Kind: DeltaDelete, IDs: []int32{1}},
 	}
+	checkFrameBounds(t, h, frames)
 	data := writeDeltaStream(t, h, frames)
 	_, got := readAll[vector.Binary](t, data, MetricHamming)
 	if !reflect.DeepEqual(got, frames) {
@@ -84,6 +124,7 @@ func TestDeltaRoundTripSparse(t *testing.T) {
 	frames := []DeltaFrame[vector.Sparse]{
 		{Seq: 1, Kind: DeltaAppend, Shard: 1, Base: 9, Points: sparseData(4, 24, 5, 3)},
 	}
+	checkFrameBounds(t, h, frames)
 	data := writeDeltaStream(t, h, frames)
 	_, got := readAll[vector.Sparse](t, data, MetricCosine)
 	if !reflect.DeepEqual(got, frames) {
@@ -92,7 +133,7 @@ func TestDeltaRoundTripSparse(t *testing.T) {
 }
 
 // TestDeltaBitFlips flips every byte of a valid stream in turn; the
-// reader must reject the damage (or, for a handful of don't-care bits
+// decoder must reject the damage (or, for a handful of don't-care bits
 // like an epoch flip, still decode cleanly) — and must never panic.
 func TestDeltaBitFlips(t *testing.T) {
 	h := DeltaHeader{Epoch: 3, Metric: MetricL2, Dim: 3}
@@ -104,15 +145,7 @@ func TestDeltaBitFlips(t *testing.T) {
 	for off := range data {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0x80
-		dr, err := NewDeltaReader[vector.Dense](bytes.NewReader(mut), "")
-		if err != nil {
-			continue // header damage rejected — fine
-		}
-		for {
-			if _, err := dr.Next(); err != nil {
-				break // io.EOF or a detected corruption — fine
-			}
-		}
+		decodeStream[vector.Dense](mut, "") // an error or a clean decode — fine
 	}
 }
 
@@ -121,20 +154,16 @@ func TestDeltaBitFlips(t *testing.T) {
 // the payload — must fail the checksum.
 func TestDeltaFrameCRCCoversSeq(t *testing.T) {
 	h := DeltaHeader{Epoch: 1, Metric: MetricL2, Dim: 2}
-	frame, err := EncodeDeltaFrame(h, DeltaFrame[vector.Dense]{Seq: 1, Kind: DeltaDelete, IDs: []int32{5}})
+	frame, err := EncodeDeltaFrame(h, DeltaFrame[vector.Dense]{Seq: 2, Kind: DeltaDelete, IDs: []int32{5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr bytes.Buffer
-	if err := WriteDeltaHeader(&hdr, h); err != nil {
-		t.Fatal(err)
-	}
-	frame[4] ^= 0x01 // low byte of seq
-	dr, err := NewDeltaReader[vector.Dense](io.MultiReader(bytes.NewReader(hdr.Bytes()), bytes.NewReader(frame)), MetricL2)
+	frame[4] ^= 0x01 // seq 2 → 3, which only the checksum can tell
+	dd, err := NewDeltaDecoder[vector.Dense](h, MetricL2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dr.Next(); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := dd.Decode(frame, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("seq bit flip: got %v, want ErrCorrupt", err)
 	}
 }
@@ -146,15 +175,8 @@ func TestDeltaSequenceGap(t *testing.T) {
 		{Seq: 3, Kind: DeltaDelete, IDs: []int32{2}}, // gap: 2 missing
 	}
 	data := writeDeltaStream(t, h, frames)
-	dr, err := NewDeltaReader[vector.Dense](bytes.NewReader(data), MetricL2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dr.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dr.Next(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("sequence gap: got %v, want ErrCorrupt", err)
+	if _, got, err := decodeStream[vector.Dense](data, MetricL2); len(got) != 1 || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sequence gap: decoded %d frames, %v; want 1 frame, then ErrCorrupt", len(got), err)
 	}
 }
 
@@ -165,11 +187,7 @@ func TestDeltaTruncation(t *testing.T) {
 	}
 	data := writeDeltaStream(t, h, frames)
 	for cut := 1; cut < len(data); cut++ {
-		dr, err := NewDeltaReader[vector.Dense](bytes.NewReader(data[:cut]), MetricL2)
-		if err != nil {
-			continue // truncated inside the header
-		}
-		if _, err := dr.Next(); err == nil {
+		if _, got, _ := decodeStream[vector.Dense](data[:cut], MetricL2); len(got) != 0 {
 			t.Fatalf("truncation at %d/%d decoded a frame", cut, len(data))
 		}
 	}
@@ -177,11 +195,10 @@ func TestDeltaTruncation(t *testing.T) {
 
 func TestDeltaMetricMismatch(t *testing.T) {
 	h := DeltaHeader{Epoch: 1, Metric: MetricL2, Dim: 2}
-	data := writeDeltaStream(t, h, []DeltaFrame[vector.Dense]{{Seq: 1, Kind: DeltaDelete, IDs: []int32{0}}})
-	if _, err := NewDeltaReader[vector.Dense](bytes.NewReader(data), MetricAngular); !errors.Is(err, ErrMetric) {
+	if _, err := NewDeltaDecoder[vector.Dense](h, MetricAngular); !errors.Is(err, ErrMetric) {
 		t.Fatalf("metric mismatch: got %v, want ErrMetric", err)
 	}
-	if _, err := NewDeltaReader[vector.Binary](bytes.NewReader(data), ""); err == nil {
+	if _, err := NewDeltaDecoder[vector.Binary](h, ""); err == nil {
 		t.Fatal("point-type mismatch decoded")
 	}
 }

@@ -3,8 +3,9 @@
 // A write-ahead-log segment file is a small header followed by a run of
 // hybridlsh-delta/v1 frames (see delta.go) — the frames are bit-for-bit
 // the bytes the replication wire carries, so a recovered WAL replays
-// through the same DeltaReader path a follower uses. The header pins
-// the frames to their writer incarnation and position:
+// through the same DeltaDecoder a follower uses. The header (the
+// delta-stream header codec plus first-seq) pins the frames to their
+// writer incarnation and position:
 //
 //	header := magic[14] ("hybridlsh-wseg") | version u32 (1) |
 //	          epoch u64 | first-seq u64 | metric str (u16 len + bytes) |
@@ -18,12 +19,7 @@
 // docs/REPLICATION.md is the normative byte-level specification.
 package persist
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-)
+import "io"
 
 // WALSegFormatName identifies the WAL segment format, magic and version
 // together.
@@ -59,98 +55,13 @@ func WALSegmentHeaderSize(metric string) int {
 
 // WriteWALSegmentHeader writes a segment header.
 func WriteWALSegmentHeader(w io.Writer, h WALSegmentHeader) error {
-	if h.Delta.Dim < 1 || h.Delta.Dim > maxDim {
-		return fmt.Errorf("persist: wal segment header dim %d outside [1,%d]", h.Delta.Dim, maxDim)
-	}
-	if h.FirstSeq == 0 {
-		return fmt.Errorf("persist: wal segment first-seq 0 (sequences start at 1)")
-	}
-	var e enc
-	e.b = append(e.b, walSegMagic...)
-	e.u32(WALSegVersion)
-	e.u64(h.Delta.Epoch)
-	e.u64(h.FirstSeq)
-	e.str(h.Delta.Metric)
-	e.u32(uint32(h.Delta.Dim))
-	_, err := w.Write(e.b)
-	return err
+	return walSegment.write(w, h.Delta, h.FirstSeq)
 }
 
 // ReadWALSegmentHeader reads and validates a segment header, returning
 // the decoded header and how many bytes it occupied (the offset of the
 // segment's first frame).
 func ReadWALSegmentHeader(r io.Reader) (WALSegmentHeader, int, error) {
-	var h WALSegmentHeader
-	var fixed [len(walSegMagic) + 4]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return h, 0, fmt.Errorf("%w: truncated wal segment header (%v)", ErrBadMagic, err)
-	}
-	if string(fixed[:len(walSegMagic)]) != walSegMagic {
-		return h, 0, ErrBadMagic
-	}
-	if v := binary.LittleEndian.Uint32(fixed[len(walSegMagic):]); v != WALSegVersion {
-		return h, 0, fmt.Errorf("%w: wal segment has version %d, this reader handles %d", ErrVersion, v, WALSegVersion)
-	}
-	var rest [8 + 8 + 2]byte // epoch + first-seq + metric length
-	if _, err := io.ReadFull(r, rest[:]); err != nil {
-		return h, 0, corrupt("truncated wal segment header (%v)", err)
-	}
-	h.Delta.Epoch = binary.LittleEndian.Uint64(rest[:8])
-	h.FirstSeq = binary.LittleEndian.Uint64(rest[8:16])
-	if h.FirstSeq == 0 {
-		return h, 0, corrupt("wal segment first-seq 0 (sequences start at 1)")
-	}
-	mlen := int(binary.LittleEndian.Uint16(rest[16:]))
-	if mlen > 64 {
-		return h, 0, corrupt("wal segment metric name claims %d bytes", mlen)
-	}
-	buf := make([]byte, mlen+4)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return h, 0, corrupt("truncated wal segment header (%v)", err)
-	}
-	h.Delta.Metric = string(buf[:mlen])
-	h.Delta.Dim = int(binary.LittleEndian.Uint32(buf[mlen:]))
-	if h.Delta.Dim < 1 || h.Delta.Dim > maxDim {
-		return h, 0, corrupt("wal segment dim %d outside [1,%d]", h.Delta.Dim, maxDim)
-	}
-	return h, len(fixed) + len(rest) + len(buf), nil
-}
-
-// ScanDeltaFrame validates the delta frame at the start of b at the raw
-// level — known tag, sane length, the expected sequence number, and the
-// CRC over tag+seq+len+payload — without decoding the payload (which
-// would need the point type). It returns the frame's total length in
-// bytes. wantSeq 0 accepts any sequence number. Every failure mode,
-// including a buffer too short to hold the frame, surfaces as an error
-// wrapping ErrCorrupt: to WAL recovery a torn tail and a bad frame call
-// for the same truncation.
-func ScanDeltaFrame(b []byte, wantSeq uint64) (int, error) {
-	const frameHdr = 20 // tag[4] + seq u64 + len u64
-	if len(b) < frameHdr {
-		return 0, corrupt("truncated delta frame header (%d bytes)", len(b))
-	}
-	tag := string(b[:4])
-	if deltaKindOf(tag) == 0 {
-		return 0, corrupt("unknown delta frame tag %q", tag)
-	}
-	seq := binary.LittleEndian.Uint64(b[4:])
-	if seq == 0 {
-		return 0, corrupt("delta frame sequence 0 (sequences start at 1)")
-	}
-	if wantSeq != 0 && seq != wantSeq {
-		return 0, corrupt("delta frame sequence %d, want %d", seq, wantSeq)
-	}
-	n := binary.LittleEndian.Uint64(b[12:])
-	if n > maxSectionLen {
-		return 0, corrupt("delta frame %q claims %d bytes, cap is %d", tag, n, int64(maxSectionLen))
-	}
-	total := frameHdr + int(n) + 4
-	if int64(len(b)) < int64(frameHdr)+int64(n)+4 {
-		return 0, corrupt("truncated delta frame %q (%d of %d bytes)", tag, len(b), total)
-	}
-	sum := crc32.ChecksumIEEE(b[:frameHdr+int(n)])
-	if want := binary.LittleEndian.Uint32(b[frameHdr+int(n):]); sum != want {
-		return 0, corrupt("delta frame %q checksum mismatch (got %08x, want %08x)", tag, sum, want)
-	}
-	return total, nil
+	d, firstSeq, n, err := walSegment.read(r)
+	return WALSegmentHeader{Delta: d, FirstSeq: firstSeq}, n, err
 }

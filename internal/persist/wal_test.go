@@ -99,48 +99,6 @@ func TestWALSegmentHeaderReadCorruption(t *testing.T) {
 	}
 }
 
-// TestScanDeltaFrameMatchesReader proves the raw scanner and the typed
-// DeltaReader agree on the frames EncodeDeltaFrame produces: same
-// boundaries, and the scanner accepts exactly the frames the reader
-// decodes.
-func TestScanDeltaFrameMatchesReader(t *testing.T) {
-	h := DeltaHeader{Epoch: 3, Metric: MetricL2, Dim: 4}
-	frames := []DeltaFrame[vector.Dense]{
-		{Seq: 1, Kind: DeltaAppend, Shard: 0, Base: 0, Points: denseData(5, 4, 1)},
-		{Seq: 2, Kind: DeltaDelete, IDs: []int32{1, 3}},
-		{Seq: 3, Kind: DeltaCompact, Shard: 0, IDs: []int32{1, 3}},
-	}
-	var all []byte
-	var lens []int
-	for _, f := range frames {
-		b, err := EncodeDeltaFrame(h, f)
-		if err != nil {
-			t.Fatalf("EncodeDeltaFrame(seq %d): %v", f.Seq, err)
-		}
-		all = append(all, b...)
-		lens = append(lens, len(b))
-	}
-	off, want := 0, uint64(1)
-	for i, l := range lens {
-		n, err := ScanDeltaFrame(all[off:], want)
-		if err != nil {
-			t.Fatalf("frame %d: ScanDeltaFrame: %v", i, err)
-		}
-		if n != l {
-			t.Fatalf("frame %d: scanner says %d bytes, encoder wrote %d", i, n, l)
-		}
-		// wantSeq 0 accepts any sequence number.
-		if n2, err := ScanDeltaFrame(all[off:], 0); err != nil || n2 != n {
-			t.Fatalf("frame %d: wildcard scan got (%d, %v), want (%d, nil)", i, n2, err, n)
-		}
-		off += n
-		want++
-	}
-	if off != len(all) {
-		t.Fatalf("scanner consumed %d of %d bytes", off, len(all))
-	}
-}
-
 func TestScanDeltaFrameRejects(t *testing.T) {
 	h := DeltaHeader{Epoch: 3, Metric: MetricL2, Dim: 4}
 	frame, err := EncodeDeltaFrame(h, DeltaFrame[vector.Dense]{Seq: 5, Kind: DeltaDelete, IDs: []int32{2}})

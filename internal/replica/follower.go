@@ -208,19 +208,26 @@ func (f *Follower[P]) Poll(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("replica: delta fetch: %w", err)
 	}
-	dr, err := persist.NewDeltaReader[P](bytes.NewReader(body), f.metric)
+	hdr, off, err := persist.ReadDeltaHeader(bytes.NewReader(body))
 	if err != nil {
 		return 0, fmt.Errorf("replica: delta decode: %w", err)
 	}
-	if epoch := f.epoch.Load(); dr.Header().Epoch != epoch {
-		return 0, fmt.Errorf("%w: source epoch %d, cursor epoch %d", ErrRehydrate, dr.Header().Epoch, epoch)
+	dd, err := persist.NewDeltaDecoder[P](hdr, f.metric)
+	if err != nil {
+		return 0, fmt.Errorf("replica: delta decode: %w", err)
+	}
+	if epoch := f.epoch.Load(); hdr.Epoch != epoch {
+		return 0, fmt.Errorf("%w: source epoch %d, cursor epoch %d", ErrRehydrate, hdr.Epoch, epoch)
 	}
 	applied := 0
-	for {
-		frame, err := dr.Next()
-		if err == io.EOF {
-			return applied, nil
+	for b := body[off:]; len(b) > 0; {
+		// The first frame may carry any seq (one that does not follow
+		// the cursor means re-hydrate); every later one must follow it.
+		want := cursor + 1
+		if applied == 0 {
+			want = 0
 		}
+		frame, n, err := dd.Decode(b, want)
 		if err != nil {
 			return applied, fmt.Errorf("replica: delta decode after seq %d: %w", cursor, err)
 		}
@@ -234,7 +241,9 @@ func (f *Follower[P]) Poll(ctx context.Context) (int, error) {
 		f.seq.Store(cursor)
 		f.applied.Add(1)
 		applied++
+		b = b[n:]
 	}
+	return applied, nil
 }
 
 // Run tails the source until ctx is done: hydrate if needed, then poll

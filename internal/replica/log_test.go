@@ -1,9 +1,7 @@
 package replica_test
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"repro/internal/persist"
@@ -23,32 +21,25 @@ func pts(n int, base float32) []vector.Dense {
 	return out
 }
 
-// decodeFrames runs encoded frames back through the delta reader,
-// prefixed with the log's header, and returns the decoded frames.
-func decodeFrames(t *testing.T, log *replica.Log, frames [][]byte) []persist.DeltaFrame[vector.Dense] {
+// decodeFrames decodes encoded frames one by one under hdr, each
+// following the one before, and returns the decoded frames.
+func decodeFrames[P any](t *testing.T, hdr persist.DeltaHeader, frames [][]byte) []persist.DeltaFrame[P] {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := persist.WriteDeltaHeader(&buf, log.Header()); err != nil {
-		t.Fatalf("WriteDeltaHeader: %v", err)
-	}
-	for _, f := range frames {
-		buf.Write(f)
-	}
-	dr, err := persist.NewDeltaReader[vector.Dense](&buf, persist.MetricL2)
+	dd, err := persist.NewDeltaDecoder[P](hdr, hdr.Metric)
 	if err != nil {
-		t.Fatalf("NewDeltaReader: %v", err)
+		t.Fatalf("NewDeltaDecoder: %v", err)
 	}
-	var out []persist.DeltaFrame[vector.Dense]
-	for {
-		f, err := dr.Next()
-		if err == io.EOF {
-			return out
+	out := make([]persist.DeltaFrame[P], len(frames))
+	var want uint64
+	for i, b := range frames {
+		f, n, err := dd.Decode(b, want)
+		if err != nil || n != len(b) {
+			t.Fatalf("Decode(frame %d) took %d of %d bytes: %v", i, n, len(b), err)
 		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		out = append(out, f)
+		out[i] = f
+		want = f.Seq + 1
 	}
+	return out
 }
 
 func TestLogRecordAndSince(t *testing.T) {
@@ -69,7 +60,7 @@ func TestLogRecordAndSince(t *testing.T) {
 	if err != nil || len(frames) != 3 || last != 3 {
 		t.Fatalf("Since(0) = %d frames, last %d, err %v; want 3, 3, nil", len(frames), last, err)
 	}
-	decoded := decodeFrames(t, log, frames)
+	decoded := decodeFrames[vector.Dense](t, log.Header(), frames)
 	if decoded[0].Kind != persist.DeltaAppend || decoded[0].Seq != 1 ||
 		decoded[0].Shard != 0 || decoded[0].Base != 0 || len(decoded[0].Points) != 3 {
 		t.Fatalf("frame 1 = %+v, want append of 3 points at base 0", decoded[0])
@@ -116,7 +107,7 @@ func TestLogTrimsToCap(t *testing.T) {
 	if err != nil || len(frames) != 4 || last != 10 {
 		t.Fatalf("Since(6) = %d frames, last %d, err %v; want 4, 10, nil", len(frames), last, err)
 	}
-	if got := decodeFrames(t, log, frames); got[0].Seq != 7 {
+	if got := decodeFrames[vector.Dense](t, log.Header(), frames); got[0].Seq != 7 {
 		t.Fatalf("first retained frame seq = %d, want 7", got[0].Seq)
 	}
 }

@@ -2,7 +2,6 @@ package replica_test
 
 import (
 	"bytes"
-	"io"
 	"slices"
 	"testing"
 
@@ -161,25 +160,7 @@ func runReplayProperty[P any](
 	if last != log.Seq() {
 		t.Fatalf("Since returned through seq %d, want %d", last, log.Seq())
 	}
-	var stream bytes.Buffer
-	if err := persist.WriteDeltaHeader(&stream, hdr); err != nil {
-		t.Fatalf("WriteDeltaHeader: %v", err)
-	}
-	for _, f := range frames {
-		stream.Write(f)
-	}
-	dr, err := persist.NewDeltaReader[P](&stream, hdr.Metric)
-	if err != nil {
-		t.Fatalf("NewDeltaReader: %v", err)
-	}
-	for {
-		frame, err := dr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
+	for _, frame := range decodeFrames[P](t, hdr, frames) {
 		if err := replica.Apply(fresh, frame); err != nil {
 			t.Fatalf("Apply(seq %d, kind %d): %v", frame.Seq, frame.Kind, err)
 		}

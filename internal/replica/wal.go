@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -516,37 +515,32 @@ func (w *WAL) Close() error {
 }
 
 // ReplayRaw applies recovered raw frames onto a store through the same
-// decode-and-apply path a follower uses: the frames join a synthetic
-// hybridlsh-delta/v1 stream under hdr and replay via the deterministic
-// replay methods. Frames already covered by the store's base snapshot
-// are absorbed idempotently (the snapshot/delta overlap property).
+// decoder a follower uses: each frame (one whole frame per element, its
+// seq following the previous one) is decoded under hdr where it lies
+// and replayed via the deterministic replay methods. Frames already
+// covered by the store's base snapshot are absorbed idempotently (the
+// snapshot/delta overlap property).
 func ReplayRaw[P any](sh *shard.Sharded[P], hdr persist.DeltaHeader, frames [][]byte) (int, error) {
 	if len(frames) == 0 {
 		return 0, nil
 	}
-	var stream bytes.Buffer
-	if err := persist.WriteDeltaHeader(&stream, hdr); err != nil {
-		return 0, err
-	}
-	for _, f := range frames {
-		stream.Write(f)
-	}
-	dr, err := persist.NewDeltaReader[P](&stream, hdr.Metric)
+	dd, err := persist.NewDeltaDecoder[P](hdr, hdr.Metric)
 	if err != nil {
 		return 0, err
 	}
-	applied := 0
-	for {
-		frame, err := dr.Next()
-		if err == io.EOF {
-			return applied, nil
+	var want uint64 // the first frame may carry any seq
+	for i, raw := range frames {
+		frame, n, err := dd.Decode(raw, want)
+		if err == nil && n != len(raw) {
+			err = fmt.Errorf("%w: %d bytes after frame %d", persist.ErrCorrupt, len(raw)-n, frame.Seq)
 		}
 		if err != nil {
-			return applied, fmt.Errorf("replica: wal replay: %w", err)
+			return i, fmt.Errorf("replica: wal replay: %w", err)
 		}
 		if err := Apply(sh, frame); err != nil {
-			return applied, fmt.Errorf("replica: wal replay frame %d: %w", frame.Seq, err)
+			return i, fmt.Errorf("replica: wal replay frame %d: %w", frame.Seq, err)
 		}
-		applied++
+		want = frame.Seq + 1
 	}
+	return len(frames), nil
 }

@@ -2,7 +2,6 @@ package replica_test
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -111,9 +110,9 @@ func runWALProperty[P any](
 		}
 	}
 
-	// oracleAt replays the first k journal frames through the PR-9
-	// delta-stream path (header + DeltaReader + Apply — the hydration
-	// wire format) onto a fresh base.
+	// oracleAt decodes the journal frames one by one and applies them
+	// onto a fresh base (Apply, not ReplayRaw: the oracle the recovered
+	// replay is checked against).
 	allFrames := func() [][]byte {
 		frames, last, err := lg.Since(0, 0)
 		if err != nil {
@@ -127,25 +126,7 @@ func runWALProperty[P any](
 	oracleAt := func(frames [][]byte) *shard.Sharded[P] {
 		sh := newStore(t)
 		sh.SetAutoCompact(1)
-		var stream bytes.Buffer
-		if err := persist.WriteDeltaHeader(&stream, hdr); err != nil {
-			t.Fatalf("WriteDeltaHeader: %v", err)
-		}
-		for _, f := range frames {
-			stream.Write(f)
-		}
-		dr, err := persist.NewDeltaReader[P](&stream, hdr.Metric)
-		if err != nil {
-			t.Fatalf("NewDeltaReader: %v", err)
-		}
-		for {
-			frame, err := dr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("Next: %v", err)
-			}
+		for _, frame := range decodeFrames[P](t, hdr, frames) {
 			if err := replica.Apply(sh, frame); err != nil {
 				t.Fatalf("Apply(seq %d): %v", frame.Seq, err)
 			}
