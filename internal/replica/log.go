@@ -241,7 +241,7 @@ func (r *Recorder[P]) JournalDelete(ids []int32) {
 	})
 }
 
-// SyncJournal implements shard.JournalSyncer: it forces the log's
+// SyncJournal implements shard.Journal: it forces the log's
 // durable spill (if any) to stable storage, so a snapshot can claim a
 // prefix is covered before WAL retention truncates it.
 func (r *Recorder[P]) SyncJournal() error { return r.log.Sync() }

@@ -32,12 +32,6 @@ func TestSyncJournal(t *testing.T) {
 		t.Fatalf("SyncJournal with no journal: %v", err)
 	}
 
-	// A journal that is not a JournalSyncer: still a no-op.
-	sh.SetJournal(&memJournal{})
-	if err := sh.SyncJournal(); err != nil {
-		t.Fatalf("SyncJournal with a non-syncing journal: %v", err)
-	}
-
 	// A syncing journal: flushed, and its error surfaces.
 	j := &syncJournal{}
 	sh.SetJournal(j)

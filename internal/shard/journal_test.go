@@ -44,6 +44,9 @@ func (m *memJournal) JournalCompact(shard int, removed []int32) {
 		ids: append([]int32(nil), removed...)})
 }
 
+// SyncJournal is a no-op: the records live in memory.
+func (m *memJournal) SyncJournal() error { return nil }
+
 // replay applies every record to a replica via the Apply* methods.
 func (m *memJournal) replay(t *testing.T, sh *shard.Sharded[vector.Dense]) {
 	t.Helper()

@@ -180,30 +180,24 @@ type Journal[P any] interface {
 	// JournalCompact records that shard physically removed the given
 	// tombstoned ids (strictly increasing) from its buckets.
 	JournalCompact(shard int, removed []int32)
-}
-
-// JournalSyncer is an optional extension of Journal: a journal whose
-// sink buffers (a write-ahead log, a file) implements it so callers
-// can force recorded mutations to stable storage at a barrier — e.g.
-// before a snapshot claims the journaled prefix is covered.
-type JournalSyncer interface {
 	// SyncJournal flushes every mutation journaled so far to the
-	// journal's durable sink.
+	// journal's durable sink (a write-ahead log, a file) — e.g. before
+	// a snapshot claims the journaled prefix is covered. A journal with
+	// no durable sink returns nil.
 	SyncJournal() error
 }
 
-// SyncJournal flushes the installed journal if it implements
-// JournalSyncer; a nil or non-durable journal is a successful no-op.
-// Taking appendMu orders the flush after every committed append's
-// journal call.
+// SyncJournal flushes the installed journal; with no journal it is a
+// successful no-op. Taking appendMu orders the flush after every
+// committed append's journal call.
 func (s *Sharded[P]) SyncJournal() error {
 	s.appendMu.Lock()
 	j := s.journal
 	s.appendMu.Unlock()
-	if js, ok := j.(JournalSyncer); ok {
-		return js.SyncJournal()
+	if j == nil {
+		return nil
 	}
-	return nil
+	return j.SyncJournal()
 }
 
 // SetJournal installs the mutation journal. It must be called before
