@@ -171,7 +171,10 @@ func (f *Follower[P]) Hydrate(ctx context.Context) error {
 
 // Poll fetches GET /delta?after=<cursor> once and applies the frames.
 // It returns how many frames it applied, and ErrRehydrate when the
-// cursor is no longer tailable (epoch change or trimmed log).
+// cursor is no longer tailable (epoch change, trimmed log, or a first
+// frame that does not follow the cursor). Damage later in the body is
+// an error wrapping persist.ErrCorrupt; the frames before it stay
+// applied and the cursor stays on the last of them.
 func (f *Follower[P]) Poll(ctx context.Context) (int, error) {
 	f.tailMu.Lock()
 	defer f.tailMu.Unlock()

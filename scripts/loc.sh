@@ -24,6 +24,7 @@
 #   5cde909 (parent of the SQ8 re-measurement): 22738
 #   4f65b86 (parent of covering as a table family): 22732
 #   82c05fc (parent of snapshot sections on every core): 22644
+#   b32f829 (parent of one delta-frame decoder): 23109
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
