@@ -28,11 +28,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/pointstore"
 )
 
 func main() {
@@ -43,19 +41,17 @@ func main() {
 }
 
 // cli is main without the exit: it parses args, runs the chosen
-// experiments and writes the -json report. A run that fails leaves no
-// report file behind.
+// experiments and writes the -json report. A run that fails or panics
+// leaves no report file behind.
 func cli(args []string) (err error) {
 	fs := flag.NewFlagSet("hybridbench", flag.ExitOnError)
 	var (
 		exp        = fs.String("exp", "all", "experiment: "+strings.Join(names(), ", ")+", all")
-		quantMode  = fs.String("quant", "sq8", "point-store quantization mode the quant experiment gates on (off or sq8)")
 		scale      = fs.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = paper scale)")
 		queries    = fs.Int("queries", 100, "query-set size (paper: 100)")
 		runs       = fs.Int("runs", 5, "timing runs to average (paper: 5)")
 		seed       = fs.Uint64("seed", 1, "generation/construction seed")
 		paperRatio = fs.Bool("paperratio", false, "use the paper's fixed β/α ratios instead of calibrating")
-		csvDir     = fs.String("csv", "", "also write results as CSV files into this directory")
 		jsonPath   = fs.String("json", "", "also write all results as one machine-readable JSON file (e.g. BENCH_results.json)")
 	)
 	fs.Parse(args) // ExitOnError: a bad flag exits with the usage
@@ -64,9 +60,11 @@ func cli(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	qmode, err := pointstore.ParseMode(*quantMode)
-	if err != nil {
-		return err
+	if *queries < 1 {
+		return fmt.Errorf("-queries %d: want at least 1", *queries)
+	}
+	if !(*scale > 0) {
+		return fmt.Errorf("-scale %v: want a fraction above 0", *scale)
 	}
 	cfg := bench.DefaultConfig(*scale)
 	cfg.Queries = *queries
@@ -74,7 +72,7 @@ func cli(args []string) (err error) {
 	cfg.Seed = *seed
 	cfg.Calibrate = !*paperRatio
 
-	e := env{cfg: cfg, csvDir: *csvDir, qmode: qmode}
+	e := env{cfg: cfg}
 	if *jsonPath != "" {
 		// The run meta is stamped once here, before any experiment runs,
 		// so every report this invocation writes carries an identical
@@ -87,16 +85,21 @@ func cli(args []string) (err error) {
 			return ferr
 		}
 		// err is cli's result: the report is written only when every
-		// experiment succeeded, and removed when anything failed.
+		// experiment succeeded, and removed when anything failed or
+		// panicked (the panic then goes on up).
 		defer func() {
-			if err == nil {
+			p := recover()
+			if p == nil && err == nil {
 				err = bench.WriteJSON(f, e.rep)
 			}
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
-			if err != nil {
+			if p != nil || err != nil {
 				os.Remove(*jsonPath) // best effort: err is what gets reported
+			}
+			if p != nil {
+				panic(p)
 			}
 		}()
 	}
@@ -112,10 +115,8 @@ type report = bench.JSONReport
 
 // env is what one hybridbench invocation hands every experiment.
 type env struct {
-	cfg    bench.Config
-	csvDir string
-	rep    *report // nil without -json
-	qmode  pointstore.Mode
+	cfg bench.Config
+	rep *report // nil without -json
 }
 
 // experiment is one -exp name. The ordered experiments table drives
@@ -127,10 +128,9 @@ type experiment struct {
 }
 
 // define wires one experiment: run it, print its title (when it has one)
-// and table, record it in the -json report via add, and (when csv is
-// non-nil) write <name>.csv into the -csv directory.
+// and table, and record it in the -json report via add.
 func define[R any](name, title string, run func(env) (R, error), print func(io.Writer, R),
-	add func(*report, R), csv func(io.Writer, R) error) experiment {
+	add func(*report, R)) experiment {
 	return experiment{name, func(e env) error {
 		res, err := run(e)
 		if err != nil {
@@ -144,10 +144,7 @@ func define[R any](name, title string, run func(env) (R, error), print func(io.W
 		if e.rep != nil {
 			add(e.rep, res)
 		}
-		if csv == nil || e.csvDir == "" {
-			return nil
-		}
-		return writeCSV(e.csvDir, name+".csv", func(w io.Writer) error { return csv(w, res) })
+		return nil
 	}}
 }
 
@@ -171,13 +168,12 @@ func figure(id, title string, sweep func(bench.Config) (*bench.Fig2Result, error
 			return bench.JSONFigure{ID: id, Calibrated: e.cfg.Calibrate, Fig2Result: res}, err
 		},
 		func(w io.Writer, f bench.JSONFigure) { print(w, f.Fig2Result) },
-		func(r *report, f bench.JSONFigure) { r.Figures = append(r.Figures, f) },
-		func(w io.Writer, f bench.JSONFigure) error { return bench.WriteFig2CSV(w, f.Fig2Result) })
+		func(r *report, f bench.JSONFigure) { r.Figures = append(r.Figures, f) })
 }
 
 var experiments = []experiment{
 	define("table1", "", plain(bench.Table1Experiment), bench.PrintTable1,
-		func(r *report, v []bench.Table1Row) { r.Table1 = v }, bench.WriteTable1CSV),
+		func(r *report, v []bench.Table1Row) { r.Table1 = v }),
 	figure("fig2a", "Figure 2a — MNIST-like, Hamming distance", bench.MNISTExperiment, false, bench.PrintFig2),
 	figure("fig2b", "Figure 2b — Webspam-like, cosine distance", bench.WebspamExperiment, false, bench.PrintFig2),
 	figure("fig2c", "Figure 2c — CoverType-like, L1 distance", bench.CoverTypeExperiment, false, bench.PrintFig2),
@@ -185,16 +181,15 @@ var experiments = []experiment{
 	figure("fig3", "Figure 3 — Webspam-like output sizes and linear-search calls (β/α = 10, the paper's choice)",
 		bench.WebspamExperiment, true, bench.PrintFig3),
 	define("multiprobe", "Multi-probe — T probes vs L tables at fixed recall",
-		plain(bench.MultiProbeExperiment), bench.PrintMultiProbe, func(r *report, v *bench.MultiProbeResult) { r.MultiProbe = v }, nil),
+		plain(bench.MultiProbeExperiment), bench.PrintMultiProbe, func(r *report, v *bench.MultiProbeResult) { r.MultiProbe = v }),
 	define("covering", "Covering LSH — guaranteed recall vs classic Hamming",
-		plain(bench.CoveringExperiment), bench.PrintCovering, func(r *report, v *bench.CoveringResult) { r.Covering = v }, nil),
+		plain(bench.CoveringExperiment), bench.PrintCovering, func(r *report, v *bench.CoveringResult) { r.Covering = v }),
 	define("serve", "Serving — observability overhead, bare vs instrumented query path",
-		plain(bench.ServeExperiment), bench.PrintServe, func(r *report, v *bench.ServeResult) { r.Serve = v }, nil),
+		plain(bench.ServeExperiment), bench.PrintServe, func(r *report, v *bench.ServeResult) { r.Serve = v }),
 	define("recal", "Recalibration — decision agreement with a fresh model, stale vs refitted",
-		plain(bench.RecalExperiment), bench.PrintRecal, func(r *report, v *bench.RecalResult) { r.Recal = v }, nil),
+		plain(bench.RecalExperiment), bench.PrintRecal, func(r *report, v *bench.RecalResult) { r.Recal = v }),
 	define("quant", "Point store — candidate verification: baseline vs flat vs SQ8",
-		func(e env) (*bench.QuantResult, error) { return bench.QuantExperiment(e.cfg, e.qmode) },
-		bench.PrintQuant, func(r *report, v *bench.QuantResult) { r.Quant = v }, nil),
+		plain(bench.QuantExperiment), bench.PrintQuant, func(r *report, v *bench.QuantResult) { r.Quant = v }),
 }
 
 func names() []string {
@@ -216,20 +211,4 @@ func pick(exp string) ([]experiment, error) {
 		}
 	}
 	return nil, fmt.Errorf("unknown experiment %q (want %s or all)", exp, strings.Join(names(), ", "))
-}
-
-// writeCSV creates dir/name and streams the writer callback into it.
-func writeCSV(dir, name string, write func(io.Writer) error) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

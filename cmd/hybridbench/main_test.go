@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -34,19 +37,46 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestFailedRunLeavesNoReport: an experiment that fails after the
-// report file was opened (here, writing its CSV into a directory that
-// cannot be made) removes the file rather than leaving it empty.
+// TestRunRejectsBadSizes: a -queries below 1 or a -scale that is not
+// above 0 is refused, naming the flag, before the report file is
+// created.
+func TestRunRejectsBadSizes(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-queries", "0"}, {"-queries", "-3"}, {"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"},
+	} {
+		path := filepath.Join(t.TempDir(), "x.json")
+		err := cli(tiny("fig2a", c.flag, c.value, "-json", path))
+		if err == nil || !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s %s: err = %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		noFile(t, path)
+	}
+}
+
+// TestFailedRunLeavesNoReport: an experiment that fails or panics after
+// the report file was opened removes the file rather than leaving it
+// empty or partial; the panic still reaches the caller.
 func TestFailedRunLeavesNoReport(t *testing.T) {
-	dir := t.TempDir()
-	blocker := filepath.Join(dir, "blocker")
-	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
-		t.Fatal(err)
+	saved := experiments
+	t.Cleanup(func() { experiments = saved })
+	experiments = append(slices.Clip(saved),
+		experiment{"fails", func(env) error { return errors.New("experiment failed") }},
+		experiment{"panics", func(env) error { panic("experiment panicked") }})
+
+	path := filepath.Join(t.TempDir(), "x.json")
+	if err := cli(tiny("fails", "-json", path)); err == nil {
+		t.Error("a failing experiment's run succeeded")
 	}
-	path := filepath.Join(dir, "x.json")
-	if err := cli(tiny("table1", "-csv", filepath.Join(blocker, "csv"), "-json", path)); err == nil {
-		t.Fatal("a run whose CSV directory cannot be made succeeded")
-	}
+	noFile(t, path)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a panicking experiment's panic did not reach the caller")
+			}
+		}()
+		cli(tiny("panics", "-json", path))
+	}()
 	noFile(t, path)
 }
 
@@ -55,7 +85,7 @@ func TestRunSingleFigures(t *testing.T) {
 		t.Skip("runs real sweeps")
 	}
 	for _, exp := range []string{"fig2a", "fig2d", "fig3"} {
-		if err := cli(tiny(exp, "-quant", "off", "-csv", t.TempDir())); err != nil {
+		if err := cli(tiny(exp)); err != nil {
 			t.Errorf("-exp %s: %v", exp, err)
 		}
 	}
@@ -65,7 +95,7 @@ func TestRunTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
-	if err := cli(tiny("table1", "-csv", t.TempDir())); err != nil {
+	if err := cli(tiny("table1")); err != nil {
 		t.Fatal(err)
 	}
 }

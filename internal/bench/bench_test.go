@@ -208,30 +208,3 @@ func TestRunSweepMultiRunStats(t *testing.T) {
 		}
 	}
 }
-
-func TestCSVWriters(t *testing.T) {
-	res := &Fig2Result{
-		Dataset: "x", Metric: "l2", N: 100, BetaOverAlpha: 8,
-		Rows: []Fig2Row{{Radius: 0.5, HybridSec: 1, LSHSec: 2, LinearSec: 3,
-			HybridRecall: 0.9, LSHRecall: 0.9, OutAvg: 5, OutMax: 9, OutMin: 1}},
-	}
-	var sb strings.Builder
-	if err := WriteFig2CSV(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want 2", len(lines))
-	}
-	if !strings.HasPrefix(lines[1], "x,l2,100,8,0.5,1,") {
-		t.Fatalf("row mismatch: %q", lines[1])
-	}
-	sb.Reset()
-	if err := WriteTable1CSV(&sb, []Table1Row{{Dataset: "y", CostPct: 1.5, ErrPct: 6, BetaOverAlpha: 10}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "y,1.5,6,10") {
-		t.Fatalf("table1 CSV wrong: %q", sb.String())
-	}
-}

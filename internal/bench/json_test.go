@@ -10,8 +10,7 @@ import (
 // on: one invocation stamps its RunMeta exactly once, so every
 // BENCH_*.json it writes carries a byte-identical meta block no matter
 // which experiments each report recorded. The meta holds the
-// environment only: the quantization mode a run measured lives in
-// QuantResult.Mode, the one result that has a mode.
+// environment only, never a result.
 func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	cfg := DefaultConfig(0.01)
 	meta := CollectRunMeta()
@@ -22,12 +21,11 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 		NewJSONReport(cfg),
 	}
 	// Feed each report a different experiment mix — the meta must not
-	// care. In particular the quant result's recorded mode must not leak
-	// into the run meta.
+	// care.
 	reports[0].Table1 = []Table1Row{{Dataset: "x"}}
-	reports[1].Quant = &QuantResult{Mode: "off"}
+	reports[1].Quant = &QuantResult{Dataset: "corel-like"}
 	reports[2].Figures = []JSONFigure{{ID: "fig2a", Calibrated: true, Fig2Result: &Fig2Result{}}}
-	reports[2].Quant = &QuantResult{Mode: "flat-vs-sq8-something-else"}
+	reports[2].Quant = &QuantResult{Dataset: "something-else"}
 
 	var metas [][]byte
 	for i, r := range reports {
@@ -39,9 +37,6 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 			t.Fatal(err)
 		}
 		metas = append(metas, b)
-	}
-	if bytes.Contains(metas[0], []byte(`"quant"`)) {
-		t.Errorf("run meta %s carries a quant mode; only QuantResult.Mode records one", metas[0])
 	}
 	for i := 1; i < len(metas); i++ {
 		if !bytes.Equal(metas[i], metas[0]) {
@@ -61,7 +56,7 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	if got.Meta != meta {
 		t.Errorf("round-tripped meta = %+v, want %+v", got.Meta, meta)
 	}
-	if got.Quant == nil || got.Quant.Mode != "off" {
+	if got.Quant == nil || got.Quant.Dataset != "corel-like" {
 		t.Errorf("quant result lost in round trip: %+v", got.Quant)
 	}
 }

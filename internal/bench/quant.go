@@ -24,9 +24,6 @@ type QuantResult struct {
 	Metric  string  `json:"metric"`
 	Radius  float64 `json:"radius"`
 	Queries int     `json:"queries"`
-	// Mode is the quantization mode the headline speedup is measured
-	// against ("off" benchmarks the flat store alone).
-	Mode string `json:"mode"`
 	// CandAvg is the mean LSH candidate-list size per query — the work
 	// every arm verifies.
 	CandAvg int `json:"cand_avg"`
@@ -37,9 +34,8 @@ type QuantResult struct {
 	BaselineSec float64 `json:"baseline_sec"`
 	FlatSec     float64 `json:"flat_sec"`
 	QuantSec    float64 `json:"quant_sec"`
-	// SpeedupFlat is BaselineSec/FlatSec. SpeedupVerify is the headline
-	// gate: baseline over the selected mode's store (QuantSec for sq8,
-	// FlatSec for off); the CI gate requires >= 1.3.
+	// SpeedupFlat is BaselineSec/FlatSec and SpeedupVerify is
+	// BaselineSec/QuantSec: each store against the pre-refactor rows.
 	SpeedupFlat   float64 `json:"speedup_flat"`
 	SpeedupVerify float64 `json:"speedup_verify"`
 	// SQ8OverFlat is QuantSec/FlatSec: the comparison an index makes
@@ -81,7 +77,7 @@ func baselineL2(a, b vector.Dense) float64 {
 // flat struct-of-arrays store, and the SQ8-quantized store. Identical
 // inputs make the arms answer-comparable id-for-id, which doubles as
 // the mismatch gate.
-func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
+func QuantExperiment(cfg Config) (*QuantResult, error) {
 	data, queries, r := corelWorkload(cfg)
 	ix, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+2))
 	if err != nil {
@@ -130,13 +126,12 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 		Metric:  "l2",
 		Radius:  r,
 		Queries: len(queries),
-		Mode:    mode.String(),
 		CandAvg: total / max(len(queries), 1),
 		Bound:   quant.Stats().QuantBound,
 	}
 
 	baseline := make([][]int32, len(queries))
-	timeArm := func(verify func(qi int, out []int32) []int32, check bool) (float64, error) {
+	timeArm := func(verify func(qi int, out []int32) []int32, check bool) float64 {
 		best := math.Inf(1)
 		runs := max(cfg.Runs, 1)
 		for run := 0; run < runs; run++ {
@@ -156,10 +151,10 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 				best = sec
 			}
 		}
-		return best, nil
+		return best
 	}
 
-	res.BaselineSec, _ = timeArm(func(qi int, out []int32) []int32 {
+	res.BaselineSec = timeArm(func(qi int, out []int32) []int32 {
 		q := queries[qi]
 		for _, id := range cands[qi] {
 			if baselineL2(rows[id], q) <= r {
@@ -168,10 +163,10 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 		}
 		return out
 	}, false)
-	res.FlatSec, _ = timeArm(func(qi int, out []int32) []int32 {
+	res.FlatSec = timeArm(func(qi int, out []int32) []int32 {
 		return flat.VerifyRadius(queries[qi], cands[qi], r, out)
 	}, true)
-	res.QuantSec, _ = timeArm(func(qi int, out []int32) []int32 {
+	res.QuantSec = timeArm(func(qi int, out []int32) []int32 {
 		return quant.VerifyRadius(queries[qi], cands[qi], r, out)
 	}, true)
 
@@ -179,13 +174,8 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 		res.SpeedupFlat = res.BaselineSec / res.FlatSec
 		res.SQ8OverFlat = res.QuantSec / res.FlatSec
 	}
-	switch mode {
-	case pointstore.ModeSQ8:
-		if res.QuantSec > 0 {
-			res.SpeedupVerify = res.BaselineSec / res.QuantSec
-		}
-	default:
-		res.SpeedupVerify = res.SpeedupFlat
+	if res.QuantSec > 0 {
+		res.SpeedupVerify = res.BaselineSec / res.QuantSec
 	}
 	if st := quant.Stats(); st.Verified > 0 {
 		res.RejectedFrac = float64(st.QuantRejected) / float64(st.Verified)
@@ -210,8 +200,8 @@ func equalIDs(a, b []int32) bool {
 
 // PrintQuant renders the verification-arm comparison.
 func PrintQuant(w io.Writer, r *QuantResult) {
-	fmt.Fprintf(w, "  %s: n=%d dim=%d r=%.3g, %d queries, avg %d candidates (mode %s)\n",
-		r.Dataset, r.N, r.Dim, r.Radius, r.Queries, r.CandAvg, r.Mode)
+	fmt.Fprintf(w, "  %s: n=%d dim=%d r=%.3g, %d queries, avg %d candidates\n",
+		r.Dataset, r.N, r.Dim, r.Radius, r.Queries, r.CandAvg)
 	fmt.Fprintf(w, "  baseline (rows+sqrt)   %8.3f ms\n", r.BaselineSec*1e3)
 	fmt.Fprintf(w, "  flat (SoA, squared)    %8.3f ms   %.2fx\n", r.FlatSec*1e3, r.SpeedupFlat)
 	fmt.Fprintf(w, "  sq8 (quant screen)     %8.3f ms   rejected %.0f%% accepted %.0f%% (bound %.3g)\n",

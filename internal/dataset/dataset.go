@@ -1,6 +1,6 @@
 // Package dataset provides synthetic substitutes for the four real-world
 // datasets of the paper's evaluation — Corel Images, CoverType, Webspam
-// and MNIST — plus query-set splitting and gob persistence.
+// and MNIST — plus query-set splitting.
 //
 // The environment is offline, so each generator reproduces the properties
 // the paper's experiments actually exercise: size, dimensionality, the
@@ -11,9 +11,7 @@
 package dataset
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
 
 	"repro/internal/distance"
 	"repro/internal/rng"
@@ -84,33 +82,4 @@ func scaleN(n int, scale float64, min int) int {
 		return min
 	}
 	return s
-}
-
-// SaveGob writes v to path with encoding/gob.
-func SaveGob(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(v); err != nil {
-		f.Close()
-		return fmt.Errorf("dataset: encoding %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("dataset: closing %s: %w", path, err)
-	}
-	return nil
-}
-
-// LoadGob reads v from path with encoding/gob.
-func LoadGob(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("dataset: decoding %s: %w", path, err)
-	}
-	return nil
 }

@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 
@@ -223,37 +221,6 @@ func TestScaleN(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ds.gob")
-	ds := MNISTLike(0.01, 11)
-	if err := SaveGob(path, ds); err != nil {
-		t.Fatal(err)
-	}
-	var back BinarySet
-	if err := LoadGob(path, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Meta.Name != ds.Meta.Name || back.Meta.N != ds.Meta.N ||
-		back.Meta.Dim != ds.Meta.Dim || back.Meta.Metric != ds.Meta.Metric ||
-		len(back.Meta.PaperRadii) != len(ds.Meta.PaperRadii) {
-		t.Fatalf("meta round trip: %+v vs %+v", back.Meta, ds.Meta)
-	}
-	if len(back.Points) != len(ds.Points) {
-		t.Fatalf("points lost: %d vs %d", len(back.Points), len(ds.Points))
-	}
-	if vector.Hamming(back.Points[3], ds.Points[3]) != 0 {
-		t.Fatal("point contents changed")
-	}
-}
-
-func TestLoadGobMissingFile(t *testing.T) {
-	var ds BinarySet
-	if err := LoadGob("/nonexistent/path/x.gob", &ds); err == nil {
-		t.Fatal("LoadGob on missing file did not error")
-	}
-}
-
 // outputSizes returns the sorted output sizes of each query at radius r.
 func outputSizes[P any](data []P, queries []P, dist func(a, b P) float64, r float64) []int {
 	counts := make([]int, len(queries))
@@ -266,22 +233,4 @@ func outputSizes[P any](data []P, queries []P, dist func(a, b P) float64, r floa
 	}
 	sort.Ints(counts)
 	return counts
-}
-
-func TestLoadGobCorruptFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "corrupt.gob")
-	if err := os.WriteFile(path, []byte("not a gob stream"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var ds BinarySet
-	if err := LoadGob(path, &ds); err == nil {
-		t.Fatal("LoadGob decoded garbage without error")
-	}
-}
-
-func TestSaveGobUnwritablePath(t *testing.T) {
-	if err := SaveGob("/nonexistent-dir/x.gob", 42); err == nil {
-		t.Fatal("SaveGob to unwritable path did not error")
-	}
 }

@@ -52,13 +52,6 @@ func New(m int) *Sketch {
 	return &Sketch{p: uint8(bits.TrailingZeros(uint(m))), regs: make([]uint8, m)}
 }
 
-// M returns the number of registers.
-func (s *Sketch) M() int { return len(s.regs) }
-
-// SizeBytes returns the in-memory size of the register array, the space
-// overhead charged per bucket in the paper's analysis.
-func (s *Sketch) SizeBytes() int { return len(s.regs) }
-
 // Add folds a pre-hashed element into the sketch. The caller must supply a
 // well-mixed 64-bit hash (see hashutil.ElementHash); feeding raw sequential
 // ids would bias the estimate badly.
@@ -105,9 +98,6 @@ func (s *Sketch) Estimate() float64 {
 	}
 	return e
 }
-
-// StdError returns the theoretical standard relative error 1.04/√m.
-func (s *Sketch) StdError() float64 { return 1.04 / math.Sqrt(float64(len(s.regs))) }
 
 // Merge folds o into s by component-wise max, after which s estimates the
 // cardinality of the union of the two streams. It panics if the register
@@ -180,16 +170,6 @@ func (s *Sketch) Reset() {
 	for i := range s.regs {
 		s.regs[i] = 0
 	}
-}
-
-// Empty reports whether no element has ever been added.
-func (s *Sketch) Empty() bool {
-	for _, r := range s.regs {
-		if r != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Registers exposes the raw register array (read-only by convention). It

@@ -60,21 +60,12 @@ func (s *KeyScratch) begin(points any) {
 var hashEvals atomic.Uint64
 
 // HashEvaluations returns how many times a point has been hashed into
-// one table, by any path (Keys, BlockKeys, a lookup, a probe, Build or
+// one table, by any path (BlockKeys, a lookup, a probe, Build or
 // Append), since the process started.
 func HashEvaluations() uint64 { return hashEvals.Load() }
 
-// Keys sets dst[i] to h.Key(points[i]) for every point, through h's
-// block path when it has one, working in s (nil allocates one).
-func Keys[P any](h Hasher[P], points []P, dst []uint64, s *KeyScratch) {
-	if s == nil {
-		s = new(KeyScratch)
-	}
-	s.begin(points)
-	keysOf(h, points, dst, s)
-}
-
-// keysOf is Keys for a block s has begun.
+// keysOf sets dst[i] to h.Key(points[i]) for every point, through h's
+// block path when it has one, working in s, which must have begun points.
 func keysOf[P any](h Hasher[P], points []P, dst []uint64, s *KeyScratch) {
 	hashEvals.Add(uint64(len(points)))
 	if bh, ok := h.(blockHasher[P]); ok {

@@ -70,7 +70,6 @@ func TestCollisionProbMonotone(t *testing.T) {
 	}{
 		{"bitsampling", NewBitSampling(64).CollisionProb, 0, 64},
 		{"simhash-cosine", NewSimHashCosine(100).CollisionProb, 0, 2},
-		{"simhash-angular", NewSimHashAngular(100).CollisionProb, 0, 1},
 		{"pstable-l1", NewPStableL1(50, 4).CollisionProb, 0.01, 100},
 		{"pstable-l2", NewPStableL2(50, 4).CollisionProb, 0.01, 100},
 		{"minhash", NewMinHash(100).CollisionProb, 0, 1},
@@ -98,11 +97,14 @@ func TestCollisionProbEndpoints(t *testing.T) {
 	if got := NewBitSampling(64).CollisionProb(64); got != 0 {
 		t.Errorf("bitsampling p(d) = %v", got)
 	}
-	if got := NewSimHashAngular(10).CollisionProb(0); got != 1 {
+	if got := NewSimHashCosine(10).CollisionProb(0); got != 1 {
 		t.Errorf("simhash p(0) = %v", got)
 	}
-	if got := NewSimHashAngular(10).CollisionProb(1); got != 0 {
-		t.Errorf("simhash p(1) = %v", got)
+	if got := NewSimHashCosine(10).CollisionProb(1); got != 0.5 {
+		t.Errorf("simhash p(1) = %v, want 0.5 (orthogonal)", got)
+	}
+	if got := NewSimHashCosine(10).CollisionProb(2); got != 0 {
+		t.Errorf("simhash p(2) = %v", got)
 	}
 	if got := NewPStableL2(10, 4).CollisionProb(0); got != 1 {
 		t.Errorf("pstable p(0) = %v", got)
@@ -149,7 +151,7 @@ func TestSimHashEmpiricalCollision(t *testing.T) {
 	x := vector.NewSparse(dim, []int32{0}, []float32{1})
 	y := vector.NewSparse(dim, []int32{0, 1},
 		[]float32{float32(math.Cos(theta)), float32(math.Sin(theta))})
-	fam := NewSimHashAngular(dim)
+	fam := NewSimHashCosine(dim)
 	coll := 0
 	for i := 0; i < trials; i++ {
 		h := fam.NewHasher(1, r)
@@ -158,15 +160,12 @@ func TestSimHashEmpiricalCollision(t *testing.T) {
 		}
 	}
 	want := 1 - theta/math.Pi
+	if p := fam.CollisionProb(1 - math.Cos(theta)); math.Abs(p-want) > 1e-9 {
+		t.Errorf("p(cosine distance) = %v, want %v", p, want)
+	}
 	got := float64(coll) / trials
 	if math.Abs(got-want) > 0.015 {
 		t.Errorf("empirical collision %v, theory %v", got, want)
-	}
-	// The cosine-distance parameterization must give the same number for
-	// the corresponding cosine distance.
-	cosDist := 1 - math.Cos(theta)
-	if p := NewSimHashCosine(dim).CollisionProb(cosDist); math.Abs(p-want) > 1e-9 {
-		t.Errorf("cosine-parameterized p = %v, want %v", p, want)
 	}
 }
 
@@ -437,6 +436,14 @@ func TestFamilyConstructorPanics(t *testing.T) {
 // TestKeysMatchKey holds the block path, Keys, to one Key call per point
 // for every family: the p-stable hasher's kernel over more than one of
 // its point blocks, and every other family's Key loop.
+// keysFor is the block path Build, Append and BlockKeys take for one
+// table: keysOf over points, in a scratch begun on them.
+func keysFor[P any](h Hasher[P], points []P, dst []uint64) {
+	var s KeyScratch
+	s.begin(points)
+	keysOf(h, points, dst, &s)
+}
+
 func TestKeysMatchKey(t *testing.T) {
 	r := rng.New(41)
 	const dim, n, k = 24, 150, 6
@@ -460,22 +467,20 @@ func TestKeysMatchKey(t *testing.T) {
 		keys(got)
 		for i, g := range got {
 			if want := key(i); g != want {
-				t.Fatalf("%s: Keys[%d] = %#x, Key = %#x", name, i, g, want)
+				t.Fatalf("%s: keysOf[%d] = %#x, Key = %#x", name, i, g, want)
 			}
 		}
 	}
 	for _, fam := range []Family[vector.Dense]{NewPStableL2(dim, 1.5), NewPStableL1(dim, 3), NewCrossPolytope(dim, 5)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, dense, dst, nil) }, func(i int) uint64 { return h.Key(dense[i]) })
+		check(fam.Name(), func(dst []uint64) { keysFor(h, dense, dst) }, func(i int) uint64 { return h.Key(dense[i]) })
 	}
 	for _, fam := range []Family[vector.Binary]{NewBitSampling(dim), NewMinHash(dim)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, binary, dst, nil) }, func(i int) uint64 { return h.Key(binary[i]) })
+		check(fam.Name(), func(dst []uint64) { keysFor(h, binary, dst) }, func(i int) uint64 { return h.Key(binary[i]) })
 	}
-	for _, fam := range []Family[vector.Sparse]{NewSimHashCosine(dim), NewSimHashAngular(dim)} {
-		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { Keys(h, sparse, dst, nil) }, func(i int) uint64 { return h.Key(sparse[i]) })
-	}
+	sh := NewSimHashCosine(dim).NewHasher(k, r)
+	check("simhash-cosine", func(dst []uint64) { keysFor(sh, sparse, dst) }, func(i int) uint64 { return sh.Key(sparse[i]) })
 	if _, ok := NewPStableL2(dim, 1).NewHasher(k, r).(blockHasher[vector.Dense]); !ok {
 		t.Fatal("the p-stable hasher has no block path")
 	}

@@ -237,7 +237,7 @@ func (h *PStableHasher) Key(p vector.Dense) uint64 {
 const keysBlock = 64
 
 // keys sets dst[i] to Key(points[i]) for every point, the block path
-// lsh.Keys takes: screened where the CPU has the FMA kernel.
+// keysOf takes: screened where the CPU has the FMA kernel.
 func (h *PStableHasher) keys(points []vector.Dense, dst []uint64, s *KeyScratch) {
 	h.keysBy(points, dst, s, vector.HaveFMA())
 }

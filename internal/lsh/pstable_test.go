@@ -73,9 +73,9 @@ func TestPStableHasherMatchesDot(t *testing.T) {
 				// of four and eight points.
 				for n := 1; n <= len(pts); n++ {
 					got := make([]uint64, n)
-					Keys[vector.Dense](restored, pts[:n], got, nil)
+					keysFor[vector.Dense](restored, pts[:n], got)
 					if !slices.Equal(got, wantKeys[:n]) {
-						t.Fatalf("%s dim %d k %d: Keys of %d points %#x, want %#x", fam.Name(), dim, k, n, got, wantKeys[:n])
+						t.Fatalf("%s dim %d k %d: keysOf %d points %#x, want %#x", fam.Name(), dim, k, n, got, wantKeys[:n])
 					}
 					restored.keysBy(pts[:n], got, &KeyScratch{}, true)
 					if !slices.Equal(got, wantKeys[:n]) {
@@ -94,7 +94,7 @@ func TestPStableHasherDimMismatchPanics(t *testing.T) {
 			"Key":               func() { h.Key(p) },
 			"Parts":             func() { h.Parts(p, nil) },
 			"PartsAndResiduals": func() { h.PartsAndResiduals(p) },
-			"Keys":              func() { Keys[vector.Dense](h, []vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2), nil) },
+			"keysOf":            func() { keysFor[vector.Dense](h, []vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2)) },
 			"keysBy":            func() { h.keysBy([]vector.Dense{make(vector.Dense, 8), p}, make([]uint64, 2), &KeyScratch{}, true) },
 		} {
 			func() {
@@ -124,8 +124,8 @@ func TestPStableKeyDoesNotAllocate(t *testing.T) {
 			keys := make([]uint64, 65)
 			for _, n := range []int{1, 32, 64, 65} {
 				pts := slices.Repeat([]vector.Dense{p}, n)
-				if a := testing.AllocsPerRun(20, func() { Keys[vector.Dense](h, pts, keys, &s) }); a != 0 {
-					t.Errorf("dim %d k %d: Keys of %d points allocates %v times", dim, k, n, a)
+				if a := testing.AllocsPerRun(20, func() { s.begin(pts); keysOf[vector.Dense](h, pts, keys, &s) }); a != 0 {
+					t.Errorf("dim %d k %d: keysOf %d points allocates %v times", dim, k, n, a)
 				}
 			}
 		}

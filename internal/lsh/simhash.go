@@ -14,66 +14,29 @@ import (
 // Gaussian vector, so Pr[h(x) = h(y)] = 1 − θ(x, y)/π.
 //
 // The family is defined over sparse vectors (the Webspam-like workload).
-// The distance argument of CollisionProb is interpreted according to the metric the family was
-// constructed for: cosine distance (1 − cos θ) or normalized angle (θ/π).
+// The distance argument of CollisionProb is the cosine distance 1 − cos θ.
 type SimHash struct {
-	dim     int
-	angular bool
+	dim int
 }
 
 // NewSimHashCosine returns the SimHash family with distances measured as
 // cosine distance 1 − cos θ (the paper's Webspam setting).
 func NewSimHashCosine(dim int) *SimHash {
-	return newSimHash(dim, false)
-}
-
-// NewSimHashAngular returns the SimHash family with distances measured as
-// normalized angle θ/π, for which p(dist) = 1 − dist exactly.
-func NewSimHashAngular(dim int) *SimHash {
-	return newSimHash(dim, true)
-}
-
-func newSimHash(dim int, angular bool) *SimHash {
 	if dim <= 0 {
 		panic(fmt.Sprintf("lsh: NewSimHash dim = %d", dim))
 	}
-	return &SimHash{dim: dim, angular: angular}
+	return &SimHash{dim: dim}
 }
 
 // Name implements Family.
-func (f *SimHash) Name() string {
-	if f.angular {
-		return "simhash-angular"
-	}
-	return "simhash-cosine"
-}
+func (f *SimHash) Name() string { return "simhash-cosine" }
 
 // Dim returns the ambient dimension.
 func (f *SimHash) Dim() int { return f.dim }
 
 // CollisionProb implements Family.
 func (f *SimHash) CollisionProb(dist float64) float64 {
-	var theta float64
-	if f.angular {
-		theta = dist * math.Pi
-	} else {
-		c := 1 - dist
-		if c > 1 {
-			c = 1
-		}
-		if c < -1 {
-			c = -1
-		}
-		theta = math.Acos(c)
-	}
-	p := 1 - theta/math.Pi
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
+	return 1 - math.Acos(min(max(1-dist, -1), 1))/math.Pi
 }
 
 // NewHasher implements Family: k independent Gaussian hyperplanes.

@@ -669,7 +669,7 @@ func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
 }
 
 // BlockKeys hashes a block of queries into every table, one table at a
-// time through its hasher's block path (Keys): keys[j·len(block)+i]
+// time through its hasher's block path (keysOf): keys[j·len(block)+i]
 // becomes table j's key of block[i]. s is the block path's scratch. It
 // returns keys, grown as needed, for reuse.
 func (t *Tables[P]) BlockKeys(block []P, keys []uint64, s *KeyScratch) []uint64 {

@@ -349,7 +349,7 @@ func writeBinaryPoints(e *enc, m *indexMeta, at func(i int) vector.Binary) error
 // binaryRows decodes the n rows of a binary points payload into one word
 // array, the rows back to back, from parts that hold exactly their
 // bytes, each a multiple of 8 long. The bits beyond dim in each row's
-// trailing word are cleared, so PopCount and Hamming over adversarial
+// trailing word are cleared, so Hamming distances over adversarial
 // input match what SetBit could produce.
 func binaryRows(parts [][]byte, m *indexMeta) []uint64 {
 	words := (m.dim + 63) / 64

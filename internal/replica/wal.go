@@ -456,9 +456,6 @@ func (w *WAL) LastSeq() uint64 {
 	return w.nextSeq - 1
 }
 
-// Dir returns the WAL directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Stats snapshots the WAL's bookkeeping.
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()

@@ -1,12 +1,11 @@
 // Package rng provides small, fast, deterministic pseudo-random number
 // generators and the non-uniform variates needed by the LSH families and the
-// HyperLogLog sketch: uniform 64-bit words, standard Gaussian (for 2-stable
-// projections), standard Cauchy (for 1-stable projections) and
-// Geometric(1/2) (for HLL register updates).
+// synthetic datasets: uniform 64-bit words, standard Gaussian (for 2-stable
+// projections) and standard Cauchy (for 1-stable projections).
 //
 // Everything in this package is seeded explicitly so that index construction
 // and experiments are reproducible bit-for-bit. The generators are NOT safe
-// for concurrent use; give each goroutine its own generator, e.g. via Split.
+// for concurrent use; give each goroutine its own generator.
 package rng
 
 import "math"
@@ -49,12 +48,6 @@ func New(seed uint64) *Rand {
 	return &r
 }
 
-// Split returns a new generator whose stream is independent (for practical
-// purposes) of r's: the child is seeded from the parent's stream.
-func (r *Rand) Split() *Rand {
-	return New(r.Uint64() ^ 0xd1342543de82ef95)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64-bit word.
@@ -69,9 +62,6 @@ func (r *Rand) Uint64() uint64 {
 	r.s[3] = rotl(r.s[3], 45)
 	return result
 }
-
-// Uint32 returns the next 32-bit word (upper half of Uint64).
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 // Lemire's multiply-shift rejection method avoids modulo bias.
@@ -141,22 +131,6 @@ func (r *Rand) Normal() float64 {
 // distance (Datar et al., SoCG 2004).
 func (r *Rand) Cauchy() float64 {
 	return math.Tan(math.Pi * (r.Float64Open() - 0.5))
-}
-
-// Geometric returns a Geometric(1/2) variate in [1, 64]: the position of the
-// first 1-bit in a random word, which is exactly the register-update value
-// HyperLogLog uses (Flajolet et al., AofA 2007).
-func (r *Rand) Geometric() int {
-	w := r.Uint64()
-	if w == 0 {
-		return 64
-	}
-	v := 1
-	for w&1 == 0 {
-		v++
-		w >>= 1
-	}
-	return v
 }
 
 // Perm returns a random permutation of [0, n) via Fisher–Yates.

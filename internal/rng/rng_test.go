@@ -38,20 +38,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	matches := 0
-	for i := 0; i < 1000; i++ {
-		if parent.Uint64() == child.Uint64() {
-			matches++
-		}
-	}
-	if matches > 2 {
-		t.Fatalf("parent and split child matched %d/1000 times", matches)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 100000; i++ {
@@ -147,27 +133,6 @@ func TestCauchyMedianAndSymmetry(t *testing.T) {
 	// P(|X| ≤ 1) = 1/2 for standard Cauchy.
 	if frac := float64(within1) / trials; math.Abs(frac-0.5) > 0.01 {
 		t.Errorf("Cauchy P(|x|≤1) = %v, want ≈ 0.5", frac)
-	}
-}
-
-func TestGeometricDistribution(t *testing.T) {
-	r := New(8)
-	const trials = 200000
-	counts := make(map[int]int)
-	for i := 0; i < trials; i++ {
-		v := r.Geometric()
-		if v < 1 || v > 64 {
-			t.Fatalf("Geometric() = %d out of [1,64]", v)
-		}
-		counts[v]++
-	}
-	// P(v = k) = 2^-k: check the first few values.
-	for k := 1; k <= 5; k++ {
-		want := float64(trials) * math.Pow(0.5, float64(k))
-		got := float64(counts[k])
-		if math.Abs(got-want) > 6*math.Sqrt(want) {
-			t.Errorf("Geometric P(%d): got %v, want ≈ %v", k, got, want)
-		}
 	}
 }
 

@@ -136,9 +136,6 @@ func (s *Sharded[P]) EnableCache(capacity int, key func(P) string) error {
 	return nil
 }
 
-// CacheEnabled reports whether a result cache is installed.
-func (s *Sharded[P]) CacheEnabled() bool { return s.cache != nil }
-
 // epoch sums the per-shard generation counters. Every counter is
 // monotonic, so two equal sums mean no shard mutated in between — the
 // whole cache-coherence argument in one line.

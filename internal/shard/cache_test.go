@@ -36,8 +36,8 @@ func cachedPair(t *testing.T, points []vector.Dense, dim int, capacity int) (cac
 func TestCacheHitServesIdenticalIDs(t *testing.T) {
 	points, queries := clustered(400, 10, 8, 0.01, 51)
 	sh, _ := cachedPair(t, points, 8, 64)
-	if !sh.CacheEnabled() {
-		t.Fatal("CacheEnabled() = false after EnableCache")
+	if !sh.Stats().CacheEnabled {
+		t.Fatal("Stats().CacheEnabled = false after EnableCache")
 	}
 	first, st1 := sh.Query(queries[0])
 	if st1.CacheHit {
@@ -228,7 +228,7 @@ func TestCacheEnableValidation(t *testing.T) {
 	if err := sh.EnableCache(4, nil); err == nil {
 		t.Error("EnableCache with nil key should fail")
 	}
-	if sh.CacheEnabled() {
+	if sh.Stats().CacheEnabled {
 		t.Error("failed EnableCache calls left a cache installed")
 	}
 }

@@ -142,13 +142,3 @@ func BenchmarkKernelHammingWords(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkKernelToDense(b *testing.B) {
-	bin := NewBinary(256)
-	for i := 0; i < 256; i += 3 {
-		bin.SetBit(i, true)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = bin.ToDense()
-	}
-}

@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -65,15 +64,6 @@ func (a Dense) Norm2() float64 {
 		s += float64(x * x)
 	}
 	return math.Sqrt(s)
-}
-
-// Norm1 returns the Manhattan norm ‖a‖₁.
-func (a Dense) Norm1() float64 {
-	var s float64
-	for _, v := range a {
-		s += math.Abs(float64(v))
-	}
-	return s
 }
 
 // Normalize scales a to unit Euclidean norm in place and returns it.
@@ -329,15 +319,6 @@ func (a Binary) FlipBit(i int) {
 	a.Words[i>>6] ^= uint64(1) << (uint(i) & 63)
 }
 
-// PopCount returns the number of set bits.
-func (a Binary) PopCount() int {
-	n := 0
-	for _, w := range a.Words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Clone returns a deep copy of a.
 func (a Binary) Clone() Binary {
 	b := Binary{Dim: a.Dim, Words: make([]uint64, len(a.Words))}
@@ -372,25 +353,6 @@ func (a Binary) CacheKey() string {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return string(buf)
-}
-
-// ToDense expands a binary vector to a dense 0/1 float vector. It walks
-// set bits word-at-a-time (TrailingZeros64 + clear-lowest-bit) instead
-// of testing each of the Dim positions through the bounds-checked Bit.
-func (a Binary) ToDense() Dense {
-	d := make(Dense, a.Dim)
-	for wi, w := range a.Words {
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			if i >= a.Dim {
-				break // padding bits beyond Dim (zero by invariant)
-			}
-			d[i] = 1
-			w &= w - 1
-		}
-	}
-	return d
 }
 
 // SparseToDense expands a sparse vector to dense form.
