@@ -66,6 +66,9 @@ func cli(args []string) (err error) {
 	if !(*scale > 0) {
 		return fmt.Errorf("-scale %v: want a fraction above 0", *scale)
 	}
+	if *runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1", *runs)
+	}
 	cfg := bench.DefaultConfig(*scale)
 	cfg.Queries = *queries
 	cfg.Runs = *runs

@@ -43,11 +43,27 @@ func TestRunUnknownExperiment(t *testing.T) {
 func TestRunRejectsBadSizes(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"-queries", "0"}, {"-queries", "-3"}, {"-scale", "0"}, {"-scale", "-1"}, {"-scale", "NaN"},
+		{"-runs", "0"}, {"-runs", "-2"},
 	} {
 		path := filepath.Join(t.TempDir(), "x.json")
 		err := cli(tiny("fig2a", c.flag, c.value, "-json", path))
 		if err == nil || !strings.Contains(err.Error(), c.flag) {
 			t.Errorf("%s %s: err = %v, want one naming %s", c.flag, c.value, err, c.flag)
+		}
+		noFile(t, path)
+	}
+}
+
+// TestQueriesBeyondDataset: a query set that would take every point of
+// a dataset fails the experiment with an error naming -queries and the
+// dataset's size, and leaves no report, instead of running on fewer
+// queries than the report records.
+func TestQueriesBeyondDataset(t *testing.T) {
+	for _, exp := range []string{"fig2a", "quant"} {
+		path := filepath.Join(t.TempDir(), "x.json")
+		err := cli(tiny(exp, "-queries", "100000", "-json", path))
+		if err == nil || !strings.Contains(err.Error(), "-queries 100000") || !strings.Contains(err.Error(), "points") {
+			t.Errorf("%s: err = %v, want one naming -queries and the dataset's size", exp, err)
 		}
 		noFile(t, path)
 	}

@@ -18,10 +18,10 @@ import (
 // corelWorkload is the Corel-like L2 workload (the paper's Figure-2d
 // dataset) at its middle radius, which every serving-side experiment
 // runs on.
-func corelWorkload(cfg Config) (data, queries []vector.Dense, r float64) {
+func corelWorkload(cfg Config) (data, queries []vector.Dense, r float64, err error) {
 	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	data, queries = dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
-	return data, queries, ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
+	data, queries, err = splitQueries(cfg, ds.Points)
+	return data, queries, ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2], err
 }
 
 // indexConfig is the index configuration every experiment shares: the

@@ -68,7 +68,10 @@ type CoveringResult struct {
 // cost model.
 func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 	ds := dataset.MNISTLike(cfg.Scale, cfg.Seed)
-	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
+	data, queries, err := splitQueries(cfg, ds.Points)
+	if err != nil {
+		return nil, err
+	}
 	cost := costModel(cfg, PaperRatioMNIST, func() core.CostModel {
 		return core.Calibrate(data, pointstore.GenericBuilder(distance.Hamming), 0, 0, cfg.Seed+2)
 	})

@@ -46,15 +46,13 @@ const (
 	PaperRatioMNIST     = 1
 )
 
-func (c Config) queries(n int) int {
-	q := c.Queries
-	if q >= n {
-		q = n / 10
-		if q < 1 {
-			q = 1
-		}
+// splitQueries splits the run's query set off points, or fails if it would take them all.
+func splitQueries[P any](cfg Config, points []P) (data, queries []P, err error) {
+	if cfg.Queries >= len(points) {
+		return nil, nil, fmt.Errorf("-queries %d: the dataset has only %d points", cfg.Queries, len(points))
 	}
-	return q
+	data, queries = dataset.SplitQueries(points, cfg.Queries, cfg.Seed+1)
+	return data, queries, nil
 }
 
 // figure2 runs one Figure-2 panel over points: split off the query set,
@@ -68,7 +66,10 @@ func figure2[P any](cfg Config, name, metric string, points []P, radii []float64
 	if store == nil {
 		store = pointstore.GenericBuilder(dist)
 	}
-	data, queries := dataset.SplitQueries(points, cfg.queries(len(points)), cfg.Seed+1)
+	data, queries, err := splitQueries(cfg, points)
+	if err != nil {
+		return nil, err
+	}
 	cost := costModel(cfg, paperRatio, func() core.CostModel {
 		return core.Calibrate(data, store, 0, 0, cfg.Seed+2)
 	})

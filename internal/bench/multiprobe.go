@@ -79,7 +79,10 @@ type MultiProbeResult struct {
 // per-query probe override, so the sweep isolates probing cost from
 // construction noise.
 func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
-	data, queries, r := corelWorkload(cfg)
+	data, queries, r, err := corelWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
 	const k = 7
 	w := 2 * r
 

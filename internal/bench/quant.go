@@ -78,7 +78,10 @@ func baselineL2(a, b vector.Dense) float64 {
 // inputs make the arms answer-comparable id-for-id, which doubles as
 // the mismatch gate.
 func QuantExperiment(cfg Config) (*QuantResult, error) {
-	data, queries, r := corelWorkload(cfg)
+	data, queries, r, err := corelWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
 	ix, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+2))
 	if err != nil {
 		return nil, err

@@ -82,7 +82,10 @@ const recalDeadBand = 0.05
 // comparison is decision agreement with the fresh model before vs after
 // the refits.
 func RecalExperiment(cfg Config) (*RecalResult, error) {
-	data, queries, r := corelWorkload(cfg)
+	data, queries, r, err := corelWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
 
 	fresh, err := core.CalibrateChecked(data, pointstore.GenericBuilder(distance.L2), 0, 0, cfg.Seed+2)
 	if err != nil {

@@ -58,7 +58,10 @@ type ServeResult struct {
 // instrumentation cost (a few µs) is far below scheduler jitter, hence
 // pairedMinima; percentiles are taken over its per-query minima.
 func ServeExperiment(cfg Config) (*ServeResult, error) {
-	data, queries, r := corelWorkload(cfg)
+	data, queries, r, err := corelWorkload(cfg)
+	if err != nil {
+		return nil, err
+	}
 	sh, err := corelSharded(cfg, data, r, core.CostModel{})
 	if err != nil {
 		return nil, fmt.Errorf("bench: building serve-experiment index: %w", err)

@@ -133,7 +133,7 @@ func corelClusters(n int, seed uint64) []vector.Dense {
 func TestStoreContractMultiProbeL2(t *testing.T) {
 	storetest.Run(t, storetest.Harness[vector.Dense]{
 		Name: "multiprobe-l2",
-		New: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+		New: func(t *testing.T, pts []vector.Dense, seed uint64) *core.Index[vector.Dense] {
 			cfg := testConfig(lsh.NewPStableL2(dataset.CorelDim, 0.9))
 			cfg.Seed = seed
 			ix, err := core.NewIndex(pts, cfg)
@@ -144,7 +144,7 @@ func TestStoreContractMultiProbeL2(t *testing.T) {
 		},
 		// Same build over the SQ8-quantized flat store: the widened
 		// probe sequences must verify to id-identical answers.
-		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) *core.Index[vector.Dense] {
 			cfg := testConfig(lsh.NewPStableL2(dataset.CorelDim, 0.9))
 			cfg.Seed = seed
 			cfg.Store = pointstore.DenseL2Builder(pointstore.ModeSQ8)

@@ -9,28 +9,29 @@ import (
 )
 
 // The query surface, written once for every serving mode: each method
-// collects q's bucket set (lookup — the only step that depends on the
-// mode) and hands it to Algorithm 2 (decide, then searchBuckets or
-// searchLinear). The ...With variants take per-query overrides checked
-// against the mode descriptor (QueryOpts.Resolve): a probe count on a
-// multi-probe index, a narrowed radius on a covering one.
+// hands its queries to one block loop (blocks), which resolves the
+// options, hashes the queries and collects each one's bucket set — the
+// only step that depends on the mode — for Algorithm 2 (decide, then
+// searchBuckets or searchLinear). A single query is a block of one. The
+// ...With variants take per-query overrides checked against the mode
+// descriptor (QueryOpts.Resolve): a probe count on a multi-probe index,
+// a narrowed radius on a covering one.
 
 // queryState is the per-query scratch: the generation-stamped visited
 // array used for duplicate removal (the paper's step S2), the HLL merge
-// target, the lookup scratch (bucket views and the hashed keys), and the
-// deduplicated candidate-id buffer handed to the store's batch verifier.
-// Pooling it keeps queries allocation-free in steady state.
+// target, the lookup scratch, the block's keys (table-major) with the
+// hashers' projection scratch, the deduplicated candidate ids handed to
+// the store's batch verifier and QueryBlock's answer ids. Pooling it
+// keeps queries allocation-free in steady state.
 type queryState struct {
 	visited []uint32
 	gen     uint32
 	sketch  *hll.Sketch
 	look    lsh.Scratch
+	keys    []uint64
+	hash    lsh.KeyScratch
 	cand    []int32
-	// QueryBlock's state: the block's keys, table-major, the hashers'
-	// projection scratch and the ids of the query it is answering.
-	keys []uint64
-	hash lsh.KeyScratch
-	out  []int32
+	out     []int32
 }
 
 // getState draws a pooled query state, growing its visited array if the
@@ -42,16 +43,6 @@ func (ix *Index[P]) getState() *queryState {
 		st.gen = 0
 	}
 	return st
-}
-
-// lookup collects q's bucket set into st: its bucket in every table,
-// plus up to t perturbed buckets per table when t > 0 (multi-probe). The
-// result aliases st.look.
-func (ix *Index[P]) lookup(q P, t int, st *queryState) []lsh.Bucket {
-	if t == 0 {
-		return ix.tables.LookupInto(q, &st.look)
-	}
-	return ix.tables.ProbeInto(q, t, &st.look)
 }
 
 // resolve checks o against the index's mode and the queries against its
@@ -69,6 +60,48 @@ func (ix *Index[P]) resolve(o QueryOpts, queries []P) (int, float64, error) {
 		r = float64(o.Radius.N)
 	}
 	return o.Probes.Or(ix.mode.Probes.N), r, nil
+}
+
+// MaxBlock is the most queries a block lookup hashes at once: a larger
+// block is answered in blocks of MaxBlock.
+const MaxBlock = 64
+
+// blocks is the one lookup path. It resolves o against queries, draws
+// one pooled query state and calls each(i, q, r, buckets, st, t0) for
+// every query i in order: r is its radius, buckets its bucket set
+// (aliasing st). A classic or covering index hashes up to MaxBlock
+// queries into every table first (BlockKeys), then looks each up from
+// those keys (LookupKeys); a multi-probe index looks up each query's
+// probe sequence in turn (ProbeInto). t0 is when the query's lookup
+// started, moved back by its equal share of the block's hashing. A query
+// of the wrong dimension fails the block before any is looked up.
+func (ix *Index[P]) blocks(queries []P, o QueryOpts, each func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time)) error {
+	t, r, err := ix.resolve(o, queries)
+	if err != nil {
+		return err
+	}
+	st := ix.getState()
+	defer ix.states.Put(st)
+	for base := 0; base < len(queries); base += MaxBlock {
+		blk := queries[base:min(len(queries), base+MaxBlock)]
+		var share time.Duration
+		if t == 0 {
+			t0 := time.Now()
+			st.keys = ix.tables.BlockKeys(blk, st.keys, &st.hash)
+			share = time.Since(t0) / time.Duration(len(blk))
+		}
+		for i, q := range blk {
+			t0 := time.Now().Add(-share)
+			var buckets []lsh.Bucket
+			if t == 0 {
+				buckets = ix.tables.LookupKeys(st.keys, i, len(blk), &st.look)
+			} else {
+				buckets = ix.tables.ProbeInto(q, t, &st.look)
+			}
+			each(base+i, q, r, buckets, st, t0)
+		}
+	}
+	return nil
 }
 
 // Defaults implements Store: the mode descriptor — T on a multi-probe
@@ -96,36 +129,30 @@ func must(err error) {
 	}
 }
 
-// QueryWith implements Store: Query under per-query overrides. The zero
-// QueryOpts is Query exactly; Probes sets T on a multi-probe index (0
-// probes home buckets only), Radius narrows a covering index's report —
-// both paths stay exact, since the points within r' ≤ r are a subset of
-// those the tables cover. Any other set option is ErrUnsupportedOption,
-// and a query of the wrong dimension an error too.
-func (ix *Index[P]) QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
-	t, r, err := ix.resolve(o, []P{q})
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	ids, stats := ix.answer(q, r, ix.lookup(q, t, st), st, t0, nil)
-	return ids, stats, nil
+// QueryWith is Query under per-query overrides. The zero QueryOpts is
+// Query exactly; Probes sets T on a multi-probe index (0 probes home
+// buckets only), Radius narrows a covering index's report — both paths
+// stay exact, since the points within r' ≤ r are a subset of those the
+// tables cover. Any other set option is ErrUnsupportedOption, and a
+// query of the wrong dimension an error too.
+func (ix *Index[P]) QueryWith(q P, o QueryOpts) (ids []int32, stats QueryStats, err error) {
+	err = ix.blocks([]P{q}, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+		ids, stats = ix.answer(q, r, buckets, st, t0, nil)
+	})
+	return ids, stats, err
 }
 
 // EstimateCandSize always performs the full O(m·L) sketch merge — no
 // short-circuits — and returns the collision count, the candSize estimate
-// and the time the merge took. Table 1 measures exactly this operation.
+// and the time the bucket collection and the merge took. Table 1
+// measures exactly this operation.
 func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed time.Duration) {
-	must(CheckDims(ix.dim, []P{q}, "query"))
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	buckets := ix.lookup(q, ix.mode.Probes.N, st)
-	collisions = lsh.Collisions(buckets)
-	est = lsh.EstimateCandidates(buckets, st.sketch)
-	return collisions, est, time.Since(t0)
+	must(ix.blocks([]P{q}, QueryOpts{}, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+		collisions = lsh.Collisions(buckets)
+		est = lsh.EstimateCandidates(buckets, st.sketch)
+		elapsed = time.Since(t0)
+	}))
+	return collisions, est, elapsed
 }
 
 // QueryLSH forces the LSH-based search over the index's bucket set (no
@@ -140,23 +167,16 @@ func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
 }
 
 // QueryLSHWith is QueryLSH under per-query overrides (see QueryWith).
-func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) ([]int32, QueryStats, error) {
-	t, r, err := ix.resolve(o, []P{q})
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
-	buckets := ix.lookup(q, t, st)
-	var stats QueryStats
-	stats.Strategy = StrategyLSH
-	stats.Collisions = lsh.Collisions(buckets)
-	stats.EstimateTime = time.Since(t0)
-	t1 := time.Now()
-	out := ix.searchBuckets(q, r, buckets, st, &stats, nil)
-	stats.SearchTime = time.Since(t1)
-	return out, stats, nil
+func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) (ids []int32, stats QueryStats, err error) {
+	err = ix.blocks([]P{q}, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+		stats.Strategy = StrategyLSH
+		stats.Collisions = lsh.Collisions(buckets)
+		stats.EstimateTime = time.Since(t0)
+		t1 := time.Now()
+		ids = ix.searchBuckets(q, r, buckets, st, &stats, nil)
+		stats.SearchTime = time.Since(t1)
+	})
+	return ids, stats, err
 }
 
 // QueryLinear forces the exact linear scan at the built radius — the
@@ -185,17 +205,12 @@ func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
 // DecideStrategyWith is DecideStrategy under per-query overrides (see
 // QueryWith): the decision QueryWith would take with the same options.
 func (ix *Index[P]) DecideStrategyWith(q P, o QueryOpts) (Strategy, QueryStats, error) {
-	t, _, err := ix.resolve(o, []P{q})
-	if err != nil {
-		return 0, QueryStats{}, err
-	}
-	st := ix.getState()
-	defer ix.states.Put(st)
-	t0 := time.Now()
 	var stats QueryStats
-	stats.Strategy = ix.decide(ix.lookup(q, t, st), st, &stats)
-	stats.EstimateTime = time.Since(t0)
-	return stats.Strategy, stats, nil
+	err := ix.blocks([]P{q}, o, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+		stats.Strategy = ix.decide(buckets, st, &stats)
+		stats.EstimateTime = time.Since(t0)
+	})
+	return stats.Strategy, stats, err
 }
 
 // decide runs Algorithm-2 steps 1–3 into stats: collision counting, the
@@ -250,50 +265,17 @@ func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState,
 	return out, stats
 }
 
-// MaxBlock is the most queries QueryBlock hashes at once: a larger
-// block is answered in blocks of MaxBlock.
-const MaxBlock = 64
-
 // QueryBlock answers every query of block under the options o, as
 // QueryWith does, and calls emit(i, ids, stats) for query i, in order;
-// ids is valid only during the call. It resolves o and draws a pooled
-// query state once for the whole block. A classic or covering index
-// hashes up to MaxBlock queries into every table first, table by table
-// through each hasher's block path, and then looks each query up from
-// those keys; every query's EstimateTime carries an equal share of that
-// hashing. A multi-probe index looks up each query's probe sequence in
-// turn. The answers are QueryWith's; a query of the wrong dimension fails
-// the block before any is answered.
+// ids is valid only during the call. Every query's EstimateTime carries
+// its share of its block's hashing (see blocks). A query of the wrong
+// dimension fails the block before any is answered.
 func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error {
-	t, r, err := ix.resolve(o, block)
-	if err != nil {
-		return err
-	}
-	st := ix.getState()
-	defer ix.states.Put(st)
-	for base := 0; base < len(block); base += MaxBlock {
-		blk := block[base:min(len(block), base+MaxBlock)]
-		var share time.Duration
-		if t == 0 {
-			t0 := time.Now()
-			st.keys = ix.tables.BlockKeys(blk, st.keys, &st.hash)
-			share = time.Since(t0) / time.Duration(len(blk))
-		}
-		for i, q := range blk {
-			t0 := time.Now()
-			var buckets []lsh.Bucket
-			if t == 0 {
-				buckets = ix.tables.LookupKeys(st.keys, i, len(blk), &st.look)
-			} else {
-				buckets = ix.tables.ProbeInto(q, t, &st.look)
-			}
-			var stats QueryStats
-			st.out, stats = ix.answer(q, r, buckets, st, t0, st.out[:0])
-			stats.EstimateTime += share
-			emit(base+i, st.out, stats)
-		}
-	}
-	return nil
+	return ix.blocks(block, o, func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+		var stats QueryStats
+		st.out, stats = ix.answer(q, r, buckets, st, t0, st.out[:0])
+		emit(i, st.out, stats)
+	})
 }
 
 // searchBuckets is the paper's steps S2 + S3, restructured for batch

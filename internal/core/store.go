@@ -18,7 +18,7 @@ import (
 // index (shard.ShardSnapshot.Index) can be type-asserted.
 //
 // Implementations follow Index's concurrency contract: any number of
-// concurrent Query calls, but Append is single-writer and Compact may
+// concurrent QueryBlock calls, but Append is single-writer and Compact may
 // run concurrently with queries only (the shard layer provides the
 // locking).
 type Store[P any] interface {
@@ -29,17 +29,13 @@ type Store[P any] interface {
 	Dim() int
 	// Rows returns the stored points lo..hi-1 (read-only).
 	Rows(lo, hi int) []P
-	// Query answers one rNNR query with the hybrid strategy.
-	Query(q P) ([]int32, QueryStats)
-	// QueryWith is Query under per-query overrides. The zero QueryOpts is
-	// Query exactly; an option the store does not support yields
-	// ErrUnsupportedOption (see QueryOpts.Resolve).
-	QueryWith(q P, o QueryOpts) ([]int32, QueryStats, error)
-	// QueryBlock answers every query of block under o, as QueryWith
-	// does, calling emit(i, ids, stats) for query i in order; ids is
-	// valid only during the call. It is the batch path: one resolve,
-	// one pooled state and one hashing pass per block (see
-	// Index.QueryBlock).
+	// QueryBlock answers every query of block with the hybrid strategy
+	// under o, calling emit(i, ids, stats) for query i in order; ids is
+	// valid only during the call. The zero QueryOpts is the store's
+	// built-in behaviour; an option the store does not support yields
+	// ErrUnsupportedOption (see QueryOpts.Resolve). It is the only query
+	// path the shard layer takes: one resolve, one pooled state and one
+	// hashing pass per block (see Index.QueryBlock).
 	QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error
 	// Defaults returns the options the store supports, set to the values
 	// it was built with: T for a multi-probe store, the built radius for
@@ -90,8 +86,8 @@ func (o OptInt) Or(def int) int {
 	return def
 }
 
-// QueryOpts are the per-query overrides of Store.QueryWith; the zero
-// value asks for the store's built-in behaviour, i.e. Store.Query. The
+// QueryOpts are the per-query overrides of Store.QueryBlock; the zero
+// value asks for the store's built-in behaviour, i.e. Index.Query. The
 // same struct doubles as a store's mode descriptor: Store.Defaults
 // returns it with exactly the options the store supports set to the
 // values it was built with.

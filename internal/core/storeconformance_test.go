@@ -72,7 +72,7 @@ func clusteredBinary(n int, seed uint64) []vector.Binary {
 
 // denseIndex builds the L2 conformance index over the given store
 // layout (nil = the generic default).
-func denseIndex(t *testing.T, pts []vector.Dense, seed uint64, store pointstore.Builder[vector.Dense]) core.Store[vector.Dense] {
+func denseIndex(t *testing.T, pts []vector.Dense, seed uint64, store pointstore.Builder[vector.Dense]) *core.Index[vector.Dense] {
 	t.Helper()
 	ix, err := core.NewIndex(pts, core.Config[vector.Dense]{
 		Family:       lsh.NewPStableL2(8, 0.6),
@@ -94,13 +94,13 @@ func denseIndex(t *testing.T, pts []vector.Dense, seed uint64, store pointstore.
 func TestStoreContractL2(t *testing.T) {
 	storetest.Run(t, storetest.Harness[vector.Dense]{
 		Name: "core-l2",
-		New: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+		New: func(t *testing.T, pts []vector.Dense, seed uint64) *core.Index[vector.Dense] {
 			return denseIndex(t, pts, seed, nil)
 		},
 		// Generic exact store vs SQ8-quantized flat store: the
 		// pre-filter + exact-recheck pipeline must answer id-for-id
 		// what the plain exact loop answers.
-		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) *core.Index[vector.Dense] {
 			return denseIndex(t, pts, seed, pointstore.DenseL2Builder(pointstore.ModeSQ8))
 		},
 		Data: clusteredDense,
@@ -109,7 +109,7 @@ func TestStoreContractL2(t *testing.T) {
 
 // binaryIndex builds the Hamming conformance index over the given
 // store layout (nil = the generic default).
-func binaryIndex(t *testing.T, pts []vector.Binary, seed uint64, store pointstore.Builder[vector.Binary]) core.Store[vector.Binary] {
+func binaryIndex(t *testing.T, pts []vector.Binary, seed uint64, store pointstore.Builder[vector.Binary]) *core.Index[vector.Binary] {
 	t.Helper()
 	ix, err := core.NewIndex(pts, core.Config[vector.Binary]{
 		Family:       lsh.NewBitSampling(64),
@@ -131,12 +131,12 @@ func binaryIndex(t *testing.T, pts []vector.Binary, seed uint64, store pointstor
 func TestStoreContractHamming(t *testing.T) {
 	storetest.Run(t, storetest.Harness[vector.Binary]{
 		Name: "core-hamming",
-		New: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
+		New: func(t *testing.T, pts []vector.Binary, seed uint64) *core.Index[vector.Binary] {
 			return binaryIndex(t, pts, seed, nil)
 		},
 		// Binary has no quantized encoding; the alternative build pins
 		// the generic-vs-flat-words layout equivalence instead.
-		NewQuant: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
+		NewQuant: func(t *testing.T, pts []vector.Binary, seed uint64) *core.Index[vector.Binary] {
 			return binaryIndex(t, pts, seed, pointstore.BinaryHammingBuilder())
 		},
 		Data: clusteredBinary,

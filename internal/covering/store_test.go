@@ -16,7 +16,7 @@ import (
 func TestStoreContract(t *testing.T) {
 	storetest.Run(t, storetest.Harness[vector.Binary]{
 		Name: "covering-hamming",
-		New: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
+		New: func(t *testing.T, pts []vector.Binary, seed uint64) *core.Index[vector.Binary] {
 			ix, err := New(pts, 3, Config{HLLRegisters: 32, HLLThreshold: 8, Seed: seed})
 			if err != nil {
 				t.Fatal(err)

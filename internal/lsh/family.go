@@ -64,13 +64,16 @@ var hashEvals atomic.Uint64
 // Append), since the process started.
 func HashEvaluations() uint64 { return hashEvals.Load() }
 
-// keysOf sets dst[i] to h.Key(points[i]) for every point, through h's
-// block path when it has one, working in s, which must have begun points.
+// keysOf sets dst[i] to h.Key(points[i]) for every point, working in s,
+// which must have begun points: through h's block path when it has one,
+// unless a lone point, which costs least through Key (the assertion on
+// h, a lookup in a generic function, is skipped for it too).
 func keysOf[P any](h Hasher[P], points []P, dst []uint64, s *KeyScratch) {
-	hashEvals.Add(uint64(len(points)))
-	if bh, ok := h.(blockHasher[P]); ok {
-		bh.keys(points, dst, s)
-		return
+	if len(points) > 1 {
+		if bh, ok := h.(blockHasher[P]); ok {
+			bh.keys(points, dst, s)
+			return
+		}
 	}
 	for i, p := range points {
 		dst[i] = h.Key(p)

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -433,9 +434,6 @@ func TestFamilyConstructorPanics(t *testing.T) {
 	}
 }
 
-// TestKeysMatchKey holds the block path, Keys, to one Key call per point
-// for every family: the p-stable hasher's kernel over more than one of
-// its point blocks, and every other family's Key loop.
 // keysFor is the block path Build, Append and BlockKeys take for one
 // table: keysOf over points, in a scratch begun on them.
 func keysFor[P any](h Hasher[P], points []P, dst []uint64) {
@@ -444,6 +442,10 @@ func keysFor[P any](h Hasher[P], points []P, dst []uint64) {
 	keysOf(h, points, dst, &s)
 }
 
+// TestKeysMatchKey holds the block path, keysOf, to one Key call per
+// point for every family: the p-stable hasher over a lone point (keyed
+// by Key), two points (its kernel, screened where the CPU has FMA) and
+// more than one of its point blocks, and every other family's Key loop.
 func TestKeysMatchKey(t *testing.T) {
 	r := rng.New(41)
 	const dim, n, k = 24, 150, 6
@@ -461,9 +463,9 @@ func TestKeysMatchKey(t *testing.T) {
 		}
 		sparse[i] = vector.NewSparse(dim, []int32{int32(i % dim)}, []float32{float32(r.Normal())})
 	}
-	check := func(name string, keys func([]uint64), key func(i int) uint64) {
+	check := func(name string, m int, keys func([]uint64), key func(i int) uint64) {
 		t.Helper()
-		got := make([]uint64, n)
+		got := make([]uint64, m)
 		keys(got)
 		for i, g := range got {
 			if want := key(i); g != want {
@@ -473,14 +475,16 @@ func TestKeysMatchKey(t *testing.T) {
 	}
 	for _, fam := range []Family[vector.Dense]{NewPStableL2(dim, 1.5), NewPStableL1(dim, 3), NewCrossPolytope(dim, 5)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { keysFor(h, dense, dst) }, func(i int) uint64 { return h.Key(dense[i]) })
+		for _, m := range []int{1, 2, n} {
+			check(fmt.Sprintf("%s, %d points", fam.Name(), m), m, func(dst []uint64) { keysFor(h, dense[:m], dst) }, func(i int) uint64 { return h.Key(dense[i]) })
+		}
 	}
 	for _, fam := range []Family[vector.Binary]{NewBitSampling(dim), NewMinHash(dim)} {
 		h := fam.NewHasher(k, r)
-		check(fam.Name(), func(dst []uint64) { keysFor(h, binary, dst) }, func(i int) uint64 { return h.Key(binary[i]) })
+		check(fam.Name(), n, func(dst []uint64) { keysFor(h, binary, dst) }, func(i int) uint64 { return h.Key(binary[i]) })
 	}
 	sh := NewSimHashCosine(dim).NewHasher(k, r)
-	check("simhash-cosine", func(dst []uint64) { keysFor(sh, sparse, dst) }, func(i int) uint64 { return sh.Key(sparse[i]) })
+	check("simhash-cosine", n, func(dst []uint64) { keysFor(sh, sparse, dst) }, func(i int) uint64 { return sh.Key(sparse[i]) })
 	if _, ok := NewPStableL2(dim, 1).NewHasher(k, r).(blockHasher[vector.Dense]); !ok {
 		t.Fatal("the p-stable hasher has no block path")
 	}

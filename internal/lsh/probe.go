@@ -39,11 +39,11 @@ func (t *Tables[P]) CanProbe() error {
 	return nil
 }
 
-// ProbeInto is the multi-probe LookupInto: the home bucket plus up to
+// ProbeInto is the multi-probe lookup: the home bucket plus up to
 // probes perturbed buckets of q in every table, table by table and in
-// probing order within a table. Like LookupInto it computes every
-// table's probe keys before it probes. Every hasher must be a Prober
-// (CanProbe).
+// probing order within a table. Like LookupKeys it probes the tables
+// with every key at once, once it has computed them all. Every hasher
+// must be a Prober (CanProbe).
 func (t *Tables[P]) ProbeInto(q P, probes int, s *Scratch) []Bucket {
 	s.keys, s.ends = s.keys[:0], s.ends[:0]
 	hashEvals.Add(uint64(len(t.tables)))

@@ -237,7 +237,8 @@ func (h *PStableHasher) Key(p vector.Dense) uint64 {
 const keysBlock = 64
 
 // keys sets dst[i] to Key(points[i]) for every point, the block path
-// keysOf takes: screened where the CPU has the FMA kernel.
+// keysOf takes for two points or more: screened where the CPU has the
+// FMA kernel.
 func (h *PStableHasher) keys(points []vector.Dense, dst []uint64, s *KeyScratch) {
 	h.keysBy(points, dst, s, vector.HaveFMA())
 }

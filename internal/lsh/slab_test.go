@@ -230,7 +230,7 @@ func checkSame[P any](t *testing.T, state string, tb *Tables[P], ref *refTables[
 	var s Scratch
 	scratch := hll.New(tb.Params().HLLRegisters)
 	for qi, q := range queries {
-		got := tb.LookupInto(q, &s)
+		got := tb.Lookup(q)
 		if probes > 0 {
 			got = tb.ProbeInto(q, probes, &s)
 		}
@@ -468,8 +468,10 @@ func TestAppendKeepsSlabsFrozen(t *testing.T) {
 // BenchmarkKernelTableLookup collects one query's buckets from L = 50
 // tables of k = 7 projections over 25 000 Gaussian points at d = 32
 // (about one id per bucket; dense128-batch holds 1.34): hash is
-// the L keys alone, lookup is LookupInto — the keys, then the probes —
-// so lookup minus hash is the probing cost per query. Half the queries
+// the L keys alone through Key, lookup is a block of one through
+// BlockKeys and LookupKeys — the keys, then the probes — as a served
+// /query takes it on each shard, so lookup minus hash is the probing
+// cost per query. Half the queries
 // are indexed points (every table hits), half fresh draws (most miss).
 func BenchmarkKernelTableLookup(b *testing.B) {
 	const n, dim = 25000, 32
@@ -502,8 +504,11 @@ func BenchmarkKernelTableLookup(b *testing.B) {
 	})
 	b.Run("lookup", func(b *testing.B) {
 		var s Scratch
+		var hs KeyScratch
+		var keys []uint64
 		for i := 0; b.Loop(); i++ {
-			tb.LookupInto(queries[i%len(queries)], &s)
+			keys = tb.BlockKeys(queries[i%len(queries):][:1], keys, &hs)
+			tb.LookupKeys(keys, 0, 1, &s)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/query")
 		b.ReportMetric(idsPerBucket, "ids/bucket")
@@ -524,9 +529,8 @@ func TestConcurrentViewAndLookups(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var s Scratch
 			for j := 0; j < tb.L(); j++ {
-				tb.LookupInto(pts[(w*7+j)%len(pts)], &s)
+				tb.Lookup(pts[(w*7+j)%len(pts)])
 				views[w] = append(views[w], tb.Table(j))
 			}
 		}()

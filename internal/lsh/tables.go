@@ -299,6 +299,7 @@ func BuildWith[P any](points []P, hashers []Hasher[P], p Params) (*Tables[P], er
 	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points)}
 	var base KeyScratch // the points' norms, shared read-only by every table
 	base.begin(points)
+	hashEvals.Add(uint64(p.L * len(points)))
 	parallel(p.L, func(j int) {
 		tb := &t.tables[j]
 		tb.hasher = hashers[j]
@@ -384,6 +385,7 @@ func (t *Tables[P]) Append(points []P) error {
 	keys := make([]uint64, len(points))
 	var s KeyScratch
 	s.begin(points)
+	hashEvals.Add(uint64(len(t.tables) * len(points)))
 	for j := range t.tables {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
@@ -601,7 +603,7 @@ func sortKeys(s, tmp []keyAt) []keyAt {
 
 // Table returns a map view of table j, built on the first call after
 // construction or the last Append. It serves tracing and white-box tests;
-// lookups go through LookupInto and ProbeInto, which need no view. Every
+// lookups go through LookupKeys and ProbeInto, which need no view. Every
 // bucket of the view holds its ids in IDs, copied to int32 from a narrow
 // slab.
 func (t *Tables[P]) Table(j int) *Table[P] {
@@ -646,26 +648,13 @@ type Scratch struct {
 	runs    []span
 }
 
-// Lookup returns the buckets of q in all L tables; tables where q's bucket
-// is empty contribute nothing, and a bucket with ids appended since its
-// table was frozen comes as two views, frozen part first, which every
-// reader of the result (Collisions, EstimateCandidates, a walk over the
-// ids) takes as one bucket.
+// Lookup returns the buckets of q in all L tables, as a block of one;
+// tables where q's bucket is empty contribute nothing, and a bucket with
+// ids appended since its table was frozen comes as two views, frozen
+// part first, which every reader of the result (Collisions,
+// EstimateCandidates, a walk over the ids) takes as one bucket.
 func (t *Tables[P]) Lookup(q P) []Bucket {
-	return t.LookupInto(q, &Scratch{})
-}
-
-// LookupInto is Lookup through s: it hashes q for every table first and
-// then probes the tables, so the probes' cache misses overlap. The
-// result is s.Buckets; it must not be retained once s is reused.
-func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
-	s.keys, s.ends = s.keys[:0], s.ends[:0]
-	hashEvals.Add(uint64(len(t.tables)))
-	for i := range t.tables {
-		s.keys = append(s.keys, t.tables[i].hasher.Key(q))
-		s.ends = append(s.ends, len(s.keys))
-	}
-	return t.probe(s)
+	return t.LookupKeys(t.BlockKeys([]P{q}, nil, &KeyScratch{}), 0, 1, &Scratch{})
 }
 
 // BlockKeys hashes a block of queries into every table, one table at a
@@ -675,6 +664,7 @@ func (t *Tables[P]) LookupInto(q P, s *Scratch) []Bucket {
 func (t *Tables[P]) BlockKeys(block []P, keys []uint64, s *KeyScratch) []uint64 {
 	b := len(block)
 	keys = slices.Grow(keys[:0], len(t.tables)*b)[:len(t.tables)*b]
+	hashEvals.Add(uint64(len(t.tables) * b))
 	s.begin(block)
 	for j := range t.tables {
 		keysOf(t.tables[j].hasher, block, keys[j*b:(j+1)*b], s)
@@ -682,8 +672,10 @@ func (t *Tables[P]) BlockKeys(block []P, keys []uint64, s *KeyScratch) []uint64 
 	return keys
 }
 
-// LookupKeys is LookupInto for query i of a block of b queries whose
-// keys BlockKeys computed: its key in table j is keys[j·b+i].
+// LookupKeys looks up query i of a block of b queries whose keys
+// BlockKeys computed (its key in table j is keys[j·b+i]), probing every
+// table at once so the cache misses overlap. The result is s.Buckets; it
+// must not be retained once s is reused.
 func (t *Tables[P]) LookupKeys(keys []uint64, i, b int, s *Scratch) []Bucket {
 	s.keys, s.ends = s.keys[:0], s.ends[:0]
 	for j := range t.tables {

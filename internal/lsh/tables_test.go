@@ -380,23 +380,53 @@ func TestCompactValidation(t *testing.T) {
 	}
 }
 
-func TestLookupIntoReusesScratch(t *testing.T) {
-	pts := randomBinaries(200, 64, 11)
-	tb := mustBuild(t, pts, Params{K: 3, L: 10, HLLRegisters: 32, Seed: 11})
-	var s Scratch
-	buf := tb.LookupInto(pts[0], &s)
-	if got, want := len(buf), len(tb.Lookup(pts[0])); got != want {
-		t.Fatalf("LookupInto found %d buckets, Lookup %d", got, want)
+// TestBlockLookupReusesScratch: a block of one looked up through
+// BlockKeys and LookupKeys reuses the scratches' arrays, and with warm
+// scratches allocates nothing, on a block-path hasher (p-stable) and a
+// per-point one (bit sampling).
+func TestBlockLookupReusesScratch(t *testing.T) {
+	r := rng.New(11)
+	dense := make([]vector.Dense, 200)
+	for i := range dense {
+		dense[i] = make(vector.Dense, 16)
+		for d := range dense[i] {
+			dense[i][d] = float32(r.Normal())
+		}
 	}
-	buf2 := tb.LookupInto(pts[1], &s)
+	pst, err := Build(dense, NewPStableL2(16, 2), Params{K: 3, L: 10, HLLRegisters: 32, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlockLookupReuse(t, pst, dense)
+	checkBlockLookupReuse(t, mustBuild(t, randomBinaries(200, 64, 11), Params{K: 3, L: 10, HLLRegisters: 32, Seed: 11}), randomBinaries(3, 64, 12))
+}
+
+func checkBlockLookupReuse[P any](t *testing.T, tb *Tables[P], pts []P) {
+	t.Helper()
+	var s Scratch
+	var hs KeyScratch
+	var keys []uint64
+	lookup := func(q P) []Bucket {
+		keys = tb.BlockKeys([]P{q}, keys, &hs)
+		return tb.LookupKeys(keys, 0, 1, &s)
+	}
+	buf := lookup(pts[0])
+	if got, want := len(buf), len(tb.Lookup(pts[0])); got != want {
+		t.Fatalf("block of one found %d buckets, Lookup %d", got, want)
+	}
+	buf2 := lookup(pts[1])
 	if cap(buf) > 0 && len(buf2) > 0 && &buf2[0] != &buf[:1][0] {
-		t.Fatal("LookupInto did not reuse the scratch backing array")
+		t.Fatal("LookupKeys did not reuse the scratch backing array")
 	}
 	if got, want := len(buf2), len(tb.Lookup(pts[1])); got != want {
-		t.Fatalf("reused LookupInto found %d buckets, want %d", got, want)
+		t.Fatalf("reused block of one found %d buckets, want %d", got, want)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { tb.LookupInto(pts[2], &s) }); allocs != 0 {
-		t.Fatalf("LookupInto with a warm scratch allocates %v times", allocs)
+	block := pts[2:3]
+	if allocs := testing.AllocsPerRun(20, func() {
+		keys = tb.BlockKeys(block, keys, &hs)
+		tb.LookupKeys(keys, 0, 1, &s)
+	}); allocs != 0 {
+		t.Fatalf("a block of one with warm scratches allocates %v times", allocs)
 	}
 }
 
@@ -592,11 +622,11 @@ func TestProbeMatchesPerKeyFind(t *testing.T) {
 	}
 }
 
-// TestBlockKeysLookupMatchesLookupInto: a lookup through the keys
-// BlockKeys hashed for a block finds exactly LookupInto's buckets, for
-// blocks under, at and over the hasher's projection block, with an
-// overlay live.
-func TestBlockKeysLookupMatchesLookupInto(t *testing.T) {
+// TestBlockKeysLookupMatchesLookup: a lookup through the keys BlockKeys
+// hashed for a block finds exactly Lookup's buckets, for a block of one
+// (the unscreened path), blocks under, at and over the hasher's
+// projection block, with an overlay live.
+func TestBlockKeysLookupMatchesLookup(t *testing.T) {
 	r := rng.New(23)
 	gauss := func(n int) []vector.Dense {
 		pts := make([]vector.Dense, n)
@@ -619,14 +649,14 @@ func TestBlockKeysLookupMatchesLookupInto(t *testing.T) {
 	queries := append(gauss(40), pts[:40]...)
 	var keys []uint64
 	var hs KeyScratch
-	var s, ref Scratch
+	var s Scratch
 	for _, b := range []int{1, 5, 64, 65, 80} {
 		block := queries[:b]
 		keys = tb.BlockKeys(block, keys, &hs)
 		for i, q := range block {
-			want := slices.Clone(tb.LookupInto(q, &ref))
+			want := tb.Lookup(q)
 			if got := tb.LookupKeys(keys, i, b, &s); !sameBuckets(got, want) {
-				t.Fatalf("block of %d, query %d: %d buckets through BlockKeys, %d through LookupInto", b, i, len(got), len(want))
+				t.Fatalf("block of %d, query %d: %d buckets through BlockKeys, %d through Lookup", b, i, len(got), len(want))
 			}
 		}
 	}

@@ -112,10 +112,9 @@ func sameIndexes(t *testing.T, stage string, a, b *core.Index[vector.Binary], qu
 			t.Fatalf("%s: table 0 view of bucket %#x differs between the widths", stage, k)
 		}
 	}
-	var sa, sb lsh.Scratch
 	ha, hb := hll.New(32), hll.New(32)
 	for qi, q := range queries {
-		ba, bb := ta.LookupInto(q, &sa), tb.LookupInto(q, &sb)
+		ba, bb := ta.Lookup(q), tb.Lookup(q)
 		var ia, ib []int32
 		for i := range ba {
 			ia = ba[i].AppendIDs(ia)

@@ -444,9 +444,9 @@ func (s *Sharded[P]) Query(q P) ([]int32, QueryStats) {
 	return ids, stats
 }
 
-// must panics with err, if any: the zero options are Query itself on
-// every store (core.Store), so for the query methods without an error
-// result only a query of the wrong dimension lands here.
+// must panics with err, if any: every store (core.Store) answers the
+// zero options, so for the query methods without an error result only a
+// query of the wrong dimension lands here.
 func must(err error) {
 	if err != nil {
 		panic(err)
@@ -464,7 +464,7 @@ func (s *Sharded[P]) answer(q P, o core.QueryOpts) ([]int32, QueryStats, error) 
 }
 
 // QueryWith is Query under per-query overrides, applied on every shard
-// (core.Store.QueryWith): a probe count on multi-probe shards, a
+// (core.Store.QueryBlock): a probe count on multi-probe shards, a
 // narrowed reporting radius on covering ones. An option the shards do
 // not support yields core.ErrUnsupportedOption before any shard is
 // touched, and so does a query of the wrong dimension.

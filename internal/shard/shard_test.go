@@ -87,7 +87,7 @@ func TestQueryMatchesUnsharded(t *testing.T) {
 
 	for qi, q := range queries {
 		truth := core.GroundTruth(points, distance.L2, q, radius)
-		flatIDs, _ := flat.Query(q)
+		flatIDs, _ := flat.(*core.Index[vector.Dense]).Query(q)
 		shIDs, st := sh.Query(q)
 		if !slices.Equal(sorted(flatIDs), sorted(truth)) {
 			t.Fatalf("query %d: unsharded ids diverge from ground truth (got %d, want %d) — pick an easier instance", qi, len(flatIDs), len(truth))

@@ -3,12 +3,14 @@
 // built classic, multi-probe or covering (covering.New) — must pass it,
 // so the contract the sharding, compaction and persistence machinery
 // relies on is pinned in one place instead of copy-pasted per package.
+// The harness builds *core.Index, the contract's one implementation, so
+// it also holds the index's single-query methods to its batch path.
 //
 // Usage, from the implementation's own test package:
 //
 //	storetest.Run(t, storetest.Harness[vector.Dense]{
 //		Name: "multiprobe-l2",
-//		New:  func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] { ... },
+//		New:  func(t *testing.T, pts []vector.Dense, seed uint64) *core.Index[vector.Dense] { ... },
 //		Data: func(n int, seed uint64) []vector.Dense { ... },
 //	})
 package storetest
@@ -35,7 +37,7 @@ type Harness[P any] struct {
 	// construction seed. Equal (points, seed) pairs must build stores
 	// that answer identically — the append-equivalence subtest builds
 	// twice and compares.
-	New func(t *testing.T, points []P, seed uint64) core.Store[P]
+	New func(t *testing.T, points []P, seed uint64) *core.Index[P]
 	// Data generates n deterministic points for the given seed.
 	Data func(n int, seed uint64) []P
 	// NewQuant optionally builds the same index over an alternative
@@ -45,48 +47,18 @@ type Harness[P any] struct {
 	// (points, seed) the two builds must answer id-identically, at
 	// build time and after Append and Compact. Nil skips the
 	// subtest (e.g. store layouts with no alternative encoding).
-	NewQuant func(t *testing.T, points []P, seed uint64) core.Store[P]
+	NewQuant func(t *testing.T, points []P, seed uint64) *core.Index[P]
 	// Pinned lists the per-query overrides the store supports, each with
 	// the id-set hash it must reproduce (see QueryOptions). The QueryOptions
 	// subtest builds the store over Data(150, 14) with seed 7.
 	Pinned []PinnedOverride
 }
 
-// batcher is the QueryBatch surface every store in this repository
-// provides on top of the minimal core.Store contract.
-type batcher[P any] interface {
-	QueryBatch(queries []P, workers int) []core.BatchResult
-}
-
-// decider is the optional decision-only surface; when present it must
-// agree with Query.
-type decider[P any] interface {
-	DecideStrategy(q P) (core.Strategy, core.QueryStats)
-}
-
-// lshQuerier is the forced-LSH surface. The compaction subtest prefers
-// it over Query: compaction changes the cost-model inputs, so the hybrid
-// decision may legitimately flip to the exact linear scan and report
-// points the LSH structure misses — forcing LSH pins the structure
-// itself.
-type lshQuerier[P any] interface {
-	QueryLSH(q P) ([]int32, core.QueryStats)
-}
-
-// forcedWith is the forced-path surface under per-query options
-// (core.Index provides it in every serving mode).
-type forcedWith[P any] interface {
-	QueryLSHWith(q P, o core.QueryOpts) ([]int32, core.QueryStats, error)
-	DecideStrategyWith(q P, o core.QueryOpts) (core.Strategy, core.QueryStats, error)
-}
-
-// query answers via forced LSH when the store provides it, else Query.
-func query[P any](st core.Store[P], q P) []int32 {
-	if l, ok := st.(lshQuerier[P]); ok {
-		ids, _ := l.QueryLSH(q)
-		return ids
-	}
-	ids, _ := st.Query(q)
+// query answers via forced LSH, which pins the tables themselves: the
+// hybrid decision may flip to the exact scan when Compact or Append
+// changes the cost inputs.
+func query[P any](st *core.Index[P], q P) []int32 {
+	ids, _ := st.QueryLSH(q)
 	return ids
 }
 
@@ -214,10 +186,6 @@ func sorted(ids []int32) []int32 {
 func (h Harness[P]) testForcedPaths(t *testing.T) {
 	data := h.Data(150, 14)
 	st := h.New(t, data, 7)
-	f, ok := st.(forcedWith[P])
-	if !ok {
-		t.Skip("store has no forced paths under options")
-	}
 	exact := st.Defaults().Radius.Set
 	opts := []core.QueryOpts{{}}
 	for _, p := range h.Pinned {
@@ -229,14 +197,14 @@ func (h Harness[P]) testForcedPaths(t *testing.T) {
 			if err != nil {
 				t.Fatalf("QueryWith(%+v): %v", o, err)
 			}
-			lsh, _, err := f.QueryLSHWith(q, o)
+			lsh, _, err := st.QueryLSHWith(q, o)
 			if err != nil {
 				t.Fatalf("QueryLSHWith(%+v): %v", o, err)
 			}
 			if (exact || stats.Strategy == core.StrategyLSH) && !slices.Equal(sorted(ids), sorted(lsh)) {
 				t.Fatalf("query %d, %+v: QueryWith (%v) answered %d ids, QueryLSHWith %d", i, o, stats.Strategy, len(ids), len(lsh))
 			}
-			strat, _, err := f.DecideStrategyWith(q, o)
+			strat, _, err := st.DecideStrategyWith(q, o)
 			if err != nil {
 				t.Fatalf("DecideStrategyWith(%+v): %v", o, err)
 			}
@@ -295,7 +263,7 @@ func (h Harness[P]) testAppendEquivalence(t *testing.T) {
 	}
 	whole := h.New(t, data, 7)
 	for qi, q := range h.queries(data) {
-		// Forced LSH (when available): the hybrid linear fallback answers
+		// Forced LSH: the hybrid linear fallback answers
 		// from the point slice alone and would mask diverging tables.
 		a := query(grown, q)
 		b := query(whole, q)
@@ -328,16 +296,12 @@ func (h Harness[P]) testQueryBatchAlignment(t *testing.T) {
 	// 20 appended points stay under the tables' re-freeze share (1/8 of
 	// the 180 frozen ids), so the overlay is live for the second check.
 	st := h.New(t, data[:180:180], 7)
-	b, ok := st.(batcher[P])
-	if !ok {
-		t.Fatalf("%T does not provide QueryBatch", st)
-	}
 	check := func(stage string) {
 		t.Helper()
 		for _, n := range []int{1, 64, 65, 67} {
 			queries := h.queriesN(data, n)
 			for _, workers := range []int{1, 3} {
-				results := b.QueryBatch(queries, workers)
+				results := st.QueryBatch(queries, workers)
 				if len(results) != len(queries) {
 					t.Fatalf("%s: %d results for %d queries", stage, len(results), len(queries))
 				}
@@ -476,12 +440,8 @@ func sameStats(t *testing.T, where string, got, want core.QueryStats) {
 func (h Harness[P]) testDecideStrategy(t *testing.T) {
 	data := h.Data(150, 6)
 	st := h.New(t, data, 7)
-	d, ok := st.(decider[P])
-	if !ok {
-		t.Fatalf("%T does not provide DecideStrategy", st)
-	}
 	for qi, q := range h.queries(data) {
-		strat, ds := d.DecideStrategy(q)
+		strat, ds := st.DecideStrategy(q)
 		_, qs := st.Query(q)
 		if strat != qs.Strategy {
 			t.Fatalf("query %d: DecideStrategy %v, Query %v", qi, strat, qs.Strategy)
@@ -559,9 +519,8 @@ func (h Harness[P]) testCompactBadLength(t *testing.T) {
 // tables, sketches and cost inputs are identical — any id divergence is
 // a verification bug, not a legitimate strategy flip. Compared via both
 // the hybrid Query (exercising whichever arm the shared decision picks,
-// including the store's linear ScanRadius) and forced LSH when
-// available (exercising VerifyRadius), at build time, after Append and
-// after Compact.
+// including the store's linear ScanRadius) and forced LSH (exercising
+// VerifyRadius), at build time, after Append and after Compact.
 func (h Harness[P]) testQuantEquivalence(t *testing.T) {
 	if h.NewQuant == nil {
 		t.Skip("harness has no alternative-store build")
@@ -571,7 +530,7 @@ func (h Harness[P]) testQuantEquivalence(t *testing.T) {
 	exact := h.New(t, data[:half:half], 7)
 	quant := h.NewQuant(t, data[:half:half], 7)
 
-	compare := func(stage string, a, b core.Store[P]) {
+	compare := func(stage string, a, b *core.Index[P]) {
 		t.Helper()
 		for qi, q := range h.queries(data) {
 			ea, _ := a.Query(q)
@@ -617,10 +576,6 @@ func (h Harness[P]) testQuantEquivalence(t *testing.T) {
 func (h Harness[P]) testSetCostSwaps(t *testing.T) {
 	data := h.Data(150, 10)
 	st := h.New(t, data, 7)
-	d, ok := st.(decider[P])
-	if !ok {
-		t.Fatalf("%T does not provide DecideStrategy", st)
-	}
 	want := core.CostModel{Alpha: 2.5, Beta: 7.25}
 	if err := st.SetCost(want); err != nil {
 		t.Fatalf("SetCost(%+v) = %v", want, err)
@@ -634,7 +589,7 @@ func (h Harness[P]) testSetCostSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := h.queries(data)[0]
-	if strat, _ := d.DecideStrategy(q); strat != core.StrategyLinear {
+	if strat, _ := st.DecideStrategy(q); strat != core.StrategyLinear {
 		t.Fatalf("strategy = %v under α = 1e12, want LINEAR", strat)
 	}
 	// With α ≈ 0 the comparison reduces to candidates vs n, so any query
@@ -643,7 +598,7 @@ func (h Harness[P]) testSetCostSwaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range h.queries(data) {
-		strat, qs := d.DecideStrategy(q)
+		strat, qs := st.DecideStrategy(q)
 		if qs.EstCandidates < float64(st.N()) {
 			if strat != core.StrategyLSH {
 				t.Fatalf("strategy = %v under α ≈ 0 with estimate %.1f < n = %d, want LSH",
