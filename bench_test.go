@@ -7,14 +7,8 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/covering"
 	"repro/internal/dataset"
-	"repro/internal/distance"
 	"repro/internal/hll"
-	"repro/internal/lsh"
-	"repro/internal/pointstore"
-	"repro/internal/vector"
 )
 
 // benchScale returns the dataset scale for the experiment benchmarks.
@@ -29,168 +23,6 @@ func benchScale() float64 {
 	return 0.05
 }
 
-// benchFig2 runs one Figure-2 panel as sub-benchmarks: per radius, per
-// strategy, the per-query time. The recall of the strategy over the first
-// pass is attached as a custom metric.
-func benchFig2[P any](b *testing.B, data, queries []P, radii []float64,
-	build func(r float64) (*core.Index[P], error)) {
-	b.Helper()
-	for _, r := range radii {
-		ix, err := build(r)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, strat := range []struct {
-			name string
-			run  func(q P) ([]int32, core.QueryStats)
-		}{
-			{"hybrid", ix.Query},
-			{"lsh", ix.QueryLSH},
-			{"linear", ix.QueryLinear},
-		} {
-			b.Run(fmt.Sprintf("r=%v/%s", r, strat.name), func(b *testing.B) {
-				linCalls := 0
-				for i := 0; i < b.N; i++ {
-					_, stats := strat.run(queries[i%len(queries)])
-					if stats.Strategy == core.StrategyLinear {
-						linCalls++
-					}
-				}
-				b.ReportMetric(100*float64(linCalls)/float64(b.N), "LS%")
-			})
-		}
-	}
-}
-
-// BenchmarkFigure2a_MNIST regenerates Figure 2a: Hamming distance on
-// 64-bit fingerprints, radii 12–17.
-func BenchmarkFigure2a_MNIST(b *testing.B) {
-	ds := dataset.MNISTLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.Hamming), 20, 2000, 3)
-	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Binary], error) {
-		return core.NewIndex(data, core.Config[vector.Binary]{
-			Family:   lsh.NewBitSampling(dataset.MNISTBits),
-			Distance: distance.Hamming,
-			Radius:   r,
-			Cost:     cost,
-			Seed:     4,
-		})
-	})
-}
-
-// BenchmarkFigure2b_Webspam regenerates Figure 2b: cosine distance,
-// radii 0.05–0.10.
-func BenchmarkFigure2b_Webspam(b *testing.B) {
-	ds := dataset.WebspamLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.Cosine), 20, 2000, 3)
-	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Sparse], error) {
-		return core.NewIndex(data, core.Config[vector.Sparse]{
-			Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
-			Distance: distance.Cosine,
-			Radius:   r,
-			Cost:     cost,
-			Seed:     4,
-		})
-	})
-}
-
-// BenchmarkFigure2c_CoverType regenerates Figure 2c: L1 distance, radii
-// 3000–4000, the paper's k = 8, w = 4r. CoverType is the paper's largest
-// dataset; its benchmark scale is a tenth of the others'.
-func BenchmarkFigure2c_CoverType(b *testing.B) {
-	ds := dataset.CoverTypeLike(benchScale()/10, 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.L1), 20, 2000, 3)
-	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Dense], error) {
-		return core.NewIndex(data, core.Config[vector.Dense]{
-			Family:   lsh.NewPStableL1(dataset.CoverTypeDim, 4*r),
-			Distance: distance.L1,
-			Radius:   r,
-			K:        8,
-			Cost:     cost,
-			Seed:     4,
-		})
-	})
-}
-
-// BenchmarkFigure2d_Corel regenerates Figure 2d: L2 distance, radii
-// 0.35–0.60, the paper's k = 7, w = 2r.
-func BenchmarkFigure2d_Corel(b *testing.B) {
-	ds := dataset.CorelLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.Calibrate(data, pointstore.GenericBuilder(distance.L2), 20, 2000, 3)
-	benchFig2(b, data, queries, ds.Meta.PaperRadii, func(r float64) (*core.Index[vector.Dense], error) {
-		return core.NewIndex(data, core.Config[vector.Dense]{
-			Family:   lsh.NewPStableL2(dataset.CorelDim, 2*r),
-			Distance: distance.L2,
-			Radius:   r,
-			K:        7,
-			Cost:     cost,
-			Seed:     4,
-		})
-	})
-}
-
-// BenchmarkTable1_HLLOverhead regenerates Table 1's "% Cost" row: the time
-// of the full O(m·L) candSize estimation (bucket lookup + HLL merge)
-// relative to a hybrid query, per dataset.
-func BenchmarkTable1_HLLOverhead(b *testing.B) {
-	ds := dataset.WebspamLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	ix, err := core.NewIndex(data, core.Config[vector.Sparse]{
-		Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
-		Distance: distance.Cosine,
-		Radius:   0.05,
-		Seed:     4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("estimate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.EstimateCandSize(queries[i%len(queries)])
-		}
-	})
-	b.Run("full-query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.Query(queries[i%len(queries)])
-		}
-	})
-}
-
-// BenchmarkTable1_HLLError regenerates Table 1's "% Error" row: it runs the
-// estimator against the exact distinct-candidate count and reports the mean
-// relative error as a custom metric.
-func BenchmarkTable1_HLLError(b *testing.B) {
-	ds := dataset.WebspamLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	ix, err := core.NewIndex(data, core.Config[vector.Sparse]{
-		Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
-		Distance: distance.Cosine,
-		Radius:   0.05,
-		Seed:     4,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var errSum float64
-	var samples int
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		_, est, _ := ix.EstimateCandSize(q)
-		_, stats := ix.QueryLSH(q)
-		if stats.Candidates > 0 {
-			errSum += math.Abs(est-float64(stats.Candidates)) / float64(stats.Candidates)
-			samples++
-		}
-	}
-	if samples > 0 {
-		b.ReportMetric(100*errSum/float64(samples), "errPct")
-	}
-}
-
 // BenchmarkAblationHLLRegisters sweeps the register count m (the paper
 // fixes m = 128 and notes m = 32 suffices for MNIST): merge+estimate time
 // and estimate error per m.
@@ -198,13 +30,7 @@ func BenchmarkAblationHLLRegisters(b *testing.B) {
 	ds := dataset.WebspamLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 50, 2)
 	for _, m := range []int{16, 32, 64, 128, 256} {
-		ix, err := core.NewIndex(data, core.Config[vector.Sparse]{
-			Family:       lsh.NewSimHashCosine(dataset.WebspamDim),
-			Distance:     distance.Cosine,
-			Radius:       0.07,
-			HLLRegisters: m,
-			Seed:         4,
-		})
+		ix, err := New(Cosine, data, 0.07, WithHLLRegisters(m), WithSeed(4))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,14 +66,8 @@ func BenchmarkAblationHLLRegisters(b *testing.B) {
 func BenchmarkAblationOracle(b *testing.B) {
 	ds := dataset.WebspamLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 50, 2)
-	cost := core.CostModel{Alpha: 1, Beta: 10} // the paper's Webspam ratio
-	ix, err := core.NewIndex(data, core.Config[vector.Sparse]{
-		Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
-		Distance: distance.Cosine,
-		Radius:   0.08,
-		Cost:     cost,
-		Seed:     4,
-	})
+	cost := CostModel{Alpha: 1, Beta: 10} // the paper's Webspam ratio
+	ix, err := New(Cosine, data, 0.08, WithCostModel(cost), WithSeed(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,9 +76,9 @@ func BenchmarkAblationOracle(b *testing.B) {
 		q := queries[i%len(queries)]
 		got, stats := ix.DecideStrategy(q)
 		_, lshStats := ix.QueryLSH(q)
-		oracle := core.StrategyLinear
+		oracle := StrategyLinear
 		if cost.LSHCost(stats.Collisions, float64(lshStats.Candidates)) < cost.LinearCost(len(data)) {
-			oracle = core.StrategyLSH
+			oracle = StrategyLSH
 		}
 		if got == oracle {
 			agree++
@@ -270,65 +90,19 @@ func BenchmarkAblationOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure3_OutputSize regenerates Figure 3's two series on the
-// Webspam-like workload with the paper's β/α = 10: per radius, the mean
-// query time plus avg/max output size and the linear-search call
-// percentage as custom metrics.
-func BenchmarkFigure3_OutputSize(b *testing.B) {
-	ds := dataset.WebspamLike(benchScale(), 1)
-	data, queries := dataset.SplitQueries(ds.Points, 100, 2)
-	cost := core.CostModel{Alpha: 1, Beta: 10} // the paper's Webspam ratio
-	for _, r := range ds.Meta.PaperRadii {
-		ix, err := core.NewIndex(data, core.Config[vector.Sparse]{
-			Family:   lsh.NewSimHashCosine(dataset.WebspamDim),
-			Distance: distance.Cosine,
-			Radius:   r,
-			Cost:     cost,
-			Seed:     4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("r=%v", r), func(b *testing.B) {
-			var outSum, outMax, linCalls int
-			for i := 0; i < b.N; i++ {
-				out, stats := ix.Query(queries[i%len(queries)])
-				outSum += len(out)
-				if len(out) > outMax {
-					outMax = len(out)
-				}
-				if stats.Strategy == core.StrategyLinear {
-					linCalls++
-				}
-			}
-			b.ReportMetric(float64(outSum)/float64(b.N), "out-avg")
-			b.ReportMetric(float64(outMax), "out-max")
-			b.ReportMetric(100*float64(linCalls)/float64(b.N), "LS%")
-		})
-	}
-}
-
 // BenchmarkExtensionMultiProbe exercises the paper's first future-work
 // combination: hybrid search over query-directed multi-probe LSH (Lv et
 // al.) on Corel-like L2 data — few tables, many probes, per strategy.
 func BenchmarkExtensionMultiProbe(b *testing.B) {
 	ds := dataset.CorelLike(benchScale(), 1)
 	data, queries := dataset.SplitQueries(ds.Points, 50, 2)
-	ix, err := core.NewIndex(data, core.Config[vector.Dense]{
-		Family:   lsh.NewPStableL2(dataset.CorelDim, 0.9),
-		Distance: distance.L2,
-		Radius:   0.45,
-		K:        10,
-		L:        8,
-		Probes:   16,
-		Seed:     4,
-	})
+	ix, err := New(L2, data, 0.45, WithK(10), WithTables(8), WithProbes(16), WithSeed(4))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, strat := range []struct {
 		name string
-		run  func(q vector.Dense) ([]int32, core.QueryStats)
+		run  func(q Dense) ([]int32, QueryStats)
 	}{
 		{"hybrid", ix.Query},
 		{"multiprobe-lsh", ix.QueryLSH},
@@ -348,13 +122,13 @@ func BenchmarkExtensionMultiProbe(b *testing.B) {
 func BenchmarkExtensionCovering(b *testing.B) {
 	ds := dataset.MNISTLike(benchScale()/2, 1)
 	data, queries := dataset.SplitQueries(ds.Points, 50, 2)
-	ix, err := covering.New(data, 6, covering.Config{Seed: 4})
+	ix, err := New(Hamming, data, 6, WithCovering(), WithSeed(4))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, strat := range []struct {
 		name string
-		run  func(q vector.Binary) ([]int32, core.QueryStats)
+		run  func(q Binary) ([]int32, QueryStats)
 	}{
 		{"hybrid", ix.Query},
 		{"covering-lsh", ix.QueryLSH},
@@ -394,13 +168,7 @@ func BenchmarkHLLMerge(b *testing.B) {
 func BenchmarkIndexBuild(b *testing.B) {
 	ds := dataset.MNISTLike(0.02, 1)
 	for i := 0; i < b.N; i++ {
-		_, err := core.NewIndex(ds.Points, core.Config[vector.Binary]{
-			Family:   lsh.NewBitSampling(dataset.MNISTBits),
-			Distance: distance.Hamming,
-			Radius:   14,
-			Seed:     uint64(i),
-		})
-		if err != nil {
+		if _, err := New(Hamming, ds.Points, 14, WithSeed(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,10 @@
 // Package bench is the experiment harness behind every table and figure of
 // the paper: it runs the three search strategies (hybrid, pure LSH, linear)
 // over a query set and aggregates the timings, recalls, output sizes and
-// strategy decisions that Sections 4.1 and 4.2 report. Both the root
-// bench_test.go benchmarks and cmd/hybridbench print from these results.
+// strategy decisions that Sections 4.1 and 4.2 report, and
+// cmd/hybridbench prints and records them. Every index and calibration is
+// built through the root package (hybridlsh.New, NewSharded, Calibrate),
+// so the figures measure the point stores an index serves with.
 package bench
 
 import (
@@ -10,8 +12,8 @@ import (
 	"math"
 	"runtime"
 
+	hybridlsh "repro"
 	"repro/internal/core"
-	"repro/internal/distance"
 	"repro/internal/stats"
 )
 
@@ -56,24 +58,27 @@ type Fig2Row struct {
 
 // Fig2Result is a whole panel: one dataset, several radii.
 type Fig2Result struct {
-	Dataset       string    `json:"dataset"`
-	N             int       `json:"n"`
-	Metric        string    `json:"metric"`
+	Dataset string `json:"dataset"`
+	N       int    `json:"n"`
+	Metric  string `json:"metric"`
+	// Store is the layout of the point store the sweep's indexes verify
+	// and scan through ("flat" or "generic"): the one every index under
+	// the metric serves with.
+	Store         string    `json:"store"`
 	BetaOverAlpha float64   `json:"beta_over_alpha"`
 	Rows          []Fig2Row `json:"rows"`
 }
 
 // IndexBuilder constructs the per-radius index of a sweep (k and w depend
 // on r, so Figure 2 builds one index per x-axis point).
-type IndexBuilder[P any] func(radius float64) (*core.Index[P], error)
+type IndexBuilder[P any] func(radius float64) (*hybridlsh.Index[P], error)
 
 // RunSweep executes the Figure-2 protocol on one dataset: for each radius,
 // build the index, answer every query with all three strategies over the
-// requested number of runs (the paper uses 5), and aggregate. dist is used
-// for exact ground truth (the linear path's output doubles as truth since
-// it is exact).
+// requested number of runs (the paper uses 5), and aggregate. The linear
+// path's output is the exact ground truth.
 func RunSweep[P any](name, metric string, data, queries []P, radii []float64,
-	build IndexBuilder[P], dist distance.Func[P], runs int) (*Fig2Result, error) {
+	build IndexBuilder[P], runs int) (*Fig2Result, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("bench: empty query set")
 	}
@@ -88,6 +93,7 @@ func RunSweep[P any](name, metric string, data, queries []P, radii []float64,
 		}
 		cost := ix.Cost()
 		res.BetaOverAlpha = cost.BetaOverAlpha()
+		res.Store = ix.StoreStats().Layout
 		// Warm caches and the query-state pool before timing, and start
 		// each radius from a clean heap so GC pauses from index
 		// construction are not charged to the first queries.

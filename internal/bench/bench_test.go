@@ -47,7 +47,7 @@ func TestWebspamExperimentShape(t *testing.T) {
 	}
 	// Figure 2b: hybrid must beat linear search across the sweep (in our
 	// implementation pure LSH never loses at this scale, so hybrid tracks
-	// it; see EXPERIMENTS.md).
+	// it).
 	for _, row := range res.Rows {
 		if row.HybridCost > row.LinearCost {
 			t.Errorf("r=%v: hybrid cost %.4g above linear %.4g", row.Radius, row.HybridCost, row.LinearCost)
@@ -105,6 +105,36 @@ func TestCoverTypeExperimentShape(t *testing.T) {
 	}
 	if bad := CheckShape(res, 1.5); len(bad) > 0 {
 		t.Errorf("shape violations:\n%s", strings.Join(bad, "\n"))
+	}
+}
+
+// TestFigureStores holds each panel's indexes to the point store the
+// root API picks for its metric, the one an index under it serves with:
+// the flat layouts for Hamming (2a) and L2 (2d), the generic one for
+// cosine (2b) and L1 (2c).
+func TestFigureStores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness test")
+	}
+	cfg := DefaultConfig(0.005)
+	cfg.Queries = 5
+	cfg.Calibrate = false
+	for _, f := range []struct {
+		id, want string
+		run      func(Config) (*Fig2Result, error)
+	}{
+		{"fig2a", "flat", MNISTExperiment},
+		{"fig2b", "generic", WebspamExperiment},
+		{"fig2c", "generic", CoverTypeExperiment},
+		{"fig2d", "flat", CorelExperiment},
+	} {
+		res, err := f.run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.id, err)
+		}
+		if res.Store != f.want {
+			t.Errorf("%s: the indexes verify through the %q store, want %q", f.id, res.Store, f.want)
+		}
 	}
 }
 
@@ -171,7 +201,7 @@ func TestCheckShapeFlagsViolations(t *testing.T) {
 }
 
 func TestRunSweepEmptyQueries(t *testing.T) {
-	if _, err := RunSweep[int]("x", "m", nil, nil, nil, nil, nil, 1); err == nil {
+	if _, err := RunSweep[int]("x", "m", nil, nil, nil, nil, 1); err == nil {
 		t.Fatal("RunSweep accepted empty query set")
 	}
 }

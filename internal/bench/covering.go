@@ -4,13 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	hybridlsh "repro"
 	"repro/internal/core"
-	"repro/internal/covering"
 	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
-	"repro/internal/pointstore"
-	"repro/internal/vector"
 )
 
 // coveringRadii is the swept covering radii: the practical small-radius
@@ -73,7 +69,7 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 		return nil, err
 	}
 	cost := costModel(cfg, PaperRatioMNIST, func() core.CostModel {
-		return core.Calibrate(data, pointstore.GenericBuilder(distance.Hamming), 0, 0, cfg.Seed+2)
+		return hybridlsh.Calibrate(hybridlsh.Hamming, data, 0, 0, cfg.Seed+2)
 	})
 	runs := max(cfg.Runs, 1)
 
@@ -84,19 +80,14 @@ func CoveringExperiment(cfg Config) (*CoveringResult, error) {
 	for _, r := range coveringRadii {
 		truth := make([][]int32, len(queries))
 		for i, q := range queries {
-			truth[i] = core.GroundTruth(data, distance.Hamming, q, float64(r))
+			truth[i] = hybridlsh.GroundTruth(hybridlsh.Hamming, data, q, float64(r))
 		}
 
-		cov, err := covering.New(data, r, covering.Config{
-			HLLRegisters: cfg.M,
-			Cost:         cost,
-			Seed:         cfg.Seed + 21,
-		})
+		cov, err := hybridlsh.New(hybridlsh.Hamming, data, float64(r), cfg.options(cost, cfg.Seed+21, hybridlsh.WithCovering())...)
 		if err != nil {
 			return nil, fmt.Errorf("bench: building covering index (r=%d): %w", r, err)
 		}
-		classic, err := core.NewIndex(data, indexConfig(cfg, lsh.Family[vector.Binary](lsh.NewBitSampling(dataset.MNISTBits)),
-			distance.Hamming, float64(r), 0, cost, cfg.Seed+21))
+		classic, err := hybridlsh.New(hybridlsh.Hamming, data, float64(r), cfg.options(cost, cfg.Seed+21)...)
 		if err != nil {
 			return nil, fmt.Errorf("bench: building classic Hamming index (r=%d): %w", r, err)
 		}

@@ -3,12 +3,9 @@ package bench
 import (
 	"fmt"
 
+	hybridlsh "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
-	"repro/internal/pointstore"
-	"repro/internal/vector"
 )
 
 // Config scales the paper's experiments. The zero value is NOT usable;
@@ -55,63 +52,65 @@ func splitQueries[P any](cfg Config, points []P) (data, queries []P, err error) 
 	return data, queries, nil
 }
 
-// figure2 runs one Figure-2 panel over points: split off the query set,
-// fix the cost model (calibrated on the data, or the paper's ratio) and
-// sweep the paper's radii, building one index per radius from family(r)
-// with the paper's k (0 derives it from δ). store is the point layout
-// both the calibration and the indexes verify through (nil = the generic
-// one over dist).
-func figure2[P any](cfg Config, name, metric string, points []P, radii []float64, dist distance.Func[P],
-	store pointstore.Builder[P], paperRatio float64, k int, family func(r float64) lsh.Family[P]) (*Fig2Result, error) {
-	if store == nil {
-		store = pointstore.GenericBuilder(dist)
-	}
+// options are the index options every experiment shares: the run's δ, L
+// and m, an experiment's cost model (zero keeps the index default) and
+// construction seed, then the experiment's own.
+func (cfg Config) options(cost core.CostModel, seed uint64, more ...hybridlsh.Option) []hybridlsh.Option {
+	return append([]hybridlsh.Option{
+		hybridlsh.WithDelta(cfg.Delta),
+		hybridlsh.WithTables(cfg.L),
+		hybridlsh.WithHLLRegisters(cfg.M),
+		hybridlsh.WithCostModel(cost),
+		hybridlsh.WithSeed(seed),
+	}, more...)
+}
+
+// figure2 runs one Figure-2 panel over points under m: split off the
+// query set, fix the cost model (calibrated on the data, or the paper's
+// ratio) and sweep the paper's radii, building one index per radius
+// through hybridlsh.New with the metric's defaults, which are the
+// paper's k and w. The calibration and the indexes verify through the
+// store every index under m serves with.
+func figure2[P any](cfg Config, name string, m hybridlsh.Metric[P], points []P, radii []float64, paperRatio float64) (*Fig2Result, error) {
 	data, queries, err := splitQueries(cfg, points)
 	if err != nil {
 		return nil, err
 	}
 	cost := costModel(cfg, paperRatio, func() core.CostModel {
-		return core.Calibrate(data, store, 0, 0, cfg.Seed+2)
+		return hybridlsh.Calibrate(m, data, 0, 0, cfg.Seed+2)
 	})
-	build := func(r float64) (*core.Index[P], error) {
-		ic := indexConfig(cfg, family(r), dist, r, k, cost, cfg.Seed+3)
-		ic.Store = store
-		return core.NewIndex(data, ic)
+	build := func(r float64) (*hybridlsh.Index[P], error) {
+		return hybridlsh.New(m, data, r, cfg.options(cost, cfg.Seed+3)...)
 	}
-	return RunSweep(name, metric, data, queries, radii, build, dist, cfg.Runs)
+	return RunSweep(name, m.String(), data, queries, radii, build, cfg.Runs)
 }
 
 // MNISTExperiment reproduces Figure 2a: Hamming distance on 64-bit
-// fingerprints, radii 12–17, bit-sampling LSH, over the flat binary store
-// every Hamming index of the root API verifies through.
+// fingerprints, radii 12–17, bit-sampling LSH.
 func MNISTExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.MNISTLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "mnist-like", "hamming", ds.Points, ds.Meta.PaperRadii, distance.Hamming,
-		pointstore.BinaryHammingBuilder(), PaperRatioMNIST, 0,
-		func(float64) lsh.Family[vector.Binary] { return lsh.NewBitSampling(dataset.MNISTBits) })
+	return figure2(cfg, "mnist-like", hybridlsh.Hamming, ds.Points, ds.Meta.PaperRadii, PaperRatioMNIST)
 }
 
 // WebspamExperiment reproduces Figure 2b (and the Figure 3 series): cosine
 // distance, radii 0.05–0.10, SimHash.
 func WebspamExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.WebspamLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "webspam-like", "cosine", ds.Points, ds.Meta.PaperRadii, distance.Cosine, nil, PaperRatioWebspam, 0,
-		func(float64) lsh.Family[vector.Sparse] { return lsh.NewSimHashCosine(dataset.WebspamDim) })
+	return figure2(cfg, "webspam-like", hybridlsh.Cosine, ds.Points, ds.Meta.PaperRadii, PaperRatioWebspam)
 }
 
 // CoverTypeExperiment reproduces Figure 2c: L1 distance, radii 3000–4000,
 // Cauchy p-stable LSH with the paper's k = 8, w = 4r.
 func CoverTypeExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CoverTypeLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "covertype-like", "l1", ds.Points, ds.Meta.PaperRadii, distance.L1, nil, PaperRatioCoverType, 8,
-		func(r float64) lsh.Family[vector.Dense] { return lsh.NewPStableL1(dataset.CoverTypeDim, 4*r) })
+	return figure2(cfg, "covertype-like", hybridlsh.L1, ds.Points, ds.Meta.PaperRadii, PaperRatioCoverType)
 }
 
 // CorelExperiment reproduces Figure 2d: L2 distance, radii 0.35–0.60,
 // Gaussian p-stable LSH with the paper's k = 7, w = 2r.
 func CorelExperiment(cfg Config) (*Fig2Result, error) {
 	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
-	return figure2(cfg, "corel-like", "l2", ds.Points, ds.Meta.PaperRadii, distance.L2, nil, PaperRatioCorel, corelK, corelFamily)
+	return figure2(cfg, "corel-like", hybridlsh.L2, ds.Points, ds.Meta.PaperRadii, PaperRatioCorel)
 }
 
 // Table1Experiment reproduces Table 1 across all four datasets: the HLL

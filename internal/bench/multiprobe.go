@@ -5,10 +5,8 @@ import (
 	"io"
 	"time"
 
+	hybridlsh "repro"
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/distance"
-	"repro/internal/lsh"
 	"repro/internal/vector"
 )
 
@@ -83,39 +81,26 @@ func MultiProbeExperiment(cfg Config) (*MultiProbeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	const k = 7
-	w := 2 * r
-
 	truth := make([][]int32, len(queries))
 	for i, q := range queries {
-		truth[i] = core.GroundTruth(data, distance.L2, q, r)
+		truth[i] = hybridlsh.GroundTruth(hybridlsh.L2, data, q, r)
 	}
 	runs := max(cfg.Runs, 1)
 
-	res := &MultiProbeResult{
-		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r, K: k,
-		PlainL: cfg.L,
-	}
-
-	plain, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+11))
+	plain, err := hybridlsh.New(hybridlsh.L2, data, r, cfg.options(core.CostModel{}, cfg.Seed+11)...)
 	if err != nil {
 		return nil, fmt.Errorf("bench: building classic baseline: %w", err)
+	}
+	res := &MultiProbeResult{
+		Dataset: "corel-like", N: len(data), Metric: "l2", Radius: r, K: plain.K(),
+		PlainL: cfg.L,
 	}
 	pm := measureLSH(queries, truth, runs, plain.QueryLSH)
 	res.PlainRecall, res.PlainQueryUS = pm.recall, pm.queryUS
 
 	for _, l := range multiProbeTables {
-		mp, err := core.NewIndex(data, core.Config[vector.Dense]{
-			Family:       lsh.NewPStableL2(dataset.CorelDim, w),
-			Distance:     distance.L2,
-			Radius:       r,
-			Delta:        cfg.Delta,
-			K:            k,
-			L:            l,
-			Probes:       multiProbeProbes[len(multiProbeProbes)-1],
-			HLLRegisters: cfg.M,
-			Seed:         cfg.Seed + 11,
-		})
+		mp, err := hybridlsh.New(hybridlsh.L2, data, r, cfg.options(core.CostModel{}, cfg.Seed+11,
+			hybridlsh.WithTables(l), hybridlsh.WithProbes(multiProbeProbes[len(multiProbeProbes)-1]))...)
 		if err != nil {
 			return nil, fmt.Errorf("bench: building multi-probe index (L=%d): %w", l, err)
 		}

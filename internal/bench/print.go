@@ -9,8 +9,8 @@ import (
 // PrintFig2 writes a Figure-2 panel as a text table in the layout of the
 // paper's plots: one row per radius, one column per strategy.
 func PrintFig2(w io.Writer, res *Fig2Result) {
-	fmt.Fprintf(w, "%s (n=%d, metric=%s, β/α=%.2f) — CPU time (s) per %s\n",
-		res.Dataset, res.N, res.Metric, res.BetaOverAlpha, "query set")
+	fmt.Fprintf(w, "%s (n=%d, metric=%s, store=%s, β/α=%.2f) — CPU time (s) per query set\n",
+		res.Dataset, res.N, res.Metric, res.Store, res.BetaOverAlpha)
 	fmt.Fprintf(w, "%10s %12s %12s %12s %10s %10s %8s\n",
 		"radius", "Hybrid", "LSH", "Linear", "rec(Hyb)", "rec(LSH)", "LS%")
 	for _, r := range res.Rows {

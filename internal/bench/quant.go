@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	hybridlsh "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/pointstore"
@@ -82,7 +83,7 @@ func QuantExperiment(cfg Config) (*QuantResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := core.NewIndex(data, cfg.corelConfig(r, core.CostModel{}, cfg.Seed+2))
+	ix, err := hybridlsh.New(hybridlsh.L2, data, r, cfg.options(core.CostModel{}, cfg.Seed+2)...)
 	if err != nil {
 		return nil, err
 	}

@@ -149,7 +149,7 @@ type Index[P any] struct {
 	// pointer so online recalibration can swap constants mid-traffic
 	// without a lock on the query path (decide loads it once per query).
 	cost   atomic.Pointer[CostModel]
-	states sync.Pool // *queryState
+	states sync.Pool // *queryState[P]
 	// radius is the built reporting radius and mode the serving-mode
 	// descriptor Defaults returns: Probes set (T ≥ 1) on a multi-probe
 	// index, Radius set on a covering one, neither on a classic one.
@@ -349,7 +349,7 @@ func Assemble[P any](store pointstore.Store[P], tables *lsh.Tables[P], dist dist
 	// so states created after an Append fit the grown store.
 	m := tables.Params().HLLRegisters
 	ix.states.New = func() any {
-		return &queryState{visited: make([]uint32, store.Len()), sketch: hll.New(m)}
+		return &queryState[P]{visited: make([]uint32, store.Len()), sketch: hll.New(m)}
 	}
 	return ix, nil
 }

@@ -274,7 +274,7 @@ func TestGenerationWrapClearsVisited(t *testing.T) {
 	// a query still deduplicates correctly.
 	w := makeWorkload(300, 100, 64, 2, 12)
 	ix := buildIndex(t, w, 10)
-	st := ix.states.Get().(*queryState)
+	st := ix.states.Get().(*queryState[vector.Binary])
 	st.gen = ^uint32(0) // next searchBuckets call wraps to 0 then resets
 	for i := range st.visited {
 		st.visited[i] = 12345 // stale stamps that must not survive the wrap

@@ -53,7 +53,7 @@ func randomBuckets(r *rng.Rand, n int) []lsh.Bucket {
 func TestCollectMatchesFirstOccurrence(t *testing.T) {
 	const n = 300
 	r := rng.New(35)
-	st := &queryState{visited: make([]uint32, n)}
+	st := &queryState[int]{visited: make([]uint32, n)}
 	check := func(round int) {
 		t.Helper()
 		bs := randomBuckets(r, n)

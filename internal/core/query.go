@@ -21,9 +21,10 @@ import (
 // array used for duplicate removal (the paper's step S2), the HLL merge
 // target, the lookup scratch, the block's keys (table-major) with the
 // hashers' projection scratch, the deduplicated candidate ids handed to
-// the store's batch verifier and QueryBlock's answer ids. Pooling it
-// keeps queries allocation-free in steady state.
-type queryState struct {
+// the store's batch verifier, QueryBlock's answer ids and the block of
+// one a lone query is looked up as. Pooling it keeps queries
+// allocation-free in steady state.
+type queryState[P any] struct {
 	visited []uint32
 	gen     uint32
 	sketch  *hll.Sketch
@@ -32,12 +33,13 @@ type queryState struct {
 	hash    lsh.KeyScratch
 	cand    []int32
 	out     []int32
+	one     [1]P
 }
 
 // getState draws a pooled query state, growing its visited array if the
 // index has been appended to since the state was created.
-func (ix *Index[P]) getState() *queryState {
-	st := ix.states.Get().(*queryState)
+func (ix *Index[P]) getState() *queryState[P] {
+	st := ix.states.Get().(*queryState[P])
 	if n := ix.store.Len(); len(st.visited) < n {
 		st.visited = make([]uint32, n)
 		st.gen = 0
@@ -66,22 +68,32 @@ func (ix *Index[P]) resolve(o QueryOpts, queries []P) (int, float64, error) {
 // block is answered in blocks of MaxBlock.
 const MaxBlock = 64
 
-// blocks is the one lookup path. It resolves o against queries, draws
-// one pooled query state and calls each(i, q, r, buckets, st, t0) for
-// every query i in order: r is its radius, buckets its bucket set
-// (aliasing st). A classic or covering index hashes up to MaxBlock
-// queries into every table first (BlockKeys), then looks each up from
-// those keys (LookupKeys); a multi-probe index looks up each query's
-// probe sequence in turn (ProbeInto). t0 is when the query's lookup
-// started, moved back by its equal share of the block's hashing. A query
-// of the wrong dimension fails the block before any is looked up.
-func (ix *Index[P]) blocks(queries []P, o QueryOpts, each func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time)) error {
+// blocks is the one lookup path. It draws one pooled query state,
+// resolves o against queries and calls each(i, q, r, buckets, st, t0)
+// for every query i in order: r is its radius, buckets its bucket set
+// (aliasing st). A lone query comes as lone instead, with queries nil,
+// and is looked up as the state's block of one, so that no single-query
+// method allocates a block. A classic or covering index hashes up to
+// MaxBlock queries into every table first (BlockKeys), then looks each
+// up from those keys (LookupKeys); a multi-probe index looks up each
+// query's probe sequence in turn (ProbeInto). t0 is when the query's
+// lookup started, moved back by its equal share of the block's hashing.
+// A query of the wrong dimension fails the block before any is looked
+// up.
+func (ix *Index[P]) blocks(queries []P, lone *P, o QueryOpts, each func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time)) error {
+	st := ix.getState()
+	defer func() {
+		clear(st.one[:]) // the pool must not keep a caller's point alive
+		ix.states.Put(st)
+	}()
+	if lone != nil {
+		st.one[0] = *lone
+		queries = st.one[:]
+	}
 	t, r, err := ix.resolve(o, queries)
 	if err != nil {
 		return err
 	}
-	st := ix.getState()
-	defer ix.states.Put(st)
 	for base := 0; base < len(queries); base += MaxBlock {
 		blk := queries[base:min(len(queries), base+MaxBlock)]
 		var share time.Duration
@@ -136,7 +148,7 @@ func must(err error) {
 // tables cover. Any other set option is ErrUnsupportedOption, and a
 // query of the wrong dimension an error too.
 func (ix *Index[P]) QueryWith(q P, o QueryOpts) (ids []int32, stats QueryStats, err error) {
-	err = ix.blocks([]P{q}, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+	err = ix.blocks(nil, &q, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		ids, stats = ix.answer(q, r, buckets, st, t0, nil)
 	})
 	return ids, stats, err
@@ -147,7 +159,7 @@ func (ix *Index[P]) QueryWith(q P, o QueryOpts) (ids []int32, stats QueryStats, 
 // and the time the bucket collection and the merge took. Table 1
 // measures exactly this operation.
 func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed time.Duration) {
-	must(ix.blocks([]P{q}, QueryOpts{}, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+	must(ix.blocks(nil, &q, QueryOpts{}, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		collisions = lsh.Collisions(buckets)
 		est = lsh.EstimateCandidates(buckets, st.sketch)
 		elapsed = time.Since(t0)
@@ -168,7 +180,7 @@ func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
 
 // QueryLSHWith is QueryLSH under per-query overrides (see QueryWith).
 func (ix *Index[P]) QueryLSHWith(q P, o QueryOpts) (ids []int32, stats QueryStats, err error) {
-	err = ix.blocks([]P{q}, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+	err = ix.blocks(nil, &q, o, func(_ int, q P, r float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		stats.Strategy = StrategyLSH
 		stats.Collisions = lsh.Collisions(buckets)
 		stats.EstimateTime = time.Since(t0)
@@ -206,7 +218,7 @@ func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
 // QueryWith): the decision QueryWith would take with the same options.
 func (ix *Index[P]) DecideStrategyWith(q P, o QueryOpts) (Strategy, QueryStats, error) {
 	var stats QueryStats
-	err := ix.blocks([]P{q}, o, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+	err := ix.blocks(nil, &q, o, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		stats.Strategy = ix.decide(buckets, st, &stats)
 		stats.EstimateTime = time.Since(t0)
 	})
@@ -216,7 +228,7 @@ func (ix *Index[P]) DecideStrategyWith(q P, o QueryOpts) (Strategy, QueryStats, 
 // decide runs Algorithm-2 steps 1–3 into stats: collision counting, the
 // HLL merge (unless a collision bound already settles the comparison) and
 // the cost evaluation. It returns the chosen strategy.
-func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState, stats *QueryStats) Strategy {
+func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState[P], stats *QueryStats) Strategy {
 	// One atomic load per decision: the whole comparison runs against a
 	// consistent (α, β) pair even when SetCost swaps the model mid-query.
 	cost := *ix.cost.Load()
@@ -250,7 +262,7 @@ func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState, stats *QuerySta
 // sketches, then run the dedup bucket search or the exact linear scan,
 // whichever is cheaper, appending the ids to out. t0 is when the bucket
 // collection started, so EstimateTime covers lookup and decision alike.
-func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time, out []int32) ([]int32, QueryStats) {
+func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time, out []int32) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = ix.decide(buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
@@ -271,7 +283,7 @@ func (ix *Index[P]) answer(q P, r float64, buckets []lsh.Bucket, st *queryState,
 // its share of its block's hashing (see blocks). A query of the wrong
 // dimension fails the block before any is answered.
 func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []int32, stats QueryStats)) error {
-	return ix.blocks(block, o, func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState, t0 time.Time) {
+	return ix.blocks(block, nil, o, func(i int, q P, r float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		var stats QueryStats
 		st.out, stats = ix.answer(q, r, buckets, st, t0, st.out[:0])
 		emit(i, st.out, stats)
@@ -284,7 +296,7 @@ func (ix *Index[P]) QueryBlock(block []P, o QueryOpts, emit func(i int, ids []in
 // VerifyRadius (S3) — which runs the unrolled distance kernels over its
 // own layout and, when quantized, pre-filters against the SQ8 copy
 // before the exact re-check.
-func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState, stats *QueryStats, out []int32) []int32 {
+func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *queryState[P], stats *QueryStats, out []int32) []int32 {
 	cand := st.collect(buckets)
 	stats.Candidates = len(cand)
 	n := len(out)
@@ -296,7 +308,7 @@ func (ix *Index[P]) searchBuckets(q P, r float64, buckets []lsh.Bucket, st *quer
 // collect is the paper's step S2: it gathers the distinct ids of buckets
 // into the pooled candidate buffer, in first-occurrence order, under a
 // fresh generation of the visited array.
-func (st *queryState) collect(buckets []lsh.Bucket) []int32 {
+func (st *queryState[P]) collect(buckets []lsh.Bucket) []int32 {
 	st.gen++
 	if st.gen == 0 {
 		// Generation counter wrapped: clear stamps and restart.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,15 +14,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/distance"
-	"repro/internal/lsh"
+	hybridlsh "repro"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/rng"
 	"repro/internal/server"
-	"repro/internal/shard"
 	"repro/internal/vector"
 )
 
@@ -88,19 +84,6 @@ type Node struct {
 	srv  *http.Server
 }
 
-// builder constructs one shard index the same way the shard tests do.
-func builder(dim int, radius float64) shard.Builder[vector.Dense] {
-	return func(pts []vector.Dense, seed uint64) (core.Store[vector.Dense], error) {
-		return core.NewIndex(pts, core.Config[vector.Dense]{
-			Family:   lsh.NewPStableL2(dim, 2*radius),
-			Distance: distance.L2,
-			Radius:   radius,
-			K:        7,
-			Seed:     seed,
-		})
-	}
-}
-
 // clusteredData generates tightly clustered points plus query centers
 // (the same shape the shard equivalence tests use, so id-identical
 // answers are a meaningful assertion, not a vacuous empty set).
@@ -138,16 +121,15 @@ func New(t *testing.T, cfg Config) *Cluster {
 	// into a snapshot and boot the node from it, exactly as -snapshot does.
 	var points []vector.Dense
 	points, c.Extra, c.Queries = clusteredData(clusterN, clusterN/2, 20, clusterDim, clusterSeed)
-	seedIndex, err := shard.New(points, clusterShards, clusterSeed, builder(clusterDim, clusterRadius))
+	seedIndex, err := hybridlsh.NewSharded(hybridlsh.L2, points, clusterRadius,
+		hybridlsh.WithShards(clusterShards), hybridlsh.WithSeed(clusterSeed))
 	if err != nil {
 		t.Fatalf("replicatest: writer build: %v", err)
 	}
 	wcfg := nodeConfig()
 	wcfg.Snapshot = filepath.Join(t.TempDir(), "writer.snap")
 	wcfg.LogCap = cfg.LogCap
-	if _, err := persist.WriteFileAtomic(wcfg.Snapshot, func(w io.Writer) (int64, error) {
-		return persist.WriteSharded(w, persist.MetricL2, seedIndex)
-	}); err != nil {
+	if _, err := persist.WriteFileAtomic(wcfg.Snapshot, seedIndex.WriteTo); err != nil {
 		t.Fatalf("replicatest: writer snapshot: %v", err)
 	}
 	c.Writer = &Node{c: c, cfg: wcfg, TailFaults: &Faults{}, ServeFaults: &Faults{}}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	hybridlsh "repro"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/shard"
@@ -95,11 +96,12 @@ func buildRecoveryFixture(t *testing.T, segBytes int64) *recoveryFixture {
 // newBase rebuilds the deterministic pre-workload index.
 func (fx *recoveryFixture) newBase(t *testing.T) *shard.Sharded[vector.Dense] {
 	t.Helper()
-	sh, err := shard.New(fx.points, fx.shards, fx.seed, builder(fx.dim, fx.radius))
+	sh, err := hybridlsh.NewSharded(hybridlsh.L2, fx.points, fx.radius,
+		hybridlsh.WithShards(fx.shards), hybridlsh.WithSeed(fx.seed))
 	if err != nil {
 		t.Fatalf("base build: %v", err)
 	}
-	return sh
+	return sh.Sharded
 }
 
 // answersAt replays the first k frames onto a fresh base and returns
