@@ -161,7 +161,7 @@ func (ix *Index[P]) QueryWith(q P, o QueryOpts) (ids []int32, stats QueryStats, 
 func (ix *Index[P]) EstimateCandSize(q P) (collisions int, est float64, elapsed time.Duration) {
 	must(ix.blocks(nil, &q, QueryOpts{}, func(_ int, _ P, _ float64, buckets []lsh.Bucket, st *queryState[P], t0 time.Time) {
 		collisions = lsh.Collisions(buckets)
-		est = lsh.EstimateCandidates(buckets, st.sketch)
+		est = ix.tables.Estimate(buckets, st.sketch)
 		elapsed = time.Since(t0)
 	}))
 	return collisions, est, elapsed
@@ -249,7 +249,7 @@ func (ix *Index[P]) decide(buckets []lsh.Bucket, st *queryState[P], stats *Query
 		return StrategyLinear
 	}
 	stats.Estimated = true
-	stats.EstCandidates = lsh.EstimateCandidates(buckets, st.sketch)
+	stats.EstCandidates = ix.tables.Estimate(buckets, st.sketch)
 	stats.LSHCost = cost.LSHCost(stats.Collisions, stats.EstCandidates)
 	if stats.LSHCost < stats.LinearCost {
 		return StrategyLSH

@@ -10,6 +10,8 @@ package hashutil
 
 // Mix64 applies the splitmix64 finalizer, a fast full-avalanche 64-bit
 // mixer: every input bit affects every output bit with probability ≈ 1/2.
+// It is a bijection (each step is invertible), which the LSH tables rely
+// on: they find buckets and duplicate keys by comparing Mix64 of keys.
 func Mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

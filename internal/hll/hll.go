@@ -56,12 +56,15 @@ func New(m int) *Sketch {
 // well-mixed 64-bit hash (see hashutil.ElementHash); feeding raw sequential
 // ids would bias the estimate badly.
 func (s *Sketch) Add(hash uint64) {
-	idx := hash >> (64 - s.p)
-	suffix := hash<<s.p | 1<<(uint(s.p)-1) // low bits guard: ρ ≤ 64−p+1
-	rho := uint8(bits.LeadingZeros64(suffix)) + 1
-	if rho > s.regs[idx] {
-		s.regs[idx] = rho
-	}
+	e := entry(hash, s.p)
+	s.regs[e>>8] = max(s.regs[e>>8], uint8(e))
+}
+
+// entry is the register and rank Add(hash) folds into a sketch of 2^p
+// registers, as register<<8 | rank.
+func entry(hash uint64, p uint8) uint32 {
+	suffix := hash<<p | 1<<(uint(p)-1) // low bits guard: ρ ≤ 64−p+1
+	return uint32(hash>>(64-p))<<8 | uint32(bits.LeadingZeros64(suffix)+1)
 }
 
 // AddID hashes a point identifier with the repository-wide element hash and
@@ -69,6 +72,26 @@ func (s *Sketch) Add(hash uint64) {
 // the same hash) so that identical points collapse to identical register
 // updates.
 func (s *Sketch) AddID(id uint64) { s.Add(hashutil.ElementHash(id)) }
+
+// Entry returns what AddID(id) folds into a sketch of m registers (a
+// power of two in [MinM, MaxM]), as register<<8 | rank: a pure function
+// of id and m, so a table can hold one per point and fold a bucket's ids
+// with AddEntries at one load and one max per id. An entry fits a uint16
+// when m ≤ 256.
+func Entry(id uint64, m int) uint32 {
+	return entry(hashutil.ElementHash(id), uint8(bits.TrailingZeros(uint(m))))
+}
+
+// AddEntries folds entries[id] into s for every id in ids, exactly as
+// AddID(id) would, where entries[id] is Entry(id, m) for s's m (entries
+// of uint16 serve any m ≤ 256).
+func AddEntries[E uint16 | uint32, I uint16 | int32](s *Sketch, entries []E, ids []I) {
+	regs := s.regs
+	for _, id := range ids {
+		e := entries[id]
+		regs[e>>8] = max(regs[e>>8], uint8(e))
+	}
+}
 
 // negPow2[r] is 2^-r for every rank a register can hold (CheckRegisters
 // caps them at 64): Estimate reads it instead of calling math.Ldexp once

@@ -2,10 +2,12 @@ package hll
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hashutil"
 	"repro/internal/rng"
 )
 
@@ -419,4 +421,70 @@ func BenchmarkEstimate128(b *testing.B) {
 		sink += s.Estimate()
 	}
 	_ = sink
+}
+
+// addBranching is Add as it was before entries: the register from the
+// hash's top p bits, the rank from the leading zeros of the rest.
+func addBranching(regs []uint8, p uint8, hash uint64) {
+	idx := hash >> (64 - p)
+	rho := uint8(bits.LeadingZeros64(hash<<p|1<<(uint(p)-1))) + 1
+	if rho > regs[idx] {
+		regs[idx] = rho
+	}
+}
+
+// TestEntryFoldsAsAddID holds Entry and AddEntries to AddID bit for bit
+// at every m: entries are computed from ids, so the ranks an id
+// reaches are tested on hashes built to reach every rank 1…64−p+1 in
+// the first, a middle and the last register (through entry, which
+// Entry is over the element hash), and on the first 20 000 ids, folded
+// through uint16 entries where m ≤ 256 and uint32 entries everywhere.
+func TestEntryFoldsAsAddID(t *testing.T) {
+	for p := uint8(4); p <= 16; p++ {
+		m := 1 << p
+		for _, reg := range []uint64{0, uint64(m / 2), uint64(m - 1)} {
+			for rho := 1; rho <= 64-int(p)+1; rho++ {
+				hash := reg << (64 - p)
+				if low := 64 - int(p) - rho; low >= 0 { // the leading one, then bits below it
+					hash |= 1<<low | 0x5555555555555555&(1<<low-1)
+				}
+				want := make([]uint8, m)
+				addBranching(want, p, hash)
+				s := New(m)
+				s.Add(hash)
+				e := entry(hash, p)
+				if e>>8 != uint32(reg) || int(uint8(e)) != rho || !slices.Equal(s.Registers(), want) {
+					t.Fatalf("m %d register %d rank %d: entry %#x, Add registers differ: %v", m, reg, rho, e, !slices.Equal(s.Registers(), want))
+				}
+			}
+		}
+		ids := make([]int32, 20000)
+		e16, e32 := make([]uint16, len(ids)), make([]uint32, len(ids))
+		want := New(m)
+		for i := range ids {
+			ids[i] = int32(i)
+			e32[i] = Entry(uint64(i), m)
+			e16[i] = uint16(e32[i])
+			addBranching(want.regs, p, hashutil.ElementHash(uint64(i)))
+		}
+		got := New(m)
+		AddEntries(got, e32, ids)
+		if !slices.Equal(got.regs, want.regs) {
+			t.Fatalf("m %d: uint32 entries fold to other registers than AddID", m)
+		}
+		if m <= 256 {
+			got.Reset()
+			AddEntries(got, e16, ids)
+			if !slices.Equal(got.regs, want.regs) {
+				t.Fatalf("m %d: uint16 entries fold to other registers than AddID", m)
+			}
+		}
+		got.Reset()
+		for i := range ids {
+			got.AddID(uint64(i))
+		}
+		if !slices.Equal(got.regs, want.regs) {
+			t.Fatalf("m %d: AddID folds to other registers than the branching Add", m)
+		}
+	}
 }

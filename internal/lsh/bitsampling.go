@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hashutil"
 	"repro/internal/rng"
@@ -52,7 +53,7 @@ func (f *BitSampling) NewHasher(k int, r *rng.Rand) Hasher[vector.Binary] {
 	for i := range bits {
 		bits[i] = r.Intn(f.dim)
 	}
-	return &BitSamplingHasher{bits: bits}
+	return newBitSamplingHasher(bits)
 }
 
 // RestoreBitSamplingHasher reassembles a hasher from coordinate indices
@@ -68,13 +69,18 @@ func RestoreBitSamplingHasher(dim int, bits []int) (*BitSamplingHasher, error) {
 			return nil, fmt.Errorf("lsh: RestoreBitSamplingHasher bit %d samples coordinate %d outside [0,%d)", i, b, dim)
 		}
 	}
-	return &BitSamplingHasher{bits: bits}, nil
+	return newBitSamplingHasher(bits), nil
 }
 
 // BitSamplingHasher is one g-function of the bit-sampling family: the
 // concatenation of k sampled coordinates.
 type BitSamplingHasher struct {
 	bits []int
+	top  int // the largest sampled coordinate
+}
+
+func newBitSamplingHasher(bits []int) *BitSamplingHasher {
+	return &BitSamplingHasher{bits: bits, top: slices.Max(bits)}
 }
 
 // K implements Hasher.
@@ -85,23 +91,18 @@ func (h *BitSamplingHasher) K() int { return len(h.bits) }
 func (h *BitSamplingHasher) Bits() []int { return h.bits }
 
 // Key implements Hasher: the k sampled bits are packed MSB-first into
-// 64-bit words and folded to a single key.
+// 64-bit words and folded to a single key. Like Binary.Bit, it panics
+// when p is too short for a sampled coordinate.
 func (h *BitSamplingHasher) Key(p vector.Binary) uint64 {
-	var key, acc uint64
-	nacc := 0
-	flushed := false
-	for _, idx := range h.bits {
-		acc <<= 1
-		if p.Bit(idx) {
-			acc |= 1
-		}
-		if nacc++; nacc == 64 {
-			key = hashutil.Combine(key, acc)
-			acc, nacc = 0, 0
-			flushed = true
-		}
+	if h.top >= p.Dim {
+		p.Bit(h.top) // panics
 	}
-	if nacc > 0 || !flushed {
+	var key uint64
+	for c := 0; c < len(h.bits); c += 64 {
+		var acc uint64
+		for _, idx := range h.bits[c:min(c+64, len(h.bits))] {
+			acc = acc<<1 | p.Words[idx>>6]>>(uint(idx)&63)&1
+		}
 		key = hashutil.Combine(key, acc)
 	}
 	return key

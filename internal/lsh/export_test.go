@@ -20,7 +20,13 @@ func SlabDiff[P any](got, want *Tables[P], j int) string {
 	if len(g.over) != 0 {
 		return "overlay"
 	}
-	a, b := &g.slab, want.tables[j].rebuild(nil, want.params, want.n)
+	b := want.tables[j].rebuild(nil, want.params, want.n, &want.ents)
+	return slabDiff(&g.slab, &b)
+}
+
+// slabDiff names the first part in which slab a differs from b, or
+// returns "".
+func slabDiff(a, b *Slab) string {
 	switch {
 	case !slices.Equal(a.heads, b.heads):
 		return "heads"

@@ -155,8 +155,10 @@ func addIDs[S ID](b *slabBuilder, key uint64, ids []S, regs []uint8) {
 
 // appendAs appends src to dst, each id converted to dst's width.
 func appendAs[D, S ID](dst []D, src []S) []D {
-	for _, id := range src {
-		dst = append(dst, D(id))
+	at := len(dst)
+	dst = slices.Grow(dst, len(src))[:at+len(src)]
+	for i, id := range src {
+		dst[at+i] = D(id)
 	}
 	return dst
 }
@@ -186,16 +188,21 @@ func NewSlab(m, n, nb int, describe func(i int) (key uint64, ids int, sketched b
 	}
 	perm, done := borrow[int32](&permBufs, nb)
 	defer done()
-	hashOrder(perm, func(i int) uint64 { key, _, _ := describe(i); return key })
+	sorted, doneHs := hashOrder(perm, func(i int) uint64 { key, _, _ := describe(i); return key })
+	for k := 1; k < nb; k++ { // Mix64 is a bijection: equal hashes are equal keys
+		if sorted[k] == sorted[k-1] {
+			doneHs()
+			key, _, _ := describe(int(perm[k]))
+			return nil, fmt.Errorf("lsh: duplicate bucket key %#x", key)
+		}
+	}
+	doneHs()
 	b := newSlabBuilder(m, narrowFor(n), nb, total, sketches)
 	s := &b.s
 	s.narrow, s.wide, s.regs = s.narrow[:cap(s.narrow)], s.wide[:cap(s.wide)], s.regs[:cap(s.regs)]
 	off, sketch := 0, 0
-	for k, i := range perm {
+	for _, i := range perm {
 		key, ids, sketched := describe(int(i))
-		if k > 0 && key == s.heads[k-1].key {
-			return nil, fmt.Errorf("lsh: duplicate bucket key %#x", key)
-		}
 		h := head{key, uint32(off), noSketch}
 		var regs []uint8
 		if sketched {
@@ -239,11 +246,12 @@ func (b *slabBuilder) finish() Slab {
 // emptySlab is a slab with no buckets.
 func emptySlab(m int) Slab { return newSlabBuilder(m, true, 0, 0, 0).finish() }
 
-// hashBufs and permBufs keep hashOrder's hash arrays and NewSlab's
-// bucket orders between calls, so that a snapshot load, which lays its
-// tables out one after another on each of its workers, allocates neither
-// per table: that much more garbage moves the loading node's GC cycles
-// and raises its peak RSS.
+// hashBufs and permBufs keep hashOrder's hash arrays, buildSlab's keys
+// and both callers' bucket orders between calls, so that a snapshot
+// load, which lays its tables out one after another on each of its
+// workers, allocates none of them per table (nor does a Build): that
+// much more garbage moves the loading node's GC cycles and raises its
+// peak RSS.
 var hashBufs, permBufs sync.Pool // of *[]uint64, *[]int32
 
 // borrow returns n elements of one of p's arrays, whatever they hold,
@@ -258,84 +266,106 @@ func borrow[T any](p *sync.Pool, n int) ([]T, func()) {
 }
 
 // hashOrder fills perm with 0..len(perm)-1 in ascending order of
-// Mix64(key(i)), equal keys in index order: each hash is computed once,
-// then the indexes are counting-sorted on the hash's top bits and sorted
-// by hash within each slot.
-func hashOrder(perm []int32, key func(i int) uint64) {
+// Mix64(key(i)), equal keys in index order, and returns the hashes in
+// that order (sorted[k] is Mix64(key(perm[k]))) in a pooled array, with
+// the call that hands it back. Each hash is computed once; the indexes
+// are counting-sorted on the hash's top bits, which leaves each slot's
+// indexes ascending, and a slot is then sorted by hash only when its
+// hashes do not already ascend, which a run of equal keys always does.
+func hashOrder(perm []int32, key func(i int) uint64) (sorted []uint64, done func()) {
 	n := len(perm)
 	b := max(bits.Len(uint(n))-2, 0)
 	shift := 64 - b
-	hs, done := borrow[uint64](&hashBufs, n)
-	defer done()
+	hs, doneHs := borrow[uint64](&hashBufs, n)
+	defer doneHs()
+	sorted, done = borrow[uint64](&hashBufs, n)
 	next := make([]uint32, 1<<b+1)
 	for i := range hs {
 		hs[i] = hashutil.Mix64(key(i))
 		next[hs[i]>>shift+1]++
 	}
-	for i := 1; i < len(next); i++ {
-		next[i] += next[i-1]
+	sum := uint32(0)
+	for i, c := range next {
+		sum += c
+		next[i] = sum
 	}
 	for i, h := range hs {
 		slot := h >> shift
-		perm[next[slot]] = int32(i)
-		next[slot]++
+		at := next[slot]
+		perm[at], sorted[at] = int32(i), h
+		next[slot] = at + 1
 	}
-	// next[s] is now where slot s ends, its indexes ascending.
-	byHash := func(x, y int32) int { return cmp.Compare(hs[x], hs[y]) }
+	// next[s] is now where slot s ends.
 	start := uint32(0)
 	for _, end := range next[:len(next)-1] {
 		if end-start > 1 {
-			slices.SortStableFunc(perm[start:end], byHash)
+			sortSlot(perm[start:end], sorted[start:end], hs)
 		}
 		start = end
+	}
+	return sorted, done
+}
+
+// sortSlot sorts one slot's indexes, ascending as they come, stably by
+// hash (hs holds each index's hash), and keeps sorted, the slot's hashes
+// in its order, in step. A slot that already ascends is left as it is.
+func sortSlot(perm []int32, sorted, hs []uint64) {
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1] > sorted[i] {
+			slices.SortStableFunc(perm, func(x, y int32) int { return cmp.Compare(hs[x], hs[y]) })
+			for k, x := range perm {
+				sorted[k] = hs[x]
+			}
+			return
+		}
 	}
 }
 
 // sketchOf returns the registers of a sketch over ids when the bucket
-// is at least the threshold large, and nil otherwise. The result is
-// scratch's register array, valid until scratch is next used.
-func sketchOf(ids []int32, p Params, scratch *hll.Sketch) []uint8 {
+// is at least the threshold large, and nil otherwise, folding the ids'
+// entries. The result is scratch's register array, valid until scratch
+// is next used.
+func sketchOf(ids []int32, p Params, scratch *hll.Sketch, ents *idEntries) []uint8 {
 	if len(ids) < p.HLLThreshold {
 		return nil
 	}
 	scratch.Reset()
-	for _, id := range ids {
-		scratch.AddID(uint64(id))
-	}
+	foldIDs(scratch, ents, ids)
 	return scratch.Registers()
 }
 
 // buildSlab hashes every point with h and groups the ids by key. The
-// hash order of the point keys is the id slab itself: a stable sort
-// leaves each bucket's ids ascending.
-func buildSlab[P any](points []P, h Hasher[P], p Params, norms []float64) Slab {
-	keys := make([]uint64, len(points))
+// hash order of the point keys is the id slab itself (equal keys keep
+// their ids ascending), and each bucket is a run of equal hashes: as
+// Mix64 is a bijection, equal hashes are equal keys.
+func buildSlab[P any](points []P, h Hasher[P], p Params, norms []float64, ents *idEntries) Slab {
+	keys, doneKeys := borrow[uint64](&hashBufs, len(points))
+	defer doneKeys()
 	keysOf(h, points, keys, &KeyScratch{norms: norms})
-	perm := make([]int32, len(keys))
-	hashOrder(perm, func(i int) uint64 { return keys[i] })
-	runs := func(yield func(lo, hi int) bool) {
-		for lo := 0; lo < len(perm); {
-			hi := lo + 1
-			for hi < len(perm) && keys[perm[hi]] == keys[perm[lo]] {
-				hi++
+	perm, donePerm := borrow[int32](&permBufs, len(points))
+	defer donePerm()
+	hs, done := hashOrder(perm, func(i int) uint64 { return keys[i] })
+	defer done()
+	// One scan over the sorted hashes marks where each run ends (in hs,
+	// whose hashes are spent once read), then each run is a bucket.
+	buckets, sketches, lo := 0, 0, 0
+	for i := 1; i <= len(hs); i++ {
+		if i == len(hs) || hs[i] != hs[i-1] {
+			hs[buckets] = uint64(i)
+			buckets++
+			if i-lo >= p.HLLThreshold {
+				sketches++
 			}
-			if !yield(lo, hi) {
-				return
-			}
-			lo = hi
-		}
-	}
-	buckets, sketches := 0, 0
-	for lo, hi := range runs {
-		buckets++
-		if hi-lo >= p.HLLThreshold {
-			sketches++
+			lo = i
 		}
 	}
 	b := newSlabBuilder(p.HLLRegisters, narrowFor(len(points)), buckets, len(perm), sketches)
 	scratch := hll.New(p.HLLRegisters)
-	for lo, hi := range runs {
-		addIDs(b, keys[perm[lo]], perm[lo:hi], sketchOf(perm[lo:hi], p, scratch))
+	lo = 0
+	for _, end := range hs[:buckets] {
+		ids := perm[lo:end]
+		addIDs(b, keys[ids[0]], ids, sketchOf(ids, p, scratch, ents))
+		lo = int(end)
 	}
 	return b.finish()
 }

@@ -3,6 +3,7 @@ package lsh
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"iter"
 	"slices"
 	"sync"
@@ -243,8 +244,12 @@ func checkSame[P any](t *testing.T, state string, tb *Tables[P], ref *refTables[
 		if Collisions(got) != Collisions(want) {
 			t.Fatalf("%s: query %d collisions %d, reference %d", state, qi, Collisions(got), Collisions(want))
 		}
-		if got, want := EstimateCandidates(got, scratch), ref.estimate(q, probes); got != want {
-			t.Fatalf("%s: query %d estimate %v, reference %v", state, qi, got, want)
+		est := ref.estimate(q, probes)
+		if e := tb.Estimate(got, scratch); e != est {
+			t.Fatalf("%s: query %d estimate %v, reference %v", state, qi, e, est)
+		}
+		if e := tb.EstimateCandidates(views(got), nil); e != est {
+			t.Fatalf("%s: query %d estimate over views %v, reference %v", state, qi, e, est)
 		}
 	}
 }
@@ -292,6 +297,25 @@ func restoreShuffled[P any](t *testing.T, tb *Tables[P], r *rng.Rand) *Tables[P]
 		t.Fatal(err)
 	}
 	return rt
+}
+
+// TestNewSlabRejectsRepeatedKey: a key met twice among many fails the
+// layout before any bucket is filled, naming the key.
+func TestNewSlabRejectsRepeatedKey(t *testing.T) {
+	keys := make([]uint64, 1000)
+	for i := range keys {
+		keys[i] = uint64(i) * 7919
+	}
+	keys[613] = keys[42]
+	describe := func(i int) (uint64, int, bool) { return keys[i], 1, false }
+	fill := func(i int, narrow []uint16, wide []int32, regs []uint8) error {
+		t.Fatalf("bucket %d filled", i)
+		return nil
+	}
+	_, err := NewSlab(16, 1, len(keys), describe, fill)
+	if want := fmt.Sprintf("lsh: duplicate bucket key %#x", keys[42]); err == nil || err.Error() != want {
+		t.Fatalf("NewSlab error %v, want %q", err, want)
+	}
 }
 
 // randomRemap drops each point with probability 1/4.
@@ -545,34 +569,73 @@ func TestConcurrentViewAndLookups(t *testing.T) {
 	}
 }
 
-// BenchmarkKernelBuild builds one dense128-batch-shaped table set, scaled
-// to a short benchmark: 4 096 points at d = 128 in 64 tight clusters,
-// L = 50 tables of k = 7 Gaussian projections. ns/point is the whole
-// Build (hashing every point into every table, then grouping and
-// freezing each table) per indexed point.
+// BenchmarkKernelBuild builds one table set shaped like a shard of a
+// load-benchmark workload, scaled to a short benchmark; ns/point is the
+// whole Build (hashing every point into every table, then grouping,
+// sketching and freezing each table) per indexed point.
+//
+//   - dense128: 4 096 points at d = 128 in 64 tight clusters, L = 50
+//     tables of k = 7 Gaussian projections, m = 64 (dense128-batch).
+//   - hamming64: 4 096 64-bit fingerprints in 10 clusters, each point
+//     its centre with every bit flipped with a per-cluster probability
+//     in [0.06, 0.16] (within-cluster distances around 12–17, as
+//     MNIST's), L = 50 tables of k = 11 sampled bits, m = 128
+//     (mnist-collide).
 func BenchmarkKernelBuild(b *testing.B) {
-	const n, dim, clusters = 4096, 128, 64
-	r := rng.New(7)
-	centres := make([]vector.Dense, clusters)
-	for c := range centres {
-		centres[c] = make(vector.Dense, dim)
-		for d := range centres[c] {
-			centres[c][d] = float32(r.Float64())
+	const n = 4096
+	run := func(b *testing.B, build func() error) {
+		for b.Loop() {
+			if err := build(); err != nil {
+				b.Fatal(err)
+			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
 	}
-	pts := make([]vector.Dense, n)
-	for i := range pts {
-		c := centres[i%clusters]
-		pts[i] = make(vector.Dense, dim)
-		for d := range pts[i] {
-			pts[i][d] = c[d] + float32(0.03*r.Normal())
+	b.Run("dense128", func(b *testing.B) {
+		const dim, clusters = 128, 64
+		r := rng.New(7)
+		centres := make([]vector.Dense, clusters)
+		for c := range centres {
+			centres[c] = make(vector.Dense, dim)
+			for d := range centres[c] {
+				centres[c][d] = float32(r.Float64())
+			}
 		}
-	}
-	fam := NewPStableL2(dim, 0.6)
-	for b.Loop() {
-		if _, err := Build(pts, fam, Params{K: 7, L: 50, HLLRegisters: 64, Seed: 1}); err != nil {
-			b.Fatal(err)
+		pts := make([]vector.Dense, n)
+		for i := range pts {
+			c := centres[i%clusters]
+			pts[i] = make(vector.Dense, dim)
+			for d := range pts[i] {
+				pts[i][d] = c[d] + float32(0.03*r.Normal())
+			}
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/point")
+		fam := NewPStableL2(dim, 0.6)
+		run(b, func() error {
+			_, err := Build(pts, fam, Params{K: 7, L: 50, HLLRegisters: 64, Seed: 1})
+			return err
+		})
+	})
+	b.Run("hamming64", func(b *testing.B) {
+		const dim, clusters = 64, 10
+		r := rng.New(7)
+		centres, flip := make([]uint64, clusters), make([]float64, clusters)
+		for c := range centres {
+			centres[c], flip[c] = r.Uint64(), 0.06+0.1*r.Float64()
+		}
+		pts := make([]vector.Binary, n)
+		for i := range pts {
+			c := i % clusters
+			pts[i] = vector.Binary{Dim: dim, Words: []uint64{centres[c]}}
+			for bit := range dim {
+				if r.Float64() < flip[c] {
+					pts[i].FlipBit(bit)
+				}
+			}
+		}
+		fam := NewBitSampling(dim)
+		run(b, func() error {
+			_, err := Build(pts, fam, Params{K: 11, L: 50, HLLRegisters: 128, Seed: 1})
+			return err
+		})
+	})
 }

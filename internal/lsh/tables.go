@@ -24,8 +24,8 @@ import (
 //
 // Small buckets carry no sketch — the paper's space-saving trick (§3.2):
 // their few ids are folded into the query-time merged sketch directly,
-// which costs the same O(1) per id as a sketch update would have at build
-// time.
+// gathered from per-id entries (hll.Entry, one per point, computed once
+// per table set) at one load and one max per id.
 //
 // A view of a bucket in a narrow slab holds its ids as uint16 (Narrow)
 // and leaves IDs nil; every other view holds them in IDs. Readers that
@@ -197,7 +197,7 @@ func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
 // through remap, emptied buckets vanish, and the sketches are rebuilt
 // over the survivors under the usual threshold (HLLs cannot un-absorb a
 // deletion, so rebuilding is the only sound way to forget).
-func (tb *table[P]) rebuild(remap []int32, p Params, n int) Slab {
+func (tb *table[P]) rebuild(remap []int32, p Params, n int, ents *idEntries) Slab {
 	var kept []int32
 	survivors := func(b Bucket) Bucket {
 		if remap == nil {
@@ -229,7 +229,7 @@ func (tb *table[P]) rebuild(remap []int32, p Params, n int) Slab {
 			continue
 		}
 		if remap != nil {
-			b.Sketch = sketchOf(b.IDs, p, scratch)
+			b.Sketch = sketchOf(b.IDs, p, scratch, ents)
 		}
 		if b.narrow != nil {
 			addIDs(w, key, b.narrow, b.Sketch)
@@ -257,6 +257,52 @@ type Tables[P any] struct {
 	params Params
 	tables []table[P]
 	n      int
+	ents   idEntries
+}
+
+// idEntries holds hll.Entry(id, m) for every id in [0, n) of a table
+// set of m-register sketches: as uint16 when m ≤ 256 (narrow), as
+// uint32 above (wide), the other nil. An entry depends on its id and m
+// alone, so entries are never persisted: Build and a load compute them,
+// Append extends them and Compact keeps the survivors' prefix.
+type idEntries struct {
+	m      int
+	narrow []uint16
+	wide   []uint32
+}
+
+// entriesFor returns the entries of ids in [0, n) for m registers.
+func entriesFor(m, n int) idEntries { return idEntries{m: m}.grow(n) }
+
+// grow returns e extended to the ids in [0, n).
+func (e idEntries) grow(n int) idEntries {
+	if e.m <= 256 {
+		e.narrow = appendEntries(e.narrow, e.m, n)
+	} else {
+		e.wide = appendEntries(e.wide, e.m, n)
+	}
+	return e
+}
+
+// appendEntries appends the entries of ids len(dst)..n-1 to dst.
+func appendEntries[E uint16 | uint32](dst []E, m, n int) []E {
+	dst = slices.Grow(dst, n-len(dst))
+	for id := len(dst); id < n; id++ {
+		dst = append(dst, E(hll.Entry(uint64(id), m)))
+	}
+	return dst
+}
+
+// prefix returns the entries of the ids in [0, n). They share e's
+// array, which an Append to either never writes: a grow of the prefix
+// reallocates.
+func (e idEntries) prefix(n int) idEntries {
+	if e.m <= 256 {
+		e.narrow = e.narrow[:n:n]
+	} else {
+		e.wide = e.wide[:n:n]
+	}
+	return e
 }
 
 // Build draws L hashers of k base functions from fam, each from its own
@@ -296,14 +342,14 @@ func BuildWith[P any](points []P, hashers []Hasher[P], p Params) (*Tables[P], er
 		return nil, fmt.Errorf("lsh: Build on %d points exceeds int32 id space", len(points))
 	}
 
-	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points)}
+	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: len(points), ents: entriesFor(p.HLLRegisters, len(points))}
 	var base KeyScratch // the points' norms, shared read-only by every table
 	base.begin(points)
 	hashEvals.Add(uint64(p.L * len(points)))
 	parallel(p.L, func(j int) {
 		tb := &t.tables[j]
 		tb.hasher = hashers[j]
-		tb.slab = buildSlab(points, tb.hasher, p, base.norms)
+		tb.slab = buildSlab(points, tb.hasher, p, base.norms, &t.ents)
 	})
 	return t, nil
 }
@@ -346,7 +392,7 @@ func RestoreTables[P any](p Params, hashers []Hasher[P], slabs []*Slab, n int) (
 	if n < 0 || n > 1<<31-1 {
 		return nil, fmt.Errorf("lsh: RestoreTables with n = %d, want in [0, 2^31)", n)
 	}
-	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: n}
+	t := &Tables[P]{params: p, tables: make([]table[P], p.L), n: n, ents: entriesFor(p.HLLRegisters, n)}
 	for j, h := range hashers {
 		if h == nil {
 			return nil, fmt.Errorf("lsh: RestoreTables table %d has no hasher", j)
@@ -386,6 +432,7 @@ func (t *Tables[P]) Append(points []P) error {
 	var s KeyScratch
 	s.begin(points)
 	hashEvals.Add(uint64(len(t.tables) * len(points)))
+	t.ents = t.ents.grow(t.n + len(points))
 	for j := range t.tables {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
@@ -411,17 +458,17 @@ func (t *Tables[P]) Append(points []P) error {
 			tb.appended++
 			switch {
 			case ob.sketch != nil:
-				ob.sketch.AddID(uint64(id))
+				foldIDs(ob.sketch, &t.ents, ob.ids[len(ob.ids)-1:])
 			case ob.frozen.Len()+len(ob.ids) >= t.params.HLLThreshold:
 				// The frozen part carries no sketch, or ob.sketch would
 				// have started from it: merging it folds its ids.
 				ob.sketch = hll.New(t.params.HLLRegisters)
-				mergeBucket(ob.sketch, &ob.frozen)
-				foldIDs(ob.sketch, ob.ids)
+				mergeBucket(ob.sketch, &ob.frozen, &t.ents)
+				foldIDs(ob.sketch, &t.ents, ob.ids)
 			}
 		}
 		if tb.appended*refreezeShare > tb.slab.nids() {
-			tb.slab = tb.rebuild(nil, t.params, t.n+len(points))
+			tb.slab = tb.rebuild(nil, t.params, t.n+len(points), &t.ents)
 			tb.over, tb.appended = nil, 0
 		}
 	}
@@ -473,10 +520,10 @@ func (t *Tables[P]) Compact(remap []int32, live int) (*Tables[P], error) {
 		return nil, fmt.Errorf("lsh: Compact remap has %d survivors, live = %d", survivors, live)
 	}
 
-	nt := &Tables[P]{params: t.params, tables: make([]table[P], len(t.tables)), n: live}
+	nt := &Tables[P]{params: t.params, tables: make([]table[P], len(t.tables)), n: live, ents: t.ents.prefix(live)}
 	parallel(len(t.tables), func(j int) {
 		nt.tables[j].hasher = t.tables[j].hasher
-		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params, live)
+		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params, live, &nt.ents)
 	})
 	return nt, nil
 }
@@ -726,49 +773,52 @@ func Collisions(bs []Bucket) int {
 	return n
 }
 
-// EstimateCandidates merges the sketches of bs into scratch (which it
-// resets first) and returns the estimated number of distinct ids — the
-// candSize term of Equation (1), step 2 of Algorithm 2. Buckets below the
-// HLL threshold are folded in id-by-id, implementing the paper's on-demand
-// trick. scratch must have the buckets' register count.
-func EstimateCandidates(bs []Bucket, scratch *hll.Sketch) float64 {
+// Estimate merges the sketches of bs, buckets of t, into scratch
+// (which it resets first) and returns the estimated number of distinct
+// ids — the candSize term of Equation (1), step 2 of Algorithm 2.
+// Buckets below the HLL threshold are folded in id by id through their
+// entries, implementing the paper's on-demand trick. scratch must have
+// t's register count.
+func (t *Tables[P]) Estimate(bs []Bucket, scratch *hll.Sketch) float64 {
 	scratch.Reset()
 	for i := range bs {
-		mergeBucket(scratch, &bs[i])
+		mergeBucket(scratch, &bs[i], &t.ents)
 	}
 	return scratch.Estimate()
 }
 
-// EstimateCandidates is the package-level EstimateCandidates over buckets
-// of the Table view; pass a nil scratch to allocate one.
+// EstimateCandidates is Estimate over buckets of the Table view; pass a
+// nil scratch to allocate one.
 func (t *Tables[P]) EstimateCandidates(bs []*Bucket, scratch *hll.Sketch) float64 {
 	if scratch == nil {
 		scratch = hll.New(t.params.HLLRegisters)
 	}
 	scratch.Reset()
 	for _, b := range bs {
-		mergeBucket(scratch, b)
+		mergeBucket(scratch, b, &t.ents)
 	}
 	return scratch.Estimate()
 }
 
 // mergeBucket folds b into s: its sketch when it carries one, otherwise
 // each of its ids.
-func mergeBucket(s *hll.Sketch, b *Bucket) {
+func mergeBucket(s *hll.Sketch, b *Bucket, ents *idEntries) {
 	switch {
 	case b.Sketch != nil:
 		s.MergeRegisters(b.Sketch)
 	case b.narrow != nil:
-		foldIDs(s, b.narrow)
+		foldIDs(s, ents, b.narrow)
 	default:
-		foldIDs(s, b.IDs)
+		foldIDs(s, ents, b.IDs)
 	}
 }
 
-// foldIDs adds every id to s.
-func foldIDs[S ID](s *hll.Sketch, ids []S) {
-	for _, id := range ids {
-		s.AddID(uint64(id))
+// foldIDs adds every id to s, as AddID would, through its entry.
+func foldIDs[S ID](s *hll.Sketch, ents *idEntries, ids []S) {
+	if ents.m <= 256 {
+		hll.AddEntries(s, ents.narrow, ids)
+	} else {
+		hll.AddEntries(s, ents.wide, ids)
 	}
 }
 

@@ -128,7 +128,7 @@ func sameIndexes(t *testing.T, stage string, a, b *core.Index[vector.Binary], qu
 		if ca, cb := lsh.Collisions(ba), lsh.Collisions(bb); ca != cb || ca != len(ia) {
 			t.Fatalf("%s: query %d collisions %d vs %d (%d ids)", stage, qi, ca, cb, len(ia))
 		}
-		if ea, eb := lsh.EstimateCandidates(ba, ha), lsh.EstimateCandidates(bb, hb); math.Float64bits(ea) != math.Float64bits(eb) {
+		if ea, eb := ta.Estimate(ba, ha), tb.Estimate(bb, hb); math.Float64bits(ea) != math.Float64bits(eb) {
 			t.Fatalf("%s: query %d estimate %v vs %v", stage, qi, ea, eb)
 		}
 		ida, sta := a.Query(q)

@@ -28,6 +28,7 @@
 #   89fe57f (parent of deleting the code no program calls): 23040
 #   7d432d2 (parent of one block lookup path): 22729
 #   04cbed9 (parent of one way to build an index): 22677
+#   ff491d1 (parent of index set-up at sort speed): 22617
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
