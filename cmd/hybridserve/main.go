@@ -107,6 +107,17 @@
 // line (queries, strategy mix, drift, topology) to the log before
 // exiting, so post-mortems see the counters' last state.
 //
+// # Memory
+//
+// The node caps its memory at its index plus 32 MiB: a soft limit
+// (debug.SetMemoryLimit) set once the index is loaded and re-sized every
+// second as appends grow it or compactions shrink it, instead of the
+// default heap goal of twice the index. GOGC or GOMEMLIMIT set in the
+// environment win, and the node then leaves the runtime as it is.
+// /metrics reports the index by part (hybridlsh_index_bytes{part}) next
+// to the runtime's live heap, GC goal, memory limit, GC cycles and GC
+// CPU seconds.
+//
 // # Multi-probe serving
 //
 // Passing -probes T (l2 only) serves a multi-probe index: every shard
@@ -186,6 +197,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -202,6 +214,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hybridserve:", err)
 		os.Exit(1)
 	}
+	if limit, ok := sizeGC(srv.IndexBytes()); ok {
+		log.Printf("hybridserve: memory limit %d MiB: the index plus %d MiB", limit>>20, gcHeadroom>>20)
+		go resizeGC(srv)
+	}
 	log.Printf("hybridserve: %v, listening on %s", srv, cfg.Addr)
 	if cfg.PprofAddr != "" {
 		go servePprof(cfg.PprofAddr)
@@ -209,6 +225,38 @@ func main() {
 	if err := serve(cfg.Addr, srv.Handler(), srv.Shutdown); err != nil {
 		fmt.Fprintln(os.Stderr, "hybridserve:", err)
 		os.Exit(1)
+	}
+}
+
+// gcHeadroom is the memory the GC policy leaves above the index for
+// request garbage and for the transient copies a compaction or a
+// replayed delta frame builds.
+const gcHeadroom = 32 << 20
+
+// sizeGC is the node's GC policy: it sets the runtime's soft memory
+// limit to the index plus gcHeadroom. The index lives as long as the
+// process, in pointer-free arrays that a GC cycle marks in O(1) each,
+// so under the default GOGC = 100 alone the heap goal is twice the
+// index: headroom sized to the index instead of to the garbage requests
+// make. GOGC = 100 still holds below the limit, so a node whose index is
+// under gcHeadroom keeps its default goal between transients. GOGC or
+// GOMEMLIMIT set in the environment win: sizeGC then changes nothing. It
+// reports the limit it set.
+func sizeGC(indexBytes int64) (limit int64, ok bool) {
+	if os.Getenv("GOGC") != "" || os.Getenv("GOMEMLIMIT") != "" {
+		return 0, false
+	}
+	limit = indexBytes + gcHeadroom
+	debug.SetMemoryLimit(limit)
+	return limit, true
+}
+
+// resizeGC re-applies sizeGC every second, so that the limit follows an
+// index that appends grow or compactions shrink; reading the index's
+// size is O(L) a shard.
+func resizeGC(srv *server.Server) {
+	for range time.Tick(time.Second) {
+		sizeGC(srv.IndexBytes())
 	}
 }
 

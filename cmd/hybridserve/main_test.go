@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/server"
@@ -71,6 +72,39 @@ func TestFlagsLandInConfig(t *testing.T) {
 		// Client is the one non-flag input (the follower's HTTP client).
 		if name := got.Type().Field(i).Name; name != "Client" && !fields[name] {
 			t.Errorf("Config.%s has no flag", name)
+		}
+	}
+}
+
+// TestSizeGC holds the GC policy to its contract: with neither GOGC nor
+// GOMEMLIMIT in the environment, the soft memory limit is the index plus
+// the 32 MiB headroom; with either set, the runtime's memory limit and
+// GC percent are left as they are.
+func TestSizeGC(t *testing.T) {
+	defer debug.SetMemoryLimit(debug.SetMemoryLimit(-1))
+	percent := func() int { p := debug.SetGCPercent(100); debug.SetGCPercent(p); return p }
+	gcPercent := percent()
+	const untouched = 1 << 40
+	for _, tc := range []struct {
+		gogc, gomemlimit string
+		index, want      int64 // the limit after sizeGC
+	}{
+		{"", "", 64 << 20, 96 << 20},
+		{"", "", 0, 32 << 20},
+		{"100", "", 64 << 20, untouched},
+		{"", "1GiB", 64 << 20, untouched},
+		{"50", "1GiB", 1 << 30, untouched},
+	} {
+		t.Setenv("GOGC", tc.gogc)
+		t.Setenv("GOMEMLIMIT", tc.gomemlimit)
+		debug.SetMemoryLimit(untouched)
+		got, ok := sizeGC(tc.index)
+		if l := debug.SetMemoryLimit(-1); l != tc.want || ok != (tc.want != untouched) || ok && got != l {
+			t.Errorf("GOGC=%q GOMEMLIMIT=%q index %d: sizeGC = %d, %v; runtime limit %d, want %d",
+				tc.gogc, tc.gomemlimit, tc.index, got, ok, l, tc.want)
+		}
+		if p := percent(); p != gcPercent {
+			t.Errorf("GOGC=%q GOMEMLIMIT=%q: GC percent moved from %d to %d", tc.gogc, tc.gomemlimit, gcPercent, p)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -197,6 +198,30 @@ func TestCheckShapeFlagsViolations(t *testing.T) {
 	bad := CheckShape(res, 1.35)
 	if len(bad) != 2 {
 		t.Fatalf("violations = %d, want 2 (cost + recall at r=1): %v", len(bad), bad)
+	}
+}
+
+// TestSmallRadiiByCount holds Table 1's row pick to the counted costs:
+// a row whose clock says LSH lost but whose count says it won is kept,
+// and the reverse is dropped, so the pick repeats from run to run.
+func TestSmallRadiiByCount(t *testing.T) {
+	res := &Fig2Result{Dataset: "x", BetaOverAlpha: 10, Rows: []Fig2Row{
+		{Radius: 1, LSHSec: 2, LinearSec: 1, LSHCost: 1, LinearCost: 5},
+		{Radius: 2, LSHSec: 1, LinearSec: 2, LSHCost: 5, LinearCost: 5},
+		{Radius: 3, LSHSec: 1, LinearSec: 2, LSHCost: 9, LinearCost: 5},
+		{Radius: 4, LSHSec: 3, LinearSec: 2, LSHCost: 4, LinearCost: 5},
+	}}
+	small := smallRadii(res)
+	var got []float64
+	for _, row := range small.Rows {
+		got = append(got, row.Radius)
+	}
+	if !slices.Equal(got, []float64{1, 4}) || small.Dataset != "x" || small.BetaOverAlpha != 10 {
+		t.Errorf("smallRadii kept radii %v of %+v, want [1 4]", got, small)
+	}
+	res.Rows = res.Rows[1:3]
+	if small := smallRadii(res); len(small.Rows) != 1 || small.Rows[0].Radius != 2 {
+		t.Errorf("a sweep LSH never wins reports %+v, want its smallest radius", small.Rows)
 	}
 }
 

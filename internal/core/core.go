@@ -404,6 +404,9 @@ func (ix *Index[P]) Points() []P { return ix.store.Rows(0, ix.store.Len()) }
 // (quantization mode, pre-filter rejections, refits).
 func (ix *Index[P]) StoreStats() pointstore.Stats { return ix.store.Stats() }
 
+// TableMemory implements Store.
+func (ix *Index[P]) TableMemory() lsh.Memory { return ix.tables.Memory() }
+
 // Cost returns the cost model in use. It is safe to call concurrently
 // with queries and with SetCost.
 func (ix *Index[P]) Cost() CostModel { return *ix.cost.Load() }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/lsh"
 	"repro/internal/pointstore"
 )
 
@@ -62,6 +63,9 @@ type Store[P any] interface {
 	// counters; the serving layer sums them across shards for /stats
 	// and /metrics.
 	StoreStats() pointstore.Stats
+	// TableMemory returns the bytes the hash tables hold, by part, in
+	// O(L) (the points are in StoreStats' Bytes).
+	TableMemory() lsh.Memory
 }
 
 // ErrUnsupportedOption marks a per-query option the answering store

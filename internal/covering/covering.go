@@ -123,6 +123,9 @@ func (h *maskHasher) Key(p vector.Binary) uint64 {
 // K implements lsh.Hasher.
 func (h *maskHasher) K() int { return 1 }
 
+// Bytes is the size of the keep-mask; φ is shared by every table.
+func (h *maskHasher) Bytes() int { return 8 * cap(h.mask.Words) }
+
 // maskHashers derives one table hasher per non-zero v ∈ {0,1}^(r+1),
 // keyed on v's keep-mask.
 func maskHashers(phi *Phi) []lsh.Hasher[vector.Binary] {

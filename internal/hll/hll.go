@@ -105,21 +105,28 @@ var negPow2 = func() (t [65]float64) {
 
 // Estimate returns the estimated number of distinct elements added.
 func (s *Sketch) Estimate() float64 {
+	e, zeros := s.raw()
+	if m := float64(len(s.regs)); e <= 2.5*m && zeros > 0 {
+		// Small-range correction: linear counting on empty registers.
+		return m * math.Log(m/float64(zeros))
+	}
+	return e
+}
+
+// raw returns the raw estimate α_m·m²/Σ 2^(−M[j]) and the number of
+// empty registers. Each is monotone under a register-wise ≤ (the raw
+// estimate rises, the empty count falls), and so is linear counting,
+// but Estimate is not: it switches between the two on the raw value.
+func (s *Sketch) raw() (e float64, zeros int) {
 	m := float64(len(s.regs))
 	var sum float64
-	zeros := 0
 	for _, r := range s.regs {
 		sum += negPow2[r]
 		if r == 0 {
 			zeros++
 		}
 	}
-	e := alpha(len(s.regs)) * m * m / sum
-	if e <= 2.5*m && zeros > 0 {
-		// Small-range correction: linear counting on empty registers.
-		return m * math.Log(m/float64(zeros))
-	}
-	return e
+	return alpha(len(s.regs)) * m * m / sum, zeros
 }
 
 // Merge folds o into s by component-wise max, after which s estimates the

@@ -488,3 +488,124 @@ func TestEntryFoldsAsAddID(t *testing.T) {
 		}
 	}
 }
+
+// linearCount is the small-range estimate m·ln(m/V) on V empty
+// registers (+Inf when none is empty).
+func linearCount(s *Sketch) float64 {
+	_, zeros := s.raw()
+	m := float64(len(s.regs))
+	return m * math.Log(m/float64(zeros))
+}
+
+// prefixBound is a lower bound on the Estimate of every sketch that is
+// register-wise ≥ s: the raw estimate when s is in the raw regime (raw
+// above 2.5·m, or no empty register), else the smaller of the raw and
+// linear-counting estimates. A larger sketch's raw estimate is at least
+// s's, so it stays in the raw regime; and whichever branch it takes, its
+// estimate is at least the same branch's value on s.
+func prefixBound(s *Sketch) float64 {
+	e, zeros := s.raw()
+	if e > 2.5*float64(len(s.regs)) || zeros == 0 {
+		return e
+	}
+	return min(e, linearCount(s))
+}
+
+// dominatingPairs yields sketch pairs a ≤ b register-wise at every m from
+// 16 to 1024: a from a random number of ids (both estimator regimes) and
+// b from a with more ids added, then a and b from random registers with
+// b raised by a random amount on a random subset.
+func dominatingPairs(yield func(a, b *Sketch)) {
+	r := rng.New(51)
+	for m := MinM; m <= 1024; m *= 2 {
+		for range 200 {
+			a := New(m)
+			for range r.Intn(6 * m) {
+				a.AddID(r.Uint64())
+			}
+			b := a.Clone()
+			for range r.Intn(3 * m) {
+				b.AddID(r.Uint64())
+			}
+			yield(a, b)
+
+			a, b = New(m), New(m)
+			for i := range a.regs {
+				if r.Intn(3) == 0 {
+					a.regs[i] = uint8(r.Intn(8))
+				}
+				b.regs[i] = a.regs[i]
+				if r.Intn(4) == 0 {
+					b.regs[i] = min(64, a.regs[i]+uint8(1+r.Intn(4)))
+				}
+			}
+			yield(a, b)
+		}
+	}
+}
+
+// TestRawAndLinearCountingMonotone holds the two estimators Estimate
+// switches between to monotonicity under a register-wise ≤: a sketch
+// that dominates another never has a lower raw estimate, a lower
+// linear-counting estimate or more empty registers.
+func TestRawAndLinearCountingMonotone(t *testing.T) {
+	dominatingPairs(func(a, b *Sketch) {
+		ea, za := a.raw()
+		eb, zb := b.raw()
+		if eb < ea || zb > za {
+			t.Fatalf("m = %d: raw %v, %d empty below raw %v, %d empty of a dominated sketch", len(a.regs), eb, zb, ea, za)
+		}
+		if la, lb := linearCount(a), linearCount(b); lb < la {
+			t.Fatalf("m = %d: linear counting %v below %v of a dominated sketch", len(a.regs), lb, la)
+		}
+	})
+}
+
+// TestEstimateNotMonotone pins the counterexample that rules out reading
+// a prefix's Estimate as a lower bound on the full merge's: at m = 128,
+// one empty register among 127 ones is in the linear-counting regime and
+// reads 128·ln 128 ≈ 621.1, while the all-ones sketch above it has no
+// empty register and reads its raw estimate, ≈ 183.1.
+func TestEstimateNotMonotone(t *testing.T) {
+	a, b := New(128), New(128)
+	for i := range b.regs {
+		a.regs[i], b.regs[i] = 1, 1
+	}
+	a.regs[0] = 0
+	ea, eb := a.Estimate(), b.Estimate()
+	if math.Abs(ea-621.1) > 0.05 || math.Abs(eb-183.1) > 0.05 {
+		t.Fatalf("Estimate = %.2f and %.2f, want 621.1 and 183.1", ea, eb)
+	}
+	if pb := prefixBound(a); pb > eb {
+		t.Fatalf("prefixBound %v above the dominating sketch's estimate %v", pb, eb)
+	}
+}
+
+// TestPrefixBoundBelowEstimate is the early exit's proof obligation as a
+// property: a sketch's prefixBound never exceeds the Estimate of a
+// sketch that dominates it, and in the raw regime it is its own
+// Estimate.
+func TestPrefixBoundBelowEstimate(t *testing.T) {
+	switched, inverted := 0, 0
+	regime := func(s *Sketch) bool { e, zeros := s.raw(); return e > 2.5*float64(len(s.regs)) || zeros == 0 }
+	dominatingPairs(func(a, b *Sketch) {
+		if !regime(a) && regime(b) {
+			switched++
+			if a.Estimate() > b.Estimate() {
+				inverted++
+			}
+		}
+		if pb, eb := prefixBound(a), b.Estimate(); pb > eb {
+			t.Fatalf("m = %d: prefixBound %v above the dominating sketch's estimate %v", len(a.regs), pb, eb)
+		}
+		if e, zeros := a.raw(); e > 2.5*float64(len(a.regs)) || zeros == 0 {
+			if pb, ea := prefixBound(a), a.Estimate(); pb != ea {
+				t.Fatalf("m = %d: raw-regime prefixBound %v, Estimate %v", len(a.regs), pb, ea)
+			}
+		}
+	})
+	t.Logf("%d pairs cross the switch to the raw estimate, %d of them with a falling Estimate", switched, inverted)
+	if switched == 0 || inverted == 0 {
+		t.Fatal("no pair crosses the switch with a falling Estimate: the property is not exercised")
+	}
+}

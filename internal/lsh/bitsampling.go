@@ -86,6 +86,9 @@ func newBitSamplingHasher(bits []int) *BitSamplingHasher {
 // K implements Hasher.
 func (h *BitSamplingHasher) K() int { return len(h.bits) }
 
+// Bytes is the size of the sampled coordinate list.
+func (h *BitSamplingHasher) Bytes() int { return 8 * cap(h.bits) }
+
 // Bits returns the sampled coordinate indices (used by the Hamming
 // multi-probe extension to enumerate neighbor buckets).
 func (h *BitSamplingHasher) Bits() []int { return h.bits }

@@ -175,6 +175,16 @@ func (h *PStableHasher) Offsets() []float64 { return h.b }
 // K implements Hasher.
 func (h *PStableHasher) K() int { return len(h.a) }
 
+// Bytes is the size of the hasher's arrays: the drawn rows, their two
+// packed copies, the offsets and the screen's margins.
+func (h *PStableHasher) Bytes() int {
+	n := 8*cap(h.slab) + 4*cap(h.slab8) + 8*(cap(h.b)+cap(h.tol)) + 24*len(h.a)
+	for _, a := range h.a {
+		n += 4 * cap(a)
+	}
+	return n
+}
+
 // W returns the slot width.
 func (h *PStableHasher) W() float64 { return h.w }
 

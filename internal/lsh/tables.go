@@ -110,6 +110,7 @@ type table[P any] struct {
 	slab     Slab
 	over     map[uint64]*overBucket
 	appended int                      // ids appended since the slab was frozen
+	overSize int64                    // the overlay's bytes (see Memory)
 	view     atomic.Pointer[Table[P]] // Table's map view; nil until asked for
 }
 
@@ -442,11 +443,13 @@ func (t *Tables[P]) Append(points []P) error {
 			ob := tb.over[key]
 			if ob == nil {
 				ob = &overBucket{}
+				tb.overSize += overBucketBytes
 				if at := tb.slab.find(key); at >= 0 {
 					ob.frozen = tb.slab.bucket(at)
 					if ob.frozen.Sketch != nil {
 						// Registers from a slab were built or checked: no error.
 						ob.sketch, _ = hll.FromRegisters(ob.frozen.Sketch)
+						tb.overSize += sketchBytes(t.params.HLLRegisters)
 					}
 				}
 				if tb.over == nil {
@@ -454,7 +457,9 @@ func (t *Tables[P]) Append(points []P) error {
 				}
 				tb.over[key] = ob
 			}
+			c := cap(ob.ids)
 			ob.ids = append(ob.ids, id)
+			tb.overSize += 4 * int64(cap(ob.ids)-c)
 			tb.appended++
 			switch {
 			case ob.sketch != nil:
@@ -463,13 +468,14 @@ func (t *Tables[P]) Append(points []P) error {
 				// The frozen part carries no sketch, or ob.sketch would
 				// have started from it: merging it folds its ids.
 				ob.sketch = hll.New(t.params.HLLRegisters)
+				tb.overSize += sketchBytes(t.params.HLLRegisters)
 				mergeBucket(ob.sketch, &ob.frozen, &t.ents)
 				foldIDs(ob.sketch, &t.ents, ob.ids)
 			}
 		}
 		if tb.appended*refreezeShare > tb.slab.nids() {
 			tb.slab = tb.rebuild(nil, t.params, t.n+len(points), &t.ents)
-			tb.over, tb.appended = nil, 0
+			tb.over, tb.appended, tb.overSize = nil, 0, 0
 		}
 	}
 	t.n += len(points)
@@ -863,4 +869,69 @@ func (t *Tables[P]) Stats() Stats {
 		s.AvgBucket = float64(total) / float64(s.Buckets)
 	}
 	return s
+}
+
+// Memory is the bytes a Tables holds, by part. It is read from array
+// lengths and running counts, never from the buckets, so it costs O(L).
+type Memory struct {
+	// Heads is the frozen slabs' bucket heads and lookup directories.
+	Heads int64
+	// IDs is the frozen slabs' id arrays: 2 bytes an id in a narrow
+	// slab, 4 in a wide one.
+	IDs int64
+	// Sketches is the frozen slabs' register slabs.
+	Sketches int64
+	// Entries is the per-id HLL entries the sketch folds read.
+	Entries int64
+	// Hashers is the drawn hash functions: what the hashers that report
+	// their size (a Bytes method) hold.
+	Hashers int64
+	// Overlay is the append overlay: an estimate per overlay bucket for
+	// its map slot and record, plus its appended ids and sketch.
+	Overlay int64
+}
+
+// Add adds o's parts to m's.
+func (m *Memory) Add(o Memory) {
+	m.Heads += o.Heads
+	m.IDs += o.IDs
+	m.Sketches += o.Sketches
+	m.Entries += o.Entries
+	m.Hashers += o.Hashers
+	m.Overlay += o.Overlay
+}
+
+// overBucketBytes is what one overlay bucket costs besides its ids and
+// sketch: its record and, as an estimate, its slot in the overlay map
+// (16 bytes of key and pointer at a typical 2/3 load).
+const overBucketBytes = int64(unsafe.Sizeof(overBucket{})) + 24
+
+// sketchBytes is the size of one m-register hll.Sketch and its registers.
+func sketchBytes(m int) int64 { return int64(unsafe.Sizeof(hll.Sketch{})) + int64(m) }
+
+// heapBytes is the heap an n-byte array occupies: above 32 KiB the
+// runtime allocates whole 8 KiB pages, which on a table of a few
+// thousand buckets is several per cent.
+func heapBytes(n int64) int64 {
+	if n <= 32<<10 {
+		return n
+	}
+	return (n + 8<<10 - 1) &^ (8<<10 - 1)
+}
+
+// Memory returns the bytes the tables hold, by part.
+func (t *Tables[P]) Memory() Memory {
+	m := Memory{Entries: heapBytes(2*int64(cap(t.ents.narrow)) + 4*int64(cap(t.ents.wide)))}
+	for i := range t.tables {
+		tb := &t.tables[i]
+		s := &tb.slab
+		m.Heads += heapBytes(int64(unsafe.Sizeof(head{}))*int64(cap(s.heads))) + heapBytes(4*int64(cap(s.dir)))
+		m.IDs += heapBytes(2*int64(cap(s.narrow)) + 4*int64(cap(s.wide)))
+		m.Sketches += heapBytes(int64(cap(s.regs)))
+		if h, ok := tb.hasher.(interface{ Bytes() int }); ok {
+			m.Hashers += int64(h.Bytes())
+		}
+		m.Overlay += tb.overSize
+	}
+	return m
 }

@@ -173,6 +173,7 @@ func (s *FlatBinary) Stats() Stats {
 		Layout:   "flat",
 		Quant:    ModeOff.String(),
 		Points:   s.n,
+		Bytes:    8 * int64(cap(s.words)),
 		Verified: s.verified.Load(),
 	}
 }

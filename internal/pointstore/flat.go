@@ -484,9 +484,11 @@ func (s *FlatL2) Stats() Stats {
 		Layout:   "flat",
 		Quant:    s.Mode().String(),
 		Points:   s.n,
+		Bytes:    4 * int64(cap(s.flat)),
 		Verified: s.verified.Load(),
 	}
 	if s.q != nil {
+		st.Bytes += int64(cap(s.q.codes)) + 4*int64(cap(s.q.minv)+cap(s.q.maxv)+cap(s.q.scale))
 		st.QuantBytes = int64(len(s.q.codes))
 		st.QuantBound = s.q.bound
 		st.QuantRejected = s.rejected.Load()

@@ -27,6 +27,7 @@ package pointstore
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/distance"
 )
@@ -77,6 +78,9 @@ type Stats struct {
 	Quant string `json:"quant"`
 	// Points is the stored point count.
 	Points int `json:"points"`
+	// Bytes is the size of the stored points, the quantized copy
+	// included (a Generic store counts its point headers only).
+	Bytes int64 `json:"bytes"`
 	// QuantBytes is the size of the quantized copy (0 when off).
 	QuantBytes int64 `json:"quant_bytes"`
 	// QuantBound is the conservative L2 decode-error bound E of the
@@ -109,6 +113,7 @@ func (s *Stats) Add(other Stats) {
 		s.Layout, s.Quant, s.QuantBound = other.Layout, other.Quant, other.QuantBound
 	}
 	s.Points += other.Points
+	s.Bytes += other.Bytes
 	s.QuantBytes += other.QuantBytes
 	s.Verified += other.Verified
 	s.QuantRejected += other.QuantRejected
@@ -241,6 +246,7 @@ func (g *Generic[P]) Stats() Stats {
 		Layout:   "generic",
 		Quant:    ModeOff.String(),
 		Points:   len(g.pts),
+		Bytes:    int64(unsafe.Sizeof(*new(P))) * int64(cap(g.pts)),
 		Verified: g.verified.Load(),
 	}
 }

@@ -58,6 +58,7 @@ type Log struct {
 
 	mu     sync.Mutex
 	frames [][]byte // frames[i] carries sequence number first+i
+	bytes  int64    // the retained frames' bytes
 	first  uint64   // sequence number of frames[0]; 1 until trimming starts
 	next   uint64   // next sequence number to assign (last assigned + 1)
 	cap    int
@@ -97,6 +98,9 @@ func RestoreLog(hdr persist.DeltaHeader, capFrames int, firstSeq uint64, frames 
 	if over := len(l.frames) - l.cap; over > 0 {
 		l.frames = append([][]byte(nil), l.frames[over:]...)
 		l.first += uint64(over)
+	}
+	for _, f := range l.frames {
+		l.bytes += int64(cap(f))
 	}
 	return l
 }
@@ -178,11 +182,23 @@ func (l *Log) record(encode func(seq uint64) ([]byte, error)) {
 		}
 	}
 	l.frames = append(l.frames, frame)
+	l.bytes += int64(cap(frame))
 	l.next++
 	if over := len(l.frames) - l.cap; over > 0 {
+		for _, f := range l.frames[:over] {
+			l.bytes -= int64(cap(f))
+		}
 		l.frames = append([][]byte(nil), l.frames[over:]...)
 		l.first += uint64(over)
 	}
+}
+
+// Bytes is the memory the retained frames hold: their bytes and the
+// frame list.
+func (l *Log) Bytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.bytes + 24*int64(cap(l.frames))
 }
 
 // Since returns up to maxFrames encoded frames with sequence numbers

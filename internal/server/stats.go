@@ -61,6 +61,15 @@ func (s *Server) traceOf(r *QueryResult) *obs.QueryTrace {
 func (s *Server) registerMetrics() {
 	obs.RegisterTopology(s.reg, s.topo)
 	obs.RegisterLatencyRecorder(s.reg, s.lat)
+	obs.RegisterRuntime(s.reg)
+	parts := s.reg.NewGaugeVec("hybridlsh_index_bytes",
+		"Bytes the node's index holds, by part, read from array lengths: points, heads (bucket heads and directories), ids, sketches, entries (per-id HLL entries), hashers, overlay (appended since the last freeze), idmap (global-id bookkeeping) and deltalog (a writer's retained delta frames).",
+		"part")
+	s.reg.OnScrape(func() {
+		for _, p := range s.indexParts() {
+			parts.With(p.name).Set(float64(p.bytes))
+		}
+	})
 	s.reg.NewGaugeVec("hybridlsh_info",
 		"Serving configuration (always 1); the labels carry the mode.", "metric", "mode").
 		With(s.cfg.Metric, s.be.store().Defaults().Mode()).Set(1)
@@ -105,6 +114,38 @@ func (s *Server) registerMetrics() {
 	s.reg.NewGaugeFunc("hybridlsh_snapshot_write_bytes",
 		"Size of the latest snapshot write (0 before the first).",
 		func() float64 { return float64(s.writeBytes.Load()) })
+}
+
+// indexPart is one part of the memory the node's index holds.
+type indexPart struct {
+	name  string
+	bytes int64
+}
+
+// indexParts returns the bytes the node's index holds, by part. It reads
+// array lengths only, O(L) a shard.
+func (s *Server) indexParts() []indexPart {
+	st := s.topo()
+	var deltalog int64
+	if l := s.role.Load().log; l != nil {
+		deltalog = l.Bytes()
+	}
+	t := st.Tables
+	return []indexPart{
+		{"points", st.Store.Bytes}, {"heads", t.Heads}, {"ids", t.IDs},
+		{"sketches", t.Sketches}, {"entries", t.Entries}, {"hashers", t.Hashers},
+		{"overlay", t.Overlay}, {"idmap", st.IDMapBytes}, {"deltalog", deltalog},
+	}
+}
+
+// IndexBytes is the total of the bytes the node's index holds (the
+// hybridlsh_index_bytes parts).
+func (s *Server) IndexBytes() int64 {
+	var n int64
+	for _, p := range s.indexParts() {
+		n += p.bytes
+	}
+	return n
 }
 
 // writeSnapshot streams the index snapshot to w — the body of POST

@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hashutil"
+	"repro/internal/lsh"
 	"repro/internal/pointstore"
 )
 
@@ -1153,6 +1154,12 @@ type Stats struct {
 	// quantization sizes and the verification counters summed across
 	// shards.
 	Store pointstore.Stats
+	// Tables sums the shards' hash-table bytes by part, and IDMapBytes
+	// is the global-id bookkeeping: each shard's local-to-global ids,
+	// the owners array and the tombstone bits. Both are read from array
+	// lengths, O(L) a shard.
+	Tables     lsh.Memory
+	IDMapBytes int64
 }
 
 // Stats snapshots the topology.
@@ -1172,11 +1179,14 @@ func (s *Sharded[P]) Stats() Stats {
 		st.ShardAppends[j] = sh.appends.Load()
 		sh.mu.RLock()
 		st.Store.Add(sh.ix.StoreStats())
+		st.Tables.Add(sh.ix.TableMemory())
+		st.IDMapBytes += 4 * int64(cap(sh.ids))
 		sh.mu.RUnlock()
 	}
 	s.tombMu.RLock()
 	st.DeadInBuckets = append([]int(nil), s.shardDead...)
 	st.Compactions = append([]int64(nil), s.compactions...)
+	st.IDMapBytes += 8*int64(cap(s.tombs)) + 4*int64(cap(s.owners))
 	s.tombMu.RUnlock()
 	for _, d := range st.DeadInBuckets {
 		st.DeadTotal += d
