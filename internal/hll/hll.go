@@ -159,20 +159,6 @@ func (s *Sketch) MergeRegisters(regs []uint8) {
 	}
 }
 
-// FromRegisters reconstructs a sketch from a register array previously
-// obtained via Registers (e.g. from a persisted snapshot). The slice is
-// copied. It returns an error — not a panic, since the input typically
-// comes from external storage — if the register count is not a power of
-// two in [MinM, MaxM] or any register exceeds the maximal rank 64.
-func FromRegisters(regs []uint8) (*Sketch, error) {
-	if err := CheckRegisters(regs); err != nil {
-		return nil, err
-	}
-	s := &Sketch{p: uint8(bits.TrailingZeros(uint(len(regs)))), regs: make([]uint8, len(regs))}
-	copy(s.regs, regs)
-	return s, nil
-}
-
 // CheckRegisters reports whether regs could be a sketch's register
 // array: a power-of-two count in [MinM, MaxM], every rank at most 64.
 func CheckRegisters(regs []uint8) error {

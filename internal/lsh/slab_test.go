@@ -146,11 +146,7 @@ func (r *refTables[P]) estimate(q P, probes int) float64 {
 	s := hll.New(r.p.HLLRegisters)
 	for _, b := range r.lookup(q, probes) {
 		if b.Sketch != nil {
-			o, err := hll.FromRegisters(b.Sketch)
-			if err != nil {
-				panic(err)
-			}
-			s.Merge(o)
+			s.MergeRegisters(b.Sketch)
 			continue
 		}
 		for _, id := range b.IDs {

@@ -25,7 +25,9 @@ import (
 // Small buckets carry no sketch — the paper's space-saving trick (§3.2):
 // their few ids are folded into the query-time merged sketch directly,
 // gathered from per-id entries (hll.Entry, one per point, computed once
-// per table set) at one load and one max per id.
+// per table set) at one load and one max per id. The ids appended to a
+// bucket since its table was frozen are folded the same way: a lookup
+// hands them out as a view of their own, which carries no sketch.
 //
 // A view of a bucket in a narrow slab holds its ids as uint16 (Narrow)
 // and leaves IDs nil; every other view holds them in IDs. Readers that
@@ -108,7 +110,7 @@ type Table[P any] struct {
 type table[P any] struct {
 	hasher   Hasher[P]
 	slab     Slab
-	over     map[uint64]*overBucket
+	over     map[uint64][]int32       // the ids appended to each bucket since the freeze
 	appended int                      // ids appended since the slab was frozen
 	overSize int64                    // the overlay's bytes (see Memory)
 	view     atomic.Pointer[Table[P]] // Table's map view; nil until asked for
@@ -118,44 +120,38 @@ type table[P any] struct {
 // slab.nids()/refreezeShare appended ids.
 const refreezeShare = 8
 
-// overBucket is the overlay part of one bucket: the ids appended to it
-// since the freeze and, once the whole bucket reaches the threshold, the
-// sketch over all its ids, frozen and appended. The frozen part stays in
-// the slab (frozen is a view of it), so an Append into a large bucket
-// copies none of its ids. Appended ids are int32 whatever the slab's
-// width; the next refreeze picks the width for the grown table.
-type overBucket struct {
-	frozen Bucket
-	ids    []int32
-	sketch *hll.Sketch
-}
-
-// appendOverlay appends the overlay part of key's bucket to bs, the
-// ids appended since the freeze, when there is one. Readers take it and
-// the frozen part before it as one bucket: the ids come in the bucket's
-// order, their sizes sum to its size, and the appended part carries the
-// sketch over the whole bucket, which absorbs whatever the frozen part
-// contributes to a merge (HLL registers only take maxima). The overlay
-// is read only when it has entries.
+// appendOverlay appends the ids appended to key's bucket since the
+// freeze to bs, as one more view without a sketch, when there are any.
+// Readers take it and the frozen part before it as one bucket: the ids
+// come in the bucket's order and their sizes sum to its size, and a
+// merge folds the appended ids into the frozen part's registers, which
+// gives the whole bucket's (HLL registers are a max over the ids,
+// however they are grouped). The overlay is read only when it has
+// entries.
 func (tb *table[P]) appendOverlay(bs []Bucket, key uint64) []Bucket {
 	if len(tb.over) == 0 {
 		return bs
 	}
-	if ob := tb.over[key]; ob != nil {
-		b := Bucket{IDs: ob.ids[:len(ob.ids):len(ob.ids)]}
-		if ob.sketch != nil {
-			b.Sketch = ob.sketch.Registers()
-		}
-		bs = append(bs, b)
+	if ids := tb.over[key]; ids != nil {
+		bs = append(bs, Bucket{IDs: ids[:len(ids):len(ids)]})
 	}
 	return bs
 }
 
+// sketched reports whether a bucket with frozen part frozen and
+// appended more ids carries a sketch once whole: when the frozen part
+// does, or when the whole bucket reaches the threshold.
+func sketched(frozen Bucket, appended int, p Params) bool {
+	return frozen.Sketch != nil || frozen.Len()+appended >= p.HLLThreshold
+}
+
 // all yields every bucket of the table whole, in ascending order of
-// Mix64(key), the slab order. A bucket with an overlay part is yielded
-// as a fresh copy of its frozen and appended ids, with the overlay's
-// sketch.
-func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
+// Mix64(key), the slab order. A bucket with appended ids is yielded as
+// a fresh copy of its frozen and appended ids and, when it is sketched,
+// a fresh sketch over them all: the frozen part merged and the appended
+// ids folded through ents, which must cover every id of the table. With
+// ents nil such a bucket carries no sketch, for readers of ids alone.
+func (tb *table[P]) all(p Params, ents *idEntries) iter.Seq2[uint64, Bucket] {
 	return func(yield func(uint64, Bucket) bool) {
 		s := &tb.slab
 		over := make([]uint64, 0, len(tb.over))
@@ -171,14 +167,19 @@ func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
 					return
 				}
 			}
+			var frozen Bucket
 			if i < s.len() && s.heads[i].key == k {
-				i++ // yielded whole below
+				frozen = s.bucket(i) // yielded whole below
+				i++
 			}
-			ob := tb.over[k]
-			ids := ob.frozen.AppendIDs(make([]int32, 0, ob.frozen.Len()+len(ob.ids)))
-			b := Bucket{IDs: append(ids, ob.ids...)}
-			if ob.sketch != nil {
-				b.Sketch = ob.sketch.Registers()
+			appended := tb.over[k]
+			ids := frozen.AppendIDs(make([]int32, 0, frozen.Len()+len(appended)))
+			b := Bucket{IDs: append(ids, appended...)}
+			if ents != nil && sketched(frozen, len(appended), p) {
+				sk := hll.New(p.HLLRegisters)
+				mergeBucket(sk, &frozen, ents)
+				foldIDs(sk, ents, appended)
+				b.Sketch = sk.Registers()
 			}
 			if !yield(k, b) {
 				return
@@ -197,7 +198,8 @@ func (tb *table[P]) all() iter.Seq2[uint64, Bucket] {
 // included (folding the overlay back). Otherwise every id is renumbered
 // through remap, emptied buckets vanish, and the sketches are rebuilt
 // over the survivors under the usual threshold (HLLs cannot un-absorb a
-// deletion, so rebuilding is the only sound way to forget).
+// deletion, so rebuilding is the only sound way to forget). ents must
+// cover the ids before the renumbering, which include every new id.
 func (tb *table[P]) rebuild(remap []int32, p Params, n int, ents *idEntries) Slab {
 	var kept []int32
 	survivors := func(b Bucket) Bucket {
@@ -211,20 +213,27 @@ func (tb *table[P]) rebuild(remap []int32, p Params, n int, ents *idEntries) Sla
 		}
 		return Bucket{IDs: kept}
 	}
-	buckets, ids, sketches := 0, 0, 0
-	for _, b := range tb.all() {
-		c := survivors(b).Len()
-		if c == 0 {
-			continue
-		}
-		buckets, ids = buckets+1, ids+c
-		if remap == nil && b.Sketch != nil || remap != nil && c >= p.HLLThreshold {
-			sketches++
+	// Without a remap the buckets and their sketches are the extent's;
+	// with one, the survivors' sketches are rebuilt below, so all need
+	// not build the overlay's (src stays nil).
+	var src *idEntries
+	var buckets, ids, sketches int
+	if remap == nil {
+		src = ents
+		buckets, ids, sketches = tb.extent(p)
+	} else {
+		for _, b := range tb.all(p, nil) {
+			if c := survivors(b).Len(); c > 0 {
+				buckets, ids = buckets+1, ids+c
+				if c >= p.HLLThreshold {
+					sketches++
+				}
+			}
 		}
 	}
 	w := newSlabBuilder(p.HLLRegisters, narrowFor(n), buckets, ids, sketches)
 	scratch := hll.New(p.HLLRegisters)
-	for key, b := range tb.all() {
+	for key, b := range tb.all(p, src) {
 		b = survivors(b)
 		if b.Len() == 0 {
 			continue
@@ -415,13 +424,12 @@ func RestoreTables[P any](p Params, hashers []Hasher[P], slabs []*Slab, n int) (
 }
 
 // Append hashes additional points into every table, assigning them ids
-// starting at the current N, and maintains the per-bucket sketches: ids
-// are folded into existing sketches, and buckets that cross the threshold
-// get one built (Algorithm 1 is fully incremental — HLLs only ever absorb
-// insertions). Frozen buckets are never written: the ids appended to a
-// bucket, and its sketch once it has one, go to the table's overlay.
-// Append must not run concurrently with lookups; the caller
-// synchronizes index mutation.
+// starting at the current N. It writes no frozen bucket and no sketch:
+// the ids appended to a bucket go to the table's overlay, and a merge
+// folds them into the frozen part's registers, which gives the whole
+// bucket's (Algorithm 1 is fully incremental — HLLs only ever absorb
+// insertions). Append must not run concurrently with lookups; the
+// caller synchronizes index mutation.
 func (t *Tables[P]) Append(points []P) error {
 	if len(points) == 0 {
 		return nil
@@ -438,41 +446,20 @@ func (t *Tables[P]) Append(points []P) error {
 		tb := &t.tables[j]
 		tb.view.Store(nil)
 		keysOf(tb.hasher, points, keys, &s)
-		for i, key := range keys {
-			id := int32(t.n + i)
-			ob := tb.over[key]
-			if ob == nil {
-				ob = &overBucket{}
-				tb.overSize += overBucketBytes
-				if at := tb.slab.find(key); at >= 0 {
-					ob.frozen = tb.slab.bucket(at)
-					if ob.frozen.Sketch != nil {
-						// Registers from a slab were built or checked: no error.
-						ob.sketch, _ = hll.FromRegisters(ob.frozen.Sketch)
-						tb.overSize += sketchBytes(t.params.HLLRegisters)
-					}
-				}
-				if tb.over == nil {
-					tb.over = make(map[uint64]*overBucket)
-				}
-				tb.over[key] = ob
-			}
-			c := cap(ob.ids)
-			ob.ids = append(ob.ids, id)
-			tb.overSize += 4 * int64(cap(ob.ids)-c)
-			tb.appended++
-			switch {
-			case ob.sketch != nil:
-				foldIDs(ob.sketch, &t.ents, ob.ids[len(ob.ids)-1:])
-			case ob.frozen.Len()+len(ob.ids) >= t.params.HLLThreshold:
-				// The frozen part carries no sketch, or ob.sketch would
-				// have started from it: merging it folds its ids.
-				ob.sketch = hll.New(t.params.HLLRegisters)
-				tb.overSize += sketchBytes(t.params.HLLRegisters)
-				mergeBucket(ob.sketch, &ob.frozen, &t.ents)
-				foldIDs(ob.sketch, &t.ents, ob.ids)
-			}
+		if tb.over == nil {
+			tb.over = make(map[uint64][]int32)
 		}
+		for i, key := range keys {
+			ids := tb.over[key]
+			if ids == nil {
+				tb.overSize += overBucketBytes
+			}
+			c := cap(ids)
+			ids = append(ids, int32(t.n+i))
+			tb.overSize += 4 * int64(cap(ids)-c)
+			tb.over[key] = ids
+		}
+		tb.appended += len(points)
 		if tb.appended*refreezeShare > tb.slab.nids() {
 			tb.slab = tb.rebuild(nil, t.params, t.n+len(points), &t.ents)
 			tb.over, tb.appended, tb.overSize = nil, 0, 0
@@ -529,7 +516,7 @@ func (t *Tables[P]) Compact(remap []int32, live int) (*Tables[P], error) {
 	nt := &Tables[P]{params: t.params, tables: make([]table[P], len(t.tables)), n: live, ents: t.ents.prefix(live)}
 	parallel(len(t.tables), func(j int) {
 		nt.tables[j].hasher = t.tables[j].hasher
-		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params, live, &nt.ents)
+		nt.tables[j].slab = t.tables[j].rebuild(remap, t.params, live, &t.ents)
 	})
 	return nt, nil
 }
@@ -549,7 +536,7 @@ func (t *Tables[P]) Hasher(j int) Hasher[P] { return t.tables[j].hasher }
 // SortedBuckets yields table j's buckets in ascending key order — the
 // order snapshots store them in. It radix-sorts the keys, each with the
 // position of its bucket: in the slab, or, while an overlay is live, in
-// all()'s order, whose buckets are then kept aside to be yielded by
+// the order of all, whose buckets are then kept aside to be yielded by
 // position.
 func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
 	tb := &t.tables[j]
@@ -562,7 +549,7 @@ func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
 			}
 		} else {
 			var kept []Bucket
-			for k, b := range tb.all() {
+			for k, b := range tb.all(t.params, &t.ents) {
 				keys = append(keys, keyAt{k, uint32(len(kept))})
 				kept = append(kept, b)
 			}
@@ -578,19 +565,28 @@ func (t *Tables[P]) SortedBuckets(j int) iter.Seq2[uint64, Bucket] {
 
 // Extent returns the size of what SortedBuckets(j) yields: the bucket
 // count, the id count and the number of buckets that carry a sketch.
-func (t *Tables[P]) Extent(j int) (buckets, ids, sketched int) {
-	tb := &t.tables[j]
-	if len(tb.over) == 0 {
-		s := &tb.slab
-		return s.len(), s.nids(), len(s.regs) / s.m
-	}
-	for _, b := range tb.all() {
-		buckets, ids = buckets+1, ids+b.Len()
-		if b.Sketch != nil {
-			sketched++
+func (t *Tables[P]) Extent(j int) (buckets, ids, sketches int) {
+	return t.tables[j].extent(t.params)
+}
+
+// extent returns the size of what all yields. It reads the slab's sizes
+// and, for a bucket with appended ids, whether it is sketched once
+// whole, which needs no registers.
+func (tb *table[P]) extent(p Params) (buckets, ids, sketches int) {
+	s := &tb.slab
+	buckets, ids, sketches = s.len(), s.nids()+tb.appended, len(s.regs)/s.m
+	for k, appended := range tb.over {
+		var frozen Bucket
+		if at := s.find(k); at >= 0 {
+			frozen = s.bucket(at)
+		} else {
+			buckets++
+		}
+		if frozen.Sketch == nil && sketched(frozen, len(appended), p) {
+			sketches++
 		}
 	}
-	return buckets, ids, sketched
+	return buckets, ids, sketches
 }
 
 // keyAt is a bucket key and the position of its bucket.
@@ -667,7 +663,7 @@ func (t *Tables[P]) Table(j int) *Table[P] {
 	buckets := make([]Bucket, 0, tb.slab.len()+len(tb.over))
 	wide := make([]int32, 0, len(tb.slab.narrow)) // the narrow buckets' ids
 	v := &Table[P]{Hasher: tb.hasher, Buckets: make(map[uint64]*Bucket, cap(buckets))}
-	for k, b := range tb.all() {
+	for k, b := range tb.all(t.params, &t.ents) {
 		if b.narrow != nil {
 			at := len(wide)
 			wide = b.AppendIDs(wide)
@@ -855,7 +851,7 @@ func (t *Tables[P]) Stats() Stats {
 		slab := &t.tables[i].slab
 		s.IDBytes += 2*len(slab.narrow) + 4*len(slab.wide)
 		s.HeadBytes += int(unsafe.Sizeof(head{}))*len(slab.heads) + 4*len(slab.dir)
-		for _, b := range t.tables[i].all() {
+		for _, b := range t.tables[i].all(t.params, &t.ents) {
 			s.Buckets++
 			total += b.Len()
 			s.MaxBucket = max(s.MaxBucket, b.Len())
@@ -886,8 +882,8 @@ type Memory struct {
 	// Hashers is the drawn hash functions: what the hashers that report
 	// their size (a Bytes method) hold.
 	Hashers int64
-	// Overlay is the append overlay: an estimate per overlay bucket for
-	// its map slot and record, plus its appended ids and sketch.
+	// Overlay is the append overlay: the ids appended since the freeze,
+	// plus an estimate per overlay bucket for its map slot.
 	Overlay int64
 }
 
@@ -901,13 +897,10 @@ func (m *Memory) Add(o Memory) {
 	m.Overlay += o.Overlay
 }
 
-// overBucketBytes is what one overlay bucket costs besides its ids and
-// sketch: its record and, as an estimate, its slot in the overlay map
-// (16 bytes of key and pointer at a typical 2/3 load).
-const overBucketBytes = int64(unsafe.Sizeof(overBucket{})) + 24
-
-// sketchBytes is the size of one m-register hll.Sketch and its registers.
-func sketchBytes(m int) int64 { return int64(unsafe.Sizeof(hll.Sketch{})) + int64(m) }
+// overBucketBytes is what one overlay bucket costs besides its ids: as
+// an estimate, its slot in the overlay map (the key, the id slice's
+// header and a control byte) at a typical 2/3 load.
+const overBucketBytes = (8 + int64(unsafe.Sizeof([]int32(nil))) + 1) * 3 / 2
 
 // heapBytes is the heap an n-byte array occupies: above 32 KiB the
 // runtime allocates whole 8 KiB pages, which on a table of a few

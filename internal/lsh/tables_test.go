@@ -516,7 +516,7 @@ func checkSortedBuckets[P any](t *testing.T, name string, tb *Tables[P]) {
 	t.Helper()
 	for j := range tb.tables {
 		want := map[uint64]Bucket{}
-		for k, b := range tb.tables[j].all() {
+		for k, b := range tb.tables[j].all(tb.params, &tb.ents) {
 			want[k] = b
 		}
 		n := 0
@@ -574,12 +574,8 @@ func TestProbeMatchesPerKeyFind(t *testing.T) {
 				bs = append(bs, tbl.slab.bucket(i))
 			}
 		}
-		if ob := tbl.over[key]; ob != nil {
-			b := Bucket{IDs: ob.ids}
-			if ob.sketch != nil {
-				b.Sketch = ob.sketch.Registers()
-			}
-			bs = append(bs, b)
+		if ids := tbl.over[key]; ids != nil {
+			bs = append(bs, Bucket{IDs: ids})
 		}
 		return bs
 	}
@@ -619,6 +615,140 @@ func TestProbeMatchesPerKeyFind(t *testing.T) {
 	}
 	if hit == 0 || miss == 0 || shared == 0 || overOnly == 0 || both == 0 {
 		t.Fatalf("key mix: %d hits, %d misses, %d in shared slots, %d overlay-only, %d frozen+overlay; want every kind", hit, miss, shared, overOnly, both)
+	}
+}
+
+// TestOverlayFoldsAsRefrozen: with an overlay live, every reader of a
+// bucket sees what it sees once the table is refrozen — Collisions and
+// Estimate over its lookup, SortedBuckets' ids and registers, Extent —
+// for the shapes the fold must get right: a sketched frozen part, a
+// frozen part below the threshold that appends carry past it, and a
+// key only the overlay holds that crosses it, beside a frozen part and
+// an overlay-only key that stay below it.
+func TestOverlayFoldsAsRefrozen(t *testing.T) {
+	const threshold = 8
+	p := Params{K: 1, L: 2, HLLRegisters: 16, HLLThreshold: threshold}
+	shapes := []struct {
+		name             string
+		key              uint64
+		frozen, appended int
+	}{
+		{"sketched frozen part", 1, 10, 3},
+		{"frozen part carried past the threshold", 2, 5, 4},
+		{"overlay-only past the threshold", 3, 0, 9},
+		{"small frozen part", 4, 2, 1},
+		{"small overlay-only", 5, 0, 2},
+	}
+	var pts, added []uint64
+	for i := range 400 { // one-id buckets that keep the overlay under the refreeze share
+		pts = append(pts, 1000+uint64(i))
+	}
+	for _, sh := range shapes {
+		for range sh.frozen {
+			pts = append(pts, sh.key)
+		}
+		for range sh.appended {
+			added = append(added, sh.key)
+		}
+	}
+	tb, err := Build(pts, keyFamily{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Append(added); err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.tables[0].over) == 0 {
+		t.Fatal("test setup: the Append re-froze the table")
+	}
+	hashers, slabs := make([]Hasher[uint64], tb.L()), make([]*Slab, tb.L())
+	for j := range slabs {
+		s := tb.tables[j].rebuild(nil, tb.params, tb.n, &tb.ents)
+		hashers[j], slabs[j] = tb.Hasher(j), &s
+	}
+	refrozen, err := RestoreTables(tb.params, hashers, slabs, tb.n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s, rs Scratch
+	scratch := hll.New(p.HLLRegisters)
+	for _, sh := range shapes {
+		keys := tb.BlockKeys([]uint64{sh.key}, nil, &KeyScratch{})
+		got, want := tb.LookupKeys(keys, 0, 1, &s), refrozen.LookupKeys(keys, 0, 1, &rs)
+		if views := 2 * (min(sh.frozen, 1) + min(sh.appended, 1)); len(got) != views {
+			t.Fatalf("%s: %d views over two tables, want %d", sh.name, len(got), views)
+		}
+		if sh.frozen > 0 && (got[0].Sketch != nil) != (sh.frozen >= threshold) {
+			t.Fatalf("%s: frozen part sketched %v", sh.name, got[0].Sketch != nil)
+		}
+		if (want[0].Sketch != nil) != (sh.frozen+sh.appended >= threshold) {
+			t.Fatalf("%s: refrozen bucket sketched %v", sh.name, want[0].Sketch != nil)
+		}
+		if g, w := Collisions(got), Collisions(want); g != w || w != 2*(sh.frozen+sh.appended) {
+			t.Fatalf("%s: %d collisions with the overlay live, %d refrozen", sh.name, g, w)
+		}
+		if g, w := tb.Estimate(got, scratch), refrozen.Estimate(want, scratch); g != w {
+			t.Fatalf("%s: estimate %v with the overlay live, %v refrozen", sh.name, g, w)
+		}
+	}
+	for j := range tb.L() {
+		if got, want := encodeTable(tb.SortedBuckets(j)), encodeTable(refrozen.SortedBuckets(j)); !bytes.Equal(got, want) {
+			t.Fatalf("table %d: SortedBuckets with the overlay live differ from the refrozen table's", j)
+		}
+		nb, ids, sk := tb.Extent(j)
+		if rnb, rids, rsk := refrozen.Extent(j); nb != rnb || ids != rids || sk != rsk {
+			t.Fatalf("table %d: extent %d/%d/%d with the overlay live, %d/%d/%d refrozen", j, nb, ids, sk, rnb, rids, rsk)
+		}
+	}
+	checkSortedBuckets(t, "overlay shapes", tb)
+}
+
+// TestAppendMakesNoSketch: a 32-point Append into buckets that all carry
+// a sketch allocates no more than one into buckets that carry none, so
+// appending builds no sketch per touched bucket.
+func TestAppendMakesNoSketch(t *testing.T) {
+	const batch, runs = 32, 10
+	p := Params{K: 1, L: 2, HLLRegisters: 64, HLLThreshold: 4}
+	// Every run (and AllocsPerRun's warm-up) touches 32 buckets no run
+	// touched before: keys [0, keys) hold 4 ids each, sketched, keys
+	// [keys, 2·keys) one id each, and one-id filler keeps the overlay
+	// under the refreeze share.
+	const keys = (runs + 1) * batch
+	var pts []uint64
+	for k := range uint64(keys) {
+		for range p.HLLThreshold {
+			pts = append(pts, k)
+		}
+		pts = append(pts, keys+k)
+	}
+	for i := range uint64(8 * keys) {
+		pts = append(pts, 2*keys+i)
+	}
+	allocs := func(first uint64) float64 {
+		tb, err := Build(pts, keyFamily{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches := make([][]uint64, runs+1)
+		for r := range batches {
+			for k := range uint64(batch) {
+				batches[r] = append(batches[r], first+uint64(r)*batch+k)
+			}
+		}
+		r := 0
+		a := testing.AllocsPerRun(runs, func() {
+			if err := tb.Append(batches[r]); err != nil {
+				t.Fatal(err)
+			}
+			r++
+		})
+		if len(tb.tables[0].over) == 0 {
+			t.Fatal("test setup: an Append re-froze the table")
+		}
+		return a
+	}
+	if sketched, unsketched := allocs(0), allocs(keys); sketched > unsketched {
+		t.Fatalf("a %d-point Append into sketched buckets allocates %v times, into unsketched ones %v", batch, sketched, unsketched)
 	}
 }
 

@@ -58,6 +58,7 @@ type Log struct {
 
 	mu     sync.Mutex
 	frames [][]byte // frames[i] carries sequence number first+i
+	gone   int      // the slots of frames' array before frames[0], trimmed
 	bytes  int64    // the retained frames' bytes
 	first  uint64   // sequence number of frames[0]; 1 until trimming starts
 	next   uint64   // next sequence number to assign (last assigned + 1)
@@ -181,24 +182,31 @@ func (l *Log) record(encode func(seq uint64) ([]byte, error)) {
 			return
 		}
 	}
+	if len(l.frames) == cap(l.frames) {
+		l.gone = 0 // the append moves the list to a new array
+	}
 	l.frames = append(l.frames, frame)
 	l.bytes += int64(cap(frame))
 	l.next++
 	if over := len(l.frames) - l.cap; over > 0 {
+		// Trim by reslicing: the list's array is copied only when an
+		// append outgrows it, at amortized O(1) per record.
 		for _, f := range l.frames[:over] {
 			l.bytes -= int64(cap(f))
 		}
-		l.frames = append([][]byte(nil), l.frames[over:]...)
+		clear(l.frames[:over])
+		l.frames = l.frames[over:]
+		l.gone += over
 		l.first += uint64(over)
 	}
 }
 
 // Bytes is the memory the retained frames hold: their bytes and the
-// frame list.
+// frame list's array.
 func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bytes + 24*int64(cap(l.frames))
+	return l.bytes + 24*int64(l.gone+cap(l.frames))
 }
 
 // Since returns up to maxFrames encoded frames with sequence numbers

@@ -112,6 +112,39 @@ func TestLogTrimsToCap(t *testing.T) {
 	}
 }
 
+// TestLogRecordAtCapAllocatesO1: once the log holds its cap of frames,
+// recording one more allocates no more than recording into a log with
+// room (the trim reslices; it copies no frame list), and a cursor the
+// trim passed still gets ErrTrimmed.
+func TestLogRecordAtCapAllocatesO1(t *testing.T) {
+	const capFrames, runs = 64, 500
+	batch := pts(1, 0)
+	allocs := func(log *replica.Log) float64 {
+		rec := replica.NewRecorder[vector.Dense](log)
+		return testing.AllocsPerRun(runs, func() { rec.JournalAppend(0, 0, batch) })
+	}
+	full := replica.NewLog(testHeader(), capFrames)
+	rec := replica.NewRecorder[vector.Dense](full)
+	for range capFrames {
+		rec.JournalAppend(0, 0, batch)
+	}
+	roomy := replica.NewLog(testHeader(), 2*runs)
+	if atCap, withRoom := allocs(full), allocs(roomy); atCap > withRoom {
+		t.Fatalf("a record at the cap allocates %v times, one with room %v", atCap, withRoom)
+	}
+	seq := full.Seq()
+	if _, _, err := full.Since(seq-capFrames-1, 0); !errors.Is(err, replica.ErrTrimmed) {
+		t.Fatalf("Since(%d) after trims: err = %v, want ErrTrimmed", seq-capFrames-1, err)
+	}
+	frames, last, err := full.Since(seq-capFrames, 0)
+	if err != nil || len(frames) != capFrames || last != seq {
+		t.Fatalf("Since(%d) = %d frames, last %d, err %v; want %d, %d, nil", seq-capFrames, len(frames), last, err, capFrames, seq)
+	}
+	if got := decodeFrames[vector.Dense](t, full.Header(), frames); got[0].Seq != seq-capFrames+1 {
+		t.Fatalf("first retained frame seq = %d, want %d", got[0].Seq, seq-capFrames+1)
+	}
+}
+
 func TestLogStickyEncodeError(t *testing.T) {
 	log := replica.NewLog(testHeader(), 0)
 	rec := replica.NewRecorder[vector.Dense](log)

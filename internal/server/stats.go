@@ -63,7 +63,7 @@ func (s *Server) registerMetrics() {
 	obs.RegisterLatencyRecorder(s.reg, s.lat)
 	obs.RegisterRuntime(s.reg)
 	parts := s.reg.NewGaugeVec("hybridlsh_index_bytes",
-		"Bytes the node's index holds, by part, read from array lengths: points, heads (bucket heads and directories), ids, sketches, entries (per-id HLL entries), hashers, overlay (appended since the last freeze), idmap (global-id bookkeeping) and deltalog (a writer's retained delta frames).",
+		"Bytes the node's index holds, by part, read from array lengths: points, heads (bucket heads and directories), ids, sketches, entries (per-id HLL entries), hashers, overlay (ids appended since the last freeze and their map slots), idmap (global-id bookkeeping) and deltalog (a writer's retained delta frames).",
 		"part")
 	s.reg.OnScrape(func() {
 		for _, p := range s.indexParts() {

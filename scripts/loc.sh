@@ -30,6 +30,7 @@
 #   04cbed9 (parent of one way to build an index): 22677
 #   ff491d1 (parent of index set-up at sort speed): 22617
 #   bc59d80 (parent of the memory budget): 22723
+#   47ada38 (parent of the ids-only overlay): 23009
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 find . \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) ! -path './benchmark/*' ! -path './.bench_build/*' -print0 |
